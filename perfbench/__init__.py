@@ -1,0 +1,1 @@
+"""The repository's benchmark: see README.md in this directory."""
