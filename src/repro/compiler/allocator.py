@@ -53,6 +53,23 @@ class MemoryPlan:
         return self.cmem_weight_bytes / total if total else 1.0
 
 
+def effective_cmem_budget(chip: ChipConfig,
+                          cmem_budget_bytes: Optional[int] = None,
+                          use_cmem: bool = True) -> int:
+    """The CMEM bytes :func:`plan_memory` may fill on ``chip``.
+
+    The requested budget (default: all of CMEM), zero when the chip has
+    no CMEM or the compiler does not use it, and never above the physical
+    capacity.
+    """
+    budget = chip.cmem_bytes if cmem_budget_bytes is None else cmem_budget_bytes
+    if budget < 0:
+        raise ValueError("CMEM budget must be non-negative")
+    if not use_cmem or not chip.has_cmem:
+        budget = 0
+    return min(budget, chip.cmem_bytes)
+
+
 def plan_memory(module: HloModule, chip: ChipConfig, *,
                 cmem_budget_bytes: Optional[int] = None,
                 use_cmem: bool = True) -> MemoryPlan:
@@ -60,15 +77,10 @@ def plan_memory(module: HloModule, chip: ChipConfig, *,
 
     ``cmem_budget_bytes`` overrides the physical capacity (the E10 sweep and
     the multi-tenant partitioner use this); ``use_cmem=False`` models a
-    compiler too old to know about CMEM (the versions experiment).
+    compiler too old to know about CMEM (the versions experiment). The
+    plan reads only the effective budget and ``chip.vmem_bytes``.
     """
-    budget = chip.cmem_bytes if cmem_budget_bytes is None else cmem_budget_bytes
-    if budget < 0:
-        raise ValueError("CMEM budget must be non-negative")
-    if not use_cmem or not chip.has_cmem:
-        budget = 0
-    budget = min(budget, chip.cmem_bytes)
-
+    budget = effective_cmem_budget(chip, cmem_budget_bytes, use_cmem)
     plan = MemoryPlan(cmem_budget_bytes=budget)
 
     # --- weights: greedy fill, largest first (maximizes bytes on chip,

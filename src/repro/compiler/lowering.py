@@ -113,6 +113,17 @@ class _Lowerer:
         self.elem_bytes = 1 if module.root.shape.dtype_name == "int8" else 2
         working = int(chip.vmem_bytes * _VMEM_WORKING_FRACTION)
         self.materialize_threshold = working // _MATERIALIZE_DIVISOR
+        # (opcode, args) -> the one Instruction this lowering emits for
+        # it. Instructions are immutable, so repeats share one object and
+        # each distinct value is built (and its operands checked) once.
+        self._interned: Dict[Tuple[Opcode, Tuple[int, ...]], Instruction] = {}
+
+    def _inst(self, opcode: Opcode, args: Tuple[int, ...]) -> Instruction:
+        key = (opcode, args)
+        inst = self._interned.get(key)
+        if inst is None:
+            inst = self._interned[key] = Instruction(opcode, args)
+        return inst
 
     # ------------------------------------------------------------ DMA helpers
 
@@ -126,26 +137,26 @@ class _Lowerer:
         """
         flag = self.flags.take()
         if after_flag is not None:
-            op.body.append(Instruction(Opcode.SYNC_WAIT, (after_flag,)))
-        load = Instruction(Opcode.DMA_IN,
+            op.body.append(self._inst(Opcode.SYNC_WAIT, (after_flag,)))
+        load = self._inst(Opcode.DMA_IN,
                            (LEVEL_IDS[level], max(1, int(num_bytes)), flag))
         if self.version.has("prefetch") and after_flag is None:
             op.prologue.append(load)
         else:
             op.body.append(load)
             if not self.version.has("prefetch"):
-                op.body.append(Instruction(Opcode.SYNC_WAIT, (flag,)))
+                op.body.append(self._inst(Opcode.SYNC_WAIT, (flag,)))
         return flag
 
     def _emit_store(self, op: LoweredOp, level: str, num_bytes: int) -> int:
         flag = self.flags.take()
-        op.epilogue.append(Instruction(
+        op.epilogue.append(self._inst(
             Opcode.DMA_OUT, (LEVEL_IDS[level], max(1, int(num_bytes)), flag)))
         return flag
 
     def _wait(self, op: LoweredOp, flag: Optional[int]) -> None:
         if flag is not None:
-            op.body.append(Instruction(Opcode.SYNC_WAIT, (flag,)))
+            op.body.append(self._inst(Opcode.SYNC_WAIT, (flag,)))
 
     def _stage_operand(self, op: LoweredOp, operand: HloInstruction) -> None:
         """Bring one operand into VMEM if it is not already there."""
@@ -209,7 +220,7 @@ class _Lowerer:
             if weight_flags:
                 wait_index = min(index, len(weight_flags) - 1)
                 self._wait(op, weight_flags[wait_index])
-            op.body.append(Instruction(Opcode.MXM, (tile.rows, k, n)))
+            op.body.append(self._inst(Opcode.MXM, (tile.rows, k, n)))
 
     def _lower_batched_dot(self, op: LoweredOp, root: HloInstruction) -> None:
         """Attention-style activation x activation matmul: one MXU matmul
@@ -218,8 +229,7 @@ class _Lowerer:
             self._stage_operand(op, operand)
         batch, m, k = root.operands[0].shape.dims
         n = root.operands[1].shape.dims[2]
-        for _ in range(batch):
-            op.body.append(Instruction(Opcode.MXM, (m, k, n)))
+        op.body.extend([self._inst(Opcode.MXM, (m, k, n))] * batch)
 
     # ---------------------------------------------------------------- vector
 
@@ -227,19 +237,19 @@ class _Lowerer:
         definition = opdef(inst.opcode)
         if definition.kind == "pool":
             window = int(inst.attr("window", 2))
-            op.body.append(Instruction(
+            op.body.append(self._inst(
                 Opcode.VREDUCE,
                 (inst.operands[0].shape.num_elements, window * window)))
             return
         if definition.kind == "reduce":
             axis = int(inst.attr("axis", inst.operands[0].shape.rank - 1))
             axis_len = inst.operands[0].shape.dims[axis]
-            op.body.append(Instruction(
+            op.body.append(self._inst(
                 Opcode.VREDUCE,
                 (inst.operands[0].shape.num_elements, axis_len)))
             return
         opcode = _VECTOR_OPCODES[definition.vpu_class]
-        op.body.append(Instruction(opcode, (inst.shape.num_elements,)))
+        op.body.append(self._inst(opcode, (inst.shape.num_elements,)))
 
     # ---------------------------------------------------------------- gather
 
@@ -258,7 +268,7 @@ class _Lowerer:
         read_bytes = rows * max(row_bytes, self._MIN_BURST_BYTES)
         flag = self._emit_load(op, home, read_bytes)
         self._wait(op, flag)
-        op.body.append(Instruction(Opcode.VCOPY, (inst.shape.num_elements,)))
+        op.body.append(self._inst(Opcode.VCOPY, (inst.shape.num_elements,)))
 
     # ----------------------------------------------------------------- group
 

@@ -22,10 +22,8 @@ from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
 from repro.arch.mxu import MxuModel
 from repro.arch.vpu import VpuModel
-from repro.compiler.expansion import expand_composites
-from repro.compiler.fusion import plan_fusion
-from repro.compiler.lowering import LoweredOp, lower_module
-from repro.compiler.allocator import plan_memory
+from repro.compiler.lowering import LoweredOp
+from repro.compiler.pipeline import lower_stages
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloModule
 from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
@@ -131,12 +129,7 @@ def _price_op(op: LoweredOp, chip: ChipConfig, mxu: MxuModel, vpu: VpuModel,
 def profile_module(module: HloModule, chip: ChipConfig, *,
                    version: CompilerVersion = LATEST) -> ModuleProfile:
     """Lower and price every operator of a module for one chip."""
-    module.validate()
-    expanded = expand_composites(module)
-    fusion = plan_fusion(expanded, enabled=version.has("fusion"))
-    memory_plan = plan_memory(expanded, chip,
-                              use_cmem=version.has("cmem_alloc"))
-    lowered = lower_module(expanded, fusion, memory_plan, chip, version)
+    lowered = lower_stages(module, chip, version)[3]
     mxu = MxuModel(chip)
     vpu = VpuModel(chip)
     memory = MemorySystem(chip)

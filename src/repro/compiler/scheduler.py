@@ -10,7 +10,7 @@ gets its own bundle (the bring-up compiler's behaviour).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler.lowering import LoweredOp
 from repro.compiler.versions import CompilerVersion
@@ -24,38 +24,55 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 
 
-def _flush(bundles: List[Bundle], pending: List[Instruction]) -> None:
-    if pending:
-        bundles.append(Bundle(tuple(pending)))
-        pending.clear()
-
-
-def _pack(instructions: Iterable[Instruction], generation: int,
+def _pack(stream: Sequence[Instruction], generation: int,
           dense: bool) -> List[Bundle]:
+    """Pack ``stream`` into bundles, in order.
+
+    Repeats are interned: a bundle made of the same instruction objects
+    as an earlier one *is* that earlier :class:`Bundle`, and each
+    distinct instruction's slot is checked once. Lowering interns its
+    instructions, so equal instructions are usually the same object;
+    keying by identity never merges unequal bundles. Every instruction
+    is held by ``stream`` or a bundle while packing, so ids stay unique.
+    """
     layout = slot_layout_for_generation(generation)
+    capacity = [layout.get(slot, 0) for slot in SlotClass]
+    slot_index = {slot: i for i, slot in enumerate(SlotClass)}
+    empty = [0] * len(capacity)
+    slot_of: Dict[int, int] = {}           # id(instruction) -> slot index
+    interned: Dict[Tuple[int, ...], Bundle] = {}
     bundles: List[Bundle] = []
     pending: List[Instruction] = []
-    usage: Dict[SlotClass, int] = {}
+    usage = list(empty)
 
-    for inst in instructions:
-        capacity = layout.get(inst.slot, 0)
-        if capacity == 0:
-            raise ValueError(
-                f"generation {generation} has no {inst.slot.value} slot for "
-                f"{inst.opcode.mnemonic}")
-        if not dense:
-            _flush(bundles, pending)
-            usage = {}
-        if usage.get(inst.slot, 0) >= capacity:
-            _flush(bundles, pending)
-            usage = {}
+    def flush() -> None:
+        key = tuple(map(id, pending))
+        bundle = interned.get(key)
+        if bundle is None:
+            bundle = interned[key] = Bundle(tuple(pending))
+        bundles.append(bundle)
+        pending.clear()
+        usage[:] = empty
+
+    for inst in stream:
+        index = slot_of.get(id(inst))
+        if index is None:
+            index = slot_index[inst.slot]
+            if capacity[index] == 0:
+                raise ValueError(
+                    f"generation {generation} has no {inst.slot.value} slot "
+                    f"for {inst.opcode.mnemonic}")
+            slot_of[id(inst)] = index
+        if pending and (not dense or usage[index] >= capacity[index]):
+            flush()
         pending.append(inst)
-        usage[inst.slot] = usage.get(inst.slot, 0) + 1
-        if not dense:
-            _flush(bundles, pending)
-            usage = {}
-    _flush(bundles, pending)
+        usage[index] += 1
+    if pending:
+        flush()
     return bundles
+
+
+_HALT = Instruction(Opcode.HALT)
 
 
 def schedule(lowered: List[LoweredOp], name: str, generation: int,
@@ -71,7 +88,7 @@ def schedule(lowered: List[LoweredOp], name: str, generation: int,
         stream.extend(op.prologue)
         stream.extend(op.body)
         stream.extend(op.epilogue)
-    stream.append(Instruction(Opcode.HALT))
+    stream.append(_HALT)
 
     program = Program(name=name, generation=generation)
     program.extend(_pack(stream, generation, dense=version.has("dual_issue")))

@@ -318,7 +318,10 @@ class DesignPoint:
 
 # ----------------------------------------------------------- shared registry
 
-_POINTS: dict[tuple[str, str], DesignPoint] = {}
+#: Keyed by the frozen (chip, version) values themselves: a dict lookup
+#: hashes and compares fields, which is far cheaper than fingerprinting
+#: (the fingerprints stay on the DesignPoint for EvalCache keys).
+_POINTS: dict[tuple[ChipConfig, CompilerVersion], DesignPoint] = {}
 
 
 def shared_design_point(chip: ChipConfig,
@@ -329,7 +332,7 @@ def shared_design_point(chip: ChipConfig,
     configuration in one process (e.g. a CMEM sweep's capacities, or a
     pool worker's chunk of candidates) share compiled models and the sim.
     """
-    key = (chip_fingerprint(chip), compiler_fingerprint(version))
+    key = (chip, version)
     point = _POINTS.get(key)
     if point is None:
         point = DesignPoint(chip, version)

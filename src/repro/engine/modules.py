@@ -5,8 +5,11 @@ Building an :class:`~repro.graph.hlo.HloModule` is chip-independent —
 point will compile it — yet the pre-engine code rebuilt it for every
 candidate in a sweep (a 3x3 DSE grid built ``rnn0`` nine times).
 This module builds each (workload, batch) once per process and shares
-the result; ``compile_model`` never mutates its input (it expands into a
-fresh module), so sharing is safe.
+the result; ``compile_model`` never changes its input's graph (it
+expands into a fresh module), so sharing is safe. Sharing also shares
+the compile memo each module carries (``HloModule.memo``): a shared
+module is validated, expanded and lowered once per lowering key,
+however many chips compile it.
 
 Workers forked by the :class:`~repro.engine.parallel.ParallelSweeper`
 inherit the parent's populated cache for free.

@@ -74,6 +74,7 @@ def latency_table(point: DesignPoint, spec, steps: Sequence[int], *,
     from repro.compiler.pipeline import compile_model, retarget_dtype
     from repro.engine.cache import get_cache
     from repro.engine.keys import eval_key, key_meta
+    from repro.engine.modules import built_module
     cache = get_cache()
     table: dict[int, float] = {}
     for step in steps:
@@ -84,7 +85,7 @@ def latency_table(point: DesignPoint, spec, steps: Sequence[int], *,
                        step, None, dtype)
         result = cache.get(key)
         if result is None:
-            module = retarget_dtype(spec.build(step), dtype)
+            module = retarget_dtype(built_module(spec, step), dtype)
             program = compile_model(module, chip,
                                     version=point.version).program
             result = point.sim.run(program, dtype=dtype)

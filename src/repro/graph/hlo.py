@@ -67,6 +67,11 @@ class HloModule:
         # per add() made module construction O(n^2), which dominated cold
         # compile time for deep graphs (the unrolled LSTMs).
         self._member_ids: set = set()
+        # Results that are pure functions of this module's content, keyed
+        # by whoever computes them (the compiler keeps its stages here).
+        # They live exactly as long as the module; add() and set_root()
+        # empty the memo, so it never describes an older graph.
+        self.memo: Dict[object, object] = {}
 
     # ----------------------------------------------------------- construction
 
@@ -90,12 +95,15 @@ class HloModule:
         )
         self.instructions.append(inst)
         self._member_ids.add(id(inst))
+        if self.memo:
+            self.memo.clear()
         return inst
 
     def set_root(self, inst: HloInstruction) -> None:
         if all(inst is not existing for existing in self.instructions):
             raise ValueError("root must be an instruction of this module")
         self._root = inst
+        self.memo.clear()
 
     @property
     def root(self) -> HloInstruction:

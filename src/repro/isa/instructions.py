@@ -154,13 +154,15 @@ def slot_layout_for_generation(generation: int) -> Dict[SlotClass, int]:
         raise KeyError(f"no slot layout for generation {generation}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
     """One VLIW issue bundle: the instructions dispatched together.
 
     ``validate_for`` checks slot-class occupancy against a generation's
     layout; the scheduler constructs only valid bundles, but hand-written
-    or decoded programs are validated explicitly.
+    or decoded programs are validated explicitly. Bundles are immutable,
+    so one bundle object may appear many times in a program (the
+    scheduler interns repeats).
     """
 
     instructions: Tuple[Instruction, ...] = ()
@@ -173,7 +175,11 @@ class Bundle:
 
     def validate_for(self, generation: int) -> None:
         """Raise ValueError if this bundle over-subscribes any slot class."""
-        layout = slot_layout_for_generation(generation)
+        self.check_slots(slot_layout_for_generation(generation), generation)
+
+    def check_slots(self, layout: Mapping[SlotClass, int],
+                    generation: int) -> None:
+        """:meth:`validate_for` against an already looked-up layout."""
         for slot, used in self.slot_usage().items():
             if used > layout.get(slot, 0):
                 raise ValueError(

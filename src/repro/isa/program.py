@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.isa.instructions import Bundle, Instruction, Opcode, SlotClass
+from repro.isa.instructions import (
+    Bundle,
+    Instruction,
+    Opcode,
+    SlotClass,
+    slot_layout_for_generation,
+)
 
 
 @dataclass
@@ -35,8 +41,17 @@ class Program:
         self.bundles.append(bundle)
 
     def extend(self, bundles: Iterable[Bundle]) -> None:
-        for bundle in bundles:
-            self.append(bundle)
+        """Append bundles in order, after checking every one of them.
+
+        The layout is looked up once and each distinct bundle object is
+        checked once (bundles are immutable, so a repeat cannot differ).
+        Nothing is appended if any bundle is invalid.
+        """
+        bundles = list(bundles)
+        layout = slot_layout_for_generation(self.generation)
+        for bundle in {id(b): b for b in bundles}.values():
+            bundle.check_slots(layout, self.generation)
+        self.bundles.extend(bundles)
 
     def __len__(self) -> int:
         return len(self.bundles)

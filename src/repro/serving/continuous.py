@@ -763,6 +763,7 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
     from repro.compiler.pipeline import compile_model, retarget_dtype
     from repro.engine.cache import get_cache
     from repro.engine.keys import eval_key, key_meta
+    from repro.engine.modules import built_module
     cache = get_cache()
     table: dict[Tuple[str, int, int], float] = {}
     for phase, bucket, batch in entries:
@@ -771,7 +772,7 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
                        batch, None, dtype, phase=phase, kv_bucket=bucket)
         result = cache.get(key)
         if result is None:
-            module = retarget_dtype(pspec.build(batch), dtype)
+            module = retarget_dtype(built_module(pspec, batch), dtype)
             program = compile_model(module, chip,
                                     version=point.version).program
             result = point.sim.run(program, dtype=dtype)

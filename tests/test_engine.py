@@ -187,6 +187,26 @@ class TestKeys:
                                   kv_bucket=512)
 
 
+class TestSharedRegistry:
+    """shared_design_point is keyed by the (chip, version) values."""
+
+    def test_equal_values_share_one_point(self):
+        clear_shared_design_points()
+        twin = TPUV4I.variant(TPUV4I.name)
+        assert twin is not TPUV4I and twin == TPUV4I
+        point = shared_design_point(TPUV4I)
+        assert shared_design_point(twin) is point
+        assert point.chip_fp == chip_fingerprint(twin)
+        assert point.compiler_fp == compiler_fingerprint(RELEASES[-1])
+
+    def test_any_field_or_release_separates_points(self):
+        clear_shared_design_points()
+        point = shared_design_point(TPUV4I)
+        assert shared_design_point(
+            TPUV4I.variant(TPUV4I.name, clock_hz=1e9)) is not point
+        assert shared_design_point(TPUV4I, RELEASES[0]) is not point
+
+
 def _square(x: int) -> int:
     return x * x
 
