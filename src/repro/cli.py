@@ -8,7 +8,6 @@ Examples::
     python -m repro compare --app cnn0
     python -m repro migrate --app cnn0 --source TPUv3 --target TPUv4i
     python -m repro engine stats
-    python -m repro engine bench --workers 2 --output BENCH_engine.json
     python -m repro faults --seed 3 --core-mtbf 0.5 --repair 0.1
     python -m repro cluster --seed 3 --replicas 3 --duration 0.5
     python -m repro llm --seed 3 --duration 0.5
@@ -172,22 +171,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             print("hint: set REPRO_CACHE_DIR=.repro_cache (or pass --dir) "
                   "to persist results across runs")
         return 0
-    if args.action == "clear":
-        entries = cache.entry_count() + cache.disk_entry_count()
-        cache.clear(disk=True)
-        print(f"cleared {entries} cache entries")
-        return 0
-    # bench: serial vs parallel vs warm sweep, recorded for PR tracking.
-    from repro.engine.bench import (
-        render_benchmark,
-        run_engine_benchmark,
-        write_benchmark,
-    )
-
-    record = run_engine_benchmark(workers=args.workers)
-    print(render_benchmark(record))
-    path = write_benchmark(record, args.output)
-    print(f"wrote {path}")
+    entries = cache.entry_count() + cache.disk_entry_count()
+    cache.clear(disk=True)
+    print(f"cleared {entries} cache entries")
     return 0
 
 
@@ -491,17 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.set_defaults(func=_cmd_migrate)
 
     engine = sub.add_parser(
-        "engine", help="evaluation-engine cache stats and benchmark")
-    engine.add_argument("action", choices=("stats", "clear", "bench"),
+        "engine", help="evaluation-engine cache stats")
+    engine.add_argument("action", choices=("stats", "clear"),
                         nargs="?", default="stats")
     engine.add_argument("--dir", default=None,
                         help="disk cache directory (default: memory only, "
                              "or $REPRO_CACHE_DIR)")
-    engine.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for 'bench' "
-                             "(default: CPU affinity)")
-    engine.add_argument("--output", default="BENCH_engine.json",
-                        help="where 'bench' writes its JSON record")
     engine.set_defaults(func=_cmd_engine)
 
     faults = sub.add_parser(

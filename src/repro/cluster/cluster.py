@@ -16,11 +16,11 @@ hedge timers, then launches; replica index breaks remaining ties), so a
 run is a pure function of its inputs: byte-identical stats on every
 repeat.
 
-**Identity contract** (asserted in ``tests/test_cluster.py`` and the
-engine benchmark's cluster phase): a one-replica cluster under a
-passthrough policy — and with no faults — produces a per-replica
-:class:`~repro.serving.server.ServingStats` that equals the plain
-``ServingSimulator.simulate`` result on the same trace, field for
+**Identity contract** (asserted in
+``tests/test_cluster.py::TestPassthroughIdentity``): a one-replica
+cluster under a passthrough policy — and with no faults — produces a
+per-replica :class:`~repro.serving.server.ServingStats` that equals the
+plain ``ServingSimulator.simulate`` result on the same trace, field for
 field, bit for bit. The router adds *nothing* to the fault-free path;
 every protection is pay-for-what-you-use.
 
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.cluster.policy import ClusterPolicy
 from repro.obs.metrics import metrics
 from repro.serving.batching import BatchPolicy
-from repro.serving.fastserve import fastserve_enabled, replay_cluster
+from repro.serving.fastserve import replay_cluster
 from repro.serving.server import (DEFAULT_RETRY_BUDGET,
                                   DEFAULT_RETRY_TIMEOUT_S, ServingSimulator,
                                   ServingStats)
@@ -389,17 +389,15 @@ class ClusterSimulator:
                 for i, sim in enumerate(self.replica_sims)]
         tier_tables = self._tier_tables()
 
-        if fastserve_enabled():
-            return replay_cluster(self, arrivals, reps, tier_tables,
-                                  retry_budget, retry_timeout, tracer)
-        return self._replay_events(arrivals, reps, tier_tables,
-                                   retry_budget, retry_timeout, tracer)
+        return replay_cluster(self, arrivals, reps, tier_tables,
+                              retry_budget, retry_timeout, tracer)
 
     def _replay_events(self, arrivals: list[float], reps: list[_Replica],
                        tier_tables: list, retry_budget: int,
                        retry_timeout: float,
                        tracer: Optional["SpanTracer"]) -> ClusterStats:
-        """Reference event loop (``REPRO_FASTSERVE=0`` path)."""
+        """Reference event loop: the test-only oracle for
+        :func:`~repro.serving.fastserve.replay_cluster`."""
         policy = self.policy
         n = len(reps)
         reg = metrics()

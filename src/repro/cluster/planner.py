@@ -24,6 +24,7 @@ perfect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -100,8 +101,9 @@ def plan_resilient_fleet(point: DesignPoint, spec: WorkloadSpec,
         raise ValueError("availability_target must be in (0, 1]")
     if max_spares < 0:
         raise ValueError("max_spares must be non-negative")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
     if slice_chips < 1:
         raise ValueError("slice_chips must be >= 1")
     limit = slo if slo is not None else Slo(spec.slo_ms / 1e3)

@@ -4,7 +4,7 @@ A :class:`ClusterPolicy` declares what the router is allowed to do when
 replicas misbehave. Every knob defaults to *off*, so a default policy is
 a pure passthrough: a one-replica cluster under it is bit-identical to a
 plain :class:`~repro.serving.server.ServingSimulator` run (the identity
-contract asserted in ``tests/test_cluster.py`` and the engine bench).
+contract asserted in ``tests/test_cluster.py::TestPassthroughIdentity``).
 
 Four independent protections:
 

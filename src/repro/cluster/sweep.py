@@ -7,8 +7,9 @@ deterministic Poisson traffic sized so that N-1 replicas can carry it
 outright, chip-level outages, transient slowdowns, or a 2.5x overload —
 once with the unprotected ``static`` router and once with the full
 ``resilient`` policy. The emitted table is what the ``repro cluster``
-CLI prints and what the engine benchmark's cluster phase times and
-checks for determinism: same arguments, byte-identical rows.
+CLI prints and the ``serve-chaos`` benchmark workload runs: same
+arguments, byte-identical rows (asserted in
+``tests/test_cluster.py::TestDeterminism::test_chaos_sweep_deterministic``).
 """
 
 from __future__ import annotations
@@ -102,10 +103,11 @@ def chaos_sweep(seed: int = 0, *,
     capacity of ``replicas - 1`` replicas — the fleet is provisioned
     N+1, so one dead replica should be survivable by construction — and
     seeded from ``seed``: the sweep is a pure function of its
-    arguments (asserted by the engine benchmark).
+    arguments.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     if replicas < 2:

@@ -17,11 +17,10 @@ simulation. A cached :class:`Evaluation` short-circuits compilation
 entirely; results are identical to the uncached path by construction
 (pure arithmetic on the same inputs; asserted in ``tests/test_engine.py``).
 
-Simulations route through the lowered-IR fast path by default:
-``TensorCoreSim.run`` lowers each compiled program once (cached
-process-wide in :mod:`repro.engine.lowered`) and replays it with a tight
-kernel that is bit-identical to the instruction interpreter. Set
-``REPRO_FASTSIM=0`` to force the reference interpreter everywhere.
+Simulations take the lowered-IR path: ``TensorCoreSim.run`` lowers each
+compiled program once (cached process-wide in :mod:`repro.engine.lowered`)
+and replays it with a tight kernel that is bit-identical to the
+test-only instruction interpreter.
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def evaluate_candidates(chips: Sequence[ChipConfig],
     """Evaluate a grid, fanning out over the engine's process pool.
 
     ``workers=None`` sizes the pool to the machine; ``workers=1`` runs the
-    serial reference loop. Either way results are ordered like ``chips``
+    in-process grid batch. Either way results are ordered like ``chips``
     and identical to ``[evaluate_candidate(c, app_names) for c in chips]``.
     """
     from repro.engine.sweeps import evaluate_candidates as _sweep

@@ -13,9 +13,9 @@ DesignPoint`, and DesignPoint funnels it through this package:
 * :mod:`repro.engine.parallel` — :class:`ParallelSweeper`, the
   deterministic process-pool fan-out with order-preserving merge;
 * :mod:`repro.engine.sweeps` — parallel candidate/CMEM/batch-latency
-  sweeps used by ``repro.core.dse`` and the serving simulator;
-* :mod:`repro.engine.bench` — the serial-vs-parallel-vs-warm benchmark
-  behind ``repro engine bench`` and ``BENCH_engine.json``.
+  sweeps used by ``repro.core.dse`` and the serving simulator.
+
+Timing the engine is ``perfbench/``'s job (see ``BENCHMARK.json``).
 
 Determinism guarantee: cached, uncached, serial and parallel evaluation
 of the same inputs produce identical records (pure arithmetic, order-

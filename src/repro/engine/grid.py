@@ -15,11 +15,11 @@ about:
   generation — *not* clock, MXU count, or power/cooling limits), so a
   sweep axis over clock or MXU count compiles once per distinct content
   (:func:`compile_chip_fingerprint`; invariance asserted in
-  ``tests/test_gridsim.py``) instead of once per chip;
-* **fallback parity** — with the kernel opted out (``REPRO_GRIDSIM=0``)
-  or the fast path off (``REPRO_FASTSIM=0``), every job runs the
-  per-point :meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` path,
-  so the documented gating contracts keep holding.
+  ``tests/test_gridsim.py``) instead of once per chip.
+
+Batching is the only production path. The per-point loops it replaces
+(:meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` per job) are the
+test-only reference ``tests/test_gridsim.py`` compares it with.
 
 Counters flow through :func:`repro.obs.metrics.metrics` (the
 ``engine.grid.*`` family) and the always-on module stats
@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.engine.keys import fingerprint
 from repro.obs.metrics import metrics
-from repro.sim.gridkernel import GridPoint, evaluate_grid, gridsim_enabled
-from repro.sim.lowered import fastsim_enabled
+from repro.sim.gridkernel import GridPoint, evaluate_grid
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.pipeline import CompiledModel
@@ -92,14 +91,12 @@ class GridStats:
     points: int = 0            # jobs routed through run_grid/evaluate_jobs
     batched_points: int = 0    # unique points the kernel actually evaluated
     cache_hits: int = 0        # jobs excluded from the batch by a cache
-    fallback_points: int = 0   # jobs run per-point (kernel opted out)
     shared_compiles: int = 0   # compiles avoided by content dedupe
 
     def describe(self) -> str:
         return (f"grid: {self.batches} batches, {self.points} jobs "
                 f"({self.batched_points} batched, {self.cache_hits} cache "
-                f"hits, {self.fallback_points} per-point), "
-                f"{self.shared_compiles} compiles shared")
+                f"hits), {self.shared_compiles} compiles shared")
 
 
 _STATS = GridStats()
@@ -140,11 +137,6 @@ def _shared_compiled(job: GridJob, batch: int,
     return compiled
 
 
-def _batched(n_jobs: int) -> bool:
-    """Whether jobs should enter the batched kernel path at all."""
-    return bool(n_jobs) and gridsim_enabled() and fastsim_enabled()
-
-
 # --------------------------------------------------------------- run_grid
 
 def run_grid(jobs: Sequence[GridJob],
@@ -156,20 +148,12 @@ def run_grid(jobs: Sequence[GridJob],
     job.cmem_budget_bytes) for job in jobs]`` — cached jobs are served
     from the same memo/EvalCache tiers, missing jobs are evaluated in
     one kernel batch (compiling once per distinct compile content) and
-    stored back under the same keys. With the kernel opted out
-    (``REPRO_GRIDSIM=0``) or the fast path off (``REPRO_FASTSIM=0``),
-    that per-point loop is exactly what runs.
+    stored back under the same keys.
     """
     jobs = list(jobs)
     reg = metrics()
     _STATS.points += len(jobs)
     reg.count("engine.grid.points", len(jobs))
-    if not _batched(len(jobs)):
-        _STATS.fallback_points += len(jobs)
-        reg.count("engine.grid.fallback_points", len(jobs))
-        return [job.point.run(job.spec, job.resolved_batch,
-                              job.cmem_budget_bytes) for job in jobs]
-
     results: list = [None] * len(jobs)
     misses: list[int] = []
     for i, job in enumerate(jobs):
@@ -230,12 +214,6 @@ def evaluate_jobs(jobs: Sequence[GridJob]) -> list:
     jobs = list(jobs)
     _STATS.points += len(jobs)
     metrics().count("engine.grid.points", len(jobs))
-    if not _batched(len(jobs)):
-        _STATS.fallback_points += len(jobs)
-        metrics().count("engine.grid.fallback_points", len(jobs))
-        return [job.point.evaluate(job.spec, job.batch,
-                                   job.cmem_budget_bytes) for job in jobs]
-
     results: list = [None] * len(jobs)
     misses: list[int] = []
     for i, job in enumerate(jobs):

@@ -29,8 +29,10 @@ import json
 from typing import Any
 
 #: Bump when the *meaning* of cached payloads changes (e.g. a simulator
-#: fidelity fix): old entries are then unreachable rather than wrong.
-SCHEMA_VERSION = 1
+#: fidelity fix, or a field dropped from a pickled result such as
+#: ``SimResult.trace``): old entries are then unreachable rather than
+#: wrong.
+SCHEMA_VERSION = 2
 
 
 def canonicalize(value: Any) -> Any:

@@ -10,7 +10,8 @@ Every sweep returns results in input order, so feeding them to
 When a sweep would run serially (one effective worker), it is dispatched
 as **one batched grid evaluation** through :mod:`repro.engine.grid`
 instead of a per-point loop: same results, same cache contents, one
-vectorized kernel pass. ``REPRO_GRIDSIM=0`` restores the literal loops.
+vectorized kernel pass (asserted against the per-point loops in
+``tests/test_gridsim.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.engine.parallel import ParallelSweeper
 from repro.obs.metrics import metrics
-from repro.sim.gridkernel import gridsim_enabled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.chip import ChipConfig
@@ -46,8 +46,8 @@ def evaluate_candidates(chips: Sequence["ChipConfig"],
                         ) -> list["DesignCandidate"]:
     """Evaluate a candidate grid, fanning out over processes.
 
-    ``workers=None`` uses the available CPUs; ``workers=1`` is the serial
-    reference path. Results are ordered like ``chips`` and bit-identical
+    ``workers=None`` uses the available CPUs; ``workers=1`` evaluates the
+    grid in process as one batch. Results are ordered like ``chips`` and bit-identical
     across worker counts.
     """
     from repro.compiler.versions import LATEST
@@ -57,7 +57,7 @@ def evaluate_candidates(chips: Sequence["ChipConfig"],
     sweeper = ParallelSweeper(workers=workers, chunk_size=chunk_size)
     tasks = [(chip, names, release.name) for chip in chips]
     metrics().count("engine.sweeps.candidates", len(tasks))
-    if sweeper.effective_workers(len(tasks)) <= 1 and gridsim_enabled():
+    if sweeper.effective_workers(len(tasks)) <= 1:
         from repro.core.dse import evaluate_candidates_grid
         return evaluate_candidates_grid(list(chips), names, release)
     return sweeper.map_cached(_candidate_task, tasks)
@@ -86,7 +86,7 @@ def cmem_capacity_sweep(spec: "WorkloadSpec", capacities_bytes: Sequence[int],
     tasks = [(chip, spec.name, batch, capacity)
              for capacity in capacities_bytes]
     metrics().count("engine.sweeps.cmem_points", len(tasks))
-    if sweeper.effective_workers(len(tasks)) <= 1 and gridsim_enabled():
+    if sweeper.effective_workers(len(tasks)) <= 1:
         from repro.core.design_point import shared_design_point
         from repro.engine.grid import GridJob, run_grid
         point = shared_design_point(chip)
@@ -121,7 +121,7 @@ def batch_latency_grid(chip: "ChipConfig", workload: str,
     sweeper = ParallelSweeper(workers=workers)
     tasks = [(chip, release.name, workload, batch) for batch in batches]
     metrics().count("engine.sweeps.batch_points", len(tasks))
-    if sweeper.effective_workers(len(tasks)) <= 1 and gridsim_enabled():
+    if sweeper.effective_workers(len(tasks)) <= 1:
         from repro.core.design_point import shared_design_point
         from repro.engine.grid import GridJob, run_grid
         from repro.workloads.models import app_by_name

@@ -10,8 +10,7 @@ giving up reproducibility:
   serving simulator consumes;
 * :mod:`repro.faults.sweep` — :func:`fault_sweep`, the seeded
   faultless-vs-faulted sweep over (chip generation, app) pairs behind
-  the ``repro faults`` CLI and the engine benchmark's
-  ``faulted_sweep_s`` phase.
+  the ``repro faults`` CLI.
 
 Companion changes live where the failures land: ``ServingSimulator.
 simulate(faults=...)`` retries lost batches under a budget,

@@ -17,8 +17,8 @@ events first-class, *deterministic* inputs:
 
 A model whose every MTBF is infinite is *zero-fault*: it produces an
 empty schedule, and simulating with it is bit-identical to simulating
-with no fault model at all (asserted in ``tests/test_faults.py`` and the
-engine benchmark).
+with no fault model at all (asserted in
+``tests/test_faults.py::TestZeroFaultIdentity``).
 
 Times are simulated seconds, the same compressed clock the serving
 simulator runs on; an MTBF of 0.5 s simply means "a couple of failures

@@ -5,8 +5,8 @@ traffic at a fixed fraction of the chip's SLO-feasible capacity, simulate
 it twice — once faultless, once under a :class:`~repro.faults.model.
 FaultModel` — and report availability, retries, drops and the latency
 tail the faults cost. Everything is seeded, so two sweeps with the same
-arguments are identical record for record (the engine benchmark asserts
-this).
+arguments are identical record for record (asserted in
+``tests/test_faults.py::TestFaultSweep::test_sweep_deterministic``).
 
 Chips without bf16 (TPUv1) are served through an int8-retargeted
 compile — the dtype those parts actually ran in production — so the
@@ -15,6 +15,7 @@ sweep covers all four generations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,8 +112,9 @@ def fault_sweep(model: FaultModel, *,
     arguments.
     """
     from repro.core.dse import DEFAULT_DSE_APPS
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     app_names = tuple(apps) if apps is not None else DEFAULT_DSE_APPS

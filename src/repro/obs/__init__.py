@@ -7,9 +7,9 @@ Three pieces, split by what clock they run on:
   sweeper, serving simulator and fault scheduler report into. Disabled
   by default; zero cost (one boolean check) until enabled.
 * :mod:`repro.obs.tracer` — span tracing on *simulated* time (never
-  wall-clock), with a byte-stable Chrome trace-event JSON exporter and
-  a traced replay over the lowered IR that is bit-identical to the
-  untraced fast path.
+  wall-clock), with a byte-stable Chrome trace-event JSON exporter;
+  per-instruction spans come from ``FastReplay.run``'s tracing mode,
+  so traced and untraced replays share one loop.
 * :mod:`repro.obs.report` — cycle attribution for one run and
   compile/sim/cache wall-time attribution for a sweep (the
   ``repro metrics`` output).
@@ -35,8 +35,6 @@ from repro.obs.tracer import (
     SpanTracer,
     TraceResult,
     build_trace,
-    replay_traced,
-    spans_from_interpreter_trace,
 )
 
 __all__ = [
@@ -56,9 +54,7 @@ __all__ = [
     "metrics",
     "profile_result",
     "render_snapshot",
-    "replay_traced",
     "set_metrics",
-    "spans_from_interpreter_trace",
     "tier_report",
     "goodput_report",
 ]

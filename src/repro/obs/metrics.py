@@ -14,8 +14,8 @@ Two rules every consumer can rely on:
   every instrumented call site guards its recording with a single
   ``registry.enabled`` check (hot loops hoist it once per call), so the
   default paths do no metric work at all and stay bit-identical to the
-  uninstrumented code (asserted in ``tests/test_obs.py`` and the engine
-  benchmark's observability phase).
+  uninstrumented code (asserted in ``tests/test_obs.py``, which also
+  bounds the disabled guards' cost).
 * **Deterministic recording.** Histograms use *fixed* bucket bounds
   supplied at creation; observing the same value sequence always yields
   the same bucket counts, so two runs of a seeded simulation snapshot
@@ -189,8 +189,8 @@ class MetricsRegistry:
     ``enabled`` is the one switch call sites check; a disabled registry's
     accessors still work (so tests can poke at it) but instrumented code
     never reaches them. ``op_count`` tallies recording operations while
-    enabled — the engine benchmark uses it to bound what the *disabled*
-    guards could possibly cost (see ``_bench_observability``).
+    enabled — ``tests/test_obs.py`` uses it to bound what the *disabled*
+    guards could possibly cost.
     """
 
     def __init__(self, enabled: bool = False) -> None:

@@ -21,11 +21,11 @@ Concretely, the three track groups use these clocks:
 * ``serving`` — one span per launched batch on ``core<i>`` tracks, on
   the serving simulator's simulated-seconds clock.
 
-:func:`replay_traced` mirrors :class:`~repro.sim.lowered.FastReplay`
-operation for operation while emitting the per-row spans; its
-:class:`~repro.sim.core.SimResult` is bit-identical to the untraced
-replay (asserted in ``tests/test_obs.py``), so tracing is purely
-additive — it can never change what it measures.
+The ``core`` spans come from :meth:`~repro.sim.lowered.FastReplay.run`
+itself, run with a tracer: one replay loop serves traced and untraced
+runs, and its :class:`~repro.sim.core.SimResult` is the same either way
+(asserted in ``tests/test_obs.py``), so tracing is purely additive — it
+can never change what it measures.
 """
 
 from __future__ import annotations
@@ -33,32 +33,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.arch.chip import ChipConfig
-from repro.sim.lowered import (
-    ENGINES_PER_LEVEL,
-    K_BUNDLE,
-    K_DMA,
-    K_HALT,
-    K_MXM,
-    K_MXM_FIXED,
-    K_SCALAR,
-    K_SYNC_SET,
-    K_SYNC_WAIT,
-    K_VECTOR,
-    LoweredProgram,
-    lower_program,
-)
-from repro.sim.perf import PerfCounters, build_report
+from repro.sim.lowered import FastReplay, lower_program
 
 __all__ = [
     "Span",
     "SpanTracer",
     "TraceResult",
     "build_trace",
-    "replay_traced",
-    "spans_from_interpreter_trace",
 ]
 
 #: Default cap on recorded spans; far above any compiled program in the
@@ -92,11 +76,10 @@ class Span:
 class SpanTracer:
     """Collects spans; exports Chrome trace-event JSON.
 
-    Bounded like :class:`~repro.sim.trace.Trace`: recording stops
-    silently at ``capacity`` and ``truncated`` flips, so tracing a long
-    serving simulation degrades instead of exhausting memory. The cap is
-    part of the deterministic contract — the same run always keeps the
-    same prefix.
+    Bounded: recording stops silently at ``capacity`` and ``truncated``
+    flips, so tracing a long serving simulation degrades instead of
+    exhausting memory. The cap is part of the deterministic contract —
+    the same run always keeps the same prefix.
     """
 
     capacity: int = DEFAULT_SPAN_CAPACITY
@@ -180,194 +163,6 @@ class SpanTracer:
                           separators=(",", ":")) + "\n"
 
 
-# ------------------------------------------------------------ traced replay
-
-def replay_traced(lowered: LoweredProgram, chip: ChipConfig, *,
-                  dtype: str = "bf16",
-                  tracer: Optional[SpanTracer] = None,
-                  group: str = "core"):
-    """Replay lowered rows, emitting one span per executed instruction.
-
-    Returns ``(SimResult, SpanTracer)``. The loop mirrors
-    :meth:`~repro.sim.lowered.FastReplay.run` operation for operation —
-    same max/ceil expressions, same accumulation order — so the result
-    is bit-identical to the untraced replay; the spans are a pure
-    side channel. Kept separate from ``FastReplay`` so the untraced hot
-    loop carries no per-row branch (the zero-cost-when-disabled rule).
-    """
-    from repro.sim.core import SimResult  # local: core imports sim.lowered
-
-    if lowered.generation != chip.generation:
-        raise ValueError(
-            f"program was compiled for generation {lowered.generation}; "
-            f"{chip.name} is generation {chip.generation}. "
-            "Recompile (Lesson 2) rather than carrying binaries.")
-    if not chip.supports_dtype(dtype):
-        raise ValueError(f"{chip.name} does not support {dtype}")
-    if tracer is None:
-        tracer = SpanTracer()
-
-    elem_bytes = 1 if dtype == "int8" else 2
-    flags = [0] * lowered.n_flags
-    n_pools = len(lowered.pool_levels)
-    busy = [[0] * ENGINES_PER_LEVEL for _ in range(n_pools)]
-    pool_busy_cycles = [0] * n_pools
-    pool_bytes = [0] * n_pools
-    bandwidths = lowered.pool_bandwidths
-    latencies = lowered.pool_latencies
-    overhead = lowered.dma_overhead
-    clock_hz = lowered.clock_hz
-    ceil = math.ceil
-    scale = 1e6 / clock_hz  # cycles -> simulated microseconds
-    emit = tracer.record
-
-    issue = 0
-    bundle_issue = 0
-    in_bundle = False
-    bundles = 0
-    macs = 0
-    scalar_ops = 0
-    mxu_busy = 0
-    vpu_busy = 0
-    sync_stall = 0
-    mxu_free = 0
-    vpu_free = 0
-    vector_alu_ops = 0.0
-    vmem_elements = 0
-
-    for kind, a0, a1, a2, f in lowered.rows:
-        if kind == K_MXM:
-            start = mxu_free if mxu_free > issue else issue
-            mxu_free = start + a0
-            macs += a1
-            mxu_busy += a0
-            vmem_elements += a2
-            emit("mxm", "compute", group, "mxu",
-                 start * scale, a0 * scale, (("macs", a1),))
-        elif kind == K_BUNDLE:
-            if in_bundle:
-                nxt = bundle_issue + 1
-                if nxt > issue:
-                    issue = nxt
-            in_bundle = True
-            bundles += 1
-            bundle_issue = issue
-        elif kind == K_VECTOR:
-            start = vpu_free if vpu_free > issue else issue
-            vpu_free = start + a0
-            vector_alu_ops += f
-            vpu_busy += a0
-            vmem_elements += a2
-            emit("vector", "compute", group, "vpu",
-                 start * scale, a0 * scale, (("alu_ops", f),))
-        elif kind == K_SYNC_WAIT:
-            target = flags[a0]
-            if target > issue:
-                sync_stall += target - issue
-                emit("sync.wait", "sync", group, "sync",
-                     issue * scale, (target - issue) * scale,
-                     (("flag", a0),))
-                issue = target
-        elif kind == K_SYNC_SET:
-            flags[a0] = issue
-        elif kind == K_DMA:
-            pool = busy[a0]
-            active = 0
-            best = 0
-            best_free = pool[0]
-            for engine in range(1, ENGINES_PER_LEVEL):
-                free_at = pool[engine]
-                if free_at < best_free:
-                    best = engine
-                    best_free = free_at
-            for free_at in pool:
-                if free_at > issue:
-                    active += 1
-            contention = active if active > 1 else 1
-            # Exact expression from DmaEngine.issue (bit-identity).
-            streaming_s = a1 * contention / bandwidths[a0]
-            duration = (overhead + latencies[a0]
-                        + ceil(streaming_s * clock_hz))
-            start = best_free if best_free > issue else issue
-            end = start + duration
-            pool[best] = end
-            flags[a2] = end
-            pool_busy_cycles[a0] += duration
-            pool_bytes[a0] += a1
-            emit("dma", "memory", group, f"dma.{lowered.pool_levels[a0]}",
-                 start * scale, duration * scale, (("bytes", a1),))
-        elif kind == K_SCALAR:
-            scalar_ops += a0
-        elif kind == K_MXM_FIXED:
-            start = mxu_free if mxu_free > issue else issue
-            mxu_free = start + a0
-            mxu_busy += a0
-            emit("mxm.fixed", "compute", group, "mxu",
-                 start * scale, a0 * scale)
-        else:  # K_HALT
-            break
-
-    if in_bundle:
-        nxt = bundle_issue + 1
-        if nxt > issue:
-            issue = nxt
-
-    dma_end = max((free_at for pool in busy for free_at in pool),
-                  default=0)
-    flag_max = max(flags, default=0)
-    total = max(issue, mxu_free, vpu_free, dma_end, flag_max)
-
-    counters = PerfCounters(
-        cycles=max(1, total),
-        bundles=bundles,
-        macs=macs,
-        vector_alu_ops=vector_alu_ops,
-        scalar_ops=scalar_ops,
-        mxu_busy_cycles=mxu_busy,
-        vpu_busy_cycles=vpu_busy,
-        dma_busy_cycles=sum(pool_busy_cycles),
-        sync_stall_cycles=sync_stall,
-    )
-    for name in lowered.level_names:
-        moved = 0
-        if name == "vmem":
-            moved = vmem_elements * elem_bytes
-        else:
-            for pool, pool_name in enumerate(lowered.pool_levels):
-                if pool_name == name:
-                    moved = pool_bytes[pool]
-                    break
-        counters.add_bytes(name, float(moved))
-
-    report = build_report(chip, lowered.name, counters, dtype)
-    return SimResult(report=report, counters=counters, trace=None), tracer
-
-
-def spans_from_interpreter_trace(trace, clock_hz: float,
-                                 tracer: Optional[SpanTracer] = None,
-                                 group: str = "core") -> SpanTracer:
-    """Convert a :class:`~repro.sim.trace.Trace` (interpreter run) to spans.
-
-    The reference interpreter records :class:`~repro.sim.trace.
-    TraceEvent` rows; this maps them onto the same track layout the
-    lowered-IR replay uses, so either simulator path exports to the same
-    Chrome format.
-    """
-    if tracer is None:
-        tracer = SpanTracer()
-    scale = 1e6 / clock_hz
-    for event in trace.events:
-        tracer.record(event.mnemonic, "compute" if event.unit in
-                      ("mxu", "vpu") else "memory" if
-                      event.unit.startswith("dma") else "sync",
-                      group, event.unit, event.cycle_start * scale,
-                      event.duration * scale,
-                      (("detail", event.detail),) if event.detail else ())
-    if trace.truncated:
-        tracer.truncated = True
-    return tracer
-
-
 # --------------------------------------------------------- pipeline tracing
 
 @dataclass(frozen=True)
@@ -398,10 +193,10 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
     the int8 retarget TPUv1 actually served with.
     """
     from repro.compiler.pipeline import compile_model, retarget_dtype
-    from repro.sim.lowered import FastReplay
 
-    if serve_duration_s <= 0:
-        raise ValueError("serve duration must be positive")
+    if not math.isfinite(serve_duration_s) or serve_duration_s <= 0:
+        raise ValueError("serve duration must be positive and finite, "
+                         f"got {serve_duration_s!r}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     if dtype is None:
@@ -432,7 +227,8 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
                   float(len(lowered.rows)), (("rows", len(lowered.rows)),))
     t += len(lowered.rows)
 
-    result, _ = replay_traced(lowered, chip, dtype=dtype, tracer=tracer)
+    replayer = FastReplay(chip)
+    result = replayer.run(lowered, dtype=dtype, tracer=tracer)
     tracer.record("replay", "pipeline", "pipeline", "phases", t,
                   float(result.cycles), (("cycles", result.cycles),))
     t += result.cycles
@@ -446,7 +242,6 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
         from repro.serving.slo import Slo
         from repro.workloads.generator import RequestGenerator
 
-        replayer = FastReplay(chip)
         steps = BatchPolicy.batch_steps(max_batch)
         table = {
             step: replayer.run(lower_program(compile_batch(step), chip),

@@ -12,8 +12,8 @@ identity contract cheap to state and strong to hold:
 never overrides a latency: with zero link faults it runs the exact
 code path of the plain simulator and produces bit-identical
 :class:`~repro.serving.server.ServingStats` (asserted in
-``tests/test_pod.py`` and the engine benchmark's pod phase, under both
-the replay kernels and ``REPRO_FASTSERVE=0``).
+``tests/test_pod.py::TestSliceIdentity``, on both the replay kernels and
+the test-only reference event loops).
 
 **Link-fault state machine.** Link timelines (a
 :class:`~repro.faults.model.FaultSchedule` with link indices in the

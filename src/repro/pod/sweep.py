@@ -10,9 +10,10 @@ with the unprotected ``static`` router and once with the full
 topology variants, so the same dead link shows up as a reroute-and-slow
 slice on the torus and a reconfigure-then-heal slice on the OCS fabric.
 
-The emitted table is what the ``repro pod`` CLI prints and what the
-engine benchmark's pod phase times and checks: same arguments,
-byte-identical rows (two runs are diffed in CI).
+The emitted table is what the ``repro pod`` CLI prints: same arguments,
+byte-identical rows (asserted in
+``tests/test_pod.py::TestPodChaosSweep::test_deterministic``; CI diffs
+two CLI runs).
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def pod_chaos_sweep(seed: int = 0, *,
     a pure function of its arguments. Chips without enough ICI ports
     for a ``slice_chips``-chip slice are skipped.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     if slices < 2:

@@ -55,13 +55,13 @@ delta re-prefill), every token recomputed after a loss, and every token
 a snapshot recovered; ``goodput_fraction`` is generated ÷ computed —
 1.0 exactly on a faultless run.
 
-This event loop IS the reference path: there is no vectorized twin (the
-``REPRO_FASTSERVE`` toggle does not apply here), and the byte-identity
-contract is two-fold — run-to-run determinism (asserted in the engine
-bench and CI by diffing two ``repro llm`` runs), and a zero-checkpoint
-zero-fault :class:`~repro.serving.recovery.RecoveryPolicy` being
-bit-identical to running with no policy at all (the same contract style
-as the ``REPRO_FASTSIM``/``REPRO_FASTSERVE`` identity gates).
+This event loop is the layer's one path: there is no vectorized twin,
+and the byte-identity contract is two-fold — run-to-run determinism
+(asserted in ``tests/test_generative.py`` and ``tests/test_recovery.py``;
+CI diffs two ``repro llm`` runs), and a zero-checkpoint zero-fault
+:class:`~repro.serving.recovery.RecoveryPolicy` being bit-identical to
+running with no policy at all
+(``tests/test_recovery.py::TestZeroCheckpointIdentity``).
 """
 
 from __future__ import annotations
@@ -824,8 +824,9 @@ def _sweep_pairs(seed: int, models: Sequence[str],
     from repro.workloads.generative import generative_by_name, \
         sample_gen_requests
 
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     chip_list = tuple(chips) if chips is not None else GENERATIONS
@@ -870,7 +871,9 @@ def llm_sweep(seed: int = 0, *,
     prompt/decode lengths) at ``utilization`` of the engine's steady
     decode token throughput, simulated under continuous batching. The
     whole sweep is a pure function of its arguments — same seed, same
-    rows, byte for byte (asserted in the engine bench and CI).
+    rows, byte for byte (asserted in ``tests/test_generative.py::
+    TestLlmSweep::test_deterministic_and_memory_bound``; CI diffs two
+    ``repro llm`` runs).
     """
     rows: List[LlmSweepRow] = []
     for (chip, spec, point, n_slots, table, policy, rate_qps, requests,

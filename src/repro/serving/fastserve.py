@@ -32,10 +32,10 @@ Both kernels reproduce the reference event loops' arithmetic operation
 for operation — same floats, same metric observations, same tracer
 spans — so the returned stats are **bit-identical** to the event loop
 on every scenario (asserted per chaos-sweep scenario in
-``tests/test_fastserve.py`` and ``benchmarks/bench_engine.py``).
-``REPRO_FASTSERVE=0`` (or :func:`fastserve_disabled`) opts out,
-mirroring ``REPRO_FASTSIM``/``REPRO_GRIDSIM``: the simulators then run
-the original event loops, which remain the reference.
+``tests/test_fastserve.py``). The kernels are the simulators' only
+production path; the original event loops
+(``ServingSimulator._replay_events``, ``ClusterSimulator._replay_events``)
+remain as the test-only reference.
 
 Segment/batch/boundary counts are kept in the always-on module stats
 (:func:`fastserve_stats`, surfaced by ``repro engine stats``) and, when
@@ -46,11 +46,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.obs.metrics import UNIT_BUCKETS, metrics
 
@@ -59,31 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.model import FaultSchedule
     from repro.obs.tracer import SpanTracer
     from repro.serving.server import ServingSimulator, ServingStats
-
-#: ``REPRO_FASTSERVE=0`` (or ``off``) routes serving simulations through
-#: the reference event loops; anything else uses the replay kernels.
-ENV_FASTSERVE = "REPRO_FASTSERVE"
-
-_fastserve_off_depth = 0
-
-
-def fastserve_enabled() -> bool:
-    """Whether serving simulations use the replay kernels (vs events)."""
-    if _fastserve_off_depth:
-        return False
-    return os.environ.get(ENV_FASTSERVE, "").lower() not in ("0", "off")
-
-
-@contextmanager
-def fastserve_disabled() -> Iterator[None]:
-    """Force the reference event loops (identity tests, benchmarks)."""
-    global _fastserve_off_depth
-    _fastserve_off_depth += 1
-    try:
-        yield
-    finally:
-        _fastserve_off_depth -= 1
-
 
 # ------------------------------------------------------------------- stats
 

@@ -35,10 +35,9 @@ batching simulator (:mod:`repro.serving.continuous`) executes:
   cores instead of being dropped wholesale.
 
 A ``checkpoint_every=0`` policy snapshots nothing, and under zero
-faults the simulator's float operations are bit-identical to the plain
-PR 9 path — the same contract style as the ``REPRO_FASTSIM`` /
-``REPRO_FASTSERVE`` identity gates, asserted in tests and the engine
-bench.
+faults the simulator's float operations are bit-identical to running
+with no policy (asserted in
+``tests/test_recovery.py::TestZeroCheckpointIdentity``).
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ re-enqueued (keeping their original arrival times) and retried on
 whatever cores remain, bounded by the model's retry budget and timeout.
 Cores inside an outage window accept no work until repaired, and
 transient slowdown windows stretch batch compute. The fault-free path
-and the zero-fault model run the *same* event loop and produce
-bit-identical :class:`ServingStats` (asserted in ``tests/test_faults.py``
-and the engine benchmark).
+and the zero-fault model run the *same* replay and produce
+bit-identical :class:`ServingStats` (asserted in
+``tests/test_faults.py::TestZeroFaultIdentity``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from repro.core.design_point import DesignPoint
 from repro.obs.metrics import UNIT_BUCKETS, metrics
 from repro.serving.batching import BatchPolicy
-from repro.serving.fastserve import fastserve_enabled, replay_serving
+from repro.serving.fastserve import replay_serving
 from repro.serving.slo import Slo, percentile_sorted
 from repro.workloads.generator import Request
 from repro.workloads.models import WorkloadSpec
@@ -212,17 +212,15 @@ class ServingSimulator:
         if schedule is not None and schedule.is_empty:
             schedule = None  # empty timeline: take the faultless fast path
 
-        if fastserve_enabled():
-            return replay_serving(self, arrivals, schedule, retry_budget,
-                                  retry_timeout, tracer)
-        return self._replay_events(arrivals, schedule, retry_budget,
-                                   retry_timeout, tracer)
+        return replay_serving(self, arrivals, schedule, retry_budget,
+                              retry_timeout, tracer)
 
     def _replay_events(self, arrivals: list[float],
                        schedule: Optional["FaultSchedule"],
                        retry_budget: int, retry_timeout: float,
                        tracer: Optional["SpanTracer"]) -> ServingStats:
-        """Reference event loop (``REPRO_FASTSERVE=0`` path)."""
+        """Reference event loop: the test-only oracle for
+        :func:`~repro.serving.fastserve.replay_serving`."""
         servers = [(0.0, core) for core in range(self.point.chip.cores)]
         heapq.heapify(servers)
 

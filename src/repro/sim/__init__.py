@@ -8,12 +8,9 @@ paper is explicitly "analytical/cycle sim, not RTL").
 """
 
 from repro.sim.perf import PerfCounters, PerfReport
-from repro.sim.trace import Trace, TraceEvent
 from repro.sim.lowered import (
     FastReplay,
     LoweredProgram,
-    fastsim_disabled,
-    fastsim_enabled,
     lower_program,
     replay,
 )
@@ -24,12 +21,8 @@ __all__ = [
     "LoweredProgram",
     "PerfCounters",
     "PerfReport",
-    "Trace",
-    "TraceEvent",
     "TensorCoreSim",
     "SimResult",
-    "fastsim_disabled",
-    "fastsim_enabled",
     "lower_program",
     "replay",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.arch.chip import ChipConfig
 from repro.arch.dma import DmaEngine
@@ -38,9 +38,11 @@ from repro.isa.instructions import (
     VECTOR_OP_CLASS,
 )
 from repro.isa.program import Program
-from repro.sim.lowered import FastReplay, fastsim_enabled
+from repro.sim.lowered import FastReplay
 from repro.sim.perf import PerfCounters, PerfReport, build_report
-from repro.sim.trace import Trace, TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import SpanTracer
 
 _ENGINES_PER_LEVEL = 4
 
@@ -51,7 +53,6 @@ class SimResult:
 
     report: PerfReport
     counters: PerfCounters
-    trace: Optional[Trace]
 
     @property
     def seconds(self) -> float:
@@ -88,13 +89,14 @@ class TensorCoreSim:
     # ------------------------------------------------------------------- run
 
     def run(self, program: Program, *, dtype: str = "bf16",
-            trace: bool = False) -> SimResult:
+            tracer: Optional["SpanTracer"] = None) -> SimResult:
         """Simulate one execution of ``program``; returns timing + counters.
 
-        Routes through the lowered-IR fast path (:mod:`repro.sim.lowered`)
-        by default — bit-identical to the interpreter, several times
-        faster. Tracing runs and ``REPRO_FASTSIM=0`` use the interpreter
-        (:meth:`run_interpreted`), the reference implementation.
+        Lowers the program (:mod:`repro.sim.lowered`, cached process-wide)
+        and replays it — bit-identical to the interpreter, several times
+        faster. A ``tracer`` receives one span per executed instruction
+        (:meth:`FastReplay.run`'s tracing mode) without changing the
+        result.
         """
         if program.generation != self.chip.generation:
             raise ValueError(
@@ -103,18 +105,20 @@ class TensorCoreSim:
                 "Recompile (Lesson 2) rather than carrying binaries.")
         if not self.chip.supports_dtype(dtype):
             raise ValueError(f"{self.chip.name} does not support {dtype}")
-        if not trace and fastsim_enabled():
-            # Lazy import: the engine layer sits above the simulator (it
-            # caches lowerings process-wide), mirroring how engine sweeps
-            # import core lazily in the other direction.
-            from repro.engine.lowered import lowered_program
-            return self.replay.run(lowered_program(program, self.chip),
-                                   dtype=dtype)
-        return self.run_interpreted(program, dtype=dtype, trace=trace)
+        # Lazy import: the engine layer sits above the simulator (it
+        # caches lowerings process-wide), mirroring how engine sweeps
+        # import core lazily in the other direction.
+        from repro.engine.lowered import lowered_program
+        return self.replay.run(lowered_program(program, self.chip),
+                               dtype=dtype, tracer=tracer)
 
-    def run_interpreted(self, program: Program, *, dtype: str = "bf16",
-                        trace: bool = False) -> SimResult:
-        """The legacy per-instruction interpreter (reference timings)."""
+    def run_interpreted(self, program: Program, *,
+                        dtype: str = "bf16") -> SimResult:
+        """The per-instruction interpreter: the test-only timing oracle.
+
+        No production path calls it; ``tests/test_fastsim.py`` holds
+        :meth:`run` to its results bit for bit.
+        """
         if program.generation != self.chip.generation:
             raise ValueError(
                 f"program was compiled for generation {program.generation}; "
@@ -131,7 +135,6 @@ class TensorCoreSim:
                                    for _ in range(_ENGINES_PER_LEVEL)]
 
         counters = PerfCounters()
-        log = Trace() if trace else None
         state = _RunState()
         elem_bytes = 1 if dtype == "int8" else 2
 
@@ -145,7 +148,7 @@ class TensorCoreSim:
             bundle_issue = issue
             for inst in bundle.instructions:
                 issue = self._execute(
-                    inst, issue, memory, engines, state, counters, log,
+                    inst, issue, memory, engines, state, counters,
                     elem_bytes)
                 if inst.opcode is Opcode.HALT:
                     halted = True
@@ -164,14 +167,13 @@ class TensorCoreSim:
             counters.add_bytes(level, moved)
 
         report = build_report(self.chip, program.name, counters, dtype)
-        return SimResult(report=report, counters=counters, trace=log)
+        return SimResult(report=report, counters=counters)
 
     # ------------------------------------------------------------- internals
 
     def _execute(self, inst: Instruction, issue: int, memory: MemorySystem,
                  engines: dict[str, list[DmaEngine]], state: _RunState,
-                 counters: PerfCounters, log: Optional[Trace],
-                 elem_bytes: int) -> int:
+                 counters: PerfCounters, elem_bytes: int) -> int:
         """Execute one instruction; returns the updated issue cycle."""
         op = inst.opcode
 
@@ -179,9 +181,6 @@ class TensorCoreSim:
             target = state.flags.get(inst.args[0], 0)
             if target > issue:
                 counters.sync_stall_cycles += target - issue
-                if log:
-                    log.record(TraceEvent(issue, target, "sync", "sync.wait",
-                                          f"flag {inst.args[0]}"))
                 return target
             return issue
 
@@ -202,10 +201,6 @@ class TensorCoreSim:
             transfer = engine.issue(num_bytes, issue,
                                     contention=max(1, active))
             state.flags[flag] = transfer.end_cycle
-            if log:
-                log.record(TraceEvent(transfer.start_cycle, transfer.end_cycle,
-                                      f"dma.{level_name}", op.mnemonic,
-                                      f"{num_bytes} B"))
             return issue
 
         if op is Opcode.MXM:
@@ -218,9 +213,6 @@ class TensorCoreSim:
             # Operand/result traffic through VMEM.
             memory.record_traffic(
                 "vmem", (m * k + k * n + m * n) * elem_bytes)
-            if log:
-                log.record(TraceEvent(start, state.mxu_free, "mxu", "mxm",
-                                      f"{m}x{k}x{n}"))
             return issue
 
         if op is Opcode.MXM_LOADW or op is Opcode.MXM_TRANSPOSE:
@@ -233,7 +225,7 @@ class TensorCoreSim:
 
         if op in VECTOR_OP_CLASS:
             return self._execute_vector(inst, issue, memory, state, counters,
-                                        log, elem_bytes)
+                                        elem_bytes)
 
         if op is Opcode.HALT:
             return issue
@@ -244,8 +236,7 @@ class TensorCoreSim:
 
     def _execute_vector(self, inst: Instruction, issue: int,
                         memory: MemorySystem, state: _RunState,
-                        counters: PerfCounters, log: Optional[Trace],
-                        elem_bytes: int) -> int:
+                        counters: PerfCounters, elem_bytes: int) -> int:
         op_class = VECTOR_OP_CLASS[inst.opcode]
         if inst.opcode is Opcode.VREDUCE:
             elements, axis_len = inst.args
@@ -258,9 +249,6 @@ class TensorCoreSim:
         counters.vector_alu_ops += timing.alu_ops
         counters.vpu_busy_cycles += timing.cycles
         memory.record_traffic("vmem", 2 * elements * elem_bytes)
-        if log:
-            log.record(TraceEvent(start, state.vpu_free, "vpu",
-                                  inst.opcode.mnemonic, f"{elements} elems"))
         return issue
 
     # ---------------------------------------------------------- model loading

@@ -28,23 +28,21 @@ a bundle run-length offset, and a busy unit's final free time is
 ``max(issue_i + suffix_cost_i)`` — the max-plus form of the sequential
 recurrence. Per-point dtype scaling is a byte multiplier, exactly as in
 replay. The result is **bit-identical** to per-point
-:class:`FastReplay` (the reference; asserted in ``tests/test_gridsim.py``
-and ``benchmarks/bench_engine.py``).
+:class:`FastReplay` (the test-only reference; asserted over 200+ DSE
+points in ``tests/test_gridsim.py``).
 
-``REPRO_GRIDSIM=0`` (or :func:`gridsim_disabled`) opts out, mirroring
-``REPRO_FASTSIM``: :func:`evaluate_grid` then runs the per-point replay
-loop. The same fallback covers a missing numpy and the (theoretical)
-program whose vector-ALU float accumulation the batched integer sum
-cannot reproduce exactly.
+The kernel is the only grid path. :func:`evaluate_grid` replays a point
+on its own only where the batched form cannot be exact: when numpy is
+missing, or for the (theoretical) program whose vector-ALU float
+accumulation the batched integer sum cannot reproduce. Those points are
+counted in ``grid_kernel_stats().fallback_points``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -60,10 +58,6 @@ try:
 except ImportError:  # pragma: no cover - numpy is baked into the image
     np = None
 
-#: ``REPRO_GRIDSIM=0`` (or ``off``) routes grid evaluation through the
-#: per-point replay reference; anything else uses the batched kernel.
-ENV_GRIDSIM = "REPRO_GRIDSIM"
-
 #: Float vector-ALU totals above this are not guaranteed to match the
 #: interpreter's sequential accumulation bit for bit (every partial sum
 #: must be an exactly-representable multiple of 0.5).
@@ -73,27 +67,6 @@ _ALU_EXACT_LIMIT = 2 ** 52
 _H_WAIT = 0
 _H_SET = 1
 _H_DMA = 2
-
-_gridsim_off_depth = 0
-
-
-def gridsim_enabled() -> bool:
-    """Whether grid evaluation uses the batched kernel (vs per-point)."""
-    if _gridsim_off_depth:
-        return False
-    return os.environ.get(ENV_GRIDSIM, "").lower() not in ("0", "off")
-
-
-@contextmanager
-def gridsim_disabled() -> Iterator[None]:
-    """Force per-point replay (reference timings, benchmarks)."""
-    global _gridsim_off_depth
-    _gridsim_off_depth += 1
-    try:
-        yield
-    finally:
-        _gridsim_off_depth -= 1
-
 
 # ------------------------------------------------------------------- stats
 
@@ -638,15 +611,15 @@ def evaluate_grid(points: Sequence[GridPoint]) -> list:
     Bit-identical to ``[FastReplay(p.chip).run(lower_program(p.program,
     p.chip), dtype=p.dtype) for p in points]`` — the per-point loop the
     kernel replaces — including the errors it raises and the order it
-    raises them in. Falls back to exactly that loop when the kernel is
-    disabled (``REPRO_GRIDSIM=0``) or numpy is unavailable.
+    raises them in. Runs exactly that loop only when numpy is
+    unavailable.
     """
     from repro.sim.core import SimResult  # local: core imports our sibling
 
     points = list(points)
     if not points:
         return []
-    if np is None or not gridsim_enabled():
+    if np is None:
         _STATS.fallback_points += len(points)
         return [_replay_point(p) for p in points]
 
@@ -714,6 +687,5 @@ def evaluate_grid(points: Sequence[GridPoint]) -> list:
                 moved = struct.dma_bytes.get(name, 0)
             counters.add_bytes(name, float(moved))
         report = build_report(chip, struct.name, counters, point.dtype)
-        results.append(SimResult(report=report, counters=counters,
-                                 trace=None))
+        results.append(SimResult(report=report, counters=counters))
     return results

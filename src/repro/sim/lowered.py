@@ -21,9 +21,11 @@ dominate cold evaluation. This module splits that work in two:
 
 The lowered form is dtype-independent (arithmetic width only scales byte
 traffic, applied at replay time), so one lowering serves bf16 and int8
-replays. The interpreter remains the reference implementation: set
-``REPRO_FASTSIM=0`` (or use :func:`fastsim_disabled`) to route every run
-through it, and tracing runs always use it.
+replays. Replay is the only production timing path; the interpreter
+(:meth:`~repro.sim.core.TensorCoreSim.run_interpreted`) survives as the
+test-only oracle. Tracing is a mode of the same loop: pass a
+:class:`~repro.obs.tracer.SpanTracer` to :meth:`FastReplay.run` and each
+executed row also emits one span.
 
 Rows are plain tuples ``(kind, a0, a1, a2, f)``; :meth:`LoweredProgram.
 arrays` exposes them as numpy columns for vectorized analysis when numpy
@@ -34,10 +36,8 @@ state carries a loop dependency the bit-identity contract cannot break.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -47,15 +47,14 @@ from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
 from repro.isa.program import Program
 from repro.sim.perf import PerfCounters, build_report
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import SpanTracer
+
 #: Mirrors ``repro.sim.core._ENGINES_PER_LEVEL`` (asserted equal in tests).
 ENGINES_PER_LEVEL = 4
 
 #: Mirrors ``DmaEngine``'s default per-transfer descriptor overhead.
 DMA_OVERHEAD_CYCLES = 64
-
-#: ``REPRO_FASTSIM=0`` (or ``off``) routes all runs through the legacy
-#: interpreter; anything else (including unset) uses lowering + replay.
-ENV_FASTSIM = "REPRO_FASTSIM"
 
 # Row kinds. Frequency-ordered so the replay dispatch chain tests the
 # common cases first (MXM and bundle markers dominate real programs).
@@ -74,27 +73,6 @@ _KIND_NAMES = {
     K_SYNC_WAIT: "sync.wait", K_SYNC_SET: "sync.set", K_DMA: "dma",
     K_SCALAR: "scalar", K_MXM_FIXED: "mxm.fixed", K_HALT: "halt",
 }
-
-_fastsim_off_depth = 0
-
-
-def fastsim_enabled() -> bool:
-    """Whether runs default to lowering + replay (vs the interpreter)."""
-    if _fastsim_off_depth:
-        return False
-    return os.environ.get(ENV_FASTSIM, "").lower() not in ("0", "off")
-
-
-@contextmanager
-def fastsim_disabled() -> Iterator[None]:
-    """Force the legacy interpreter (reference timings, benchmarks)."""
-    global _fastsim_off_depth
-    _fastsim_off_depth += 1
-    try:
-        yield
-    finally:
-        _fastsim_off_depth -= 1
-
 
 @dataclass(frozen=True)
 class LoweredProgram:
@@ -262,12 +240,17 @@ class FastReplay:
     def __init__(self, chip: ChipConfig) -> None:
         self.chip = chip
 
-    def run(self, lowered: LoweredProgram, *, dtype: str = "bf16"):
-        """Execute the lowered rows; returns a SimResult (trace=None).
+    def run(self, lowered: LoweredProgram, *, dtype: str = "bf16",
+            tracer: Optional["SpanTracer"] = None):
+        """Execute the lowered rows; returns a SimResult.
 
         The loop mirrors ``TensorCoreSim._execute`` operation for
         operation — same max/ceil expressions, same accumulation order —
-        which is what makes the result bit-identical.
+        which is what makes the result bit-identical. With a ``tracer``
+        every executed MXU/VPU/DMA row and every stalling ``sync.wait``
+        also records one span on the ``core`` group's unit tracks, in
+        simulated microseconds; the spans are a pure side channel and the
+        result is the same either way (asserted in ``tests/test_obs.py``).
         """
         from repro.sim.core import SimResult  # local: core imports us
 
@@ -291,6 +274,8 @@ class FastReplay:
         overhead = lowered.dma_overhead
         clock_hz = lowered.clock_hz
         ceil = math.ceil
+        emit = tracer.record if tracer is not None else None
+        scale = 1e6 / clock_hz  # cycles -> simulated microseconds
 
         issue = 0
         bundle_issue = 0
@@ -313,6 +298,9 @@ class FastReplay:
                 macs += a1
                 mxu_busy += a0
                 vmem_elements += a2
+                if emit is not None:
+                    emit("mxm", "compute", "core", "mxu",
+                         start * scale, a0 * scale, (("macs", a1),))
             elif kind == K_BUNDLE:
                 if in_bundle:
                     nxt = bundle_issue + 1
@@ -327,10 +315,17 @@ class FastReplay:
                 vector_alu_ops += f
                 vpu_busy += a0
                 vmem_elements += a2
+                if emit is not None:
+                    emit("vector", "compute", "core", "vpu",
+                         start * scale, a0 * scale, (("alu_ops", f),))
             elif kind == K_SYNC_WAIT:
                 target = flags[a0]
                 if target > issue:
                     sync_stall += target - issue
+                    if emit is not None:
+                        emit("sync.wait", "sync", "core", "sync",
+                             issue * scale, (target - issue) * scale,
+                             (("flag", a0),))
                     issue = target
             elif kind == K_SYNC_SET:
                 flags[a0] = issue
@@ -358,12 +353,19 @@ class FastReplay:
                 flags[a2] = end
                 pool_busy_cycles[a0] += duration
                 pool_bytes[a0] += a1
+                if emit is not None:
+                    emit("dma", "memory", "core",
+                         f"dma.{lowered.pool_levels[a0]}",
+                         start * scale, duration * scale, (("bytes", a1),))
             elif kind == K_SCALAR:
                 scalar_ops += a0
             elif kind == K_MXM_FIXED:
                 start = mxu_free if mxu_free > issue else issue
                 mxu_free = start + a0
                 mxu_busy += a0
+                if emit is not None:
+                    emit("mxm.fixed", "compute", "core", "mxu",
+                         start * scale, a0 * scale)
             else:  # K_HALT
                 break
 
@@ -403,7 +405,7 @@ class FastReplay:
             counters.add_bytes(name, float(moved))
 
         report = build_report(chip, lowered.name, counters, dtype)
-        return SimResult(report=report, counters=counters, trace=None)
+        return SimResult(report=report, counters=counters)
 
 
 def replay(lowered: LoweredProgram, chip: ChipConfig, *,

@@ -55,8 +55,12 @@ class DeterministicRng:
         the scalar loop would have consumed are re-drawn — so a later
         caller of this generator sees an unchanged stream.
         """
-        if rate_per_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_per_s}")
+        if not math.isfinite(rate_per_s) or rate_per_s <= 0:
+            raise ValueError(
+                f"rate must be positive and finite, got {rate_per_s!r}")
+        if not math.isfinite(duration_s) or duration_s < 0:
+            raise ValueError("duration must be non-negative and finite, "
+                             f"got {duration_s!r}")
         mean = 1.0 / rate_per_s
         gen = self._gen
         bit_gen = gen.bit_generator

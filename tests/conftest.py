@@ -7,6 +7,9 @@ chip.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
@@ -46,3 +49,79 @@ def tiny_mlp():
 @pytest.fixture(scope="session")
 def all_chips():
     return (TPUV1, TPUV2, TPUV3, TPUV4I)
+
+
+#: The bit-identity sweeps' program set (test_fastsim, test_gridsim,
+#: test_obs): every generation x these apps x these batches.
+IDENTITY_CHIPS = (TPUV1, TPUV2, TPUV3, TPUV4I)
+IDENTITY_APPS = ("mlp0", "cnn0", "rnn0")
+IDENTITY_BATCHES = (1, 8)
+
+
+def supported_dtypes(chip) -> tuple:
+    """The serving dtypes ``chip`` runs (TPUv1 is int8-only)."""
+    return tuple(d for d in ("bf16", "int8") if chip.supports_dtype(d))
+
+
+@pytest.fixture(scope="session")
+def compiled_programs():
+    """{(chip.name, app, batch): (chip, program)} for the identity sweeps."""
+    from repro.compiler import compile_model
+    from repro.compiler.pipeline import retarget_dtype
+    from repro.workloads import app_by_name
+
+    programs = {}
+    for chip in IDENTITY_CHIPS:
+        for app in IDENTITY_APPS:
+            spec = app_by_name(app)
+            for batch in IDENTITY_BATCHES:
+                module = spec.build(batch)
+                if not chip.supports_dtype("bf16"):
+                    module = retarget_dtype(module, "int8")
+                program = compile_model(module, chip).program
+                programs[(chip.name, app, batch)] = (chip, program)
+    return programs
+
+
+@contextmanager
+def reference_paths() -> Iterator[None]:
+    """Route every layer through its test-only reference twin.
+
+    Production code has one path per layer; the references survive only
+    as oracles. Inside this block the dispatch points are monkeypatched:
+
+    * ``TensorCoreSim.run`` runs the per-instruction interpreter;
+    * ``run_grid`` / ``evaluate_jobs`` run each job on its own through
+      ``DesignPoint.run`` / ``DesignPoint.evaluate`` (the per-point
+      loops the grid batch replaces, so sweeps go per point too);
+    * ``ServingSimulator`` and ``ClusterSimulator`` replay through their
+      ``_replay_events`` loops instead of the fastserve kernels.
+
+    Equivalence tests run a scenario once normally and once in here.
+    """
+    import repro.cluster.cluster as cluster
+    import repro.engine.grid as grid
+    import repro.serving.server as server
+    from repro.sim.core import TensorCoreSim
+
+    def interpreted(sim, program, *, dtype="bf16", tracer=None):
+        assert tracer is None, "the interpreter records no spans"
+        return sim.run_interpreted(program, dtype=dtype)
+
+    def run_grid(jobs):
+        return [job.point.run(job.spec, job.resolved_batch,
+                              job.cmem_budget_bytes) for job in jobs]
+
+    def evaluate_jobs(jobs):
+        return [job.point.evaluate(job.spec, job.batch,
+                                   job.cmem_budget_bytes) for job in jobs]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TensorCoreSim, "run", interpreted)
+        patch.setattr(grid, "run_grid", run_grid)
+        patch.setattr(grid, "evaluate_jobs", evaluate_jobs)
+        patch.setattr(server, "replay_serving",
+                      lambda sim, *args: sim._replay_events(*args))
+        patch.setattr(cluster, "replay_cluster",
+                      lambda sim, *args: sim._replay_events(*args))
+        yield

@@ -176,6 +176,32 @@ class TestClusterCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonFiniteDuration:
+    """Regression: a NaN or infinite duration used to hang the sweeps."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["cluster"], ["faults"], ["pod"],
+                                         ["llm"], ["llm", "--faults"]],
+                             ids=" ".join)
+    def test_cli_exits_with_error(self, command, value, capsys):
+        assert main([*command, "--duration", value]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and value in err
+
+    def test_sweeps_name_the_value(self):
+        from repro.cluster import chaos_sweep
+        from repro.faults import FaultModel, fault_sweep
+        from repro.pod.sweep import pod_chaos_sweep
+        from repro.serving.continuous import llm_chaos_sweep, llm_sweep
+
+        for sweep in (chaos_sweep, pod_chaos_sweep, llm_sweep,
+                      llm_chaos_sweep,
+                      lambda **kw: fault_sweep(FaultModel(), **kw)):
+            for value in (float("nan"), float("inf"), -1.0):
+                with pytest.raises(ValueError, match="duration .*finite"):
+                    sweep(duration_s=value)
+
+
 class TestPodCommand:
     def test_pod_runs_and_reports_columns(self, capsys):
         assert main(["pod", "--seed", "3", "--duration", "0.1",

@@ -30,6 +30,8 @@ from repro.serving import BatchPolicy, ServingSimulator, Slo
 from repro.util.rng import DeterministicRng
 from repro.workloads import RequestGenerator, app_by_name
 
+from tests.conftest import reference_paths
+
 #: Synthetic padded-batch latency table: tests exercise router logic,
 #: not the compiler, so replicas run on seeded 1 ms batches.
 FLAT_TABLE = {step: 0.001 for step in BatchPolicy.batch_steps(8)}
@@ -102,6 +104,20 @@ class TestPassthroughIdentity:
         zero = ClusterSimulator([sim]).simulate(
             traffic, faults=FaultModel(seed=3))
         assert zero == plain
+
+    def test_identity_holds_on_reference_loops(self, v4i_point, traffic):
+        """The test-only event loops keep the contract too, and agree
+        with the replay kernels it is otherwise checked on."""
+        model = FaultModel(seed=7, core_mtbf_s=0.05, core_repair_s=0.02)
+        sim, = make_replicas(v4i_point, 1)
+        fast = ClusterSimulator([sim]).simulate(traffic, faults=model)
+        with reference_paths():
+            sim, = make_replicas(v4i_point, 1)
+            cluster = ClusterSimulator([sim]).simulate(traffic)
+            plain = sim.simulate(traffic)
+            faulted = ClusterSimulator([sim]).simulate(traffic, faults=model)
+        assert cluster.replica_stats[0] == plain
+        assert faulted == fast
 
 
 class TestValidation:

@@ -1,16 +1,18 @@
 """Fastserve replay kernels: bit-identity against the event loops.
 
-The contract under test is absolute: with ``REPRO_FASTSERVE`` on (the
-default), :func:`repro.serving.fastserve.replay_serving` and
-:func:`replay_cluster` must reproduce the reference event loops'
-returned stats **byte for byte** — same floats, same counters, same
-tracer spans — on every scenario the chaos sweep exercises: faultless,
-replica kills, mid-batch kills, transient slowdowns, overload shedding,
-hedging, and dtype degradation tiers, across all four chip generations.
-Plus the satellites that ride along: the env/context opt-out gating,
-the shared-compile regression for identical replicas, float-typed
-latency stats, the bare-timestamp request API, and the vectorized
-Poisson generator's parity with the scalar loop it replaced.
+The contract under test is absolute:
+:func:`repro.serving.fastserve.replay_serving` and :func:`replay_cluster`
+(the simulators' only production path) must reproduce the test-only
+reference event loops' returned stats **byte for byte** — same floats,
+same counters, same tracer spans — on every scenario the chaos sweep
+exercises: faultless, replica kills, mid-batch kills, transient
+slowdowns, overload shedding, hedging, and dtype degradation tiers,
+across all four chip generations. The references run inside
+``tests.conftest.reference_paths``. Plus the satellites that ride along:
+the kernel work counters, the shared-compile regression for identical
+replicas, float-typed latency stats, the bare-timestamp request API, and
+the vectorized Poisson generator's parity with the scalar loop it
+replaced.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from repro.core.design_point import DesignPoint
 from repro.engine.cache import EvalCache, set_cache
 from repro.faults import FaultModel, FaultSchedule
 from repro.serving import (BatchPolicy, ServingSimulator, Slo,
-                           clear_fastserve, fastserve_disabled,
-                           fastserve_enabled, fastserve_stats)
+                           clear_fastserve, fastserve_stats)
 from repro.util.rng import DeterministicRng
 from repro.workloads import Request, RequestGenerator, app_by_name
+
+from tests.conftest import reference_paths
 
 FLAT_TABLE = {step: 0.001 for step in BatchPolicy.batch_steps(8)}
 
@@ -69,14 +72,14 @@ def traffic():
 def serving_both_ways(sim_factory, requests, **kwargs):
     """Run one serving scenario fast and cold on fresh simulators."""
     fast = sim_factory().simulate(requests, **kwargs)
-    with fastserve_disabled():
+    with reference_paths():
         cold = sim_factory().simulate(requests, **kwargs)
     return fast, cold
 
 
 def cluster_both_ways(cluster_factory, requests, **kwargs):
     fast = cluster_factory().simulate(requests, **kwargs)
-    with fastserve_disabled():
+    with reference_paths():
         cold = cluster_factory().simulate(requests, **kwargs)
     return fast, cold
 
@@ -243,7 +246,7 @@ class TestClusterIdentity:
             return tracer.spans
 
         fast = run()
-        with fastserve_disabled():
+        with reference_paths():
             cold = run()
         assert fast == cold
 
@@ -251,7 +254,7 @@ class TestClusterIdentity:
 class TestChaosSweepIdentity:
     def test_every_scenario_row_identical(self):
         fast = chaos_sweep(seed=3, chips=(TPUV4I,), duration_s=0.25)
-        with fastserve_disabled():
+        with reference_paths():
             cold = chaos_sweep(seed=3, chips=(TPUV4I,), duration_s=0.25)
         assert len(fast) == len(cold)
         for f, c in zip(fast, cold):
@@ -281,34 +284,12 @@ class TestChaosSweepIdentity:
 
 
 class TestGating:
-    def test_env_var_disables_kernels(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTSERVE", raising=False)
-        assert fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "0")
-        assert not fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "off")
-        assert not fastserve_enabled()
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
-        assert fastserve_enabled()
-
-    def test_context_manager_nests(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
-        assert fastserve_enabled()
-        with fastserve_disabled():
-            assert not fastserve_enabled()
-            with fastserve_disabled():
-                assert not fastserve_enabled()
-            assert not fastserve_enabled()
-        assert fastserve_enabled()
-
-    def test_stats_count_fast_path_only(self, v4i_point, traffic,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_FASTSERVE", "1")
+    def test_stats_count_fast_path_only(self, v4i_point, traffic):
         clear_fastserve()
         make_sim(v4i_point).simulate(traffic)
         assert fastserve_stats().replays == 1
         assert fastserve_stats().batches > 0
-        with fastserve_disabled():
+        with reference_paths():
             make_sim(v4i_point).simulate(traffic)
         assert fastserve_stats().replays == 1  # cold path left no marks
         ClusterSimulator(make_replicas(v4i_point, 2)).simulate(traffic)

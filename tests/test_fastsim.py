@@ -5,8 +5,9 @@ can run, lowering + replay produces *exactly* the interpreter's cycles,
 every PerfCounters field, and every per-level byte count — not
 approximately, bit for bit. These tests pin that contract across all
 four chip generations, real compiled workloads, both dtypes, and
-hand-built corner-case programs, plus the cache/gating machinery around
-the fast path.
+hand-built corner-case programs, plus the lowering cache around the fast
+path. The interpreter (``run_interpreted``) is test-only: no production
+path calls it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import dataclasses
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
-from repro.compiler import compile_model
-from repro.compiler.pipeline import retarget_dtype
 from repro.engine.lowered import (
     clear_lowered,
     lowered_cache_disabled,
@@ -29,22 +28,13 @@ from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.sim import TensorCoreSim
 from repro.sim.lowered import (
     ENGINES_PER_LEVEL,
-    ENV_FASTSIM,
     FastReplay,
-    fastsim_disabled,
-    fastsim_enabled,
     lower_program,
     replay,
 )
-from repro.workloads import app_by_name
 
-ALL_CHIPS = (TPUV1, TPUV2, TPUV3, TPUV4I)
-APPS = ("mlp0", "cnn0", "rnn0")
-BATCHES = (1, 8)
-
-
-def _dtypes(chip):
-    return tuple(d for d in ("bf16", "int8") if chip.supports_dtype(d))
+from tests.conftest import (IDENTITY_APPS, IDENTITY_BATCHES, IDENTITY_CHIPS,
+                            supported_dtypes)
 
 
 def _assert_identical(interp, fast):
@@ -59,32 +49,16 @@ def _assert_identical(interp, fast):
     assert fast.report == interp.report
 
 
-@pytest.fixture(scope="module")
-def compiled_programs():
-    """{(chip.name, app, batch): (chip, program)} for the identity sweep."""
-    programs = {}
-    for chip in ALL_CHIPS:
-        for app in APPS:
-            spec = app_by_name(app)
-            for batch in BATCHES:
-                module = spec.build(batch)
-                if not chip.supports_dtype("bf16"):  # TPUv1 is int8-only
-                    module = retarget_dtype(module, "int8")
-                program = compile_model(module, chip).program
-                programs[(chip.name, app, batch)] = (chip, program)
-    return programs
-
-
 class TestBitIdentityOnWorkloads:
-    @pytest.mark.parametrize("chip", ALL_CHIPS, ids=lambda c: c.name)
-    @pytest.mark.parametrize("app", APPS)
-    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("chip", IDENTITY_CHIPS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("app", IDENTITY_APPS)
+    @pytest.mark.parametrize("batch", IDENTITY_BATCHES)
     def test_replay_matches_interpreter(self, compiled_programs, chip, app,
                                         batch):
         chip, program = compiled_programs[(chip.name, app, batch)]
         sim = TensorCoreSim(chip)
         lowered = lower_program(program, chip)
-        for dtype in _dtypes(chip):
+        for dtype in supported_dtypes(chip):
             interp = sim.run_interpreted(program, dtype=dtype)
             fast = sim.replay.run(lowered, dtype=dtype)
             _assert_identical(interp, fast)
@@ -283,6 +257,8 @@ class TestLoweredCache:
 
 
 class TestGating:
+    """``TensorCoreSim.run`` has one path: lower, then replay."""
+
     def _mxm_program(self):
         program = Program("gate", generation=4)
         program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)))
@@ -291,52 +267,14 @@ class TestGating:
     def test_default_run_uses_fast_path(self):
         clear_lowered()
         try:
-            assert fastsim_enabled()
-            TensorCoreSim(TPUV4I).run(self._mxm_program())
+            program = self._mxm_program()
+            sim = TensorCoreSim(TPUV4I)
+            result = sim.run(program)
             assert lowered_cache_size() == 1  # routed through lowering
-        finally:
-            clear_lowered()
-
-    def test_env_gate_forces_interpreter(self, monkeypatch):
-        monkeypatch.setenv(ENV_FASTSIM, "0")
-        assert not fastsim_enabled()
-        clear_lowered()
-        try:
-            result = TensorCoreSim(TPUV4I).run(self._mxm_program())
-            assert lowered_cache_size() == 0  # never lowered
-            assert result.cycles >= 1
-        finally:
-            clear_lowered()
-        monkeypatch.setenv(ENV_FASTSIM, "off")
-        assert not fastsim_enabled()
-        monkeypatch.setenv(ENV_FASTSIM, "1")
-        assert fastsim_enabled()
-
-    def test_context_manager_forces_interpreter(self):
-        clear_lowered()
-        try:
-            with fastsim_disabled():
-                assert not fastsim_enabled()
-                with fastsim_disabled():  # reentrant
-                    assert not fastsim_enabled()
-                assert not fastsim_enabled()
-                TensorCoreSim(TPUV4I).run(self._mxm_program())
-            assert fastsim_enabled()
-            assert lowered_cache_size() == 0
-        finally:
-            clear_lowered()
-
-    def test_trace_runs_use_interpreter(self):
-        clear_lowered()
-        try:
-            result = TensorCoreSim(TPUV4I).run(self._mxm_program(),
-                                               trace=True)
-            assert result.trace is not None
-            assert len(result.trace.events) > 0
-            assert lowered_cache_size() == 0
+            _assert_identical(sim.run_interpreted(program), result)
         finally:
             clear_lowered()
 
     def test_fast_result_carries_no_trace(self):
         result = TensorCoreSim(TPUV4I).run(self._mxm_program())
-        assert result.trace is None
+        assert not hasattr(result, "trace")  # spans go to a tracer

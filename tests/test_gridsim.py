@@ -9,8 +9,8 @@ dtype, and hand-built corner-case programs. On top of the kernel, the
 engine wrapper (:mod:`repro.engine.grid`) must keep the cache contract:
 cached points never enter a batch, computed points are stored under the
 per-point keys, and a grid-routed sweep is indistinguishable from the
-serial loop it replaces. ``REPRO_GRIDSIM=0`` restores the per-point
-path, mirroring ``REPRO_FASTSIM``.
+serial loop it replaces. Those per-point loops are test-only references,
+reached through ``tests.conftest.reference_paths``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ import sys
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
-from repro.compiler import compile_model
-from repro.compiler.pipeline import retarget_dtype
 from repro.core.design_point import DesignPoint, clear_shared_design_points
-from repro.core.dse import cmem_sweep, enumerate_candidates
+from repro.core.dse import DEFAULT_DSE_APPS, cmem_sweep, enumerate_candidates
 from repro.engine.cache import EvalCache, set_cache
 from repro.engine.grid import (
     _COMPILE_IRRELEVANT,
@@ -38,29 +36,18 @@ from repro.engine.grid import (
 from repro.engine.lowered import clear_lowered
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
+from repro.sim import gridkernel
 from repro.sim.gridkernel import (
-    ENV_GRIDSIM,
     GridPoint,
     clear_grid_kernel,
     evaluate_grid,
     grid_kernel_stats,
-    gridsim_disabled,
-    gridsim_enabled,
 )
 from repro.sim.lowered import FastReplay, lower_program
 from repro.util.units import MIB
 from repro.workloads import app_by_name
 
-ALL_CHIPS = (TPUV1, TPUV2, TPUV3, TPUV4I)
-APPS = ("mlp0", "cnn0", "rnn0")
-BATCHES = (1, 8)
-
-# Equivalence/parity tests run under REPRO_GRIDSIM=0 too (the CI job
-# does exactly that); tests asserting *batched-kernel internals* are
-# meaningless with the kernel opted out and skip themselves.
-requires_kernel = pytest.mark.skipif(
-    not gridsim_enabled(),
-    reason="grid kernel disabled via REPRO_GRIDSIM")
+from tests.conftest import reference_paths
 
 
 def _dtypes(chip):
@@ -85,22 +72,6 @@ def _replay(point: GridPoint):
         lower_program(point.program, point.chip), dtype=point.dtype)
 
 
-@pytest.fixture(scope="module")
-def compiled_programs():
-    """{(chip.name, app, batch): (chip, program)} for the identity sweep."""
-    programs = {}
-    for chip in ALL_CHIPS:
-        for app in APPS:
-            spec = app_by_name(app)
-            for batch in BATCHES:
-                module = spec.build(batch)
-                if not chip.supports_dtype("bf16"):  # TPUv1 is int8-only
-                    module = retarget_dtype(module, "int8")
-                program = compile_model(module, chip).program
-                programs[(chip.name, app, batch)] = (chip, program)
-    return programs
-
-
 class TestBitIdentityOnWorkloads:
     def test_one_batch_matches_per_point_replay(self, compiled_programs):
         """Every (generation, app, batch, dtype) point, one kernel batch."""
@@ -114,15 +85,35 @@ class TestBitIdentityOnWorkloads:
         assert len(batched) == len(points)
         for ref, out in zip(reference, batched):
             _assert_identical(ref, out)
-        if gridsim_enabled():
-            stats = grid_kernel_stats()
-            assert stats.batches == 1
-            assert stats.points == len(points)
-            assert stats.fallback_points == 0
-            # Structure tables are shared per program, not per point.
-            assert stats.structs == len(compiled_programs)
+        stats = grid_kernel_stats()
+        assert stats.batches == 1
+        assert stats.points == len(points)
+        assert stats.fallback_points == 0
+        # Structure tables are shared per program, not per point.
+        assert stats.structs == len(compiled_programs)
 
-    @requires_kernel
+    def test_dse_grid_matches_per_point_replay(self):
+        """A 216-point clock x MXU x CMEM DSE grid, one kernel batch."""
+        chips = enumerate_candidates(
+            clocks_ghz=(0.85, 0.95, 1.05, 1.15, 1.25, 1.35))
+        programs, points = {}, []
+        for chip in chips:
+            point = DesignPoint(chip, cache=EvalCache(enabled=False))
+            for app in DEFAULT_DSE_APPS:
+                spec = app_by_name(app)
+                key = (compile_chip_fingerprint(chip), app)
+                if key not in programs:
+                    programs[key] = point.compiled(
+                        spec, spec.default_batch).program
+                points.append(GridPoint(programs[key], chip))
+        assert len(points) >= 200
+        reference = [_replay(p) for p in points]
+        clear_grid_kernel()
+        batched = evaluate_grid(points)
+        for ref, out in zip(reference, batched):
+            _assert_identical(ref, out)
+        assert grid_kernel_stats().fallback_points == 0
+
     def test_dse_variants_share_structures(self, compiled_programs):
         """Clock/MXU variants reuse one struct; CMEM stays per-program."""
         chip, program = compiled_programs[("TPUv4i", "cnn0", 8)]
@@ -260,30 +251,14 @@ class TestErrorParity:
 
 
 class TestGating:
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv(ENV_GRIDSIM, "0")
-        assert not gridsim_enabled()
-        monkeypatch.setenv(ENV_GRIDSIM, "off")
-        assert not gridsim_enabled()
-        monkeypatch.setenv(ENV_GRIDSIM, "1")
-        assert gridsim_enabled()
-
-    @requires_kernel
-    def test_context_manager_is_reentrant(self):
-        assert gridsim_enabled()
-        with gridsim_disabled():
-            assert not gridsim_enabled()
-            with gridsim_disabled():
-                assert not gridsim_enabled()
-            assert not gridsim_enabled()
-        assert gridsim_enabled()
-
-    def test_disabled_kernel_falls_back_per_point(self):
+    def test_disabled_kernel_falls_back_per_point(self, monkeypatch):
+        """Without numpy the kernel cannot run; points replay one by one."""
         program = Program("gate", generation=4)
         program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)))
         point = GridPoint(program, TPUV4I)
         clear_grid_kernel()
-        with gridsim_disabled():
+        with monkeypatch.context() as patch:
+            patch.setattr(gridkernel, "np", None)
             fallback = evaluate_grid([point])
         stats = grid_kernel_stats()
         assert stats.fallback_points == 1
@@ -303,13 +278,12 @@ class TestEngineGrid:
                 for batch in (1, 4)
                 for budget in (None, 0, 64 * MIB)]
         results = run_grid(jobs)
-        with gridsim_disabled():
+        with reference_paths():
             for job, result in zip(jobs, results):
                 expected = self._point().run(job.spec, job.resolved_batch,
                                              job.cmem_budget_bytes)
                 _assert_identical(expected, result)
 
-    @requires_kernel
     def test_cached_jobs_never_enter_the_batch(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -325,7 +299,6 @@ class TestEngineGrid:
         assert grid_stats().batches == stats.batches
         assert again == results
 
-    @requires_kernel
     def test_duplicate_jobs_share_one_kernel_point(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -344,24 +317,13 @@ class TestEngineGrid:
         spec = app_by_name("cnn0")
         jobs = [GridJob(self._point(), spec, batch) for batch in (1, 2, 8)]
         evaluations = evaluate_jobs(jobs)
-        with gridsim_disabled():
+        with reference_paths():
             expected = [self._point().evaluate(job.spec, job.batch)
                         for job in jobs]
         assert evaluations == expected
         # And the grid-stored records serve point.evaluate afterwards.
         assert jobs[0].point.evaluate(spec, 1) == evaluations[0]
 
-    def test_fallback_env_runs_per_point(self, monkeypatch):
-        spec = app_by_name("mlp0")
-        point = self._point()
-        monkeypatch.setenv(ENV_GRIDSIM, "0")
-        clear_grid_stats()
-        results = run_grid([GridJob(point, spec, 4)])
-        assert grid_stats().fallback_points == 1
-        assert grid_stats().batches == 0
-        assert results[0] is point.run(spec, 4)
-
-    @requires_kernel
     def test_grid_metrics_counted(self):
         spec = app_by_name("mlp0")
         point = self._point()
@@ -380,7 +342,7 @@ class TestEngineGrid:
         spec = app_by_name("mlp0")
         grid_answer = self._point().max_batch_under_slo(
             spec, spec.slo_ms / 1e3)
-        with gridsim_disabled():
+        with reference_paths():
             per_point = self._point().max_batch_under_slo(
                 spec, spec.slo_ms / 1e3)
         assert grid_answer == per_point
@@ -396,7 +358,7 @@ class TestSweepEquivalence:
         try:
             clear_shared_design_points()
             clear_lowered()
-            with gridsim_disabled():
+            with reference_paths():
                 serial = evaluate_candidates(chips, workers=1)
             set_cache(EvalCache())
             clear_shared_design_points()
@@ -417,7 +379,7 @@ class TestSweepEquivalence:
             grid = cmem_sweep(spec, capacities)
             set_cache(EvalCache())
             clear_shared_design_points()
-            with gridsim_disabled():
+            with reference_paths():
                 per_point = cmem_sweep(spec, capacities)
             assert grid == per_point
         finally:

@@ -6,10 +6,14 @@ The load-bearing contracts:
   results are bit-identical with the registry off and on;
 * traces are deterministic — two identical runs export byte-identical
   Chrome JSON, and every timestamp comes from a simulated clock;
-* the traced replay is bit-identical to the untraced fast path.
+* tracing is a mode of ``FastReplay.run``: the traced result is
+  bit-identical to the untraced one for every program, generation and
+  dtype, so the spans are a pure side channel;
+* the disabled guards cost a bounded share of a sweep's wall time.
 """
 
 import json
+import time
 
 import pytest
 
@@ -27,12 +31,13 @@ from repro.obs import (
     metrics,
     profile_result,
     render_snapshot,
-    replay_traced,
-    spans_from_interpreter_trace,
     tier_report,
 )
-from repro.sim.lowered import FastReplay
+from repro.sim.lowered import FastReplay, lower_program
 from repro.workloads import RequestGenerator, app_by_name
+
+from tests.conftest import (IDENTITY_APPS, IDENTITY_BATCHES, IDENTITY_CHIPS,
+                            supported_dtypes)
 
 
 class TestMetricsRegistry:
@@ -148,6 +153,48 @@ class TestDisabledPathIdentity:
         assert on.counters == off.counters
         assert on.report == off.report
 
+    def test_disabled_guard_overhead_under_two_percent(self):
+        """Analytic bound on what the disabled guards cost a faulted sweep.
+
+        The guards are too cheap to time directly (a few hundred boolean
+        checks inside a sweep drown in scheduler noise). Every recording
+        op the enabled run observes is one guard check in the disabled
+        run, and one check costs at most one disabled ``count()`` call,
+        measured with a tight loop.
+        """
+        from repro.core.design_point import clear_shared_design_points
+        from repro.engine.cache import set_cache
+        from repro.faults import FaultModel, fault_sweep
+
+        model = FaultModel(seed=11, core_mtbf_s=0.25, core_repair_s=0.05)
+
+        def sweep():
+            clear_shared_design_points()
+            previous = set_cache(EvalCache())
+            try:
+                return fault_sweep(model, apps=("cnn0",), chips=(TPUV4I,),
+                                   duration_s=0.5)
+            finally:
+                set_cache(previous)
+                clear_shared_design_points()
+
+        start = time.perf_counter()
+        off = sweep()
+        off_s = time.perf_counter() - start
+        with collecting_metrics() as reg:
+            on = sweep()
+            ops = reg.op_count
+        assert on == off
+        assert ops > 0
+
+        probe = MetricsRegistry(enabled=False)
+        loops = 100_000
+        start = time.perf_counter()
+        for _ in range(loops):
+            probe.count("probe")
+        per_op_s = (time.perf_counter() - start) / loops
+        assert 100.0 * ops * per_op_s / off_s < 2.0
+
     def test_fault_schedule_identical_on_off(self):
         from repro.faults import FaultModel
 
@@ -177,37 +224,35 @@ class TestDisabledPathIdentity:
 
 
 class TestTracedReplay:
-    def _lowered(self, app="mlp0", batch=4):
-        spec = app_by_name(app)
-        compiled = compile_model(built_module(spec, batch), TPUV4I)
-        return lowered_program(compiled.program, TPUV4I)
-
-    def test_bit_identical_to_fast_replay(self):
-        low = self._lowered()
-        reference = FastReplay(TPUV4I).run(low)
-        traced, tracer = replay_traced(low, TPUV4I)
-        assert traced.cycles == reference.cycles
-        assert traced.counters == reference.counters
-        assert traced.report == reference.report
-        assert len(tracer.spans) > 0
+    @pytest.mark.parametrize("chip", IDENTITY_CHIPS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("app", IDENTITY_APPS)
+    @pytest.mark.parametrize("batch", IDENTITY_BATCHES)
+    def test_bit_identical_to_fast_replay(self, compiled_programs, chip,
+                                          app, batch):
+        """Tracing is a pure side channel of the one replay loop."""
+        chip, program = compiled_programs[(chip.name, app, batch)]
+        lowered = lower_program(program, chip)
+        replayer = FastReplay(chip)
+        for dtype in supported_dtypes(chip):
+            reference = replayer.run(lowered, dtype=dtype)
+            tracer = SpanTracer()
+            traced = replayer.run(lowered, dtype=dtype, tracer=tracer)
+            assert traced.cycles == reference.cycles
+            assert traced.counters == reference.counters
+            assert traced.report == reference.report
+            assert len(tracer.spans) > 0
+            assert {span.group for span in tracer.spans} == {"core"}
 
     def test_spans_cover_simulated_time(self):
-        low = self._lowered()
-        result, tracer = replay_traced(low, TPUV4I)
+        spec = app_by_name("mlp0")
+        compiled = compile_model(built_module(spec, 4), TPUV4I)
+        tracer = SpanTracer()
+        result = FastReplay(TPUV4I).run(
+            lowered_program(compiled.program, TPUV4I), tracer=tracer)
         horizon_us = result.seconds * 1e6
         for span in tracer.spans:
             assert span.ts_us >= 0.0
             assert span.end_us <= horizon_us * (1 + 1e-9)
-
-    def test_matches_interpreter_trace_spans(self):
-        from repro.sim import TensorCoreSim
-
-        spec = app_by_name("mlp0")
-        compiled = compile_model(built_module(spec, 4), TPUV4I)
-        sim = TensorCoreSim(TPUV4I)
-        interp = sim.run_interpreted(compiled.program, trace=True)
-        spans = spans_from_interpreter_trace(interp.trace, TPUV4I.clock_hz)
-        assert spans  # the interpreter path is traceable too
 
 
 class TestSpanTracer:

@@ -87,9 +87,12 @@ class TestSimulator:
         assert sim.run(compiled.program).cycles == sim.run(compiled.program).cycles
 
     def test_trace_records_units(self, tiny_mlp):
+        from repro.obs.tracer import SpanTracer
+
         compiled = compile_model(tiny_mlp, TPUV4I)
-        result = TensorCoreSim(TPUV4I).run(compiled.program, trace=True)
-        units = {e.unit for e in result.trace.events}
+        tracer = SpanTracer()
+        TensorCoreSim(TPUV4I).run(compiled.program, tracer=tracer)
+        units = {span.track for span in tracer.spans}
         assert "mxu" in units
         assert any(u.startswith("dma.") for u in units)
 

@@ -49,6 +49,8 @@ from repro.sim.lowered import K_DMA, K_SYNC_WAIT, FastReplay, lower_program
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
 
+from tests.conftest import reference_paths
+
 GB = 1e9
 
 
@@ -320,6 +322,14 @@ class TestSliceIdentity:
         plain, sliced = self._pair()
         requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
         assert sliced.simulate(requests) == plain.simulate(requests)
+
+    def test_single_chip_identity_on_reference_paths(self):
+        plain, sliced = self._pair()
+        requests = RequestGenerator(17).poisson("cnn0", 400, 0.5)
+        fast = plain.simulate(requests)
+        with reference_paths():
+            assert sliced.simulate(requests) == plain.simulate(requests) \
+                == fast
 
     def test_zero_fault_pod_model_bit_identical(self):
         plain, sliced = self._pair()

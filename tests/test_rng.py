@@ -41,6 +41,22 @@ class TestDistributions:
         with pytest.raises(ValueError):
             DeterministicRng(0).poisson_arrivals(0, 1.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_poisson_rejects_non_finite_rate(self, rate):
+        # A NaN rate used to yield zero arrivals without complaint.
+        with pytest.raises(ValueError, match=f"rate .*{rate!r}"):
+            DeterministicRng(0).poisson_arrivals(rate, 1.0)
+
+    @pytest.mark.parametrize("duration",
+                             [float("nan"), float("inf"), -0.5])
+    def test_poisson_rejects_non_finite_duration(self, duration):
+        # A NaN or infinite duration used to loop forever.
+        with pytest.raises(ValueError, match=f"duration .*{duration!r}"):
+            DeterministicRng(0).poisson_arrivals(100.0, duration)
+
+    def test_poisson_zero_duration_is_empty(self):
+        assert DeterministicRng(0).poisson_arrivals(100.0, 0.0) == []
+
     def test_exponential_mean(self):
         rng = DeterministicRng(11)
         samples = [rng.exponential(2.0) for _ in range(20_000)]

@@ -1,38 +1,14 @@
-"""Detailed tests for the simulator internals: traces, reports, stalls."""
+"""Detailed tests for the simulator internals: reports and stalls."""
 
 import pytest
 
 from repro.arch import TPUV4I
 from repro.compiler import RELEASES, compile_model
 from repro.isa import Bundle, Instruction, Opcode, Program
-from repro.sim import TensorCoreSim, Trace, TraceEvent
+from repro.sim import TensorCoreSim
 from repro.sim.perf import PerfCounters, build_report
 
 from tests.conftest import make_tiny_mlp
-
-
-class TestTrace:
-    def test_capacity_truncates_silently(self):
-        trace = Trace(capacity=3)
-        for index in range(5):
-            trace.record(TraceEvent(index, index + 1, "mxu", "mxm"))
-        assert len(trace.events) == 3
-        assert trace.truncated
-
-    def test_busy_cycles_by_unit(self):
-        trace = Trace()
-        trace.record(TraceEvent(0, 10, "mxu", "mxm"))
-        trace.record(TraceEvent(5, 8, "vpu", "vadd"))
-        assert trace.busy_cycles("mxu") == 10
-        assert trace.busy_cycles("vpu") == 3
-        assert trace.last_cycle() == 10
-
-    def test_render_limits(self):
-        trace = Trace()
-        for index in range(50):
-            trace.record(TraceEvent(index, index + 1, "mxu", "mxm"))
-        text = trace.render(limit=5)
-        assert "45 more events" in text
 
 
 class TestPerfReport:
