@@ -14,8 +14,8 @@ from benchmarks.conftest import record, run_once
 
 
 def build_figure() -> str:
-    # Fan the grid out over the engine's process pool (sized to the
-    # machine); results are identical to the serial loop, in order.
+    # One batched grid pass in process; results are identical to the
+    # per-point loop, in order.
     candidates = evaluate_candidates(
         enumerate_candidates(mxu_counts=(2, 4, 8),
                              cmem_mib_options=(0, 64, 128)))

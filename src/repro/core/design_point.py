@@ -328,8 +328,8 @@ def shared_design_point(chip: ChipConfig,
     """A process-wide DesignPoint for (chip, version), created on demand.
 
     Sweep tasks go through here so that repeated evaluations of the same
-    configuration in one process (e.g. a CMEM sweep's capacities, or a
-    pool worker's chunk of candidates) share compiled models and the sim.
+    configuration in one process (e.g. a CMEM sweep's capacities, or the
+    apps of one DSE candidate) share compiled models and the sim.
     """
     key = (chip, version)
     point = _POINTS.get(key)

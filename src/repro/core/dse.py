@@ -13,9 +13,9 @@ Two instruments:
 
 Evaluation routes through the shared engine
 (:mod:`repro.engine`): results are memoized in the process-global
-:class:`~repro.engine.cache.EvalCache` and sweeps can fan out over a
-process pool (:func:`evaluate_candidates`, or the ``workers`` argument of
-:func:`cmem_sweep`) with results bit-identical to the serial loops.
+:class:`~repro.engine.cache.EvalCache`, and both sweeps run as one
+batched grid pass (:mod:`repro.engine.grid`) with results bit-identical
+to the per-point loops.
 """
 
 from __future__ import annotations
@@ -47,27 +47,24 @@ def _apps(names: Sequence[str]) -> list[WorkloadSpec]:
 
 def cmem_sweep(spec: WorkloadSpec, capacities_bytes: Sequence[int],
                chip: ChipConfig = TPUV4I,
-               batch: Optional[int] = None,
-               workers: Optional[int] = 1) -> list[tuple[int, float]]:
+               batch: Optional[int] = None) -> list[tuple[int, float]]:
     """(capacity, latency seconds) for a workload across CMEM budgets.
 
-    ``workers`` > 1 fans the capacities out over the engine's process
-    pool; the default dispatches the whole capacity axis as one grid
-    batch (in-process, still cache-backed).
-
-    Inputs are validated once, up front, identically on every dispatch
-    path — a bad capacity raises before *any* point is evaluated.
+    The whole capacity axis is one grid batch (in-process, cache-backed).
+    Capacities are validated up front: a bad one raises before any point
+    is evaluated.
     """
     capacities = list(capacities_bytes)
     for capacity in capacities:
         if capacity < 0:
             raise ValueError("CMEM capacity must be non-negative")
     b = batch if batch is not None else spec.default_batch
-    from repro.engine.sweeps import cmem_capacity_sweep
-    # cmem_capacity_sweep(workers=None) means "all CPUs"; here None means
-    # the serial in-process path, which the engine spells workers=1.
-    return cmem_capacity_sweep(spec, capacities, chip, b,
-                               workers=workers if workers is not None else 1)
+    from repro.engine.grid import GridJob, run_grid
+    point = shared_design_point(chip)
+    results = run_grid([GridJob(point, spec, b, capacity)
+                        for capacity in capacities])
+    return [(capacity, result.seconds)
+            for capacity, result in zip(capacities, results)]
 
 
 # ------------------------------------------------------------- candidates
@@ -164,10 +161,10 @@ def evaluate_candidate(chip: ChipConfig,
     return candidate_from_evaluations(chip, evaluations)
 
 
-def evaluate_candidates_grid(chips: Sequence[ChipConfig],
-                             app_names: Sequence[str] = DEFAULT_DSE_APPS,
-                             version: CompilerVersion = LATEST
-                             ) -> list[DesignCandidate]:
+def evaluate_candidates(chips: Sequence[ChipConfig],
+                        app_names: Sequence[str] = DEFAULT_DSE_APPS,
+                        *, version: CompilerVersion = LATEST,
+                        workers: int = 1) -> list[DesignCandidate]:
     """Evaluate a candidate grid as one batched kernel dispatch.
 
     Every (chip, app) pair becomes one grid job: cache hits are excluded
@@ -175,7 +172,14 @@ def evaluate_candidates_grid(chips: Sequence[ChipConfig],
     and one vectorized replay batch, and the per-candidate fold is
     :func:`candidate_from_evaluations` — so the result list is identical
     to ``[evaluate_candidate(c, app_names, version) for c in chips]``.
+
+    ``workers`` survives only for existing ``workers=1`` callers; every
+    sweep runs in this process, so any other value is an error.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers!r} is not supported: sweeps run in process "
+            "as one grid batch (workers must be 1)")
     from repro.engine.grid import GridJob, evaluate_jobs
     specs = _apps(app_names)
     jobs = [GridJob(shared_design_point(chip, version), spec)
@@ -186,21 +190,6 @@ def evaluate_candidates_grid(chips: Sequence[ChipConfig],
             chip, evaluations[i * len(specs):(i + 1) * len(specs)])
         for i, chip in enumerate(chips)
     ]
-
-
-def evaluate_candidates(chips: Sequence[ChipConfig],
-                        app_names: Sequence[str] = DEFAULT_DSE_APPS,
-                        *, version: CompilerVersion = LATEST,
-                        workers: Optional[int] = None
-                        ) -> list[DesignCandidate]:
-    """Evaluate a grid, fanning out over the engine's process pool.
-
-    ``workers=None`` sizes the pool to the machine; ``workers=1`` runs the
-    in-process grid batch. Either way results are ordered like ``chips``
-    and identical to ``[evaluate_candidate(c, app_names) for c in chips]``.
-    """
-    from repro.engine.sweeps import evaluate_candidates as _sweep
-    return _sweep(chips, app_names, version=version, workers=workers)
 
 
 def pareto_frontier(candidates: Sequence[DesignCandidate],

@@ -1,4 +1,4 @@
-"""The shared evaluation engine: result caching + process-parallel sweeps.
+"""The shared evaluation engine: result caching + batched grid sweeps.
 
 Every layer above the compiler (DSE, serving, fleet sizing, benchmarks)
 funnels workload evaluation through :class:`~repro.core.design_point.
@@ -10,16 +10,17 @@ DesignPoint`, and DesignPoint funnels it through this package:
   (in-process dict + optional ``.repro_cache/`` disk tier; enable with
   ``REPRO_CACHE_DIR=.repro_cache`` or :func:`configure_cache`);
 * :mod:`repro.engine.modules` — chip-independent built-module sharing;
-* :mod:`repro.engine.parallel` — :class:`ParallelSweeper`, the
-  deterministic process-pool fan-out with order-preserving merge;
-* :mod:`repro.engine.sweeps` — parallel candidate/CMEM/batch-latency
-  sweeps used by ``repro.core.dse`` and the serving simulator.
+* :mod:`repro.engine.lowered` — the process-wide lowered-program cache;
+* :mod:`repro.engine.grid` — :func:`run_grid` / :func:`evaluate_jobs`,
+  the one sweep path: cache-excluded jobs batched through the grid
+  kernel, used by ``repro.core.dse``, the serving simulator and the
+  planners.
 
 Timing the engine is ``perfbench/``'s job (see ``BENCHMARK.json``).
 
-Determinism guarantee: cached, uncached, serial and parallel evaluation
-of the same inputs produce identical records (pure arithmetic, order-
-preserving merge); ``tests/test_engine.py`` asserts this.
+Determinism guarantee: cached and uncached evaluation of the same inputs
+produce identical records (pure arithmetic, results in job order);
+``tests/test_engine.py`` asserts this.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ from repro.engine.modules import (
     clear_modules,
     module_cache_disabled,
 )
-from repro.engine.parallel import ParallelSweeper, available_workers
-from repro.engine.sweeps import (
-    batch_latency_grid,
-    cmem_capacity_sweep,
-    evaluate_candidates,
-)
 
 
 @contextmanager
@@ -83,22 +78,17 @@ __all__ = [
     "EvalCache",
     "GridJob",
     "GridStats",
-    "ParallelSweeper",
-    "available_workers",
-    "batch_latency_grid",
     "built_module",
     "cache_disabled",
     "chip_fingerprint",
     "clear_grid_stats",
     "clear_lowered",
     "clear_modules",
-    "cmem_capacity_sweep",
     "compile_chip_fingerprint",
     "compiler_fingerprint",
     "configure_cache",
     "engine_disabled",
     "eval_key",
-    "evaluate_candidates",
     "evaluate_jobs",
     "fingerprint",
     "get_cache",

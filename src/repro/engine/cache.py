@@ -163,28 +163,6 @@ class EvalCache:
         if self._disk_dir is not None:
             self._disk_write(key, blob, meta)
 
-    # ------------------------------------------------- cross-process merging
-
-    def keys(self) -> frozenset[str]:
-        """Snapshot of the in-memory key set."""
-        with self._lock:
-            return frozenset(self._mem)
-
-    def export_since(self, before: frozenset[str]) -> dict[str, Any]:
-        """Entries added after a :meth:`keys` snapshot (for worker return)."""
-        with self._lock:
-            return {k: e.value for k, e in self._mem.items() if k not in before}
-
-    def absorb(self, entries: dict[str, Any]) -> None:
-        """Merge entries computed elsewhere (e.g. by a pool worker)."""
-        for key, value in entries.items():
-            if not self._enabled:
-                return
-            with self._lock:
-                known = key in self._mem
-            if not known:
-                self.put(key, value)
-
     # ------------------------------------------------------------ accounting
 
     def entry_count(self) -> int:

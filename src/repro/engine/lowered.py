@@ -9,9 +9,8 @@ configuration (frozen dataclass, hashable) plus :meth:`Program.
 signature`, so two structurally identical programs — or one program
 mutated by ``append`` between runs — never share a stale lowering.
 
-Like :mod:`repro.engine.modules`, entries live for the process and are
-inherited for free by forked :class:`~repro.engine.parallel.
-ParallelSweeper` workers. Lowered programs are deliberately *not* put in
+Like :mod:`repro.engine.modules`, entries live for the process.
+Lowered programs are deliberately *not* put in
 the :class:`~repro.engine.cache.EvalCache` disk tier: simulation results
 themselves are cached there, so a disk round-trip would only ever be
 paid instead of the (cheaper) lowering pass.

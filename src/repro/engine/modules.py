@@ -10,9 +10,6 @@ expands into a fresh module), so sharing is safe. Sharing also shares
 the compile memo each module carries (``HloModule.memo``): a shared
 module is validated, expanded and lowered once per lowering key,
 however many chips compile it.
-
-Workers forked by the :class:`~repro.engine.parallel.ParallelSweeper`
-inherit the parent's populated cache for free.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ giving up reproducibility:
 Companion changes live where the failures land: ``ServingSimulator.
 simulate(faults=...)`` retries lost batches under a budget,
 ``plan_fleet(spare_chips=k)`` sizes N+k fleets and prices the resilience
-premium, and the engine's :class:`~repro.engine.parallel.ParallelSweeper`
-/ :class:`~repro.engine.cache.EvalCache` survive worker crashes and
-corrupt disk entries.
+premium, and the engine's :class:`~repro.engine.cache.EvalCache`
+survives corrupt disk entries.
 
 Determinism guarantee: a zero-fault model is bit-identical to no model
 at all, and any seeded sweep is a pure function of its arguments.

@@ -3,8 +3,8 @@
 Three pieces, split by what clock they run on:
 
 * :mod:`repro.obs.metrics` — a process-global registry of counters,
-  gauges and fixed-bucket histograms the engine cache, process-pool
-  sweeper, serving simulator and fault scheduler report into. Disabled
+  gauges and fixed-bucket histograms the engine cache, grid sweeps,
+  serving simulator and fault scheduler report into. Disabled
   by default; zero cost (one boolean check) until enabled.
 * :mod:`repro.obs.tracer` — span tracing on *simulated* time (never
   wall-clock), with a byte-stable Chrome trace-event JSON exporter;

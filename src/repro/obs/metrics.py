@@ -2,8 +2,8 @@
 
 The observability layer's numeric half. Instrumented subsystems — the
 engine's :class:`~repro.engine.cache.EvalCache` (hits/misses/corrupt),
-:class:`~repro.engine.parallel.ParallelSweeper` (pool retries, serial
-fallbacks, items mapped), the serving simulator (queue depth, batch
+the grid sweeps of :mod:`repro.engine.grid` (jobs, batches, cache
+hits), the serving simulator (queue depth, batch
 occupancy, retries, outage wait) and :class:`~repro.faults.model.
 FaultModel` schedules — report into a process-global
 :class:`MetricsRegistry` through :func:`metrics`.

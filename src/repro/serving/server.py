@@ -146,21 +146,22 @@ class ServingSimulator:
                 raise ValueError("latency must be non-negative")
         self._latency_cache.update(table)
 
-    def prewarm(self, workers: Optional[int] = None) -> dict[int, float]:
-        """Precompute latencies for every padded batch step, in parallel.
+    def prewarm(self) -> dict[int, float]:
+        """Precompute latencies for every padded batch step in one batch.
 
-        Fans the policy's batch steps out over the engine's process pool
-        (``workers=None`` sizes it to the machine) and seeds both the
-        local memo and the global cache, so the event loop never stalls
-        on a cold compile/simulate.
+        Runs the policy's batch steps as one grid batch on this
+        simulator's design point (its chip, compiler release and cache)
+        and seeds the local memo, so the event loop never stalls on a
+        cold compile/simulate.
         """
+        from repro.engine.grid import GridJob, run_grid
         steps = list(BatchPolicy.batch_steps(self.policy.max_batch))
-        from repro.engine.sweeps import batch_latency_grid
-        grid = batch_latency_grid(self.point.chip, self.spec.name, steps,
-                                  version=self.point.version,
-                                  workers=workers)
-        self._latency_cache.update(grid)
-        return dict(grid)
+        results = run_grid([GridJob(self.point, self.spec, step)
+                            for step in steps])
+        table = {step: result.seconds
+                 for step, result in zip(steps, results)}
+        self._latency_cache.update(table)
+        return table
 
     def simulate(self, requests: Sequence[Request],
                  faults: Optional["FaultModel"] = None,

@@ -68,8 +68,8 @@ class _RunState:
     """Per-run execution unit state.
 
     Kept local to one :meth:`TensorCoreSim.run` call (never on the sim
-    instance) so a single sim is reentrant: the engine's workers and the
-    shared design-point registry can reuse one instance concurrently.
+    instance) so a single sim is reentrant: the shared design-point
+    registry can reuse one instance across interleaved runs.
     """
 
     mxu_free: int = 0

@@ -32,10 +32,10 @@ replay. The result is **bit-identical** to per-point
 points in ``tests/test_gridsim.py``).
 
 The kernel is the only grid path. :func:`evaluate_grid` replays a point
-on its own only where the batched form cannot be exact: when numpy is
-missing, or for the (theoretical) program whose vector-ALU float
-accumulation the batched integer sum cannot reproduce. Those points are
-counted in ``grid_kernel_stats().fallback_points``.
+on its own only where the batched form cannot be exact: the (theoretical)
+program whose vector-ALU float accumulation the batched integer sum
+cannot reproduce. Those points are counted in
+``grid_kernel_stats().fallback_points``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -52,11 +54,6 @@ from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
 from repro.isa.program import Program
 from repro.sim.lowered import DMA_OVERHEAD_CYCLES, ENGINES_PER_LEVEL
 from repro.sim.perf import PerfCounters, build_report
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None
 
 #: Float vector-ALU totals above this are not guaranteed to match the
 #: interpreter's sequential accumulation bit for bit (every partial sum
@@ -611,18 +608,13 @@ def evaluate_grid(points: Sequence[GridPoint]) -> list:
     Bit-identical to ``[FastReplay(p.chip).run(lower_program(p.program,
     p.chip), dtype=p.dtype) for p in points]`` — the per-point loop the
     kernel replaces — including the errors it raises and the order it
-    raises them in. Runs exactly that loop only when numpy is
-    unavailable.
+    raises them in.
     """
     from repro.sim.core import SimResult  # local: core imports our sibling
 
     points = list(points)
     if not points:
         return []
-    if np is None:
-        _STATS.fallback_points += len(points)
-        return [_replay_point(p) for p in points]
-
     _STATS.batches += 1
     _STATS.points += len(points)
     # Signature tuples hold thousands of enum members, and tuples don't

@@ -28,9 +28,9 @@ test-only oracle. Tracing is a mode of the same loop: pass a
 executed row also emits one span.
 
 Rows are plain tuples ``(kind, a0, a1, a2, f)``; :meth:`LoweredProgram.
-arrays` exposes them as numpy columns for vectorized analysis when numpy
-is available. The replay loop itself stays sequential because issue/unit
-state carries a loop dependency the bit-identity contract cannot break.
+arrays` exposes them as numpy columns for vectorized analysis. The
+replay loop itself stays sequential because issue/unit state carries a
+loop dependency the bit-identity contract cannot break.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.arch.chip import ChipConfig
 from repro.arch.memory import MemorySystem
@@ -110,13 +112,8 @@ class LoweredProgram:
     def arrays(self):
         """The rows as a dict of numpy column arrays (kinds/a0/a1/a2/f).
 
-        For vectorized analysis over DMA/vector segments; returns None
-        when numpy is unavailable so no caller needs a hard dependency.
+        For vectorized analysis over DMA/vector segments.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return None
         kinds, a0, a1, a2, f = (list(c) for c in zip(*self.rows)) \
             if self.rows else ([], [], [], [], [])
         return {

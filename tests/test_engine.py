@@ -1,19 +1,22 @@
-"""The shared evaluation engine: cache correctness, parallel determinism.
+"""The shared evaluation engine: cache correctness and determinism.
 
-The engine's contract is strict: cached, uncached, serial and parallel
-evaluation of the same (chip, compiler, workload, batch, budget) inputs
-must produce *identical* records — not approximately equal ones. These
-tests assert that, plus the disk tier's round-trip/invalidation behavior
-and the simulator reentrancy the process pool relies on.
+The engine's contract is strict: cached and uncached evaluation of the
+same (chip, compiler, workload, batch, budget) inputs must produce
+*identical* records — not approximately equal ones. These tests assert
+that, plus the disk tier's round-trip/invalidation behavior, simulator
+reentrancy, and that sweeps run in process with no pool machinery.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.arch.chip import TPUV4I
 from repro.compiler.versions import RELEASES
 from repro.core.design_point import (
@@ -26,22 +29,20 @@ from repro.core.dse import (
     enumerate_candidates,
     evaluate_candidate,
     evaluate_candidates,
-    pareto_frontier,
 )
 from repro.engine import (
     EvalCache,
-    ParallelSweeper,
     chip_fingerprint,
     compiler_fingerprint,
     engine_disabled,
     eval_key,
 )
-from repro.engine.cache import get_cache, set_cache
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
 from repro.sim.core import TensorCoreSim
 from repro.util.units import MIB
+from repro.workloads.extended import EXTENDED_APPS
 from repro.workloads.models import app_by_name
 
 # Small, fast workloads: the contract is about identity, not scale.
@@ -207,47 +208,6 @@ class TestSharedRegistry:
         assert shared_design_point(TPUV4I, RELEASES[0]) is not point
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelSweeper:
-    def test_order_preserving_merge(self):
-        items = list(range(23))
-        expected = [x * x for x in items]
-        assert ParallelSweeper(workers=1).map(_square, items) == expected
-        assert ParallelSweeper(workers=2).map(_square, items) == expected
-        assert ParallelSweeper(workers=2, chunk_size=3).map(
-            _square, items) == expected
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweeper(workers=0)
-        with pytest.raises(ValueError):
-            ParallelSweeper(chunk_size=0)
-
-    def test_parallel_equals_serial_candidates(self):
-        """The pareto_frontier inputs are deterministic across worker counts."""
-        grid = enumerate_candidates(mxu_counts=(2, 4),
-                                    cmem_mib_options=(0, 64))
-        serial = evaluate_candidates(grid, GRID_APPS, workers=1)
-        parallel = evaluate_candidates(grid, GRID_APPS, workers=2)
-        assert serial == parallel
-        assert pareto_frontier(serial) == pareto_frontier(parallel)
-        assert [c.chip.name for c in parallel] == [chip.name for chip in grid]
-
-    def test_parallel_sweep_warms_parent_cache(self):
-        grid = enumerate_candidates(mxu_counts=(2,), cmem_mib_options=(64,))
-        clear_shared_design_points()
-        evaluate_candidates(grid, ("mlp0",), workers=2)
-        cache = get_cache()
-        clear_shared_design_points()  # force lookups through the cache
-        hits_before = cache.stats.hits
-        again = evaluate_candidates(grid, ("mlp0",), workers=1)
-        assert cache.stats.hits > hits_before
-        assert again == evaluate_candidates(grid, ("mlp0",), workers=1)
-
-
 class TestDseThroughEngine:
     def test_evaluate_candidate_matches_legacy_path(self):
         chip = enumerate_candidates(mxu_counts=(4,),
@@ -259,20 +219,15 @@ class TestDseThroughEngine:
         engined = evaluate_candidate(chip, GRID_APPS)
         assert legacy == engined
 
-    def test_cmem_sweep_serial_equals_parallel(self):
-        spec = app_by_name("mlp0")
-        capacities = [0, 32 * MIB, 128 * MIB]
-        serial = cmem_sweep(spec, capacities, batch=2, workers=1)
-        parallel = cmem_sweep(spec, capacities, batch=2, workers=2)
-        assert serial == parallel
-        assert [c for c, _ in serial] == capacities
-
     def test_cmem_sweep_rejects_negative_capacity(self):
         spec = app_by_name("mlp0")
         with pytest.raises(ValueError):
             cmem_sweep(spec, [-1], batch=2)
-        with pytest.raises(ValueError):
-            cmem_sweep(spec, [-1], batch=2, workers=2)
+
+    def test_evaluate_candidates_rejects_other_worker_counts(self):
+        grid = enumerate_candidates(mxu_counts=(2,), cmem_mib_options=(64,))
+        with pytest.raises(ValueError, match="workers=2"):
+            evaluate_candidates(grid, ("mlp0",), workers=2)
 
     def test_shared_design_point_is_shared(self):
         clear_shared_design_points()
@@ -311,7 +266,7 @@ class TestServingPrewarm:
         simulator = ServingSimulator(
             DesignPoint(TPUV4I), spec,
             BatchPolicy(max_batch=8, max_wait_s=0.001), Slo(0.05))
-        grid = simulator.prewarm(workers=1)
+        grid = simulator.prewarm()
         assert set(grid) == set(BatchPolicy.batch_steps(8))
         fresh = ServingSimulator(
             DesignPoint(TPUV4I), spec,
@@ -320,19 +275,42 @@ class TestServingPrewarm:
             assert fresh.batch_latency_s(step) == latency
 
 
-class TestCachePlumbing:
-    def test_export_absorb_round_trip(self):
-        source = EvalCache()
-        before = source.keys()
-        source.put("k1", {"v": 1})
-        source.put("k2", (1, 2, 3))
-        entries = source.export_since(before)
-        assert set(entries) == {"k1", "k2"}
-        sink = EvalCache()
-        sink.absorb(entries)
-        assert sink.get("k1") == {"v": 1}
-        assert sink.get("k2") == (1, 2, 3)
+    def test_prewarm_serves_specs_outside_the_catalog(self):
+        """Regression: prewarm used the catalog name lookup and the
+        shared design point, so ``dlrm`` raised KeyError."""
+        spec = EXTENDED_APPS[0]
+        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        policy = BatchPolicy(max_batch=8, max_wait_s=0.001)
+        simulator = ServingSimulator(point, spec, policy, Slo(0.05))
+        table = simulator.prewarm()
+        assert list(table) == list(BatchPolicy.batch_steps(8))
+        fresh = ServingSimulator(
+            DesignPoint(TPUV4I, cache=EvalCache(enabled=False)), spec,
+            policy, Slo(0.05))
+        for step, latency in table.items():
+            assert fresh.batch_latency_s(step) == latency
 
+
+class TestNoPoolImports:
+    def test_import_loads_no_process_pool_machinery(self):
+        """Sweeps run in process: importing the sweep entry points must
+        not pull in ``multiprocessing`` or ``concurrent.futures``."""
+        code = (
+            "import sys\n"
+            "import repro, repro.core.dse, repro.cluster.sweep, "
+            "repro.serving\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (
+                       os.path.dirname(os.path.dirname(repro.__file__)),
+                       os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
+class TestCachePlumbing:
     def test_disabled_cache_stores_nothing(self):
         cache = EvalCache(enabled=False)
         cache.put("k", 1)
@@ -349,109 +327,6 @@ class TestCachePlumbing:
         assert 0.0 < cache.stats.hit_rate < 1.0
         assert cache.size_bytes() >= len(pickle.dumps("value"))
         assert "entries" in cache.describe()
-
-
-# Crash-injection tasks must live at module level (picklable). The
-# sentinel file makes the crash one-shot: the first worker to see it
-# removes it and hard-kills itself, so the retry pool runs clean.
-_CRASH_ENV = "REPRO_TEST_CRASH_SENTINEL"
-
-
-def _consume_crash_sentinel() -> bool:
-    sentinel = os.environ.get(_CRASH_ENV)
-    if not sentinel:
-        return False
-    try:
-        os.remove(sentinel)
-    except FileNotFoundError:
-        return False
-    return True
-
-
-def _square_crash_once(x: int) -> int:
-    if x == 7 and _consume_crash_sentinel():
-        os._exit(1)  # simulate an OOM kill: poisons the whole pool
-    return x * x
-
-
-def _square_in_parent_only(payload: tuple[int, int]) -> int:
-    x, parent_pid = payload
-    if os.getpid() != parent_pid:
-        os._exit(1)  # every pool attempt dies; only serial can finish
-    return x * x
-
-
-def _square_reject_negative(x: int) -> int:
-    if x < 0:
-        raise ValueError("negative input")
-    return x * x
-
-
-def _cached_square_crash_once(x: int) -> int:
-    if x == 5 and _consume_crash_sentinel():
-        os._exit(1)
-    cache = get_cache()
-    key = f"crash-test:{x}"
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    cache.put(key, x * x)
-    return x * x
-
-
-class TestSweeperCrashTolerance:
-    """A dying worker degrades to retry/serial, never to a wrong answer."""
-
-    def test_worker_crash_retried_on_fresh_pool(self, tmp_path, monkeypatch):
-        sentinel = tmp_path / "crash-once"
-        sentinel.touch()
-        monkeypatch.setenv(_CRASH_ENV, str(sentinel))
-        items = list(range(23))
-        sweeper = ParallelSweeper(workers=2, force_parallel=True)
-        assert sweeper.map(_square_crash_once, items) == [x * x for x in items]
-        assert not sentinel.exists()  # the crash really happened
-
-    def test_unbroken_pools_fall_back_to_serial(self):
-        items = [(x, os.getpid()) for x in range(8)]
-        sweeper = ParallelSweeper(workers=2, force_parallel=True,
-                                  pool_retries=1)
-        assert (sweeper.map(_square_in_parent_only, items)
-                == [x * x for x in range(8)])
-
-    def test_task_exceptions_propagate_not_retried(self):
-        sweeper = ParallelSweeper(workers=2, force_parallel=True)
-        with pytest.raises(ValueError, match="negative"):
-            sweeper.map(_square_reject_negative, [1, 2, -3, 4])
-
-    def test_crash_during_map_cached_keeps_cache_consistent(
-            self, tmp_path, monkeypatch):
-        """Satellite: parallel-with-crash equals serial, cache intact."""
-        sentinel = tmp_path / "crash-once"
-        sentinel.touch()
-        monkeypatch.setenv(_CRASH_ENV, str(sentinel))
-        items = list(range(12))
-        previous = set_cache(EvalCache())
-        try:
-            crashed = ParallelSweeper(
-                workers=2, force_parallel=True).map_cached(
-                    _cached_square_crash_once, items)
-            parallel_cache = {k: get_cache().get(k)
-                              for k in get_cache().keys()}
-            set_cache(EvalCache())
-            serial = ParallelSweeper(workers=1).map_cached(
-                _cached_square_crash_once, items)
-            serial_cache = {k: get_cache().get(k) for k in get_cache().keys()}
-        finally:
-            set_cache(previous)
-        assert not sentinel.exists()
-        assert crashed == serial == [x * x for x in items]
-        # Every item's entry was merged; no partial records either way.
-        assert parallel_cache == serial_cache
-        assert set(parallel_cache) == {f"crash-test:{x}" for x in items}
-
-    def test_pool_retries_validated(self):
-        with pytest.raises(ValueError):
-            ParallelSweeper(pool_retries=-1)
 
 
 class TestDiskTierIntegrity:

@@ -16,8 +16,8 @@ reached through ``tests.conftest.reference_paths``.
 from __future__ import annotations
 
 import dataclasses
-import sys
 
+import numpy as np
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
@@ -252,17 +252,21 @@ class TestErrorParity:
 
 class TestGating:
     def test_disabled_kernel_falls_back_per_point(self, monkeypatch):
-        """Without numpy the kernel cannot run; points replay one by one."""
+        """An inexact vector-ALU sum cannot batch; the point replays alone."""
         program = Program("gate", generation=4)
-        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)))
+        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
+                               Instruction(Opcode.VADD, (4096,)))))
         point = GridPoint(program, TPUV4I)
         clear_grid_kernel()
-        with monkeypatch.context() as patch:
-            patch.setattr(gridkernel, "np", None)
-            fallback = evaluate_grid([point])
-        stats = grid_kernel_stats()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(gridkernel, "_ALU_EXACT_LIMIT", 1)
+                fallback = evaluate_grid([point])
+            stats = grid_kernel_stats()
+        finally:
+            clear_grid_kernel()  # drop the pricing memoized under the patch
         assert stats.fallback_points == 1
-        assert stats.batches == 0
+        assert stats.batches == 1
         _assert_identical(_replay(point), fallback[0])
 
 
@@ -359,12 +363,12 @@ class TestSweepEquivalence:
             clear_shared_design_points()
             clear_lowered()
             with reference_paths():
-                serial = evaluate_candidates(chips, workers=1)
+                serial = evaluate_candidates(chips)
             set_cache(EvalCache())
             clear_shared_design_points()
             clear_lowered()
             clear_grid_kernel()
-            routed = evaluate_candidates(chips, workers=1)
+            routed = evaluate_candidates(chips)
             assert routed == serial
         finally:
             set_cache(previous)
@@ -388,23 +392,16 @@ class TestSweepEquivalence:
 
 
 class TestCmemSweepValidation:
-    """Regression: validation is identical on every dispatch path."""
+    """Regression: a bad capacity is rejected before any grid dispatch."""
 
-    @pytest.mark.parametrize("workers", [1, 2, None])
-    def test_negative_capacity_raises_before_any_dispatch(self, workers):
+    def test_negative_capacity_raises_before_any_dispatch(self):
         spec = app_by_name("mlp0")
-        with collecting_metrics() as registry:
-            with pytest.raises(ValueError, match="non-negative"):
-                cmem_sweep(spec, [64 * MIB, -1], workers=workers)
-            # Rejected before the sweep counted (or evaluated) anything.
-            assert registry.counter("engine.sweeps.cmem_points").value == 0
-
-    def test_engine_sweep_validates_identically(self):
-        from repro.engine.sweeps import cmem_capacity_sweep
-        spec = app_by_name("mlp0")
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="non-negative"):
-                cmem_capacity_sweep(spec, [-5], TPUV4I, 4, workers=workers)
+        kernel_before = dataclasses.replace(grid_kernel_stats())
+        grid_before = dataclasses.replace(grid_stats())
+        with pytest.raises(ValueError, match="non-negative"):
+            cmem_sweep(spec, [64 * MIB, -1])
+        assert grid_kernel_stats() == kernel_before
+        assert grid_stats() == grid_before
 
 
 class TestCompileContentFingerprint:
@@ -457,7 +454,6 @@ class TestLoweredArrays:
         return lower_program(program, TPUV4I)
 
     def test_column_names_and_dtypes(self):
-        np = pytest.importorskip("numpy")
         columns = self._lowered().arrays()
         assert set(columns) == {"kind", "a0", "a1", "a2", "f"}
         for name in ("kind", "a0", "a1", "a2"):
@@ -465,7 +461,6 @@ class TestLoweredArrays:
         assert columns["f"].dtype == np.float64
 
     def test_rows_roundtrip_in_order(self):
-        pytest.importorskip("numpy")
         lowered = self._lowered()
         columns = lowered.arrays()
         assert all(len(col) == len(lowered) for col in columns.values())
@@ -477,12 +472,6 @@ class TestLoweredArrays:
             assert columns["f"][i] == f
 
     def test_empty_program_exports_empty_columns(self):
-        pytest.importorskip("numpy")
         lowered = lower_program(Program("empty", generation=4), TPUV4I)
         columns = lowered.arrays()
         assert all(len(col) == 0 for col in columns.values())
-
-    def test_numpy_absent_returns_none(self, monkeypatch):
-        lowered = self._lowered()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert lowered.arrays() is None
