@@ -188,6 +188,29 @@ class FaultSchedule:
                 factor *= scale
         return factor
 
+    def next_boundary(self, core: int, t: float) -> float:
+        """Earliest window edge on ``core`` strictly after ``t``, or ``inf``.
+
+        An edge is the start or stop of any down or slowdown window.
+        Under the half-open contract state only changes *at* an edge:
+        :meth:`outage_end` and :meth:`slowdown_factor` answer the same
+        at every instant of ``[t, next_boundary(core, t))``, and no
+        outage starts inside it, so a caller can run uniform steps up to
+        the edge without re-querying. Infinite stops are not edges.
+        """
+        edge = math.inf
+        for windows in (self._down_by_core[core], self._slow_by_core[core]):
+            for window in windows:
+                start, stop = window[0], window[1]
+                if start > t:
+                    # Sorted by start: every later window starts (and
+                    # stops) no earlier than this one starts.
+                    edge = min(edge, start)
+                    break
+                if t < stop < edge:
+                    edge = stop
+        return edge
+
     def downtime_core_s(self, window_start_s: float,
                         window_end_s: float) -> float:
         """Total core-seconds of outage inside a window (overlaps merged)."""

@@ -55,13 +55,32 @@ delta re-prefill), every token recomputed after a loss, and every token
 a snapshot recovered; ``goodput_fraction`` is generated ÷ computed —
 1.0 exactly on a faultless run.
 
+Each engine step is chosen in a fixed order: the oldest admitted slot
+still needing its prefill or restore; else, when checkpointing, one
+snapshot step over every due slot; else one decode step over every
+active slot. Between events a decode step repeats exactly — same
+members, KV bucket and latency — so one loop iteration commits a whole
+*uniform decode run* of ``k`` steps, where ``k`` stops before the first
+of five events: a retirement (``min(target - produced)``), the deepest
+slot crossing its KV bucket (``bucket - deepest + 1``, unless the bucket
+is the last), a snapshot falling due (``min(every - (produced -
+snap))``), an admissible arrival (no step starts at or after the queue
+head's ready time while a slot is free), and a fault or slowdown edge
+(every extra step completes before
+:meth:`~repro.faults.model.FaultSchedule.next_boundary`; a run starting
+where an outage ended takes no extra step). The clock advances by ``k``
+sequential additions, so every completion time is the float a one-step
+iteration produces; ``k = 1`` *is* the one-step iteration.
+
 This event loop is the layer's one path: there is no vectorized twin,
 and the byte-identity contract is two-fold — run-to-run determinism
 (asserted in ``tests/test_generative.py`` and ``tests/test_recovery.py``;
 CI diffs two ``repro llm`` runs), and a zero-checkpoint zero-fault
 :class:`~repro.serving.recovery.RecoveryPolicy` being bit-identical to
 running with no policy at all
-(``tests/test_recovery.py::TestZeroCheckpointIdentity``).
+(``tests/test_recovery.py::TestZeroCheckpointIdentity``). The run
+edge cases are frozen in ``tests/golden/continuous.json``, whose
+digests were taken from the one-step loop this one replaced.
 """
 
 from __future__ import annotations
@@ -103,8 +122,14 @@ class GenerativeSlo:
     pct: float = 99.0
 
     def __post_init__(self) -> None:
-        if self.ttft_s <= 0 or self.per_token_s <= 0:
-            raise ValueError("SLO budgets must be positive")
+        for name in ("ttft_s", "per_token_s"):
+            value = getattr(self, name)
+            # Phrased to reject NaN, which would pass every ``>`` check
+            # and silently report zero violations.
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"SLO budget {name} must be positive and finite, "
+                    f"got {value!r}")
         if not 0 < self.pct <= 100:
             raise ValueError("percentile must be in (0, 100]")
 
@@ -268,7 +293,7 @@ class _Accumulator:
                  "tokens", "prefills", "decode_steps", "decode_batch_sum",
                  "lost_steps", "last_completion", "computed", "recomputed",
                  "recovered", "migrated", "snapshots", "snapshot_steps",
-                 "restores")
+                 "restores", "iterations")
 
     def __init__(self) -> None:
         self.ttft: List[float] = []
@@ -289,6 +314,7 @@ class _Accumulator:
         self.snapshots = 0
         self.snapshot_steps = 0
         self.restores = 0
+        self.iterations = 0  # engine-loop iterations, for the counters
 
 
 class ContinuousBatchingSimulator:
@@ -352,13 +378,19 @@ class ContinuousBatchingSimulator:
         :func:`~repro.serving.recovery.snapshot_latency_table`, or a
         synthetic table in tests.
         """
-        for (phase, _bucket, batch), latency in table.items():
+        for key, latency in table.items():
+            phase, _bucket, batch = key
             if phase not in ("prefill", "decode", "snapshot"):
                 raise ValueError(f"unknown phase {phase!r}")
             if batch < 1:
                 raise ValueError("batch must be >= 1")
-            if latency < 0:
-                raise ValueError("latency must be non-negative")
+            # A NaN latency would pass ``< 0`` and poison the clock:
+            # ``max(nan, ready_s)`` stays NaN, nothing is ever admissible
+            # again, and the engine loop never ends.
+            if not (math.isfinite(latency) and latency >= 0):
+                raise ValueError(
+                    f"latency for {key!r} must be non-negative and finite, "
+                    f"got {latency!r}")
         self._latency.update(table)
 
     def _restore_latency_s(self, slot: _Slot) -> float:
@@ -475,6 +507,12 @@ class ContinuousBatchingSimulator:
             reg.counter("continuous.recovered_tokens").inc(
                 stats.recovered_tokens)
             reg.counter("continuous.wasted_tokens").inc(stats.wasted_tokens)
+            # One iteration commits one step or a whole decode run, so
+            # engine_steps / loop_iterations is the fast-forward's saving.
+            reg.counter("continuous.engine_steps").inc(
+                stats.prefill_steps + stats.decode_steps
+                + stats.snapshot_steps + stats.restore_steps)
+            reg.counter("continuous.loop_iterations").inc(acc.iterations)
         return stats
 
     def _requeue_entry(self, slot: _Slot,
@@ -531,72 +569,110 @@ class ContinuousBatchingSimulator:
                   schedule: Optional["FaultSchedule"], retry_budget: int,
                   retry_timeout: float, acc: _Accumulator,
                   migrants_out: Optional[List[_Pending]]) -> None:
-        """One core's engine loop over its (possibly merged) queue."""
+        """One core's engine loop over its (possibly merged) queue.
+
+        Each iteration commits one step, or a whole uniform decode run:
+        after the run's first step passes the fault checks, the loop
+        fast-forwards through the steps that would repeat it exactly
+        (see the module docstring for the five events that end a run).
+        """
         active: List[_Slot] = []
+        # Admitted slots still needing their prefill or restore, oldest
+        # first. Every admission lands here and only its own step
+        # leaves, so the head is always the oldest such active slot.
+        awaiting: Deque[_Slot] = deque()
         now = 0.0
+        iterations = 0
+        slots = self.slots
+        spec = self.spec
+        last_bucket = spec.kv_buckets[-1]
+        latencies = self._latency
+        padded_of = [0] + [self._policy.padded_size(n)
+                           for n in range(1, slots + 1)]
+        every = (self.recovery.checkpoint_every
+                 if self.recovery is not None and self.recovery.checkpointing
+                 else 0)
 
         while pending or active:
+            iterations += 1
             if not active and pending:
                 now = max(now, pending[0].ready_s)
 
+            waited = False
             if schedule is not None:
                 down_until = schedule.outage_end(core, now)
                 if down_until is not None:
                     if math.isinf(down_until):
                         self._lose_core(active, pending, now, retry_budget,
                                         retry_timeout, acc, migrants_out)
-                        return
+                        break
                     now = down_until
+                    waited = True
 
             # Admission: ready requests claim free slots FIFO. A
             # retried request whose re-admission would already exceed
             # the retry timeout is dropped here, never served late.
-            while (pending and len(active) < self.slots
+            while (pending and len(active) < slots
                    and pending[0].ready_s <= now):
                 entry = pending.popleft()
                 if (entry.retries > 0
                         and now - entry.request.arrival_s > retry_timeout):
                     acc.dropped += 1
                     continue
-                active.append(_Slot(entry, min(entry.request.decode_len,
-                                               self.max_decode_len)))
+                slot = _Slot(entry, min(entry.request.decode_len,
+                                        self.max_decode_len))
+                active.append(slot)
+                awaiting.append(slot)
             if not active:
                 continue  # timed-out retries only; re-check arrivals
 
-            # Step selection: oldest slot needing a prefill or a restore
-            # first; then, when checkpointing, a snapshot step for every
-            # sequence whose uncovered progress reached the cadence;
-            # else one decode iteration over every prefilled slot.
-            waiting = [s for s in active
-                       if s.prefill_t is None or s.restore_pending]
-            due: List[_Slot] = []
-            if waiting:
-                members = [waiting[0]]
-                if members[0].restore_pending:
+            # Step selection: the oldest slot needing a prefill or a
+            # restore first; then, when checkpointing, a snapshot step
+            # for every sequence whose uncovered progress reached the
+            # cadence; else a decode run over every prefilled slot. One
+            # pass finds the deepest sequence and how many decode steps
+            # remain before the first retirement and the first snapshot.
+            steps_max = 1
+            if awaiting:
+                if awaiting[0].restore_pending:
                     phase = "restore"
-                    latency = self._restore_latency_s(members[0])
+                    latency = self._restore_latency_s(awaiting[0])
                 else:
                     phase = "prefill"
-                    bucket = self.spec.prompt_bucket(
-                        members[0].request.prompt_len)
-                    latency = self.step_latency_s(phase, bucket, 1)
+                    bucket = spec.prompt_bucket(awaiting[0].request.prompt_len)
+                    latency = latencies.get((phase, bucket, padded_of[1]))
+                    if latency is None:
+                        latency = self.step_latency_s(phase, bucket, 1)
             else:
-                if self.recovery is not None and self.recovery.checkpointing:
-                    every = self.recovery.checkpoint_every
-                    due = [s for s in active if s.produced - s.snap >= every]
-                if due:
-                    members = due
+                deepest = 0
+                # A cap no run reaches: some slot retires within
+                # max_decode_len steps.
+                to_retire = to_snapshot = self.max_decode_len
+                for slot in active:
+                    produced = slot.produced
+                    depth = slot.request.prompt_len + produced
+                    if depth > deepest:
+                        deepest = depth
+                    if slot.target - produced < to_retire:
+                        to_retire = slot.target - produced
+                    if every and every - produced + slot.snap < to_snapshot:
+                        to_snapshot = every - produced + slot.snap
+                if every and to_snapshot <= 0:
+                    members = [s for s in active
+                               if s.produced - s.snap >= every]
                     phase = "snapshot"
                     deepest = max(s.request.prompt_len + s.produced
                                   for s in members)
-                    bucket = self.spec.kv_bucket(deepest)
-                    latency = self.step_latency_s(phase, bucket, len(members))
                 else:
                     members = active
                     phase = "decode"
-                    deepest = max(s.request.prompt_len + s.produced
-                                  for s in members)
-                    bucket = self.spec.kv_bucket(deepest)
+                    steps_max = min(to_retire, to_snapshot)
+                bucket = spec.kv_bucket(deepest)
+                if phase == "decode" and bucket != last_bucket:
+                    steps_max = min(steps_max, bucket - deepest + 1)
+                latency = latencies.get((phase, bucket,
+                                         padded_of[len(members)]))
+                if latency is None:
                     latency = self.step_latency_s(phase, bucket, len(members))
             if schedule is not None:
                 latency *= schedule.slowdown_factor(core, now)
@@ -617,7 +693,7 @@ class ContinuousBatchingSimulator:
                         self._lose_core(active, pending, fail_start,
                                         retry_budget, retry_timeout, acc,
                                         migrants_out)
-                        return
+                        break
                     survivors: List[_Pending] = []
                     for slot in active:
                         if (slot.retries + 1 > retry_budget
@@ -629,21 +705,45 @@ class ContinuousBatchingSimulator:
                             survivors.append(self._requeue_entry(slot))
                     pending.extendleft(reversed(survivors))
                     active = []
+                    awaiting.clear()
                     now = fail_end
                     continue
 
-            # Commit the step.
+            # Fast-forward: while nothing can change, the next decode
+            # step repeats this one exactly. Each extra step starts at
+            # the previous completion; it stops short of an admissible
+            # arrival and must complete before the next fault or
+            # slowdown edge. A step that starts where an outage ended
+            # never repeats: after abutting outages it may start inside
+            # the next one. The clock advances by the same sequential
+            # additions one step per iteration made.
+            steps = 1
+            if steps_max > 1 and not waited:
+                ready = (pending[0].ready_s
+                         if pending and len(active) < slots else math.inf)
+                edge = (math.inf if schedule is None
+                        else schedule.next_boundary(core, now))
+                while steps < steps_max and completion < ready:
+                    following = completion + latency
+                    if following >= edge:
+                        break
+                    completion = following
+                    steps += 1
+
+            # Commit the step (or run).
             now = completion
+            retire = False
             if phase == "prefill":
-                slot = members[0]
+                slot = awaiting.popleft()
                 slot.prefill_t = completion
                 slot.produced = 1
                 acc.prefills += 1
                 acc.computed += 1
                 if slot.high_water >= 1:
                     acc.recomputed += 1
+                retire = slot.target <= 1
             elif phase == "restore":
-                slot = members[0]
+                slot = awaiting.popleft()
                 suffix = slot.produced - slot.snap
                 acc.computed += suffix
                 acc.recomputed += suffix
@@ -656,16 +756,18 @@ class ContinuousBatchingSimulator:
                 for slot in members:
                     slot.snap = slot.produced
             else:
-                acc.decode_steps += 1
-                acc.decode_batch_sum += len(members)
-                acc.computed += len(members)
+                acc.decode_steps += steps
+                acc.decode_batch_sum += steps * len(members)
+                acc.computed += steps * len(members)
                 for slot in members:
-                    slot.produced += 1
-                    if slot.produced <= slot.high_water:
-                        acc.recomputed += 1
+                    replayed = slot.high_water - slot.produced
+                    if replayed > 0:
+                        acc.recomputed += min(steps, replayed)
+                    slot.produced += steps
+                retire = steps == to_retire
 
-            retiring = [s for s in active if s.produced >= s.target]
-            if retiring:
+            if retire:
+                retiring = [s for s in active if s.produced >= s.target]
                 active = [s for s in active if s.produced < s.target]
                 for slot in retiring:
                     acc.served += 1
@@ -676,6 +778,7 @@ class ContinuousBatchingSimulator:
                             (completion - slot.prefill_t)
                             / (slot.target - 1))
             acc.last_completion = max(acc.last_completion, completion)
+        acc.iterations += iterations
 
     def _finalize(self, requests: Sequence[GenRequest],
                   acc: _Accumulator) -> ContinuousStats:

@@ -37,6 +37,14 @@ class DeterministicRng:
         """One sample from U[low, high)."""
         return float(self._gen.uniform(low, high))
 
+    def uniform_array(self, n: int) -> np.ndarray:
+        """``n`` samples from U[0, 1) as one vector.
+
+        The same stream as ``n`` successive :meth:`uniform` calls, value
+        for value, leaving the generator in the same state.
+        """
+        return self._gen.random(n)
+
     def exponential(self, mean: float) -> float:
         """One sample from Exp with the given mean (inter-arrival times)."""
         if mean <= 0:

@@ -1,0 +1,200 @@
+"""Checked-in output digests (``tests/golden/*.json``) and how to rebuild them.
+
+Each suite maps case names to a value the library computes — a stats
+dataclass or a list of sweep rows — and the golden file stores every
+case's :func:`~repro.engine.keys.fingerprint`: SHA-256 over its
+canonical JSON, where floats keep their shortest round-trip ``repr``,
+so two runs agree bit for bit or not at all. ``tests/test_goldens.py``
+recomputes every case and compares.
+
+Regenerate, from the checkout root, only when a change is *meant* to
+alter outputs::
+
+    PYTHONPATH=src python -m tests.goldens
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+from typing import Any, Callable, Dict
+
+from repro.arch import TPUV3, TPUV4I
+from repro.core.design_point import shared_design_point
+from repro.engine.keys import fingerprint
+from repro.faults.model import FaultModel, FaultSchedule
+from repro.serving import BatchPolicy, ContinuousBatchingSimulator, \
+    RecoveryPolicy, llm_chaos_sweep, llm_sweep
+from repro.workloads import GenRequest, generative_by_name, \
+    sample_gen_requests
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+# ----------------------------------------------------- continuous batching
+
+def _synthetic_sim(chip, *, slots=None, max_decode_len=None, recovery=None):
+    """A continuous-batching simulator with synthetic step latencies.
+
+    Every (phase, bucket, padded batch) gets its own non-dyadic
+    latency, so a run that picks the wrong bucket or batch, or sums
+    step times in a different order, changes the digest.
+    """
+    spec = generative_by_name("llm0")
+    sim = ContinuousBatchingSimulator(
+        shared_design_point(chip), spec, slots=slots,
+        max_decode_len=max_decode_len, recovery=recovery)
+    table = {}
+    for bucket in spec.prompt_buckets:
+        table[("prefill", bucket, 1)] = 0.0031 + 1.7e-5 * bucket
+    for bucket in spec.kv_buckets:
+        for step in BatchPolicy.batch_steps(sim.slots):
+            table[("decode", bucket, step)] = (
+                7.1e-4 + 1.3e-4 * step + 3.1e-6 * bucket)
+            table[("snapshot", bucket, step)] = (
+                2.9e-4 + 4.3e-5 * step + 1.1e-6 * bucket)
+    sim.seed_latencies(table)
+    return sim
+
+
+def _completions(start: float, latency: float, steps: int) -> float:
+    """``start`` plus ``steps`` sequential additions of ``latency``.
+
+    The engine loop advances its clock the same way, so the result is
+    bit-for-bit the completion time of the last of those steps.
+    """
+    t = start
+    for _ in range(steps):
+        t += latency
+    return t
+
+
+def continuous_cases() -> Dict[str, Callable[[], Any]]:
+    """Edge cases of the continuous-batching loop, one thunk per case."""
+    spec = generative_by_name("llm0")
+    stream = sample_gen_requests(spec, seed=11, rate_qps=250.0,
+                                 duration_s=0.3)
+    wide = sample_gen_requests(spec, seed=5, rate_qps=500.0, duration_s=0.3)
+    end = stream[-1].arrival_s + 1.0
+    ckpt4 = RecoveryPolicy(checkpoint_every=4)
+    ckpt8 = RecoveryPolicy(checkpoint_every=8)
+    no_migrate = RecoveryPolicy(checkpoint_every=8, migrate=False)
+    kills = FaultModel(seed=7, core_mtbf_s=0.05, core_repair_s=0.01,
+                       retry_budget=4)
+
+    # A burst of three 20-token prompts at t=0 on one core: three
+    # prefills back to back, then decode steps at padded batch 4 (the
+    # 64-token prompt and 128-token KV buckets). Its step completions
+    # are known exactly, so faults can land on them.
+    burst = [GenRequest(0.0, 20, 30), GenRequest(0.0, 20, 12),
+             GenRequest(0.0, 20, 40)]
+    prefill = 0.0031 + 1.7e-5 * 64
+    decode4 = 7.1e-4 + 1.3e-4 * 4 + 3.1e-6 * 128
+    prefilled = _completions(0.0, prefill, 3)
+    fifth = _completions(prefilled, decode4, 5)
+    slow_stop = _completions(fifth, decode4 * 3.0, 4)
+    # One request alone decodes at padded batch 1.
+    decode1 = 7.1e-4 + 1.3e-4 * 1 + 3.1e-6 * 128
+    fifth_alone = _completions(prefill, decode1, 5)
+
+    def run(chip=TPUV4I, requests=stream, faults=None, schedule=None,
+            **kwargs):
+        return lambda: _synthetic_sim(chip, **kwargs).simulate(
+            requests, faults=faults, schedule=schedule)
+
+    def one_core(down=(), slowdowns=()):
+        return FaultSchedule(1, end, down=down, slowdowns=slowdowns)
+
+    return {
+        "faultless": run(),
+        "faultless_ckpt4": run(recovery=ckpt4),
+        "faultless_two_cores": run(chip=TPUV3, requests=wide),
+        "slowdowns_mid_run": run(schedule=one_core(slowdowns=(
+            (0, 0.05, 0.09, 2.5), (0, 0.12, 0.125, 1.5),
+            (0, 0.2, 0.26, 3.0), (0, 0.22, 0.3, 1.25)))),
+        "slowdowns_mid_run_ckpt4": run(recovery=ckpt4, schedule=one_core(
+            slowdowns=((0, 0.05, 0.09, 2.5), (0, 0.2, 0.26, 3.0)))),
+        "slowdown_at_completions": run(requests=burst, schedule=one_core(
+            slowdowns=((0, fifth, slow_stop, 3.0),))),
+        "slowdown_from_zero": run(schedule=one_core(
+            slowdowns=((0, 0.0, 0.1, 2.0),))),
+        "abutting_outages": run(schedule=one_core(
+            down=((0, 0.1, 0.13), (0, 0.13, 0.15)))),
+        "abutting_outages_ckpt4": run(recovery=ckpt4, schedule=one_core(
+            down=((0, 0.1, 0.13), (0, 0.13, 0.15)))),
+        "outage_at_completion": run(requests=burst, schedule=one_core(
+            down=((0, fifth, fifth + 0.004),))),
+        # The first outage cuts no step; the step after it starts
+        # inside the second one and must not repeat.
+        "abutting_outages_at_completion": run(
+            requests=burst, schedule=one_core(down=(
+                (0, fifth, fifth + 0.004), (0, fifth + 0.004, fifth + 0.008)))),
+        "outage_at_completion_ckpt4": run(
+            requests=burst, recovery=ckpt4,
+            schedule=one_core(down=((0, fifth, fifth + 0.004),))),
+        "arrival_at_completion": run(
+            requests=burst[:1] + [GenRequest(fifth_alone, 30, 9)], slots=2),
+        "death_at_zero": run(schedule=one_core(down=((0, 0.0, math.inf),))),
+        "death_at_zero_migrate": run(
+            chip=TPUV3, requests=wide, recovery=ckpt8,
+            schedule=FaultSchedule(2, end, down=((0, 0.0, math.inf),))),
+        "death_permanent_migrate": run(
+            chip=TPUV3, requests=wide, recovery=ckpt8,
+            schedule=FaultSchedule(2, end, down=((1, 0.1, math.inf),))),
+        "death_permanent_no_migrate": run(
+            chip=TPUV3, requests=wide, recovery=no_migrate,
+            schedule=FaultSchedule(2, end, down=((1, 0.1, math.inf),))),
+        "death_permanent_no_policy": run(
+            chip=TPUV3, requests=wide,
+            schedule=FaultSchedule(2, end, down=((1, 0.1, math.inf),))),
+        "kills": run(faults=kills),
+        "kills_ckpt8": run(faults=kills, recovery=ckpt8),
+        "kills_slowdowns_two_cores": run(
+            chip=TPUV3, requests=wide, recovery=ckpt8,
+            faults=FaultModel(seed=3, core_mtbf_s=0.08, core_repair_s=0.02,
+                              slowdown_mtbf_s=0.04, slowdown_s=0.03,
+                              slowdown_factor=1.75, retry_budget=3)),
+        "slots_1": run(slots=1, faults=kills),
+        "max_decode_len_1": run(max_decode_len=1, faults=kills),
+        "checkpoint_every_1": run(faults=kills,
+                                  recovery=RecoveryPolicy(checkpoint_every=1)),
+        "small_retry_timeout": run(
+            recovery=ckpt4,
+            faults=FaultModel(seed=7, core_mtbf_s=0.05, core_repair_s=0.01,
+                              retry_budget=4, retry_timeout_s=0.02)),
+        "empty_stream": run(requests=[]),
+        "llm_sweep_seed3": lambda: llm_sweep(3, duration_s=0.5),
+        "llm_chaos_sweep_seed3": lambda: llm_chaos_sweep(3, duration_s=0.5),
+    }
+
+
+#: Golden file stem -> the cases it freezes.
+SUITES: Dict[str, Callable[[], Dict[str, Callable[[], Any]]]] = {
+    "continuous": continuous_cases,
+}
+
+
+def compute(suite: str) -> Dict[str, str]:
+    """Case name -> digest for every case of one suite."""
+    return {name: fingerprint(case())
+            for name, case in SUITES[suite]().items()}
+
+
+def load(suite: str) -> Dict[str, str]:
+    return json.loads((GOLDEN_DIR / f"{suite}.json").read_text())
+
+
+def main(names: list) -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for suite in names or list(SUITES):
+        table = compute(suite)
+        (GOLDEN_DIR / f"{suite}.json").write_text(
+            json.dumps(table, indent=1, sort_keys=True) + "\n")
+        print(f"{suite}: {len(table)} digests", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

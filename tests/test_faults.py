@@ -197,6 +197,68 @@ class TestBoundaryContract:
         assert schedule.first_failure_between(0, 0.0, 1.0) is None
         assert schedule.first_failure_between(0, 0.999, 1.001) == (1.0, 2.0)
 
+    def test_next_boundary_is_strictly_after(self):
+        schedule = FaultSchedule(1, 10.0, down=[(0, 1.0, 2.0)])
+        assert schedule.next_boundary(0, 0.5) == 1.0
+        # An edge exactly at ``t`` is not next; the one after it is.
+        assert schedule.next_boundary(0, 1.0) == 2.0
+        assert schedule.next_boundary(0, 2.0) == math.inf
+
+    def test_next_boundary_overlapping_windows(self):
+        # A core failure inside a chip outage, plus a slowdown that
+        # straddles both: every start and stop is an edge.
+        schedule = FaultSchedule(
+            1, 10.0, down=[(0, 1.0, 5.0), (0, 2.0, 3.0)],
+            slowdowns=[(0, 2.5, 6.0, 2.0)])
+        assert schedule.next_boundary(0, 0.0) == 1.0
+        assert schedule.next_boundary(0, 1.0) == 2.0
+        assert schedule.next_boundary(0, 2.0) == 2.5
+        assert schedule.next_boundary(0, 2.5) == 3.0
+        assert schedule.next_boundary(0, 3.0) == 5.0
+        assert schedule.next_boundary(0, 5.0) == 6.0
+        assert schedule.next_boundary(0, 6.0) == math.inf
+
+    def test_next_boundary_infinite_stop_is_not_an_edge(self):
+        schedule = FaultSchedule(1, 10.0, down=[(0, 1.0, math.inf)])
+        assert schedule.next_boundary(0, 0.0) == 1.0
+        assert schedule.next_boundary(0, 1.0) == math.inf
+        assert schedule.next_boundary(0, 1e9) == math.inf
+
+    def test_next_boundary_slowdown_only_and_per_core(self):
+        schedule = FaultSchedule(2, 10.0, slowdowns=[(1, 1.0, 2.0, 3.0)])
+        assert schedule.next_boundary(0, 0.0) == math.inf
+        assert schedule.next_boundary(1, 0.0) == 1.0
+        assert schedule.next_boundary(1, 1.5) == 2.0
+
+    def test_queries_constant_up_to_next_boundary(self):
+        """The contract the continuous loop's fast-forward relies on,
+        checked against a naive edge scan on seeded schedules."""
+        for seed in range(5):
+            schedule = FaultModel(
+                seed=seed, core_mtbf_s=0.3, core_repair_s=0.1,
+                chip_mtbf_s=1.0, chip_repair_s=0.2, slowdown_mtbf_s=0.4,
+                slowdown_s=0.25).schedule(2, 3.0)
+            for core in range(2):
+                edges = sorted(
+                    {e for c, s, t in schedule.down if c == core
+                     for e in (s, t)}
+                    | {e for c, s, t, _ in schedule.slowdowns if c == core
+                       for e in (s, t)})
+                for t in [0.0] + edges + [i * 0.0371 for i in range(90)]:
+                    later = [e for e in edges if e > t and math.isfinite(e)]
+                    edge = schedule.next_boundary(core, t)
+                    assert edge == (later[0] if later else math.inf)
+                    for u in (t, (t + min(edge, t + 1.0)) / 2):
+                        if u >= edge:
+                            continue
+                        assert (schedule.outage_end(core, u)
+                                == schedule.outage_end(core, t))
+                        assert (schedule.slowdown_factor(core, u)
+                                == schedule.slowdown_factor(core, t))
+                    if math.isfinite(edge):
+                        assert schedule.first_failure_between(
+                            core, t, edge) is None
+
 
 class TestPermanentDeath:
     """``permanent_death_s`` drives sequence migration: the continuous

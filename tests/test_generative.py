@@ -10,6 +10,9 @@ budget, and zero-request simulate.
 """
 
 import math
+import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -50,6 +53,21 @@ def make_sim(spec=LLM0, slots=None, max_decode_len=None,
             table[("decode", bucket, step)] = decode_s
     sim.seed_latencies(table)
     return sim
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, if the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGenerativeSpec:
@@ -309,6 +327,28 @@ class TestContinuousBatching:
         with pytest.raises(ValueError, match="latency"):
             sim.seed_latencies({("decode", 128, 1): -0.001})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_seed_latencies_rejects_non_finite_by_key(self, bad):
+        key = ("prefill", LLM0.prompt_buckets[0], 1)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            make_sim().seed_latencies({key: bad})
+
+    def test_nan_latency_table_raises_instead_of_hanging(self):
+        """Regression: a NaN prefill entry passed ``latency < 0``, and
+        ``simulate`` then never returned (NaN poisons the clock, so no
+        arrival is ever admissible again)."""
+        sim = make_sim()
+        table = {("prefill", b, 1): 0.004 for b in LLM0.prompt_buckets}
+        table[("prefill", LLM0.prompt_buckets[0], 1)] = math.nan
+        reqs = sample_gen_requests(LLM0, seed=3, rate_qps=400,
+                                   duration_s=0.1)
+        with deadline(20.0):
+            with pytest.raises(ValueError, match="prefill.*nan"):
+                sim.seed_latencies(table)
+                sim.simulate(reqs)  # where the old code never returned
+            # Nothing of the rejected table was applied.
+            assert sim.simulate(reqs) == make_sim().simulate(reqs)
+
     def test_mid_decode_outage_loses_prefix_and_retries(self):
         """A core dying mid-decode destroys the generated prefixes (KV
         is core-resident); requests re-enqueue under the retry budget
@@ -365,6 +405,12 @@ class TestContinuousBatching:
     def test_slo_validation(self):
         with pytest.raises(ValueError):
             GenerativeSlo(0.0, 0.01)
+        for bad in (math.nan, math.inf):
+            # A NaN budget used to report zero violations silently.
+            with pytest.raises(ValueError, match="ttft_s"):
+                GenerativeSlo(bad, 0.01)
+            with pytest.raises(ValueError, match="per_token_s"):
+                GenerativeSlo(0.05, bad)
         with pytest.raises(ValueError):
             GenerativeSlo(0.05, 0.01, pct=0)
         with pytest.raises(ValueError):

@@ -1,0 +1,29 @@
+"""Recompute every checked-in golden digest and compare (``tests/goldens.py``).
+
+A mismatch means a change altered outputs. If that was the intent,
+regenerate with ``PYTHONPATH=src python -m tests.goldens`` and say why
+in the change description; otherwise the change broke an output.
+"""
+
+import pytest
+
+from tests import goldens
+
+CASES = [(suite, name) for suite in goldens.SUITES
+         for name in sorted(goldens.load(suite))]
+
+
+@pytest.fixture(scope="module")
+def recomputed():
+    return {suite: goldens.compute(suite) for suite in goldens.SUITES}
+
+
+def test_every_case_is_checked_in(recomputed):
+    for suite, table in recomputed.items():
+        assert sorted(table) == sorted(goldens.load(suite)), suite
+
+
+@pytest.mark.parametrize("suite,name", CASES,
+                         ids=[f"{s}-{n}" for s, n in CASES])
+def test_digest_unchanged(recomputed, suite, name):
+    assert recomputed[suite][name] == goldens.load(suite)[name]

@@ -453,3 +453,23 @@ class TestGoodputReport:
         assert snap["continuous.migrated"]["value"] > 0
         assert snap["continuous.snapshots"]["value"] > 0
         assert snap["continuous.tokens_computed"]["value"] > 0
+
+    @pytest.mark.parametrize("faults", [
+        None,
+        FaultModel(seed=2, core_mtbf_s=0.05, core_repair_s=0.01,
+                   slowdown_mtbf_s=0.05, slowdown_s=0.02, retry_budget=3),
+    ], ids=["faultless", "kills-and-slowdowns"])
+    def test_loop_counters_measure_the_fast_forward(self, faults):
+        """``engine_steps`` is the stats' step total; one loop iteration
+        commits one step or a whole decode run, so there are fewer."""
+        from repro.obs import collecting_metrics
+        reqs = sample_gen_requests(LLM0, seed=4, rate_qps=300,
+                                   duration_s=0.3)
+        with collecting_metrics() as reg:
+            stats = make_sim(TPUV3, recovery=RecoveryPolicy(
+                checkpoint_every=8)).simulate(reqs, faults=faults)
+            snap = reg.snapshot()
+        steps = snap["continuous.engine_steps"]["value"]
+        assert steps == (stats.prefill_steps + stats.decode_steps
+                         + stats.snapshot_steps + stats.restore_steps)
+        assert snap["continuous.loop_iterations"]["value"] < steps
