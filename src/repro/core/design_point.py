@@ -101,7 +101,8 @@ class DesignPoint:
         """Fingerprint of the compiler release (stable across processes)."""
         return self._compiler_fp
 
-    def _engine_cache(self) -> EvalCache:
+    def engine_cache(self) -> EvalCache:
+        """The EvalCache this point reads and stores through."""
         return self._cache if self._cache is not None else get_cache()
 
     def _key(self, kind: str, spec: WorkloadSpec, batch: int,
@@ -133,7 +134,7 @@ class DesignPoint:
         if hit is not None:
             return hit
         with metrics().timer("tier.cache_lookup_s"):
-            cached = self._engine_cache().get(
+            cached = self.engine_cache().get(
                 self.result_key(spec, batch, cmem_budget_bytes))
         if cached is not None:
             self._results[key] = cached
@@ -143,7 +144,7 @@ class DesignPoint:
                      cmem_budget_bytes: Optional[int],
                      result: SimResult) -> None:
         """Publish a simulation under the same keys :meth:`run` uses."""
-        self._engine_cache().put(
+        self.engine_cache().put(
             self.result_key(spec, batch, cmem_budget_bytes), result,
             self._meta("sim", spec, batch, cmem_budget_bytes))
         self._results[(spec.name, batch, cmem_budget_bytes)] = result
@@ -157,7 +158,7 @@ class DesignPoint:
         if hit is not None:
             return hit
         with metrics().timer("tier.cache_lookup_s"):
-            cached = self._engine_cache().get(
+            cached = self.engine_cache().get(
                 self.evaluation_key(spec, batch, cmem_budget_bytes))
         if cached is not None:
             self._evaluations[key] = cached
@@ -167,7 +168,7 @@ class DesignPoint:
                          cmem_budget_bytes: Optional[int],
                          evaluation: Evaluation) -> None:
         """Publish an evaluation under the keys :meth:`evaluate` uses."""
-        self._engine_cache().put(
+        self.engine_cache().put(
             self.evaluation_key(spec, batch, cmem_budget_bytes), evaluation,
             self._meta("eval", spec, batch, cmem_budget_bytes))
         self._evaluations[(spec.name, batch, cmem_budget_bytes)] = evaluation
@@ -200,7 +201,7 @@ class DesignPoint:
         key = (spec.name, batch, cmem_budget_bytes)
         if key not in self._results:
             reg = metrics()
-            engine = self._engine_cache()
+            engine = self.engine_cache()
             ekey = self._key("sim", spec, batch, cmem_budget_bytes)
             with reg.timer("tier.cache_lookup_s"):
                 cached = engine.get(ekey)
@@ -229,7 +230,7 @@ class DesignPoint:
         key = (spec.name, b, cmem_budget_bytes)
         if key in self._evaluations:
             return self._evaluations[key]
-        engine = self._engine_cache()
+        engine = self.engine_cache()
         ekey = self._key("eval", spec, b, cmem_budget_bytes)
         with metrics().timer("tier.cache_lookup_s"):
             cached = engine.get(ekey)

@@ -7,23 +7,40 @@ Two tiers:
   sweeps over overlapping grids — or a fleet plan after a DSE run —
   never recompute a (chip, compiler, workload, batch, budget) tuple;
 * an optional **on-disk** tier under a cache directory (default
-  ``.repro_cache/``): one pickle per entry named by its key, plus a JSON
-  sidecar describing what the entry is. Disk entries survive process
-  restarts, so benchmark suites warm across invocations.
+  ``.repro_cache/``) made of *pack files*. A pack holds many
+  ``(key, meta, payload)`` records, where ``meta`` is the human-readable
+  :func:`~repro.engine.keys.key_meta` description of the entry. Disk
+  entries survive process restarts, so benchmark suites warm across
+  invocations.
 
 Values are opaque to the cache (SimResult, Evaluation, ...); keys come
 from :mod:`repro.engine.keys`, which folds in every chip/compiler field —
 invalidation is by construction, never by mtime.
 
-The disk tier is crash-safe end to end. Every write goes to a temp file
-first and lands via atomic ``os.replace``, so a killed process can never
-leave a truncated entry under a live name. Every entry carries a
-leading SHA-256 checksum over its payload, verified on read; an entry
-that fails the checksum — or fails to unpickle (including legacy
-pre-checksum entries) — is *quarantined*: moved to a ``quarantine/``
-subdirectory, logged, counted in :attr:`CacheStats.corrupt`, and
-treated as a miss so the value is recomputed. Corruption is therefore
-never fatal and never silently served.
+**Writes.** :meth:`EvalCache.batch` buffers the disk records of every
+:meth:`~EvalCache.put` made inside it and writes them as one pack when
+it exits; the grid sweeps wrap their store loops in it, so a sweep over
+N missing points writes one pack per payload kind instead of N files.
+A ``put`` outside a batch writes a one-record pack. A pack is written to
+a temp file and lands via atomic ``os.replace`` under a name derived
+from the SHA-256 of its content, so concurrent writers never collide
+and a killed process never leaves a partial pack under a live name: a
+process killed inside a batch loses only that batch, which is
+recomputed on the next run.
+
+**Reads.** An in-memory index maps each key to its record. It is filled
+from the packs on the first disk lookup, and an index miss rescans the
+directory for packs not seen yet, so entries another instance or process
+wrote later are still found. Every pack starts with a magic and a
+SHA-256 checksum over the rest of the file, verified before any of its
+records is unpickled. A pack that fails the checksum, is truncated,
+cannot be read, or holds a payload that fails to unpickle is
+*quarantined* as a whole: moved to a ``quarantine/`` subdirectory,
+logged, counted in :attr:`CacheStats.corrupt`, and its entries read as
+misses so they are recomputed. Corruption is therefore never fatal and
+never silently served. Per-entry ``*.pkl`` files from the pre-pack
+layout are ignored (they read as misses); ``clear(disk=True)`` removes
+them.
 """
 
 from __future__ import annotations
@@ -31,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import json
 import pickle
 import tempfile
 import threading
@@ -50,14 +66,22 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 ENV_DISABLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
 
-#: On-disk entry format: magic + 32-byte SHA-256 of the payload + payload.
-#: Files without the magic are legacy plain pickles (still readable).
-_MAGIC = b"RPC1"
+#: Pack file format: magic + 32-byte SHA-256 of the body + body, where
+#: the body is a pickled list of ``(key, meta, payload)`` records and
+#: each payload is the pickled value.
+_MAGIC = b"RPK1"
 _DIGEST_BYTES = 32
+_HEADER_BYTES = len(_MAGIC) + _DIGEST_BYTES
+PACK_SUFFIX = ".pack"
 
-#: Corrupt entries are moved here (relative to the cache dir), not deleted,
+#: Corrupt packs are moved here (relative to the cache dir), not deleted,
 #: so a surprising corruption can still be inspected post-mortem.
 QUARANTINE_DIR = "quarantine"
+
+#: Files ``clear(disk=True)`` removes besides packs: per-entry pickles
+#: and JSON sidecars of the pre-pack layout, and temp files left by a
+#: killed writer.
+_LEFTOVER_SUFFIXES = (".pkl", ".json", ".tmp")
 
 _LOG = logging.getLogger(__name__)
 
@@ -70,7 +94,7 @@ class CacheStats:
     disk_hits: int = 0     # served from the disk tier (then promoted)
     misses: int = 0
     puts: int = 0
-    corrupt: int = 0       # disk entries quarantined (checksum/unpickle)
+    corrupt: int = 0       # disk packs quarantined (checksum/unpickle)
 
     @property
     def lookups(self) -> int:
@@ -104,11 +128,25 @@ class EvalCache:
 
     def __init__(self, disk_dir: Optional[os.PathLike] = None,
                  enabled: bool = True) -> None:
+        if disk_dir is not None:
+            disk_dir = Path(disk_dir)
+            if disk_dir.exists() and not disk_dir.is_dir():
+                raise ValueError(f"cache directory {str(disk_dir)!r} "
+                                 f"exists and is not a directory")
         self._mem: dict[str, _Entry] = {}
         self._lock = threading.Lock()
         self._enabled = enabled
-        self._disk_dir = Path(disk_dir) if disk_dir is not None else None
+        self._disk_dir = disk_dir
         self.stats = CacheStats()
+        # Disk tier state, guarded by _disk_lock (taken before _lock,
+        # never after): key -> (pack name, payload), the record count of
+        # every pack already indexed (0 for a quarantined one), and the
+        # records buffered by an open batch().
+        self._disk_lock = threading.Lock()
+        self._index: dict[str, tuple[str, bytes]] = {}
+        self._packs: dict[str, int] = {}
+        self._batch_depth = 0
+        self._pending: list[tuple[str, Optional[dict], bytes]] = []
 
     # --------------------------------------------------------------- config
 
@@ -138,9 +176,9 @@ class EvalCache:
                 self.stats.hits += 1
                 metrics().count("engine.cache.hits")
                 return entry.value
-        value = self._disk_read(key)
-        if value is not None:
-            size = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        found = self._disk_read(key)
+        if found is not None:
+            value, size = found
             with self._lock:
                 self.stats.disk_hits += 1
                 self._mem[key] = _Entry(value, size)
@@ -152,7 +190,12 @@ class EvalCache:
 
     def put(self, key: str, value: Any,
             meta: Optional[dict] = None) -> None:
-        """Store a value in memory and (if configured) on disk."""
+        """Store a value in memory and (if configured) on disk.
+
+        Inside :meth:`batch` the disk record is buffered until the
+        outermost batch exits; otherwise it lands now as a one-record
+        pack.
+        """
         if not self._enabled:
             return
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -160,8 +203,35 @@ class EvalCache:
             self._mem[key] = _Entry(value, len(blob), meta)
             self.stats.puts += 1
         metrics().count("engine.cache.puts")
-        if self._disk_dir is not None:
-            self._disk_write(key, blob, meta)
+        if self._disk_dir is None:
+            return
+        record = (key, meta, blob)
+        with self._disk_lock:
+            if self._batch_depth:
+                self._pending.append(record)
+                return
+        self._write_pack([record])
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Write every disk record put inside the block as one pack.
+
+        Batches nest: the records land when the outermost one exits,
+        also when it exits by an exception (the values were computed).
+        Without a disk tier this is a no-op.
+        """
+        with self._disk_lock:
+            self._batch_depth += 1
+        try:
+            yield
+        finally:
+            with self._disk_lock:
+                self._batch_depth -= 1
+                records: list = []
+                if not self._batch_depth:
+                    records, self._pending = self._pending, []
+            if records:
+                self._write_pack(records)
 
     # ------------------------------------------------------------ accounting
 
@@ -175,28 +245,45 @@ class EvalCache:
             return sum(e.size_bytes for e in self._mem.values())
 
     def disk_entry_count(self) -> int:
-        if self._disk_dir is None or not self._disk_dir.is_dir():
-            return 0
-        return sum(1 for _ in self._disk_dir.glob("*.pkl"))
+        """Records in the packs now in the cache directory."""
+        names = self._pack_names()
+        with self._disk_lock:
+            self._index_new_packs(names)
+            return sum(self._packs.get(name, 0) for name in names)
 
     def disk_size_bytes(self) -> int:
-        if self._disk_dir is None or not self._disk_dir.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in self._disk_dir.glob("*.pkl"))
+        """Bytes of the packs now in the cache directory."""
+        total = 0
+        for name in self._pack_names():
+            try:
+                total += (self._disk_dir / name).stat().st_size
+            except OSError:
+                pass
+        return total
 
     def clear(self, disk: bool = False) -> None:
-        """Drop in-memory entries (and the disk tier when ``disk=True``)."""
+        """Drop in-memory entries (and the disk tier when ``disk=True``).
+
+        Clearing the disk removes every pack, any pre-pack per-entry
+        file or leftover temp file, and the quarantined packs.
+        """
         with self._lock:
             self._mem.clear()
-        if disk and self._disk_dir is not None and self._disk_dir.is_dir():
-            for path in list(self._disk_dir.glob("*.pkl")):
+        if not disk or self._disk_dir is None:
+            return
+        with self._disk_lock:
+            self._index.clear()
+            self._packs.clear()
+            self._pending.clear()
+        if not self._disk_dir.is_dir():
+            return
+        for suffix in (PACK_SUFFIX,) + _LEFTOVER_SUFFIXES:
+            for path in list(self._disk_dir.glob(f"*{suffix}")):
                 path.unlink(missing_ok=True)
-            for path in list(self._disk_dir.glob("*.json")):
+        quarantine = self._disk_dir / QUARANTINE_DIR
+        if quarantine.is_dir():
+            for path in list(quarantine.iterdir()):
                 path.unlink(missing_ok=True)
-            quarantine = self._disk_dir / QUARANTINE_DIR
-            if quarantine.is_dir():
-                for path in list(quarantine.iterdir()):
-                    path.unlink(missing_ok=True)
 
     def describe(self) -> str:
         disk = (f", disk {self.disk_entry_count()} entries / "
@@ -212,76 +299,117 @@ class EvalCache:
 
     # ------------------------------------------------------------- disk tier
 
-    def _path(self, key: str) -> Path:
-        return self._disk_dir / f"{key}.pkl"
+    def _pack_names(self) -> list[str]:
+        """Pack file names now in the cache directory, sorted."""
+        if self._disk_dir is None:
+            return []
+        try:
+            names = os.listdir(self._disk_dir)
+        except OSError:
+            return []
+        return sorted(n for n in names if n.endswith(PACK_SUFFIX))
 
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (never served, never fatal)."""
+    def _disk_read(self, key: str) -> Optional[tuple[Any, int]]:
+        """(value, payload size) of a disk record, or None."""
+        if self._disk_dir is None:
+            return None
+        with self._disk_lock:
+            record = self._index.get(key)
+            if record is None:
+                self._index_new_packs(self._pack_names())
+                record = self._index.get(key)
+                if record is None:
+                    return None
+            name, payload = record
+            try:
+                return pickle.loads(payload), len(payload)
+            except Exception:
+                self._quarantine(name, "unreadable pickle")
+                return None
+
+    def _index_new_packs(self, names: list[str]) -> None:
+        """Verify and index every listed pack not indexed yet.
+
+        Caller holds ``_disk_lock``.
+        """
+        for name in names:
+            if name in self._packs:
+                continue
+            try:
+                raw = (self._disk_dir / name).read_bytes()
+            except FileNotFoundError:
+                continue  # removed since the listing
+            except OSError:
+                self._quarantine(name, "unreadable file")
+                continue
+            body = raw[_HEADER_BYTES:]
+            if (len(raw) < _HEADER_BYTES or not raw.startswith(_MAGIC)
+                    or hashlib.sha256(body).digest()
+                    != raw[len(_MAGIC):_HEADER_BYTES]):
+                self._quarantine(name, "checksum mismatch")
+                continue
+            try:
+                self._add_pack(name, pickle.loads(body))
+            except Exception:
+                self._quarantine(name, "malformed records")
+
+    def _add_pack(self, name: str, records: list) -> None:
+        """Index a verified pack's records; caller holds ``_disk_lock``."""
+        self._packs[name] = len(records)
+        for key, _meta, payload in records:
+            self._index[key] = (name, payload)
+
+    def _quarantine(self, name: str, reason: str) -> None:
+        """Move a corrupt pack aside and forget its records.
+
+        Never served, never fatal; caller holds ``_disk_lock``.
+        """
+        self._packs[name] = 0
+        for key in [k for k, (pack, _) in self._index.items()
+                    if pack == name]:
+            del self._index[key]
         with self._lock:
             self.stats.corrupt += 1
         metrics().count("engine.cache.corrupt")
+        path = self._disk_dir / name
         target_dir = self._disk_dir / QUARANTINE_DIR
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target_dir / path.name)
+            os.replace(path, target_dir / name)
         except OSError:
-            path.unlink(missing_ok=True)
-        sidecar = path.with_suffix(".json")
-        if sidecar.exists():
             try:
-                os.replace(sidecar, target_dir / sidecar.name)
+                path.unlink(missing_ok=True)
             except OSError:
-                sidecar.unlink(missing_ok=True)
-        _LOG.warning("quarantined corrupt cache entry %s (%s); "
-                     "the value will be recomputed", key, reason)
+                pass
+        _LOG.warning("quarantined corrupt cache pack %s (%s); "
+                     "its entries will be recomputed", name, reason)
 
-    def _disk_read(self, key: str) -> Optional[Any]:
-        if self._disk_dir is None:
-            return None
-        path = self._path(key)
+    def _write_pack(self, records: list) -> None:
+        """Land ``records`` as one pack and index them."""
+        body = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(body).digest()
+        name = digest.hex() + PACK_SUFFIX
+        tmp = None
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
-        if raw.startswith(_MAGIC):
-            header = len(_MAGIC) + _DIGEST_BYTES
-            digest, payload = raw[len(_MAGIC):header], raw[header:]
-            if hashlib.sha256(payload).digest() != digest:
-                self._quarantine(key, path, "checksum mismatch")
-                return None
-        else:
-            payload = raw  # legacy pre-checksum entry: plain pickle
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            self._quarantine(key, path, "unreadable pickle")
-            return None
-
-    def _disk_write(self, key: str, blob: bytes,
-                    meta: Optional[dict]) -> None:
-        self._disk_dir.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self._disk_dir, suffix=".tmp")
-        try:
+            self._disk_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self._disk_dir, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_MAGIC)
-                fh.write(hashlib.sha256(blob).digest())
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+                fh.write(digest)
+                fh.write(body)
+            os.replace(tmp, self._disk_dir / name)
+        except OSError as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            _LOG.warning("could not write a cache pack to %s (%s); "
+                         "%d entries stay in memory only",
+                         self._disk_dir, exc, len(records))
             return
-        if meta is not None:
-            try:
-                path.with_suffix(".json").write_text(
-                    json.dumps(meta, sort_keys=True, indent=1))
-            except OSError:
-                pass
+        with self._disk_lock:
+            self._add_pack(name, records)
 
 
 # ------------------------------------------------------------- global cache

@@ -15,7 +15,10 @@ about:
   generation — *not* clock, MXU count, or power/cooling limits), so a
   sweep axis over clock or MXU count compiles once per distinct content
   (:func:`compile_chip_fingerprint`; invariance asserted in
-  ``tests/test_gridsim.py``) instead of once per chip.
+  ``tests/test_gridsim.py``) instead of once per chip;
+* **one disk write per batch** — the store loops run inside
+  :meth:`EvalCache.batch` of every distinct cache the jobs use, so the
+  disk tier lands a whole batch's records as one pack per cache.
 
 Batching is the only production path. The per-point loops it replaces
 (:meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` per job) are the
@@ -29,8 +32,9 @@ Counters flow through :func:`repro.obs.metrics.metrics` (the
 from __future__ import annotations
 
 import dataclasses
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.engine.keys import fingerprint
 from repro.obs.metrics import metrics
@@ -137,6 +141,15 @@ def _shared_compiled(job: GridJob, batch: int,
     return compiled
 
 
+@contextmanager
+def _store_batch(jobs: Iterable[GridJob]) -> Iterator[None]:
+    """Batch the disk writes of every distinct cache the jobs store to."""
+    with ExitStack() as stack:
+        for cache in dict.fromkeys(job.point.engine_cache() for job in jobs):
+            stack.enter_context(cache.batch())
+        yield
+
+
 # --------------------------------------------------------------- run_grid
 
 def run_grid(jobs: Sequence[GridJob],
@@ -190,12 +203,13 @@ def run_grid(jobs: Sequence[GridJob],
         sims = evaluate_grid(batch_points)
     _STATS.batched_points += len(batch_points)
     reg.count("engine.grid.batched_points", len(batch_points))
-    for i, ekey in zip(misses, miss_keys):
-        job = jobs[i]
-        result = sims[slot_by_key[ekey]]
-        job.point.store_result(job.spec, job.resolved_batch,
-                               job.cmem_budget_bytes, result)
-        results[i] = result
+    with _store_batch(jobs[i] for i in misses):
+        for i, ekey in zip(misses, miss_keys):
+            job = jobs[i]
+            result = sims[slot_by_key[ekey]]
+            job.point.store_result(job.spec, job.resolved_batch,
+                                   job.cmem_budget_bytes, result)
+            results[i] = result
     return results
 
 
@@ -232,18 +246,20 @@ def evaluate_jobs(jobs: Sequence[GridJob]) -> list:
     sims = run_grid([jobs[i] for i in misses],
                     compiled_by_key=compiled_by_key)
     seen: Dict[str, "Evaluation"] = {}
-    for idx, i in enumerate(misses):
-        job = jobs[i]
-        batch = job.resolved_batch
-        ekey = job.point.evaluation_key(job.spec, batch,
-                                        job.cmem_budget_bytes)
-        evaluation = seen.get(ekey)
-        if evaluation is None:
-            compiled = _shared_compiled(job, batch, compiled_by_key)
-            evaluation = job.point.evaluation_from(
-                job.spec, batch, job.cmem_budget_bytes, sims[idx], compiled)
-            seen[ekey] = evaluation
-        job.point.store_evaluation(job.spec, batch, job.cmem_budget_bytes,
-                                   evaluation)
-        results[i] = evaluation
+    with _store_batch(jobs[i] for i in misses):
+        for idx, i in enumerate(misses):
+            job = jobs[i]
+            batch = job.resolved_batch
+            ekey = job.point.evaluation_key(job.spec, batch,
+                                            job.cmem_budget_bytes)
+            evaluation = seen.get(ekey)
+            if evaluation is None:
+                compiled = _shared_compiled(job, batch, compiled_by_key)
+                evaluation = job.point.evaluation_from(
+                    job.spec, batch, job.cmem_budget_bytes, sims[idx],
+                    compiled)
+                seen[ekey] = evaluation
+            job.point.store_evaluation(job.spec, batch,
+                                       job.cmem_budget_bytes, evaluation)
+            results[i] = evaluation
     return results

@@ -108,7 +108,7 @@ def key_meta(kind: str, chip_name: str, compiler_name: str, workload: str,
              batch: int, cmem_budget_bytes: int | None,
              dtype: str, *, phase: str | None = None,
              kv_bucket: int | None = None) -> dict[str, Any]:
-    """Human-readable sidecar metadata stored next to disk entries."""
+    """Human-readable description stored with each disk-tier record."""
     meta = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

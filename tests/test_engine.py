@@ -9,10 +9,12 @@ reentrancy, and that sweeps run in process with no pool machinery.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -32,10 +34,13 @@ from repro.core.dse import (
 )
 from repro.engine import (
     EvalCache,
+    GridJob,
     chip_fingerprint,
     compiler_fingerprint,
     engine_disabled,
     eval_key,
+    evaluate_jobs,
+    set_cache,
 )
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
@@ -130,11 +135,15 @@ class TestDiskTier:
         spec = app_by_name("mlp0")
         cache = EvalCache(disk_dir=tmp_path)
         result = DesignPoint(TPUV4I, cache=cache).evaluate(spec, 2)
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
+        packs = list(tmp_path.glob("*.pack"))
+        assert packs
+        for path in packs:
+            path.write_bytes(b"not a pack")
         reader = EvalCache(disk_dir=tmp_path)
         again = DesignPoint(TPUV4I, cache=reader).evaluate(spec, 2)
         assert _fields(result) == _fields(again)
+        assert reader.stats.corrupt == len(packs)
+        assert reader.stats.disk_hits == 0
 
     def test_clear_removes_disk_entries(self, tmp_path):
         spec = app_by_name("mlp0")
@@ -329,57 +338,230 @@ class TestCachePlumbing:
         assert "entries" in cache.describe()
 
 
+def _pack_records(path):
+    """The (key, meta, payload) records of one pack, checksum verified."""
+    raw = path.read_bytes()
+    assert raw[:4] == b"RPK1"
+    assert hashlib.sha256(raw[36:]).digest() == raw[4:36]
+    return pickle.loads(raw[36:])
+
+
 class TestDiskTierIntegrity:
-    """Checksummed, atomically-written entries; corruption is never fatal."""
+    """Checksummed, atomically-written packs; corruption is never fatal."""
 
     def test_entries_carry_magic_and_checksum(self, tmp_path):
         cache = EvalCache(disk_dir=tmp_path)
-        cache.put("k1", {"v": 42})
-        raw = (tmp_path / "k1.pkl").read_bytes()
-        assert raw.startswith(b"RPC1")
+        cache.put("k1", {"v": 42}, {"kind": "test"})
+        (path,) = tmp_path.glob("*.pack")
+        raw = path.read_bytes()
+        # The pack is named by the digest of its content.
+        assert path.name == raw[4:36].hex() + ".pack"
+        assert _pack_records(path) == [
+            ("k1", {"kind": "test"}, pickle.dumps(
+                {"v": 42}, protocol=pickle.HIGHEST_PROTOCOL))]
         assert not list(tmp_path.glob("*.tmp"))  # temp files never linger
+        assert not list(tmp_path.glob("*.pkl"))  # no per-entry files
+        assert not list(tmp_path.glob("*.json"))
 
     def test_bitflip_quarantined_and_recomputed(self, tmp_path):
+        value = {"v": "a" * 100}
         cache = EvalCache(disk_dir=tmp_path)
-        cache.put("k1", {"v": 42})
-        path = tmp_path / "k1.pkl"
+        cache.put("k1", value)
+        (path,) = tmp_path.glob("*.pack")
         raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF  # flip one payload bit
+        # Flip one bit inside the stored string: the pack still unpickles,
+        # so only the checksum can tell.
+        raw[raw.index(b"a" * 100) + 50] ^= 0x01
         path.write_bytes(bytes(raw))
 
         reader = EvalCache(disk_dir=tmp_path)
         assert reader.get("k1") is None  # a miss, not an exception
         assert reader.stats.corrupt == 1
         assert not path.exists()
-        assert (tmp_path / "quarantine" / "k1.pkl").exists()
+        assert (tmp_path / "quarantine" / path.name).exists()
         assert "quarantined" in reader.describe()
+        assert reader.disk_entry_count() == 0
 
         # Recompute-and-store works over the quarantined name.
-        reader.put("k1", {"v": 42})
-        assert EvalCache(disk_dir=tmp_path).get("k1") == {"v": 42}
+        reader.put("k1", value)
+        assert EvalCache(disk_dir=tmp_path).get("k1") == value
 
     def test_truncated_entry_quarantined(self, tmp_path):
         cache = EvalCache(disk_dir=tmp_path)
-        cache.put("k1", [1, 2, 3])
-        path = tmp_path / "k1.pkl"
+        with cache.batch():
+            cache.put("k1", [1, 2, 3])
+            cache.put("k2", [4, 5])
+        (path,) = tmp_path.glob("*.pack")
         path.write_bytes(path.read_bytes()[:10])  # torn write, magic intact
         reader = EvalCache(disk_dir=tmp_path)
         assert reader.get("k1") is None
+        assert reader.get("k2") is None  # the whole pack is quarantined
         assert reader.stats.corrupt == 1
+        assert (tmp_path / "quarantine" / path.name).exists()
 
-    def test_legacy_plain_pickle_still_readable(self, tmp_path):
-        (tmp_path / "old.pkl").write_bytes(pickle.dumps(123))
+    def test_unreadable_payload_quarantines_its_pack(self, tmp_path):
+        # A valid checksum over a payload that fails to unpickle.
+        cache = EvalCache(disk_dir=tmp_path)
+        cache._write_pack([("k1", None, b"not a pickle"),
+                           ("k2", None, pickle.dumps(2))])
         reader = EvalCache(disk_dir=tmp_path)
-        assert reader.get("old") == 123
+        assert reader.get("k1") is None
+        assert reader.stats.corrupt == 1
+        assert reader.get("k2") is None  # never served from a bad pack
+        assert not list(tmp_path.glob("*.pack"))
+
+    def test_legacy_per_entry_pickle_ignored_and_cleared(self, tmp_path):
+        (tmp_path / "old.pkl").write_bytes(pickle.dumps(123))
+        (tmp_path / "old.json").write_text("{}")
+        reader = EvalCache(disk_dir=tmp_path)
+        assert reader.get("old") is None  # a miss, not a corruption
         assert reader.stats.corrupt == 0
+        assert reader.disk_entry_count() == 0
+        assert reader.disk_size_bytes() == 0
+        reader.clear(disk=True)
+        assert not list(tmp_path.iterdir())
 
     def test_clear_empties_quarantine(self, tmp_path):
         cache = EvalCache(disk_dir=tmp_path)
         cache.put("k1", "value")
-        path = tmp_path / "k1.pkl"
-        path.write_bytes(b"RPC1" + b"\x00" * 40)
+        (path,) = tmp_path.glob("*.pack")
+        path.write_bytes(b"RPK1" + b"\x00" * 40)
         assert cache.get("k1") == "value"  # memory tier still serves it
         fresh = EvalCache(disk_dir=tmp_path)
         assert fresh.get("k1") is None
         fresh.clear(disk=True)
         assert not list((tmp_path / "quarantine").iterdir())
+        assert fresh.disk_entry_count() == 0
+
+
+class TestPacks:
+    """Batched writes: one pack per batch, found by every reader."""
+
+    def test_evaluate_jobs_writes_one_pack_per_kind(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
+        point = DesignPoint(TPUV4I, cache=cache)
+        jobs = [GridJob(point, app_by_name(app), batch)
+                for app in GRID_APPS for batch in GRID_BATCHES]
+        evaluate_jobs(jobs)
+        packs = sorted(tmp_path.iterdir())
+        records = [_pack_records(path) for path in packs]
+        assert [len(r) for r in records] == [len(jobs), len(jobs)]
+        kinds = [{meta["kind"] for _, meta, _ in r} for r in records]
+        assert sorted(kinds, key=sorted) == [{"eval"}, {"sim"}]
+        assert cache.disk_entry_count() == 2 * len(jobs)
+        assert cache.disk_size_bytes() == sum(p.stat().st_size
+                                              for p in packs)
+
+        reader = EvalCache(disk_dir=tmp_path)
+        again = evaluate_jobs([GridJob(DesignPoint(TPUV4I, cache=reader),
+                                       job.spec, job.batch) for job in jobs])
+        assert reader.stats.disk_hits == len(jobs)
+        assert reader.stats.misses == 0
+        assert sorted(tmp_path.iterdir()) == packs  # nothing rewritten
+        assert [_fields(e) for e in again] == [
+            _fields(point.evaluate(job.spec, job.batch)) for job in jobs]
+
+    def test_reader_finds_pack_written_after_first_scan(self, tmp_path):
+        writer = EvalCache(disk_dir=tmp_path)
+        writer.put("early", 1)
+        reader = EvalCache(disk_dir=tmp_path)
+        assert reader.get("early") == 1  # the first scan
+        writer.put("late", 2)
+        assert reader.get("late") == 2  # rescanned on the index miss
+        assert reader.stats.disk_hits == 2
+        assert reader.stats.misses == 0
+
+    def test_put_outside_batch_writes_one_record_pack(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        packs = list(tmp_path.glob("*.pack"))
+        assert len(packs) == 2
+        assert all(len(_pack_records(p)) == 1 for p in packs)
+
+    def test_nested_batches_land_once_even_on_error(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
+        with pytest.raises(RuntimeError):
+            with cache.batch():
+                cache.put("a", 1)
+                with cache.batch():
+                    cache.put("b", 2)
+                assert not list(tmp_path.glob("*.pack"))
+                raise RuntimeError("computed values still land")
+        (path,) = tmp_path.glob("*.pack")
+        assert [key for key, _, _ in _pack_records(path)] == ["a", "b"]
+        assert EvalCache(disk_dir=tmp_path).get("b") == 2
+
+    def test_concurrent_batches_lose_no_record(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
+
+        def work(t):
+            with cache.batch():
+                for i in range(20):
+                    cache.put(f"{t}-{i}", i)
+            cache.put(f"{t}-solo", t)
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        reader = EvalCache(disk_dir=tmp_path)
+        assert reader.disk_entry_count() == 8 * 21
+        assert all(reader.get(f"{t}-{i}") == i
+                   for t in range(8) for i in range(20))
+
+    def test_disk_hit_size_is_the_stored_payload(self, tmp_path):
+        value = {"v": list(range(100))}
+        EvalCache(disk_dir=tmp_path).put("k", value)
+        reader = EvalCache(disk_dir=tmp_path)
+        assert reader.get("k") == value
+        assert reader.size_bytes() == len(
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestCacheDirValidation:
+    """A cache path that exists but is not a directory is refused early."""
+
+    def test_constructor_rejects_a_regular_file(self, tmp_path):
+        path = tmp_path / "not_a_dir"
+        path.write_text("x")
+        with pytest.raises(ValueError, match="not_a_dir"):
+            EvalCache(disk_dir=path)
+
+    def test_env_path_rejected_before_any_compute(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "not_a_dir"
+        path.write_text("x")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+        previous = set_cache(None)
+        try:
+            with pytest.raises(ValueError, match="not a directory"):
+                DesignPoint(TPUV4I).evaluate(app_by_name("mlp0"), 2)
+        finally:
+            set_cache(previous)
+
+    @pytest.mark.parametrize("via", ["dir", "env"])
+    def test_engine_cli_exits_2(self, tmp_path, monkeypatch, capsys, via):
+        from repro.cli import main
+
+        path = tmp_path / "not_a_dir"
+        path.write_text("x")
+        previous = set_cache(None)
+        try:
+            if via == "dir":
+                assert main(["engine", "stats", "--dir", str(path)]) == 2
+            else:
+                monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+                assert main(["engine", "stats"]) == 2
+        finally:
+            set_cache(previous)
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err

@@ -215,7 +215,7 @@ class TestDisabledPathIdentity:
         with collecting_metrics() as reg:
             point = DesignPoint(TPUV4I, cache=EvalCache())
             point.run(spec, 4)
-            DesignPoint(TPUV4I, cache=point._engine_cache()).run(spec, 4)
+            DesignPoint(TPUV4I, cache=point.engine_cache()).run(spec, 4)
             snap = reg.snapshot()
         assert snap["engine.cache.misses"]["value"] == 1
         assert snap["engine.cache.hits"]["value"] == 1
