@@ -21,13 +21,15 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict
 
-from repro.arch import TPUV3, TPUV4I
+from repro.arch import GENERATIONS, TPUV1, TPUV3, TPUV4I
+from repro.cluster import chaos_sweep
 from repro.core.design_point import shared_design_point
 from repro.engine.keys import fingerprint
+from repro.faults import fault_sweep, latency_table
 from repro.faults.model import FaultModel, FaultSchedule
 from repro.serving import BatchPolicy, ContinuousBatchingSimulator, \
-    RecoveryPolicy, llm_chaos_sweep, llm_sweep
-from repro.workloads import GenRequest, generative_by_name, \
+    RecoveryPolicy, llm_chaos_sweep, llm_sweep, phase_latency_table
+from repro.workloads import GenRequest, app_by_name, generative_by_name, \
     sample_gen_requests
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -170,9 +172,50 @@ def continuous_cases() -> Dict[str, Callable[[], Any]]:
     }
 
 
+# ------------------------------------------------------------ fleet sweeps
+
+def faults_cases() -> Dict[str, Callable[[], Any]]:
+    """The sweep behind ``repro faults --seed 3 --duration 1``."""
+    model = FaultModel(seed=3, core_mtbf_s=0.5, core_repair_s=0.1,
+                       chip_mtbf_s=math.inf, slowdown_mtbf_s=math.inf,
+                       retry_budget=2)
+    return {"fault_sweep_seed3": lambda: fault_sweep(model, duration_s=1.0)}
+
+
+def cluster_cases() -> Dict[str, Callable[[], Any]]:
+    """The chaos sweep behind ``repro cluster --seed 3 --duration 0.3``."""
+    return {"chaos_sweep_seed3": lambda: chaos_sweep(seed=3, duration_s=0.3)}
+
+
+# --------------------------------------------------------- latency tables
+
+def tables_cases() -> Dict[str, Callable[[], Any]]:
+    """Serving latency tables at every dtype each generation serves.
+
+    Covers the int8 tier of the bf16 chips (the cluster's degraded
+    precision) as well as TPUv1, which serves int8 only.
+    """
+    cnn0 = app_by_name("cnn0")
+    steps = BatchPolicy.batch_steps(16)
+    cases: Dict[str, Callable[[], Any]] = {}
+    for chip in GENERATIONS:
+        for dtype in ("bf16", "int8"):
+            if chip.supports_dtype(dtype):
+                cases[f"cnn0_{chip.name}_{dtype}"] = (
+                    lambda chip=chip, dtype=dtype: latency_table(
+                        shared_design_point(chip), cnn0, steps, dtype=dtype))
+    llm0 = generative_by_name("llm0")
+    cases["llm0_TPUv1_phases"] = lambda: sorted(phase_latency_table(
+        shared_design_point(TPUV1), llm0, llm0.default_slots).items())
+    return cases
+
+
 #: Golden file stem -> the cases it freezes.
 SUITES: Dict[str, Callable[[], Dict[str, Callable[[], Any]]]] = {
     "continuous": continuous_cases,
+    "faults": faults_cases,
+    "cluster": cluster_cases,
+    "tables": tables_cases,
 }
 
 
