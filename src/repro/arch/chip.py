@@ -118,6 +118,11 @@ class ChipConfig:
     def supports_dtype(self, dtype: str) -> bool:
         return dtype in self.dtypes
 
+    @property
+    def native_dtype(self) -> str:
+        """The serving dtype: bf16 where supported, else int8 (TPUv1)."""
+        return "bf16" if self.supports_dtype("bf16") else "int8"
+
     def ridge_ops_per_byte(self) -> float:
         """Operational intensity where HBM bandwidth stops limiting (roofline ridge)."""
         return self.peak_ops / self.hbm_bw

@@ -258,10 +258,6 @@ class ClusterSimulator:
             raise ValueError(
                 "degradation tiers need health probing: the tier controller "
                 "runs on the probe clock (set probe_interval_s)")
-        # Degradation-tier latency tables, memoized per unique
-        # (chip, compiler, workload, steps, dtype): identical replicas
-        # share one table instead of recompiling per replica.
-        self._tier_table_memo: dict[tuple, dict[int, float]] = {}
 
     @classmethod
     def homogeneous(cls, point, spec, policy: BatchPolicy, slo: Slo,
@@ -302,30 +298,21 @@ class ClusterSimulator:
     def _tier_tables(self) -> list[dict[str, dict[int, float]]]:
         """Per-replica dtype -> (padded batch -> latency) for dtype tiers.
 
-        Reuses the PR 3 retarget path via :func:`~repro.faults.sweep.
-        latency_table`; lookups go by the replica's own padded size so a
-        tier cap that is not a compiled step still maps onto an existing
-        program (fewer requests padded into it), never a phantom one.
+        Prices every tier dtype through :func:`~repro.faults.sweep.
+        latency_table` (identical replicas hit their design point's
+        memo, so each table is compiled once); lookups go by the
+        replica's own padded size so a tier cap that is not a compiled
+        step still maps onto an existing program (fewer requests padded
+        into it), never a phantom one.
         """
         dtypes = sorted({t.dtype for t in self.policy.tiers if t.dtype})
-        if not dtypes:
-            return [{} for _ in self.replica_sims]
         from repro.faults.sweep import latency_table
-        tables: list[dict[str, dict[int, float]]] = []
-        for sim in self.replica_sims:
-            steps = BatchPolicy.batch_steps(sim.policy.max_batch)
-            per_dtype: dict[str, dict[int, float]] = {}
-            for dtype in dtypes:
-                key = (sim.point.chip_fp, sim.point.compiler_fp,
-                       sim.spec.name, steps, dtype)
-                table = self._tier_table_memo.get(key)
-                if table is None:
-                    table = latency_table(sim.point, sim.spec, steps,
-                                          dtype=dtype)
-                    self._tier_table_memo[key] = table
-                per_dtype[dtype] = table
-            tables.append(per_dtype)
-        return tables
+        return [{dtype: latency_table(
+                    sim.point, sim.spec,
+                    BatchPolicy.batch_steps(sim.policy.max_batch),
+                    dtype=dtype)
+                 for dtype in dtypes}
+                for sim in self.replica_sims]
 
     # -------------------------------------------------------------- simulate
 

@@ -2,7 +2,7 @@
 
 Everything above the compiler (serving, TCO, DSE, benchmarks) evaluates
 workloads through this class so that compile/simulate results are computed
-once per (model, batch, CMEM budget) and power is accounted at *chip*
+once per (model, batch, CMEM budget, dtype) and power is accounted at *chip*
 scope: multi-core chips (TPUv2/v3) serve one request stream per core, so
 chip throughput is ``cores / latency`` and dynamic power scales with the
 active cores.
@@ -26,7 +26,7 @@ test-only instruction interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.arch.power import PowerModel
@@ -45,8 +45,8 @@ from repro.sim.core import SimResult, TensorCoreSim
 from repro.util.units import TERA
 from repro.workloads.models import WorkloadSpec
 
-#: DesignPoint evaluates with the simulator's default arithmetic.
-_EVAL_DTYPE = "bf16"
+#: Memo key of one evaluation: (workload, batch, CMEM budget, dtype).
+_MemoKey = Tuple[str, int, Optional[int], str]
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,14 @@ class Evaluation:
 
 
 class DesignPoint:
-    """One (chip, compiler release) pair with memoized evaluation."""
+    """One (chip, compiler release) pair with memoized evaluation.
+
+    Every method takes the arithmetic ``dtype`` (default bf16): it is
+    part of the compile (non-bf16 modules are retargeted, see
+    :func:`~repro.engine.modules.built_module`), the replay, the power
+    model, the memo keys and the EvalCache key, so a result of one
+    dtype is never served for another.
+    """
 
     def __init__(self, chip: ChipConfig,
                  version: CompilerVersion = LATEST,
@@ -82,9 +89,9 @@ class DesignPoint:
         self.chip = chip
         self.version = version
         self.sim = TensorCoreSim(chip)
-        self._compiled: dict[tuple[str, int, Optional[int]], CompiledModel] = {}
-        self._results: dict[tuple[str, int, Optional[int]], SimResult] = {}
-        self._evaluations: dict[tuple[str, int, Optional[int]], Evaluation] = {}
+        self._compiled: dict[_MemoKey, CompiledModel] = {}
+        self._results: dict[_MemoKey, SimResult] = {}
+        self._evaluations: dict[_MemoKey, Evaluation] = {}
         self._cache = cache
         self._chip_fp = chip_fingerprint(chip)
         self._compiler_fp = compiler_fingerprint(version)
@@ -106,152 +113,155 @@ class DesignPoint:
         return self._cache if self._cache is not None else get_cache()
 
     def _key(self, kind: str, spec: WorkloadSpec, batch: int,
-             cmem_budget_bytes: Optional[int]) -> str:
+             cmem_budget_bytes: Optional[int], dtype: str) -> str:
         # Phase-split workloads (repro.workloads.generative.PhaseSpec)
         # carry a phase and KV bucket into the key; plain specs have
         # neither attribute and produce the exact legacy key bytes.
         return eval_key(kind, self._chip_fp, self._compiler_fp, spec.name,
-                        batch, cmem_budget_bytes, _EVAL_DTYPE,
+                        batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
                         kv_bucket=getattr(spec, "kv_bucket", None))
 
     def result_key(self, spec: WorkloadSpec, batch: int,
-                   cmem_budget_bytes: Optional[int] = None) -> str:
+                   cmem_budget_bytes: Optional[int] = None,
+                   dtype: str = "bf16") -> str:
         """The EvalCache key a :meth:`run` result lives under."""
-        return self._key("sim", spec, batch, cmem_budget_bytes)
+        return self._key("sim", spec, batch, cmem_budget_bytes, dtype)
 
     def evaluation_key(self, spec: WorkloadSpec, batch: int,
-                       cmem_budget_bytes: Optional[int] = None) -> str:
+                       cmem_budget_bytes: Optional[int] = None,
+                       dtype: str = "bf16") -> str:
         """The EvalCache key an :meth:`evaluate` record lives under."""
-        return self._key("eval", spec, batch, cmem_budget_bytes)
+        return self._key("eval", spec, batch, cmem_budget_bytes, dtype)
 
     def cached_result(self, spec: WorkloadSpec, batch: int,
-                      cmem_budget_bytes: Optional[int] = None
-                      ) -> Optional[SimResult]:
+                      cmem_budget_bytes: Optional[int] = None,
+                      dtype: str = "bf16") -> Optional[SimResult]:
         """A memo/EvalCache simulation hit, or None (never computes)."""
-        key = (spec.name, batch, cmem_budget_bytes)
+        key = (spec.name, batch, cmem_budget_bytes, dtype)
         hit = self._results.get(key)
         if hit is not None:
             return hit
         with metrics().timer("tier.cache_lookup_s"):
             cached = self.engine_cache().get(
-                self.result_key(spec, batch, cmem_budget_bytes))
+                self.result_key(spec, batch, cmem_budget_bytes, dtype))
         if cached is not None:
             self._results[key] = cached
         return cached
 
     def store_result(self, spec: WorkloadSpec, batch: int,
                      cmem_budget_bytes: Optional[int],
-                     result: SimResult) -> None:
+                     result: SimResult, dtype: str = "bf16") -> None:
         """Publish a simulation under the same keys :meth:`run` uses."""
         self.engine_cache().put(
-            self.result_key(spec, batch, cmem_budget_bytes), result,
-            self._meta("sim", spec, batch, cmem_budget_bytes))
-        self._results[(spec.name, batch, cmem_budget_bytes)] = result
+            self.result_key(spec, batch, cmem_budget_bytes, dtype), result,
+            self._meta("sim", spec, batch, cmem_budget_bytes, dtype))
+        self._results[(spec.name, batch, cmem_budget_bytes, dtype)] = result
 
     def cached_evaluation(self, spec: WorkloadSpec, batch: int,
-                          cmem_budget_bytes: Optional[int] = None
-                          ) -> Optional[Evaluation]:
+                          cmem_budget_bytes: Optional[int] = None,
+                          dtype: str = "bf16") -> Optional[Evaluation]:
         """A memo/EvalCache evaluation hit, or None (never computes)."""
-        key = (spec.name, batch, cmem_budget_bytes)
+        key = (spec.name, batch, cmem_budget_bytes, dtype)
         hit = self._evaluations.get(key)
         if hit is not None:
             return hit
         with metrics().timer("tier.cache_lookup_s"):
             cached = self.engine_cache().get(
-                self.evaluation_key(spec, batch, cmem_budget_bytes))
+                self.evaluation_key(spec, batch, cmem_budget_bytes, dtype))
         if cached is not None:
             self._evaluations[key] = cached
         return cached
 
     def store_evaluation(self, spec: WorkloadSpec, batch: int,
                          cmem_budget_bytes: Optional[int],
-                         evaluation: Evaluation) -> None:
+                         evaluation: Evaluation,
+                         dtype: str = "bf16") -> None:
         """Publish an evaluation under the keys :meth:`evaluate` uses."""
         self.engine_cache().put(
-            self.evaluation_key(spec, batch, cmem_budget_bytes), evaluation,
-            self._meta("eval", spec, batch, cmem_budget_bytes))
-        self._evaluations[(spec.name, batch, cmem_budget_bytes)] = evaluation
+            self.evaluation_key(spec, batch, cmem_budget_bytes, dtype),
+            evaluation,
+            self._meta("eval", spec, batch, cmem_budget_bytes, dtype))
+        self._evaluations[(spec.name, batch, cmem_budget_bytes,
+                           dtype)] = evaluation
 
     def _meta(self, kind: str, spec: WorkloadSpec, batch: int,
-              cmem_budget_bytes: Optional[int]) -> dict:
+              cmem_budget_bytes: Optional[int], dtype: str) -> dict:
         return key_meta(kind, self.chip.name, self.version.name, spec.name,
-                        batch, cmem_budget_bytes, _EVAL_DTYPE,
+                        batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
                         kv_bucket=getattr(spec, "kv_bucket", None))
 
     # ------------------------------------------------------------- compile/run
 
-    def compiled(self, spec: WorkloadSpec, batch: int,
-                 cmem_budget_bytes: Optional[int] = None) -> CompiledModel:
-        """Compile (memoized) a workload at a batch size."""
+    def compile(self, spec: WorkloadSpec, batch: int,
+                cmem_budget_bytes: Optional[int] = None,
+                dtype: str = "bf16") -> CompiledModel:
+        """Compile a workload at a batch size; the caller keeps the result.
+
+        The grid path (:mod:`repro.engine.grid`) compiles through here
+        and keeps each compile only for the batch it runs, so a sweep
+        does not pin every program it compiled; :meth:`compiled` is the
+        per-point memo.
+        """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        key = (spec.name, batch, cmem_budget_bytes)
+        return compile_model(built_module(spec, batch, dtype), self.chip,
+                             version=self.version,
+                             cmem_budget_bytes=cmem_budget_bytes)
+
+    def compiled(self, spec: WorkloadSpec, batch: int,
+                 cmem_budget_bytes: Optional[int] = None,
+                 dtype: str = "bf16") -> CompiledModel:
+        """Compile (memoized) a workload at a batch size."""
+        key = (spec.name, batch, cmem_budget_bytes, dtype)
         if key not in self._compiled:
-            module = built_module(spec, batch)
-            self._compiled[key] = compile_model(
-                module, self.chip, version=self.version,
-                cmem_budget_bytes=cmem_budget_bytes)
+            self._compiled[key] = self.compile(spec, batch,
+                                               cmem_budget_bytes, dtype)
         return self._compiled[key]
 
     def run(self, spec: WorkloadSpec, batch: int,
-            cmem_budget_bytes: Optional[int] = None) -> SimResult:
+            cmem_budget_bytes: Optional[int] = None,
+            dtype: str = "bf16") -> SimResult:
         """Simulate (memoized) one inference of a workload."""
-        key = (spec.name, batch, cmem_budget_bytes)
-        if key not in self._results:
+        cached = self.cached_result(spec, batch, cmem_budget_bytes, dtype)
+        if cached is None:
             reg = metrics()
-            engine = self.engine_cache()
-            ekey = self._key("sim", spec, batch, cmem_budget_bytes)
-            with reg.timer("tier.cache_lookup_s"):
-                cached = engine.get(ekey)
-            if cached is None:
-                with reg.timer("tier.compile_s"):
-                    compiled = self.compiled(spec, batch, cmem_budget_bytes)
-                with reg.timer("tier.sim_s"):
-                    cached = self.sim.run(compiled.program)
-                engine.put(ekey, cached,
-                           self._meta("sim", spec, batch,
-                                      cmem_budget_bytes))
-            self._results[key] = cached
-        return self._results[key]
+            with reg.timer("tier.compile_s"):
+                compiled = self.compiled(spec, batch, cmem_budget_bytes,
+                                         dtype)
+            with reg.timer("tier.sim_s"):
+                cached = self.sim.run(compiled.program, dtype=dtype)
+            self.store_result(spec, batch, cmem_budget_bytes, cached, dtype)
+        return cached
 
     def latency_s(self, spec: WorkloadSpec, batch: int,
-                  cmem_budget_bytes: Optional[int] = None) -> float:
+                  cmem_budget_bytes: Optional[int] = None,
+                  dtype: str = "bf16") -> float:
         """Latency of one batch (seconds)."""
-        return self.run(spec, batch, cmem_budget_bytes).seconds
+        return self.run(spec, batch, cmem_budget_bytes, dtype).seconds
 
     # ------------------------------------------------------------- evaluation
 
     def evaluate(self, spec: WorkloadSpec, batch: Optional[int] = None,
-                 cmem_budget_bytes: Optional[int] = None) -> Evaluation:
+                 cmem_budget_bytes: Optional[int] = None,
+                 dtype: str = "bf16") -> Evaluation:
         """Chip-level throughput/power evaluation at a batch size."""
         b = batch if batch is not None else spec.default_batch
-        key = (spec.name, b, cmem_budget_bytes)
-        if key in self._evaluations:
-            return self._evaluations[key]
-        engine = self.engine_cache()
-        ekey = self._key("eval", spec, b, cmem_budget_bytes)
-        with metrics().timer("tier.cache_lookup_s"):
-            cached = engine.get(ekey)
+        cached = self.cached_evaluation(spec, b, cmem_budget_bytes, dtype)
         if cached is None:
-            cached = self._evaluate_uncached(spec, b, cmem_budget_bytes)
-            engine.put(ekey, cached,
-                       self._meta("eval", spec, b, cmem_budget_bytes))
-        self._evaluations[key] = cached
+            result = self.run(spec, b, cmem_budget_bytes, dtype)
+            compiled = self.compiled(spec, b, cmem_budget_bytes, dtype)
+            cached = self.evaluation_from(spec, b, cmem_budget_bytes, result,
+                                          compiled, dtype)
+            self.store_evaluation(spec, b, cmem_budget_bytes, cached, dtype)
         return cached
-
-    def _evaluate_uncached(self, spec: WorkloadSpec, b: int,
-                           cmem_budget_bytes: Optional[int]) -> Evaluation:
-        result = self.run(spec, b, cmem_budget_bytes)
-        compiled = self.compiled(spec, b, cmem_budget_bytes)
-        return self.evaluation_from(spec, b, cmem_budget_bytes, result,
-                                    compiled)
 
     def evaluation_from(self, spec: WorkloadSpec, b: int,
                         cmem_budget_bytes: Optional[int],
                         result: SimResult,
-                        compiled: CompiledModel) -> Evaluation:
+                        compiled: CompiledModel,
+                        dtype: str = "bf16") -> Evaluation:
         """Derive the chip-level record from a simulation + compilation.
 
         Pure arithmetic — the only consumer of ``result``/``compiled``
@@ -270,6 +280,7 @@ class DesignPoint:
         power = power_model.average_power(
             seconds,
             macs=counters.macs * cores,
+            dtype=dtype,
             sram_bytes=sram * cores,
             hbm_bytes=counters.bytes_by_level.get("hbm", 0.0) * cores,
             vector_ops=counters.vector_alu_ops * cores,

@@ -25,13 +25,9 @@ produce identical records (pure arithmetic, results in job order);
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.engine.cache import (
     CacheStats,
     EvalCache,
-    cache_disabled,
     configure_cache,
     get_cache,
     set_cache,
@@ -53,24 +49,11 @@ from repro.engine.keys import (
 )
 from repro.engine.lowered import (
     clear_lowered,
-    lowered_cache_disabled,
     lowered_cache_size,
     lowered_cache_stats,
     lowered_program,
 )
-from repro.engine.modules import (
-    built_module,
-    clear_modules,
-    module_cache_disabled,
-)
-
-
-@contextmanager
-def engine_disabled() -> Iterator[None]:
-    """Run with all engine caching off (the pre-engine code path)."""
-    with cache_disabled():
-        with module_cache_disabled():
-            yield
+from repro.engine.modules import built_module, clear_modules
 
 
 __all__ = [
@@ -79,7 +62,6 @@ __all__ = [
     "GridJob",
     "GridStats",
     "built_module",
-    "cache_disabled",
     "chip_fingerprint",
     "clear_grid_stats",
     "clear_lowered",
@@ -87,17 +69,14 @@ __all__ = [
     "compile_chip_fingerprint",
     "compiler_fingerprint",
     "configure_cache",
-    "engine_disabled",
     "eval_key",
     "evaluate_jobs",
     "fingerprint",
     "get_cache",
     "grid_stats",
-    "lowered_cache_disabled",
     "lowered_cache_size",
     "lowered_cache_stats",
     "lowered_program",
-    "module_cache_disabled",
     "run_grid",
     "set_cache",
 ]

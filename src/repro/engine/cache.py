@@ -154,12 +154,6 @@ class EvalCache:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
     @property
     def disk_dir(self) -> Optional[Path]:
         return self._disk_dir
@@ -445,16 +439,3 @@ def set_cache(cache: Optional[EvalCache]) -> Optional[EvalCache]:
     with _GLOBAL_LOCK:
         previous, _GLOBAL = _GLOBAL, cache
         return previous
-
-
-@contextmanager
-def cache_disabled() -> Iterator[None]:
-    """Temporarily disable the global result cache (cold-path timing)."""
-    cache = get_cache()
-    was_enabled = cache.enabled
-    cache.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            cache.enable()

@@ -72,12 +72,13 @@ def compile_chip_fingerprint(chip) -> str:
 
 @dataclass(frozen=True)
 class GridJob:
-    """One (design point, workload, batch, CMEM budget) evaluation."""
+    """One (design point, workload, batch, CMEM budget, dtype) evaluation."""
 
     point: "DesignPoint"
     spec: "WorkloadSpec"
     batch: Optional[int] = None
     cmem_budget_bytes: Optional[int] = None
+    dtype: str = "bf16"
 
     @property
     def resolved_batch(self) -> int:
@@ -117,23 +118,18 @@ def clear_grid_stats() -> None:
 
 # ---------------------------------------------------------------- helpers
 
-def _eval_dtype() -> str:
-    from repro.core.design_point import _EVAL_DTYPE
-    return _EVAL_DTYPE
-
-
 def _shared_compiled(job: GridJob, batch: int,
                      compiled_by_key: Dict[tuple, "CompiledModel"]
                      ) -> "CompiledModel":
     """Compile once per distinct compile content across the whole batch."""
     key = (compile_chip_fingerprint(job.point.chip),
            job.point.compiler_fp, job.spec.name, batch,
-           job.cmem_budget_bytes)
+           job.cmem_budget_bytes, job.dtype)
     compiled = compiled_by_key.get(key)
     if compiled is None:
         with metrics().timer("tier.compile_s"):
-            compiled = job.point.compiled(job.spec, batch,
-                                          job.cmem_budget_bytes)
+            compiled = job.point.compile(job.spec, batch,
+                                         job.cmem_budget_bytes, job.dtype)
         compiled_by_key[key] = compiled
     else:
         _STATS.shared_compiles += 1
@@ -158,10 +154,10 @@ def run_grid(jobs: Sequence[GridJob],
     """Simulate every job; ``SimResult`` objects in job order.
 
     Identical to ``[job.point.run(job.spec, job.resolved_batch,
-    job.cmem_budget_bytes) for job in jobs]`` — cached jobs are served
-    from the same memo/EvalCache tiers, missing jobs are evaluated in
-    one kernel batch (compiling once per distinct compile content) and
-    stored back under the same keys.
+    job.cmem_budget_bytes, job.dtype) for job in jobs]`` — cached jobs
+    are served from the same memo/EvalCache tiers, missing jobs are
+    evaluated in one kernel batch (compiling once per distinct compile
+    content and dtype) and stored back under the same keys.
     """
     jobs = list(jobs)
     reg = metrics()
@@ -171,7 +167,7 @@ def run_grid(jobs: Sequence[GridJob],
     misses: list[int] = []
     for i, job in enumerate(jobs):
         cached = job.point.cached_result(job.spec, job.resolved_batch,
-                                         job.cmem_budget_bytes)
+                                         job.cmem_budget_bytes, job.dtype)
         if cached is not None:
             results[i] = cached
         else:
@@ -192,12 +188,13 @@ def run_grid(jobs: Sequence[GridJob],
     for i in misses:
         job = jobs[i]
         batch = job.resolved_batch
-        ekey = job.point.result_key(job.spec, batch, job.cmem_budget_bytes)
+        ekey = job.point.result_key(job.spec, batch, job.cmem_budget_bytes,
+                                    job.dtype)
         if ekey not in slot_by_key:
             compiled = _shared_compiled(job, batch, compiled_by_key)
             slot_by_key[ekey] = len(batch_points)
             batch_points.append(GridPoint(compiled.program, job.point.chip,
-                                          _eval_dtype()))
+                                          job.dtype))
         miss_keys.append(ekey)
     with reg.timer("tier.sim_s"):
         sims = evaluate_grid(batch_points)
@@ -208,7 +205,7 @@ def run_grid(jobs: Sequence[GridJob],
             job = jobs[i]
             result = sims[slot_by_key[ekey]]
             job.point.store_result(job.spec, job.resolved_batch,
-                                   job.cmem_budget_bytes, result)
+                                   job.cmem_budget_bytes, result, job.dtype)
             results[i] = result
     return results
 
@@ -232,7 +229,7 @@ def evaluate_jobs(jobs: Sequence[GridJob]) -> list:
     misses: list[int] = []
     for i, job in enumerate(jobs):
         cached = job.point.cached_evaluation(job.spec, job.resolved_batch,
-                                             job.cmem_budget_bytes)
+                                             job.cmem_budget_bytes, job.dtype)
         if cached is not None:
             results[i] = cached
             _STATS.cache_hits += 1
@@ -251,15 +248,16 @@ def evaluate_jobs(jobs: Sequence[GridJob]) -> list:
             job = jobs[i]
             batch = job.resolved_batch
             ekey = job.point.evaluation_key(job.spec, batch,
-                                            job.cmem_budget_bytes)
+                                            job.cmem_budget_bytes, job.dtype)
             evaluation = seen.get(ekey)
             if evaluation is None:
                 compiled = _shared_compiled(job, batch, compiled_by_key)
                 evaluation = job.point.evaluation_from(
                     job.spec, batch, job.cmem_budget_bytes, sims[idx],
-                    compiled)
+                    compiled, job.dtype)
                 seen[ekey] = evaluation
             job.point.store_evaluation(job.spec, batch,
-                                       job.cmem_budget_bytes, evaluation)
+                                       job.cmem_budget_bytes, evaluation,
+                                       job.dtype)
             results[i] = evaluation
     return results

@@ -19,9 +19,8 @@ paid instead of the (cheaper) lowering pass.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.sim.lowered import LoweredProgram, lower_program
 
@@ -31,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _LOWERED: dict[tuple, LoweredProgram] = {}
 _LOCK = threading.Lock()
-_ENABLED = True
 
 
 @dataclass
@@ -56,8 +54,6 @@ _STATS = LoweredCacheStats()
 def lowered_program(program: "Program",
                     chip: "ChipConfig") -> LoweredProgram:
     """:func:`lower_program`, memoized per (chip, program content)."""
-    if not _ENABLED:
-        return lower_program(program, chip)
     key = (chip, program.signature())
     with _LOCK:
         lowered = _LOWERED.get(key)
@@ -86,15 +82,3 @@ def clear_lowered() -> None:
     with _LOCK:
         _LOWERED.clear()
     _STATS = LoweredCacheStats()
-
-
-@contextmanager
-def lowered_cache_disabled() -> Iterator[None]:
-    """Force fresh lowering passes (cold-path timing)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous

@@ -10,13 +10,20 @@ expands into a fresh module), so sharing is safe. Sharing also shares
 the compile memo each module carries (``HloModule.memo``): a shared
 module is validated, expanded and lowered once per lowering key,
 however many chips compile it.
+
+Other dtypes (the int8 path TPUv1 served on) are a fresh
+:func:`~repro.compiler.pipeline.retarget_dtype` of the shared bf16 build
+on every call. They are not memoized: a kept retarget would pin its
+compile memo (expanded graph, fusion, memory plan and lowering) for the
+life of the process, and each one is compiled by one chip in practice.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
+
+from repro.compiler.pipeline import retarget_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.hlo import HloModule
@@ -24,21 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MODULES: dict[tuple[str, int], "HloModule"] = {}
 _LOCK = threading.Lock()
-_ENABLED = True
 
 
-def built_module(spec: "WorkloadSpec", batch: int) -> "HloModule":
-    """``spec.build(batch)``, memoized per process by (name, batch)."""
-    if not _ENABLED:
-        return spec.build(batch)
+def built_module(spec: "WorkloadSpec", batch: int,
+                 dtype: str = "bf16") -> "HloModule":
+    """``spec.build(batch)`` in ``dtype``.
+
+    The bf16 build is memoized per process by (name, batch) and
+    returned as is; any other dtype is a fresh retarget of it.
+    """
     key = (spec.name, batch)
     with _LOCK:
         module = _MODULES.get(key)
     if module is None:
         module = spec.build(batch)
         with _LOCK:
-            _MODULES.setdefault(key, module)
-    return module
+            module = _MODULES.setdefault(key, module)
+    return module if dtype == "bf16" else retarget_dtype(module, dtype)
 
 
 def module_cache_size() -> int:
@@ -49,15 +58,3 @@ def module_cache_size() -> int:
 def clear_modules() -> None:
     with _LOCK:
         _MODULES.clear()
-
-
-@contextmanager
-def module_cache_disabled() -> Iterator[None]:
-    """Force fresh builds (used to time the legacy, cache-free path)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous

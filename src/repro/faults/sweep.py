@@ -57,44 +57,19 @@ def latency_table(point: DesignPoint, spec, steps: Sequence[int], *,
                   dtype: Optional[str] = None) -> dict[int, float]:
     """Batch -> compute latency for one (chip, app), dtype-aware.
 
-    ``dtype=None`` picks the chip's natural serving path: bf16 where
-    supported, otherwise an int8-retargeted compile (TPUv1, and the
-    cluster's degraded-precision tier, actually ran int8 in production).
-    Passing ``dtype="int8"`` forces the retargeted path on any chip —
-    the PR 3 migration path the cluster degradation ladder reuses.
+    ``dtype=None`` picks the chip's :attr:`~repro.arch.chip.ChipConfig.
+    native_dtype`: bf16 where supported, otherwise an int8-retargeted
+    compile (TPUv1, and the cluster's degraded-precision tier, actually
+    ran int8 in production). Every dtype takes one batched grid-kernel
+    pass over the steps, and each result lands in the point's EvalCache
+    under the same key ``latency_s`` uses.
     """
-    chip = point.chip
+    from repro.engine.grid import GridJob, run_grid
     if dtype is None:
-        dtype = "bf16" if chip.supports_dtype("bf16") else "int8"
-    if dtype == "bf16":
-        # One batched grid-kernel pass over every step (each result
-        # lands in the EvalCache under the same key latency_s uses).
-        from repro.engine.grid import GridJob, run_grid
-        results = run_grid([GridJob(point, spec, step) for step in steps])
-        return {step: r.seconds for step, r in zip(steps, results)}
-    from repro.compiler.pipeline import compile_model, retarget_dtype
-    from repro.engine.cache import get_cache
-    from repro.engine.keys import eval_key, key_meta
-    from repro.engine.modules import built_module
-    cache = get_cache()
-    table: dict[int, float] = {}
-    for step in steps:
-        # Retargeted compiles are content-addressed too, so identical
-        # replicas (and later processes, via the disk tier) share one
-        # compile per unique (chip, compiler, app, step, dtype).
-        key = eval_key("sim", point.chip_fp, point.compiler_fp, spec.name,
-                       step, None, dtype)
-        result = cache.get(key)
-        if result is None:
-            module = retarget_dtype(built_module(spec, step), dtype)
-            program = compile_model(module, chip,
-                                    version=point.version).program
-            result = point.sim.run(program, dtype=dtype)
-            cache.put(key, result,
-                      key_meta("sim", chip.name, point.version.name,
-                               spec.name, step, None, dtype))
-        table[step] = result.seconds
-    return table
+        dtype = point.chip.native_dtype
+    results = run_grid([GridJob(point, spec, step, dtype=dtype)
+                        for step in steps])
+    return {step: r.seconds for step, r in zip(steps, results)}
 
 
 def fault_sweep(model: FaultModel, *,

@@ -100,11 +100,8 @@ def model_numerics_match(module, source: ChipConfig, target: ChipConfig,
     """
     from repro.graph.evaluator import evaluate_module
 
-    def arithmetic_for(chip: ChipConfig) -> str:
-        return "bf16" if chip.supports_dtype("bf16") else "int8"
-
-    source_arith = arithmetic_for(source)
-    target_arith = arithmetic_for(target)
+    source_arith = source.native_dtype
+    target_arith = target.native_dtype
     reference = evaluate_module(module, source_arith, seed=seed)
     candidate = evaluate_module(module, target_arith, seed=seed)
     exact = bool(np.array_equal(reference, candidate))

@@ -189,10 +189,12 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
     the replay runs on the simulated clock, and the serve phase uses a
     seeded Poisson stream over latencies replayed in-process (no engine
     cache involvement), so the exported JSON is byte-identical across
-    runs. ``dtype=None`` picks bf16 where supported and falls back to
-    the int8 retarget TPUv1 actually served with.
+    runs. ``dtype=None`` picks the chip's native dtype: bf16 where
+    supported, else the int8 retarget TPUv1 actually served with. Any
+    non-bf16 dtype traces the program retargeted to it.
     """
-    from repro.compiler.pipeline import compile_model, retarget_dtype
+    from repro.compiler.pipeline import compile_model
+    from repro.engine.modules import built_module
 
     if not math.isfinite(serve_duration_s) or serve_duration_s <= 0:
         raise ValueError("serve duration must be positive and finite, "
@@ -200,14 +202,13 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
     if not 0 < utilization <= 1:
         raise ValueError("utilization must be in (0, 1]")
     if dtype is None:
-        dtype = "bf16" if chip.supports_dtype("bf16") else "int8"
+        dtype = chip.native_dtype
+    if not chip.supports_dtype(dtype):
+        raise ValueError(f"{chip.name} does not support {dtype}")
     b = batch if batch is not None else spec.default_batch
 
     def compile_batch(size: int):
-        module = spec.build(size)
-        if not chip.supports_dtype("bf16"):
-            module = retarget_dtype(module, "int8")
-        return compile_model(module, chip).program
+        return compile_model(built_module(spec, size, dtype), chip).program
 
     tracer = SpanTracer(capacity=capacity)
     program = compile_batch(b)

@@ -53,7 +53,7 @@ class InferenceServer:
         self.chip = chip
         self.compiled = compile_model(module, chip, version=version)
         if arithmetic is None:
-            arithmetic = "bf16" if chip.supports_dtype("bf16") else "int8"
+            arithmetic = chip.native_dtype
         if not chip.supports_dtype(arithmetic):
             raise ValueError(f"{chip.name} does not support {arithmetic}")
         self.arithmetic = arithmetic

@@ -836,12 +836,12 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
     """(phase, bucket, padded batch) -> latency for one (chip, model).
 
     The generative analogue of :func:`repro.faults.sweep.latency_table`:
-    bf16 chips price every phase program through one batched grid-kernel
-    pass (results land in the EvalCache under the same phase-aware keys
-    ``latency_s`` uses); chips without bf16 (TPUv1) go through an
-    int8-retargeted compile with explicit phase/kv-bucket cache keys, so
-    the sweep covers all four generations.
+    every phase program is priced through one batched grid-kernel pass
+    in ``dtype`` (default: the chip's native dtype, so TPUv1 runs its
+    int8 retarget), and the results land in the point's EvalCache under
+    the same phase-aware keys ``latency_s`` uses.
     """
+    from repro.engine.grid import GridJob, run_grid
     entries: List[Tuple[str, int, int]] = []
     for bucket in spec.prompt_buckets:
         entries.append(("prefill", bucket, 1))
@@ -849,42 +849,15 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
         for step in BatchPolicy.batch_steps(slots):
             entries.append(("decode", bucket, step))
 
-    chip = point.chip
     if dtype is None:
-        dtype = "bf16" if chip.supports_dtype("bf16") else "int8"
+        dtype = point.chip.native_dtype
     phase_specs = {("prefill", b): spec.prefill(b) for b in spec.prompt_buckets}
     phase_specs.update(
         {("decode", b): spec.decode(b) for b in spec.kv_buckets})
-
-    if dtype == "bf16":
-        from repro.engine.grid import GridJob, run_grid
-        results = run_grid([
-            GridJob(point, phase_specs[(phase, bucket)], batch)
-            for phase, bucket, batch in entries])
-        return {entry: r.seconds for entry, r in zip(entries, results)}
-
-    from repro.compiler.pipeline import compile_model, retarget_dtype
-    from repro.engine.cache import get_cache
-    from repro.engine.keys import eval_key, key_meta
-    from repro.engine.modules import built_module
-    cache = get_cache()
-    table: dict[Tuple[str, int, int], float] = {}
-    for phase, bucket, batch in entries:
-        pspec = phase_specs[(phase, bucket)]
-        key = eval_key("sim", point.chip_fp, point.compiler_fp, pspec.name,
-                       batch, None, dtype, phase=phase, kv_bucket=bucket)
-        result = cache.get(key)
-        if result is None:
-            module = retarget_dtype(built_module(pspec, batch), dtype)
-            program = compile_model(module, chip,
-                                    version=point.version).program
-            result = point.sim.run(program, dtype=dtype)
-            cache.put(key, result,
-                      key_meta("sim", chip.name, point.version.name,
-                               pspec.name, batch, None, dtype,
-                               phase=phase, kv_bucket=bucket))
-        table[(phase, bucket, batch)] = result.seconds
-    return table
+    results = run_grid([
+        GridJob(point, phase_specs[(phase, bucket)], batch, dtype=dtype)
+        for phase, bucket, batch in entries])
+    return {entry: r.seconds for entry, r in zip(entries, results)}
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,7 @@ def snapshot_replay(point: DesignPoint, spec: GenerativeSpec, kv_bucket: int,
     """
     chip = point.chip
     if dtype is None:
-        dtype = "bf16" if chip.supports_dtype("bf16") else "int8"
+        dtype = chip.native_dtype
     dtype_bytes = 1 if dtype == "int8" else 2
     lowered = snapshot_lowered(chip, spec, kv_bucket, batch,
                                host_link=host_link, dtype_bytes=dtype_bytes)

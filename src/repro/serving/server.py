@@ -146,23 +146,6 @@ class ServingSimulator:
                 raise ValueError("latency must be non-negative")
         self._latency_cache.update(table)
 
-    def prewarm(self) -> dict[int, float]:
-        """Precompute latencies for every padded batch step in one batch.
-
-        Runs the policy's batch steps as one grid batch on this
-        simulator's design point (its chip, compiler release and cache)
-        and seeds the local memo, so the event loop never stalls on a
-        cold compile/simulate.
-        """
-        from repro.engine.grid import GridJob, run_grid
-        steps = list(BatchPolicy.batch_steps(self.policy.max_batch))
-        results = run_grid([GridJob(self.point, self.spec, step)
-                            for step in steps])
-        table = {step: result.seconds
-                 for step, result in zip(steps, results)}
-        self._latency_cache.update(table)
-        return table
-
     def simulate(self, requests: Sequence[Request],
                  faults: Optional["FaultModel"] = None,
                  schedule: Optional["FaultSchedule"] = None,

@@ -84,6 +84,27 @@ def compiled_programs():
 
 
 @contextmanager
+def cold_engine() -> Iterator[None]:
+    """Evaluate from scratch: no built modules, no lowerings, no results.
+
+    Empties the module and lowered-program caches and swaps in a
+    disabled global :class:`~repro.engine.cache.EvalCache` for the
+    block, so every evaluation inside builds, compiles, lowers and
+    simulates anew.
+    """
+    from repro.engine import EvalCache, clear_lowered, clear_modules, \
+        set_cache
+
+    clear_modules()
+    clear_lowered()
+    previous = set_cache(EvalCache(enabled=False))
+    try:
+        yield
+    finally:
+        set_cache(previous)
+
+
+@contextmanager
 def reference_paths() -> Iterator[None]:
     """Route every layer through its test-only reference twin.
 
@@ -110,11 +131,13 @@ def reference_paths() -> Iterator[None]:
 
     def run_grid(jobs):
         return [job.point.run(job.spec, job.resolved_batch,
-                              job.cmem_budget_bytes) for job in jobs]
+                              job.cmem_budget_bytes, job.dtype)
+                for job in jobs]
 
     def evaluate_jobs(jobs):
         return [job.point.evaluate(job.spec, job.batch,
-                                   job.cmem_budget_bytes) for job in jobs]
+                                   job.cmem_budget_bytes, job.dtype)
+                for job in jobs]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TensorCoreSim, "run", interpreted)

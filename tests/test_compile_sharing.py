@@ -38,7 +38,7 @@ from repro.compiler.pipeline import (
     lowering_key,
     retarget_dtype,
 )
-from repro.engine.modules import built_module, module_cache_disabled
+from repro.engine.modules import built_module
 from repro.graph.hlo import GraphBuilder
 from repro.graph.shapes import Shape
 from repro.isa.instructions import Bundle, Instruction, Opcode
@@ -93,8 +93,7 @@ class TestSharedEqualsFresh:
                 module = shared if chip.supports_dtype("bf16") else int8
                 compiled[chip.name] = compile_model(module, chip)
             for chip in CHIPS:
-                with module_cache_disabled():
-                    fresh_module = built_module(spec, batch)
+                fresh_module = spec.build(batch)
                 assert fresh_module is not shared
                 fresh = compile_model(_for_chip(fresh_module, chip), chip)
                 _assert_same_compile(compiled[chip.name], fresh)
@@ -111,10 +110,8 @@ class TestSharedEqualsFresh:
                    for budget in (None, 0, 16 << 20)]
         random.Random(spec.name).shuffle(targets)
         for chip, version, budget in targets:
-            with module_cache_disabled():
-                fresh = compile_model(built_module(spec, 2), chip,
-                                      version=version,
-                                      cmem_budget_bytes=budget)
+            fresh = compile_model(spec.build(2), chip, version=version,
+                                  cmem_budget_bytes=budget)
             for _ in range(2):
                 got = compile_model(shared, chip, version=version,
                                     cmem_budget_bytes=budget)
@@ -252,8 +249,7 @@ class TestLoweringKeyCoverage:
                         == lowering_key(chip, version))
                 for spec in (app_by_name("cnn0"),
                              generative_by_name("llm0").decode(128)):
-                    with module_cache_disabled():
-                        module = built_module(spec, 1)
+                    module = spec.build(1)
                     assert (_lowered_stream(module, variant, version)
                             == _lowered_stream(module, chip, version))
 

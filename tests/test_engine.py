@@ -19,7 +19,8 @@ import threading
 import pytest
 
 import repro
-from repro.arch.chip import TPUV4I
+from repro.arch.chip import TPUV1, TPUV4I
+from repro.compiler.pipeline import UnsupportedDtypeError, compile_model
 from repro.compiler.versions import RELEASES
 from repro.core.design_point import (
     DesignPoint,
@@ -37,18 +38,21 @@ from repro.engine import (
     GridJob,
     chip_fingerprint,
     compiler_fingerprint,
-    engine_disabled,
     eval_key,
     evaluate_jobs,
+    get_cache,
+    run_grid,
     set_cache,
 )
-from repro.serving.batching import BatchPolicy
-from repro.serving.server import ServingSimulator
-from repro.serving.slo import Slo
+from repro.engine.keys import SCHEMA_VERSION
+from repro.engine.modules import built_module
+from repro.faults.sweep import latency_table
+from repro.serving.continuous import phase_latency_table
 from repro.sim.core import TensorCoreSim
 from repro.util.units import MIB
-from repro.workloads.extended import EXTENDED_APPS
+from repro.workloads.generative import generative_by_name
 from repro.workloads.models import app_by_name
+from tests.conftest import cold_engine
 
 # Small, fast workloads: the contract is about identity, not scale.
 GRID_CHIPS = (TPUV4I, TPUV4I.variant("v4i-2mxu", mxus_per_core=2))
@@ -90,9 +94,9 @@ class TestCacheEquivalence:
         assert cold.cycles == warm.cycles == off.cycles
         assert cold.counters == warm.counters == off.counters
 
-    def test_engine_disabled_context_matches_enabled(self):
+    def test_cold_engine_matches_cached(self):
         spec = app_by_name("mlp0")
-        with engine_disabled():
+        with cold_engine():
             legacy = DesignPoint(TPUV4I).evaluate(spec, 4)
         engined = DesignPoint(TPUV4I).evaluate(spec, 4)
         assert _fields(legacy) == _fields(engined)
@@ -197,6 +201,80 @@ class TestKeys:
                                   kv_bucket=512)
 
 
+class TestDtypeIdentity:
+    """dtype is part of every evaluation key, memo, compile and store."""
+
+    def test_int8_keys_are_the_retarget_loop_keys(self):
+        """The keys a warmed int8 disk tier holds stay reachable."""
+        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        spec = app_by_name("cnn0")
+        assert point.result_key(spec, 4, dtype="int8") == eval_key(
+            "sim", point.chip_fp, point.compiler_fp, "cnn0", 4, None, "int8")
+        llm0 = generative_by_name("llm0")
+        for phase, bucket in (("prefill", llm0.prompt_buckets[0]),
+                              ("decode", llm0.kv_buckets[0])):
+            pspec = getattr(llm0, phase)(bucket)
+            assert point.result_key(pspec, 2, dtype="int8") == eval_key(
+                "sim", point.chip_fp, point.compiler_fp, pspec.name, 2,
+                None, "int8", phase=phase, kv_bucket=bucket)
+        assert SCHEMA_VERSION == 2
+
+    def test_dtypes_never_share_a_result(self):
+        spec = app_by_name("cnn0")
+        point = DesignPoint(TPUV4I, cache=EvalCache())
+        bf16 = point.run(spec, 8)
+        int8 = point.run(spec, 8, dtype="int8")
+        assert int8.seconds != bf16.seconds
+        assert point.run(spec, 8) is bf16
+        assert point.run(spec, 8, dtype="int8") is int8
+        assert (point.compiled(spec, 8, dtype="int8").program.signature()
+                != point.compiled(spec, 8).program.signature())
+        # A second point over the same cache reads each dtype's record.
+        fresh = DesignPoint(TPUV4I, cache=point.engine_cache())
+        assert fresh.cached_result(spec, 8, dtype="int8") == int8
+        assert fresh.cached_result(spec, 8) == bf16
+
+    def test_grid_matches_per_point_at_every_dtype(self):
+        spec = app_by_name("cnn0")
+        jobs = [GridJob(DesignPoint(TPUV4I, cache=EvalCache(enabled=False)),
+                        spec, batch, dtype=dtype)
+                for batch in (1, 8) for dtype in ("bf16", "int8")]
+        per_point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        for job, result, evaluation in zip(jobs, run_grid(jobs),
+                                           evaluate_jobs(jobs)):
+            assert result == per_point.run(spec, job.batch, dtype=job.dtype)
+            assert _fields(evaluation) == _fields(per_point.evaluate(
+                spec, job.batch, dtype=job.dtype))
+
+    def test_private_cache_receives_the_int8_entries(self):
+        previous = set_cache(EvalCache())
+        try:
+            private = EvalCache()
+            point = DesignPoint(TPUV4I, cache=private)
+            spec = app_by_name("cnn0")
+            table = latency_table(point, spec, [1, 2], dtype="int8")
+            assert private.entry_count() == 2
+            assert private.get(point.result_key(
+                spec, 2, dtype="int8")).seconds == table[2]
+            v1 = DesignPoint(TPUV1, cache=private)
+            phases = phase_latency_table(v1, generative_by_name("llm0"), 2)
+            assert private.entry_count() == 2 + len(phases)
+            assert get_cache().entry_count() == 0
+        finally:
+            set_cache(previous)
+
+    def test_built_module_retargets_the_shared_bf16_build(self):
+        spec = app_by_name("mlp0")
+        bf16 = built_module(spec, 2)
+        assert built_module(spec, 2, "bf16") is bf16
+        assert bf16.name == spec.build(2).name
+        int8 = built_module(spec, 2, "int8")
+        assert int8.name == f"{bf16.name}.int8"
+        compile_model(int8, TPUV1)
+        with pytest.raises(UnsupportedDtypeError):
+            compile_model(bf16, TPUV1)
+
+
 class TestSharedRegistry:
     """shared_design_point is keyed by the (chip, version) values."""
 
@@ -221,7 +299,7 @@ class TestDseThroughEngine:
     def test_evaluate_candidate_matches_legacy_path(self):
         chip = enumerate_candidates(mxu_counts=(4,),
                                     cmem_mib_options=(64,))[0]
-        with engine_disabled():
+        with cold_engine():
             clear_shared_design_points()
             legacy = evaluate_candidate(chip, GRID_APPS)
         clear_shared_design_points()
@@ -267,37 +345,6 @@ class TestSimReentrancy:
         baseline_a = sim.run(prog_a).cycles
         sim.run(prog_b)
         assert sim.run(prog_a).cycles == baseline_a
-
-
-class TestServingPrewarm:
-    def test_prewarm_matches_on_demand_latencies(self):
-        spec = app_by_name("mlp0")
-        simulator = ServingSimulator(
-            DesignPoint(TPUV4I), spec,
-            BatchPolicy(max_batch=8, max_wait_s=0.001), Slo(0.05))
-        grid = simulator.prewarm()
-        assert set(grid) == set(BatchPolicy.batch_steps(8))
-        fresh = ServingSimulator(
-            DesignPoint(TPUV4I), spec,
-            BatchPolicy(max_batch=8, max_wait_s=0.001), Slo(0.05))
-        for step, latency in grid.items():
-            assert fresh.batch_latency_s(step) == latency
-
-
-    def test_prewarm_serves_specs_outside_the_catalog(self):
-        """Regression: prewarm used the catalog name lookup and the
-        shared design point, so ``dlrm`` raised KeyError."""
-        spec = EXTENDED_APPS[0]
-        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
-        policy = BatchPolicy(max_batch=8, max_wait_s=0.001)
-        simulator = ServingSimulator(point, spec, policy, Slo(0.05))
-        table = simulator.prewarm()
-        assert list(table) == list(BatchPolicy.batch_steps(8))
-        fresh = ServingSimulator(
-            DesignPoint(TPUV4I, cache=EvalCache(enabled=False)), spec,
-            policy, Slo(0.05))
-        for step, latency in table.items():
-            assert fresh.batch_latency_s(step) == latency
 
 
 class TestNoPoolImports:

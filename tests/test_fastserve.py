@@ -299,19 +299,19 @@ class TestGating:
 
 
 class TestSharedCompiles:
-    def test_one_compile_per_unique_dtype_step(self, v4i_point, monkeypatch):
+    def test_one_compile_per_unique_dtype_step(self, monkeypatch):
         # Identical replicas must share one retargeted compile per
         # (chip, app, dtype, step) through the eval cache — never one
         # per replica — and a second cluster build must compile nothing.
-        import repro.compiler.pipeline as pipeline
+        import repro.core.design_point as design_point
         calls = []
-        real = pipeline.compile_model
+        real = design_point.compile_model
 
         def counting(module, chip, **kwargs):
             calls.append(module.name)
             return real(module, chip, **kwargs)
 
-        monkeypatch.setattr(pipeline, "compile_model", counting)
+        monkeypatch.setattr(design_point, "compile_model", counting)
         previous = set_cache(EvalCache())
         try:
             spec = app_by_name("cnn0")
@@ -321,8 +321,9 @@ class TestSharedCompiles:
                 degrade_below_healthy=0.6, degrade_after=1, recover_after=99)
 
             def build():
+                # A fresh point each time: only the eval cache is shared.
                 return ClusterSimulator.homogeneous(
-                    v4i_point, spec, BatchPolicy(8, 0.002),
+                    DesignPoint(TPUV4I), spec, BatchPolicy(8, 0.002),
                     Slo(spec.slo_ms / 1e3), 3, policy)
 
             cluster = build()

@@ -19,7 +19,6 @@ import pytest
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
 from repro.engine.lowered import (
     clear_lowered,
-    lowered_cache_disabled,
     lowered_cache_size,
     lowered_cache_stats,
     lowered_program,
@@ -240,13 +239,14 @@ class TestLoweredCache:
         finally:
             clear_lowered()
 
-    def test_disabled_cache_lowers_fresh(self):
+    def test_cleared_cache_lowers_fresh(self):
         program = Program("fresh", generation=4)
         clear_lowered()
         try:
-            with lowered_cache_disabled():
-                a = lowered_program(program, TPUV4I)
-                b = lowered_program(program, TPUV4I)
+            a = lowered_program(program, TPUV4I)
+            clear_lowered()
+            b = lowered_program(program, TPUV4I)
+            clear_lowered()
             assert a is not b
             assert a == b
             assert lowered_cache_size() == 0

@@ -19,9 +19,11 @@ import pytest
 
 from repro.arch import TPUV4I
 from repro.compiler import compile_model
+from repro.core import DesignPoint
 from repro.engine.cache import EvalCache
 from repro.engine.lowered import lowered_program
 from repro.engine.modules import built_module
+from repro.faults import latency_table
 from repro.obs import (
     MetricsRegistry,
     SpanTracer,
@@ -321,6 +323,19 @@ class TestBuildTrace:
         serving = traced.tracer.by_group("serving")
         assert serving
         assert all(s.track.startswith("core") for s in serving)
+
+    def test_int8_on_a_bf16_chip_traces_the_retargeted_program(self):
+        spec = app_by_name("cnn0")
+        int8 = build_trace(spec, TPUV4I, batch=8, dtype="int8", serve=False)
+        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        assert int8.result.seconds == latency_table(
+            point, spec, [8], dtype="int8")[8]
+        assert int8.result.seconds != build_trace(
+            spec, TPUV4I, batch=8, serve=False).result.seconds
+
+    def test_unsupported_dtype_is_a_value_error(self):
+        with pytest.raises(ValueError, match="TPUv4i does not support fp8"):
+            build_trace(app_by_name("mlp0"), TPUV4I, dtype="fp8")
 
 
 class TestReports:
