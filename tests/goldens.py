@@ -23,12 +23,16 @@ from typing import Any, Callable, Dict
 
 from repro.arch import GENERATIONS, TPUV1, TPUV3, TPUV4I
 from repro.cluster import chaos_sweep
-from repro.core.design_point import shared_design_point
-from repro.engine.keys import fingerprint
+from repro.compiler.versions import RELEASES
+from repro.core.design_point import DesignPoint, shared_design_point
+from repro.core.dse import enumerate_candidates
+from repro.engine import EvalCache, chip_fingerprint, \
+    compile_chip_fingerprint, compiler_fingerprint, fingerprint
 from repro.faults import fault_sweep, latency_table
 from repro.faults.model import FaultModel, FaultSchedule
 from repro.serving import BatchPolicy, ContinuousBatchingSimulator, \
     RecoveryPolicy, llm_chaos_sweep, llm_sweep, phase_latency_table
+from repro.util.units import MIB
 from repro.workloads import GenRequest, app_by_name, generative_by_name, \
     sample_gen_requests
 
@@ -210,12 +214,54 @@ def tables_cases() -> Dict[str, Callable[[], Any]]:
     return cases
 
 
+# -------------------------------------------------------------- cache keys
+
+def keys_cases() -> Dict[str, Callable[[], Any]]:
+    """Every kind of cache key, so a key's bytes cannot drift unnoticed.
+
+    Chip fingerprints of the four generations and of a DSE grid, the
+    fingerprint of every compiler release, the compile-content
+    fingerprint, and the EvalCache key over kind x dtype x CMEM budget
+    x plain/phase spec. Keys address on-disk cache entries, so a
+    change here orphans every existing ``.repro_cache``: regenerate
+    this suite only together with a deliberate key change.
+    """
+    grid = enumerate_candidates((2, 4, 8), (0, 32, 64, 96, 128),
+                                (0.7, 1.05, 1.4))
+    cases: Dict[str, Callable[[], Any]] = {}
+    for chip in GENERATIONS:
+        cases[f"chip_{chip.name}"] = (
+            lambda chip=chip: chip_fingerprint(chip))
+        cases[f"compile_chip_{chip.name}"] = (
+            lambda chip=chip: compile_chip_fingerprint(chip))
+    cases["chip_dse_grid"] = lambda: [chip_fingerprint(c) for c in grid]
+    cases["compile_chip_dse_grid"] = lambda: [
+        compile_chip_fingerprint(c) for c in grid]
+    for version in RELEASES:
+        cases[f"compiler_{version.name}"] = (
+            lambda version=version: compiler_fingerprint(version))
+    point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+    specs = {"plain": app_by_name("cnn0"),
+             "decode": generative_by_name("llm0").decode(256)}
+    keyers = {"sim": point.result_key, "eval": point.evaluation_key}
+    for kind, keyer in keyers.items():
+        for dtype in ("bf16", "int8"):
+            for budget in (None, 64 * MIB):
+                for label, spec in specs.items():
+                    name = f"eval_key_{kind}_{dtype}_{budget}_{label}"
+                    cases[name] = (
+                        lambda keyer=keyer, spec=spec, budget=budget,
+                        dtype=dtype: keyer(spec, 8, budget, dtype))
+    return cases
+
+
 #: Golden file stem -> the cases it freezes.
 SUITES: Dict[str, Callable[[], Dict[str, Callable[[], Any]]]] = {
     "continuous": continuous_cases,
     "faults": faults_cases,
     "cluster": cluster_cases,
     "tables": tables_cases,
+    "keys": keys_cases,
 }
 
 

@@ -3,27 +3,33 @@
 A mismatch means a change altered outputs. If that was the intent,
 regenerate with ``PYTHONPATH=src python -m tests.goldens`` and say why
 in the change description; otherwise the change broke an output.
+
+Suites are recomputed on first use, so ``-k keys`` computes only the
+``keys`` suite.
 """
+
+import functools
 
 import pytest
 
 from tests import goldens
 
-CASES = [(suite, name) for suite in goldens.SUITES
+SUITES = list(goldens.SUITES)
+CASES = [(suite, name) for suite in SUITES
          for name in sorted(goldens.load(suite))]
 
 
 @pytest.fixture(scope="module")
 def recomputed():
-    return {suite: goldens.compute(suite) for suite in goldens.SUITES}
+    return functools.cache(goldens.compute)
 
 
 def test_every_case_is_checked_in(recomputed):
-    for suite, table in recomputed.items():
-        assert sorted(table) == sorted(goldens.load(suite)), suite
+    for suite in SUITES:
+        assert sorted(recomputed(suite)) == sorted(goldens.load(suite)), suite
 
 
 @pytest.mark.parametrize("suite,name", CASES,
                          ids=[f"{s}-{n}" for s, n in CASES])
 def test_digest_unchanged(recomputed, suite, name):
-    assert recomputed[suite][name] == goldens.load(suite)[name]
+    assert recomputed(suite)[name] == goldens.load(suite)[name]
