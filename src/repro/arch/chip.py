@@ -11,7 +11,8 @@ peaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Tuple
 
 from repro.util.units import GHZ, GIB, MHZ, MIB, GIGA, TERA
@@ -44,6 +45,12 @@ class ChipConfig:
         isa_version: binary-format version; differs every generation, which is
             why binary compatibility was abandoned in favour of compiler
             compatibility (Lesson 2).
+
+    Numeric fields have one canonical form: ``float`` fields are stored
+    as ``float`` and ``int`` fields as ``int``, so two equal configs
+    (``clock_hz=1e9`` and ``clock_hz=10**9``) also have equal cache
+    keys. A bool, a non-number, or a non-integral value for an ``int``
+    field raises ``ValueError``.
     """
 
     name: str
@@ -73,6 +80,10 @@ class ChipConfig:
     isa_version: int
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.cooling not in ("air", "liquid"):
             raise ValueError(f"cooling must be 'air' or 'liquid', got {self.cooling!r}")
         if self.mxu_dim <= 0 or self.cores <= 0 or self.mxus_per_core <= 0:
@@ -130,6 +141,24 @@ class ChipConfig:
     def variant(self, name: str, **overrides) -> "ChipConfig":
         """A renamed copy with overridden fields, for design-space exploration."""
         return replace(self, name=name, **overrides)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(ChipConfig) if f.type == "float")
+_INT_FIELDS = tuple(f.name for f in fields(ChipConfig) if f.type == "int")
+
+
+def _as_float(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"ChipConfig.{name} must be a number, got {value!r}")
+    return float(value) + 0.0  # + 0.0 folds -0.0 into 0.0
+
+
+def _as_int(name: str, value) -> int:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer())):
+        raise ValueError(f"ChipConfig.{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,11 @@ class CompilerVersion:
     features: FrozenSet[str]
 
     def __post_init__(self) -> None:
+        # An exact int keeps equal releases' fingerprints equal (the
+        # fingerprint is memoised per release value).
+        if type(self.months_after_launch) is not int:
+            raise ValueError("months_after_launch must be an int, got "
+                             f"{self.months_after_launch!r}")
         unknown = self.features - ALL_FEATURES
         if unknown:
             raise ValueError(f"unknown compiler features: {sorted(unknown)}")

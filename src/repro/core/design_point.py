@@ -26,6 +26,7 @@ test-only instruction interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.arch.chip import ChipConfig
@@ -35,6 +36,7 @@ from repro.compiler.versions import CompilerVersion, LATEST
 from repro.engine.cache import EvalCache, get_cache
 from repro.engine.keys import (
     chip_fingerprint,
+    compile_chip_fingerprint,
     compiler_fingerprint,
     eval_key,
     key_meta,
@@ -81,6 +83,10 @@ class DesignPoint:
     :func:`~repro.engine.modules.built_module`), the replay, the power
     model, the memo keys and the EvalCache key, so a result of one
     dtype is never served for another.
+
+    The simulator and the three fingerprints are built on first use and
+    kept: a point whose every lookup hits the cache never builds a
+    simulator or the compile-content fingerprint.
     """
 
     def __init__(self, chip: ChipConfig,
@@ -88,25 +94,32 @@ class DesignPoint:
                  cache: Optional[EvalCache] = None) -> None:
         self.chip = chip
         self.version = version
-        self.sim = TensorCoreSim(chip)
         self._compiled: dict[_MemoKey, CompiledModel] = {}
         self._results: dict[_MemoKey, SimResult] = {}
         self._evaluations: dict[_MemoKey, Evaluation] = {}
         self._cache = cache
-        self._chip_fp = chip_fingerprint(chip)
-        self._compiler_fp = compiler_fingerprint(version)
+
+    @cached_property
+    def sim(self) -> TensorCoreSim:
+        """The point's simulator."""
+        return TensorCoreSim(self.chip)
 
     # --------------------------------------------------------------- caching
 
-    @property
+    @cached_property
     def chip_fp(self) -> str:
         """Fingerprint of the chip config (stable across processes)."""
-        return self._chip_fp
+        return chip_fingerprint(self.chip)
 
-    @property
+    @cached_property
     def compiler_fp(self) -> str:
         """Fingerprint of the compiler release (stable across processes)."""
-        return self._compiler_fp
+        return compiler_fingerprint(self.version)
+
+    @cached_property
+    def compile_fp(self) -> str:
+        """Fingerprint of the chip fields compiled content depends on."""
+        return compile_chip_fingerprint(self.chip)
 
     def engine_cache(self) -> EvalCache:
         """The EvalCache this point reads and stores through."""
@@ -117,7 +130,7 @@ class DesignPoint:
         # Phase-split workloads (repro.workloads.generative.PhaseSpec)
         # carry a phase and KV bucket into the key; plain specs have
         # neither attribute and produce the exact legacy key bytes.
-        return eval_key(kind, self._chip_fp, self._compiler_fp, spec.name,
+        return eval_key(kind, self.chip_fp, self.compiler_fp, spec.name,
                         batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
                         kv_bucket=getattr(spec, "kv_bucket", None))

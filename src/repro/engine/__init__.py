@@ -36,13 +36,13 @@ from repro.engine.grid import (
     GridJob,
     GridStats,
     clear_grid_stats,
-    compile_chip_fingerprint,
     evaluate_jobs,
     grid_stats,
     run_grid,
 )
 from repro.engine.keys import (
     chip_fingerprint,
+    compile_chip_fingerprint,
     compiler_fingerprint,
     eval_key,
     fingerprint,

@@ -14,7 +14,8 @@ about:
   subset of chip fields (memory sizes, MXU tile dim, dtypes, ISA
   generation — *not* clock, MXU count, or power/cooling limits), so a
   sweep axis over clock or MXU count compiles once per distinct content
-  (:func:`compile_chip_fingerprint`; invariance asserted in
+  (:func:`~repro.engine.keys.compile_chip_fingerprint`, read once per
+  design point as :attr:`DesignPoint.compile_fp`; invariance asserted in
   ``tests/test_gridsim.py``) instead of once per chip;
 * **one disk write per batch** — the store loops run inside
   :meth:`EvalCache.batch` of every distinct cache the jobs use, so the
@@ -31,12 +32,10 @@ Counters flow through :func:`repro.obs.metrics.metrics` (the
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence
 
-from repro.engine.keys import fingerprint
 from repro.obs.metrics import metrics
 from repro.sim.gridkernel import GridPoint, evaluate_grid
 
@@ -45,27 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.design_point import DesignPoint, Evaluation
     from repro.sim.core import SimResult
     from repro.workloads.models import WorkloadSpec
-
-#: Chip fields a compiled program's *content* cannot depend on: the
-#: compiler reads memory sizes/dtypes/tile geometry and the ISA
-#: generation, never the clock, the MXU replication count (sharding is
-#: an execution-time split), or power/cooling provisioning.
-_COMPILE_IRRELEVANT = frozenset(
-    {"name", "clock_hz", "mxus_per_core", "tdp_w", "idle_w", "cooling"})
-
-
-def compile_chip_fingerprint(chip) -> str:
-    """Digest over the chip fields that determine compiled content.
-
-    Two chips with equal fingerprints compile any workload to programs
-    with identical ``Program.signature()`` and identical memory planning
-    (``cmem_hit_fraction``); ``tests/test_gridsim.py`` asserts this for
-    every excluded field.
-    """
-    fields = {f.name: getattr(chip, f.name)
-              for f in dataclasses.fields(chip)
-              if f.name not in _COMPILE_IRRELEVANT}
-    return fingerprint(fields)
 
 
 # ------------------------------------------------------------------- jobs
@@ -122,8 +100,7 @@ def _shared_compiled(job: GridJob, batch: int,
                      compiled_by_key: Dict[tuple, "CompiledModel"]
                      ) -> "CompiledModel":
     """Compile once per distinct compile content across the whole batch."""
-    key = (compile_chip_fingerprint(job.point.chip),
-           job.point.compiler_fp, job.spec.name, batch,
+    key = (job.point.compile_fp, job.point.compiler_fp, job.spec.name, batch,
            job.cmem_budget_bytes, job.dtype)
     compiled = compiled_by_key.get(key)
     if compiled is None:

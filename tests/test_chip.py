@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.arch import GENERATIONS, TPUV1, TPUV2, TPUV3, TPUV4I, chip_by_name
@@ -86,3 +87,35 @@ class TestValidation:
     def test_needs_dtypes(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TPUV4I, dtypes=())
+
+
+class TestCanonicalNumbers:
+    """Equal configs store one numeric form, so their cache keys agree."""
+
+    def test_float_fields_store_floats(self):
+        chip = TPUV4I.variant("x", clock_hz=10**9, tdp_w=175, die_mm2=400)
+        assert type(chip.clock_hz) is float and chip.clock_hz == 1e9
+        assert type(chip.tdp_w) is float and type(chip.die_mm2) is float
+        assert chip == TPUV4I.variant("x", clock_hz=1e9, tdp_w=175.0,
+                                      die_mm2=400.0)
+
+    def test_int_fields_store_ints(self):
+        chip = TPUV4I.variant("x", cmem_bytes=64.0 * MIB, cores=np.int64(1))
+        assert type(chip.cmem_bytes) is int and chip.cmem_bytes == 64 * MIB
+        assert type(chip.cores) is int
+
+    def test_numpy_floats_store_floats(self):
+        chip = TPUV4I.variant("x", clock_hz=np.float64(1e9))
+        assert type(chip.clock_hz) is float
+
+    def test_negative_zero_is_zero(self):
+        chip = TPUV4I.variant("x", cmem_bw=-0.0)
+        assert str(chip.cmem_bw) == "0.0"
+
+    @pytest.mark.parametrize("field,value", [
+        ("cmem_bytes", 1.5), ("cores", True), ("tdp_w", True),
+        ("clock_hz", "1GHz"), ("vmem_bytes", float("inf")),
+        ("mxu_dim", None)])
+    def test_bad_numbers_are_named(self, field, value):
+        with pytest.raises(ValueError, match=f"ChipConfig.{field} "):
+            TPUV4I.variant("x", **{field: value})

@@ -67,6 +67,20 @@ class TestChipJson:
         with pytest.raises(ValueError):
             chip_from_json(json.dumps(payload))
 
+    def test_integer_json_values_give_the_catalog_key(self):
+        """A hand-written ``"tdp_w": 175`` is the catalog's 175.0."""
+        from repro.engine import chip_fingerprint
+
+        for chip in GENERATIONS:
+            payload = json.loads(chip_to_json(chip))
+            for name, value in payload.items():
+                if isinstance(value, float) and value.is_integer():
+                    payload[name] = int(value)
+            assert any(type(v) is int and type(getattr(chip, k)) is float
+                       for k, v in payload.items())
+            loaded = chip_from_json(json.dumps(payload))
+            assert chip_fingerprint(loaded) == chip_fingerprint(chip)
+
 
 class TestCliChipFile:
     def test_evaluate_with_chip_file(self, tmp_path, capsys):

@@ -294,6 +294,18 @@ class TestSharedRegistry:
             TPUV4I.variant(TPUV4I.name, clock_hz=1e9)) is not point
         assert shared_design_point(TPUV4I, RELEASES[0]) is not point
 
+    def test_numeric_forms_share_one_key_in_either_order(self):
+        """The registered point's key does not depend on which equal
+        form (``10**9`` or ``1e9`` Hz) registered first."""
+        as_int = TPUV4I.variant("x", clock_hz=10**9)
+        as_float = TPUV4I.variant("x", clock_hz=1e9)
+        for first, second in ((as_int, as_float), (as_float, as_int)):
+            clear_shared_design_points()
+            point = shared_design_point(first)
+            assert shared_design_point(second) is point
+            assert point.chip_fp == chip_fingerprint(second)
+        clear_shared_design_points()
+
 
 class TestDseThroughEngine:
     def test_evaluate_candidate_matches_legacy_path(self):

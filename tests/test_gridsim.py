@@ -25,14 +25,13 @@ from repro.core.design_point import DesignPoint, clear_shared_design_points
 from repro.core.dse import DEFAULT_DSE_APPS, cmem_sweep, enumerate_candidates
 from repro.engine.cache import EvalCache, set_cache
 from repro.engine.grid import (
-    _COMPILE_IRRELEVANT,
     GridJob,
     clear_grid_stats,
-    compile_chip_fingerprint,
     evaluate_jobs,
     grid_stats,
     run_grid,
 )
+from repro.engine.keys import _COMPILE_IRRELEVANT, compile_chip_fingerprint
 from repro.engine.lowered import clear_lowered
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
