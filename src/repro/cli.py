@@ -34,6 +34,35 @@ from repro.util.units import GHZ, GIB, GIGA, MIB
 from repro.workloads import PRODUCTION_APPS, app_by_name
 
 
+#: Friendly aliases for app names, which are typed by hand far more
+#: often than scripted: the paper's model names map onto the zoo's
+#: internal ones.
+_APP_ALIASES = {
+    "resnet50": "cnn0",
+    "resnet": "cnn0",
+    "bert": "bert0",
+    "lstm": "rnn0",
+}
+
+
+def _resolve_app(name: str):
+    """App lookup, case-insensitive and alias-aware."""
+    lowered = name.lower()
+    try:
+        return app_by_name(_APP_ALIASES.get(lowered, lowered))
+    except KeyError as exc:
+        raise KeyError(f"{exc.args[0]}; aliases: "
+                       f"{', '.join(sorted(_APP_ALIASES))}") from None
+
+
+def _resolve_chip(name: str):
+    """Chip lookup, case-insensitive."""
+    for chip in GENERATIONS:
+        if chip.name.lower() == name.lower():
+            return chip
+    return chip_by_name(name)  # preserves the canonical error message
+
+
 def _cmd_chips(_: argparse.Namespace) -> int:
     table = Table(["chip", "year", "process", "peak TOPS", "on-chip MiB",
                    "HBM GiB", "HBM GB/s", "TDP W", "cooling"])
@@ -61,11 +90,11 @@ def _cmd_apps(_: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    spec = app_by_name(args.app)
+    spec = _resolve_app(args.app)
     if args.chip_file:
         chip = load_chip(args.chip_file)
     else:
-        chip = chip_by_name(args.chip)
+        chip = _resolve_chip(args.chip)
     point = DesignPoint(chip)
     evaluation = point.evaluate(spec, batch=args.batch)
     tco = chip_tco(chip, evaluation.chip_power_w)
@@ -83,7 +112,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = app_by_name(args.app)
+    spec = _resolve_app(args.app)
     table = Table(["chip", "latency ms", "chip qps", "power W", "qps/W",
                    "qps/TCO$"],
                   title=f"{spec.name} across generations (batch "
@@ -103,10 +132,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    spec = app_by_name(args.app)
+    spec = _resolve_app(args.app)
     module = spec.build(1)
-    report = migrate_model(module, chip_by_name(args.source),
-                           chip_by_name(args.target))
+    report = migrate_model(module, _resolve_chip(args.source),
+                           _resolve_chip(args.target))
     print(f"{spec.name}: {report.source_chip} -> {report.target_chip}")
     print(f"  binary portable: {report.binary_portable}")
     print(f"  recompiled:      {report.recompiled}")
@@ -120,8 +149,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.sim import TensorCoreSim
     from repro.compiler import compile_model
 
-    spec = app_by_name(args.app)
-    chip = chip_by_name(args.chip)
+    spec = _resolve_app(args.app)
+    chip = _resolve_chip(args.chip)
     module = spec.build(args.batch or spec.default_batch)
     profile = profile_module(module, chip)
     print(profile.render(args.top))
@@ -134,7 +163,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    spec = app_by_name(args.app)
+    spec = _resolve_app(args.app)
     module = spec.build(args.batch or spec.default_batch)
     if args.format == "hlo":
         from repro.graph import module_to_text
@@ -145,7 +174,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     from repro.compiler import compile_model
     from repro.isa import disassemble
 
-    chip = chip_by_name(args.chip)
+    chip = _resolve_chip(args.chip)
     compiled = compile_model(module, chip)
     print(disassemble(compiled.program), end="")
     return 0
@@ -333,37 +362,6 @@ def _cmd_llm_faults(args: argparse.Namespace, models: tuple) -> int:
         ])
     print(table.render())
     return 0
-
-
-#: Friendly aliases for the observability commands, which are typed by
-#: hand far more often than scripted: the paper's model names map onto
-#: the zoo's internal ones.
-_APP_ALIASES = {
-    "resnet50": "cnn0",
-    "resnet": "cnn0",
-    "bert": "bert0",
-    "lstm": "rnn0",
-}
-
-
-def _resolve_app(name: str):
-    """App lookup, case-insensitive and alias-aware (trace/metrics only)."""
-    lowered = name.lower()
-    try:
-        return app_by_name(_APP_ALIASES.get(lowered, lowered))
-    except KeyError:
-        raise KeyError(
-            f"unknown app {name!r}; try one of "
-            f"{[s.name for s in PRODUCTION_APPS]} or an alias like "
-            f"{sorted(_APP_ALIASES)}") from None
-
-
-def _resolve_chip(name: str):
-    """Chip lookup, case-insensitive (trace/metrics only)."""
-    for chip in GENERATIONS:
-        if chip.name.lower() == name.lower():
-            return chip
-    return chip_by_name(name)  # preserves the canonical error message
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

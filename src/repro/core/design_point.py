@@ -7,20 +7,27 @@ scope: multi-core chips (TPUv2/v3) serve one request stream per core, so
 chip throughput is ``cores / latency`` and dynamic power scales with the
 active cores.
 
-Caching is two-tier. Each instance keeps its original per-instance memo
-dicts (cheapest lookup), and behind them every instance consults the
+Caching is two-tier. Each instance keeps one memo dict per record kind
+(``"sim"`` for :class:`SimResult`, ``"eval"`` for :class:`Evaluation`;
+the cheapest lookup), and behind them every instance consults the
 process-global :class:`~repro.engine.cache.EvalCache`, keyed by a stable
 hash of every chip field, the compiler release, the workload, batch,
-CMEM budget and dtype. Two DesignPoints for the same configuration — or
-two processes sharing the cache's disk tier — therefore never repeat a
+CMEM budget and dtype. :meth:`DesignPoint.key`, :meth:`~DesignPoint.
+lookup` and :meth:`~DesignPoint.store` are the one path to both tiers,
+for both kinds; the batched grid (:mod:`repro.engine.grid`) uses the
+same three. Two DesignPoints for the same configuration — or two
+processes sharing the cache's disk tier — therefore never repeat a
 simulation. A cached :class:`Evaluation` short-circuits compilation
 entirely; results are identical to the uncached path by construction
 (pure arithmetic on the same inputs; asserted in ``tests/test_engine.py``).
 
-Simulations take the lowered-IR path: ``TensorCoreSim.run`` lowers each
-compiled program once (cached process-wide in :mod:`repro.engine.lowered`)
-and replays it with a tight kernel that is bit-identical to the
-test-only instruction interpreter.
+:meth:`DesignPoint.run` and :meth:`~DesignPoint.evaluate` are the
+per-point production path (serving simulators, multitenancy, priority,
+fleet sizing, ``repro evaluate``/``compare``/``metrics``); they keep
+each compile in the point's memo, which :meth:`~DesignPoint.compiled`
+reads back. ``TensorCoreSim.run`` lowers the compiled program and
+replays it with a tight kernel that is bit-identical to the test-only
+instruction interpreter.
 """
 
 from __future__ import annotations
@@ -95,8 +102,10 @@ class DesignPoint:
         self.chip = chip
         self.version = version
         self._compiled: dict[_MemoKey, CompiledModel] = {}
-        self._results: dict[_MemoKey, SimResult] = {}
-        self._evaluations: dict[_MemoKey, Evaluation] = {}
+        # One memo per record kind: "sim" -> SimResult, "eval" ->
+        # Evaluation.
+        self._records: dict[str, dict[_MemoKey, object]] = {
+            "sim": {}, "eval": {}}
         self._cache = cache
 
     @cached_property
@@ -125,85 +134,60 @@ class DesignPoint:
         """The EvalCache this point reads and stores through."""
         return self._cache if self._cache is not None else get_cache()
 
-    def _key(self, kind: str, spec: WorkloadSpec, batch: int,
-             cmem_budget_bytes: Optional[int], dtype: str) -> str:
-        # Phase-split workloads (repro.workloads.generative.PhaseSpec)
-        # carry a phase and KV bucket into the key; plain specs have
-        # neither attribute and produce the exact legacy key bytes.
+    def key(self, kind: str, spec: WorkloadSpec, batch: int,
+            cmem_budget_bytes: Optional[int] = None,
+            dtype: str = "bf16") -> str:
+        """The EvalCache key a ``kind`` record lives under.
+
+        ``kind`` is ``"sim"`` (the :class:`SimResult` of :meth:`run`) or
+        ``"eval"`` (the :class:`Evaluation` of :meth:`evaluate`).
+        Phase-split workloads (:class:`~repro.workloads.generative.
+        PhaseSpec`) carry a phase and KV bucket into the key; plain
+        specs have neither attribute and produce the legacy key bytes.
+        """
+        self._memo(kind)  # rejects an unknown kind
         return eval_key(kind, self.chip_fp, self.compiler_fp, spec.name,
                         batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
                         kv_bucket=getattr(spec, "kv_bucket", None))
 
-    def result_key(self, spec: WorkloadSpec, batch: int,
-                   cmem_budget_bytes: Optional[int] = None,
-                   dtype: str = "bf16") -> str:
-        """The EvalCache key a :meth:`run` result lives under."""
-        return self._key("sim", spec, batch, cmem_budget_bytes, dtype)
-
-    def evaluation_key(self, spec: WorkloadSpec, batch: int,
-                       cmem_budget_bytes: Optional[int] = None,
-                       dtype: str = "bf16") -> str:
-        """The EvalCache key an :meth:`evaluate` record lives under."""
-        return self._key("eval", spec, batch, cmem_budget_bytes, dtype)
-
-    def cached_result(self, spec: WorkloadSpec, batch: int,
-                      cmem_budget_bytes: Optional[int] = None,
-                      dtype: str = "bf16") -> Optional[SimResult]:
-        """A memo/EvalCache simulation hit, or None (never computes)."""
-        key = (spec.name, batch, cmem_budget_bytes, dtype)
-        hit = self._results.get(key)
+    def lookup(self, kind: str, spec: WorkloadSpec, batch: int,
+               cmem_budget_bytes: Optional[int] = None,
+               dtype: str = "bf16"):
+        """A memo/EvalCache hit of a ``kind`` record, or None (never
+        computes)."""
+        memo = self._memo(kind)
+        memo_key = (spec.name, batch, cmem_budget_bytes, dtype)
+        hit = memo.get(memo_key)
         if hit is not None:
             return hit
         with metrics().timer("tier.cache_lookup_s"):
-            cached = self.engine_cache().get(
-                self.result_key(spec, batch, cmem_budget_bytes, dtype))
-        if cached is not None:
-            self._results[key] = cached
-        return cached
-
-    def store_result(self, spec: WorkloadSpec, batch: int,
-                     cmem_budget_bytes: Optional[int],
-                     result: SimResult, dtype: str = "bf16") -> None:
-        """Publish a simulation under the same keys :meth:`run` uses."""
-        self.engine_cache().put(
-            self.result_key(spec, batch, cmem_budget_bytes, dtype), result,
-            self._meta("sim", spec, batch, cmem_budget_bytes, dtype))
-        self._results[(spec.name, batch, cmem_budget_bytes, dtype)] = result
-
-    def cached_evaluation(self, spec: WorkloadSpec, batch: int,
-                          cmem_budget_bytes: Optional[int] = None,
-                          dtype: str = "bf16") -> Optional[Evaluation]:
-        """A memo/EvalCache evaluation hit, or None (never computes)."""
-        key = (spec.name, batch, cmem_budget_bytes, dtype)
-        hit = self._evaluations.get(key)
+            hit = self.engine_cache().get(
+                self.key(kind, spec, batch, cmem_budget_bytes, dtype))
         if hit is not None:
-            return hit
-        with metrics().timer("tier.cache_lookup_s"):
-            cached = self.engine_cache().get(
-                self.evaluation_key(spec, batch, cmem_budget_bytes, dtype))
-        if cached is not None:
-            self._evaluations[key] = cached
-        return cached
+            memo[memo_key] = hit
+        return hit
 
-    def store_evaluation(self, spec: WorkloadSpec, batch: int,
-                         cmem_budget_bytes: Optional[int],
-                         evaluation: Evaluation,
-                         dtype: str = "bf16") -> None:
-        """Publish an evaluation under the keys :meth:`evaluate` uses."""
-        self.engine_cache().put(
-            self.evaluation_key(spec, batch, cmem_budget_bytes, dtype),
-            evaluation,
-            self._meta("eval", spec, batch, cmem_budget_bytes, dtype))
-        self._evaluations[(spec.name, batch, cmem_budget_bytes,
-                           dtype)] = evaluation
-
-    def _meta(self, kind: str, spec: WorkloadSpec, batch: int,
-              cmem_budget_bytes: Optional[int], dtype: str) -> dict:
-        return key_meta(kind, self.chip.name, self.version.name, spec.name,
+    def store(self, kind: str, spec: WorkloadSpec, batch: int,
+              cmem_budget_bytes: Optional[int], record,
+              dtype: str = "bf16") -> None:
+        """Publish a ``kind`` record under the keys :meth:`lookup` reads."""
+        meta = key_meta(kind, self.chip.name, self.version.name, spec.name,
                         batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
                         kv_bucket=getattr(spec, "kv_bucket", None))
+        self.engine_cache().put(
+            self.key(kind, spec, batch, cmem_budget_bytes, dtype), record,
+            meta)
+        self._memo(kind)[(spec.name, batch, cmem_budget_bytes,
+                          dtype)] = record
+
+    def _memo(self, kind: str) -> dict:
+        memo = self._records.get(kind)
+        if memo is None:
+            raise ValueError(
+                f"unknown record kind {kind!r}; known: sim, eval")
+        return memo
 
     # ------------------------------------------------------------- compile/run
 
@@ -237,16 +221,16 @@ class DesignPoint:
             cmem_budget_bytes: Optional[int] = None,
             dtype: str = "bf16") -> SimResult:
         """Simulate (memoized) one inference of a workload."""
-        cached = self.cached_result(spec, batch, cmem_budget_bytes, dtype)
-        if cached is None:
+        result = self.lookup("sim", spec, batch, cmem_budget_bytes, dtype)
+        if result is None:
             reg = metrics()
             with reg.timer("tier.compile_s"):
                 compiled = self.compiled(spec, batch, cmem_budget_bytes,
                                          dtype)
             with reg.timer("tier.sim_s"):
-                cached = self.sim.run(compiled.program, dtype=dtype)
-            self.store_result(spec, batch, cmem_budget_bytes, cached, dtype)
-        return cached
+                result = self.sim.run(compiled.program, dtype=dtype)
+            self.store("sim", spec, batch, cmem_budget_bytes, result, dtype)
+        return result
 
     def latency_s(self, spec: WorkloadSpec, batch: int,
                   cmem_budget_bytes: Optional[int] = None,
@@ -261,14 +245,14 @@ class DesignPoint:
                  dtype: str = "bf16") -> Evaluation:
         """Chip-level throughput/power evaluation at a batch size."""
         b = batch if batch is not None else spec.default_batch
-        cached = self.cached_evaluation(spec, b, cmem_budget_bytes, dtype)
-        if cached is None:
+        evaluation = self.lookup("eval", spec, b, cmem_budget_bytes, dtype)
+        if evaluation is None:
             result = self.run(spec, b, cmem_budget_bytes, dtype)
             compiled = self.compiled(spec, b, cmem_budget_bytes, dtype)
-            cached = self.evaluation_from(spec, b, cmem_budget_bytes, result,
-                                          compiled, dtype)
-            self.store_evaluation(spec, b, cmem_budget_bytes, cached, dtype)
-        return cached
+            evaluation = self.evaluation_from(spec, b, cmem_budget_bytes,
+                                              result, compiled, dtype)
+            self.store("eval", spec, b, cmem_budget_bytes, evaluation, dtype)
+        return evaluation
 
     def evaluation_from(self, spec: WorkloadSpec, b: int,
                         cmem_budget_bytes: Optional[int],

@@ -10,7 +10,6 @@ DesignPoint`, and DesignPoint funnels it through this package:
   (in-process dict + optional ``.repro_cache/`` disk tier; enable with
   ``REPRO_CACHE_DIR=.repro_cache`` or :func:`configure_cache`);
 * :mod:`repro.engine.modules` — chip-independent built-module sharing;
-* :mod:`repro.engine.lowered` — the process-wide lowered-program cache;
 * :mod:`repro.engine.grid` — :func:`run_grid` / :func:`evaluate_jobs`,
   the one sweep path: cache-excluded jobs batched through the grid
   kernel, used by ``repro.core.dse``, the serving simulator and the
@@ -47,12 +46,6 @@ from repro.engine.keys import (
     eval_key,
     fingerprint,
 )
-from repro.engine.lowered import (
-    clear_lowered,
-    lowered_cache_size,
-    lowered_cache_stats,
-    lowered_program,
-)
 from repro.engine.modules import built_module, clear_modules
 
 
@@ -64,7 +57,6 @@ __all__ = [
     "built_module",
     "chip_fingerprint",
     "clear_grid_stats",
-    "clear_lowered",
     "clear_modules",
     "compile_chip_fingerprint",
     "compiler_fingerprint",
@@ -74,9 +66,6 @@ __all__ = [
     "fingerprint",
     "get_cache",
     "grid_stats",
-    "lowered_cache_size",
-    "lowered_cache_stats",
-    "lowered_program",
     "run_grid",
     "set_cache",
 ]

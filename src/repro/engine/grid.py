@@ -5,10 +5,13 @@ in one batched pass; this module is the engine-side wrapper the sweeps
 and planners call. It adds what the kernel deliberately does not know
 about:
 
-* **cache exclusion** — points already in a DesignPoint memo or the
+* **cache exclusion** — jobs already in a DesignPoint memo or the
   :class:`~repro.engine.cache.EvalCache` never enter the batch; computed
-  results are stored back through the same keys, so a grid-warmed cache
-  is indistinguishable from a per-point-warmed one and results merge
+  results are stored back through the same keys. ``run_grid`` (``"sim"``
+  records) and ``evaluate_jobs`` (``"eval"`` records) share one
+  hit/miss split and one store loop, both on :meth:`DesignPoint.lookup`
+  / :meth:`DesignPoint.store`, so a grid-warmed cache is
+  indistinguishable from a per-point-warmed one and results merge
   deterministically in job order;
 * **compile-content dedupe** — compiled programs depend on a strict
   subset of chip fields (memory sizes, MXU tile dim, dtypes, ISA
@@ -17,13 +20,17 @@ about:
   (:func:`~repro.engine.keys.compile_chip_fingerprint`, read once per
   design point as :attr:`DesignPoint.compile_fp`; invariance asserted in
   ``tests/test_gridsim.py``) instead of once per chip;
-* **one disk write per batch** — the store loops run inside
+* **one disk write per batch** — the store loop runs inside
   :meth:`EvalCache.batch` of every distinct cache the jobs use, so the
   disk tier lands a whole batch's records as one pack per cache.
 
-Batching is the only production path. The per-point loops it replaces
-(:meth:`DesignPoint.run` / :meth:`DesignPoint.evaluate` per job) are the
-test-only reference ``tests/test_gridsim.py`` compares it with.
+Sweeps (DSE, CMEM sweeps, SLO probes, latency tables, the capacity
+planner) batch through here. The per-point path is production too:
+:meth:`DesignPoint.run` and :meth:`DesignPoint.evaluate` serve the
+serving simulators, multitenancy, priority, fleet sizing and ``repro
+evaluate``/``compare``/``metrics``. They read and write the same two
+tiers under the same keys, so either path serves the other's results;
+``tests/test_gridsim.py`` holds the grid to the per-point loop.
 
 Counters flow through :func:`repro.obs.metrics.metrics` (the
 ``engine.grid.*`` family) and the always-on module stats
@@ -32,9 +39,9 @@ Counters flow through :func:`repro.obs.metrics.metrics` (the
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.obs.metrics import metrics
 from repro.sim.gridkernel import GridPoint, evaluate_grid
@@ -96,10 +103,11 @@ def clear_grid_stats() -> None:
 
 # ---------------------------------------------------------------- helpers
 
-def _shared_compiled(job: GridJob, batch: int,
+def _shared_compiled(job: GridJob,
                      compiled_by_key: Dict[tuple, "CompiledModel"]
                      ) -> "CompiledModel":
     """Compile once per distinct compile content across the whole batch."""
+    batch = job.resolved_batch
     key = (job.point.compile_fp, job.point.compiler_fp, job.spec.name, batch,
            job.cmem_budget_bytes, job.dtype)
     compiled = compiled_by_key.get(key)
@@ -114,13 +122,42 @@ def _shared_compiled(job: GridJob, batch: int,
     return compiled
 
 
-@contextmanager
-def _store_batch(jobs: Iterable[GridJob]) -> Iterator[None]:
-    """Batch the disk writes of every distinct cache the jobs store to."""
+def _key(kind: str, job: GridJob) -> str:
+    return job.point.key(kind, job.spec, job.resolved_batch,
+                         job.cmem_budget_bytes, job.dtype)
+
+
+def _lookup(kind: str, jobs: list) -> Tuple[list, list]:
+    """Each job's cached ``kind`` record (None on a miss), and the misses."""
+    results = [job.point.lookup(kind, job.spec, job.resolved_batch,
+                                job.cmem_budget_bytes, job.dtype)
+               for job in jobs]
+    misses = [job for job, result in zip(jobs, results) if result is None]
+    hits = len(jobs) - len(misses)
+    _STATS.points += len(jobs)
+    _STATS.cache_hits += hits
+    reg = metrics()
+    reg.count("engine.grid.points", len(jobs))
+    reg.count("engine.grid.cache_hits", hits)
+    return results, misses
+
+
+def _store(kind: str, results: list, misses: list, records: list) -> list:
+    """Store each miss's record and fill the misses' slots in ``results``.
+
+    The writes run inside :meth:`EvalCache.batch` of every distinct
+    cache the jobs use, so each disk tier lands them as one pack.
+    """
     with ExitStack() as stack:
-        for cache in dict.fromkeys(job.point.engine_cache() for job in jobs):
+        for cache in dict.fromkeys(job.point.engine_cache()
+                                   for job in misses):
             stack.enter_context(cache.batch())
-        yield
+        for job, record in zip(misses, records):
+            job.point.store(kind, job.spec, job.resolved_batch,
+                            job.cmem_budget_bytes, record, job.dtype)
+    filled = iter(records)
+    return [next(filled) if result is None else result
+            for result in results]
 
 
 # --------------------------------------------------------------- run_grid
@@ -136,55 +173,31 @@ def run_grid(jobs: Sequence[GridJob],
     evaluated in one kernel batch (compiling once per distinct compile
     content and dtype) and stored back under the same keys.
     """
-    jobs = list(jobs)
-    reg = metrics()
-    _STATS.points += len(jobs)
-    reg.count("engine.grid.points", len(jobs))
-    results: list = [None] * len(jobs)
-    misses: list[int] = []
-    for i, job in enumerate(jobs):
-        cached = job.point.cached_result(job.spec, job.resolved_batch,
-                                         job.cmem_budget_bytes, job.dtype)
-        if cached is not None:
-            results[i] = cached
-        else:
-            misses.append(i)
-    hits = len(jobs) - len(misses)
-    _STATS.cache_hits += hits
-    reg.count("engine.grid.cache_hits", hits)
+    results, misses = _lookup("sim", list(jobs))
     if not misses:
         return results
 
     _STATS.batches += 1
+    reg = metrics()
     reg.count("engine.grid.batches")
     if compiled_by_key is None:
         compiled_by_key = {}
     slot_by_key: Dict[str, int] = {}
     batch_points: list[GridPoint] = []
-    miss_keys: list[str] = []
-    for i in misses:
-        job = jobs[i]
-        batch = job.resolved_batch
-        ekey = job.point.result_key(job.spec, batch, job.cmem_budget_bytes,
-                                    job.dtype)
-        if ekey not in slot_by_key:
-            compiled = _shared_compiled(job, batch, compiled_by_key)
-            slot_by_key[ekey] = len(batch_points)
+    slots: list[int] = []
+    for job in misses:
+        key = _key("sim", job)
+        if key not in slot_by_key:
+            compiled = _shared_compiled(job, compiled_by_key)
+            slot_by_key[key] = len(batch_points)
             batch_points.append(GridPoint(compiled.program, job.point.chip,
                                           job.dtype))
-        miss_keys.append(ekey)
+        slots.append(slot_by_key[key])
     with reg.timer("tier.sim_s"):
         sims = evaluate_grid(batch_points)
     _STATS.batched_points += len(batch_points)
     reg.count("engine.grid.batched_points", len(batch_points))
-    with _store_batch(jobs[i] for i in misses):
-        for i, ekey in zip(misses, miss_keys):
-            job = jobs[i]
-            result = sims[slot_by_key[ekey]]
-            job.point.store_result(job.spec, job.resolved_batch,
-                                   job.cmem_budget_bytes, result, job.dtype)
-            results[i] = result
-    return results
+    return _store("sim", results, misses, [sims[slot] for slot in slots])
 
 
 # ----------------------------------------------------------- evaluate_jobs
@@ -199,42 +212,19 @@ def evaluate_jobs(jobs: Sequence[GridJob]) -> list:
     (:meth:`DesignPoint.evaluation_from`) is the per-point code, so the
     records are identical either way.
     """
-    jobs = list(jobs)
-    _STATS.points += len(jobs)
-    metrics().count("engine.grid.points", len(jobs))
-    results: list = [None] * len(jobs)
-    misses: list[int] = []
-    for i, job in enumerate(jobs):
-        cached = job.point.cached_evaluation(job.spec, job.resolved_batch,
-                                             job.cmem_budget_bytes, job.dtype)
-        if cached is not None:
-            results[i] = cached
-            _STATS.cache_hits += 1
-            metrics().count("engine.grid.cache_hits")
-        else:
-            misses.append(i)
+    results, misses = _lookup("eval", list(jobs))
     if not misses:
         return results
 
     compiled_by_key: Dict[tuple, "CompiledModel"] = {}
-    sims = run_grid([jobs[i] for i in misses],
-                    compiled_by_key=compiled_by_key)
-    seen: Dict[str, "Evaluation"] = {}
-    with _store_batch(jobs[i] for i in misses):
-        for idx, i in enumerate(misses):
-            job = jobs[i]
-            batch = job.resolved_batch
-            ekey = job.point.evaluation_key(job.spec, batch,
-                                            job.cmem_budget_bytes, job.dtype)
-            evaluation = seen.get(ekey)
-            if evaluation is None:
-                compiled = _shared_compiled(job, batch, compiled_by_key)
-                evaluation = job.point.evaluation_from(
-                    job.spec, batch, job.cmem_budget_bytes, sims[idx],
-                    compiled, job.dtype)
-                seen[ekey] = evaluation
-            job.point.store_evaluation(job.spec, batch,
-                                       job.cmem_budget_bytes, evaluation,
-                                       job.dtype)
-            results[i] = evaluation
-    return results
+    sims = run_grid(misses, compiled_by_key=compiled_by_key)
+    by_key: Dict[str, "Evaluation"] = {}
+    records = []
+    for job, sim in zip(misses, sims):
+        key = _key("eval", job)
+        if key not in by_key:
+            by_key[key] = job.point.evaluation_from(
+                job.spec, job.resolved_batch, job.cmem_budget_bytes, sim,
+                _shared_compiled(job, compiled_by_key), job.dtype)
+        records.append(by_key[key])
+    return _store("eval", results, misses, records)

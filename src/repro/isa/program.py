@@ -68,9 +68,9 @@ class Program:
         """A hashable content key: name, generation, and every bundle.
 
         Two programs with equal signatures execute identically, so the
-        engine's lowered-program cache (:mod:`repro.engine.lowered`) uses
-        this — not object identity — as its key; a program mutated by
-        :meth:`append` between runs gets a fresh signature for free.
+        grid kernel's per-structure tables (:mod:`repro.sim.gridkernel`)
+        use this — not object identity — as their key; a program mutated
+        by :meth:`append` between runs gets a fresh signature for free.
         """
         return (
             self.name,

@@ -99,6 +99,7 @@ from repro.serving.recovery import RecoveryPolicy, snapshot_latency_table, \
 from repro.serving.server import (
     DEFAULT_RETRY_BUDGET,
     DEFAULT_RETRY_TIMEOUT_S,
+    check_seed_latency,
 )
 from repro.serving.slo import percentile_sorted
 from repro.workloads.generative import GenerativeSpec, GenRequest
@@ -384,13 +385,7 @@ class ContinuousBatchingSimulator:
                 raise ValueError(f"unknown phase {phase!r}")
             if batch < 1:
                 raise ValueError("batch must be >= 1")
-            # A NaN latency would pass ``< 0`` and poison the clock:
-            # ``max(nan, ready_s)`` stays NaN, nothing is ever admissible
-            # again, and the engine loop never ends.
-            if not (math.isfinite(latency) and latency >= 0):
-                raise ValueError(
-                    f"latency for {key!r} must be non-negative and finite, "
-                    f"got {latency!r}")
+            check_seed_latency(key, latency)
         self._latency.update(table)
 
     def _restore_latency_s(self, slot: _Slot) -> float:

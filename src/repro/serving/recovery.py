@@ -42,16 +42,15 @@ with no policy (asserted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.arch.ici import IciLink
-from repro.arch.memory import MemorySystem
 from repro.core.design_point import DesignPoint
 from repro.serving.batching import BatchPolicy
 from repro.sim.lowered import (K_BUNDLE, K_DMA, K_SYNC_WAIT, FastReplay,
-                               LoweredProgram)
+                               LoweredProgram, dma_pools)
 from repro.workloads.generative import GenerativeSpec
 
 __all__ = [
@@ -113,32 +112,6 @@ class RecoveryPolicy:
 
 # ------------------------------------------------------------- snapshot cost
 
-def _base_lowered(chip: ChipConfig, name: str) -> LoweredProgram:
-    """An empty lowered program with ``chip``'s real DMA pools.
-
-    Mirrors :func:`~repro.sim.lowered.lower_program`'s pool derivation
-    exactly (every memory level except vmem gets a DMA engine pool), so
-    rows appended here replay with the same bandwidths, latencies and
-    per-transfer overhead as compiler-produced programs.
-    """
-    memory = MemorySystem(chip)
-    level_names = tuple(level.name for level in memory.levels())
-    pool_levels = tuple(n for n in level_names if n != "vmem")
-    return LoweredProgram(
-        name=name,
-        generation=chip.generation,
-        rows=(),
-        n_flags=0,
-        level_names=level_names,
-        pool_levels=pool_levels,
-        pool_bandwidths=tuple(
-            memory.level(n).bandwidth for n in pool_levels),
-        pool_latencies=tuple(
-            memory.level(n).latency_cycles for n in pool_levels),
-        clock_hz=chip.clock_hz,
-    )
-
-
 def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
                      batch: int, *,
                      host_link: IciLink = DEFAULT_HOST_LINK,
@@ -162,9 +135,10 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
         raise ValueError(f"dtype_bytes must be >= 1, got {dtype_bytes}")
     from repro.pod.sharding import attach_ici_rows  # local: pod imports sim
 
-    base = _base_lowered(
-        chip, f"{spec.name}.kv_snapshot@{kv_bucket}x{batch}")
-    hbm = base.pool_levels.index("hbm")
+    # The chip's real DMA pools (the ones lower_program uses), so these
+    # rows replay like compiler-produced ones.
+    pools = dma_pools(chip)
+    hbm = pools.pool_levels.index("hbm")
     per_tensor = batch * kv_bucket * spec.hidden * dtype_bytes
     rows = [(K_BUNDLE, 0, 0, 0, 0.0)]
     flag = 0
@@ -172,7 +146,17 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
         rows.append((K_DMA, hbm, per_tensor, flag, 0.0))
         rows.append((K_SYNC_WAIT, flag, 0, 0, 0.0))
         flag += 1
-    lowered = replace(base, rows=tuple(rows), n_flags=flag)
+    lowered = LoweredProgram(
+        name=f"{spec.name}.kv_snapshot@{kv_bucket}x{batch}",
+        generation=chip.generation,
+        rows=tuple(rows),
+        n_flags=flag,
+        level_names=pools.level_names,
+        pool_levels=pools.pool_levels,
+        pool_bandwidths=pools.bandwidths,
+        pool_latencies=pools.latencies,
+        clock_hz=chip.clock_hz,
+    )
     total = 2 * spec.layers * per_tensor
     return attach_ici_rows(lowered, host_link, [(total, 1.0)],
                            where="post", level=HOST_LEVEL)

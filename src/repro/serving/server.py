@@ -44,6 +44,18 @@ DEFAULT_RETRY_BUDGET = 2
 DEFAULT_RETRY_TIMEOUT_S = math.inf
 
 
+def check_seed_latency(batch, latency: float) -> None:
+    """Reject a seeded batch latency that is negative, NaN or infinite.
+
+    ``batch`` names the table entry in the error. A NaN would pass
+    ``latency < 0`` and poison the simulated clock (``max(nan, t)``
+    stays NaN); an infinite one never completes.
+    """
+    if not (math.isfinite(latency) and latency >= 0):
+        raise ValueError(f"latency for batch {batch!r} must be "
+                         f"non-negative and finite, got {latency!r}")
+
+
 @dataclass(frozen=True)
 class ServingStats:
     """Latency/throughput summary of one serving simulation.
@@ -137,13 +149,13 @@ class ServingSimulator:
 
         For latencies obtained outside the design point's default path —
         an int8-retargeted compile on a chip without bf16, or a synthetic
-        table in tests. Keys must be padded batch steps.
+        table in tests. Keys must be padded batch steps and latencies
+        finite and non-negative (:func:`check_seed_latency`).
         """
         for batch, latency in table.items():
             if batch < 1:
                 raise ValueError("batch must be >= 1")
-            if latency < 0:
-                raise ValueError("latency must be non-negative")
+            check_seed_latency(batch, latency)
         self._latency_cache.update(table)
 
     def simulate(self, requests: Sequence[Request],

@@ -38,7 +38,7 @@ from repro.isa.instructions import (
     VECTOR_OP_CLASS,
 )
 from repro.isa.program import Program
-from repro.sim.lowered import FastReplay
+from repro.sim.lowered import FastReplay, lower_program
 from repro.sim.perf import PerfCounters, PerfReport, build_report
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,9 +92,8 @@ class TensorCoreSim:
             tracer: Optional["SpanTracer"] = None) -> SimResult:
         """Simulate one execution of ``program``; returns timing + counters.
 
-        Lowers the program (:mod:`repro.sim.lowered`, cached process-wide)
-        and replays it — bit-identical to the interpreter, several times
-        faster. A ``tracer`` receives one span per executed instruction
+        Lowers the program (:mod:`repro.sim.lowered`) and replays it —
+        bit-identical to the interpreter, several times faster. A ``tracer`` receives one span per executed instruction
         (:meth:`FastReplay.run`'s tracing mode) without changing the
         result.
         """
@@ -105,11 +104,7 @@ class TensorCoreSim:
                 "Recompile (Lesson 2) rather than carrying binaries.")
         if not self.chip.supports_dtype(dtype):
             raise ValueError(f"{self.chip.name} does not support {dtype}")
-        # Lazy import: the engine layer sits above the simulator (it
-        # caches lowerings process-wide), mirroring how engine sweeps
-        # import core lazily in the other direction.
-        from repro.engine.lowered import lowered_program
-        return self.replay.run(lowered_program(program, self.chip),
+        return self.replay.run(lower_program(program, self.chip),
                                dtype=dtype, tracer=tracer)
 
     def run_interpreted(self, program: Program, *,

@@ -47,12 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.chip import ChipConfig
-from repro.arch.memory import MemorySystem
 from repro.arch.mxu import MxuModel
 from repro.arch.vpu import VpuModel
 from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
 from repro.isa.program import Program
-from repro.sim.lowered import DMA_OVERHEAD_CYCLES, ENGINES_PER_LEVEL
+from repro.sim.lowered import DMA_OVERHEAD_CYCLES, ENGINES_PER_LEVEL, \
+    FastReplay, dma_pools, lower_program
 from repro.sim.perf import PerfCounters, build_report
 
 #: Float vector-ALU totals above this are not guaranteed to match the
@@ -120,21 +120,17 @@ _CHIP_INFO: Dict[ChipConfig, _ChipInfo] = {}
 def _chip_info(chip: ChipConfig) -> _ChipInfo:
     info = _CHIP_INFO.get(chip)
     if info is None:
-        memory = MemorySystem(chip)
-        level_names = tuple(level.name for level in memory.levels())
-        pool_levels = tuple(n for n in level_names if n != "vmem")
-        bandwidths = tuple(memory.level(n).bandwidth for n in pool_levels)
-        latencies = tuple(memory.level(n).latency_cycles
-                          for n in pool_levels)
+        pools = dma_pools(chip)
         info = _ChipInfo(
-            level_names=level_names,
-            pool_levels=pool_levels,
-            pool_set=frozenset(pool_levels),
+            level_names=pools.level_names,
+            pool_levels=pools.pool_levels,
+            pool_set=frozenset(pools.pool_levels),
             mxu_key=(chip.mxu_dim, chip.mxus_per_core),
             vpu_key=(chip.vpu_lanes, chip.vpu_sublanes),
-            scan_key=(pool_levels, bandwidths, latencies, chip.clock_hz),
-            bandwidths=bandwidths,
-            latencies=latencies,
+            scan_key=(pools.pool_levels, pools.bandwidths, pools.latencies,
+                      chip.clock_hz),
+            bandwidths=pools.bandwidths,
+            latencies=pools.latencies,
             clock_hz=chip.clock_hz,
         )
         _CHIP_INFO[chip] = info
@@ -583,11 +579,9 @@ def _unit_final(struct: _Struct, unit: str, price_key: tuple,
 # ------------------------------------------------------------- evaluation
 
 def _replay_point(point: GridPoint):
-    """Per-point reference path (shared lowered cache + FastReplay)."""
-    from repro.engine.lowered import lowered_program
-    from repro.sim.lowered import FastReplay
+    """Per-point replay (lower + FastReplay), the kernel's fallback."""
     return FastReplay(point.chip).run(
-        lowered_program(point.program, point.chip), dtype=point.dtype)
+        lower_program(point.program, point.chip), dtype=point.dtype)
 
 
 def _validate(point: GridPoint) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +75,32 @@ _KIND_NAMES = {
     K_SYNC_WAIT: "sync.wait", K_SYNC_SET: "sync.set", K_DMA: "dma",
     K_SCALAR: "scalar", K_MXM_FIXED: "mxm.fixed", K_HALT: "halt",
 }
+
+class DmaPools(NamedTuple):
+    """The DMA engine pools replay derives from a chip's memory system."""
+
+    level_names: tuple          # every memory level (traffic ledger keys)
+    pool_levels: tuple          # levels with DMA engine pools, pool order
+    bandwidths: tuple           # bytes/s per pool level
+    latencies: tuple            # load-use latency cycles per pool level
+
+
+def dma_pools(chip: ChipConfig) -> DmaPools:
+    """``chip``'s DMA pool layout: every memory level except vmem gets a
+    pool, in level order.
+
+    :func:`lower_program`, the grid kernel and hand-built lowered
+    programs (:mod:`repro.serving.recovery`) all read it from here, so
+    their rows replay against the same pools.
+    """
+    memory = MemorySystem(chip)
+    level_names = tuple(level.name for level in memory.levels())
+    pool_levels = tuple(n for n in level_names if n != "vmem")
+    return DmaPools(
+        level_names, pool_levels,
+        tuple(memory.level(n).bandwidth for n in pool_levels),
+        tuple(memory.level(n).latency_cycles for n in pool_levels))
+
 
 @dataclass(frozen=True)
 class LoweredProgram:
@@ -143,12 +169,8 @@ def lower_program(program: Program, chip: ChipConfig,
             "Recompile (Lesson 2) rather than carrying binaries.")
     mxu = mxu if mxu is not None else MxuModel(chip)
     vpu = vpu if vpu is not None else VpuModel(chip)
-    memory = MemorySystem(chip)
-    level_names = tuple(level.name for level in memory.levels())
-    pool_levels = tuple(n for n in level_names if n != "vmem")
-    pool_index = {name: i for i, name in enumerate(pool_levels)}
-    pool_bandwidths = tuple(memory.level(n).bandwidth for n in pool_levels)
-    pool_latencies = tuple(memory.level(n).latency_cycles for n in pool_levels)
+    pools = dma_pools(chip)
+    pool_index = {name: i for i, name in enumerate(pools.pool_levels)}
 
     rows: list[tuple] = []
     append = rows.append
@@ -219,10 +241,10 @@ def lower_program(program: Program, chip: ChipConfig,
         generation=program.generation,
         rows=tuple(rows),
         n_flags=n_flags,
-        level_names=level_names,
-        pool_levels=pool_levels,
-        pool_bandwidths=pool_bandwidths,
-        pool_latencies=pool_latencies,
+        level_names=pools.level_names,
+        pool_levels=pools.pool_levels,
+        pool_bandwidths=pools.bandwidths,
+        pool_latencies=pools.latencies,
         clock_hz=chip.clock_hz,
     )
 

@@ -85,18 +85,15 @@ def compiled_programs():
 
 @contextmanager
 def cold_engine() -> Iterator[None]:
-    """Evaluate from scratch: no built modules, no lowerings, no results.
+    """Evaluate from scratch: no built modules, no results.
 
-    Empties the module and lowered-program caches and swaps in a
-    disabled global :class:`~repro.engine.cache.EvalCache` for the
-    block, so every evaluation inside builds, compiles, lowers and
-    simulates anew.
+    Empties the module cache and swaps in a disabled global
+    :class:`~repro.engine.cache.EvalCache` for the block, so every
+    evaluation inside builds, compiles, lowers and simulates anew.
     """
-    from repro.engine import EvalCache, clear_lowered, clear_modules, \
-        set_cache
+    from repro.engine import EvalCache, clear_modules, set_cache
 
     clear_modules()
-    clear_lowered()
     previous = set_cache(EvalCache(enabled=False))
     try:
         yield

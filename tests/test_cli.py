@@ -48,6 +48,60 @@ class TestCli:
             main([])
 
 
+class TestNameResolution:
+    """Every command resolves app and chip names through one path."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--app", "resnet50", "--chip", "tpuv4i", "--batch", "1"],
+        ["compare", "--app", "bert", "--batch", "1"],
+        ["profile", "--app", "CNN0", "--chip", "tpuv4i", "--batch", "1",
+         "--top", "1"],
+        ["dump", "--app", "resnet", "--format", "asm", "--chip", "tpuv4i",
+         "--batch", "1"],
+        ["migrate", "--app", "lstm", "--source", "tpuv3",
+         "--target", "tpuv4i"],
+    ], ids=["evaluate", "compare", "profile", "dump", "migrate"])
+    def test_aliases_and_any_case(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+    def test_alias_names_the_canonical_app(self, capsys):
+        assert main(["evaluate", "--app", "resnet50", "--chip", "TPUV4I",
+                     "--batch", "1"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "cnn0 on TPUv4i (batch 1):")
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--app", "cnn0", "--chip", "TPUv9"],
+        ["profile", "--app", "cnn0", "--chip", "TPUv9"],
+        ["dump", "--app", "cnn0", "--format", "asm", "--chip", "TPUv9"],
+        ["migrate", "--app", "cnn0", "--source", "TPUv9",
+         "--target", "TPUv4i"],
+        ["migrate", "--app", "cnn0", "--source", "TPUv3",
+         "--target", "TPUv9"],
+    ], ids=["evaluate", "profile", "dump", "migrate-source",
+            "migrate-target"])
+    def test_unknown_chip_exits_2_with_canonical_message(self, argv,
+                                                         capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown chip 'TPUv9'; known: TPUv1, TPUv2, TPUv3, TPUv4i" \
+            in err
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["compare"], ["profile"], ["dump"],
+        ["migrate", "--source", "TPUv3", "--target", "TPUv4i"],
+    ], ids=["evaluate", "compare", "profile", "dump", "migrate"])
+    def test_unknown_app_exits_2_with_canonical_message(self, command,
+                                                        capsys):
+        assert main([command[0], "--app", "gpt5", *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown app 'gpt5'; known: bert0," in err
+        assert "aliases: bert, lstm, resnet, resnet50" in err
+
+
 class TestDump:
     def test_dump_hlo(self, capsys):
         assert main(["dump", "--app", "cnn0", "--batch", "1"]) == 0

@@ -208,13 +208,13 @@ class TestDtypeIdentity:
         """The keys a warmed int8 disk tier holds stay reachable."""
         point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
         spec = app_by_name("cnn0")
-        assert point.result_key(spec, 4, dtype="int8") == eval_key(
+        assert point.key("sim", spec, 4, dtype="int8") == eval_key(
             "sim", point.chip_fp, point.compiler_fp, "cnn0", 4, None, "int8")
         llm0 = generative_by_name("llm0")
         for phase, bucket in (("prefill", llm0.prompt_buckets[0]),
                               ("decode", llm0.kv_buckets[0])):
             pspec = getattr(llm0, phase)(bucket)
-            assert point.result_key(pspec, 2, dtype="int8") == eval_key(
+            assert point.key("sim", pspec, 2, dtype="int8") == eval_key(
                 "sim", point.chip_fp, point.compiler_fp, pspec.name, 2,
                 None, "int8", phase=phase, kv_bucket=bucket)
         assert SCHEMA_VERSION == 2
@@ -231,8 +231,8 @@ class TestDtypeIdentity:
                 != point.compiled(spec, 8).program.signature())
         # A second point over the same cache reads each dtype's record.
         fresh = DesignPoint(TPUV4I, cache=point.engine_cache())
-        assert fresh.cached_result(spec, 8, dtype="int8") == int8
-        assert fresh.cached_result(spec, 8) == bf16
+        assert fresh.lookup("sim", spec, 8, dtype="int8") == int8
+        assert fresh.lookup("sim", spec, 8) == bf16
 
     def test_grid_matches_per_point_at_every_dtype(self):
         spec = app_by_name("cnn0")
@@ -254,8 +254,8 @@ class TestDtypeIdentity:
             spec = app_by_name("cnn0")
             table = latency_table(point, spec, [1, 2], dtype="int8")
             assert private.entry_count() == 2
-            assert private.get(point.result_key(
-                spec, 2, dtype="int8")).seconds == table[2]
+            assert private.get(point.key(
+                "sim", spec, 2, dtype="int8")).seconds == table[2]
             v1 = DesignPoint(TPUV1, cache=private)
             phases = phase_latency_table(v1, generative_by_name("llm0"), 2)
             assert private.entry_count() == 2 + len(phases)
@@ -273,6 +273,65 @@ class TestDtypeIdentity:
         compile_model(int8, TPUV1)
         with pytest.raises(UnsupportedDtypeError):
             compile_model(bf16, TPUV1)
+
+
+class TestRecordKinds:
+    """One key, lookup and store path for both record kinds."""
+
+    def test_lookup_and_store_round_trip_each_kind(self):
+        spec = app_by_name("mlp0")
+        point = DesignPoint(TPUV4I, cache=EvalCache())
+        assert point.lookup("sim", spec, 2) is None
+        assert point.lookup("eval", spec, 2) is None
+        result = point.run(spec, 2)
+        assert point.lookup("sim", spec, 2) is result
+        assert point.lookup("eval", spec, 2) is None
+        evaluation = point.evaluate(spec, 2)
+        assert point.lookup("eval", spec, 2) is evaluation
+        assert point.key("sim", spec, 2) != point.key("eval", spec, 2)
+        # A second point over the same cache reads both kinds' records.
+        fresh = DesignPoint(TPUV4I, cache=point.engine_cache())
+        assert fresh.lookup("sim", spec, 2) == result
+        assert fresh.lookup("eval", spec, 2) == evaluation
+        assert fresh.lookup("sim", spec, 4) is None
+
+    def test_store_publishes_under_the_key(self):
+        spec = app_by_name("mlp0")
+        cache = EvalCache()
+        point = DesignPoint(TPUV4I, cache=cache)
+        result = DesignPoint(TPUV4I, cache=EvalCache(enabled=False)).run(
+            spec, 2)
+        point.store("sim", spec, 2, None, result)
+        assert cache.get(point.key("sim", spec, 2)) is result
+        assert point.run(spec, 2) is result
+
+    @pytest.mark.parametrize("call", [
+        lambda p, s: p.key("result", s, 2),
+        lambda p, s: p.lookup("result", s, 2),
+        lambda p, s: p.store("result", s, 2, None, object()),
+    ], ids=["key", "lookup", "store"])
+    def test_unknown_kind_is_a_named_error(self, call):
+        point = DesignPoint(TPUV4I, cache=EvalCache())
+        with pytest.raises(ValueError, match="unknown record kind 'result'"):
+            call(point, app_by_name("mlp0"))
+        assert point.engine_cache().entry_count() == 0
+
+    def test_grid_fills_only_the_misses(self):
+        spec = app_by_name("mlp0")
+        point = DesignPoint(TPUV4I, cache=EvalCache())
+        warm_run = point.run(spec, 2)
+        warm_eval = point.evaluate(spec, 4)
+        jobs = [GridJob(point, spec, batch) for batch in (1, 2, 4)]
+        results = run_grid(jobs)
+        assert results[1] is warm_run
+        assert results[0] is point.lookup("sim", spec, 1)
+        evaluations = evaluate_jobs(jobs)
+        assert evaluations[2] is warm_eval
+        reference = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        assert [_fields(e) for e in evaluations] == [
+            _fields(reference.evaluate(spec, b)) for b in (1, 2, 4)]
+        assert [point.lookup("eval", spec, b) for b in (1, 2, 4)] == \
+            evaluations
 
 
 class TestSharedRegistry:

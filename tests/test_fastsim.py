@@ -5,8 +5,7 @@ can run, lowering + replay produces *exactly* the interpreter's cycles,
 every PerfCounters field, and every per-level byte count — not
 approximately, bit for bit. These tests pin that contract across all
 four chip generations, real compiled workloads, both dtypes, and
-hand-built corner-case programs, plus the lowering cache around the fast
-path. The interpreter (``run_interpreted``) is test-only: no production
+hand-built corner-case programs. The interpreter (``run_interpreted``) is test-only: no production
 path calls it.
 """
 
@@ -17,12 +16,6 @@ import dataclasses
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
-from repro.engine.lowered import (
-    clear_lowered,
-    lowered_cache_size,
-    lowered_cache_stats,
-    lowered_program,
-)
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.sim import TensorCoreSim
 from repro.sim.lowered import (
@@ -202,58 +195,6 @@ class TestLoweredForm:
         assert ENGINES_PER_LEVEL == _ENGINES_PER_LEVEL
 
 
-class TestLoweredCache:
-    def test_hits_misses_and_append_invalidation(self):
-        program = Program("cached", generation=4)
-        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)))
-        clear_lowered()
-        try:
-            first = lowered_program(program, TPUV4I)
-            second = lowered_program(program, TPUV4I)
-            assert first is second
-            assert lowered_cache_size() == 1
-            stats = lowered_cache_stats()
-            assert (stats.hits, stats.misses) == (1, 1)
-
-            # Mutating the program changes its signature: no stale reuse.
-            program.append(Bundle((Instruction(Opcode.MXM, (64, 64, 64)),)))
-            third = lowered_program(program, TPUV4I)
-            assert third is not second
-            assert len(third) == len(second) + 2  # bundle marker + mxm
-            assert lowered_cache_size() == 2
-        finally:
-            clear_lowered()
-
-    def test_distinct_chips_distinct_entries(self):
-        program = Program("multi", generation=4)
-        clear_lowered()
-        try:
-            lowered_program(program, TPUV4I)
-            assert lowered_cache_size() == 1
-            # A structurally identical but distinct Program object hits.
-            clone = Program("multi", generation=4)
-            lowered_program(clone, TPUV4I)
-            stats = lowered_cache_stats()
-            assert stats.hits == 1
-            assert stats.hit_rate == 0.5
-        finally:
-            clear_lowered()
-
-    def test_cleared_cache_lowers_fresh(self):
-        program = Program("fresh", generation=4)
-        clear_lowered()
-        try:
-            a = lowered_program(program, TPUV4I)
-            clear_lowered()
-            b = lowered_program(program, TPUV4I)
-            clear_lowered()
-            assert a is not b
-            assert a == b
-            assert lowered_cache_size() == 0
-        finally:
-            clear_lowered()
-
-
 class TestGating:
     """``TensorCoreSim.run`` has one path: lower, then replay."""
 
@@ -263,15 +204,25 @@ class TestGating:
         return program
 
     def test_default_run_uses_fast_path(self):
-        clear_lowered()
-        try:
-            program = self._mxm_program()
-            sim = TensorCoreSim(TPUV4I)
-            result = sim.run(program)
-            assert lowered_cache_size() == 1  # routed through lowering
-            _assert_identical(sim.run_interpreted(program), result)
-        finally:
-            clear_lowered()
+        program = self._mxm_program()
+        sim = TensorCoreSim(TPUV4I)
+        result = sim.run(program)
+        _assert_identical(sim.run_interpreted(program), result)
+        assert result == FastReplay(TPUV4I).run(
+            lower_program(program, TPUV4I))
+
+    def test_append_between_runs_changes_result(self):
+        """A program grown between two runs is lowered afresh, never
+        replayed from a stale lowering of its shorter self."""
+        program = self._mxm_program()
+        sim = TensorCoreSim(TPUV4I)
+        first = sim.run(program)
+        program.append(Bundle((Instruction(Opcode.MXM, (64, 64, 64)),)))
+        second = sim.run(program)
+        assert second.counters.macs == first.counters.macs + 64 ** 3
+        assert second.counters.bundles == first.counters.bundles + 1
+        assert second.cycles > first.cycles
+        _assert_identical(sim.run_interpreted(program), second)
 
     def test_fast_result_carries_no_trace(self):
         result = TensorCoreSim(TPUV4I).run(self._mxm_program())

@@ -189,14 +189,14 @@ class TestPhasePricing:
         and a PhaseSpec key differs from a plain spec of the same name."""
         from repro.workloads.models import WorkloadSpec
         point = shared_design_point(TPUV4I)
-        prefill_key = point.result_key(LLM0.prefill(64), 4)
-        decode_key = point.result_key(LLM0.decode(128), 4)
+        prefill_key = point.key("sim", LLM0.prefill(64), 4)
+        decode_key = point.key("sim", LLM0.decode(128), 4)
         assert prefill_key != decode_key
         plain = WorkloadSpec(
             name=LLM0.decode(128).name, category="Generative",
             build=LLM0.decode(128).build, slo_ms=1.0, default_batch=1,
             nonlinearity="gelu", description="")
-        assert point.result_key(plain, 4) != decode_key
+        assert point.key("sim", plain, 4) != decode_key
 
     def test_legacy_keys_unchanged(self):
         """A spec without phase fields produces the pre-generative key
@@ -205,7 +205,7 @@ class TestPhasePricing:
         from repro.workloads.models import app_by_name
         point = shared_design_point(TPUV4I)
         spec = app_by_name("cnn0")
-        assert point.result_key(spec, 4) == eval_key(
+        assert point.key("sim", spec, 4) == eval_key(
             "sim", point.chip_fp, point.compiler_fp, "cnn0", 4, None, "bf16")
 
 

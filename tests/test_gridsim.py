@@ -32,7 +32,6 @@ from repro.engine.grid import (
     run_grid,
 )
 from repro.engine.keys import _COMPILE_IRRELEVANT, compile_chip_fingerprint
-from repro.engine.lowered import clear_lowered
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
 from repro.sim import gridkernel
@@ -360,12 +359,10 @@ class TestSweepEquivalence:
         previous = set_cache(EvalCache())
         try:
             clear_shared_design_points()
-            clear_lowered()
             with reference_paths():
                 serial = evaluate_candidates(chips)
             set_cache(EvalCache())
             clear_shared_design_points()
-            clear_lowered()
             clear_grid_kernel()
             routed = evaluate_candidates(chips)
             assert routed == serial

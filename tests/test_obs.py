@@ -21,7 +21,6 @@ from repro.arch import TPUV4I
 from repro.compiler import compile_model
 from repro.core import DesignPoint
 from repro.engine.cache import EvalCache
-from repro.engine.lowered import lowered_program
 from repro.engine.modules import built_module
 from repro.faults import latency_table
 from repro.obs import (
@@ -250,7 +249,7 @@ class TestTracedReplay:
         compiled = compile_model(built_module(spec, 4), TPUV4I)
         tracer = SpanTracer()
         result = FastReplay(TPUV4I).run(
-            lowered_program(compiled.program, TPUV4I), tracer=tracer)
+            lower_program(compiled.program, TPUV4I), tracer=tracer)
         horizon_us = result.seconds * 1e6
         for span in tracer.spans:
             assert span.ts_us >= 0.0

@@ -70,6 +70,13 @@ def make_slice_sim(topology=None, members=None, max_batch: int = 8,
         members=members, parallelism=parallelism, pod_faults=pod_faults)
 
 
+class TestSliceSeedLatencies:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_inherits_the_non_finite_check(self, bad):
+        with pytest.raises(ValueError, match="batch 4 .*finite"):
+            make_slice_sim().seed_latencies({4: bad})
+
+
 class TestTopology:
     def test_coords_roundtrip(self):
         topo = PodTopology((2, 3), IciLink(1 * GB))

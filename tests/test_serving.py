@@ -212,6 +212,21 @@ class TestServingSimulator:
         assert stats.throughput_qps == 0.0
         assert math.isfinite(stats.throughput_qps)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_seed_latencies_rejects_non_finite(self, v4i_point_module, bad):
+        """Regression: NaN and inf passed ``latency < 0``; a NaN batch-1
+        latency gave a finite p99, an inf one p50 = inf."""
+        spec = app_by_name("cnn0")
+        server = ServingSimulator(
+            v4i_point_module, spec,
+            BatchPolicy(max_batch=2, max_wait_s=0.001),
+            Slo(spec.slo_ms / 1e3))
+        with pytest.raises(ValueError, match=r"batch 1 .*finite.*"
+                                             + repr(bad)):
+            server.seed_latencies({2: 0.001, 1: bad})
+        with pytest.raises(ValueError, match="non-negative"):
+            server.seed_latencies({1: -0.001})
+
 
 class TestServingStatsConservation:
     def _stats(self, **overrides):
