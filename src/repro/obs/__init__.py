@@ -8,8 +8,9 @@ Three pieces, split by what clock they run on:
   by default; zero cost (one boolean check) until enabled.
 * :mod:`repro.obs.tracer` — span tracing on *simulated* time (never
   wall-clock), with a byte-stable Chrome trace-event JSON exporter;
-  per-instruction spans come from ``FastReplay.run``'s tracing mode,
-  so traced and untraced replays share one loop.
+  per-instruction spans come from the timing engine's tracing mode
+  (``FastReplay.run`` with a tracer), so traced and untraced runs share
+  one engine.
 * :mod:`repro.obs.report` — cycle attribution for one run and
   compile/sim/cache wall-time attribution for a sweep (the
   ``repro metrics`` output).

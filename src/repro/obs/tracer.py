@@ -13,19 +13,21 @@ Concretely, the three track groups use these clocks:
 
 * ``pipeline`` — compile -> lower -> replay -> serve phase spans laid
   end to end on a work-unit axis (1 tick = 1 instruction for compile,
-  1 row for lower, 1 cycle for replay, 1 simulated us for serve);
-* ``core`` — per-instruction spans replayed from the **lowered IR**
-  (:mod:`repro.sim.lowered` rows), on the chip's simulated clock
+  1 bundle or instruction for lower, 1 cycle for replay, 1 simulated us
+  for serve);
+* ``core`` — one span per executed MXU/VPU/DMA instruction and stalling
+  ``sync.wait``, in program order, on the chip's simulated clock
   converted to microseconds; one track per unit (mxu, vpu, dma.<level>,
   sync);
 * ``serving`` — one span per launched batch on ``core<i>`` tracks, on
   the serving simulator's simulated-seconds clock.
 
-The ``core`` spans come from :meth:`~repro.sim.lowered.FastReplay.run`
-itself, run with a tracer: one replay loop serves traced and untraced
-runs, and its :class:`~repro.sim.core.SimResult` is the same either way
-(asserted in ``tests/test_obs.py``), so tracing is purely additive — it
-can never change what it measures.
+The ``core`` spans come from the timing engine itself
+(:mod:`repro.sim.gridkernel`, via :meth:`~repro.sim.lowered.FastReplay.
+run` with a tracer): one engine serves traced and untraced runs, and its
+:class:`~repro.sim.core.SimResult` is the same either way (asserted in
+``tests/test_obs.py``), so tracing is purely additive — it can never
+change what it measures.
 """
 
 from __future__ import annotations
@@ -225,8 +227,8 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
                   (("instructions", n_instructions), ("batch", b)))
     t += n_instructions
     tracer.record("lower", "pipeline", "pipeline", "phases", t,
-                  float(len(lowered.rows)), (("rows", len(lowered.rows)),))
-    t += len(lowered.rows)
+                  float(len(lowered)), (("rows", len(lowered)),))
+    t += len(lowered)
 
     replayer = FastReplay(chip)
     result = replayer.run(lowered, dtype=dtype, tracer=tracer)
@@ -272,7 +274,7 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
         ("dtype", dtype),
         ("cycles", result.cycles),
         ("instructions", n_instructions),
-        ("rows", len(lowered.rows)),
+        ("rows", len(lowered)),
         ("spans", len(tracer.spans)),
         ("truncated", tracer.truncated),
         ("served_requests",

@@ -84,9 +84,10 @@ class PodFaultModel:
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.link_slowdown_factor < 1.0:
+        if not (math.isfinite(self.link_slowdown_factor)
+                and self.link_slowdown_factor >= 1.0):
             raise ValueError(
-                f"link_slowdown_factor must be >= 1, "
+                f"link_slowdown_factor must be finite and >= 1, "
                 f"got {self.link_slowdown_factor}")
 
     @property

@@ -1,20 +1,19 @@
-"""Shard a compiled program across a slice, priced in the lowered IR.
+"""Shard a compiled program across a slice, priced by the timing engine.
 
 A :class:`ShardedProgram` partitions one workload over the members of a
 :class:`~repro.pod.topology.PodTopology` slice and prices the resulting
-inter-chip traffic as **rows in the lowered timing IR** — ICI transfers
-become DMA rows on a synthetic ``"ici"`` pool appended to the lowered
-program, so :class:`~repro.sim.lowered.FastReplay` (and anything built
-on it) replays compute and interconnect together, deterministically,
-with the ICI bytes landing in the same per-level traffic ledger as HBM
-and CMEM.
+inter-chip traffic **inside the timing engine** — ICI transfers become a
+DMA chain on a synthetic ``"ici"`` pool appended to the lowered program,
+so :class:`~repro.sim.lowered.FastReplay` (and anything built on it)
+prices compute and interconnect together, deterministically, with the
+ICI bytes landing in the same per-level traffic ledger as HBM and CMEM.
 
 Two parallelism modes:
 
 * ``"pipeline"`` — :func:`~repro.core.multichip.partition_module`
   splits the HLO module into FLOPs-balanced stages, one per member;
   each stage's inbound boundary activations become a store-and-forward
-  hop chain (one DMA row per link hop) prepended to the stage program.
+  hop chain (one DMA per link hop) prepended to the stage program.
   When the module has fewer layers than the slice has members, the
   partitioner falls back to the largest stage count that works — the
   remaining members simply hold no stage.
@@ -38,7 +37,7 @@ slice's latency is a pure deterministic function of its link state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.arch.chip import ChipConfig
@@ -48,8 +47,7 @@ from repro.core.design_point import DesignPoint
 from repro.core.multichip import partition_module
 from repro.engine.modules import built_module
 from repro.pod.topology import PodTopology
-from repro.sim.lowered import (K_BUNDLE, K_DMA, K_HALT, K_SYNC_WAIT,
-                               FastReplay, LoweredProgram, lower_program)
+from repro.sim.lowered import FastReplay, LoweredProgram, lower_program
 from repro.workloads.models import WorkloadSpec
 
 #: Name of the synthetic DMA pool ICI transfers are priced on.
@@ -62,74 +60,45 @@ def attach_ici_rows(lowered: LoweredProgram, link: IciLink,
                     hop_transfers: Sequence[tuple],
                     where: str = "pre",
                     level: str = ICI_LEVEL) -> LoweredProgram:
-    """Append a link DMA pool and price hop transfers as rows.
+    """Price hop transfers as a serialized DMA chain on a link pool.
 
     ``hop_transfers`` is a sequence of ``(num_bytes, factor)`` pairs —
     one store-and-forward link hop each, ``factor`` the link's slowdown
-    multiplier (1.0 when healthy). Each hop becomes a ``K_DMA`` row
-    (bytes scaled by the factor) chained to the issue stream with a
-    ``K_SYNC_WAIT`` on a fresh flag, so hops serialize exactly like the
-    analytic store-and-forward model. ``where="pre"`` inserts the chain
-    before the program (inbound activations gate the first bundle);
-    ``"post"`` inserts it after the last compute row but before any
-    trailing HALT (a closing collective).
+    multiplier (1.0 when healthy). Each hop becomes one DMA (bytes
+    scaled by the factor) that the next hop waits for, so hops serialize
+    exactly like the analytic store-and-forward model. ``where="pre"``
+    puts the chain before the program (inbound activations gate the
+    first bundle); ``"post"`` after its last instruction (a closing
+    collective).
 
-    ``level`` names the synthetic pool the bytes are ledgered under:
+    ``level`` names the pool the bytes are ledgered under:
     :data:`ICI_LEVEL` for inter-chip hops (the default), or another
     level such as the KV-recovery subsystem's ``"host"`` pool
     (:data:`repro.serving.recovery.HOST_LEVEL`) for chip↔host offload
-    traffic priced over a PCIe-class link.
+    traffic priced over a PCIe-class link. A level the program has no
+    pool for is added with the link's bandwidth and latency.
 
     The returned program is a new :class:`LoweredProgram`; the input is
-    never mutated. The hop bytes flow into the replay's per-level
-    traffic ledger under ``level``.
+    never mutated.
     """
     if where not in ("pre", "post"):
         raise ValueError(f"where must be 'pre' or 'post', got {where!r}")
     if not hop_transfers:
         return lowered
+    if not math.isfinite(link.latency_s):
+        raise ValueError(
+            f"link latency_s must be finite, got {link.latency_s}")
     for num_bytes, factor in hop_transfers:
-        if num_bytes < 0:
-            raise ValueError(f"hop bytes must be non-negative, "
+        if not (math.isfinite(num_bytes) and num_bytes >= 0):
+            raise ValueError(f"hop bytes must be finite and non-negative, "
                              f"got {num_bytes}")
-        if math.isnan(factor) or factor < 1.0:
-            raise ValueError(f"hop factor must be >= 1, got {factor}")
-
-    if level in lowered.pool_levels:
-        pool = lowered.pool_levels.index(level)
-        pool_levels = lowered.pool_levels
-        pool_bandwidths = lowered.pool_bandwidths
-        pool_latencies = lowered.pool_latencies
-        level_names = lowered.level_names
-    else:
-        pool = len(lowered.pool_levels)
-        pool_levels = lowered.pool_levels + (level,)
-        pool_bandwidths = lowered.pool_bandwidths + (link.bandwidth,)
-        pool_latencies = lowered.pool_latencies + (
-            int(math.ceil(link.latency_s * lowered.clock_hz)),)
-        level_names = lowered.level_names + (level,)
-
-    flag = lowered.n_flags
-    chain: list = [(K_BUNDLE, 0, 0, 0, 0.0)]
-    for num_bytes, factor in hop_transfers:
-        scaled = int(math.ceil(num_bytes * factor))
-        chain.append((K_DMA, pool, scaled, flag, 0.0))
-        chain.append((K_SYNC_WAIT, flag, 0, 0, 0.0))
-        flag += 1
-    chain_rows = tuple(chain)
-
-    if where == "pre":
-        rows = chain_rows + lowered.rows
-    elif lowered.rows and lowered.rows[-1][0] == K_HALT:
-        rows = lowered.rows[:-1] + chain_rows + lowered.rows[-1:]
-    else:
-        rows = lowered.rows + chain_rows
-
-    return replace(lowered, rows=rows, n_flags=flag,
-                   pool_levels=pool_levels,
-                   pool_bandwidths=pool_bandwidths,
-                   pool_latencies=pool_latencies,
-                   level_names=level_names)
+        if not (math.isfinite(factor) and factor >= 1.0):
+            raise ValueError(f"hop factor must be finite and >= 1, "
+                             f"got {factor}")
+    return lowered.with_dma_chain(
+        level, [int(math.ceil(num_bytes * factor))
+                for num_bytes, factor in hop_transfers],
+        where=where, bandwidth=link.bandwidth, latency_s=link.latency_s)
 
 
 def _feasible_stages(module, limit: int) -> tuple:
@@ -149,7 +118,7 @@ class ShardedProgram:
     """One workload batch partitioned across a slice (immutable).
 
     Built by :meth:`build`; holds the per-stage lowered programs
-    *without* ICI rows plus the transfer metadata needed to realize them
+    *without* ICI transfers plus the transfer metadata needed to realize them
     under any link state. ``stage_nodes[i]`` is the topology node
     hosting stage ``i``; ``inbound_bytes[i]`` the boundary activation
     traffic entering it (pipeline mode; always 0 for stage 0).
@@ -233,7 +202,7 @@ class ShardedProgram:
     def realized_stages(self, dead: frozenset = frozenset(),
                         slow: Optional[Mapping[int, float]] = None,
                         ) -> Optional[tuple]:
-        """The stage programs with ICI rows for the given link state.
+        """The stage programs with ICI transfers for the given link state.
 
         Routes re-resolve under ``dead`` (the OCS variant ignores dead
         links — its switch patched them); per-hop bytes scale by the

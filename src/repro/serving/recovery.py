@@ -15,13 +15,13 @@ batching simulator (:mod:`repro.serving.continuous`) executes:
 
 * **Every-k-token snapshots** — after each ``checkpoint_every`` decode
   tokens a sequence's KV cache is copied HBM → host. The copy is *real
-  phase-program work*: :func:`snapshot_lowered` hand-builds a
-  :class:`~repro.sim.lowered.LoweredProgram` with one HBM ``K_DMA``
-  read row per cached K/V tensor per layer (serialized by sync waits,
-  exactly how the decode graph's cache parameters stream) and a host
-  write chain attached via the PR 8 ``attach_ici_rows`` machinery on a
-  synthetic :data:`HOST_LEVEL` pool. :class:`~repro.sim.lowered.
-  FastReplay` prices it, so snapshot bytes land in the same
+  phase-program work*: :func:`snapshot_lowered` builds a
+  :class:`~repro.sim.lowered.LoweredProgram` from two serialized DMA
+  chains — one HBM read per cached K/V tensor per layer (exactly how
+  the decode graph's cache parameters stream), then a host write
+  attached via ``attach_ici_rows`` on a synthetic :data:`HOST_LEVEL`
+  pool. :class:`~repro.sim.lowered.FastReplay` prices it through the
+  timing engine, so snapshot bytes land in the same
   ``bytes_by_level`` traffic ledger as HBM and ICI traffic and the
   checkpoint interval becomes a measurable latency-vs-recovery knob,
   not a magic constant.
@@ -48,9 +48,9 @@ from typing import Dict, Optional, Tuple
 from repro.arch.chip import ChipConfig
 from repro.arch.ici import IciLink
 from repro.core.design_point import DesignPoint
+from repro.isa.program import Program
 from repro.serving.batching import BatchPolicy
-from repro.sim.lowered import (K_BUNDLE, K_DMA, K_SYNC_WAIT, FastReplay,
-                               LoweredProgram, dma_pools)
+from repro.sim.lowered import FastReplay, LoweredProgram, lower_program
 from repro.workloads.generative import GenerativeSpec
 
 __all__ = [
@@ -118,11 +118,11 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
                      dtype_bytes: int = 2) -> LoweredProgram:
     """The lowered program of one KV snapshot step (HBM read + host write).
 
-    One ``K_DMA`` row on the HBM pool per cached K/V tensor per layer —
-    the same ``(batch, kv, hidden)`` parameter tensors the decode graph
-    streams every step — each serialized by a sync wait (the host
-    transfer consumes them in order), then the total payload crossing
-    the host link as a single post-attached hop on the
+    Two serialized DMA chains on an empty program: first one HBM read
+    per cached K/V tensor per layer — the same ``(batch, kv, hidden)``
+    parameter tensors the decode graph streams every step — each waited
+    for in order (the host transfer consumes them in order), then the
+    total payload crossing the host link as a single hop on the
     :data:`HOST_LEVEL` pool. Restore is the same program read backward
     (host → HBM): the byte counts are symmetric, so one pricing serves
     both directions.
@@ -135,28 +135,12 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
         raise ValueError(f"dtype_bytes must be >= 1, got {dtype_bytes}")
     from repro.pod.sharding import attach_ici_rows  # local: pod imports sim
 
-    # The chip's real DMA pools (the ones lower_program uses), so these
-    # rows replay like compiler-produced ones.
-    pools = dma_pools(chip)
-    hbm = pools.pool_levels.index("hbm")
     per_tensor = batch * kv_bucket * spec.hidden * dtype_bytes
-    rows = [(K_BUNDLE, 0, 0, 0, 0.0)]
-    flag = 0
-    for _ in range(2 * spec.layers):  # K and V caches, every layer
-        rows.append((K_DMA, hbm, per_tensor, flag, 0.0))
-        rows.append((K_SYNC_WAIT, flag, 0, 0, 0.0))
-        flag += 1
-    lowered = LoweredProgram(
-        name=f"{spec.name}.kv_snapshot@{kv_bucket}x{batch}",
-        generation=chip.generation,
-        rows=tuple(rows),
-        n_flags=flag,
-        level_names=pools.level_names,
-        pool_levels=pools.pool_levels,
-        pool_bandwidths=pools.bandwidths,
-        pool_latencies=pools.latencies,
-        clock_hz=chip.clock_hz,
-    )
+    empty = Program(f"{spec.name}.kv_snapshot@{kv_bucket}x{batch}",
+                    generation=chip.generation)
+    # The chip's real HBM pool, so the reads price like compiled DMAs.
+    lowered = lower_program(empty, chip).with_dma_chain(
+        "hbm", [per_tensor] * (2 * spec.layers))  # K and V, every layer
     total = 2 * spec.layers * per_tensor
     return attach_ici_rows(lowered, host_link, [(total, 1.0)],
                            where="post", level=HOST_LEVEL)

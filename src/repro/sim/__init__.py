@@ -12,7 +12,6 @@ from repro.sim.lowered import (
     FastReplay,
     LoweredProgram,
     lower_program,
-    replay,
 )
 from repro.sim.core import TensorCoreSim, SimResult
 
@@ -24,5 +23,4 @@ __all__ = [
     "TensorCoreSim",
     "SimResult",
     "lower_program",
-    "replay",
 ]

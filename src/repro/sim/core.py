@@ -14,6 +14,14 @@ Model (cycle-approximate, per DESIGN.md's fidelity statement):
   transfer stamps its sync flag;
 * completion is the max over issue, units, and outstanding DMAs.
 
+:meth:`TensorCoreSim.run` prices a program through the one production
+timing engine, the grid kernel (:mod:`repro.sim.gridkernel`, reached via
+:func:`~repro.sim.lowered.lower_program` and
+:class:`~repro.sim.lowered.FastReplay`).
+:meth:`TensorCoreSim.run_interpreted` walks the instructions one by one
+with the rules above; it is the test-only oracle the kernel matches bit
+for bit.
+
 Multi-core chips (TPUv2/v3) run one request's program on one core; the
 chip-level peak numbers already count all cores, and the serving layer
 treats cores as independent request servers.
@@ -38,13 +46,12 @@ from repro.isa.instructions import (
     VECTOR_OP_CLASS,
 )
 from repro.isa.program import Program
+from repro.sim.gridkernel import ENGINES_PER_LEVEL, check_runnable
 from repro.sim.lowered import FastReplay, lower_program
 from repro.sim.perf import PerfCounters, PerfReport, build_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import SpanTracer
-
-_ENGINES_PER_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,13 @@ class TensorCoreSim:
             tracer: Optional["SpanTracer"] = None) -> SimResult:
         """Simulate one execution of ``program``; returns timing + counters.
 
-        Lowers the program (:mod:`repro.sim.lowered`) and replays it —
-        bit-identical to the interpreter, several times faster. A ``tracer`` receives one span per executed instruction
-        (:meth:`FastReplay.run`'s tracing mode) without changing the
-        result.
+        Lowers the program (:mod:`repro.sim.lowered`) and prices it
+        through the grid kernel — bit-identical to the interpreter,
+        several times faster. A ``tracer`` receives one span per executed
+        instruction (:meth:`FastReplay.run`'s tracing mode) without
+        changing the result.
         """
-        if program.generation != self.chip.generation:
-            raise ValueError(
-                f"program was compiled for generation {program.generation}; "
-                f"{self.chip.name} is generation {self.chip.generation}. "
-                "Recompile (Lesson 2) rather than carrying binaries.")
-        if not self.chip.supports_dtype(dtype):
-            raise ValueError(f"{self.chip.name} does not support {dtype}")
+        check_runnable(self.chip, program.generation, dtype)
         return self.replay.run(lower_program(program, self.chip),
                                dtype=dtype, tracer=tracer)
 
@@ -114,20 +116,14 @@ class TensorCoreSim:
         No production path calls it; ``tests/test_fastsim.py`` holds
         :meth:`run` to its results bit for bit.
         """
-        if program.generation != self.chip.generation:
-            raise ValueError(
-                f"program was compiled for generation {program.generation}; "
-                f"{self.chip.name} is generation {self.chip.generation}. "
-                "Recompile (Lesson 2) rather than carrying binaries.")
-        if not self.chip.supports_dtype(dtype):
-            raise ValueError(f"{self.chip.name} does not support {dtype}")
+        check_runnable(self.chip, program.generation, dtype)
         memory = MemorySystem(self.chip)
         engines: dict[str, list[DmaEngine]] = {}
         for level in memory.levels():
             if level.name == "vmem":
                 continue
             engines[level.name] = [DmaEngine(memory, level.name)
-                                   for _ in range(_ENGINES_PER_LEVEL)]
+                                   for _ in range(ENGINES_PER_LEVEL)]
 
         counters = PerfCounters()
         state = _RunState()

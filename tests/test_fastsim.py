@@ -1,12 +1,12 @@
-"""Equivalence suite: the lowered-IR fast replay vs the interpreter.
+"""Equivalence suite: the timing engine vs the interpreter.
 
-The bit-identity contract (DESIGN.md): for every program the fast path
-can run, lowering + replay produces *exactly* the interpreter's cycles,
-every PerfCounters field, and every per-level byte count — not
-approximately, bit for bit. These tests pin that contract across all
-four chip generations, real compiled workloads, both dtypes, and
-hand-built corner-case programs. The interpreter (``run_interpreted``) is test-only: no production
-path calls it.
+The bit-identity contract (DESIGN.md): for every program the engine can
+run, lowering + pricing through the grid kernel produces *exactly* the
+interpreter's cycles, every PerfCounters field, and every per-level byte
+count — not approximately, bit for bit. These tests pin that contract
+across all four chip generations, real compiled workloads, both dtypes,
+and hand-built corner-case programs. The interpreter
+(``run_interpreted``) is test-only: no production path calls it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import pytest
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.sim import TensorCoreSim
-from repro.sim.lowered import (
-    ENGINES_PER_LEVEL,
-    FastReplay,
-    lower_program,
-    replay,
-)
+from repro.sim.lowered import FastReplay, lower_program
 
 from tests.conftest import (IDENTITY_APPS, IDENTITY_BATCHES, IDENTITY_CHIPS,
                             supported_dtypes)
@@ -74,7 +69,7 @@ class TestBitIdentityOnCornerCases:
     def _both(self, program, chip=TPUV4I, dtype="bf16"):
         sim = TensorCoreSim(chip)
         interp = sim.run_interpreted(program, dtype=dtype)
-        fast = replay(lower_program(program, chip), chip, dtype=dtype)
+        fast = FastReplay(chip).run(lower_program(program, chip), dtype=dtype)
         _assert_identical(interp, fast)
         return interp
 
@@ -136,7 +131,8 @@ class TestBitIdentityOnCornerCases:
     def test_empty_program_costs_one_cycle(self):
         program = Program("empty", generation=4)
         self._both(program)
-        assert replay(lower_program(program, TPUV4I), TPUV4I).cycles == 1
+        assert FastReplay(TPUV4I).run(
+            lower_program(program, TPUV4I)).cycles == 1
 
     def test_int8_on_v1(self):
         program = Program("v1", generation=1)
@@ -174,25 +170,21 @@ class TestErrorParity:
 
 
 class TestLoweredForm:
-    def test_kind_histogram_and_len(self, compiled_programs):
-        chip, program = compiled_programs[("TPUv4i", "mlp0", 1)]
-        lowered = lower_program(program, chip)
-        histogram = lowered.kind_histogram()
-        assert histogram["mxm"] > 0
-        assert histogram["bundle"] > 0
-        assert sum(histogram.values()) == len(lowered)
-
-    def test_arrays_export(self, compiled_programs):
-        chip, program = compiled_programs[("TPUv4i", "mlp0", 1)]
-        lowered = lower_program(program, chip)
-        columns = lowered.arrays()
-        assert set(columns) == {"kind", "a0", "a1", "a2", "f"}
-        assert all(len(col) == len(lowered) for col in columns.values())
+    def test_len_counts_bundles_and_instructions_up_to_halt(self):
+        program = Program("len", generation=4)
+        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
+                               Instruction(Opcode.SADD, (1, 2, 3)))))
+        program.append(Bundle((Instruction(Opcode.VADD, (64,)),
+                               Instruction(Opcode.HALT),
+                               Instruction(Opcode.MXM, (64, 64, 64)))))
+        program.append(Bundle((Instruction(Opcode.MXM, (64, 64, 64)),)))
+        # (bundle, mxm, sadd) + (bundle, vadd, halt); the rest is dead.
+        assert len(lower_program(program, TPUV4I)) == 6
 
     def test_engines_per_level_matches_core(self):
-        from repro.sim.core import _ENGINES_PER_LEVEL
+        from repro.sim import core, gridkernel
 
-        assert ENGINES_PER_LEVEL == _ENGINES_PER_LEVEL
+        assert core.ENGINES_PER_LEVEL == gridkernel.ENGINES_PER_LEVEL == 4
 
 
 class TestGating:

@@ -2,7 +2,7 @@
 
 The bit-identity contract (DESIGN.md): evaluating a grid of (program,
 chip, dtype) points through :func:`repro.sim.gridkernel.evaluate_grid`
-produces *exactly* what the per-point ``FastReplay`` loop produces —
+produces *exactly* what the per-instruction interpreter produces —
 cycles, every PerfCounters field, every per-level byte count, every
 error — bit for bit, for all four chip generations, every supported
 dtype, and hand-built corner-case programs. On top of the kernel, the
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
+from repro.arch.vpu import VpuModel
 from repro.core.design_point import DesignPoint, clear_shared_design_points
 from repro.core.dse import DEFAULT_DSE_APPS, cmem_sweep, enumerate_candidates
 from repro.engine.cache import EvalCache, set_cache
@@ -34,7 +34,8 @@ from repro.engine.grid import (
 from repro.engine.keys import _COMPILE_IRRELEVANT, compile_chip_fingerprint
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
-from repro.sim import gridkernel
+from repro.obs.tracer import SpanTracer
+from repro.sim import TensorCoreSim
 from repro.sim.gridkernel import (
     GridPoint,
     clear_grid_kernel,
@@ -66,8 +67,9 @@ def _assert_identical(reference, batched):
 
 
 def _replay(point: GridPoint):
-    return FastReplay(point.chip).run(
-        lower_program(point.program, point.chip), dtype=point.dtype)
+    """The oracle: the per-instruction interpreter."""
+    return TensorCoreSim(point.chip).run_interpreted(point.program,
+                                                     dtype=point.dtype)
 
 
 class TestBitIdentityOnWorkloads:
@@ -138,7 +140,29 @@ class TestBitIdentityOnCornerCases:
         reference = _replay(point)
         out = evaluate_grid([point])[0]
         _assert_identical(reference, out)
+        tracer = SpanTracer()
+        traced = FastReplay(chip).run(lower_program(program, chip),
+                                      dtype=dtype, tracer=tracer)
+        _assert_identical(reference, traced)
+        self._assert_spans_account_for_busy_time(tracer, chip, traced)
         return out
+
+    @staticmethod
+    def _assert_spans_account_for_busy_time(tracer, chip, result):
+        """Unit spans sum to the busy counters, cycle for cycle."""
+        def cycles(spans):
+            return sum(round(s.dur_us * chip.clock_hz / 1e6) for s in spans)
+
+        core = tracer.by_group("core")
+        counters = result.counters
+        assert cycles(s for s in core if s.track == "mxu") \
+            == counters.mxu_busy_cycles
+        assert cycles(s for s in core if s.track == "vpu") \
+            == counters.vpu_busy_cycles
+        assert cycles(s for s in core if s.track.startswith("dma.")) \
+            == counters.dma_busy_cycles
+        assert cycles(s for s in core if s.track == "sync") \
+            == counters.sync_stall_cycles
 
     def _program(self, *bundles, generation=4):
         program = Program("hand", generation=generation)
@@ -249,23 +273,34 @@ class TestErrorParity:
 
 
 class TestGating:
-    def test_disabled_kernel_falls_back_per_point(self, monkeypatch):
-        """An inexact vector-ALU sum cannot batch; the point replays alone."""
+    def test_inexact_alu_sum_is_summed_in_order(self, monkeypatch):
+        """ALU ops that are not multiples of 0.5 defeat the doubled-integer
+        sum; the kernel adds them in program order and counts the point."""
+        elementwise = VpuModel.elementwise
+
+        def thirds(model, op, elements):
+            timing = elementwise(model, op, elements)
+            return dataclasses.replace(timing,
+                                       alu_ops=timing.alu_ops + 1 / 3)
+
         program = Program("gate", generation=4)
         program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
                                Instruction(Opcode.VADD, (4096,)))))
+        program.append(Bundle((Instruction(Opcode.VMUL, (1000,)),)))
         point = GridPoint(program, TPUV4I)
         clear_grid_kernel()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(gridkernel, "_ALU_EXACT_LIMIT", 1)
-                fallback = evaluate_grid([point])
+                patch.setattr(VpuModel, "elementwise", thirds)
+                reference = _replay(point)
+                out = evaluate_grid([point])[0]
             stats = grid_kernel_stats()
         finally:
             clear_grid_kernel()  # drop the pricing memoized under the patch
+        assert reference.counters.vector_alu_ops % 0.5 != 0
         assert stats.fallback_points == 1
         assert stats.batches == 1
-        _assert_identical(_replay(point), fallback[0])
+        _assert_identical(reference, out)
 
 
 class TestEngineGrid:
@@ -435,39 +470,3 @@ class TestCompileContentFingerprint:
                                  cmem_bytes=TPUV4I.cmem_bytes // 2)
         assert (compile_chip_fingerprint(smaller)
                 != compile_chip_fingerprint(TPUV4I))
-
-
-class TestLoweredArrays:
-    """Direct contract tests for LoweredProgram.arrays()."""
-
-    def _lowered(self):
-        program = Program("cols", generation=4)
-        program.append(Bundle((Instruction(Opcode.DMA_IN, (0, 2**20, 1)),)))
-        program.append(Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),
-                               Instruction(Opcode.MXM, (128, 128, 128)),
-                               Instruction(Opcode.VADD, (4096,)))))
-        program.append(Bundle((Instruction(Opcode.HALT),)))
-        return lower_program(program, TPUV4I)
-
-    def test_column_names_and_dtypes(self):
-        columns = self._lowered().arrays()
-        assert set(columns) == {"kind", "a0", "a1", "a2", "f"}
-        for name in ("kind", "a0", "a1", "a2"):
-            assert columns[name].dtype == np.int64, name
-        assert columns["f"].dtype == np.float64
-
-    def test_rows_roundtrip_in_order(self):
-        lowered = self._lowered()
-        columns = lowered.arrays()
-        assert all(len(col) == len(lowered) for col in columns.values())
-        for i, (kind, a0, a1, a2, f) in enumerate(lowered.rows):
-            assert columns["kind"][i] == kind
-            assert columns["a0"][i] == a0
-            assert columns["a1"][i] == a1
-            assert columns["a2"][i] == a2
-            assert columns["f"][i] == f
-
-    def test_empty_program_exports_empty_columns(self):
-        lowered = lower_program(Program("empty", generation=4), TPUV4I)
-        columns = lowered.arrays()
-        assert all(len(col) == 0 for col in columns.values())

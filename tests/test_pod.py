@@ -45,7 +45,8 @@ from repro.pod.sharding import ICI_LEVEL
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
-from repro.sim.lowered import K_DMA, K_SYNC_WAIT, FastReplay, lower_program
+from repro.sim.gridkernel import DMA_OVERHEAD_CYCLES
+from repro.sim.lowered import FastReplay, lower_program
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
 
@@ -175,6 +176,19 @@ class TestPodFaultModel:
         with pytest.raises(ValueError, match="must not be NaN"):
             PodFaultModel(link_slowdown_s=float("nan"))
 
+    def test_infinite_slowdown_factor_rejected(self):
+        with pytest.raises(ValueError,
+                           match="link_slowdown_factor .* got inf"):
+            PodFaultModel(link_slowdown_factor=math.inf)
+
+    def test_infinite_slow_link_is_a_value_error(self):
+        """A dead-slow link is rejected by name, not an OverflowError."""
+        shard = ShardedProgram.build(shared_design_point(TPUV4I),
+                                     app_by_name("cnn0"), 8,
+                                     slice_topology(TPUV4I, 2))
+        with pytest.raises(ValueError, match="hop factor .* got inf"):
+            shard.latency_s(TPUV4I, slow={0: math.inf})
+
     def test_schedule_deterministic(self):
         model = PodFaultModel(seed=3, link_mtbf_s=0.2,
                               link_slowdown_mtbf_s=0.3)
@@ -206,21 +220,37 @@ class TestAttachIciRows:
         return lower_program(program, TPUV4I)
 
     def test_rows_appended_pre(self):
+        """An inbound hop gates the whole program: it shifts by exactly
+        the hop's duration, stalled at the hop's wait."""
         lowered = self._lowered()
-        out = attach_ici_rows(lowered, IciLink(100 * GB), [(4096, 1.0)])
-        assert out.pool_levels[-1] == ICI_LEVEL
-        assert out.level_names[-1] == ICI_LEVEL
-        # Chain: bundle, DMA, sync-wait, then the original program.
-        kinds = [row[0] for row in out.rows[:3]]
-        assert kinds[1] == K_DMA and kinds[2] == K_SYNC_WAIT
-        assert out.n_flags == lowered.n_flags + 1
+        replayer = FastReplay(TPUV4I)
+        base = replayer.run(lowered)
+        link = IciLink(100 * GB, latency_s=1e-6)
+        out = attach_ici_rows(lowered, link, [(4096, 1.0)])
+        assert out.pools.pool_levels[-1] == ICI_LEVEL
+        assert out.pools.level_names[-1] == ICI_LEVEL
+        result = replayer.run(out)
+        clock = TPUV4I.clock_hz
+        hop = (DMA_OVERHEAD_CYCLES + math.ceil(link.latency_s * clock)
+               + math.ceil(4096 / link.bandwidth * clock))
+        assert result.cycles == base.cycles + hop
+        assert (result.counters.sync_stall_cycles
+                == base.counters.sync_stall_cycles + hop)
+        assert (result.counters.dma_busy_cycles
+                == base.counters.dma_busy_cycles + hop)
+        assert result.counters.bundles == base.counters.bundles + 1
+        assert result.counters.bytes_by_level[ICI_LEVEL] == 4096
+        for level, moved in base.counters.bytes_by_level.items():
+            assert result.counters.bytes_by_level[level] == moved
 
     def test_input_not_mutated(self):
         lowered = self._lowered()
-        rows_before = lowered.rows
+        before = FastReplay(TPUV4I).run(lowered)
         attach_ici_rows(lowered, IciLink(100 * GB), [(4096, 1.0)])
-        assert lowered.rows is rows_before
-        assert ICI_LEVEL not in lowered.pool_levels
+        assert ICI_LEVEL not in lowered.pools.pool_levels
+        after = FastReplay(TPUV4I).run(lowered)
+        assert after == before
+        assert ICI_LEVEL not in after.counters.bytes_by_level
 
     def test_ici_bytes_land_in_the_ledger(self):
         lowered = self._lowered()
@@ -247,6 +277,19 @@ class TestAttachIciRows:
             attach_ici_rows(lowered, IciLink(1 * GB), [(-1, 1.0)])
         with pytest.raises(ValueError):
             attach_ici_rows(lowered, IciLink(1 * GB), [(1, 0.5)])
+
+    @pytest.mark.parametrize("hops, link, match", [
+        ([(1, math.inf)], IciLink(1 * GB), "hop factor .* got inf"),
+        ([(1, math.nan)], IciLink(1 * GB), "hop factor .* got nan"),
+        ([(math.inf, 1.0)], IciLink(1 * GB), "hop bytes .* got inf"),
+        ([(math.nan, 1.0)], IciLink(1 * GB), "hop bytes .* got nan"),
+        ([(1, 1.0)], IciLink(1 * GB, latency_s=math.inf),
+         "latency_s must be finite, got inf"),
+    ], ids=["inf-factor", "nan-factor", "inf-bytes", "nan-bytes",
+            "inf-latency"])
+    def test_non_finite_inputs_rejected(self, hops, link, match):
+        with pytest.raises(ValueError, match=match):
+            attach_ici_rows(self._lowered(), link, hops)
 
 
 class TestShardedProgram:
@@ -288,7 +331,7 @@ class TestShardedProgram:
                                      slice_topology(TPUV4I, 1))
         stages = shard.realized_stages()
         assert len(stages) == 1
-        assert ICI_LEVEL not in stages[0].pool_levels
+        assert ICI_LEVEL not in stages[0].pools.pool_levels
 
     def test_bad_arguments_rejected(self):
         point = shared_design_point(TPUV4I)

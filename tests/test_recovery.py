@@ -31,6 +31,8 @@ from repro.serving import (
     snapshot_replay,
     snapshot_seconds,
 )
+from repro.sim.gridkernel import DMA_OVERHEAD_CYCLES, dma_pools
+from repro.sim.lowered import FastReplay
 from repro.workloads import GenRequest, generative_by_name, \
     sample_gen_requests
 
@@ -103,10 +105,30 @@ class TestSnapshotPricing:
 
     def test_host_pool_appended_once(self):
         lowered = snapshot_lowered(TPUV4I, LLM0, 128, 1)
-        assert lowered.pool_levels.count(HOST_LEVEL) == 1
-        assert HOST_LEVEL in lowered.level_names
+        assert lowered.pools.pool_levels.count(HOST_LEVEL) == 1
+        assert HOST_LEVEL in lowered.pools.level_names
         # The chip's real pools are preserved in lower_program's order.
-        assert lowered.pool_levels[:-1] == ("cmem", "hbm")
+        assert lowered.pools.pool_levels[:-1] == ("cmem", "hbm")
+        ledger = FastReplay(TPUV4I).run(lowered).counters.bytes_by_level
+        assert set(ledger) == {"vmem", "cmem", "hbm", HOST_LEVEL}
+        assert ledger["cmem"] == ledger["vmem"] == 0
+
+    def test_seconds_are_the_serialized_transfers(self):
+        """Every K/V read, then the host write, back to back."""
+        chip, link = TPUV4I, DEFAULT_HOST_LINK
+        per_tensor = 1 * 128 * LLM0.hidden * 2
+        reads = 2 * LLM0.layers
+        pools = dma_pools(chip)
+        hbm = pools.pool_levels.index("hbm")
+        clock = chip.clock_hz
+        read = (DMA_OVERHEAD_CYCLES + pools.latencies[hbm]
+                + math.ceil(per_tensor / pools.bandwidths[hbm] * clock))
+        write = (DMA_OVERHEAD_CYCLES + math.ceil(link.latency_s * clock)
+                 + math.ceil(reads * per_tensor / link.bandwidth * clock))
+        result = FastReplay(chip).run(snapshot_lowered(chip, LLM0, 128, 1))
+        assert result.cycles == reads * read + write
+        assert result.counters.dma_busy_cycles == reads * read + write
+        assert result.seconds == result.cycles / clock
 
     def test_slower_host_link_costs_more(self):
         point = shared_design_point(TPUV4I)
