@@ -8,24 +8,23 @@ memory hierarchy (VMEM/CMEM), HBM, DMA engines, inter-chip links, and the
 power/cooling envelope.
 """
 
-from repro.arch.chip import (
-    ChipConfig,
-    TPUV1,
-    TPUV2,
-    TPUV3,
-    TPUV4I,
-    GENERATIONS,
-    chip_by_name,
-)
-from repro.arch.mxu import MxuModel, MatmulTiming
-from repro.arch.vpu import VpuModel
-from repro.arch.memory import MemoryLevel, MemorySystem
-from repro.arch.dma import DmaEngine, DmaTransfer
-from repro.arch.ici import IciLink, IciNetwork
-from repro.arch.power import PowerModel, PowerBreakdown
-from repro.arch.cooling import CoolingSolution, AIR_COOLING, LIQUID_COOLING, junction_temp_c
-from repro.arch.thermal import ThermalModel, ThermalSample
-from repro.arch.config_io import chip_from_json, chip_to_json, load_chip, save_chip
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.arch.chip": ("ChipConfig", "TPUV1", "TPUV2", "TPUV3", "TPUV4I",
+                        "GENERATIONS", "chip_by_name"),
+    "repro.arch.mxu": ("MxuModel", "MatmulTiming"),
+    "repro.arch.vpu": ("VpuModel",),
+    "repro.arch.memory": ("MemoryLevel", "MemorySystem"),
+    "repro.arch.dma": ("DmaEngine", "DmaTransfer"),
+    "repro.arch.ici": ("IciLink", "IciNetwork"),
+    "repro.arch.power": ("PowerModel", "PowerBreakdown"),
+    "repro.arch.cooling": ("CoolingSolution", "AIR_COOLING", "LIQUID_COOLING",
+                           "junction_temp_c"),
+    "repro.arch.thermal": ("ThermalModel", "ThermalSample"),
+    "repro.arch.config_io": ("chip_from_json", "chip_to_json", "load_chip",
+                             "save_chip"),
+})
 
 __all__ = [
     "ChipConfig",

@@ -15,7 +15,9 @@ Examples::
     python -m repro metrics --app cnn0 --chip TPUv4i
 
 The CLI is a thin veneer over the public API; anything it prints can be
-reproduced programmatically with a few lines of `repro` calls.
+reproduced programmatically with a few lines of `repro` calls. Each
+subcommand imports what it runs, so ``chips`` and ``apps`` load neither
+the compiler, the simulator nor numpy.
 """
 
 from __future__ import annotations
@@ -23,15 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Optional
-
-from repro.arch import GENERATIONS, chip_by_name
-from repro.arch.config_io import load_chip
-from repro.compiler import migrate_model
-from repro.core import DesignPoint
-from repro.tco import chip_tco, perf_per_tco
-from repro.util.tables import Table
-from repro.util.units import GHZ, GIB, GIGA, MIB
-from repro.workloads import PRODUCTION_APPS, app_by_name
 
 
 #: Friendly aliases for app names, which are typed by hand far more
@@ -47,6 +40,8 @@ _APP_ALIASES = {
 
 def _resolve_app(name: str):
     """App lookup, case-insensitive and alias-aware."""
+    from repro.workloads.models import app_by_name
+
     lowered = name.lower()
     try:
         return app_by_name(_APP_ALIASES.get(lowered, lowered))
@@ -57,6 +52,8 @@ def _resolve_app(name: str):
 
 def _resolve_chip(name: str):
     """Chip lookup, case-insensitive."""
+    from repro.arch.chip import GENERATIONS, chip_by_name
+
     for chip in GENERATIONS:
         if chip.name.lower() == name.lower():
             return chip
@@ -64,6 +61,10 @@ def _resolve_chip(name: str):
 
 
 def _cmd_chips(_: argparse.Namespace) -> int:
+    from repro.arch.chip import GENERATIONS
+    from repro.util.tables import Table
+    from repro.util.units import GIB, GIGA, MIB
+
     table = Table(["chip", "year", "process", "peak TOPS", "on-chip MiB",
                    "HBM GiB", "HBM GB/s", "TDP W", "cooling"])
     for chip in GENERATIONS:
@@ -77,6 +78,9 @@ def _cmd_chips(_: argparse.Namespace) -> int:
 
 
 def _cmd_apps(_: argparse.Namespace) -> int:
+    from repro.util.tables import Table
+    from repro.workloads.models import PRODUCTION_APPS
+
     table = Table(["app", "family", "weights MiB", "ops:byte", "batch",
                    "SLO ms", "description"])
     for spec in PRODUCTION_APPS:
@@ -90,6 +94,10 @@ def _cmd_apps(_: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.arch.config_io import load_chip
+    from repro.core.design_point import DesignPoint
+    from repro.tco.model import chip_tco, perf_per_tco
+
     spec = _resolve_app(args.app)
     if args.chip_file:
         chip = load_chip(args.chip_file)
@@ -112,6 +120,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.arch.chip import GENERATIONS
+    from repro.core.design_point import DesignPoint
+    from repro.tco.model import chip_tco, perf_per_tco
+    from repro.util.tables import Table
+
     spec = _resolve_app(args.app)
     table = Table(["chip", "latency ms", "chip qps", "power W", "qps/W",
                    "qps/TCO$"],
@@ -132,6 +145,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
+    from repro.compiler.compat import migrate_model
+
     spec = _resolve_app(args.app)
     module = spec.build(1)
     report = migrate_model(module, _resolve_chip(args.source),
@@ -145,9 +160,9 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.compiler import profile_module
-    from repro.sim import TensorCoreSim
-    from repro.compiler import compile_model
+    from repro.compiler.pipeline import compile_model
+    from repro.compiler.profiler import profile_module
+    from repro.sim.core import TensorCoreSim
 
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
@@ -166,13 +181,13 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     spec = _resolve_app(args.app)
     module = spec.build(args.batch or spec.default_batch)
     if args.format == "hlo":
-        from repro.graph import module_to_text
+        from repro.graph.text import module_to_text
 
         print(module_to_text(module), end="")
         return 0
     # VLIW assembly of the compiled program.
-    from repro.compiler import compile_model
-    from repro.isa import disassemble
+    from repro.compiler.pipeline import compile_model
+    from repro.isa.assembler import disassemble
 
     chip = _resolve_chip(args.chip)
     compiled = compile_model(module, chip)
@@ -181,7 +196,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 
 def _engine_cache(args: argparse.Namespace):
-    from repro.engine import configure_cache, get_cache
+    from repro.engine.cache import configure_cache, get_cache
 
     if args.dir:
         return configure_cache(disk_dir=args.dir)
@@ -209,7 +224,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     import math
 
-    from repro.faults import FaultModel, fault_sweep
+    from repro.faults.model import FaultModel
+    from repro.faults.sweep import fault_sweep
+    from repro.util.tables import Table
 
     model = FaultModel(
         seed=args.seed,
@@ -245,7 +262,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import chaos_sweep
+    from repro.cluster.sweep import chaos_sweep
+    from repro.util.tables import Table
 
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = chaos_sweep(seed=args.seed, apps=apps, replicas=args.replicas,
@@ -274,7 +292,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_pod(args: argparse.Namespace) -> int:
-    from repro.pod import pod_chaos_sweep
+    from repro.pod.sweep import pod_chaos_sweep
+    from repro.util.tables import Table
 
     apps = tuple(args.apps.split(",")) if args.apps else ("cnn0",)
     rows = pod_chaos_sweep(seed=args.seed, apps=apps, slices=args.slices,
@@ -306,7 +325,8 @@ def _cmd_pod(args: argparse.Namespace) -> int:
 
 
 def _cmd_llm(args: argparse.Namespace) -> int:
-    from repro.serving import llm_sweep
+    from repro.serving.continuous import llm_sweep
+    from repro.util.tables import Table
 
     models = tuple(args.models.split(",")) if args.models else ("llm0", "llm1")
     if args.faults:
@@ -337,7 +357,8 @@ def _cmd_llm(args: argparse.Namespace) -> int:
 
 
 def _cmd_llm_faults(args: argparse.Namespace, models: tuple) -> int:
-    from repro.serving import llm_chaos_sweep
+    from repro.serving.continuous import llm_chaos_sweep
+    from repro.util.tables import Table
 
     rows = llm_chaos_sweep(
         seed=args.seed, models=models, duration_s=args.duration,
@@ -365,7 +386,8 @@ def _cmd_llm_faults(args: argparse.Namespace, models: tuple) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import build_trace, profile_result
+    from repro.obs.report import profile_result
+    from repro.obs.tracer import build_trace
 
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
@@ -391,15 +413,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        collecting_metrics,
-        profile_result,
-        render_snapshot,
-        tier_report,
-    )
+    from repro.core.design_point import DesignPoint
     from repro.engine.cache import EvalCache
-    from repro.serving import BatchPolicy, ServingSimulator, Slo
-    from repro.workloads import RequestGenerator
+    from repro.obs.metrics import collecting_metrics, render_snapshot
+    from repro.obs.report import profile_result, tier_report
+    from repro.serving.batching import BatchPolicy
+    from repro.serving.server import ServingSimulator
+    from repro.serving.slo import Slo
+    from repro.workloads.generator import RequestGenerator
 
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)

@@ -23,12 +23,16 @@ bit-identical to a plain ``ServingSimulator.simulate`` run, field for
 field. The router costs nothing until you turn something on.
 """
 
-from repro.cluster.cluster import ClusterSimulator, ClusterStats
-from repro.cluster.planner import (DEFAULT_SIZING_FAULTS, ResilientPlanTrail,
-                                   plan_resilient_fleet)
-from repro.cluster.policy import ClusterPolicy, DegradationTier
-from repro.cluster.sweep import (DEFAULT_SCENARIOS, ChaosRow, ChaosScenario,
-                                 chaos_sweep)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cluster.cluster": ("ClusterSimulator", "ClusterStats"),
+    "repro.cluster.planner": ("DEFAULT_SIZING_FAULTS", "ResilientPlanTrail",
+                              "plan_resilient_fleet"),
+    "repro.cluster.policy": ("ClusterPolicy", "DegradationTier"),
+    "repro.cluster.sweep": ("DEFAULT_SCENARIOS", "ChaosRow", "ChaosScenario",
+                            "chaos_sweep"),
+})
 
 __all__ = [
     "ChaosRow",

@@ -44,7 +44,7 @@ from repro.serving.fastserve import replay_cluster
 from repro.serving.server import (DEFAULT_RETRY_BUDGET,
                                   DEFAULT_RETRY_TIMEOUT_S, ServingSimulator,
                                   ServingStats)
-from repro.serving.slo import Slo, percentile_sorted
+from repro.serving.slo import Slo
 from repro.workloads.generator import Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -218,20 +218,19 @@ class _Replica:
                 self.schedule.downtime_core_s(
                     self.first_arrival, self.first_arrival + duration)
                 / (self.sim.point.chip.cores * duration))
-        ordered = sorted(self.latencies)
+        p50, p95, p99, violations = self.sim.slo.summarize(self.latencies)
         return ServingStats(
             workload=self.sim.spec.name,
             chip=self.sim.point.chip.name,
             requests=total,
             duration_s=duration,
-            p50_s=percentile_sorted(ordered, 50) if ordered else 0.0,
-            p95_s=percentile_sorted(ordered, 95) if ordered else 0.0,
-            p99_s=percentile_sorted(ordered, 99) if ordered else 0.0,
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
             mean_batch=(sum(self.batch_sizes) / len(self.batch_sizes)
                         if self.batch_sizes else 0.0),
             throughput_qps=served / duration if duration > 0 else 0.0,
-            slo_violation_fraction=self.sim.slo.violation_fraction_sorted(
-                ordered),
+            slo_violation_fraction=violations,
             availability=served / total if total else 1.0,
             retried_requests=self.retried,
             dropped_requests=self.dropped,
@@ -823,21 +822,21 @@ class ClusterSimulator:
             reg.counter("cluster.ejections").inc(ejections)
             reg.counter("cluster.readmissions").inc(readmissions)
 
-        ordered = sorted(cluster_latencies)
+        p50, p95, p99, violations = self.replica_sims[0].slo.summarize(
+            cluster_latencies)
         return ClusterStats(
             workload=self.replica_sims[0].spec.name,
             chip=self.replica_sims[0].point.chip.name,
             replicas=n,
             requests=total,
             duration_s=duration,
-            p50_s=percentile_sorted(ordered, 50) if ordered else 0.0,
-            p95_s=percentile_sorted(ordered, 95) if ordered else 0.0,
-            p99_s=percentile_sorted(ordered, 99) if ordered else 0.0,
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
             mean_batch=(mean_batch_num / mean_batch_den
                         if mean_batch_den else 0.0),
             throughput_qps=served / duration if duration > 0 else 0.0,
-            slo_violation_fraction=self.replica_sims[0].slo
-            .violation_fraction_sorted(ordered),
+            slo_violation_fraction=violations,
             availability=served / total,
             served_requests=served,
             dropped_requests=dropped_unique,

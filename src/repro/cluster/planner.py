@@ -31,6 +31,7 @@ from typing import Optional
 from repro.cluster.cluster import ClusterSimulator
 from repro.cluster.policy import ClusterPolicy
 from repro.core.design_point import DesignPoint
+from repro.engine import grid
 from repro.faults.model import FaultModel
 from repro.serving.batching import BatchPolicy
 from repro.serving.fleet import FleetPlan, plan_fleet
@@ -113,9 +114,8 @@ def plan_resilient_fleet(point: DesignPoint, spec: WorkloadSpec,
     # power) record the sizing below consults: plan_fleet's SLO ladder
     # walk and its chosen-batch evaluation, plus every plan_fleet call
     # in the k loop, all become cache hits.
-    from repro.engine.grid import GridJob, evaluate_jobs
-    evaluate_jobs([GridJob(point, spec, batch)
-                   for batch in (1, 2, 4, 8, 16, 32, 64, 128, 256)])
+    grid.evaluate_jobs([grid.GridJob(point, spec, batch)
+                        for batch in (1, 2, 4, 8, 16, 32, 64, 128, 256)])
 
     base = plan_fleet(point, spec, target_qps, slo=limit,
                       peak_headroom=peak_headroom)

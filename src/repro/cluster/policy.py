@@ -29,8 +29,15 @@ Four independent protections:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+
+def _check_finite(name: str, value: float, ok: bool, bound: str) -> None:
+    """Reject ``value`` unless it is finite and ``ok``, naming the field."""
+    if not (math.isfinite(value) and ok):
+        raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,21 +95,22 @@ class ClusterPolicy:
     recover_after: int = 4    # consecutive good windows to step up
 
     def __post_init__(self) -> None:
-        if self.probe_interval_s is not None and self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
+        probe, rate, hedge = (self.probe_interval_s, self.admission_rate_qps,
+                              self.hedge_delay_s)
+        if probe is not None:
+            _check_finite("probe_interval_s", probe, probe > 0, "positive")
         if self.unhealthy_after < 1:
             raise ValueError("unhealthy_after must be >= 1")
-        if self.ejection_s < 0:
-            raise ValueError("ejection_s must be non-negative")
-        if (self.admission_rate_qps is not None
-                and self.admission_rate_qps <= 0):
-            raise ValueError("admission_rate_qps must be positive")
-        if self.admission_burst < 1:
-            raise ValueError("admission_burst must be >= 1")
+        _check_finite("ejection_s", self.ejection_s, self.ejection_s >= 0,
+                      "non-negative")
+        if rate is not None:
+            _check_finite("admission_rate_qps", rate, rate > 0, "positive")
+        _check_finite("admission_burst", self.admission_burst,
+                      self.admission_burst >= 1, ">= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.hedge_delay_s is not None and self.hedge_delay_s < 0:
-            raise ValueError("hedge_delay_s must be non-negative")
+        if hedge is not None:
+            _check_finite("hedge_delay_s", hedge, hedge >= 0, "non-negative")
         for tier in self.tiers:
             if not isinstance(tier, DegradationTier):
                 raise ValueError("tiers must be DegradationTier instances")

@@ -18,20 +18,23 @@ sets (the Lesson 2 "performance arrives by software" figure), and
 generations, HLO always does.
 """
 
-from repro.compiler.expansion import expand_composites
-from repro.compiler.fusion import FusionPlan, plan_fusion
-from repro.compiler.allocator import MemoryPlan, plan_memory
-from repro.compiler.tiling import TileShape, plan_matmul_tiles
-from repro.compiler.lowering import LoweredOp, lower_module
-from repro.compiler.scheduler import schedule
-from repro.compiler.pipeline import CompiledModel, compile_model
-from repro.compiler.profiler import ModuleProfile, OpProfile, profile_module
-from repro.compiler.versions import CompilerVersion, RELEASES, release_by_name, LATEST
-from repro.compiler.compat import (
-    CompatReport,
-    binary_runs_on,
-    migrate_model,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.compiler.expansion": ("expand_composites",),
+    "repro.compiler.fusion": ("FusionPlan", "plan_fusion"),
+    "repro.compiler.allocator": ("MemoryPlan", "plan_memory"),
+    "repro.compiler.tiling": ("TileShape", "plan_matmul_tiles"),
+    "repro.compiler.lowering": ("LoweredOp", "lower_module"),
+    "repro.compiler.scheduler": ("schedule",),
+    "repro.compiler.pipeline": ("CompiledModel", "compile_model"),
+    "repro.compiler.profiler": ("ModuleProfile", "OpProfile",
+                                "profile_module"),
+    "repro.compiler.versions": ("CompilerVersion", "RELEASES",
+                                "release_by_name", "LATEST"),
+    "repro.compiler.compat": ("CompatReport", "binary_runs_on",
+                              "migrate_model"),
+})
 
 __all__ = [
     "expand_composites",

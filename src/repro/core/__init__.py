@@ -8,25 +8,17 @@ clock under the air-cooling TDP ceiling, and watch the paper's choice
 (one big core, 4 MXUs, 128 MiB CMEM) sit on the Pareto frontier.
 """
 
-from repro.core.design_point import (
-    DesignPoint,
-    Evaluation,
-    shared_design_point,
-)
-from repro.core.dse import (
-    DesignCandidate,
-    cmem_sweep,
-    enumerate_candidates,
-    evaluate_candidate,
-    evaluate_candidates,
-    pareto_frontier,
-)
-from repro.core.multichip import (
-    MultiChipReport,
-    PipelineDeployment,
-    StageReport,
-    partition_module,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.design_point": ("DesignPoint", "Evaluation",
+                                "shared_design_point"),
+    "repro.core.dse": ("DesignCandidate", "cmem_sweep",
+                       "enumerate_candidates", "evaluate_candidate",
+                       "evaluate_candidates", "pareto_frontier"),
+    "repro.core.multichip": ("MultiChipReport", "PipelineDeployment",
+                             "StageReport", "partition_module"),
+})
 
 __all__ = [
     "DesignPoint",

@@ -41,6 +41,7 @@ from repro.arch.power import PowerModel
 from repro.compiler.pipeline import CompiledModel, compile_model
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.engine.cache import EvalCache, get_cache
+from repro.engine import grid
 from repro.engine.keys import (
     chip_fingerprint,
     compile_chip_fingerprint,
@@ -314,9 +315,8 @@ class DesignPoint:
         """
         if slo_s <= 0:
             raise ValueError("SLO must be positive")
-        from repro.engine.grid import GridJob, run_grid
-        results = run_grid([GridJob(self, spec, batch)
-                            for batch in candidates])
+        results = grid.run_grid([grid.GridJob(self, spec, batch)
+                                 for batch in candidates])
         best = 0
         for batch, result in zip(candidates, results):
             if result.seconds <= slo_s:

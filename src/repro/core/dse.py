@@ -29,6 +29,7 @@ from repro.arch.cooling import AIR_COOLING, air_coolable
 from repro.arch.power import PowerModel
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.core.design_point import shared_design_point
+from repro.engine import grid
 from repro.tech.node import node_by_name
 from repro.util.units import GHZ, MIB
 from repro.workloads.models import PRODUCTION_APPS, WorkloadSpec
@@ -59,10 +60,9 @@ def cmem_sweep(spec: WorkloadSpec, capacities_bytes: Sequence[int],
         if capacity < 0:
             raise ValueError("CMEM capacity must be non-negative")
     b = batch if batch is not None else spec.default_batch
-    from repro.engine.grid import GridJob, run_grid
     point = shared_design_point(chip)
-    results = run_grid([GridJob(point, spec, b, capacity)
-                        for capacity in capacities])
+    results = grid.run_grid([grid.GridJob(point, spec, b, capacity)
+                             for capacity in capacities])
     return [(capacity, result.seconds)
             for capacity, result in zip(capacities, results)]
 
@@ -121,14 +121,14 @@ def enumerate_candidates(
         clocks_ghz: Sequence[float] = (1.05,),
 ) -> list[ChipConfig]:
     """The candidate grid around the TPUv4i design point."""
-    grid: list[ChipConfig] = []
+    candidates: list[ChipConfig] = []
     for mxus in mxu_counts:
         for cmem in cmem_mib_options:
             for clock in clocks_ghz:
                 if mxus <= 0 or cmem < 0 or clock <= 0:
                     raise ValueError("bad candidate parameters")
-                grid.append(_variant(mxus, cmem, clock))
-    return grid
+                candidates.append(_variant(mxus, cmem, clock))
+    return candidates
 
 
 def candidate_from_evaluations(chip: ChipConfig,
@@ -180,11 +180,10 @@ def evaluate_candidates(chips: Sequence[ChipConfig],
         raise ValueError(
             f"workers={workers!r} is not supported: sweeps run in process "
             "as one grid batch (workers must be 1)")
-    from repro.engine.grid import GridJob, evaluate_jobs
     specs = _apps(app_names)
-    jobs = [GridJob(shared_design_point(chip, version), spec)
+    jobs = [grid.GridJob(shared_design_point(chip, version), spec)
             for chip in chips for spec in specs]
-    evaluations = evaluate_jobs(jobs)
+    evaluations = grid.evaluate_jobs(jobs)
     return [
         candidate_from_evaluations(
             chip, evaluations[i * len(specs):(i + 1) * len(specs)])

@@ -22,32 +22,17 @@ produce identical records (pure arithmetic, results in job order);
 ``tests/test_engine.py`` asserts this.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.engine.cache import (
-    CacheStats,
-    EvalCache,
-    configure_cache,
-    get_cache,
-    set_cache,
-)
-from repro.engine.grid import (
-    GridJob,
-    GridStats,
-    clear_grid_stats,
-    evaluate_jobs,
-    grid_stats,
-    run_grid,
-)
-from repro.engine.keys import (
-    chip_fingerprint,
-    compile_chip_fingerprint,
-    compiler_fingerprint,
-    eval_key,
-    fingerprint,
-)
-from repro.engine.modules import built_module, clear_modules
-
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.engine.cache": ("CacheStats", "EvalCache", "configure_cache",
+                           "get_cache", "set_cache"),
+    "repro.engine.grid": ("GridJob", "GridStats", "clear_grid_stats",
+                          "evaluate_jobs", "grid_stats", "run_grid"),
+    "repro.engine.keys": ("chip_fingerprint", "compile_chip_fingerprint",
+                          "compiler_fingerprint", "eval_key", "fingerprint"),
+    "repro.engine.modules": ("built_module", "clear_modules"),
+})
 
 __all__ = [
     "CacheStats",

@@ -22,8 +22,12 @@ Determinism guarantee: a zero-fault model is bit-identical to no model
 at all, and any seeded sweep is a pure function of its arguments.
 """
 
-from repro.faults.model import FaultModel, FaultSchedule
-from repro.faults.sweep import FaultSweepRow, fault_sweep, latency_table
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.faults.model": ("FaultModel", "FaultSchedule"),
+    "repro.faults.sweep": ("FaultSweepRow", "fault_sweep", "latency_table"),
+})
 
 __all__ = [
     "FaultModel",

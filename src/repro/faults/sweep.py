@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from repro.arch import GENERATIONS
 from repro.arch.chip import ChipConfig
 from repro.core.design_point import DesignPoint, shared_design_point
+from repro.engine import grid
 from repro.faults.model import FaultModel
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator, ServingStats
@@ -64,11 +65,10 @@ def latency_table(point: DesignPoint, spec, steps: Sequence[int], *,
     pass over the steps, and each result lands in the point's EvalCache
     under the same key ``latency_s`` uses.
     """
-    from repro.engine.grid import GridJob, run_grid
     if dtype is None:
         dtype = point.chip.native_dtype
-    results = run_grid([GridJob(point, spec, step, dtype=dtype)
-                        for step in steps])
+    results = grid.run_grid([grid.GridJob(point, spec, step, dtype=dtype)
+                             for step in steps])
     return {step: r.seconds for step, r in zip(steps, results)}
 
 

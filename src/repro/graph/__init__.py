@@ -7,11 +7,16 @@ any generation whose dtypes it uses, which is what "compiler compatibility
 trumps binary compatibility" means operationally.
 """
 
-from repro.graph.shapes import DTYPES, DType, Shape
-from repro.graph.ops import OpDef, OPDEFS, opdef
-from repro.graph.hlo import HloInstruction, HloModule, GraphBuilder
-from repro.graph.evaluator import Evaluator, evaluate_module
-from repro.graph.text import HloTextError, module_from_text, module_to_text
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.graph.shapes": ("DTYPES", "DType", "Shape"),
+    "repro.graph.ops": ("OpDef", "OPDEFS", "opdef"),
+    "repro.graph.hlo": ("HloInstruction", "HloModule", "GraphBuilder"),
+    "repro.graph.evaluator": ("Evaluator", "evaluate_module"),
+    "repro.graph.text": ("HloTextError", "module_from_text",
+                         "module_to_text"),
+})
 
 __all__ = [
     "DTYPES",

@@ -9,23 +9,17 @@ instructions, bundles, per-generation binary encodings, and a textual
 assembler used by tests and examples.
 """
 
-from repro.isa.instructions import (
-    Instruction,
-    Bundle,
-    Opcode,
-    SlotClass,
-    SLOT_LAYOUTS,
-    slot_layout_for_generation,
-)
-from repro.isa.program import Program
-from repro.isa.encoding import (
-    BinaryFormat,
-    IncompatibleBinaryError,
-    encode_program,
-    decode_program,
-    format_for_generation,
-)
-from repro.isa.assembler import assemble, disassemble
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.isa.instructions": ("Instruction", "Bundle", "Opcode", "SlotClass",
+                               "SLOT_LAYOUTS", "slot_layout_for_generation"),
+    "repro.isa.program": ("Program",),
+    "repro.isa.encoding": ("BinaryFormat", "IncompatibleBinaryError",
+                           "encode_program", "decode_program",
+                           "format_for_generation"),
+    "repro.isa.assembler": ("assemble", "disassemble"),
+})
 
 __all__ = [
     "Instruction",

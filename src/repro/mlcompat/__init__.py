@@ -1,11 +1,12 @@
 """Backwards ML compatibility (Lesson 10)."""
 
-from repro.mlcompat.checker import (
-    CompatCheck,
-    check_numerics_match,
-    deployment_readiness,
-    model_numerics_match,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.mlcompat.checker": ("CompatCheck", "check_numerics_match",
+                               "deployment_readiness",
+                               "model_numerics_match"),
+})
 
 __all__ = [
     "CompatCheck",

@@ -10,24 +10,15 @@ quantization with calibration, and the error metrics the numerics
 experiment (E14) reports.
 """
 
-from repro.numerics.bfloat16 import (
-    to_bf16,
-    bf16_matmul,
-    BF16_EPS,
-)
-from repro.numerics.int8 import (
-    QuantParams,
-    calibrate,
-    quantize,
-    dequantize,
-    int8_matmul,
-)
-from repro.numerics.error import (
-    snr_db,
-    max_rel_error,
-    cosine_similarity,
-    quality_loss_proxy,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.numerics.bfloat16": ("to_bf16", "bf16_matmul", "BF16_EPS"),
+    "repro.numerics.int8": ("QuantParams", "calibrate", "quantize",
+                            "dequantize", "int8_matmul"),
+    "repro.numerics.error": ("snr_db", "max_rel_error", "cosine_similarity",
+                             "quality_loss_proxy"),
+})
 
 __all__ = [
     "to_bf16",

@@ -16,6 +16,14 @@ Three pieces, split by what clock they run on:
   ``repro metrics`` output).
 """
 
+from repro import _lazy_exports
+
+# Eager on purpose: ``metrics`` names both this submodule and the
+# registry accessor it defines. Importing a submodule binds it on its
+# package, so if anything imported ``repro.obs.metrics`` before the
+# function was read through the package, ``from repro.obs import
+# metrics`` would return the module. Importing it here rebinds the name
+# to the function once; the module is light and every layer loads it.
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -29,14 +37,12 @@ from repro.obs.metrics import (
     render_snapshot,
     set_metrics,
 )
-from repro.obs.report import RunProfile, goodput_report, \
-    profile_result, tier_report
-from repro.obs.tracer import (
-    Span,
-    SpanTracer,
-    TraceResult,
-    build_trace,
-)
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.report": ("RunProfile", "goodput_report", "profile_result",
+                         "tier_report"),
+    "repro.obs.tracer": ("Span", "SpanTracer", "TraceResult", "build_trace"),
+})
 
 __all__ = [
     "Counter",

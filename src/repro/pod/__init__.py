@@ -11,13 +11,17 @@ graph on the shared simulated clock, and
 link/slice fault scenarios under both cluster router policies.
 """
 
-from repro.pod.faults import PodFaultModel
-from repro.pod.sharding import ICI_LEVEL, ShardedProgram, attach_ici_rows
-from repro.pod.slicesim import SliceSimulator
-from repro.pod.sweep import (DEFAULT_POD_SCENARIOS, PodChaosRow, PodScenario,
-                             pod_chaos_sweep)
-from repro.pod.topology import (DEFAULT_OCS_RECONFIG_S, PodTopology,
-                                slice_topology)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.pod.faults": ("PodFaultModel",),
+    "repro.pod.sharding": ("ICI_LEVEL", "ShardedProgram", "attach_ici_rows"),
+    "repro.pod.slicesim": ("SliceSimulator",),
+    "repro.pod.sweep": ("DEFAULT_POD_SCENARIOS", "PodChaosRow", "PodScenario",
+                        "pod_chaos_sweep"),
+    "repro.pod.topology": ("DEFAULT_OCS_RECONFIG_S", "PodTopology",
+                           "slice_topology"),
+})
 
 __all__ = [
     "DEFAULT_OCS_RECONFIG_S",

@@ -1,10 +1,10 @@
 """Roofline model (experiment E7)."""
 
-from repro.roofline.model import (
-    Roofline,
-    RooflinePoint,
-    chip_roofline,
-    place_module,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.roofline.model": ("Roofline", "RooflinePoint", "chip_roofline",
+                             "place_module"),
+})
 
 __all__ = ["Roofline", "RooflinePoint", "chip_roofline", "place_module"]

@@ -6,8 +6,13 @@ artifact, load it on a serving host, and run requests that return both
 simulator) — the two halves of the library joined at one API.
 """
 
-from repro.runtime.artifact import CompiledArtifact, load_artifact, save_artifact
-from repro.runtime.server import InferenceServer, InferenceResult
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runtime.artifact": ("CompiledArtifact", "load_artifact",
+                               "save_artifact"),
+    "repro.runtime.server": ("InferenceServer", "InferenceResult"),
+})
 
 __all__ = [
     "CompiledArtifact",

@@ -31,6 +31,12 @@ lowered-IR DMA programs, so killed sequences resume from their last
 snapshot (delta re-prefill), permanently dead cores migrate their
 queues to survivors, and :class:`ContinuousStats` reports goodput —
 useful tokens over computed tokens.
+
+Unlike the other packages, this one re-exports eagerly. It is the entry
+module of the ``llm-chaos`` benchmark workload, which reads
+``serving.llm_chaos_sweep`` inside its timed call; lazy exports would
+only move the import of the continuous-batching stack out of setup and
+into that call.
 """
 
 from repro.serving.slo import Slo, percentile, percentile_sorted

@@ -9,6 +9,7 @@ latency SLO.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -31,8 +32,9 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+        if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0):
+            raise ValueError(f"max_wait_s must be non-negative and finite, "
+                             f"got {self.max_wait_s!r}")
 
     def padded_size(self, actual: int) -> int:
         """Batch size the accelerator actually runs (padded to a step).

@@ -88,10 +88,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Mapping, Optional, Sequence, \
-    Tuple
+from typing import Deque, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.design_point import DesignPoint
+from repro.engine import grid
+from repro.faults.model import FaultModel, FaultSchedule
 from repro.obs.metrics import metrics
 from repro.serving.batching import BatchPolicy
 from repro.serving.recovery import RecoveryPolicy, snapshot_latency_table, \
@@ -103,9 +104,6 @@ from repro.serving.server import (
 )
 from repro.serving.slo import percentile_sorted
 from repro.workloads.generative import GenerativeSpec, GenRequest
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.model import FaultModel, FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -836,7 +834,6 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
     int8 retarget), and the results land in the point's EvalCache under
     the same phase-aware keys ``latency_s`` uses.
     """
-    from repro.engine.grid import GridJob, run_grid
     entries: List[Tuple[str, int, int]] = []
     for bucket in spec.prompt_buckets:
         entries.append(("prefill", bucket, 1))
@@ -849,8 +846,9 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
     phase_specs = {("prefill", b): spec.prefill(b) for b in spec.prompt_buckets}
     phase_specs.update(
         {("decode", b): spec.decode(b) for b in spec.kv_buckets})
-    results = run_grid([
-        GridJob(point, phase_specs[(phase, bucket)], batch, dtype=dtype)
+    results = grid.run_grid([
+        grid.GridJob(point, phase_specs[(phase, bucket)], batch,
+                     dtype=dtype)
         for phase, bucket, batch in entries])
     return {entry: r.seconds for entry, r in zip(entries, results)}
 
@@ -988,8 +986,6 @@ def llm_chaos_sweep(seed: int = 0, *,
     arguments (asserted by byte-diffing two ``repro llm --faults`` runs
     in CI).
     """
-    from repro.faults.model import FaultModel, FaultSchedule
-
     if checkpoint_every < 1:
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}")

@@ -49,6 +49,7 @@ from repro.arch.chip import ChipConfig
 from repro.arch.ici import IciLink
 from repro.core.design_point import DesignPoint
 from repro.isa.program import Program
+from repro.pod.sharding import attach_ici_rows
 from repro.serving.batching import BatchPolicy
 from repro.sim.lowered import FastReplay, LoweredProgram, lower_program
 from repro.workloads.generative import GenerativeSpec
@@ -133,8 +134,6 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
         raise ValueError(f"batch must be >= 1, got {batch}")
     if dtype_bytes < 1:
         raise ValueError(f"dtype_bytes must be >= 1, got {dtype_bytes}")
-    from repro.pod.sharding import attach_ici_rows  # local: pod imports sim
-
     per_tensor = batch * kv_bucket * spec.hidden * dtype_bytes
     empty = Program(f"{spec.name}.kv_snapshot@{kv_bucket}x{batch}",
                     generation=chip.generation)

@@ -30,7 +30,7 @@ from repro.core.design_point import DesignPoint
 from repro.obs.metrics import UNIT_BUCKETS, metrics
 from repro.serving.batching import BatchPolicy
 from repro.serving.fastserve import replay_serving
-from repro.serving.slo import Slo, percentile_sorted
+from repro.serving.slo import Slo
 from repro.workloads.generator import Request
 from repro.workloads.models import WorkloadSpec
 
@@ -362,19 +362,19 @@ class ServingSimulator:
             lost_capacity = (
                 schedule.downtime_core_s(arrivals[0], arrivals[0] + duration)
                 / (self.point.chip.cores * duration))
-        ordered = sorted(latencies)
+        p50, p95, p99, violations = self.slo.summarize(latencies)
         return ServingStats(
             workload=self.spec.name,
             chip=self.point.chip.name,
             requests=total,
             duration_s=duration,
-            p50_s=percentile_sorted(ordered, 50) if ordered else 0.0,
-            p95_s=percentile_sorted(ordered, 95) if ordered else 0.0,
-            p99_s=percentile_sorted(ordered, 99) if ordered else 0.0,
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
             mean_batch=(sum(batch_sizes) / len(batch_sizes)
                         if batch_sizes else 0.0),
             throughput_qps=served / duration if duration > 0 else 0.0,
-            slo_violation_fraction=self.slo.violation_fraction_sorted(ordered),
+            slo_violation_fraction=violations,
             availability=served / total,
             retried_requests=retried,
             dropped_requests=dropped,

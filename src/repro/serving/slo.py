@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
+
+import numpy as np
+
+
+def _rank(pct: float, n: int) -> int:
+    """Zero-based index of the nearest-rank ``pct`` percentile of ``n``."""
+    return max(1, math.ceil(pct / 100.0 * n)) - 1
 
 
 def percentile_sorted(ordered: Sequence[float], pct: float) -> float:
@@ -19,8 +25,7 @@ def percentile_sorted(ordered: Sequence[float], pct: float) -> float:
         raise ValueError("percentile of an empty sequence")
     if not 0 < pct <= 100:
         raise ValueError(f"pct must be in (0, 100], got {pct}")
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
+    return float(ordered[_rank(pct, len(ordered))])
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -45,8 +50,9 @@ class Slo:
     pct: float = 99.0
 
     def __post_init__(self) -> None:
-        if self.limit_s <= 0:
-            raise ValueError("SLO limit must be positive")
+        if not (math.isfinite(self.limit_s) and self.limit_s > 0):
+            raise ValueError(f"SLO limit_s must be positive and finite, "
+                             f"got {self.limit_s!r}")
         if not 0 < self.pct <= 100:
             raise ValueError("SLO percentile must be in (0, 100]")
 
@@ -74,14 +80,21 @@ class Slo:
         over = sum(1 for l in latencies_s if l > self.limit_s)
         return over / len(latencies_s)
 
-    def violation_fraction_sorted(self, ordered: Sequence[float]) -> float:
-        """:meth:`violation_fraction` of an **already sorted** sample.
+    def summarize(self, latencies_s: Sequence[float]
+                  ) -> Tuple[float, float, float, float]:
+        """``(p50, p95, p99, violation fraction)`` of an unsorted sample.
 
-        Counts the over-limit suffix with one bisection instead of a
-        full scan; same count, same division, same float as the unsorted
-        form — and the same zero-violations contract on an empty sample.
+        The same nearest-rank order statistics :func:`percentile` picks
+        and the same count :meth:`violation_fraction` makes, in O(n):
+        one ``np.partition`` at the three ranks instead of a full sort.
+        An empty sample summarizes to zeros, as the serving stats report
+        it (no request served, none late).
         """
-        if not ordered:
-            return 0.0
-        over = len(ordered) - bisect_right(ordered, self.limit_s)
-        return over / len(ordered)
+        n = len(latencies_s)
+        if not n:
+            return 0.0, 0.0, 0.0, 0.0
+        ranks = [_rank(pct, n) for pct in (50, 95, 99)]
+        values = np.asarray(latencies_s, dtype=np.float64)
+        p50, p95, p99 = np.partition(values, ranks)[ranks].tolist()
+        over = int(np.count_nonzero(values > self.limit_s))
+        return p50, p95, p99, over / n

@@ -7,13 +7,13 @@ paper's utilization, roofline, and latency shapes (the repro band for this
 paper is explicitly "analytical/cycle sim, not RTL").
 """
 
-from repro.sim.perf import PerfCounters, PerfReport
-from repro.sim.lowered import (
-    FastReplay,
-    LoweredProgram,
-    lower_program,
-)
-from repro.sim.core import TensorCoreSim, SimResult
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sim.perf": ("PerfCounters", "PerfReport"),
+    "repro.sim.lowered": ("FastReplay", "LoweredProgram", "lower_program"),
+    "repro.sim.core": ("TensorCoreSim", "SimResult"),
+})
 
 __all__ = [
     "FastReplay",

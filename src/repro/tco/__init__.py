@@ -8,9 +8,14 @@ ordered by perf/TCO instead of perf/CapEx — the cheap-to-buy chip is not
 the cheap-to-own chip once power and cooling pay their way.
 """
 
-from repro.tco.capex import die_cost_usd, chip_capex_usd, dies_per_wafer, die_yield
-from repro.tco.opex import OpexParams, chip_opex_usd
-from repro.tco.model import ChipTco, chip_tco, perf_per_tco
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.tco.capex": ("die_cost_usd", "chip_capex_usd", "dies_per_wafer",
+                        "die_yield"),
+    "repro.tco.opex": ("OpexParams", "chip_opex_usd"),
+    "repro.tco.model": ("ChipTco", "chip_tco", "perf_per_tco"),
+})
 
 __all__ = [
     "die_cost_usd",

@@ -7,15 +7,14 @@ scaling. This package provides per-node density/delay/energy models and the
 scaling trajectories the benchmark for that figure sweeps.
 """
 
-from repro.tech.node import ProcessNode, NODES, node_by_name
-from repro.tech.scaling import (
-    ScalingSeries,
-    logic_density_series,
-    sram_density_series,
-    wire_delay_series,
-    energy_per_op_series,
-    relative_improvement,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.tech.node": ("ProcessNode", "NODES", "node_by_name"),
+    "repro.tech.scaling": ("ScalingSeries", "logic_density_series",
+                           "sram_density_series", "wire_delay_series",
+                           "energy_per_op_series", "relative_improvement"),
+})
 
 __all__ = [
     "ProcessNode",

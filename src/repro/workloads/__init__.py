@@ -12,34 +12,24 @@ Also here: MLPerf-inference-style models, the DNN growth model
 request-arrival generators standing in for production traffic.
 """
 
-from repro.workloads.models import (
-    WorkloadSpec,
-    PRODUCTION_APPS,
-    app_by_name,
-    build_mlp0,
-    build_mlp1,
-    build_cnn0,
-    build_cnn1,
-    build_rnn0,
-    build_rnn1,
-    build_bert0,
-    build_bert1,
-)
-from repro.workloads.extended import EXTENDED_APPS, extended_by_name
-from repro.workloads.mlperf import MLPERF_MODELS, mlperf_by_name
-from repro.workloads.growth import GrowthModel, PUBLISHED_MODEL_SIZES
-from repro.workloads.evolution import WORKLOAD_MIX_BY_YEAR, mix_for_year
-from repro.workloads.generator import RequestGenerator, Request
-from repro.workloads.generative import (
-    GENERATIVE_APPS,
-    GenRequest,
-    GenerativeSpec,
-    PhaseSpec,
-    build_decode,
-    build_prefill,
-    generative_by_name,
-    sample_gen_requests,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.models": ("WorkloadSpec", "PRODUCTION_APPS",
+                               "app_by_name", "build_mlp0", "build_mlp1",
+                               "build_cnn0", "build_cnn1", "build_rnn0",
+                               "build_rnn1", "build_bert0", "build_bert1"),
+    "repro.workloads.extended": ("EXTENDED_APPS", "extended_by_name"),
+    "repro.workloads.mlperf": ("MLPERF_MODELS", "mlperf_by_name"),
+    "repro.workloads.growth": ("GrowthModel", "PUBLISHED_MODEL_SIZES"),
+    "repro.workloads.evolution": ("WORKLOAD_MIX_BY_YEAR", "mix_for_year"),
+    "repro.workloads.generator": ("RequestGenerator", "Request"),
+    "repro.workloads.generative": ("GENERATIVE_APPS", "GenRequest",
+                                   "GenerativeSpec", "PhaseSpec",
+                                   "build_decode", "build_prefill",
+                                   "generative_by_name",
+                                   "sample_gen_requests"),
+})
 
 __all__ = [
     "WorkloadSpec",

@@ -161,6 +161,30 @@ class TestValidation:
                 served_requests=9, dropped_requests=0, shed_requests=0)
 
 
+class TestNonFiniteSettings:
+    """Regression: NaN and inf passed every ``<`` / ``<=`` check, so a
+    NaN probe interval or hedge delay switched the protection on in name
+    and off in fact (``probes``/``hedges`` true, zero probes or hedges
+    made), and a NaN admission rate never shed."""
+
+    @pytest.mark.parametrize("field", ["probe_interval_s", "ejection_s",
+                                       "admission_rate_qps",
+                                       "admission_burst", "hedge_delay_s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_policy_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError,
+                           match=rf"{field} must be .*finite, got {bad!r}"):
+            ClusterPolicy(**{field: bad})
+
+    def test_policy_keeps_range_messages(self):
+        with pytest.raises(ValueError, match="probe_interval_s must be "
+                                             "positive"):
+            ClusterPolicy(probe_interval_s=0.0)
+        with pytest.raises(ValueError, match="hedge_delay_s must be "
+                                             "non-negative"):
+            ClusterPolicy(hedge_delay_s=-1.0)
+
+
 class TestHealthRouting:
     def test_dead_replica_is_ejected_and_traffic_fails_over(self, v4i_point,
                                                             traffic):

@@ -1,5 +1,8 @@
 """Tests for SLOs, batching, the serving simulator (L9), and multi-tenancy (L4)."""
 
+import math
+import random
+
 import pytest
 
 from repro.serving import (
@@ -54,6 +57,28 @@ class TestPercentileAndSlo:
         with pytest.raises(ValueError):
             Slo(1.0, pct=101)
 
+    def test_summarize_matches_percentile_and_violation_fraction(self):
+        rng = random.Random(5)
+        slo = Slo(0.5)
+        samples = [[], [0.7], [1, 0, 1], [0.5] * 7,
+                   [rng.random() for _ in range(1000)],
+                   [rng.choice((0.1, 0.5, 0.9)) for _ in range(257)]]
+        for sample in samples:
+            expected = ((percentile(sample, 50), percentile(sample, 95),
+                         percentile(sample, 99),
+                         slo.violation_fraction(sample))
+                        if sample else (0.0, 0.0, 0.0, 0.0))
+            summary = slo.summarize(sample)
+            assert summary == expected
+            assert all(type(v) is float for v in summary)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_slo_rejects_non_finite_limit(self, bad):
+        """Regression: ``Slo(nan)`` was accepted and every run under it
+        reported a violation fraction of 0.0."""
+        with pytest.raises(ValueError, match=rf"limit_s .*finite.* {bad!r}"):
+            Slo(bad)
+
 
 class TestBatchPolicy:
     def test_padded_size_rounds_up(self):
@@ -75,6 +100,12 @@ class TestBatchPolicy:
             BatchPolicy(0, 0.0)
         with pytest.raises(ValueError):
             BatchPolicy(1, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_wait(self, bad):
+        with pytest.raises(ValueError,
+                           match=rf"max_wait_s .*finite, got {bad!r}"):
+            BatchPolicy(8, bad)
 
     def test_padded_size_rejects_empty_batch(self):
         """Locked contract: an empty batch must never be priced.
