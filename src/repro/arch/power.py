@@ -15,7 +15,7 @@ fp32 ~3x (multiplier energy grows roughly quadratically in mantissa width).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.arch.chip import ChipConfig
 from repro.tech.node import ProcessNode, node_by_name
@@ -95,16 +95,6 @@ class PowerModel:
             hbm_w=self.hbm_energy_j(hbm_bytes) / duration_s,
             vector_w=self.vector_energy_j(vector_ops) / duration_s,
         )
-
-    def power_from_traffic(self, duration_s: float, macs: float,
-                           traffic: Mapping[str, float], dtype: str = "bf16",
-                           vector_ops: float = 0.0) -> PowerBreakdown:
-        """Average power from a :class:`MemorySystem` traffic ledger."""
-        sram_bytes = traffic.get("vmem", 0.0) + traffic.get("cmem", 0.0)
-        hbm_bytes = traffic.get("hbm", 0.0)
-        return self.average_power(
-            duration_s, macs=macs, dtype=dtype, sram_bytes=sram_bytes,
-            hbm_bytes=hbm_bytes, vector_ops=vector_ops)
 
     # Datapath-to-chip ratio: clock distribution, uncore, SerDes/HBM PHY and
     # design margin roughly double the datapath's peak power. Calibrated so

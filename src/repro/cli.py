@@ -206,11 +206,7 @@ def _engine_cache(args: argparse.Namespace):
 def _cmd_engine(args: argparse.Namespace) -> int:
     cache = _engine_cache(args)
     if args.action == "stats":
-        from repro.engine.grid import grid_stats
-        from repro.serving.fastserve import fastserve_stats
         print(cache.describe())
-        print(grid_stats().describe())
-        print(fastserve_stats().describe())
         if cache.disk_dir is None:
             print("hint: set REPRO_CACHE_DIR=.repro_cache (or pass --dir) "
                   "to persist results across runs")
@@ -431,10 +427,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         evaluation = point.evaluate(spec, batch)
         slo = Slo(spec.slo_ms / 1e3)
         server = ServingSimulator(
-            point, spec,
-            BatchPolicy(max_batch=max(batch, 1),
-                        max_wait_s=slo.limit_s / 4.0),
-            slo)
+            point, spec, BatchPolicy.for_slo(max(batch, 1), slo), slo)
         rate = args.utilization * chip.cores * batch / result.seconds
         requests = RequestGenerator(args.seed).poisson(
             spec.name, rate, args.duration)

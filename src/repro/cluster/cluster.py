@@ -41,11 +41,10 @@ from repro.cluster.policy import ClusterPolicy
 from repro.obs.metrics import metrics
 from repro.serving.batching import BatchPolicy
 from repro.serving.fastserve import replay_cluster
-from repro.serving.server import (DEFAULT_RETRY_BUDGET,
-                                  DEFAULT_RETRY_TIMEOUT_S, ServingSimulator,
-                                  ServingStats)
+from repro.serving.server import (ServingSimulator, ServingStats,
+                                  arrival_times, fold_stats,
+                                  resolve_schedule, retry_policy)
 from repro.serving.slo import Slo
-from repro.workloads.generator import Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.model import FaultModel, FaultSchedule
@@ -206,38 +205,32 @@ class _Replica:
 
     def stats(self) -> ServingStats:
         served = len(self.latencies)
-        total = served + self.dropped
-        if self.first_arrival is None:
-            duration = 0.0
-        else:
-            duration = (max(self.last_completion, self.last_arrival)
-                        - self.first_arrival)
-        lost_capacity = 0.0
-        if self.schedule is not None and duration > 0:
-            lost_capacity = (
-                self.schedule.downtime_core_s(
-                    self.first_arrival, self.first_arrival + duration)
-                / (self.sim.point.chip.cores * duration))
-        p50, p95, p99, violations = self.sim.slo.summarize(self.latencies)
-        return ServingStats(
-            workload=self.sim.spec.name,
-            chip=self.sim.point.chip.name,
-            requests=total,
-            duration_s=duration,
-            p50_s=p50,
-            p95_s=p95,
-            p99_s=p99,
-            mean_batch=(sum(self.batch_sizes) / len(self.batch_sizes)
-                        if self.batch_sizes else 0.0),
-            throughput_qps=served / duration if duration > 0 else 0.0,
-            slo_violation_fraction=violations,
-            availability=served / total if total else 1.0,
-            retried_requests=self.retried,
-            dropped_requests=self.dropped,
-            lost_batches=self.lost_batches,
-            lost_capacity_fraction=lost_capacity,
-            served_requests=served,
-        )
+        return fold_stats(self.sim, self.schedule, served + self.dropped,
+                          self.first_arrival, self.last_arrival,
+                          self.last_completion, self.latencies,
+                          self.batch_sizes, self.retried, self.dropped,
+                          self.lost_batches)
+
+
+def replica_schedules(faults: Optional["FaultModel"], cores: Sequence[int],
+                      last_arrival: float,
+                      ) -> list[Optional["FaultSchedule"]]:
+    """One independently-seeded schedule per replica (None = clean).
+
+    Replica ``i`` (with ``cores[i]`` cores) draws ``faults`` reseeded
+    to ``DeterministicRng(faults.seed).fork(_REPLICA_SALT + i).seed``
+    over ``last_arrival + faults.horizon_pad_s``, so adding a replica
+    never moves the failures another one sees.
+    """
+    if faults is None or faults.zero_fault:
+        return [None] * len(cores)
+    from repro.util.rng import DeterministicRng
+    root = DeterministicRng(faults.seed)
+    horizon = last_arrival + faults.horizon_pad_s
+    return [resolve_schedule(
+                None, replace(faults, seed=root.fork(_REPLICA_SALT + i).seed),
+                n, horizon)
+            for i, n in enumerate(cores)]
 
 
 class ClusterSimulator:
@@ -274,25 +267,10 @@ class ClusterSimulator:
         sims = [ServingSimulator(point, spec, policy, slo)
                 for _ in range(replicas)]
         for sim in sims[1:]:
-            sim._latency_cache = sims[0]._latency_cache
+            sim.share_memos(sims[0])
         return cls(sims, cluster_policy)
 
     # ------------------------------------------------------------- internals
-
-    def _fork_schedules(self, faults: Optional["FaultModel"],
-                        horizon_s: float,
-                        ) -> list[Optional["FaultSchedule"]]:
-        """One independently-seeded schedule per replica (None = clean)."""
-        if faults is None or faults.zero_fault:
-            return [None] * len(self.replica_sims)
-        from repro.util.rng import DeterministicRng
-        root = DeterministicRng(faults.seed)
-        schedules: list[Optional["FaultSchedule"]] = []
-        for i, sim in enumerate(self.replica_sims):
-            forked = replace(faults, seed=root.fork(_REPLICA_SALT + i).seed)
-            schedule = forked.schedule(sim.point.chip.cores, horizon_s)
-            schedules.append(None if schedule.is_empty else schedule)
-        return schedules
 
     def _tier_tables(self) -> list[dict[str, dict[int, float]]]:
         """Per-replica dtype -> (padded batch -> latency) for dtype tiers.
@@ -334,42 +312,19 @@ class ClusterSimulator:
         and sweeps over hundreds of thousands of requests skip a lot of
         object construction by passing timestamps directly.
         """
-        if not requests:
-            raise ValueError("cannot simulate an empty request stream")
-        if isinstance(requests[0], Request):
-            arrivals = [r.arrival_s for r in requests]
-        else:
-            arrivals = list(requests)
-        if arrivals != sorted(arrivals):  # C-speed on near-sorted input
-            raise ValueError("requests must be sorted by arrival time")
-
-        policy = self.policy
-        n = len(self.replica_sims)
-        if faults is not None:
-            retry_budget = faults.retry_budget
-            retry_timeout = faults.retry_timeout_s
-        else:
-            retry_budget = DEFAULT_RETRY_BUDGET
-            retry_timeout = DEFAULT_RETRY_TIMEOUT_S
+        arrivals = arrival_times(requests)
+        sims = self.replica_sims
         if schedules is not None:
-            if len(schedules) != n:
+            if len(schedules) != len(sims):
                 raise ValueError(
-                    f"{len(schedules)} schedules for {n} replicas")
-            fixed: list[Optional["FaultSchedule"]] = []
-            for sim, schedule in zip(self.replica_sims, schedules):
-                if schedule is not None:
-                    if schedule.cores != sim.point.chip.cores:
-                        raise ValueError(
-                            f"schedule built for {schedule.cores} cores, "
-                            f"replica has {sim.point.chip.cores}")
-                    if schedule.is_empty:
-                        schedule = None
-                fixed.append(schedule)
-            plan = fixed
+                    f"{len(schedules)} schedules for {len(sims)} replicas")
+            plan = [resolve_schedule(schedule, None, sim.point.chip.cores,
+                                     0.0, owner="replica")
+                    for sim, schedule in zip(sims, schedules)]
         else:
-            horizon = (arrivals[-1] + faults.horizon_pad_s
-                       if faults is not None else 0.0)
-            plan = self._fork_schedules(faults, horizon)
+            plan = replica_schedules(
+                faults, [sim.point.chip.cores for sim in sims], arrivals[-1])
+        retry_budget, retry_timeout = retry_policy(faults)
 
         reps = [_Replica(i, sim, plan[i])
                 for i, sim in enumerate(self.replica_sims)]

@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.cluster.cluster import ClusterSimulator
+from repro.cluster.cluster import ClusterSimulator, replica_schedules
 from repro.cluster.policy import ClusterPolicy
 from repro.core.design_point import DesignPoint
 from repro.engine import grid
 from repro.faults.model import FaultModel
 from repro.serving.batching import BatchPolicy
 from repro.serving.fleet import FleetPlan, plan_fleet
-from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import WorkloadSpec
@@ -124,8 +123,7 @@ def plan_resilient_fleet(point: DesignPoint, spec: WorkloadSpec,
     # bounded cost. Traffic scales with the slice.
     sim_serving = min(serving, max_simulated_replicas)
     sim_qps = target_qps * sim_serving / serving
-    batch_policy = BatchPolicy(max_batch=base.slo_batch,
-                               max_wait_s=limit.limit_s / 4.0)
+    batch_policy = BatchPolicy.for_slo(base.slo_batch, limit)
     traffic = RequestGenerator(seed * 104_729 + 1)
     requests = traffic.poisson(spec.name, max(sim_qps, 1.0), duration_s)
 
@@ -134,43 +132,33 @@ def plan_resilient_fleet(point: DesignPoint, spec: WorkloadSpec,
         from repro.pod.faults import PodFaultModel
         from repro.pod.slicesim import SliceSimulator
         from repro.pod.topology import slice_topology
-        from repro.util.rng import DeterministicRng
         topo = slice_topology(point.chip, slice_chips)
         pod_model: PodFaultModel = (
             pod_faults if pod_faults is not None
             else default_sizing_pod_faults())
-        horizon = requests[-1].arrival_s + model.horizon_pad_s
-        chip_root = DeterministicRng(model.seed)
+        last_arrival = requests[-1].arrival_s
+        horizon = last_arrival + model.horizon_pad_s
 
         def sliced_cluster(n: int, cluster_policy):
             """n slice replicas sharing memos + per-slice schedules.
 
-            Chip faults fork per replica with the cluster's own salt
-            (the timelines replica i would have drawn anyway) and each
-            slice's link faults fork independently; both compile into
-            one core schedule per slice.
+            Chip faults fork per replica exactly as the cluster forks
+            them (the timelines replica i would have drawn anyway) and
+            each slice's link faults fork independently; both compile
+            into one core schedule per slice.
             """
-            from repro.cluster.cluster import _REPLICA_SALT
             sims = [SliceSimulator(point, spec, batch_policy, limit,
                                    topology=topo) for _ in range(n)]
             for sim in sims[1:]:
-                sim._latency_cache = sims[0]._latency_cache
-                sim._shards = sims[0]._shards
-                sim._state_latency = sims[0]._state_latency
-            schedules = []
-            for i, sim in enumerate(sims):
-                chip_schedule = None
-                if not model.zero_fault:
-                    forked = replace(
-                        model, seed=chip_root.fork(_REPLICA_SALT + i).seed)
-                    chip_schedule = forked.schedule(
-                        point.chip.cores, horizon)
-                    if chip_schedule.is_empty:
-                        chip_schedule = None
-                link_schedule = pod_model.fork_for_slice(i).link_schedule(
-                    topo.num_links, horizon)
-                schedules.append(sim.induced_schedule(
-                    link_schedule, horizon, chip_schedule))
+                sim.share_memos(sims[0])
+            chip_schedules = replica_schedules(
+                model, [point.chip.cores] * n, last_arrival)
+            schedules = [
+                sim.induced_schedule(
+                    pod_model.fork_for_slice(i).link_schedule(
+                        topo.num_links, horizon),
+                    horizon, chip_schedules[i])
+                for i, sim in enumerate(sims)]
             return ClusterSimulator(sims, cluster_policy), schedules
 
     trail: list[tuple[int, float]] = []

@@ -27,7 +27,7 @@ from repro.faults.model import FaultModel, FaultSchedule
 from repro.faults.sweep import latency_table
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
-from repro.serving.slo import Slo
+from repro.serving.slo import Slo, check_load, slo_capacity
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
 
@@ -105,11 +105,8 @@ def chaos_sweep(seed: int = 0, *,
     seeded from ``seed``: the sweep is a pure function of its
     arguments.
     """
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise ValueError(
-            f"duration must be positive and finite, got {duration_s!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+    check_load(duration_s, utilization)
+    steps = BatchPolicy.batch_steps(max_batch)
     if replicas < 2:
         raise ValueError("a chaos sweep needs at least 2 replicas")
     chip_list = tuple(chips) if chips is not None else GENERATIONS
@@ -124,15 +121,11 @@ def chaos_sweep(seed: int = 0, *,
         spec = app_by_name(app)
         slo = Slo(spec.slo_ms / 1e3)
         point = shared_design_point(chip)
-        steps = BatchPolicy.batch_steps(max_batch)
         table = latency_table(point, spec, steps)
-        slo_batch = max((s for s in steps if table[s] <= slo.limit_s),
-                        default=1)
-        per_replica_qps = chip.cores * slo_batch / table[slo_batch]
+        per_replica_qps = slo_capacity(table, slo, chip.cores)
         base_qps = utilization * per_replica_qps * (replicas - 1)
 
-        batch_policy = BatchPolicy(max_batch=max_batch,
-                                   max_wait_s=slo.limit_s / 4.0)
+        batch_policy = BatchPolicy.for_slo(max_batch, slo)
         policies = (
             ("static", ClusterPolicy.static()),
             ("resilient", ClusterPolicy.resilient(

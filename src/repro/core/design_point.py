@@ -313,15 +313,15 @@ class DesignPoint:
         results to the per-candidate loop; see :mod:`repro.engine.grid`),
         so a cold SLO probe costs one kernel dispatch, not nine runs.
         """
+        # Call-time import: repro.serving imports this module.
+        from repro.serving.slo import largest_batch_within
         if slo_s <= 0:
             raise ValueError("SLO must be positive")
         results = grid.run_grid([grid.GridJob(self, spec, batch)
                                  for batch in candidates])
-        best = 0
-        for batch, result in zip(candidates, results):
-            if result.seconds <= slo_s:
-                best = max(best, batch)
-        return best
+        return largest_batch_within(
+            {batch: result.seconds
+             for batch, result in zip(candidates, results)}, slo_s, 0)
 
 
 # ----------------------------------------------------------- shared registry

@@ -27,8 +27,7 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.engine.cache": ("CacheStats", "EvalCache", "configure_cache",
                            "get_cache", "set_cache"),
-    "repro.engine.grid": ("GridJob", "GridStats", "clear_grid_stats",
-                          "evaluate_jobs", "grid_stats", "run_grid"),
+    "repro.engine.grid": ("GridJob", "evaluate_jobs", "run_grid"),
     "repro.engine.keys": ("chip_fingerprint", "compile_chip_fingerprint",
                           "compiler_fingerprint", "eval_key", "fingerprint"),
     "repro.engine.modules": ("built_module", "clear_modules"),
@@ -38,10 +37,8 @@ __all__ = [
     "CacheStats",
     "EvalCache",
     "GridJob",
-    "GridStats",
     "built_module",
     "chip_fingerprint",
-    "clear_grid_stats",
     "clear_modules",
     "compile_chip_fingerprint",
     "compiler_fingerprint",
@@ -50,7 +47,6 @@ __all__ = [
     "evaluate_jobs",
     "fingerprint",
     "get_cache",
-    "grid_stats",
     "run_grid",
     "set_cache",
 ]

@@ -32,9 +32,8 @@ evaluate``/``compare``/``metrics``. They read and write the same two
 tiers under the same keys, so either path serves the other's results;
 ``tests/test_gridsim.py`` holds the grid to the per-point loop.
 
-Counters flow through :func:`repro.obs.metrics.metrics` (the
-``engine.grid.*`` family) and the always-on module stats
-(:func:`grid_stats`) reported by ``repro engine stats``.
+Counters flow through :func:`repro.obs.metrics.metrics`, the
+``engine.grid.*`` family (``repro metrics`` prints them).
 """
 
 from __future__ import annotations
@@ -71,36 +70,6 @@ class GridJob:
             else self.spec.default_batch
 
 
-# ------------------------------------------------------------------ stats
-
-@dataclass
-class GridStats:
-    """Engine-side accounting for ``repro engine stats``."""
-
-    batches: int = 0           # batched kernel dispatches
-    points: int = 0            # jobs routed through run_grid/evaluate_jobs
-    batched_points: int = 0    # unique points the kernel actually evaluated
-    cache_hits: int = 0        # jobs excluded from the batch by a cache
-    shared_compiles: int = 0   # compiles avoided by content dedupe
-
-    def describe(self) -> str:
-        return (f"grid: {self.batches} batches, {self.points} jobs "
-                f"({self.batched_points} batched, {self.cache_hits} cache "
-                f"hits), {self.shared_compiles} compiles shared")
-
-
-_STATS = GridStats()
-
-
-def grid_stats() -> GridStats:
-    return _STATS
-
-
-def clear_grid_stats() -> None:
-    global _STATS
-    _STATS = GridStats()
-
-
 # ---------------------------------------------------------------- helpers
 
 def _shared_compiled(job: GridJob,
@@ -117,7 +86,6 @@ def _shared_compiled(job: GridJob,
                                          job.cmem_budget_bytes, job.dtype)
         compiled_by_key[key] = compiled
     else:
-        _STATS.shared_compiles += 1
         metrics().count("engine.grid.shared_compiles")
     return compiled
 
@@ -134,8 +102,6 @@ def _lookup(kind: str, jobs: list) -> Tuple[list, list]:
                for job in jobs]
     misses = [job for job, result in zip(jobs, results) if result is None]
     hits = len(jobs) - len(misses)
-    _STATS.points += len(jobs)
-    _STATS.cache_hits += hits
     reg = metrics()
     reg.count("engine.grid.points", len(jobs))
     reg.count("engine.grid.cache_hits", hits)
@@ -177,7 +143,6 @@ def run_grid(jobs: Sequence[GridJob],
     if not misses:
         return results
 
-    _STATS.batches += 1
     reg = metrics()
     reg.count("engine.grid.batches")
     if compiled_by_key is None:
@@ -195,7 +160,6 @@ def run_grid(jobs: Sequence[GridJob],
         slots.append(slot_by_key[key])
     with reg.timer("tier.sim_s"):
         sims = evaluate_grid(batch_points)
-    _STATS.batched_points += len(batch_points)
     reg.count("engine.grid.batched_points", len(batch_points))
     return _store("sim", results, misses, [sims[slot] for slot in slots])
 

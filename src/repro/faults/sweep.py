@@ -15,7 +15,6 @@ sweep covers all four generations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from repro.engine import grid
 from repro.faults.model import FaultModel
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator, ServingStats
-from repro.serving.slo import Slo
+from repro.serving.slo import Slo, check_load, slo_capacity
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
 
@@ -87,11 +86,8 @@ def fault_sweep(model: FaultModel, *,
     arguments.
     """
     from repro.core.dse import DEFAULT_DSE_APPS
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise ValueError(
-            f"duration must be positive and finite, got {duration_s!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+    check_load(duration_s, utilization)
+    steps = BatchPolicy.batch_steps(max_batch)
     app_names = tuple(apps) if apps is not None else DEFAULT_DSE_APPS
     chip_list = tuple(chips) if chips is not None else GENERATIONS
 
@@ -101,17 +97,11 @@ def fault_sweep(model: FaultModel, *,
         spec = app_by_name(app)
         slo = Slo(spec.slo_ms / 1e3)
         point = shared_design_point(chip)
-        steps = BatchPolicy.batch_steps(max_batch)
         table = latency_table(point, spec, steps)
+        rate_qps = utilization * slo_capacity(table, slo, chip.cores)
 
-        slo_batch = max((s for s in steps if table[s] <= slo.limit_s),
-                        default=1)
-        capacity_qps = chip.cores * slo_batch / table[slo_batch]
-        rate_qps = utilization * capacity_qps
-
-        policy = BatchPolicy(max_batch=max_batch,
-                             max_wait_s=slo.limit_s / 4.0)
-        simulator = ServingSimulator(point, spec, policy, slo)
+        simulator = ServingSimulator(point, spec,
+                                     BatchPolicy.for_slo(max_batch, slo), slo)
         simulator.seed_latencies(table)
 
         # Per-pair traffic stream, derived from the fault seed so the

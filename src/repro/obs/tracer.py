@@ -202,7 +202,11 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
         raise ValueError("serve duration must be positive and finite, "
                          f"got {serve_duration_s!r}")
     if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+        raise ValueError(
+            f"utilization must be in (0, 1], got {utilization!r}")
+    if serve:
+        from repro.serving.batching import BatchPolicy
+        steps = BatchPolicy.batch_steps(max_batch)
     if dtype is None:
         dtype = chip.native_dtype
     if not chip.supports_dtype(dtype):
@@ -240,22 +244,20 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
     if serve:
         from repro.core.design_point import DesignPoint
         from repro.engine.cache import EvalCache
-        from repro.serving.batching import BatchPolicy
         from repro.serving.server import ServingSimulator
-        from repro.serving.slo import Slo
+        from repro.serving.slo import Slo, largest_batch_within
         from repro.workloads.generator import RequestGenerator
 
-        steps = BatchPolicy.batch_steps(max_batch)
         table = {
             step: replayer.run(lower_program(compile_batch(step), chip),
                                dtype=dtype).seconds
             for step in steps}
         slo = Slo(spec.slo_ms / 1e3)
-        slo_batch = max((s for s in steps if table[s] <= slo.limit_s),
-                        default=1)
+        slo_batch = largest_batch_within(table, slo.limit_s, 1)
+        # Not utilization * slo_capacity(): that rounds differently, and
+        # the trace export is pinned byte for byte to this order.
         rate_qps = utilization * chip.cores * slo_batch / table[slo_batch]
-        policy = BatchPolicy(max_batch=max_batch,
-                             max_wait_s=slo.limit_s / 4.0)
+        policy = BatchPolicy.for_slo(max_batch, slo)
         point = DesignPoint(chip, cache=EvalCache(enabled=False))
         simulator = ServingSimulator(point, spec, policy, slo)
         simulator.seed_latencies(table)

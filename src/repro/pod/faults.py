@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.faults.model import FaultModel, FaultSchedule
-from repro.serving.server import (DEFAULT_RETRY_BUDGET,
-                                  DEFAULT_RETRY_TIMEOUT_S)
+from repro.serving.server import retry_policy
 from repro.util.rng import DeterministicRng
 
 #: Stream salts, far above the FaultModel-internal salts (1 / 1_000 /
@@ -99,13 +98,11 @@ class PodFaultModel:
 
     @property
     def retry_budget(self) -> int:
-        return (self.chip_faults.retry_budget if self.chip_faults is not None
-                else DEFAULT_RETRY_BUDGET)
+        return retry_policy(self.chip_faults)[0]
 
     @property
     def retry_timeout_s(self) -> float:
-        return (self.chip_faults.retry_timeout_s
-                if self.chip_faults is not None else DEFAULT_RETRY_TIMEOUT_S)
+        return retry_policy(self.chip_faults)[1]
 
     @property
     def horizon_pad_s(self) -> float:

@@ -49,7 +49,10 @@ from repro.pod.faults import PodFaultModel
 from repro.pod.sharding import ShardedProgram
 from repro.pod.topology import PodTopology
 from repro.serving.batching import BatchPolicy
-from repro.serving.server import ServingSimulator, ServingStats
+from repro.serving import server
+from repro.serving.server import (ServingSimulator, ServingStats,
+                                  arrival_times, resolve_schedule,
+                                  retry_policy)
 from repro.serving.slo import Slo
 from repro.workloads.generator import Request
 from repro.workloads.models import WorkloadSpec
@@ -63,6 +66,8 @@ class SliceSimulator(ServingSimulator):
     conservative reading of a pipeline slice (lanes overlap across
     batches, stages do not overlap within one batch).
     """
+
+    _MEMOS = ServingSimulator._MEMOS + ("_shards", "_state_latency")
 
     def __init__(self, point: DesignPoint, spec: WorkloadSpec,
                  policy: BatchPolicy, slo: Slo, *,
@@ -271,17 +276,13 @@ class SliceSimulator(ServingSimulator):
         pod = self.pod_faults
         if pod is None:
             return super().simulate(requests, faults, schedule, tracer)
-        if not requests:
-            raise ValueError("cannot simulate an empty request stream")
-        last = requests[-1].arrival_s \
-            if isinstance(requests[-1], Request) else requests[-1]
-        horizon = last + pod.horizon_pad_s
+        arrivals = arrival_times(requests)
+        horizon = arrivals[-1] + pod.horizon_pad_s
         chip_model = faults if faults is not None else pod.chip_faults
-        chip_schedule = schedule
-        if (chip_schedule is None and chip_model is not None
-                and not chip_model.zero_fault):
-            chip_schedule = chip_model.schedule(
-                self.point.chip.cores, horizon)
+        chip_schedule = resolve_schedule(schedule, chip_model,
+                                         self.point.chip.cores, horizon)
+        # The merged schedule is already checked: None, the resolved
+        # chip schedule, or a non-empty one built for this chip.
         merged = self.realize_schedule(horizon, chip_schedule)
-        return super().simulate(requests, faults=chip_model,
-                                schedule=merged, tracer=tracer)
+        return server.replay_serving(self, arrivals, merged,
+                                     *retry_policy(chip_model), tracer)

@@ -31,7 +31,7 @@ from repro.pod.faults import PodFaultModel
 from repro.pod.slicesim import SliceSimulator
 from repro.pod.topology import PodTopology, slice_topology
 from repro.serving.batching import BatchPolicy
-from repro.serving.slo import Slo
+from repro.serving.slo import Slo, check_load, slo_capacity
 from repro.workloads.generator import RequestGenerator
 from repro.workloads.models import app_by_name
 
@@ -175,11 +175,8 @@ def pod_chaos_sweep(seed: int = 0, *,
     a pure function of its arguments. Chips without enough ICI ports
     for a ``slice_chips``-chip slice are skipped.
     """
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise ValueError(
-            f"duration must be positive and finite, got {duration_s!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+    check_load(duration_s, utilization)
+    steps = BatchPolicy.batch_steps(max_batch)
     if slices < 2:
         raise ValueError("a pod chaos sweep needs at least 2 slices")
     if slice_chips < 2:
@@ -200,8 +197,7 @@ def pod_chaos_sweep(seed: int = 0, *,
                 spec = app_by_name(app)
                 slo = Slo(spec.slo_ms / 1e3)
                 point = shared_design_point(chip)
-                batch_policy = BatchPolicy(max_batch=max_batch,
-                                           max_wait_s=slo.limit_s / 4.0)
+                batch_policy = BatchPolicy.for_slo(max_batch, slo)
                 sims = [SliceSimulator(point, spec, batch_policy, slo,
                                        topology=topology,
                                        parallelism=parallelism)
@@ -209,16 +205,11 @@ def pod_chaos_sweep(seed: int = 0, *,
                 # Identical slices share every memo: one shard build,
                 # one latency table, one link-state repricing.
                 for sim in sims[1:]:
-                    sim._latency_cache = sims[0]._latency_cache
-                    sim._shards = sims[0]._shards
-                    sim._state_latency = sims[0]._state_latency
+                    sim.share_memos(sims[0])
 
-                steps = BatchPolicy.batch_steps(max_batch)
                 table = {step: sims[0].batch_latency_s(step)
                          for step in steps}
-                slo_batch = max(
-                    (s for s in steps if table[s] <= slo.limit_s), default=1)
-                per_slice_qps = chip.cores * slo_batch / table[slo_batch]
+                per_slice_qps = slo_capacity(table, slo, chip.cores)
                 base_qps = utilization * per_slice_qps * (slices - 1)
 
                 policies = (

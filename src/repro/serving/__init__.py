@@ -42,11 +42,6 @@ into that call.
 from repro.serving.slo import Slo, percentile, percentile_sorted
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator, ServingStats
-from repro.serving.fastserve import (
-    FastServeStats,
-    clear_fastserve,
-    fastserve_stats,
-)
 from repro.serving.fleet import FleetPlan, plan_fleet
 from repro.serving.priority import TwoTierServer, TwoTierStats
 from repro.serving.multitenancy import (
@@ -81,9 +76,6 @@ __all__ = [
     "percentile",
     "percentile_sorted",
     "BatchPolicy",
-    "FastServeStats",
-    "clear_fastserve",
-    "fastserve_stats",
     "ServingSimulator",
     "ServingStats",
     "FleetPlan",

@@ -97,12 +97,8 @@ from repro.obs.metrics import metrics
 from repro.serving.batching import BatchPolicy
 from repro.serving.recovery import RecoveryPolicy, snapshot_latency_table, \
     snapshot_seconds
-from repro.serving.server import (
-    DEFAULT_RETRY_BUDGET,
-    DEFAULT_RETRY_TIMEOUT_S,
-    check_seed_latency,
-)
-from repro.serving.slo import percentile_sorted
+from repro.serving.server import check_seed_latency, serving_inputs
+from repro.serving.slo import check_load, percentile_sorted
 from repro.workloads.generative import GenerativeSpec, GenRequest
 
 
@@ -316,6 +312,11 @@ class _Accumulator:
         self.iterations = 0  # engine-loop iterations, for the counters
 
 
+def _check_slots(slots: int) -> None:
+    if slots < 1:
+        raise ValueError(f"slots must be >= 1, got {slots!r}")
+
+
 class ContinuousBatchingSimulator:
     """Slot-based continuous batching of one generative model on one chip."""
 
@@ -327,8 +328,7 @@ class ContinuousBatchingSimulator:
         self.point = point
         self.spec = spec
         self.slots = slots if slots is not None else spec.default_slots
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
+        _check_slots(self.slots)
         self.slo = slo if slo is not None else GenerativeSlo(
             spec.slo_ttft_ms / 1e3, spec.slo_per_token_ms / 1e3)
         self.max_decode_len = (max_decode_len if max_decode_len is not None
@@ -427,25 +427,9 @@ class ContinuousBatchingSimulator:
         permanent death keeps the PR 9 semantics: the core's whole
         substream is dropped.
         """
-        arrivals = [r.arrival_s for r in requests]
-        if arrivals != sorted(arrivals):
-            raise ValueError("requests must be sorted by arrival time")
-
         cores = self.point.chip.cores
-        if faults is not None:
-            retry_budget = faults.retry_budget
-            retry_timeout = faults.retry_timeout_s
-            if schedule is None and not faults.zero_fault and requests:
-                schedule = faults.schedule(
-                    cores, arrivals[-1] + faults.horizon_pad_s)
-        else:
-            retry_budget = DEFAULT_RETRY_BUDGET
-            retry_timeout = DEFAULT_RETRY_TIMEOUT_S
-        if schedule is not None and schedule.cores != cores:
-            raise ValueError(
-                f"schedule built for {schedule.cores} cores, chip has {cores}")
-        if schedule is not None and schedule.is_empty:
-            schedule = None
+        _arrivals, schedule, retry_budget, retry_timeout = serving_inputs(
+            requests, faults, schedule, cores, empty_ok=True)
 
         substreams: List[List[_Pending]] = [[] for _ in range(cores)]
         for order, request in enumerate(requests):
@@ -893,11 +877,9 @@ def _sweep_pairs(seed: int, models: Sequence[str],
     from repro.workloads.generative import generative_by_name, \
         sample_gen_requests
 
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise ValueError(
-            f"duration must be positive and finite, got {duration_s!r}")
-    if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
+    check_load(duration_s, utilization)
+    if slots is not None:
+        _check_slots(slots)
     chip_list = tuple(chips) if chips is not None else GENERATIONS
 
     pairs: List[tuple] = []

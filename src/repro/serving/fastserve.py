@@ -37,9 +37,9 @@ production path; the original event loops
 (``ServingSimulator._replay_events``, ``ClusterSimulator._replay_events``)
 remain as the test-only reference.
 
-Segment/batch/boundary counts are kept in the always-on module stats
-(:func:`fastserve_stats`, surfaced by ``repro engine stats``) and, when
-the metrics registry is enabled, in ``serving.fastserve.*`` counters.
+Replay/batch/segment/boundary counts go to the ``serving.fastserve.*``
+counters when the metrics registry is enabled (``repro metrics``
+prints them).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.obs.metrics import UNIT_BUCKETS, metrics
@@ -58,37 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import SpanTracer
     from repro.serving.server import ServingSimulator, ServingStats
 
-# ------------------------------------------------------------------- stats
-
-@dataclass
-class FastServeStats:
-    """Work the replay kernels did across a process."""
-
-    replays: int = 0           # single-simulator timelines replayed
-    cluster_replays: int = 0   # cluster timelines replayed
-    batches: int = 0           # batches the kernels launched
-    segments: int = 0          # fault-free segments replayed vectorized
-    boundaries: int = 0        # outage/kill/purge/eject/tier segment cuts
-
-    def describe(self) -> str:
-        return (f"fastserve: {self.replays} replays "
-                f"(+{self.cluster_replays} cluster), {self.batches} batches "
-                f"over {self.segments} segments "
-                f"({self.boundaries} fault boundaries)")
-
-
-_STATS = FastServeStats()
-
-
-def fastserve_stats() -> FastServeStats:
-    return _STATS
-
-
-def clear_fastserve() -> None:
-    global _STATS
-    _STATS = FastServeStats()
-
-
 # --------------------------------------------------- single-simulator kernel
 
 def replay_serving(sim: "ServingSimulator", arrivals: List[float],
@@ -97,8 +65,9 @@ def replay_serving(sim: "ServingSimulator", arrivals: List[float],
                    tracer: Optional["SpanTracer"]) -> "ServingStats":
     """Replay one serving timeline; bit-identical to the event loop.
 
-    Called by :meth:`ServingSimulator.simulate` after validation, with
-    the fault schedule already resolved (``None`` for a faultless run).
+    Called by :meth:`ServingSimulator.simulate` (and a pod slice's)
+    after the front door in :mod:`repro.serving.server`, with the fault
+    schedule already resolved (``None`` for a faultless run).
     The queue invariant the kernel exploits: absorption never grows the
     queue past ``max_batch``, so a successful launch always drains it
     and a mid-batch kill leaves only the survivor list — the queue is
@@ -286,12 +255,9 @@ def replay_serving(sim: "ServingSimulator", arrivals: List[float],
                 last_completion = completion
             s = t
 
-    _STATS.replays += 1
-    _STATS.batches += len(batch_sizes)
-    _STATS.segments += segments
-    _STATS.boundaries += boundaries
     if rec:
         reg.count("serving.fastserve.replays")
+        reg.count("serving.fastserve.batches", len(batch_sizes))
         reg.count("serving.fastserve.segments", segments)
         reg.count("serving.fastserve.boundaries", boundaries)
     return sim._finalize(arrivals, schedule, latencies, batch_sizes,
@@ -1052,12 +1018,9 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
                 # keeps the probe clock alive — remember the fire time.
                 settled_until = completion
 
-    _STATS.cluster_replays += 1
-    _STATS.batches += kernel_batches
-    _STATS.segments += boundaries + 1
-    _STATS.boundaries += boundaries
     if rec:
         reg.count("serving.fastserve.cluster_replays")
+        reg.count("serving.fastserve.batches", kernel_batches)
         reg.count("serving.fastserve.segments", boundaries + 1)
         reg.count("serving.fastserve.boundaries", boundaries)
     return cluster._finalize(

@@ -30,7 +30,7 @@ from repro.core.design_point import DesignPoint
 from repro.obs.metrics import UNIT_BUCKETS, metrics
 from repro.serving.batching import BatchPolicy
 from repro.serving.fastserve import replay_serving
-from repro.serving.slo import Slo
+from repro.serving.slo import Slo, largest_batch_within
 from repro.workloads.generator import Request
 from repro.workloads.models import WorkloadSpec
 
@@ -42,6 +42,86 @@ if TYPE_CHECKING:  # pragma: no cover
 #: FaultModel carrying its own budget/timeout.
 DEFAULT_RETRY_BUDGET = 2
 DEFAULT_RETRY_TIMEOUT_S = math.inf
+
+
+# ------------------------------------------------------------ front door
+
+def arrival_times(requests: Sequence, *,
+                  empty_ok: bool = False) -> list[float]:
+    """Arrival timestamps of a request stream, checked to be sorted.
+
+    ``requests`` may be objects with an ``arrival_s`` (:class:`Request`,
+    ``GenRequest``) or bare timestamps: the simulators only read arrival
+    times, so sweeps skip building objects. An empty stream raises
+    unless ``empty_ok``.
+    """
+    if not requests:
+        if empty_ok:
+            return []
+        raise ValueError("cannot simulate an empty request stream")
+    if hasattr(requests[0], "arrival_s"):
+        arrivals = [r.arrival_s for r in requests]
+    else:
+        arrivals = list(requests)
+    if arrivals != sorted(arrivals):  # C-speed on near-sorted input
+        raise ValueError("requests must be sorted by arrival time")
+    return arrivals
+
+
+def retry_policy(faults) -> tuple[int, float]:
+    """``(retry budget, retry timeout)`` of a fault model, or the
+    defaults when there is none (a bare schedule, or no faults)."""
+    if faults is None:
+        return DEFAULT_RETRY_BUDGET, DEFAULT_RETRY_TIMEOUT_S
+    return faults.retry_budget, faults.retry_timeout_s
+
+
+def resolve_schedule(schedule: Optional["FaultSchedule"],
+                     faults: Optional["FaultModel"], cores: int,
+                     horizon_s: float, owner: str = "chip",
+                     ) -> Optional["FaultSchedule"]:
+    """The fault timeline one simulator replays (``None`` = faultless).
+
+    Resolution order: an explicit ``schedule`` wins; otherwise a
+    non-zero-fault ``faults`` model is drawn over ``[0, horizon_s)``,
+    and no model or a zero-fault one is faultless. A schedule built for
+    another core count is rejected (``owner`` names the simulator in
+    the message), and an empty one takes the faultless path, so it is
+    bit-identical to passing nothing.
+    """
+    if schedule is None:
+        if faults is None or faults.zero_fault:
+            return None
+        schedule = faults.schedule(cores, horizon_s)
+    if schedule.cores != cores:
+        raise ValueError(f"schedule built for {schedule.cores} cores, "
+                         f"{owner} has {cores}")
+    return None if schedule.is_empty else schedule
+
+
+def serving_inputs(requests: Sequence, faults: Optional["FaultModel"],
+                   schedule: Optional["FaultSchedule"], cores: int, *,
+                   empty_ok: bool = False) -> tuple:
+    """The fault/stream front door of a one-chip simulator's ``simulate``.
+
+    Returns ``(arrivals, schedule, retry budget, retry timeout)``: the
+    sorted arrival times (:func:`arrival_times`), the retry policy
+    (:func:`retry_policy`), and the schedule :func:`resolve_schedule`
+    picks, drawn over ``last arrival + faults.horizon_pad_s``.
+
+    What each caller does differently: continuous batching passes
+    ``empty_ok`` (an empty stream is a quiet window; nothing is drawn
+    for it). The cluster router and a pod slice call the pieces
+    directly: the router draws one forked schedule per replica
+    (:func:`~repro.cluster.cluster.replica_schedules`), and a slice
+    resolves its chip schedule over the pod's horizon pad and merges
+    its link schedule into it.
+    """
+    arrivals = arrival_times(requests, empty_ok=empty_ok)
+    drawn = faults if arrivals else None  # an empty stream draws nothing
+    horizon = arrivals[-1] + drawn.horizon_pad_s if drawn is not None else 0.0
+    return (arrivals, resolve_schedule(schedule, drawn, cores, horizon),
+            *retry_policy(faults))
 
 
 def check_seed_latency(batch, latency: float) -> None:
@@ -119,8 +199,59 @@ class ServingStats:
         return base
 
 
+def fold_stats(sim: "ServingSimulator",
+               schedule: Optional["FaultSchedule"], requests: int,
+               first_arrival: Optional[float], last_arrival: float,
+               last_completion: float, latencies: list[float],
+               batch_sizes: list[int], retried: int, dropped: int,
+               lost_batches: int) -> ServingStats:
+    """Fold one serving timeline's outputs into :class:`ServingStats`.
+
+    The one constructor of serving stats, for a simulator's own replay
+    and for each cluster replica. The duration runs from the first
+    arrival to the later of the last arrival and last completion (0
+    when nothing arrived); lost capacity is the schedule's core-seconds
+    down over that window. Percentiles and violations come from one
+    :meth:`~repro.serving.slo.Slo.summarize` pass.
+    """
+    if first_arrival is None:
+        duration = 0.0
+    else:
+        duration = max(last_completion, last_arrival) - first_arrival
+    lost_capacity = 0.0
+    if schedule is not None and duration > 0:
+        lost_capacity = (
+            schedule.downtime_core_s(first_arrival, first_arrival + duration)
+            / (sim.point.chip.cores * duration))
+    served = len(latencies)
+    p50, p95, p99, violations = sim.slo.summarize(latencies)
+    return ServingStats(
+        workload=sim.spec.name,
+        chip=sim.point.chip.name,
+        requests=requests,
+        duration_s=duration,
+        p50_s=p50,
+        p95_s=p95,
+        p99_s=p99,
+        mean_batch=(sum(batch_sizes) / len(batch_sizes)
+                    if batch_sizes else 0.0),
+        throughput_qps=served / duration if duration > 0 else 0.0,
+        slo_violation_fraction=violations,
+        availability=served / requests if requests else 1.0,
+        retried_requests=retried,
+        dropped_requests=dropped,
+        lost_batches=lost_batches,
+        lost_capacity_fraction=lost_capacity,
+        served_requests=served,
+    )
+
+
 class ServingSimulator:
     """Simulates request serving for one workload on one design point."""
+
+    #: Per-instance memos :meth:`share_memos` hands from one identical
+    #: simulator to another.
+    _MEMOS: tuple[str, ...] = ("_latency_cache",)
 
     def __init__(self, point: DesignPoint, spec: WorkloadSpec,
                  policy: BatchPolicy, slo: Slo) -> None:
@@ -183,31 +314,8 @@ class ServingSimulator:
         times, and large sweeps skip a lot of object construction by
         passing timestamps directly.
         """
-        if not requests:
-            raise ValueError("cannot simulate an empty request stream")
-        if isinstance(requests[0], Request):
-            arrivals = [r.arrival_s for r in requests]
-        else:
-            arrivals = list(requests)
-        if arrivals != sorted(arrivals):  # C-speed on near-sorted input
-            raise ValueError("requests must be sorted by arrival time")
-
-        cores = self.point.chip.cores
-        if faults is not None:
-            retry_budget = faults.retry_budget
-            retry_timeout = faults.retry_timeout_s
-            if schedule is None and not faults.zero_fault:
-                schedule = faults.schedule(
-                    cores, arrivals[-1] + faults.horizon_pad_s)
-        else:
-            retry_budget = DEFAULT_RETRY_BUDGET
-            retry_timeout = DEFAULT_RETRY_TIMEOUT_S
-        if schedule is not None and schedule.cores != cores:
-            raise ValueError(
-                f"schedule built for {schedule.cores} cores, chip has {cores}")
-        if schedule is not None and schedule.is_empty:
-            schedule = None  # empty timeline: take the faultless fast path
-
+        arrivals, schedule, retry_budget, retry_timeout = serving_inputs(
+            requests, faults, schedule, self.point.chip.cores)
         return replay_serving(self, arrivals, schedule, retry_budget,
                               retry_timeout, tracer)
 
@@ -342,46 +450,32 @@ class ServingSimulator:
                   retried: int, dropped: int, lost_batches: int,
                   last_completion: float) -> ServingStats:
         """Fold replay outputs into :class:`ServingStats` (shared by the
-        event loop and the fastserve kernel; stats are computed from one
-        sorted copy of the latency list, so both paths and all percentile
-        queries see identical floats)."""
-        total = len(arrivals)
+        event loop and the fastserve kernel) and count them in the
+        ``serving.*`` registry family — only this single-simulator path
+        counts there; cluster replicas fold through :func:`fold_stats`
+        alone."""
         reg = metrics()
-        rec = reg.enabled
-        duration = max(last_completion, arrivals[-1]) - arrivals[0]
-        served = len(latencies)
-        if rec:
+        if reg.enabled:
             reg.counter("serving.batches").inc(len(batch_sizes))
-            reg.counter("serving.requests_offered").inc(total)
-            reg.counter("serving.requests_served").inc(served)
+            reg.counter("serving.requests_offered").inc(len(arrivals))
+            reg.counter("serving.requests_served").inc(len(latencies))
             reg.counter("serving.retried_requests").inc(retried)
             reg.counter("serving.dropped_requests").inc(dropped)
             reg.counter("serving.lost_batches").inc(lost_batches)
-        lost_capacity = 0.0
-        if schedule is not None and duration > 0:
-            lost_capacity = (
-                schedule.downtime_core_s(arrivals[0], arrivals[0] + duration)
-                / (self.point.chip.cores * duration))
-        p50, p95, p99, violations = self.slo.summarize(latencies)
-        return ServingStats(
-            workload=self.spec.name,
-            chip=self.point.chip.name,
-            requests=total,
-            duration_s=duration,
-            p50_s=p50,
-            p95_s=p95,
-            p99_s=p99,
-            mean_batch=(sum(batch_sizes) / len(batch_sizes)
-                        if batch_sizes else 0.0),
-            throughput_qps=served / duration if duration > 0 else 0.0,
-            slo_violation_fraction=violations,
-            availability=served / total,
-            retried_requests=retried,
-            dropped_requests=dropped,
-            lost_batches=lost_batches,
-            lost_capacity_fraction=lost_capacity,
-            served_requests=served,
-        )
+        return fold_stats(self, schedule, len(arrivals), arrivals[0],
+                          arrivals[-1], last_completion, latencies,
+                          batch_sizes, retried, dropped, lost_batches)
+
+    def share_memos(self, source: "ServingSimulator") -> None:
+        """Serve from ``source``'s memos instead of this simulator's own.
+
+        For identical simulators (same design point, workload, batcher
+        and, for a slice, topology): replicas of one cluster then
+        compute each latency — and a slice each shard graph and link
+        state — once, not once per replica.
+        """
+        for name in self._MEMOS:
+            setattr(self, name, getattr(source, name))
 
     def max_slo_batch(self) -> int:
         """Largest compiled batch step whose *compute alone* fits the SLO.
@@ -389,8 +483,7 @@ class ServingSimulator:
         The Lesson 9 headline number: even with zero queueing, the latency
         budget caps the batch.
         """
-        best = 0
-        for step in BatchPolicy.batch_steps(self.policy.max_batch):
-            if self.batch_latency_s(step) <= self.slo.limit_s:
-                best = max(best, step)
-        return best
+        return largest_batch_within(
+            {step: self.batch_latency_s(step)
+             for step in BatchPolicy.batch_steps(self.policy.max_batch)},
+            self.slo.limit_s, 0)

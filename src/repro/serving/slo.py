@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,46 @@ def percentile(values: Sequence[float], pct: float) -> float:
     2.0
     """
     return percentile_sorted(sorted(values), pct)
+
+
+def largest_batch_within(latencies: Mapping[int, float], limit_s: float,
+                         fallback: int) -> int:
+    """Lesson 9: the largest batch whose compute latency fits ``limit_s``.
+
+    ``latencies`` maps batch size -> latency; a batch fits when its
+    latency is ``<=`` the limit. ``fallback`` is returned when none
+    does: traffic sweeps size their load at batch 1 so no generation is
+    silently skipped, while planners and ``max_*`` probes report 0.
+    """
+    return max((batch for batch, latency in latencies.items()
+                if latency <= limit_s), default=fallback)
+
+
+def slo_capacity(latencies: Mapping[int, float], slo: "Slo",
+                 cores: int) -> float:
+    """Requests per second one chip sustains at its Lesson 9 batch.
+
+    The sizing every traffic sweep uses: the largest batch meeting
+    ``slo`` (batch 1 when none does) run back to back on ``cores``
+    cores, ``cores * batch / latency``.
+    """
+    batch = largest_batch_within(latencies, slo.limit_s, 1)
+    return cores * batch / latencies[batch]
+
+
+def check_load(duration_s: float, utilization: float) -> None:
+    """Reject a traffic sweep's load before anything is priced.
+
+    The duration must be positive and finite and the utilization (a
+    fraction of SLO capacity) in (0, 1]; NaN fails both. Each error
+    names the value.
+    """
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s!r}")
+    if not 0 < utilization <= 1:
+        raise ValueError(
+            f"utilization must be in (0, 1], got {utilization!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,29 @@ class TestClusterCommand:
     def test_cluster_rejects_bad_replicas(self, capsys):
         assert main(["cluster", "--replicas", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestEngineCommand:
+    def test_stats_prints_only_the_cache_line(self, tmp_path, capsys):
+        from repro.arch import TPUV4I
+        from repro.core.design_point import DesignPoint
+        from repro.engine.cache import EvalCache, get_cache, set_cache
+        from repro.workloads import app_by_name
+
+        DesignPoint(TPUV4I, cache=EvalCache(disk_dir=tmp_path)).evaluate(
+            app_by_name("mlp0"), 1)
+        previous = get_cache()
+        try:
+            assert main(["engine", "stats", "--dir", str(tmp_path)]) == 0
+        finally:
+            set_cache(previous)
+        lines = capsys.readouterr().out.splitlines()
+        # One line, read from the packs another cache wrote; no
+        # per-process counters that a fresh process always reports as 0.
+        assert len(lines) == 1
+        assert lines[0].startswith("EvalCache (enabled)")
+        assert re.search(r"disk [1-9][0-9]* entries", lines[0])
+        assert "quarantined" not in lines[0]
 
 
 class TestNonFiniteDuration:

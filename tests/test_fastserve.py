@@ -30,8 +30,8 @@ from repro.cluster.sweep import chaos_sweep
 from repro.core.design_point import DesignPoint
 from repro.engine.cache import EvalCache, set_cache
 from repro.faults import FaultModel, FaultSchedule
-from repro.serving import (BatchPolicy, ServingSimulator, Slo,
-                           clear_fastserve, fastserve_stats)
+from repro.obs.metrics import collecting_metrics
+from repro.serving import BatchPolicy, ServingSimulator, Slo
 from repro.util.rng import DeterministicRng
 from repro.workloads import Request, RequestGenerator, app_by_name
 
@@ -285,17 +285,21 @@ class TestChaosSweepIdentity:
 
 class TestGating:
     def test_stats_count_fast_path_only(self, v4i_point, traffic):
-        clear_fastserve()
-        make_sim(v4i_point).simulate(traffic)
-        assert fastserve_stats().replays == 1
-        assert fastserve_stats().batches > 0
-        with reference_paths():
+        with collecting_metrics() as registry:
+            def count(name):
+                return registry.counter(f"serving.fastserve.{name}").value
+
             make_sim(v4i_point).simulate(traffic)
-        assert fastserve_stats().replays == 1  # cold path left no marks
-        ClusterSimulator(make_replicas(v4i_point, 2)).simulate(traffic)
-        assert fastserve_stats().cluster_replays == 1
-        clear_fastserve()
-        assert fastserve_stats().replays == 0
+            assert count("replays") == 1
+            batches = count("batches")
+            assert batches == registry.counter("serving.batches").value > 0
+            with reference_paths():
+                make_sim(v4i_point).simulate(traffic)
+            # The reference loop left no kernel marks.
+            assert count("replays") == 1 and count("batches") == batches
+            ClusterSimulator(make_replicas(v4i_point, 2)).simulate(traffic)
+            assert count("cluster_replays") == 1
+            assert count("batches") > batches
 
 
 class TestSharedCompiles:

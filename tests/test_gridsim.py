@@ -24,13 +24,7 @@ from repro.arch.vpu import VpuModel
 from repro.core.design_point import DesignPoint, clear_shared_design_points
 from repro.core.dse import DEFAULT_DSE_APPS, cmem_sweep, enumerate_candidates
 from repro.engine.cache import EvalCache, set_cache
-from repro.engine.grid import (
-    GridJob,
-    clear_grid_stats,
-    evaluate_jobs,
-    grid_stats,
-    run_grid,
-)
+from repro.engine.grid import GridJob, evaluate_jobs, run_grid
 from repro.engine.keys import _COMPILE_IRRELEVANT, compile_chip_fingerprint
 from repro.isa import Bundle, Instruction, Opcode, Program
 from repro.obs.metrics import collecting_metrics
@@ -325,23 +319,24 @@ class TestEngineGrid:
         spec = app_by_name("mlp0")
         point = self._point()
         warm = point.run(spec, 4)
-        clear_grid_stats()
-        results = run_grid([GridJob(point, spec, 4), GridJob(point, spec, 8)])
-        stats = grid_stats()
-        assert stats.cache_hits == 1
-        assert stats.batched_points == 1
-        assert results[0] is warm
-        # A second pass over the same jobs is all cache, no new batch.
-        again = run_grid([GridJob(point, spec, 4), GridJob(point, spec, 8)])
-        assert grid_stats().batches == stats.batches
-        assert again == results
+        with collecting_metrics() as registry:
+            results = run_grid([GridJob(point, spec, 4),
+                                GridJob(point, spec, 8)])
+            assert registry.counter("engine.grid.cache_hits").value == 1
+            assert registry.counter("engine.grid.batched_points").value == 1
+            assert results[0] is warm
+            # A second pass over the same jobs is all cache, no new batch.
+            again = run_grid([GridJob(point, spec, 4),
+                              GridJob(point, spec, 8)])
+            assert registry.counter("engine.grid.batches").value == 1
+            assert again == results
 
     def test_duplicate_jobs_share_one_kernel_point(self):
         spec = app_by_name("mlp0")
         point = self._point()
-        clear_grid_stats()
-        results = run_grid([GridJob(point, spec, 4)] * 3)
-        assert grid_stats().batched_points == 1
+        with collecting_metrics() as registry:
+            results = run_grid([GridJob(point, spec, 4)] * 3)
+            assert registry.counter("engine.grid.batched_points").value == 1
         assert results[0] is results[1] is results[2]
 
     def test_grid_warmed_cache_serves_the_per_point_path(self):
@@ -369,11 +364,6 @@ class TestEngineGrid:
             assert registry.counter("engine.grid.points").value == 2
             assert registry.counter("engine.grid.batches").value == 1
             assert registry.counter("engine.grid.batched_points").value == 1
-
-    def test_stats_describe_mentions_sharing(self):
-        clear_grid_stats()
-        text = grid_stats().describe()
-        assert "batches" in text and "compiles shared" in text
 
     def test_max_batch_under_slo_matches_disabled_path(self):
         spec = app_by_name("mlp0")
@@ -428,11 +418,11 @@ class TestCmemSweepValidation:
     def test_negative_capacity_raises_before_any_dispatch(self):
         spec = app_by_name("mlp0")
         kernel_before = dataclasses.replace(grid_kernel_stats())
-        grid_before = dataclasses.replace(grid_stats())
-        with pytest.raises(ValueError, match="non-negative"):
-            cmem_sweep(spec, [64 * MIB, -1])
+        with collecting_metrics() as registry:
+            with pytest.raises(ValueError, match="non-negative"):
+                cmem_sweep(spec, [64 * MIB, -1])
+            assert registry.counter("engine.grid.points").value == 0
         assert grid_kernel_stats() == kernel_before
-        assert grid_stats() == grid_before
 
 
 class TestCompileContentFingerprint:
