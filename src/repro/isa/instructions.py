@@ -24,6 +24,10 @@ class SlotClass(enum.Enum):
     DMA = "dma"
     SYNC = "sync"
 
+    # Members are singletons, so identity is equality: hash by identity
+    # in C rather than through ``Enum.__hash__`` (a Python-level call).
+    __hash__ = object.__hash__
+
 
 class Opcode(enum.Enum):
     """All TensorCore opcodes, tagged with their slot class and arity."""
@@ -71,6 +75,8 @@ class Opcode(enum.Enum):
         self.mnemonic = mnemonic
         self.slot = slot
         self.arity = arity
+
+    __hash__ = object.__hash__  # see SlotClass
 
     @classmethod
     def by_mnemonic(cls, mnemonic: str) -> "Opcode":
@@ -163,9 +169,27 @@ class Bundle:
     or decoded programs are validated explicitly. Bundles are immutable,
     so one bundle object may appear many times in a program (the
     scheduler interns repeats).
+
+    The hash is computed on first use and cached on the bundle, so a
+    program signature (:meth:`repro.isa.program.Program.signature`)
+    hashes each distinct bundle once. Equality stays the field equality.
+    The cached value is per process (enum members hash by identity): it
+    is never pickled or copied, and a loaded bundle rehashes.
     """
 
     instructions: Tuple[Instruction, ...] = ()
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self.instructions)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def slot_usage(self) -> Dict[SlotClass, int]:
         usage: Dict[SlotClass, int] = {}

@@ -65,20 +65,18 @@ class Program:
             yield from bundle.instructions
 
     def signature(self) -> Tuple:
-        """A hashable content key: name, generation, and every bundle.
+        """A hashable content key: name, generation, and the bundles.
 
         Two programs with equal signatures execute identically, so the
         grid kernel's per-structure tables (:mod:`repro.sim.gridkernel`)
         use this — not object identity — as their key; a program mutated
         by :meth:`append` between runs gets a fresh signature for free.
+        Bundle equality is ``(opcode, args)`` equality of its
+        instructions, and each bundle caches its hash, so hashing the key
+        costs one cached lookup per position and one full hash per
+        distinct bundle (the scheduler interns repeats).
         """
-        return (
-            self.name,
-            self.generation,
-            tuple(tuple((inst.opcode, inst.args)
-                        for inst in bundle.instructions)
-                  for bundle in self.bundles),
-        )
+        return (self.name, self.generation, tuple(self.bundles))
 
     def count_opcodes(self) -> Dict[Opcode, int]:
         """Instruction histogram, used by compile-quality tests."""

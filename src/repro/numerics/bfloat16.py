@@ -21,15 +21,20 @@ def to_bf16(values: np.ndarray) -> np.ndarray:
     Uses round-to-nearest-even on the upper 16 bits of the IEEE-754
     encoding — the same rounding the TPU datapath applies.
     """
-    arr = np.asarray(values, dtype=np.float32)
-    bits = arr.view(np.uint32)
+    out = np.array(values, dtype=np.float32)  # a fresh copy, rounded in place
+    nan = np.isnan(out)
+    nan_values = out[nan] if nan.any() else None
+    bits = out.view(np.uint32)
     # Round to nearest even: add 0x7FFF plus the LSB of the kept part.
-    lsb = (bits >> 16) & 1
-    rounded = bits + 0x7FFF + lsb
-    out = (rounded & np.uint32(0xFFFF0000)).view(np.float32)
+    carry = bits >> 16
+    carry &= 1
+    carry += 0x7FFF
+    bits += carry
+    bits &= 0xFFFF0000
     # NaNs must stay NaN (the rounding add can carry into the exponent).
-    out = np.where(np.isnan(arr), arr, out)
-    return out.astype(np.float32)
+    if nan_values is not None:
+        out[nan] = nan_values
+    return out
 
 
 def bf16_matmul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -269,16 +269,19 @@ class SliceSimulator(ServingSimulator):
         With no pod fault model this *is* ``ServingSimulator.simulate``
         (same call, same bits). With one, the link timeline is realized
         and compiled into the core schedule first; ``faults`` (or the
-        model nested in ``pod_faults``) still governs chip-level faults
-        and the retry budget, and an explicitly passed ``schedule``
-        is merged rather than replaced.
+        model nested in ``pod_faults``) still governs chip-level faults,
+        the retry budget and the horizon pad past the last arrival, and
+        an explicitly passed ``schedule`` is merged rather than replaced.
         """
         pod = self.pod_faults
         if pod is None:
             return super().simulate(requests, faults, schedule, tracer)
         arrivals = arrival_times(requests)
-        horizon = arrivals[-1] + pod.horizon_pad_s
-        chip_model = faults if faults is not None else pod.chip_faults
+        if faults is not None:
+            chip_model, pad = faults, faults.horizon_pad_s
+        else:
+            chip_model, pad = pod.chip_faults, pod.horizon_pad_s
+        horizon = arrivals[-1] + pad
         chip_schedule = resolve_schedule(schedule, chip_model,
                                          self.point.chip.cores, horizon)
         # The merged schedule is already checked: None, the resolved

@@ -234,7 +234,24 @@ class _Struct:
     pool_ids: dict = field(default_factory=dict)  # pool_levels -> list
 
 
-_STRUCTS: Dict[tuple, _Struct] = {}
+class _Signature:
+    """A ``Program.signature()`` whose hash is computed once, so the
+    structure-table lookup and the insert after a miss share it."""
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: "_Signature") -> bool:
+        return self.key == other.key
+
+
+_STRUCTS: Dict[_Signature, _Struct] = {}
 
 # Grid-wide per-shape pricing memos: a shape is priced once per unit
 # geometry across the whole grid, not once per point.
@@ -396,7 +413,7 @@ def _build_struct(program: Program) -> _Struct:
 def _struct_for(program: Program) -> _Struct:
     """The shared structure of ``program``, built on first sight of its
     signature."""
-    sig = program.signature()
+    sig = _Signature(program.signature())
     struct = _STRUCTS.get(sig)
     if struct is None:
         struct = _build_struct(program)
@@ -844,9 +861,9 @@ def evaluate_grid(points: Sequence[GridPoint]) -> list:
         return []
     _STATS.batches += 1
     _STATS.points += len(points)
-    # Signature tuples hold thousands of enum members, and tuples don't
-    # cache their hash — resolve each distinct program *object* against
-    # the signature-keyed cache once per batch, not once per point.
+    # A signature is one tuple over every bundle position — resolve each
+    # distinct program *object* against the signature-keyed table once
+    # per batch, not once per point.
     struct_by_pid: Dict[int, _Struct] = {}
     results = []
     for point in points:

@@ -21,7 +21,42 @@ from repro.numerics.bfloat16 import is_bf16_exact
 from repro.util.rng import DeterministicRng
 
 
+def reference_to_bf16(values):
+    """The straightforward bf16 rounding ``to_bf16`` must match bit for
+    bit: every step allocates a new array."""
+    arr = np.asarray(values, dtype=np.float32)
+    bits = arr.view(np.uint32)
+    lsb = (bits >> 16) & 1
+    rounded = bits + 0x7FFF + lsb
+    out = (rounded & np.uint32(0xFFFF0000)).view(np.float32)
+    out = np.where(np.isnan(arr), arr, out)
+    return out.astype(np.float32)
+
+
 class TestBfloat16:
+    def test_bit_identical_to_reference(self):
+        bits = np.random.default_rng(0).integers(
+            0, 2**32, size=1 << 16, dtype=np.uint32)
+        bits[:10] = [0x7FC00000, 0x7FC00001, 0xFFFFFFFF, 0x7F800001,
+                     0x7F800000, 0xFF800000, 0x7F7FFFFF, 0x00000001,
+                     0x807FFFFF, 0x00008000]
+        values = bits.view(np.float32)
+        before = values.copy()
+        for case in (values, values[::3], values.reshape(256, 256).T):
+            out = to_bf16(case)
+            want = reference_to_bf16(case)
+            assert out.dtype == np.float32 and out.shape == want.shape
+            assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(values.view(np.uint32), before.view(np.uint32))
+
+    @pytest.mark.parametrize("word", [0x3F808000, 0x7FC00123, 0xFF800000,
+                                      0x00000003, 0x7F7FFFFF])
+    def test_zero_d_input(self, word):
+        value = np.array(word, dtype=np.uint32).view(np.float32)
+        out = to_bf16(value)
+        assert out.shape == () and out.dtype == np.float32
+        assert out.view(np.uint32) == reference_to_bf16(value).view(np.uint32)
+
     def test_exact_values_pass_through(self):
         vals = np.array([0.0, 1.0, -2.0, 0.5, 256.0], dtype=np.float32)
         assert np.array_equal(to_bf16(vals), vals)

@@ -31,7 +31,7 @@ from repro.cluster.cluster import ClusterSimulator
 from repro.cluster.planner import plan_resilient_fleet
 from repro.cluster.policy import ClusterPolicy
 from repro.core.design_point import shared_design_point
-from repro.faults.model import FaultSchedule
+from repro.faults.model import FaultModel, FaultSchedule
 from repro.pod import (
     PodFaultModel,
     PodTopology,
@@ -42,6 +42,7 @@ from repro.pod import (
     slice_topology,
 )
 from repro.pod.sharding import ICI_LEVEL
+from repro.serving import server
 from repro.serving.batching import BatchPolicy
 from repro.serving.server import ServingSimulator
 from repro.serving.slo import Slo
@@ -445,6 +446,25 @@ class TestLinkFaultTranslation:
         with pytest.raises(ValueError):
             sim.induced_schedule(FaultSchedule(2, 1.0,
                                                down=[(0, 0.0, 0.5)]), 1.0)
+
+
+class TestSliceFaultHorizon:
+    def test_passed_model_pad_sets_the_horizon(self, monkeypatch):
+        """An explicit ``faults`` model's own pad, not the pod model's
+        (1 s with no nested chip model), extends the drawn schedule."""
+        seen = []
+        replay = server.replay_serving
+
+        def spy(sim, arrivals, schedule, *rest):
+            seen.append(schedule)
+            return replay(sim, arrivals, schedule, *rest)
+
+        monkeypatch.setattr(server, "replay_serving", spy)
+        sim = make_slice_sim(pod_faults=PodFaultModel(seed=5))
+        faults = FaultModel(seed=3, core_mtbf_s=0.5, horizon_pad_s=5.0)
+        sim.simulate([0.0, 0.005, 0.01], faults)
+        assert len(seen) == 1 and seen[0] is not None
+        assert seen[0].horizon_s == 5.01
 
 
 class TestClusterIntegration:
