@@ -347,11 +347,17 @@ class ContinuousBatchingSimulator:
     def step_latency_s(self, phase: str, bucket: int, batch: int) -> float:
         """Compute latency of one engine step (memoized).
 
-        Keyed by (phase, sequence bucket, padded batch); prefill and
-        decode lookups route through the design point and therefore the
-        engine EvalCache, whose keys carry the phase and KV bucket
-        explicitly. The ``"snapshot"`` phase prices the policy's
-        HBM → host KV copy through the lowered-IR replay in
+        Keyed by (phase, sequence bucket, padded batch). The sweeps seed
+        this memo from :func:`phase_latency_table` and
+        :func:`~repro.serving.recovery.snapshot_latency_table`, which
+        cover only the spec's reachable KV buckets; any other key (a
+        prompt over ``max_prompt``, a larger ``max_decode_len``, or an
+        unseeded simulator) is priced here on first use, in the chip's
+        native dtype as the tables are, so TPUv1 runs its int8
+        retarget. Prefill and decode route through the design point and
+        therefore the engine EvalCache, whose keys carry the phase and
+        KV bucket explicitly. The ``"snapshot"`` phase prices the
+        policy's HBM → host KV copy through the lowered-IR replay in
         :mod:`repro.serving.recovery`.
         """
         padded = self._policy.padded_size(batch)
@@ -365,7 +371,8 @@ class ContinuousBatchingSimulator:
             else:
                 spec = (self.spec.prefill(bucket) if phase == "prefill"
                         else self.spec.decode(bucket))
-                self._latency[key] = self.point.latency_s(spec, padded)
+                self._latency[key] = self.point.latency_s(
+                    spec, padded, dtype=self.point.chip.native_dtype)
         return self._latency[key]
 
     def seed_latencies(
@@ -813,23 +820,27 @@ def phase_latency_table(point: DesignPoint, spec: GenerativeSpec,
     """(phase, bucket, padded batch) -> latency for one (chip, model).
 
     The generative analogue of :func:`repro.faults.sweep.latency_table`:
-    every phase program is priced through one batched grid-kernel pass
-    in ``dtype`` (default: the chip's native dtype, so TPUv1 runs its
-    int8 retarget), and the results land in the point's EvalCache under
-    the same phase-aware keys ``latency_s`` uses.
+    every prompt bucket at batch 1 and every *reachable* KV bucket
+    (:attr:`~repro.workloads.generative.GenerativeSpec.
+    reachable_kv_buckets`) at every padded batch step, priced through
+    one batched grid-kernel pass in ``dtype`` (default: the chip's
+    native dtype, so TPUv1 runs its int8 retarget). The results land in
+    the point's EvalCache under the same phase-aware keys ``latency_s``
+    uses. A seeded simulator prices a deeper bucket lazily, in the
+    native dtype (:meth:`ContinuousBatchingSimulator.step_latency_s`).
     """
+    kv_buckets = spec.reachable_kv_buckets
     entries: List[Tuple[str, int, int]] = []
     for bucket in spec.prompt_buckets:
         entries.append(("prefill", bucket, 1))
-    for bucket in spec.kv_buckets:
+    for bucket in kv_buckets:
         for step in BatchPolicy.batch_steps(slots):
             entries.append(("decode", bucket, step))
 
     if dtype is None:
         dtype = point.chip.native_dtype
     phase_specs = {("prefill", b): spec.prefill(b) for b in spec.prompt_buckets}
-    phase_specs.update(
-        {("decode", b): spec.decode(b) for b in spec.kv_buckets})
+    phase_specs.update({("decode", b): spec.decode(b) for b in kv_buckets})
     results = grid.run_grid([
         grid.GridJob(point, phase_specs[(phase, bucket)], batch,
                      dtype=dtype)

@@ -42,6 +42,7 @@ with no policy (asserted in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -128,8 +129,9 @@ def snapshot_lowered(chip: ChipConfig, spec: GenerativeSpec, kv_bucket: int,
     (host → HBM): the byte counts are symmetric, so one pricing serves
     both directions.
     """
-    if kv_bucket < 1:
-        raise ValueError(f"kv_bucket must be >= 1, got {kv_bucket}")
+    if not 1 <= kv_bucket < math.inf:
+        raise ValueError(
+            f"kv_bucket must be a finite number >= 1, got {kv_bucket!r}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if dtype_bytes < 1:
@@ -181,13 +183,15 @@ def snapshot_latency_table(point: DesignPoint, spec: GenerativeSpec,
     """("snapshot", kv bucket, padded batch) -> seconds, for seeding.
 
     The snapshot companion of
-    :func:`repro.serving.continuous.phase_latency_table`: every KV
-    bucket at every padded batch step, so a checkpointing simulator can
-    be fully seeded and the chaos sweeps stay pure functions of their
-    arguments.
+    :func:`repro.serving.continuous.phase_latency_table`: every
+    reachable KV bucket (``spec.reachable_kv_buckets``) at every padded
+    batch step, so a checkpointing simulator over sampled traffic is
+    fully seeded and the chaos sweeps stay pure functions of their
+    arguments. A deeper snapshot or restore is priced on first use by
+    the simulator, in the same native dtype.
     """
     table: Dict[Tuple[str, int, int], float] = {}
-    for bucket in spec.kv_buckets:
+    for bucket in spec.reachable_kv_buckets:
         for step in BatchPolicy.batch_steps(slots):
             table[("snapshot", bucket, step)] = snapshot_seconds(
                 point, spec, bucket, step, host_link=host_link, dtype=dtype)

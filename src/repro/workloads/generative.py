@@ -127,10 +127,28 @@ class GenerativeSpec:
     def max_prompt(self) -> int:
         return self.prompt_buckets[-1]
 
+    @property
+    def reachable_kv_buckets(self) -> Tuple[int, ...]:
+        """The KV buckets a sampled request stream can reach.
+
+        :func:`sample_gen_requests` clips prompts to :attr:`max_prompt`
+        and the serving loop stops a request at ``max_decode_len``
+        tokens, so no decode, snapshot or restore step runs deeper than
+        ``max_prompt + max_decode_len``: the declared buckets up to the
+        one covering that depth. The latency tables price only these;
+        a deeper step (a hand-built over-long prompt, or a simulator's
+        larger ``max_decode_len``) is priced on first use.
+        """
+        deepest = self.kv_bucket(self.max_prompt + self.max_decode_len)
+        return self.kv_buckets[:self.kv_buckets.index(deepest) + 1]
+
     def prompt_bucket(self, prompt_len: int) -> int:
         """Smallest prefill bucket covering a prompt length."""
-        if prompt_len < 1:
-            raise ValueError("prompt length must be >= 1")
+        # One chained comparison also rejects NaN and +inf, which would
+        # otherwise fall through to the largest bucket.
+        if not 1 <= prompt_len < math.inf:
+            raise ValueError(
+                f"prompt_len must be a finite number >= 1, got {prompt_len!r}")
         for bucket in self.prompt_buckets:
             if bucket >= prompt_len:
                 return bucket
@@ -138,8 +156,9 @@ class GenerativeSpec:
 
     def kv_bucket(self, kv_len: int) -> int:
         """Smallest decode bucket whose cache covers ``kv_len`` positions."""
-        if kv_len < 0:
-            raise ValueError("KV length must be non-negative")
+        if not 0 <= kv_len < math.inf:
+            raise ValueError(
+                f"kv_len must be a finite non-negative number, got {kv_len!r}")
         for bucket in self.kv_buckets:
             if bucket >= kv_len:
                 return bucket

@@ -15,9 +15,13 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import GENERATIONS, TPUV4I
-from repro.core.design_point import shared_design_point
+from repro.arch import GENERATIONS, TPUV1, TPUV4I
+from repro.core.design_point import DesignPoint, clear_shared_design_points, \
+    shared_design_point
+from repro.engine import EvalCache, set_cache
 from repro.faults.model import FaultModel, FaultSchedule
 from repro.serving import (
     BatchPolicy,
@@ -25,6 +29,7 @@ from repro.serving import (
     ContinuousStats,
     GenerativeSlo,
     llm_sweep,
+    phase_latency_table,
 )
 from repro.util.units import MIB
 from repro.workloads import (
@@ -84,6 +89,30 @@ class TestGenerativeSpec:
         assert LLM0.kv_bucket(129) == 256
         assert LLM0.kv_bucket(9999) == 512
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bucket_lookup_rejects_non_finite(self, bad):
+        """NaN and +inf pass a plain ``<`` check and used to fall through
+        to the largest bucket; every lookup now names the argument."""
+        with pytest.raises(ValueError, match=rf"kv_len .*got {bad!r}"):
+            LLM0.kv_bucket(bad)
+        with pytest.raises(ValueError, match=rf"prompt_len .*got {bad!r}"):
+            LLM0.prompt_bucket(bad)
+        with pytest.raises(ValueError, match="kv_len"):
+            LLM0.decode(bad)
+        with pytest.raises(ValueError, match="prompt_len"):
+            LLM0.prefill(bad)
+
+    def test_bucket_lookup_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="kv_len .*got -1"):
+            LLM0.kv_bucket(-1)
+        with pytest.raises(ValueError, match="prompt_len .*got 0"):
+            LLM0.prompt_bucket(0)
+
+    def test_reachable_kv_buckets_of_the_zoo(self):
+        """128-token prompts plus 64 decode steps reach depth 192."""
+        for spec in GENERATIVE_APPS:
+            assert spec.reachable_kv_buckets == (128, 256)
+
     def test_kv_cache_bytes_formula(self):
         # K and V, every layer, bf16: 2 * layers * kv * hidden * 2 bytes.
         assert (LLM0.kv_cache_bytes(128)
@@ -105,6 +134,43 @@ class TestGenerativeSpec:
             GenerativeSpec("bad", layers=2, hidden=64, heads=2, vocab=1000,
                            prompt_buckets=(64,), kv_buckets=(64,),
                            max_decode_len=32)
+
+
+@st.composite
+def _generative_specs(draw):
+    """A zoo model, or a random spec with valid ascending buckets."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(GENERATIVE_APPS))
+    prompts = sorted(draw(st.sets(st.integers(1, 512), min_size=1,
+                                  max_size=3)))
+    decode = draw(st.integers(1, 256))
+    kv = set(draw(st.sets(st.integers(1, 1024), max_size=4)))
+    kv.add(prompts[-1] + decode + draw(st.integers(0, 64)))
+    return GenerativeSpec("prop", layers=1, hidden=64, heads=2, vocab=100,
+                          prompt_buckets=tuple(prompts),
+                          kv_buckets=tuple(sorted(kv)),
+                          max_decode_len=decode)
+
+
+class TestReachableKvBuckets:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_generative_specs(), data=st.data())
+    def test_every_sampled_depth_lands_in_a_reachable_bucket(self, spec,
+                                                             data):
+        prompt = data.draw(st.integers(1, spec.max_prompt), label="prompt")
+        produced = data.draw(st.integers(0, spec.max_decode_len),
+                             label="produced")
+        assert spec.kv_bucket(prompt + produced) in spec.reachable_kv_buckets
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_generative_specs())
+    def test_reachable_is_the_shortest_covering_prefix(self, spec):
+        reachable = spec.reachable_kv_buckets
+        assert reachable == spec.kv_buckets[:len(reachable)]
+        # The deepest sampled step needs the last one, so no shorter
+        # prefix covers every depth.
+        assert (spec.kv_bucket(spec.max_prompt + spec.max_decode_len)
+                == reachable[-1])
 
 
 class TestPhaseBuilders:
@@ -432,8 +498,58 @@ class TestLlmSweep:
                     == row.stats.requests)
             assert row.stats.tokens_generated > 0
 
+    def test_sweep_prices_only_reachable_buckets(self):
+        """Every (chip, model) pair stores 2 prefill + 2 KV buckets x 4
+        batch steps = 10 records, none of them for decode@512."""
+        clear_shared_design_points()
+        private = EvalCache()
+        previous = set_cache(private)
+        try:
+            assert llm_sweep(3, duration_s=0.5)
+            for chip in GENERATIONS:
+                point = shared_design_point(chip)
+                for spec in GENERATIVE_APPS:
+                    for step in BatchPolicy.batch_steps(spec.default_slots):
+                        key = point.key("sim", spec.decode(512), step,
+                                        dtype=chip.native_dtype)
+                        assert private.get(key) is None
+            assert private.entry_count() == len(GENERATIONS) * 2 * 10
+        finally:
+            set_cache(previous)
+            clear_shared_design_points()
+
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
             llm_sweep(duration_s=0.0)
         with pytest.raises(ValueError):
             llm_sweep(utilization=1.5)
+
+
+class TestLazyPricing:
+    """A simulator prices keys its seed table lacks in the chip's
+    native dtype, the dtype :func:`phase_latency_table` uses."""
+
+    def test_unseeded_tpuv1_matches_seeded(self):
+        """TPUv1 serves int8 only: an unseeded simulator used to price
+        its first miss in bf16 and raise ``UnsupportedDtypeError``."""
+        requests = sample_gen_requests(LLM0, 11, 200.0, 0.05)
+        assert requests
+        unseeded = ContinuousBatchingSimulator(
+            DesignPoint(TPUV1, cache=EvalCache()), LLM0)
+        point = DesignPoint(TPUV1, cache=EvalCache())
+        seeded = ContinuousBatchingSimulator(point, LLM0)
+        seeded.seed_latencies(phase_latency_table(point, LLM0, seeded.slots))
+        assert unseeded.simulate(requests) == seeded.simulate(requests)
+
+    def test_prompt_over_max_prices_deeper_bucket_lazily(self):
+        """No sampled request reaches decode@512, so the tables omit it;
+        a hand-built over-long prompt prices it on first use."""
+        point = shared_design_point(TPUV1)
+        sim = ContinuousBatchingSimulator(point, LLM0)
+        sim.seed_latencies(phase_latency_table(point, LLM0, sim.slots))
+        assert ("decode", 512, 1) not in sim._latency
+        stats = sim.simulate([GenRequest(0.0, LLM0.max_prompt + 300, 4)])
+        assert stats.served_requests == 1
+        reference = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        assert sim._latency[("decode", 512, 1)] == reference.latency_s(
+            LLM0.decode(512), 1, dtype="int8")

@@ -142,14 +142,17 @@ class TestSnapshotPricing:
     def test_table_covers_buckets_and_steps(self):
         point = shared_design_point(TPUV4I)
         table = snapshot_latency_table(point, LLM0, 8)
-        expected = {("snapshot", b, s) for b in LLM0.kv_buckets
+        expected = {("snapshot", b, s) for b in LLM0.reachable_kv_buckets
                     for s in BatchPolicy.batch_steps(8)}
         assert set(table) == expected
+        assert 512 not in {bucket for _, bucket, _ in table}
         assert all(v > 0 for v in table.values())
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kv_bucket"):
             snapshot_lowered(TPUV4I, LLM0, 0, 1)
+        with pytest.raises(ValueError, match="kv_bucket .*got nan"):
+            snapshot_lowered(TPUV4I, LLM0, math.nan, 1)
         with pytest.raises(ValueError, match="batch"):
             snapshot_lowered(TPUV4I, LLM0, 128, 0)
 
