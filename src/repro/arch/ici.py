@@ -2,8 +2,8 @@
 
 TPUv2/v3 connect into 2-D torus pods for training; TPUv4i keeps two ICI
 links so inference deployments can gang up to four chips for models whose
-weights or SLOs exceed one chip. The model prices point-to-point transfers
-and the simple collectives the multi-chip examples use.
+weights or SLOs exceed one chip. The model prices the point-to-point
+transfers the multi-chip pipeline uses and the per-chip weight shards.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class IciLink:
         # (the FaultModel convention): a NaN would pass every downstream
         # comparison and poison every latency it touches, a zero or
         # negative bandwidth would turn transfer times into inf/negative
-        # seconds deep inside a collective cost model.
+        # seconds deep inside a transfer cost model.
         if math.isnan(self.bandwidth):
             raise ValueError("bandwidth must not be NaN")
         if self.bandwidth <= 0:
@@ -70,24 +70,6 @@ class IciNetwork:
         if hops < 0 or hops > self.num_chips // 2:
             raise ValueError(f"hops must be in [0, {self.num_chips // 2}]")
         return hops * self.link.transfer_seconds(num_bytes)
-
-    def all_reduce_seconds(self, num_bytes: float) -> float:
-        """Ring all-reduce: 2*(p-1)/p of the data crosses each link."""
-        if self.num_chips == 1:
-            return 0.0
-        assert self.link is not None
-        p = self.num_chips
-        steps = 2 * (p - 1)
-        chunk = num_bytes / p
-        return steps * self.link.transfer_seconds(chunk)
-
-    def all_gather_seconds(self, num_bytes_per_chip: float) -> float:
-        """Ring all-gather of per-chip shards."""
-        if self.num_chips == 1:
-            return 0.0
-        assert self.link is not None
-        steps = self.num_chips - 1
-        return steps * self.link.transfer_seconds(num_bytes_per_chip)
 
     def sharded_weight_bytes(self, total_weight_bytes: float) -> float:
         """Per-chip weight footprint when a model is sharded over the ring."""

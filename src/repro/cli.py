@@ -104,7 +104,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         chip = _resolve_chip(args.chip)
     point = DesignPoint(chip)
-    evaluation = point.evaluate(spec, batch=args.batch)
+    evaluation = point.evaluate(spec, batch=args.batch,
+                                dtype=chip.native_dtype)
     tco = chip_tco(chip, evaluation.chip_power_w)
     print(f"{spec.name} on {chip.name} (batch {evaluation.batch}):")
     print(f"  latency:   {evaluation.latency_s * 1e3:.3f} ms")
@@ -131,12 +132,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                   title=f"{spec.name} across generations (batch "
                         f"{args.batch or spec.default_batch})")
     for chip in GENERATIONS:
-        if not chip.supports_dtype("bf16"):
-            continue
-        evaluation = DesignPoint(chip).evaluate(spec, batch=args.batch)
+        dtype = chip.native_dtype
+        evaluation = DesignPoint(chip).evaluate(spec, batch=args.batch,
+                                                dtype=dtype)
         tco = chip_tco(chip, evaluation.chip_power_w)
+        label = chip.name if dtype == "bf16" else f"{chip.name} ({dtype})"
         table.add_row([
-            chip.name, evaluation.latency_s * 1e3, evaluation.chip_qps,
+            label, evaluation.latency_s * 1e3, evaluation.chip_qps,
             evaluation.chip_power_w, evaluation.samples_per_joule,
             perf_per_tco(evaluation.chip_qps, tco),
         ])
@@ -146,11 +148,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.compiler.compat import migrate_model
+    from repro.engine.modules import built_module
 
     spec = _resolve_app(args.app)
-    module = spec.build(1)
-    report = migrate_model(module, _resolve_chip(args.source),
-                           _resolve_chip(args.target))
+    source = _resolve_chip(args.source)
+    report = migrate_model(built_module(spec, 1, source.native_dtype),
+                           source, _resolve_chip(args.target))
     print(f"{spec.name}: {report.source_chip} -> {report.target_chip}")
     print(f"  binary portable: {report.binary_portable}")
     print(f"  recompiled:      {report.recompiled}")
@@ -162,14 +165,17 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.compiler.pipeline import compile_model
     from repro.compiler.profiler import profile_module
+    from repro.engine.modules import built_module
     from repro.sim.core import TensorCoreSim
 
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
-    module = spec.build(args.batch or spec.default_batch)
+    module = built_module(spec, args.batch or spec.default_batch,
+                          chip.native_dtype)
     profile = profile_module(module, chip)
     print(profile.render(args.top))
-    simulated = TensorCoreSim(chip).run(compile_model(module, chip).program)
+    simulated = TensorCoreSim(chip).run(compile_model(module, chip).program,
+                                        dtype=chip.native_dtype)
     overlap = simulated.cycles / max(1, profile.total_cycles)
     print(f"  simulated latency {simulated.seconds * 1e3:.3f} ms "
           f"({simulated.cycles:,} cyc); overlap hides "
@@ -179,18 +185,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     spec = _resolve_app(args.app)
-    module = spec.build(args.batch or spec.default_batch)
+    batch = args.batch or spec.default_batch
     if args.format == "hlo":
         from repro.graph.text import module_to_text
 
-        print(module_to_text(module), end="")
+        print(module_to_text(spec.build(batch)), end="")
         return 0
-    # VLIW assembly of the compiled program.
+    # VLIW assembly of the program compiled in the chip's native dtype.
     from repro.compiler.pipeline import compile_model
+    from repro.engine.modules import built_module
     from repro.isa.assembler import disassemble
 
     chip = _resolve_chip(args.chip)
-    compiled = compile_model(module, chip)
+    compiled = compile_model(built_module(spec, batch, chip.native_dtype),
+                             chip)
     print(disassemble(compiled.program), end="")
     return 0
 
@@ -423,8 +431,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     with collecting_metrics() as registry:
         point = DesignPoint(chip, cache=EvalCache(enabled=args.cache))
         batch = args.batch or spec.default_batch
-        result = point.run(spec, batch)
-        evaluation = point.evaluate(spec, batch)
+        result = point.run(spec, batch, dtype=chip.native_dtype)
+        evaluation = point.evaluate(spec, batch, dtype=chip.native_dtype)
         slo = Slo(spec.slo_ms / 1e3)
         server = ServingSimulator(
             point, spec, BatchPolicy.for_slo(max(batch, 1), slo), slo)

@@ -14,9 +14,7 @@ layer on top of the single-chip serving simulator, deterministically:
   :class:`ClusterStats`, its unique-request accounting;
 * :mod:`repro.cluster.sweep` — :func:`chaos_sweep`, protected vs
   unprotected clusters across generations and chaos scenarios (the
-  ``repro cluster`` CLI and the ``serve-chaos`` benchmark workload);
-* :mod:`repro.cluster.planner` — :func:`plan_resilient_fleet`, N+k
-  sizing by simulated availability instead of rule of thumb.
+  ``repro cluster`` CLI and the ``serve-chaos`` benchmark workload).
 
 Identity contract: one replica + passthrough policy + no faults is
 bit-identical to a plain ``ServingSimulator.simulate`` run, field for
@@ -27,8 +25,6 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.cluster.cluster": ("ClusterSimulator", "ClusterStats"),
-    "repro.cluster.planner": ("DEFAULT_SIZING_FAULTS", "ResilientPlanTrail",
-                              "plan_resilient_fleet"),
     "repro.cluster.policy": ("ClusterPolicy", "DegradationTier"),
     "repro.cluster.sweep": ("DEFAULT_SCENARIOS", "ChaosRow", "ChaosScenario",
                             "chaos_sweep"),
@@ -41,9 +37,6 @@ __all__ = [
     "ClusterSimulator",
     "ClusterStats",
     "DEFAULT_SCENARIOS",
-    "DEFAULT_SIZING_FAULTS",
     "DegradationTier",
-    "ResilientPlanTrail",
     "chaos_sweep",
-    "plan_resilient_fleet",
 ]

@@ -14,8 +14,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.graph.ops": ("OpDef", "OPDEFS", "opdef"),
     "repro.graph.hlo": ("HloInstruction", "HloModule", "GraphBuilder"),
     "repro.graph.evaluator": ("Evaluator", "evaluate_module"),
-    "repro.graph.text": ("HloTextError", "module_from_text",
-                         "module_to_text"),
+    "repro.graph.text": ("module_to_text",),
 })
 
 __all__ = [
@@ -30,7 +29,5 @@ __all__ = [
     "GraphBuilder",
     "Evaluator",
     "evaluate_module",
-    "HloTextError",
-    "module_from_text",
     "module_to_text",
 ]

@@ -1,7 +1,7 @@
-"""Textual HLO: print and parse modules as reviewable text.
+"""Textual HLO: print modules as reviewable text (``repro dump``).
 
 The graph IR is the durable interface between frameworks and chips
-(Lesson 2), so it deserves a durable *file format*. The syntax mirrors
+(Lesson 2), so it deserves a reviewable text form. The syntax mirrors
 XLA's HLO dumps:
 
     hlo_module tiny {
@@ -13,27 +13,14 @@ XLA's HLO dumps:
       root %4
     }
 
-``module_to_text`` / ``module_from_text`` round-trip exactly (shapes,
-attrs, names, root). The parser validates opcodes against the registry
-and operand references against prior definitions, so a hand-edited file
-fails loudly, not deep inside the compiler.
+``module_to_text`` prints every instruction in uid order with its
+shape, attrs and name, then the root.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Tuple
-
 from repro.graph.hlo import HloInstruction, HloModule
-from repro.graph.ops import opdef
-from repro.graph.shapes import Shape
 
-
-class HloTextError(Exception):
-    """Malformed HLO text."""
-
-
-# ---------------------------------------------------------------- printing
 
 def _format_attr_value(value: object) -> str:
     if isinstance(value, str):
@@ -65,141 +52,3 @@ def module_to_text(module: HloModule) -> str:
     lines.append(f"  root %{module.root.uid}")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------- parsing
-
-_HEADER_RE = re.compile(r"^hlo_module\s+(\S+)\s*\{$")
-_INST_RE = re.compile(
-    r"^%(?P<uid>\d+)\s*=\s*(?P<opcode>[\w.]+)\((?P<operands>[^)]*)\)"
-    r"(?:\s*\{(?P<attrs>[^}]*)\})?"
-    r"\s*:\s*(?P<dtype>\w+)\[(?P<dims>[\d,]+)\]"
-    r'(?:\s*"(?P<name>[^"]*)")?$'
-)
-_ROOT_RE = re.compile(r"^root\s+%(\d+)$")
-
-
-def _parse_attr_value(token: str, line_no: int) -> object:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token.startswith("(") and token.endswith(")"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return ()
-        try:
-            return tuple(int(v) for v in inner.split(","))
-        except ValueError as exc:
-            raise HloTextError(
-                f"line {line_no}: bad tuple attr {token!r}") from exc
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise HloTextError(f"line {line_no}: bad attr value {token!r}") from exc
-
-
-def _parse_attrs(text: str, line_no: int) -> Dict[str, object]:
-    attrs: Dict[str, object] = {}
-    depth = 0
-    current = ""
-    parts: List[str] = []
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += char
-    if current.strip():
-        parts.append(current)
-    for part in parts:
-        if "=" not in part:
-            raise HloTextError(f"line {line_no}: bad attr {part.strip()!r}")
-        key, _, value = part.partition("=")
-        attrs[key.strip()] = _parse_attr_value(value, line_no)
-    return attrs
-
-
-def module_from_text(text: str) -> HloModule:
-    """Parse textual HLO into a validated module."""
-    module: Optional[HloModule] = None
-    by_uid: Dict[int, HloInstruction] = {}
-    root_uid = None
-    closed = False
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if module is None:
-            match = _HEADER_RE.match(line)
-            if not match:
-                raise HloTextError(
-                    f"line {line_no}: expected 'hlo_module NAME {{'")
-            module = HloModule(match.group(1))
-            continue
-        if closed:
-            raise HloTextError(f"line {line_no}: content after closing brace")
-        if line == "}":
-            closed = True
-            continue
-        root_match = _ROOT_RE.match(line)
-        if root_match:
-            root_uid = int(root_match.group(1))
-            continue
-        match = _INST_RE.match(line)
-        if not match:
-            raise HloTextError(f"line {line_no}: cannot parse {line!r}")
-        uid = int(match.group("uid"))
-        if uid != len(module.instructions):
-            raise HloTextError(
-                f"line {line_no}: expected %{len(module.instructions)}, "
-                f"got %{uid}")
-        opcode = match.group("opcode")
-        try:
-            opdef(opcode)
-        except KeyError as exc:
-            raise HloTextError(f"line {line_no}: {exc}") from exc
-        operands: List[HloInstruction] = []
-        operand_text = match.group("operands").strip()
-        if operand_text:
-            for token in operand_text.split(","):
-                token = token.strip()
-                if not token.startswith("%"):
-                    raise HloTextError(
-                        f"line {line_no}: bad operand {token!r}")
-                ref = int(token[1:])
-                if ref not in by_uid:
-                    raise HloTextError(
-                        f"line {line_no}: %{ref} used before definition")
-                operands.append(by_uid[ref])
-        attrs = _parse_attrs(match.group("attrs"), line_no) \
-            if match.group("attrs") else {}
-        dims = tuple(int(d) for d in match.group("dims").split(","))
-        try:
-            shape = Shape(dims, match.group("dtype"))
-        except (ValueError, KeyError) as exc:
-            raise HloTextError(f"line {line_no}: {exc}") from exc
-        inst = module.add(opcode, shape, operands,
-                          name=match.group("name") or "", **attrs)
-        by_uid[uid] = inst
-
-    if module is None:
-        raise HloTextError("no hlo_module header found")
-    if not closed:
-        raise HloTextError("missing closing brace")
-    if root_uid is not None:
-        if root_uid not in by_uid:
-            raise HloTextError(f"root %{root_uid} is not defined")
-        module.set_root(by_uid[root_uid])
-    module.validate()
-    return module

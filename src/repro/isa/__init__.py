@@ -6,7 +6,7 @@ the *binary* bundle format changed every generation (slot counts, field
 widths, opcode numbering), so shipped binaries never survive a generation —
 only programs recompiled from the graph IR do. This package defines the
 instructions, bundles, per-generation binary encodings, and a textual
-assembler used by tests and examples.
+disassembler (``repro dump --format asm``).
 """
 
 from repro import _lazy_exports
@@ -18,7 +18,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.isa.encoding": ("BinaryFormat", "IncompatibleBinaryError",
                            "encode_program", "decode_program",
                            "format_for_generation"),
-    "repro.isa.assembler": ("assemble", "disassemble"),
+    "repro.isa.assembler": ("disassemble",),
 })
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "encode_program",
     "decode_program",
     "format_for_generation",
-    "assemble",
     "disassemble",
 ]

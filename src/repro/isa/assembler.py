@@ -1,95 +1,23 @@
-"""Textual assembler/disassembler for TensorCore programs.
+"""Textual disassembler for TensorCore programs (``repro dump --format asm``).
 
 The format is one bundle per line; instructions within a bundle are
-separated by `` ; ``. Operands are comma-separated non-negative integers.
-Lines starting with ``#`` are comments, and a leading directive names the
-program and generation:
+separated by `` ; ``. Operands are comma-separated non-negative integers,
+and a leading directive names the program and generation:
 
     .program my_kernel gen 4
     dma.in 1, 65536, 0 ; mxm.loadw 128, 128
     sync.wait 0
     mxm 256, 128, 128 ; vrelu 32768
     halt
-
-The assembler exists for tests and for poking at scheduling by hand; the
-compiler builds :class:`~repro.isa.program.Program` objects directly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.isa.instructions import Bundle, Instruction, Opcode
 from repro.isa.program import Program
 
 
-class AssemblyError(Exception):
-    """Malformed assembly text."""
-
-
-def _parse_instruction(text: str, line_no: int) -> Instruction:
-    text = text.strip()
-    if not text:
-        raise AssemblyError(f"line {line_no}: empty instruction")
-    parts = text.split(None, 1)
-    mnemonic = parts[0]
-    try:
-        opcode = Opcode.by_mnemonic(mnemonic)
-    except KeyError as exc:
-        raise AssemblyError(f"line {line_no}: {exc}") from exc
-    args: List[int] = []
-    if len(parts) > 1:
-        for token in parts[1].split(","):
-            token = token.strip()
-            if not token:
-                raise AssemblyError(f"line {line_no}: empty operand")
-            try:
-                args.append(int(token, 0))
-            except ValueError as exc:
-                raise AssemblyError(
-                    f"line {line_no}: operand {token!r} is not an integer") from exc
-    try:
-        return Instruction(opcode, tuple(args))
-    except ValueError as exc:
-        raise AssemblyError(f"line {line_no}: {exc}") from exc
-
-
-def assemble(text: str) -> Program:
-    """Parse assembly text into a validated :class:`Program`."""
-    program: Optional[Program] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(".program"):
-            if program is not None:
-                raise AssemblyError(f"line {line_no}: duplicate .program directive")
-            tokens = line.split()
-            if len(tokens) != 4 or tokens[2] != "gen":
-                raise AssemblyError(
-                    f"line {line_no}: expected '.program NAME gen N'")
-            try:
-                generation = int(tokens[3])
-            except ValueError as exc:
-                raise AssemblyError(f"line {line_no}: bad generation") from exc
-            program = Program(name=tokens[1], generation=generation)
-            continue
-        if program is None:
-            raise AssemblyError(
-                f"line {line_no}: instructions before .program directive")
-        instructions = tuple(
-            _parse_instruction(chunk, line_no) for chunk in line.split(";"))
-        try:
-            program.append(Bundle(instructions))
-        except ValueError as exc:
-            raise AssemblyError(f"line {line_no}: {exc}") from exc
-    if program is None:
-        raise AssemblyError("no .program directive found")
-    return program
-
-
 def disassemble(program: Program) -> str:
-    """Render a program back to assembly text (round-trips with assemble)."""
+    """Render a program as assembly text, one bundle per line."""
     lines = [f".program {program.name} gen {program.generation}"]
     lines.extend(str(bundle) for bundle in program.bundles)
     return "\n".join(lines) + "\n"

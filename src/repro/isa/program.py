@@ -14,7 +14,6 @@ from repro.isa.instructions import (
     Bundle,
     Instruction,
     Opcode,
-    SlotClass,
     slot_layout_for_generation,
 )
 
@@ -78,20 +77,6 @@ class Program:
         """
         return (self.name, self.generation, tuple(self.bundles))
 
-    def count_opcodes(self) -> Dict[Opcode, int]:
-        """Instruction histogram, used by compile-quality tests."""
-        counts: Dict[Opcode, int] = {}
-        for inst in self.instructions():
-            counts[inst.opcode] = counts.get(inst.opcode, 0) + 1
-        return counts
-
-    def slot_occupancy(self) -> Dict[SlotClass, int]:
-        """Instructions issued per slot class across the whole program."""
-        occupancy: Dict[SlotClass, int] = {}
-        for inst in self.instructions():
-            occupancy[inst.slot] = occupancy.get(inst.slot, 0) + 1
-        return occupancy
-
     def total_macs(self) -> int:
         """MACs implied by all MXM instructions."""
         total = 0
@@ -100,14 +85,6 @@ class Program:
                 m, k, n = inst.args
                 total += m * k * n
         return total
-
-    def dma_bytes(self) -> Tuple[int, int]:
-        """(bytes in, bytes out) across all DMA instructions."""
-        bytes_in = sum(i.args[1] for i in self.instructions()
-                       if i.opcode is Opcode.DMA_IN)
-        bytes_out = sum(i.args[1] for i in self.instructions()
-                        if i.opcode is Opcode.DMA_OUT)
-        return bytes_in, bytes_out
 
     def validate(self) -> None:
         """Re-check every bundle against the program's generation."""

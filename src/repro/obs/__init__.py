@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     collecting_metrics,
-    diff_snapshots,
     disable_metrics,
     enable_metrics,
     metrics,
@@ -39,8 +38,7 @@ from repro.obs.metrics import (
 )
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.obs.report": ("RunProfile", "goodput_report", "profile_result",
-                         "tier_report"),
+    "repro.obs.report": ("RunProfile", "profile_result", "tier_report"),
     "repro.obs.tracer": ("Span", "SpanTracer", "TraceResult", "build_trace"),
 })
 
@@ -55,7 +53,6 @@ __all__ = [
     "TraceResult",
     "build_trace",
     "collecting_metrics",
-    "diff_snapshots",
     "disable_metrics",
     "enable_metrics",
     "metrics",
@@ -63,5 +60,4 @@ __all__ = [
     "render_snapshot",
     "set_metrics",
     "tier_report",
-    "goodput_report",
 ]

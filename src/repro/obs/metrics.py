@@ -45,7 +45,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "collecting_metrics",
-    "diff_snapshots",
     "disable_metrics",
     "enable_metrics",
     "metrics",
@@ -277,40 +276,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-def diff_snapshots(after: dict, before: dict) -> dict:
-    """Activity between two snapshots: counters/histograms subtracted.
-
-    Gauges keep their ``after`` value (a gauge is a level, not a flow).
-    Metrics absent from ``before`` pass through unchanged.
-    """
-    result: dict = {}
-    for name, entry in after.items():
-        prior = before.get(name)
-        if prior is None or entry["type"] == "gauge":
-            result[name] = dict(entry)
-            continue
-        if entry["type"] == "counter":
-            delta = entry["value"] - prior["value"]
-            if delta:
-                result[name] = {"type": "counter", "value": delta}
-            continue
-        count = entry["count"] - prior["count"]
-        if not count:
-            continue
-        total = entry["sum"] - prior["sum"]
-        result[name] = {
-            "type": "histogram",
-            "count": count,
-            "sum": total,
-            "mean": total / count,
-            "min": entry["min"],
-            "max": entry["max"],
-            "buckets": {k: entry["buckets"][k] - prior["buckets"].get(k, 0)
-                        for k in entry["buckets"]},
-        }
-    return result
 
 
 def render_snapshot(snapshot: dict) -> str:

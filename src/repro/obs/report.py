@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RunProfile", "goodput_report", "profile_result", "tier_report"]
+__all__ = ["RunProfile", "profile_result", "tier_report"]
 
 
 @dataclass(frozen=True)
@@ -80,37 +80,6 @@ def profile_result(result) -> RunProfile:
         sync_stall_fraction=counters.sync_stall_cycles / cycles,
         bytes_by_level=tuple(sorted(counters.bytes_by_level.items())),
     )
-
-
-def goodput_report(stats) -> str:
-    """Render a generative run's goodput attribution, token by token.
-
-    Takes a :class:`~repro.serving.continuous.ContinuousStats` (anything
-    with its goodput fields works) and answers the resilience question
-    the training-supercomputer retrospective asks of every fleet: of all
-    the tokens the engines computed, how many reached a served request,
-    how many repeated earlier work, and how many did checkpoints save us
-    from repeating?
-    """
-    computed = max(1, stats.tokens_computed)
-    lines = [
-        f"{stats.workload} on {stats.chip}: goodput "
-        f"{stats.goodput_fraction:6.1%} "
-        f"({stats.tokens_generated:,} useful of "
-        f"{stats.tokens_computed:,} computed tokens)",
-        f"  wasted      {stats.wasted_tokens:8,}  "
-        f"({stats.wasted_tokens / computed:6.1%} of computed)",
-        f"  recomputed  {stats.recomputed_tokens:8,}  "
-        f"(positions replayed after a loss)",
-        f"  recovered   {stats.recovered_tokens:8,}  "
-        f"(positions a snapshot restore skipped)",
-    ]
-    if stats.snapshots or stats.migrated_requests or stats.restore_steps:
-        lines.append(
-            f"  recovery    {stats.snapshots:,} snapshots in "
-            f"{stats.snapshot_steps:,} steps, {stats.restore_steps:,} "
-            f"restores, {stats.migrated_requests:,} requests migrated")
-    return "\n".join(lines)
 
 
 #: The DesignPoint timer counters, in presentation order.

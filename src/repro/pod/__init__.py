@@ -1,10 +1,10 @@
 """Pod-scale sharded serving: topology, link faults, slices, chaos.
 
 The pod layer composes the existing stacks one level up: a
-:class:`~repro.pod.topology.PodTopology` prices ICI routes and
-collectives, a :class:`~repro.pod.sharding.ShardedProgram` partitions a
-compiled workload across a slice (interconnect priced as lowered-IR
-rows, so the replay kernels apply), a
+:class:`~repro.pod.topology.PodTopology` prices ICI routes, a
+:class:`~repro.pod.sharding.ShardedProgram` partitions a compiled
+workload across a slice (interconnect priced as lowered-IR rows, so the
+replay kernels apply), a
 :class:`~repro.pod.slicesim.SliceSimulator` serves through the shard
 graph on the shared simulated clock, and
 :func:`~repro.pod.sweep.pod_chaos_sweep` drives slices through

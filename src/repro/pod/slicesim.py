@@ -245,12 +245,11 @@ class SliceSimulator(ServingSimulator):
                          ) -> Optional[FaultSchedule]:
         """Realize this slice's pod fault model into a core schedule.
 
-        The cluster sweep calls this per slice (after
-        :meth:`~repro.pod.faults.PodFaultModel.fork_for_slice`) and
-        passes the results to ``ClusterSimulator.simulate(schedules=)``
-        — the router then sees a degraded slice as a slow replica and a
-        partitioned slice as a probe-failing one, with no router
-        changes at all.
+        Draws the model's link timeline over ``horizon_s`` and hands it to
+        :meth:`induced_schedule`, merging ``chip_schedule``; with no pod
+        fault model, ``chip_schedule`` comes back unchanged.
+        :meth:`simulate` calls this. The pod sweep builds its link
+        timelines itself and calls :meth:`induced_schedule` directly.
         """
         if self.pod_faults is None:
             return chip_schedule

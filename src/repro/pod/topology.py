@@ -10,9 +10,9 @@ paper in PAPERS.md). This module models both as one class:
   dimension-order routing, reroute-around-dead-link on the torus, and
   dead-link-transparent routing (plus a reconfiguration latency) on the
   ``"ocs"`` variant.
-* Collective cost models — ring all-reduce/all-gather over an arbitrary
-  member subset, priced per hop from link bandwidth and latency so
-  per-link slowdowns and reroutes change the numbers deterministically.
+* Per-hop cost — :meth:`PodTopology.path_seconds` prices a route hop by
+  hop from link bandwidth and latency, so per-link slowdowns and
+  reroutes change the numbers deterministically.
 
 Links are bidirectional fibers identified by ``node * ndims + axis``:
 link ``L`` is the fiber between ``node`` and its ``+1`` neighbor along
@@ -237,18 +237,6 @@ class PodTopology:
         """Store-and-forward time along a route (sum of hop times)."""
         return sum(self.hop_seconds(link, num_bytes, slow) for link in links)
 
-    def point_to_point_seconds(self, src: int, dst: int, num_bytes: float,
-                               dead: frozenset = frozenset(),
-                               slow: Optional[Mapping[int, float]] = None,
-                               ) -> Optional[float]:
-        """Transfer time along the deterministic route, or None if cut."""
-        if src == dst:
-            return 0.0
-        links = self.route(src, dst, dead)
-        if links is None:
-            return None
-        return self.path_seconds(links, num_bytes, slow)
-
     def _ring_pairs(self, members: Sequence[int]) -> list:
         ordered = sorted(members)
         if len(set(ordered)) != len(ordered):
@@ -259,58 +247,6 @@ class PodTopology:
                     f"member {member} outside 0..{self.num_chips - 1}")
         return [(ordered[i], ordered[(i + 1) % len(ordered)])
                 for i in range(len(ordered))]
-
-    def _step_bottleneck(self, members: Sequence[int], chunk_bytes: float,
-                         dead: frozenset,
-                         slow: Optional[Mapping[int, float]],
-                         ) -> Optional[float]:
-        """Slowest neighbor transfer in one synchronous ring step."""
-        worst = 0.0
-        for src, dst in self._ring_pairs(members):
-            cost = self.point_to_point_seconds(src, dst, chunk_bytes,
-                                               dead, slow)
-            if cost is None:
-                return None
-            worst = max(worst, cost)
-        return worst
-
-    def all_reduce_seconds(self, num_bytes: float,
-                           members: Optional[Sequence[int]] = None,
-                           dead: frozenset = frozenset(),
-                           slow: Optional[Mapping[int, float]] = None,
-                           ) -> Optional[float]:
-        """Synchronous ring all-reduce over ``members`` (default: all).
-
-        ``2 * (p - 1)`` steps of ``num_bytes / p`` chunks; each step
-        costs its slowest neighbor route (the ring is synchronous, so
-        one rerouted-and-longer hop stalls every step). ``None`` means
-        the member set is partitioned under ``dead``.
-        """
-        group = tuple(members) if members is not None \
-            else tuple(range(self.num_chips))
-        p = len(group)
-        if p == 1:
-            return 0.0
-        step = self._step_bottleneck(group, num_bytes / p, dead, slow)
-        if step is None:
-            return None
-        return 2 * (p - 1) * step
-
-    def all_gather_seconds(self, num_bytes_per_chip: float,
-                           members: Optional[Sequence[int]] = None,
-                           dead: frozenset = frozenset(),
-                           slow: Optional[Mapping[int, float]] = None,
-                           ) -> Optional[float]:
-        """Synchronous ring all-gather of per-member shards."""
-        group = tuple(members) if members is not None \
-            else tuple(range(self.num_chips))
-        p = len(group)
-        if p == 1:
-            return 0.0
-        step = self._step_bottleneck(group, num_bytes_per_chip, dead, slow)
-        if step is None:
-            return None
-        return (p - 1) * step
 
     def describe(self) -> str:
         shape = "x".join(str(d) for d in self.dims)

@@ -36,9 +36,6 @@ class FleetPlan:
     fleet_tco_usd: float
     fleet_power_w: float
     spare_chips: int = 0
-    #: Availability measured by a cluster simulation of this N+k shape
-    #: under a fault model (None when the plan was sized statically).
-    simulated_availability: Optional[float] = None
 
     @property
     def cost_per_kqps_usd(self) -> float:
@@ -76,8 +73,6 @@ class FleetPlan:
         if self.spare_chips:
             text += (f", N+{self.spare_chips} spares "
                      f"({self.resilience_premium:.1%} TCO premium)")
-        if self.simulated_availability is not None:
-            text += f", {self.simulated_availability:.2%} simulated avail"
         return text
 
 

@@ -262,7 +262,8 @@ class ServingSimulator:
         self._latency_cache: dict[int, float] = {}
 
     def batch_latency_s(self, batch: int) -> float:
-        """Compute latency of one padded batch (memoized).
+        """Compute latency of one padded batch (memoized), in the chip's
+        :attr:`~repro.arch.chip.ChipConfig.native_dtype`.
 
         Lookups route through the design point and therefore through the
         engine's :class:`~repro.engine.cache.EvalCache`: a second
@@ -272,16 +273,17 @@ class ServingSimulator:
         padded = self.policy.padded_size(batch)
         if padded not in self._latency_cache:
             self._latency_cache[padded] = self.point.latency_s(
-                self.spec, padded)
+                self.spec, padded, dtype=self.point.chip.native_dtype)
         return self._latency_cache[padded]
 
     def seed_latencies(self, table: Mapping[int, float]) -> None:
         """Pre-seed the padded-batch -> latency memo.
 
         For latencies obtained outside the design point's default path —
-        an int8-retargeted compile on a chip without bf16, or a synthetic
-        table in tests. Keys must be padded batch steps and latencies
-        finite and non-negative (:func:`check_seed_latency`).
+        a batched grid pass, an int8 retarget on a bf16 chip (the
+        cluster's degraded tier), or a synthetic table in tests. Keys
+        must be padded batch steps and latencies finite and non-negative
+        (:func:`check_seed_latency`).
         """
         for batch, latency in table.items():
             if batch < 1:

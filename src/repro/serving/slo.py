@@ -49,7 +49,7 @@ def largest_batch_within(latencies: Mapping[int, float], limit_s: float,
     ``latencies`` maps batch size -> latency; a batch fits when its
     latency is ``<=`` the limit. ``fallback`` is returned when none
     does: traffic sweeps size their load at batch 1 so no generation is
-    silently skipped, while planners and ``max_*`` probes report 0.
+    silently skipped, while the ``max_*`` probes report 0.
     """
     return max((batch for batch, latency in latencies.items()
                 if latency <= limit_s), default=fallback)

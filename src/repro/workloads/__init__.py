@@ -19,7 +19,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                                "app_by_name", "build_mlp0", "build_mlp1",
                                "build_cnn0", "build_cnn1", "build_rnn0",
                                "build_rnn1", "build_bert0", "build_bert1"),
-    "repro.workloads.extended": ("EXTENDED_APPS", "extended_by_name"),
     "repro.workloads.mlperf": ("MLPERF_MODELS", "mlperf_by_name"),
     "repro.workloads.growth": ("GrowthModel", "PUBLISHED_MODEL_SIZES"),
     "repro.workloads.evolution": ("WORKLOAD_MIX_BY_YEAR", "mix_for_year"),
@@ -43,8 +42,6 @@ __all__ = [
     "build_rnn1",
     "build_bert0",
     "build_bert1",
-    "EXTENDED_APPS",
-    "extended_by_name",
     "MLPERF_MODELS",
     "mlperf_by_name",
     "GrowthModel",

@@ -337,21 +337,22 @@ class GenRequest:
     tenant: str = "llm"
 
     def __post_init__(self) -> None:
-        # Named-value errors, IciLink style. NaN needs an explicit check
-        # — it slides through every < comparison — and a NaN arrival
-        # would silently corrupt the event loop's clock instead of
-        # failing here at construction.
+        # Named-value errors, IciLink style. NaN fails every comparison,
+        # so each check is phrased as "in range" and negated: a NaN or
+        # infinite arrival would corrupt the event loop's clock, and a
+        # NaN or infinite length would surface later as a misleading
+        # request-conservation failure instead of failing here.
         if math.isnan(self.arrival_s):
             raise ValueError("arrival_s must not be NaN")
-        if self.arrival_s < 0:
+        if not 0 <= self.arrival_s < math.inf:
+            raise ValueError("arrival_s must be non-negative and finite, "
+                             f"got {self.arrival_s}")
+        if not 1 <= self.prompt_len < math.inf:
             raise ValueError(
-                f"arrival_s must be non-negative, got {self.arrival_s}")
-        if self.prompt_len < 1:
+                f"prompt_len must be >= 1 and finite, got {self.prompt_len}")
+        if not 1 <= self.decode_len < math.inf:
             raise ValueError(
-                f"prompt_len must be >= 1, got {self.prompt_len}")
-        if self.decode_len < 1:
-            raise ValueError(
-                f"decode_len must be >= 1, got {self.decode_len}")
+                f"decode_len must be >= 1 and finite, got {self.decode_len}")
 
 
 def sample_gen_requests(spec: GenerativeSpec, seed: int, rate_qps: float,

@@ -1,25 +1,18 @@
 """Synthetic request traffic (substitute for production serving traces).
 
 The paper's latency/batching/multi-tenancy results come from production
-traffic we cannot ship. Poisson arrivals with optional diurnal modulation
-preserve what those experiments actually exercise: stochastic arrival
-gaps, load levels relative to capacity, and per-tenant rate mixes.
+traffic we cannot ship. Poisson arrivals preserve what those experiments
+actually exercise: stochastic arrival gaps, load levels relative to
+capacity, and per-tenant rate mixes.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.util.rng import DeterministicRng
-
-#: Candidates thinned per vector pass in :meth:`RequestGenerator.diurnal`;
-#: bounds the temporaries at a few MiB whatever the stream length.
-_THINNING_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,35 +71,6 @@ class RequestGenerator:
         """Stationary Poisson stream for one tenant."""
         arrivals = self.rng.poisson_arrivals(rate_qps, duration_s)
         return _bulk_requests(arrivals, tenant)
-
-    def diurnal(self, tenant: str, mean_rate_qps: float, duration_s: float,
-                peak_to_trough: float = 3.0,
-                period_s: float = 86_400.0) -> List[Request]:
-        """Poisson stream whose rate swings sinusoidally (daily load curve).
-
-        Generated by thinning a homogeneous process at the peak rate:
-        candidate ``t`` is kept when its uniform draw is below
-        ``rate(t) / peak_rate``. The check runs on a chunk of candidates
-        at a time, with one uniform per candidate drawn in candidate
-        order (the stream a per-candidate ``uniform()`` loop consumes).
-        ``np.sin`` may differ from ``math.sin`` in the last bit, so
-        ``tests/test_workloads.py`` pins that the kept set equals the
-        per-candidate ``math.sin`` loop's.
-        """
-        if peak_to_trough < 1.0:
-            raise ValueError("peak_to_trough must be >= 1")
-        amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
-        peak_rate = mean_rate_qps * (1.0 + amplitude)
-        candidates = self.rng.poisson_arrivals(peak_rate, duration_s)
-        accepted: List[float] = []
-        for lo in range(0, len(candidates), _THINNING_CHUNK):
-            t = np.asarray(candidates[lo:lo + _THINNING_CHUNK])
-            rate = mean_rate_qps * (
-                1.0 + amplitude * np.sin(2.0 * math.pi * t / period_s))
-            keep = self.rng.uniform_array(len(t)) < rate / peak_rate
-            accepted.extend(t[keep].tolist())
-        del candidates  # free them before the kept requests are built
-        return _bulk_requests(accepted, tenant)
 
     def multi_tenant(self, tenants: Sequence[str], rates_qps: Sequence[float],
                      duration_s: float) -> List[Request]:

@@ -117,22 +117,75 @@ class TestDump:
         assert out.startswith(".program cnn0 gen 4")
         assert "mxm" in out
 
-    def test_dump_hlo_roundtrips(self, capsys):
-        from repro.graph import module_from_text
+    def test_dump_hlo_lists_every_instruction(self, capsys):
+        from repro.workloads import app_by_name
 
         main(["dump", "--app", "rnn0", "--batch", "1"])
-        text = capsys.readouterr().out
-        module = module_from_text(text)
-        assert module.name == "rnn0"
+        lines = capsys.readouterr().out.splitlines()
+        module = app_by_name("rnn0").build(1)
+        assert lines[0] == "hlo_module rnn0 {"
+        body = lines[1:-2]
+        assert len(body) == len(module.instructions)
+        for line, inst in zip(body, module.instructions):
+            assert line.startswith(f"  %{inst.uid} = {inst.opcode}(")
+            assert f": {inst.shape}" in line
+        assert lines[-2:] == [f"  root %{module.root.uid}", "}"]
 
-    def test_dump_asm_reassembles(self, capsys):
-        from repro.isa import assemble
+    def test_dump_asm_matches_disassembly(self, capsys):
+        from repro.arch import TPUV4I
+        from repro.compiler import compile_model
+        from repro.isa import disassemble
+        from repro.workloads import app_by_name
 
         main(["dump", "--app", "cnn0", "--batch", "1", "--format", "asm"])
-        text = capsys.readouterr().out
-        program = assemble(text)
-        assert program.generation == 4
-        assert program.total_macs() > 0
+        module = app_by_name("cnn0").build(1)
+        assert capsys.readouterr().out == disassemble(
+            compile_model(module, TPUV4I).program)
+
+    def test_dump_asm_tpuv1_compiles_int8(self, capsys):
+        from repro.arch import TPUV1
+        from repro.compiler import compile_model
+        from repro.compiler.pipeline import retarget_dtype
+        from repro.isa import disassemble
+        from repro.workloads import app_by_name
+
+        assert main(["dump", "--app", "cnn0", "--batch", "1",
+                     "--format", "asm", "--chip", "TPUv1"]) == 0
+        module = retarget_dtype(app_by_name("cnn0").build(1), "int8")
+        assert capsys.readouterr().out == disassemble(
+            compile_model(module, TPUV1).program)
+
+
+class TestNativeDtype:
+    """TPUv1 has no bf16: every chip-taking command runs it in int8."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--app", "cnn0", "--chip", "TPUv1"],
+        ["profile", "--app", "cnn0", "--chip", "tpuv1", "--top", "2"],
+        ["metrics", "--app", "cnn0", "--chip", "TPUv1",
+         "--duration", "0.05"],
+        ["migrate", "--app", "cnn0", "--source", "TPUv1"],
+    ])
+    def test_tpuv1_commands_succeed(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_evaluate_tpuv1_reports_the_int8_evaluation(self, capsys):
+        from repro.arch import TPUV1
+        from repro.core.design_point import shared_design_point
+        from repro.workloads import app_by_name
+
+        main(["evaluate", "--app", "cnn0", "--chip", "TPUv1"])
+        evaluation = shared_design_point(TPUV1).evaluate(
+            app_by_name("cnn0"), dtype="int8")
+        assert (f"latency:   {evaluation.latency_s * 1e3:.3f} ms"
+                in capsys.readouterr().out)
+
+    def test_compare_labels_the_tpuv1_row(self, capsys):
+        assert main(["compare", "--app", "cnn0"]) == 0
+        rows = [line.split("|")[0].strip()
+                for line in capsys.readouterr().out.splitlines()[3:]]
+        assert rows == ["TPUv1 (int8)", "TPUv2", "TPUv3", "TPUv4i"]
 
 
 class TestProfile:

@@ -7,7 +7,7 @@ with health probing on too, since successful probes may not perturb
 serving. On top of that: ejection/failover semantics, token-bucket and
 queue-depth shedding (with a monotonicity property), hedge accounting,
 the degradation ladder, unique-request conservation, byte-level
-determinism of the chaos sweep, and the policy-aware N+k planner.
+and determinism of the chaos sweep.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro.arch import GENERATIONS, TPUV4I
 from repro.cluster import (ChaosScenario, ClusterPolicy, ClusterSimulator,
-                           ClusterStats, DegradationTier, chaos_sweep,
-                           plan_resilient_fleet)
+                           ClusterStats, DegradationTier, chaos_sweep)
 from repro.cluster.cluster import _REPLICA_SALT
 from repro.core.design_point import shared_design_point
 from repro.faults import FaultModel, FaultSchedule
@@ -456,39 +455,6 @@ class TestChaosSweep:
         with pytest.raises(ValueError, match="kills every replica"):
             chaos_sweep(seed=0, replicas=2, chips=(TPUV4I,),
                         scenarios=(ChaosScenario("bad", kill_replicas=2),))
-
-
-class TestPlanner:
-    def test_planner_finds_spares_for_target(self, v4i_point):
-        spec = app_by_name("cnn0")
-        plan, trail = plan_resilient_fleet(
-            v4i_point, spec, 20000.0, availability_target=0.99,
-            max_spares=2)
-        assert plan.simulated_availability is not None
-        assert plan.simulated_availability >= 0.99
-        assert plan.spare_chips == trail.points[-1][0]
-        # The trail walks k upward and stops at the first success.
-        ks = [k for k, _ in trail.points]
-        assert ks == list(range(len(ks)))
-        assert all(avail < 0.99 for _, avail in trail.points[:-1])
-        assert "simulated avail" in plan.describe()
-
-    def test_planner_reports_shortfall(self, v4i_point):
-        spec = app_by_name("cnn0")
-        plan, trail = plan_resilient_fleet(
-            v4i_point, spec, 20000.0, availability_target=1.0,
-            max_spares=0,
-            faults=FaultModel(seed=0, chip_mtbf_s=0.05, chip_repair_s=0.5))
-        assert plan.spare_chips == 0
-        assert plan.simulated_availability == trail.points[-1][1]
-        assert plan.simulated_availability < 1.0
-
-    def test_planner_deterministic(self, v4i_point):
-        spec = app_by_name("cnn0")
-        kwargs = dict(availability_target=0.99, max_spares=2)
-        first = plan_resilient_fleet(v4i_point, spec, 20000.0, **kwargs)
-        second = plan_resilient_fleet(v4i_point, spec, 20000.0, **kwargs)
-        assert first == second
 
 
 class TestObservability:

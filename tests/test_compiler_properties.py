@@ -100,29 +100,3 @@ class TestPipelineInvariants:
             module, TPUV4I, cmem_budget_bytes=budget_mib * 2**20).program)
         full = sim.run(compile_model(module, TPUV4I).program)
         assert full.cycles <= restricted.cycles * 1.001 + 2
-
-
-class TestTextRoundTripProperty:
-    @given(spec=random_mlp())
-    @settings(max_examples=40, deadline=None)
-    def test_random_modules_roundtrip_text(self, spec):
-        from repro.graph import module_from_text, module_to_text
-
-        module, _ = spec
-        text = module_to_text(module)
-        restored = module_from_text(text)
-        assert module_to_text(restored) == text
-        assert restored.total_flops() == module.total_flops()
-        assert restored.total_weight_bytes() == module.total_weight_bytes()
-
-    @given(spec=random_mlp())
-    @settings(max_examples=20, deadline=None)
-    def test_parsed_module_simulates_identically(self, spec):
-        from repro.graph import module_from_text, module_to_text
-
-        module, _ = spec
-        restored = module_from_text(module_to_text(module))
-        sim = TensorCoreSim(TPUV4I)
-        original = sim.run(compile_model(module, TPUV4I).program)
-        reparsed = sim.run(compile_model(restored, TPUV4I).program)
-        assert original.cycles == reparsed.cycles

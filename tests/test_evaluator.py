@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.arch import TPUV2, TPUV3, TPUV4I
+from repro.compiler import compile_model
 from repro.graph import Evaluator, GraphBuilder, Shape, evaluate_module
 from repro.mlcompat import model_numerics_match
 from repro.numerics import snr_db
+from repro.sim import TensorCoreSim
 from repro.workloads.layers import transformer_layer
 from repro.workloads.models import _build_lstm
 
@@ -169,3 +171,40 @@ class TestLesson10EndToEnd:
         assert not check.bit_exact
         assert check.needs_calibration
         assert check.snr_db < 60
+
+
+class TestMaxPool:
+    def test_shape_inference(self):
+        b = GraphBuilder("p")
+        x = b.parameter(Shape((2, 8, 8, 16)))
+        assert b.max_pool2d(x, 2, 2).shape.dims == (2, 4, 4, 16)
+        assert b.max_pool2d(x, 3, 2).shape.dims == (2, 4, 4, 16)
+
+    def test_flops_counted(self):
+        b = GraphBuilder("p")
+        x = b.parameter(Shape((1, 8, 8, 4)))
+        pool = b.max_pool2d(x)
+        assert b.module.instruction_flops(pool) == 8 * 8 * 4
+
+    def test_evaluator_matches_manual(self):
+        b = GraphBuilder("p")
+        x = b.parameter(Shape((1, 4, 4, 1)), "x")
+        b.max_pool2d(x, 2, 2)
+        img = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
+        out = evaluate_module(b.module, "fp32", inputs={"x": img})
+        assert np.array_equal(out.reshape(2, 2),
+                              [[5.0, 7.0], [13.0, 15.0]])
+
+    def test_compiles_and_simulates(self):
+        b = GraphBuilder("p")
+        x = b.parameter(Shape((2, 32, 32, 8)))
+        b.max_pool2d(x, 3, 2)
+        result = TensorCoreSim(TPUV4I).run(
+            compile_model(b.build(), TPUV4I).program)
+        assert result.counters.vpu_busy_cycles > 0
+
+    def test_bad_window_rejected(self):
+        b = GraphBuilder("p")
+        x = b.parameter(Shape((2, 8, 8, 4)))
+        with pytest.raises(ValueError):
+            b.max_pool2d(x, 0, 1)

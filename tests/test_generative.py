@@ -313,6 +313,18 @@ class TestSampleRequests:
         with pytest.raises(ValueError, match="decode_len.*got -3"):
             GenRequest(0.0, 10, -3)
 
+    @pytest.mark.parametrize("field", ["prompt_len", "decode_len"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_request_rejects_non_finite_lengths(self, field, bad):
+        kwargs = dict(arrival_s=0.0, prompt_len=10, decode_len=10)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field}.*got {bad}"):
+            GenRequest(**kwargs)
+
+    def test_request_rejects_infinite_arrival(self):
+        with pytest.raises(ValueError, match="arrival_s.*finite, got inf"):
+            GenRequest(math.inf, 8, 4)
+
     def test_spec_validation_names_the_value(self):
         def spec(**overrides):
             kwargs = dict(name="bad", layers=4, hidden=256, heads=4,

@@ -65,24 +65,12 @@ class TestLinkValidation:
 class TestNetwork:
     def test_single_chip_free(self):
         net = IciNetwork(TPUV4I, 1)
-        assert net.all_reduce_seconds(1 * MIB) == 0.0
         assert net.point_to_point_seconds(1 * MIB) == 0.0
 
     def test_tpuv1_cannot_form_rings(self):
         with pytest.raises(ValueError):
             IciNetwork(TPUV1, 2)
         assert IciNetwork(TPUV1, 1).num_chips == 1
-
-    def test_all_reduce_scales_with_bytes(self):
-        net = IciNetwork(TPUV4I, 4)
-        assert net.all_reduce_seconds(64 * MIB) > net.all_reduce_seconds(1 * MIB)
-
-    def test_all_reduce_steps(self):
-        """Ring all-reduce moves 2(p-1)/p of the payload per link."""
-        net = IciNetwork(TPUV4I, 4)
-        payload = 64 * MIB
-        expected = 6 * (1e-6 + (payload / 4) / TPUV4I.ici_link_bw)
-        assert net.all_reduce_seconds(payload) == pytest.approx(expected)
 
     def test_hops_validated(self):
         net = IciNetwork(TPUV4I, 4)
@@ -93,11 +81,6 @@ class TestNetwork:
         net = IciNetwork(TPUV4I, 4)
         assert net.sharded_weight_bytes(100) == 25
         assert net.sharded_weight_bytes(101) == 26
-
-    def test_all_gather(self):
-        net = IciNetwork(TPUV4I, 4)
-        assert net.all_gather_seconds(1 * MIB) == pytest.approx(
-            3 * (1e-6 + 1 * MIB / TPUV4I.ici_link_bw))
 
     def test_num_chips_validated(self):
         with pytest.raises(ValueError):

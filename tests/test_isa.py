@@ -86,21 +86,8 @@ class TestProgram:
     def test_total_macs(self):
         assert self._program().total_macs() == 64 * 128 * 128
 
-    def test_dma_bytes(self):
-        assert self._program().dma_bytes() == (4096, 2048)
-
-    def test_opcode_histogram(self):
-        counts = self._program().count_opcodes()
-        assert counts[Opcode.MXM] == 1
-        assert counts[Opcode.DMA_IN] == 1
-
     def test_iteration_flattens(self):
         assert len(list(self._program().instructions())) == 5
-
-    def test_slot_occupancy(self):
-        occ = self._program().slot_occupancy()
-        assert occ[SlotClass.DMA] == 2
-        assert occ[SlotClass.SCALAR] == 1  # HALT
 
     def test_validate_passes(self):
         self._program().validate()

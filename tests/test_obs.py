@@ -28,7 +28,6 @@ from repro.obs import (
     SpanTracer,
     build_trace,
     collecting_metrics,
-    diff_snapshots,
     metrics,
     profile_result,
     render_snapshot,
@@ -102,17 +101,6 @@ class TestMetricsRegistry:
             reg.count("inside")
         assert metrics() is before
         assert not metrics().enabled
-
-    def test_diff_snapshots(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.count("c", 5)
-        reg.set_gauge("g", 1.0)
-        before = reg.snapshot()
-        reg.count("c", 3)
-        reg.set_gauge("g", 9.0)
-        delta = diff_snapshots(reg.snapshot(), before)
-        assert delta["c"]["value"] == 3
-        assert delta["g"]["value"] == 9.0  # gauges are levels, not flows
 
     def test_render_snapshot(self):
         reg = MetricsRegistry(enabled=True)

@@ -4,7 +4,7 @@ The contracts under test:
 
 * topology — deterministic dimension-order routing, reroute around dead
   links, honest partition reporting, OCS dead-link transparency, and
-  collective costs that follow the ring formulas exactly;
+  slowdown-aware per-hop route costs;
 * link faults — seeded, forked, boundary-exact link timelines that
   reuse the pinned FaultSchedule contract with link indices in the core
   slot;
@@ -13,10 +13,9 @@ The contracts under test:
 * identity — a 1-chip slice with zero link faults is bit-identical to
   the plain ServingSimulator (the foundation the whole layer stands
   on), and the pod chaos sweep reproduces itself byte for byte;
-* integration — a dead link degrades a slice's served latency, a
+* integration — a dead link degrades a slice's served latency, and a
   partitioned slice fails health probes and is ejected by the resilient
-  router, and the slice-aware fleet planner prices link-induced slice
-  loss into its spare walk.
+  router.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import pytest
 from repro.arch.chip import TPUV4I
 from repro.arch.ici import IciLink
 from repro.cluster.cluster import ClusterSimulator
-from repro.cluster.planner import plan_resilient_fleet
 from repro.cluster.policy import ClusterPolicy
 from repro.core.design_point import shared_design_point
 from repro.faults.model import FaultModel, FaultSchedule
@@ -112,23 +110,13 @@ class TestTopology:
         topo = make_ring(4, kind="ocs")
         assert topo.route(0, 1, dead=frozenset({0, 3})) == (0,)
 
-    def test_all_reduce_matches_ring_formula(self):
+    def test_slow_link_raises_path_cost(self):
         topo = make_ring(4)
-        payload = 4096.0
-        # 2(p-1) steps of bytes/p chunks over the bottleneck (uniform
-        # ring: every pair is one hop).
-        expected = 6 * topo.link.transfer_seconds(payload / 4)
-        assert topo.all_reduce_seconds(payload) == pytest.approx(expected)
-
-    def test_all_gather_matches_ring_formula(self):
-        topo = make_ring(4)
-        expected = 3 * topo.link.transfer_seconds(1024.0)
-        assert topo.all_gather_seconds(1024.0) == pytest.approx(expected)
-
-    def test_slow_link_raises_collective_cost(self):
-        topo = make_ring(4)
-        base = topo.all_reduce_seconds(4096.0)
-        slow = topo.all_reduce_seconds(4096.0, slow={0: 4.0})
+        route = topo.route(0, 2)
+        base = topo.path_seconds(route, 4096.0)
+        assert base == pytest.approx(
+            len(route) * topo.link.transfer_seconds(4096.0))
+        slow = topo.path_seconds(route, 4096.0, slow={route[0]: 4.0})
         assert slow > base
 
     def test_slice_topology_shapes(self):
@@ -533,43 +521,3 @@ class TestPodChaosSweep:
             pod_chaos_sweep(slice_chips=1)
         with pytest.raises(ValueError):
             pod_chaos_sweep(utilization=1.5)
-
-
-class TestSliceAwarePlanner:
-    def test_trail_reports_slice_chips_and_slice_spares(self):
-        point = shared_design_point(TPUV4I)
-        spec = app_by_name("cnn0")
-        plan, trail = plan_resilient_fleet(point, spec, 20000.0,
-                                           slice_chips=4, duration_s=0.5)
-        assert trail.slice_chips == 4
-        assert plan.spare_chips % 4 == 0
-        assert len(trail.points) >= 1
-
-    def test_slice_walk_deterministic(self):
-        point = shared_design_point(TPUV4I)
-        spec = app_by_name("cnn0")
-        first = plan_resilient_fleet(point, spec, 20000.0,
-                                     slice_chips=4, duration_s=0.5)
-        second = plan_resilient_fleet(point, spec, 20000.0,
-                                      slice_chips=4, duration_s=0.5)
-        assert first == second
-
-    def test_link_faults_cost_availability(self):
-        """The same fleet needs at least as many spares once the fabric
-        can partition slices (k=0 availability drops)."""
-        point = shared_design_point(TPUV4I)
-        spec = app_by_name("cnn0")
-        _, chips_only = plan_resilient_fleet(point, spec, 20000.0,
-                                             duration_s=0.5)
-        _, sliced = plan_resilient_fleet(point, spec, 20000.0,
-                                         slice_chips=4, duration_s=0.5)
-        assert sliced.points[0][1] <= chips_only.points[0][1]
-
-    def test_default_path_unchanged(self):
-        point = shared_design_point(TPUV4I)
-        spec = app_by_name("cnn0")
-        implicit = plan_resilient_fleet(point, spec, 20000.0,
-                                        duration_s=0.5)
-        explicit = plan_resilient_fleet(point, spec, 20000.0,
-                                        slice_chips=1, duration_s=0.5)
-        assert implicit == explicit

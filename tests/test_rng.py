@@ -26,12 +26,6 @@ class TestDeterminism:
 
 
 class TestDistributions:
-    def test_uniform_array_is_the_scalar_stream(self):
-        vector, scalar = DeterministicRng(8), DeterministicRng(8)
-        drawn = vector.uniform_array(1000).tolist()
-        assert drawn == [scalar.uniform() for _ in range(1000)]
-        assert vector.uniform() == scalar.uniform()  # same state after
-
     def test_poisson_arrivals_sorted_and_bounded(self):
         rng = DeterministicRng(3)
         arrivals = rng.poisson_arrivals(rate_per_s=100, duration_s=5.0)

@@ -1,7 +1,5 @@
 """Tests for the production app zoo and friends (E2, L5, L6)."""
 
-import math
-
 import pytest
 
 from repro.util.units import MIB
@@ -156,34 +154,6 @@ class TestGenerator:
         times = [r.arrival_s for r in reqs]
         assert times == sorted(times)
         assert {r.tenant for r in reqs} == {"a", "b"}
-
-    def test_diurnal_modulates_rate(self):
-        reqs = RequestGenerator(4).diurnal("t", mean_rate_qps=100,
-                                           duration_s=86_400,
-                                           peak_to_trough=3.0)
-        half = 86_400 / 2
-        first = sum(1 for r in reqs if r.arrival_s < half)
-        second = len(reqs) - first
-        assert first > 1.3 * second  # sine peaks in the first half
-
-    @pytest.mark.parametrize("seed", [0, 4, 9, 23])
-    def test_diurnal_accepts_exactly_the_scalar_thinning_set(self, seed):
-        """The vector thinning (``np.sin``, one uniform vector) keeps the
-        same candidates as a candidate-at-a-time loop over ``math.sin``
-        and scalar draws, and leaves the stream in the same state."""
-        mean, period, amplitude = 40.0, 500.0, 0.5  # peak_to_trough 3
-        peak = mean * (1.0 + amplitude)
-        scalar = RequestGenerator(seed)
-        expected = []
-        for t in scalar.rng.poisson_arrivals(peak, 2_000.0):
-            rate = mean * (1.0 + amplitude * math.sin(2.0 * math.pi * t
-                                                       / period))
-            if scalar.rng.uniform() < rate / peak:
-                expected.append(Request(t, "t"))
-        vector = RequestGenerator(seed)
-        assert vector.diurnal("t", mean, 2_000.0, peak_to_trough=3.0,
-                              period_s=period) == expected
-        assert vector.rng.uniform() == scalar.rng.uniform()
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,111 @@
+"""List the functions under src/repro that no user-facing entry point calls.
+
+Runs every CLI subcommand (once per ``choices=`` value of each option,
+once per chip generation where it takes ``--chip``, and ``evaluate
+--chip-file``), the examples, the perfbench workloads and the paper
+benches under ``sys.setprofile``, then prints each function whose code
+never ran. A report, not a gate: it fails only if an entry point fails,
+and it discards the entry points' own output. Benches run with
+``--benchmark-disable``, since ``benchmark.pedantic`` hides their calls
+from the profiler; they rewrite ``benchmarks/artifacts`` as any bench
+run does.
+
+    PYTHONPATH=src python tools/reachability.py
+"""
+
+import ast
+import contextlib
+import os
+import pathlib
+import runpy
+import sys
+import tempfile
+import threading
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def functions(node, path, prefix=""):
+    """(file, first line, qualname, lines) of every def below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix + getattr(child, "name", "")
+        if isinstance(child, DEFS):
+            first = min([child.lineno]
+                        + [d.lineno for d in child.decorator_list])
+            yield path, first, name, child.end_lineno - child.lineno + 1
+        if isinstance(child, DEFS + (ast.ClassDef,)):
+            yield from functions(child, path, name + ".")
+
+
+def cli_runs(tmp):
+    from repro.arch.chip import GENERATIONS, TPUV4I
+    from repro.arch.config_io import save_chip
+    from repro.cli import build_parser
+
+    chip_file = str(save_chip(TPUV4I, tmp / "chip.json"))
+    base = {  # the first argv of each command is the one varied below
+        "chips": [[]], "apps": [[]], "engine": [[]],
+        "evaluate": [["--app", "cnn0"], ["--app", "bert0",
+                                         "--chip-file", chip_file]],
+        "compare": [["--app", "cnn0"]], "profile": [["--app", "cnn0"]],
+        "dump": [["--app", "cnn0", "--format", "asm"]],
+        "migrate": [["--app", "cnn0"]],
+        "faults": [["--duration", "0.2", "--apps", "cnn0"]],
+        "cluster": [["--duration", "0.2"]], "pod": [["--duration", "0.2"]],
+        "llm": [["--duration", "0.2"], ["--faults", "--duration", "0.2"]],
+        "trace": [["cnn0", "tpuv4i", "--out", str(tmp / "trace.json")]],
+        "metrics": [["--cache"]],
+    }
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name, parser in commands.items():
+        yield from ([name] + argv for argv in base[name])
+        for action in parser._actions:
+            flag = action.option_strings[-1:]
+            for value in action.choices or ():
+                yield [name] + base[name][0] + flag + [value]
+            if "--chip" in action.option_strings:
+                for chip in GENERATIONS:
+                    yield [name] + base[name][0] + ["--chip", chip.name]
+
+
+def main():
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    import pytest
+    from perfbench.workloads import WORKLOADS
+    from repro.cli import main as cli
+
+    seen = set()
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            tempfile.TemporaryDirectory() as tmp:
+        for argv in cli_runs(pathlib.Path(tmp)):
+            if cli(argv) != 0:
+                sys.exit(f"repro {' '.join(argv)} failed")
+        for example in sorted((ROOT / "examples").glob("*.py")):
+            runpy.run_path(str(example), run_name="__main__")
+        for workload in WORKLOADS.values():
+            workload.make_call(0)()
+        if pytest.main([str(ROOT / "benchmarks"), "-p", "no:cacheprovider",
+                        "--benchmark-disable"]) != 0:
+            sys.exit("benchmarks failed")
+    sys.setprofile(None)
+    threading.setprofile(None)
+
+    defs = [d for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for d in functions(ast.parse(path.read_text()), str(path))]
+    missed = [d for d in defs if d[:2] not in seen]
+    for path, line, name, _ in missed:
+        print(f"{pathlib.Path(path).relative_to(ROOT)}:{line} {name}")
+    print(f"unreached: {len(missed)} of {len(defs)} functions, "
+          f"{sum(d[3] for d in missed)} of {sum(d[3] for d in defs)} lines")
+
+
+if __name__ == "__main__":
+    main()
