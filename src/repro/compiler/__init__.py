@@ -8,9 +8,11 @@ The pipeline mirrors the passes that mattered in the paper's story:
 3. **allocation** — weights are placed in CMEM when they fit (TPUv4i's
    headline feature) and HBM otherwise; oversized activations spill;
 4. **tiling + lowering** — matmuls/convs tile to the MXU and VMEM, every
-   HLO becomes DMA/MXM/vector instruction sequences;
+   HLO becomes DMA/MXM/vector instruction sequences, with the DMA levels
+   the allocation decides left as slots;
 5. **scheduling** — instructions pack into VLIW bundles, with DMA prefetch
-   hoisted across compute at higher optimization levels.
+   hoisted across compute at higher optimization levels; the bundles'
+   level slots are then bound with each compile's memory plan.
 
 ``versions`` models fifteen months of compiler releases as growing feature
 sets (the Lesson 2 "performance arrives by software" figure), and
@@ -25,7 +27,8 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.compiler.fusion": ("FusionPlan", "plan_fusion"),
     "repro.compiler.allocator": ("MemoryPlan", "plan_memory"),
     "repro.compiler.tiling": ("TileShape", "plan_matmul_tiles"),
-    "repro.compiler.lowering": ("LoweredOp", "lower_module"),
+    "repro.compiler.lowering": ("LoweredModule", "LoweredOp",
+                                "lower_module"),
     "repro.compiler.scheduler": ("schedule",),
     "repro.compiler.pipeline": ("CompiledModel", "compile_model"),
     "repro.compiler.profiler": ("ModuleProfile", "OpProfile",
@@ -44,6 +47,7 @@ __all__ = [
     "plan_memory",
     "TileShape",
     "plan_matmul_tiles",
+    "LoweredModule",
     "LoweredOp",
     "lower_module",
     "schedule",

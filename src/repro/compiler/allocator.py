@@ -35,6 +35,9 @@ class MemoryPlan:
         cmem_weight_bytes / hbm_weight_bytes: placement totals.
         cmem_budget_bytes: capacity the plan was computed against (can be a
             partition of the physical CMEM under multi-tenancy).
+        materialize_level: where an unfused intermediate round-trips
+            (``"cmem"`` on a chip with CMEM when the compiler uses it,
+            whatever the budget; ``"hbm"`` otherwise).
     """
 
     weight_home: Dict[int, str] = field(default_factory=dict)
@@ -42,6 +45,7 @@ class MemoryPlan:
     cmem_weight_bytes: int = 0
     hbm_weight_bytes: int = 0
     cmem_budget_bytes: int = 0
+    materialize_level: str = "hbm"
 
     def home_of(self, uid: int) -> str:
         return self.weight_home.get(uid, "hbm")
@@ -78,10 +82,13 @@ def plan_memory(module: HloModule, chip: ChipConfig, *,
     ``cmem_budget_bytes`` overrides the physical capacity (the E10 sweep and
     the multi-tenant partitioner use this); ``use_cmem=False`` models a
     compiler too old to know about CMEM (the versions experiment). The
-    plan reads only the effective budget and ``chip.vmem_bytes``.
+    plan reads only the effective budget, ``chip.vmem_bytes`` and
+    whether the chip has CMEM at all.
     """
     budget = effective_cmem_budget(chip, cmem_budget_bytes, use_cmem)
-    plan = MemoryPlan(cmem_budget_bytes=budget)
+    plan = MemoryPlan(
+        cmem_budget_bytes=budget,
+        materialize_level="cmem" if use_cmem and chip.has_cmem else "hbm")
 
     # --- weights: greedy fill, largest first (maximizes bytes on chip,
     # since every weight byte is read exactly once per inference).
@@ -97,19 +104,29 @@ def plan_memory(module: HloModule, chip: ChipConfig, *,
             plan.weight_home[inst.uid] = "hbm"
             plan.hbm_weight_bytes += size
 
-    # --- activations: anything whose output exceeds the VMEM working
-    # budget spills. Spills prefer leftover CMEM, then HBM.
-    working_budget = int(chip.vmem_bytes * _VMEM_WORKING_FRACTION)
+    # --- activations: spills prefer leftover CMEM, then HBM.
     for inst in module.instructions:
-        if inst.kind in ("data", "shape"):
+        if not spills(inst, chip.vmem_bytes):
             continue
-        if inst.shape.byte_size > working_budget:
-            if inst.shape.byte_size <= remaining:
-                plan.spilled[inst.uid] = "cmem"
-                remaining -= inst.shape.byte_size
-            else:
-                plan.spilled[inst.uid] = "hbm"
+        if inst.shape.byte_size <= remaining:
+            plan.spilled[inst.uid] = "cmem"
+            remaining -= inst.shape.byte_size
+        else:
+            plan.spilled[inst.uid] = "hbm"
     return plan
+
+
+def spills(inst: HloInstruction, vmem_bytes: int) -> bool:
+    """Whether ``inst``'s output spills off VMEM.
+
+    Any non-data, non-shape output that exceeds the VMEM working budget
+    spills. Whether a tensor spills depends only on ``vmem_bytes``; the
+    level it spills to (:attr:`MemoryPlan.spilled`) depends on the CMEM
+    budget.
+    """
+    return (inst.kind not in ("data", "shape")
+            and inst.shape.byte_size > int(vmem_bytes
+                                           * _VMEM_WORKING_FRACTION))
 
 
 def weight_load_bytes(module: HloModule, plan: MemoryPlan) -> Tuple[int, int]:

@@ -5,10 +5,11 @@ Two facts, demonstrated executably:
 * ``binary_runs_on``: a compiled binary only decodes on its own generation —
   the VLIW formats are mutually unintelligible, so "ship binaries" was never
   an option across TPU generations;
-* ``migrate_model``: the HLO graph recompiles onto any generation whose
-  dtypes it uses (with an explicit, quality-tracked retarget step for
-  int8-only TPUv1), and the recompiled program immediately benefits from
-  the target's compiler features.
+* ``migrate_model``: the HLO graph recompiles onto any generation — as
+  is where the target has the model's dtypes, otherwise after an
+  explicit, quality-tracked retarget to the target's native dtype (int8
+  on TPUv1, bf16 when a TPUv1 model moves up) — and the recompiled
+  program immediately benefits from the target's compiler features.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ class CompatReport:
         source_chip / target_chip: the migration endpoints.
         binary_portable: whether the source binary decodes on the target
             (False whenever generations differ).
-        recompiled: whether HLO recompilation succeeded.
-        retargeted_dtype: dtype forced during migration (e.g. ``"int8"``
-            when moving a bf16 model to TPUv1), or None.
+        recompiled: whether HLO recompilation succeeded (a failure
+            raises, so a returned report says True).
+        retargeted_dtype: dtype forced during migration (the target's
+            native dtype: ``"int8"`` when moving a bf16 model to TPUv1,
+            ``"bf16"`` when moving an int8 model to TPUv2/v3), or None.
         notes: human-readable explanation.
     """
 
@@ -69,8 +72,8 @@ def migrate_model(module: HloModule, source: ChipConfig, target: ChipConfig,
     """Move a model across generations the way production actually did.
 
     Step 1: try carrying the binary (fails across generations).
-    Step 2: recompile the graph for the target, retargeting dtypes if the
-    target lacks the model's formats.
+    Step 2: recompile the graph for the target, retargeting to the
+    target's native dtype if it lacks the model's formats.
     """
     source_compiled = compile_model(module, source, version=version)
     portable = binary_runs_on(source_compiled, target)
@@ -78,18 +81,10 @@ def migrate_model(module: HloModule, source: ChipConfig, target: ChipConfig,
     retargeted: Optional[str] = None
     try:
         compile_model(module, target, version=version)
-        recompiled = True
     except UnsupportedDtypeError:
-        fallback = "int8" if target.supports_dtype("int8") else None
-        if fallback is None:
-            return CompatReport(
-                source_chip=source.name, target_chip=target.name,
-                binary_portable=portable, recompiled=False,
-                retargeted_dtype=None,
-                notes="no common dtype; model cannot run on target")
-        compile_model(retarget_dtype(module, fallback), target, version=version)
-        recompiled = True
-        retargeted = fallback
+        retargeted = target.native_dtype
+        compile_model(retarget_dtype(module, retargeted), target,
+                      version=version)
 
     if portable:
         notes = "same generation: binary carries over"
@@ -102,7 +97,7 @@ def migrate_model(module: HloModule, source: ChipConfig, target: ChipConfig,
         source_chip=source.name,
         target_chip=target.name,
         binary_portable=portable,
-        recompiled=recompiled,
+        recompiled=True,
         retargeted_dtype=retargeted,
         notes=notes,
     )

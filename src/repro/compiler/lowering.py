@@ -17,6 +17,14 @@ measures):
 * ``cmem_alloc`` — weights stream from their allocator-assigned home;
   without it everything streams from HBM.
 
+Level slots: lowering runs before the memory plan is known. Every DMA
+level the plan decides — a weight's home, a spill's level, the level an
+unfused intermediate is materialized at — is emitted as a named *level
+slot* (:class:`LoweredModule`), and :meth:`LoweredModule.bind` fills the
+slots from a plan. Which tensors leave VMEM, the flags and the
+instruction order do not depend on the plan, so one lowering serves
+every CMEM budget.
+
 Traffic rules (the numbers every experiment rides on):
 
 * weights stream from their home once per execution — or once per M-chunk
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.chip import ChipConfig
-from repro.compiler.allocator import MemoryPlan
+from repro.compiler.allocator import MemoryPlan, spills
 from repro.compiler.fusion import FusionPlan
 from repro.compiler.tiling import plan_matmul_tiles
 from repro.compiler.versions import CompilerVersion
@@ -69,6 +77,29 @@ _VMEM_WEIGHT_FRACTION = 0.4
 _VMEM_WORKING_FRACTION = 0.5
 _MATERIALIZE_DIVISOR = 4  # no-fusion round-trip threshold: working budget / 4
 
+_HBM = LEVEL_IDS["hbm"]
+_VMEM = LEVEL_IDS["vmem"]
+#: Slot ``i`` of a lowering is the DMA level operand ``_SLOT_BASE + i``;
+#: no memory level has an id that high, so a slot cannot pass for one.
+_SLOT_BASE = len(LEVEL_IDS)
+_DMA_OPCODES = (Opcode.DMA_IN, Opcode.DMA_OUT)
+
+#: A level slot's name: ``("home", uid)`` (a weight's home),
+#: ``("spill", uid)`` (a spilled intermediate's level) or
+#: ``("materialize",)`` (where unfused intermediates round-trip).
+SlotName = Tuple
+
+
+def _slot_level(name: SlotName, memory: MemoryPlan) -> str:
+    kind = name[0]
+    if kind == "home":
+        return memory.home_of(name[1])
+    if kind == "spill" and name[1] in memory.spilled:
+        return memory.spilled[name[1]]
+    if kind == "materialize":
+        return memory.materialize_level
+    raise ValueError(f"level slot {name} is unbound in the memory plan")
+
 
 @dataclass
 class LoweredOp:
@@ -82,6 +113,62 @@ class LoweredOp:
 
     def all_instructions(self) -> List[Instruction]:
         return self.prologue + self.body + self.epilogue
+
+
+class LoweredModule:
+    """A module's lowered ops, with plan-dependent DMA levels as slots.
+
+    Attributes:
+        ops: the lowered ops; their DMAs may name a level slot.
+        slots: slot ``i``'s name (see :data:`SlotName`).
+        interned: every instruction lowering emitted, by ``(opcode,
+            args)``; binding reuses these objects for equal values.
+        slotted: the distinct instructions that name a slot.
+
+    A plain class, not a dataclass: it needs no generated equality or
+    repr, and declaring a dataclass adds about a millisecond to every
+    import of the compiler.
+    """
+
+    def __init__(self, ops: List[LoweredOp], slots: Tuple[SlotName, ...],
+                 interned: Dict[Tuple[Opcode, Tuple[int, ...]], Instruction]
+                 ) -> None:
+        self.ops = ops
+        self.slots = slots
+        self.interned = interned
+        self.slotted = [inst for (opcode, args), inst in interned.items()
+                        if opcode in _DMA_OPCODES and args[0] >= _SLOT_BASE]
+
+    def bound(self, memory: MemoryPlan) -> Dict[int, Instruction]:
+        """``id(instruction) -> instruction`` with its slot filled from
+        ``memory``, for every instruction that names a slot.
+
+        Bound instructions are interned by value, against the lowering's
+        own instructions too, so equal instructions stay one object.
+        Raises ``ValueError`` if ``memory`` leaves a slot unbound.
+        """
+        levels = [LEVEL_IDS[_slot_level(name, memory)] for name in self.slots]
+        made: Dict[Tuple[Opcode, Tuple[int, ...]], Instruction] = {}
+        out: Dict[int, Instruction] = {}
+        for inst in self.slotted:
+            level, *rest = inst.args
+            key = (inst.opcode, (levels[level - _SLOT_BASE], *rest))
+            bound = self.interned.get(key) or made.get(key)
+            if bound is None:
+                bound = made[key] = Instruction(*key)
+            out[id(inst)] = bound
+        return out
+
+    def bind(self, memory: MemoryPlan) -> List[LoweredOp]:
+        """The lowered ops with every level slot filled from ``memory``."""
+        bound = self.bound(memory)
+
+        def fill(insts: List[Instruction]) -> List[Instruction]:
+            return [bound.get(id(inst), inst) for inst in insts]
+
+        return [LoweredOp(op.group_id, op.description, fill(op.prologue),
+                          fill(op.body), fill(op.epilogue))
+                for op in self.ops]
 
 
 class _FlagAllocator:
@@ -98,16 +185,15 @@ class _FlagAllocator:
 
 class _Lowerer:
     def __init__(self, module: HloModule, fusion: FusionPlan,
-                 memory: MemoryPlan, chip: ChipConfig,
-                 version: CompilerVersion) -> None:
+                 chip: ChipConfig, version: CompilerVersion) -> None:
         self.module = module
         self.fusion = fusion
-        self.memory = memory
         self.chip = chip
         self.version = version
         self.flags = _FlagAllocator()
-        # uid -> where the tensor is available: "vmem", "cmem", or "hbm".
-        self.location: Dict[int, str] = {}
+        # uid -> where the tensor is available: a level id or level slot.
+        self.location: Dict[int, int] = {}
+        self.slot_of: Dict[SlotName, int] = {}
         # uid -> store flag of the DMA that materialized it (for ordering).
         self.store_flag: Dict[int, int] = {}
         self.elem_bytes = 1 if module.root.shape.dtype_name == "int8" else 2
@@ -118,6 +204,10 @@ class _Lowerer:
         # each distinct value is built (and its operands checked) once.
         self._interned: Dict[Tuple[Opcode, Tuple[int, ...]], Instruction] = {}
 
+    def _slot(self, *name) -> int:
+        """The level operand naming slot ``name`` (added on first use)."""
+        return self.slot_of.setdefault(name, _SLOT_BASE + len(self.slot_of))
+
     def _inst(self, opcode: Opcode, args: Tuple[int, ...]) -> Instruction:
         key = (opcode, args)
         inst = self._interned.get(key)
@@ -127,7 +217,7 @@ class _Lowerer:
 
     # ------------------------------------------------------------ DMA helpers
 
-    def _emit_load(self, op: LoweredOp, level: str, num_bytes: int,
+    def _emit_load(self, op: LoweredOp, level: int, num_bytes: int,
                    after_flag: Optional[int] = None) -> int:
         """Emit a DMA_IN; returns the flag to wait on before using the data.
 
@@ -138,8 +228,7 @@ class _Lowerer:
         flag = self.flags.take()
         if after_flag is not None:
             op.body.append(self._inst(Opcode.SYNC_WAIT, (after_flag,)))
-        load = self._inst(Opcode.DMA_IN,
-                           (LEVEL_IDS[level], max(1, int(num_bytes)), flag))
+        load = self._inst(Opcode.DMA_IN, (level, max(1, int(num_bytes)), flag))
         if self.version.has("prefetch") and after_flag is None:
             op.prologue.append(load)
         else:
@@ -148,10 +237,10 @@ class _Lowerer:
                 op.body.append(self._inst(Opcode.SYNC_WAIT, (flag,)))
         return flag
 
-    def _emit_store(self, op: LoweredOp, level: str, num_bytes: int) -> int:
+    def _emit_store(self, op: LoweredOp, level: int, num_bytes: int) -> int:
         flag = self.flags.take()
         op.epilogue.append(self._inst(
-            Opcode.DMA_OUT, (LEVEL_IDS[level], max(1, int(num_bytes)), flag)))
+            Opcode.DMA_OUT, (level, max(1, int(num_bytes)), flag)))
         return flag
 
     def _wait(self, op: LoweredOp, flag: Optional[int]) -> None:
@@ -161,20 +250,20 @@ class _Lowerer:
     def _stage_operand(self, op: LoweredOp, operand: HloInstruction) -> None:
         """Bring one operand into VMEM if it is not already there."""
         location = self._location_of(operand)
-        if location == "vmem":
+        if location == _VMEM:
             return
         flag = self._emit_load(op, location, operand.shape.byte_size,
                                after_flag=self.store_flag.get(operand.uid))
         self._wait(op, flag)
 
-    def _location_of(self, operand: HloInstruction) -> str:
+    def _location_of(self, operand: HloInstruction) -> int:
         if operand.opcode == "parameter":
-            return "hbm"
+            return _HBM
         if operand.opcode == "constant":
             if self.version.has("cmem_alloc"):
-                return self.memory.home_of(operand.uid)
-            return "hbm"
-        return self.location.get(operand.uid, "vmem")
+                return self._slot("home", operand.uid)
+            return _HBM
+        return self.location.get(operand.uid, _VMEM)
 
     # --------------------------------------------------------------- matmuls
 
@@ -202,7 +291,7 @@ class _Lowerer:
         # Weight stream(s).
         weight_flags: List[int] = []
         for _ in range(weight_streams):
-            if weight_home == "vmem":
+            if weight_home == _VMEM:
                 break
             weight_flags.append(self._emit_load(op, weight_home, weight_bytes,
                                                 after_flag=weight_store))
@@ -210,7 +299,7 @@ class _Lowerer:
 
         # Per-tile activation stream + compute.
         for index, tile in enumerate(tiles):
-            if act_location != "vmem":
+            if act_location != _VMEM:
                 share = tile.rows / m
                 flag = self._emit_load(
                     op, act_location, int(math.ceil(act_bytes_total * share)),
@@ -261,8 +350,8 @@ class _Lowerer:
     def _lower_gather(self, op: LoweredOp, inst: HloInstruction) -> None:
         table = inst.operands[0]
         home = self._location_of(table)
-        if home == "vmem":
-            home = "hbm"
+        if home == _VMEM:
+            home = _HBM
         row_bytes = table.shape.dims[1] * table.shape.dtype.size_bytes
         rows = inst.shape.num_elements // max(1, table.shape.dims[1])
         read_bytes = rows * max(row_bytes, self._MIN_BURST_BYTES)
@@ -283,7 +372,7 @@ class _Lowerer:
             for member in members:
                 src = member.operands[0] if member.operands else None
                 self.location[member.uid] = (
-                    self._location_of(src) if src is not None else "vmem")
+                    self._location_of(src) if src is not None else _VMEM)
                 if src is not None and src.uid in self.store_flag:
                     self.store_flag[member.uid] = self.store_flag[src.uid]
             return None
@@ -328,32 +417,33 @@ class _Lowerer:
 
     def _place_output(self, op: LoweredOp, members: List[HloInstruction]) -> None:
         tail = members[-1]
-        spill_level = self.memory.spilled.get(tail.uid)
         size = tail.shape.byte_size
 
         if tail.uid == self.module.root.uid:
-            self._emit_store(op, "hbm", size)
-            self.location[tail.uid] = "hbm"
-        elif spill_level is not None:
-            self.store_flag[tail.uid] = self._emit_store(op, spill_level, size)
-            self.location[tail.uid] = spill_level
+            self._emit_store(op, _HBM, size)
+            self.location[tail.uid] = _HBM
+        elif spills(tail, self.chip.vmem_bytes):
+            level = self._slot("spill", tail.uid)
+            self.store_flag[tail.uid] = self._emit_store(op, level, size)
+            self.location[tail.uid] = level
         elif (not self.version.has("fusion")
               and size > self.materialize_threshold):
             # Naive executor: materialize sizeable intermediates off-VMEM.
-            level = "cmem" if (self.chip.has_cmem
-                               and self.version.has("cmem_alloc")) else "hbm"
+            level = (self._slot("materialize")
+                     if self.version.has("cmem_alloc") else _HBM)
             self.store_flag[tail.uid] = self._emit_store(op, level, size)
             self.location[tail.uid] = level
         else:
-            self.location[tail.uid] = "vmem"
+            self.location[tail.uid] = _VMEM
         for member in members:
             self.location.setdefault(member.uid, self.location[tail.uid])
 
 
-def lower_module(module: HloModule, fusion: FusionPlan, memory: MemoryPlan,
-                 chip: ChipConfig, version: CompilerVersion) -> List[LoweredOp]:
-    """Lower a composite-free module into executable lowered ops."""
-    lowerer = _Lowerer(module, fusion, memory, chip, version)
+def lower_module(module: HloModule, fusion: FusionPlan, chip: ChipConfig,
+                 version: CompilerVersion) -> LoweredModule:
+    """Lower a composite-free module, leaving plan-dependent levels as
+    slots; :meth:`LoweredModule.bind` makes the ops executable."""
+    lowerer = _Lowerer(module, fusion, chip, version)
     by_uid = {inst.uid: inst for inst in module.instructions}
     lowered: List[LoweredOp] = []
     for gid in sorted(fusion.members):
@@ -361,4 +451,4 @@ def lower_module(module: HloModule, fusion: FusionPlan, memory: MemoryPlan,
         op = lowerer.lower_group(gid, members)
         if op is not None:
             lowered.append(op)
-    return lowered
+    return LoweredModule(lowered, tuple(lowerer.slot_of), lowerer._interned)

@@ -13,14 +13,15 @@ from repro.compiler.allocator import (
 )
 from repro.compiler.expansion import expand_composites
 from repro.compiler.fusion import FusionPlan, plan_fusion
-from repro.compiler.lowering import LoweredOp, lower_module
-from repro.compiler.scheduler import schedule
+from repro.compiler.lowering import LoweredModule, LoweredOp, lower_module
+from repro.compiler.scheduler import bind_bundles, schedule
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
+from repro.isa.instructions import Bundle
 from repro.isa.program import Program
 
 
-class UnsupportedDtypeError(Exception):
+class UnsupportedDtypeError(ValueError):
     """The chip cannot execute the module's arithmetic (e.g. bf16 on TPUv1)."""
 
 
@@ -69,15 +70,16 @@ class CompiledModel:
 
 _ARITHMETIC_KINDS = ("unary", "binary", "matmul", "conv", "reduce", "composite")
 
-#: Compiler features memory planning and lowering read; ``dual_issue``
-#: only changes how :func:`schedule` packs the stream.
+#: Compiler features lowering reads; ``dual_issue`` only changes how
+#: :func:`schedule` packs the stream.
 _LOWERING_FEATURES = frozenset({"fusion", "cmem_alloc", "good_tiling",
                                 "prefetch"})
 
-#: The chip fields memory planning and lowering read. Every other field
-#: (generation, clock, HBM, dtypes, ...) leaves the lowered stream
-#: unchanged, so chips that agree on these share one lowering.
-LOWERING_CHIP_FIELDS = frozenset({"vmem_bytes", "mxu_dim", "cmem_bytes"})
+#: The chip fields lowering reads. Every other field leaves the slotted
+#: stream unchanged, so chips that agree on these share one lowering. Of
+#: the others only ``cmem_bytes`` changes the bound stream, and only in
+#: DMA level operands, through the memory plan that binds the slots.
+LOWERING_CHIP_FIELDS = frozenset({"vmem_bytes", "mxu_dim"})
 
 
 @dataclass(frozen=True)
@@ -116,18 +118,16 @@ def _check_dtypes(front: _FrontEnd, chip: ChipConfig) -> None:
         )
 
 
-def lowering_key(chip: ChipConfig, version: CompilerVersion,
-                 cmem_budget_bytes: Optional[int] = None) -> Tuple:
-    """Everything besides the module that the lowered stream depends on.
+def lowering_key(chip: ChipConfig, version: CompilerVersion) -> Tuple:
+    """Everything besides the module that the slotted stream depends on.
 
-    Memory planning reads the effective CMEM budget and ``vmem_bytes``;
-    lowering reads the plan, ``vmem_bytes``, ``mxu_dim`` (tiling),
-    whether the chip has CMEM at all, and the lowering features.
+    Lowering reads ``vmem_bytes`` (which tensors spill or materialize,
+    weight residency), ``mxu_dim`` (tiling) and the lowering features.
+    The CMEM budget and whether the chip has CMEM at all reach only the
+    memory plan, which fills the stream's level slots afterwards.
     """
-    features = version.features & _LOWERING_FEATURES
-    budget = effective_cmem_budget(chip, cmem_budget_bytes,
-                                   use_cmem="cmem_alloc" in features)
-    return (features, chip.vmem_bytes, chip.mxu_dim, chip.has_cmem, budget)
+    return (version.features & _LOWERING_FEATURES, chip.vmem_bytes,
+            chip.mxu_dim)
 
 
 def _fusion(expanded: HloModule, enabled: bool) -> FusionPlan:
@@ -138,44 +138,83 @@ def _fusion(expanded: HloModule, enabled: bool) -> FusionPlan:
     return fusion
 
 
+def _memory(expanded: HloModule, chip: ChipConfig, version: CompilerVersion,
+            cmem_budget_bytes: Optional[int]) -> MemoryPlan:
+    """The memory plan, memoized per effective budget and VMEM size."""
+    use_cmem = version.has("cmem_alloc")
+    budget = effective_cmem_budget(chip, cmem_budget_bytes, use_cmem)
+    key = ("compiler.memory", chip.vmem_bytes, budget,
+           use_cmem and chip.has_cmem)
+    memory = expanded.memo.get(key)
+    if memory is None:
+        memory = expanded.memo[key] = plan_memory(
+            expanded, chip, cmem_budget_bytes=cmem_budget_bytes,
+            use_cmem=use_cmem)
+    return memory
+
+
+def _lowering(expanded: HloModule, chip: ChipConfig,
+              version: CompilerVersion) -> LoweredModule:
+    """The slotted lowering, memoized per :func:`lowering_key`."""
+    key = ("compiler.lowering", lowering_key(chip, version))
+    lowered = expanded.memo.get(key)
+    if lowered is None:
+        fusion = _fusion(expanded, version.has("fusion"))
+        lowered = expanded.memo[key] = lower_module(expanded, fusion, chip,
+                                                    version)
+    return lowered
+
+
+def _bundles(expanded: HloModule, chip: ChipConfig,
+             version: CompilerVersion) -> List[Bundle]:
+    """The slotted lowering's bundles, memoized per (:func:`lowering_key`,
+    generation, ``dual_issue``)."""
+    dense = version.has("dual_issue")
+    key = ("compiler.bundles", lowering_key(chip, version), chip.generation,
+           dense)
+    bundles = expanded.memo.get(key)
+    if bundles is None:
+        bundles = expanded.memo[key] = schedule(
+            _lowering(expanded, chip, version).ops, chip.generation, dense)
+    return bundles
+
+
 def lower_stages(module: HloModule, chip: ChipConfig,
                  version: CompilerVersion = LATEST,
                  cmem_budget_bytes: Optional[int] = None
                  ) -> Tuple[HloModule, FusionPlan, MemoryPlan, List[LoweredOp]]:
-    """The memoized front end, fusion, memory plan and lowering.
+    """The front end, fusion, memory plan and bound lowered ops.
 
     Returns ``(expanded, fusion, memory, lowered)``. The front end is
-    computed once per module, fusion once per (module, fusion flag), and
-    the memory plan and lowering once per (module, :func:`lowering_key`).
-    Results are shared between callers and must be treated as read-only.
+    computed once per module, fusion once per (module, fusion flag), the
+    memory plan once per (module, VMEM size, effective CMEM budget) and
+    the slotted lowering once per (module, :func:`lowering_key`); the
+    returned ops are that lowering bound with ``memory``, so no level
+    slot is left in them. The first three are shared between callers
+    and must be treated as read-only.
     """
     expanded = _front_end(module).expanded
-    key = ("compiler.lowering", lowering_key(chip, version, cmem_budget_bytes))
-    stages = expanded.memo.get(key)
-    if stages is None:
-        fusion = _fusion(expanded, version.has("fusion"))
-        memory = plan_memory(expanded, chip,
-                             cmem_budget_bytes=cmem_budget_bytes,
-                             use_cmem=version.has("cmem_alloc"))
-        lowered = lower_module(expanded, fusion, memory, chip, version)
-        stages = expanded.memo[key] = (fusion, memory, lowered)
-    return (expanded,) + stages
+    memory = _memory(expanded, chip, version, cmem_budget_bytes)
+    lowered = _lowering(expanded, chip, version)
+    return (expanded, _fusion(expanded, version.has("fusion")), memory,
+            lowered.bind(memory))
 
 
 def retarget_dtype(module: HloModule, dtype_name: str) -> HloModule:
-    """Rebuild a module with every tensor in ``dtype_name``.
+    """Rebuild a module with every arithmetic tensor in ``dtype_name``.
 
-    This is the "quantize everything" deployment move TPUv1 required —
-    numerically lossy (quantify with ``repro.numerics``), but it makes the
-    graph executable on an int8-only chip.
+    Float and int8 tensors retarget; int32 index tensors (embedding ids)
+    keep their type. Towards int8 this is the "quantize everything"
+    deployment move TPUv1 required — numerically lossy (quantify with
+    ``repro.numerics``), but it makes the graph executable on an
+    int8-only chip; from int8 it moves a TPUv1 model onto a bf16 chip.
     """
     out = HloModule(f"{module.name}.{dtype_name}")
     mapping: Dict[int, HloInstruction] = {}
     for inst in module.instructions:
         operands = tuple(mapping[o.uid] for o in inst.operands)
         attrs = {k: v for k, v in inst.attrs}
-        # Only arithmetic (float) tensors retarget; index tensors keep int32.
-        if inst.shape.dtype.is_float:
+        if inst.shape.dtype_name != "int32":
             shape = inst.shape.with_dtype(dtype_name)
         else:
             shape = inst.shape
@@ -195,21 +234,27 @@ def compile_model(module: HloModule, chip: ChipConfig, *,
     the weight allocator (capacity sweeps, multi-tenant partitions).
 
     Work is done once per piece: validation and expansion once per
-    module, lowering once per :func:`lowering_key` (see
-    :func:`lower_stages`); only scheduling runs on every call, because
-    the bundle layout is per generation.
+    module, lowering once per :func:`lowering_key` and scheduling once
+    per (lowering, generation, ``dual_issue``); every call plans memory
+    for its budget (memoized per effective budget) and binds the
+    scheduled bundles' level slots with that plan.
     """
     front = _front_end(module)
     _check_dtypes(front, chip)
-    expanded, fusion, memory, lowered = lower_stages(
-        module, chip, version, cmem_budget_bytes)
-    program = schedule(lowered, module.name, chip.generation, version)
+    expanded = front.expanded
+    memory = _memory(expanded, chip, version, cmem_budget_bytes)
+    bundles = _bundles(expanded, chip, version)
+    lowered = _lowering(expanded, chip, version)
+    program = Program(name=module.name, generation=chip.generation)
+    program.extend(bind_bundles(bundles, lowered.bound(memory)))
+    program.metadata["compiler_version"] = version.name
+    program.metadata["lowered_ops"] = len(lowered.ops)
     program.metadata["weight_bytes"] = front.weight_bytes
     return CompiledModel(
         program=program,
         module=expanded,
         source=module,
-        fusion=fusion,
+        fusion=_fusion(expanded, version.has("fusion")),
         memory=memory,
         chip=chip,
         version=version,

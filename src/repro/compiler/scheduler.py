@@ -6,14 +6,17 @@ the scheduler's freedom is *density*: with the ``dual_issue`` compiler
 feature it fills every slot class a bundle offers, so a DMA, a sync, a
 matmul and a vector op can issue together; without it each instruction
 gets its own bundle (the bring-up compiler's behaviour).
+
+Packing reads only each instruction's slot class, so it runs on the
+lowered stream with its level slots still open, once per generation;
+:func:`bind_bundles` then fills the slots for each memory plan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.compiler.lowering import LoweredOp
-from repro.compiler.versions import CompilerVersion
 from repro.isa.instructions import (
     Bundle,
     Instruction,
@@ -21,7 +24,6 @@ from repro.isa.instructions import (
     SlotClass,
     slot_layout_for_generation,
 )
-from repro.isa.program import Program
 
 
 def _pack(stream: Sequence[Instruction], generation: int,
@@ -75,13 +77,14 @@ def _pack(stream: Sequence[Instruction], generation: int,
 _HALT = Instruction(Opcode.HALT)
 
 
-def schedule(lowered: List[LoweredOp], name: str, generation: int,
-             version: CompilerVersion) -> Program:
-    """Build the final program from lowered ops.
+def schedule(lowered: Sequence[LoweredOp], generation: int,
+             dense: bool) -> List[Bundle]:
+    """Pack lowered ops into the bundles of a program, in issue order.
 
     The emission order interleaves each op's prologue DMAs ahead of its
     body (lowering already hoisted prefetchable DMAs into prologues), and
-    appends a HALT so the simulator knows the stream ended.
+    appends a HALT so the simulator knows the stream ended. ``dense`` is
+    the ``dual_issue`` compiler feature.
     """
     stream: List[Instruction] = []
     for op in lowered:
@@ -89,9 +92,30 @@ def schedule(lowered: List[LoweredOp], name: str, generation: int,
         stream.extend(op.body)
         stream.extend(op.epilogue)
     stream.append(_HALT)
+    return _pack(stream, generation, dense)
 
-    program = Program(name=name, generation=generation)
-    program.extend(_pack(stream, generation, dense=version.has("dual_issue")))
-    program.metadata["compiler_version"] = version.name
-    program.metadata["lowered_ops"] = len(lowered)
-    return program
+
+def bind_bundles(bundles: Sequence[Bundle],
+                 bound: Mapping[int, Instruction]) -> List[Bundle]:
+    """``bundles`` with each instruction ``inst`` replaced by
+    ``bound[id(inst)]`` where present (see
+    :meth:`~repro.compiler.lowering.LoweredModule.bound`).
+
+    Slots stay as they were, so nothing is re-packed. Repeats are
+    interned as :func:`_pack` does: bundles made of the same
+    instruction objects are one :class:`Bundle`, and a bundle that
+    binds to its own instructions is kept as it is.
+    """
+    get = bound.get
+    by_bundle: Dict[int, Bundle] = {}
+    interned: Dict[Tuple[int, ...], Bundle] = {}
+    for bundle in {id(b): b for b in bundles}.values():
+        insts = bundle.instructions
+        filled = tuple(map(get, map(id, insts), insts))
+        key = tuple(map(id, filled))
+        out = interned.get(key)
+        if out is None:
+            out = interned[key] = (bundle if filled == insts
+                                   else Bundle(filled))
+        by_bundle[id(bundle)] = out
+    return list(map(by_bundle.__getitem__, map(id, bundles)))

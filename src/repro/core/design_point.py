@@ -86,11 +86,12 @@ class Evaluation:
 class DesignPoint:
     """One (chip, compiler release) pair with memoized evaluation.
 
-    Every method takes the arithmetic ``dtype`` (default bf16): it is
-    part of the compile (non-bf16 modules are retargeted, see
-    :func:`~repro.engine.modules.built_module`), the replay, the power
-    model, the memo keys and the EvalCache key, so a result of one
-    dtype is never served for another.
+    Every method takes the arithmetic ``dtype`` (default: the chip's
+    :attr:`~repro.arch.chip.ChipConfig.native_dtype`, resolved before
+    any key is formed): it is part of the compile (non-bf16 modules are
+    retargeted, see :func:`~repro.engine.modules.built_module`), the
+    replay, the power model, the memo keys and the EvalCache key, so a
+    result of one dtype is never served for another.
 
     The simulator and the three fingerprints are built on first use and
     kept: a point whose every lookup hits the cache never builds a
@@ -102,6 +103,8 @@ class DesignPoint:
                  cache: Optional[EvalCache] = None) -> None:
         self.chip = chip
         self.version = version
+        #: The dtype every method defaults to.
+        self.native_dtype = chip.native_dtype
         self._compiled: dict[_MemoKey, CompiledModel] = {}
         # One memo per record kind: "sim" -> SimResult, "eval" ->
         # Evaluation.
@@ -137,7 +140,7 @@ class DesignPoint:
 
     def key(self, kind: str, spec: WorkloadSpec, batch: int,
             cmem_budget_bytes: Optional[int] = None,
-            dtype: str = "bf16") -> str:
+            dtype: Optional[str] = None) -> str:
         """The EvalCache key a ``kind`` record lives under.
 
         ``kind`` is ``"sim"`` (the :class:`SimResult` of :meth:`run`) or
@@ -146,6 +149,8 @@ class DesignPoint:
         PhaseSpec`) carry a phase and KV bucket into the key; plain
         specs have neither attribute and produce the legacy key bytes.
         """
+        if dtype is None:
+            dtype = self.native_dtype
         self._memo(kind)  # rejects an unknown kind
         return eval_key(kind, self.chip_fp, self.compiler_fp, spec.name,
                         batch, cmem_budget_bytes, dtype,
@@ -154,9 +159,11 @@ class DesignPoint:
 
     def lookup(self, kind: str, spec: WorkloadSpec, batch: int,
                cmem_budget_bytes: Optional[int] = None,
-               dtype: str = "bf16"):
+               dtype: Optional[str] = None):
         """A memo/EvalCache hit of a ``kind`` record, or None (never
         computes)."""
+        if dtype is None:
+            dtype = self.native_dtype
         memo = self._memo(kind)
         memo_key = (spec.name, batch, cmem_budget_bytes, dtype)
         hit = memo.get(memo_key)
@@ -171,8 +178,10 @@ class DesignPoint:
 
     def store(self, kind: str, spec: WorkloadSpec, batch: int,
               cmem_budget_bytes: Optional[int], record,
-              dtype: str = "bf16") -> None:
+              dtype: Optional[str] = None) -> None:
         """Publish a ``kind`` record under the keys :meth:`lookup` reads."""
+        if dtype is None:
+            dtype = self.native_dtype
         meta = key_meta(kind, self.chip.name, self.version.name, spec.name,
                         batch, cmem_budget_bytes, dtype,
                         phase=getattr(spec, "phase", None),
@@ -194,7 +203,7 @@ class DesignPoint:
 
     def compile(self, spec: WorkloadSpec, batch: int,
                 cmem_budget_bytes: Optional[int] = None,
-                dtype: str = "bf16") -> CompiledModel:
+                dtype: Optional[str] = None) -> CompiledModel:
         """Compile a workload at a batch size; the caller keeps the result.
 
         The grid path (:mod:`repro.engine.grid`) compiles through here
@@ -202,6 +211,8 @@ class DesignPoint:
         does not pin every program it compiled; :meth:`compiled` is the
         per-point memo.
         """
+        if dtype is None:
+            dtype = self.native_dtype
         if batch <= 0:
             raise ValueError("batch must be positive")
         return compile_model(built_module(spec, batch, dtype), self.chip,
@@ -210,8 +221,10 @@ class DesignPoint:
 
     def compiled(self, spec: WorkloadSpec, batch: int,
                  cmem_budget_bytes: Optional[int] = None,
-                 dtype: str = "bf16") -> CompiledModel:
+                 dtype: Optional[str] = None) -> CompiledModel:
         """Compile (memoized) a workload at a batch size."""
+        if dtype is None:
+            dtype = self.native_dtype
         key = (spec.name, batch, cmem_budget_bytes, dtype)
         if key not in self._compiled:
             self._compiled[key] = self.compile(spec, batch,
@@ -220,8 +233,10 @@ class DesignPoint:
 
     def run(self, spec: WorkloadSpec, batch: int,
             cmem_budget_bytes: Optional[int] = None,
-            dtype: str = "bf16") -> SimResult:
+            dtype: Optional[str] = None) -> SimResult:
         """Simulate (memoized) one inference of a workload."""
+        if dtype is None:
+            dtype = self.native_dtype
         result = self.lookup("sim", spec, batch, cmem_budget_bytes, dtype)
         if result is None:
             reg = metrics()
@@ -235,7 +250,7 @@ class DesignPoint:
 
     def latency_s(self, spec: WorkloadSpec, batch: int,
                   cmem_budget_bytes: Optional[int] = None,
-                  dtype: str = "bf16") -> float:
+                  dtype: Optional[str] = None) -> float:
         """Latency of one batch (seconds)."""
         return self.run(spec, batch, cmem_budget_bytes, dtype).seconds
 
@@ -243,8 +258,10 @@ class DesignPoint:
 
     def evaluate(self, spec: WorkloadSpec, batch: Optional[int] = None,
                  cmem_budget_bytes: Optional[int] = None,
-                 dtype: str = "bf16") -> Evaluation:
+                 dtype: Optional[str] = None) -> Evaluation:
         """Chip-level throughput/power evaluation at a batch size."""
+        if dtype is None:
+            dtype = self.native_dtype
         b = batch if batch is not None else spec.default_batch
         evaluation = self.lookup("eval", spec, b, cmem_budget_bytes, dtype)
         if evaluation is None:
@@ -259,7 +276,7 @@ class DesignPoint:
                         cmem_budget_bytes: Optional[int],
                         result: SimResult,
                         compiled: CompiledModel,
-                        dtype: str = "bf16") -> Evaluation:
+                        dtype: Optional[str] = None) -> Evaluation:
         """Derive the chip-level record from a simulation + compilation.
 
         Pure arithmetic — the only consumer of ``result``/``compiled``
@@ -278,7 +295,7 @@ class DesignPoint:
         power = power_model.average_power(
             seconds,
             macs=counters.macs * cores,
-            dtype=dtype,
+            dtype=self.native_dtype if dtype is None else dtype,
             sram_bytes=sram * cores,
             hbm_bytes=counters.bytes_by_level.get("hbm", 0.0) * cores,
             vector_ops=counters.vector_alu_ops * cores,

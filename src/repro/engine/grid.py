@@ -56,18 +56,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class GridJob:
-    """One (design point, workload, batch, CMEM budget, dtype) evaluation."""
+    """One (design point, workload, batch, CMEM budget, dtype) evaluation.
+
+    ``dtype`` None means the point's chip's native dtype; the
+    :class:`DesignPoint` methods resolve it before forming any key.
+    """
 
     point: "DesignPoint"
     spec: "WorkloadSpec"
     batch: Optional[int] = None
     cmem_budget_bytes: Optional[int] = None
-    dtype: str = "bf16"
+    dtype: Optional[str] = None
 
     @property
     def resolved_batch(self) -> int:
         return self.batch if self.batch is not None \
             else self.spec.default_batch
+
+    @property
+    def resolved_dtype(self) -> str:
+        return self.dtype if self.dtype is not None \
+            else self.point.native_dtype
 
 
 # ---------------------------------------------------------------- helpers
@@ -78,7 +87,7 @@ def _shared_compiled(job: GridJob,
     """Compile once per distinct compile content across the whole batch."""
     batch = job.resolved_batch
     key = (job.point.compile_fp, job.point.compiler_fp, job.spec.name, batch,
-           job.cmem_budget_bytes, job.dtype)
+           job.cmem_budget_bytes, job.resolved_dtype)
     compiled = compiled_by_key.get(key)
     if compiled is None:
         with metrics().timer("tier.compile_s"):
@@ -156,7 +165,7 @@ def run_grid(jobs: Sequence[GridJob],
             compiled = _shared_compiled(job, compiled_by_key)
             slot_by_key[key] = len(batch_points)
             batch_points.append(GridPoint(compiled.program, job.point.chip,
-                                          job.dtype))
+                                          job.resolved_dtype))
         slots.append(slot_by_key[key])
     with reg.timer("tier.sim_s"):
         sims = evaluate_grid(batch_points)

@@ -44,6 +44,13 @@ class TestCli:
         assert "binary portable: False" in out
         assert "recompiled:      True" in out
 
+    def test_migrate_from_tpuv1_widens_to_bf16(self, capsys):
+        assert main(["migrate", "--app", "cnn0", "--source", "TPUv1",
+                     "--target", "TPUv2"]) == 0
+        out = capsys.readouterr().out
+        assert "recompiled:      True" in out
+        assert "dtype retarget:  bf16" in out
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.arch import TPUV1, TPUV2, TPUV3, TPUV4I
+from repro.arch import GENERATIONS, TPUV1, TPUV2, TPUV3, TPUV4I
 from repro.compiler import binary_runs_on, compile_model, migrate_model
+from repro.compiler.pipeline import retarget_dtype
+from repro.engine.modules import built_module
+from repro.graph import GraphBuilder, Shape
+from repro.workloads.models import app_by_name
 
 
 class TestBinaryPortability:
@@ -50,3 +54,29 @@ class TestMigration:
                 report = migrate_model(tiny_mlp, source, target)
                 assert report.recompiled
                 assert report.binary_portable == (source is target)
+
+    def test_tpuv1_source_row(self):
+        """An int8 TPUv1 model recompiles on every generation: as is where
+        the target runs int8, widened to bf16 where it does not."""
+        module = built_module(app_by_name("cnn0"), 1, "int8")
+        for target in GENERATIONS:
+            report = migrate_model(module, TPUV1, target)
+            assert report.recompiled
+            assert report.binary_portable == (target is TPUV1)
+            want = None if target.supports_dtype("int8") else "bf16"
+            assert report.retargeted_dtype == want
+
+
+class TestRetarget:
+    def test_int8_widens_and_indices_keep_int32(self):
+        b = GraphBuilder("emb")
+        table = b.constant(Shape((1000, 64), "int8"), "table")
+        ids = b.parameter(Shape((8, 4), "int32"), "ids")
+        b.embedding_lookup(table, ids)
+        widened = retarget_dtype(b.build(), "bf16")
+        dtypes = {inst.name: inst.shape.dtype_name
+                  for inst in widened.instructions}
+        assert dtypes["table"] == "bf16"
+        assert dtypes["ids"] == "int32"
+        assert widened.root.shape.dtype_name == "bf16"
+        compile_model(widened, TPUV2)

@@ -274,6 +274,32 @@ class TestDtypeIdentity:
         with pytest.raises(UnsupportedDtypeError):
             compile_model(bf16, TPUV1)
 
+    def test_default_dtype_is_the_chips_native_dtype(self):
+        spec = app_by_name("cnn0")
+        native = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        explicit = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        for kind in ("sim", "eval"):
+            assert (native.key(kind, spec, 8)
+                    == explicit.key(kind, spec, 8, dtype="int8"))
+        assert native.run(spec, 8) == explicit.run(spec, 8, dtype="int8")
+        assert (_fields(native.evaluate(spec))
+                == _fields(explicit.evaluate(spec, dtype="int8")))
+        assert native.compiled(spec, 8) is native.compiled(spec, 8, None,
+                                                           "int8")
+        job = GridJob(native, spec, 8)
+        assert job.resolved_dtype == "int8"
+        assert _fields(evaluate_jobs([job])[0]) == _fields(
+            explicit.evaluate(spec, 8, dtype="int8"))
+        # bf16 chips keep their keys: the default is bf16 there.
+        v4i = DesignPoint(TPUV4I)
+        assert v4i.key("eval", spec, 8) == v4i.key("eval", spec, 8,
+                                                   dtype="bf16")
+
+    def test_bf16_on_tpuv1_is_a_value_error(self):
+        point = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        with pytest.raises(ValueError, match="TPUv1 does not support"):
+            point.compile(app_by_name("cnn0"), 8, dtype="bf16")
+
 
 class TestRecordKinds:
     """One key, lookup and store path for both record kinds."""

@@ -14,6 +14,7 @@ from repro.compiler import (
 )
 from repro.graph import GraphBuilder, Shape
 from repro.isa.instructions import LEVEL_IDS, Opcode
+from repro.isa.program import Program
 
 from tests.conftest import make_tiny_mlp
 
@@ -26,7 +27,13 @@ def lower(module, chip=TPUV4I, version=LATEST, cmem_budget=None):
     fusion = plan_fusion(expanded, enabled=version.has("fusion"))
     memory = plan_memory(expanded, chip, cmem_budget_bytes=cmem_budget,
                          use_cmem=version.has("cmem_alloc"))
-    return expanded, lower_module(expanded, fusion, memory, chip, version)
+    return expanded, lower_module(expanded, fusion, chip, version).bind(memory)
+
+
+def as_program(lowered, generation, version):
+    program = Program("t", generation)
+    program.extend(schedule(lowered, generation, version.has("dual_issue")))
+    return program
 
 
 def all_instructions(lowered):
@@ -162,23 +169,23 @@ class TestMaterialization:
 class TestScheduler:
     def test_dense_packing_respects_slots(self, tiny_mlp):
         _, lowered = lower(tiny_mlp)
-        program = schedule(lowered, "t", 4, LATEST)
+        program = as_program(lowered, 4, LATEST)
         program.validate()
 
     def test_sparse_packing_one_per_bundle(self, tiny_mlp):
         _, lowered = lower(tiny_mlp, version=EARLY)
-        program = schedule(lowered, "t", 4, EARLY)
+        program = as_program(lowered, 4, EARLY)
         assert all(len(b.instructions) == 1 for b in program.bundles)
 
     def test_halt_is_last(self, tiny_mlp):
         _, lowered = lower(tiny_mlp)
-        program = schedule(lowered, "t", 4, LATEST)
+        program = as_program(lowered, 4, LATEST)
         assert list(program.instructions())[-1].opcode is Opcode.HALT
 
     def test_order_preserved(self, tiny_mlp):
         _, lowered = lower(tiny_mlp)
         flat = [i for op in lowered for i in op.all_instructions()]
-        program = schedule(lowered, "t", 4, LATEST)
+        program = as_program(lowered, 4, LATEST)
         scheduled = [i for i in program.instructions()
                      if i.opcode is not Opcode.HALT]
         assert scheduled == flat
@@ -186,5 +193,5 @@ class TestScheduler:
     def test_cross_generation_scheduling(self, tiny_mlp):
         for chip in (TPUV3, TPUV4I):
             _, lowered = lower(tiny_mlp, chip=chip)
-            program = schedule(lowered, "t", chip.generation, LATEST)
+            program = as_program(lowered, chip.generation, LATEST)
             program.validate()
