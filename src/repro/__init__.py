@@ -27,7 +27,7 @@ import sys as _sys
 
 
 def _lazy_exports(package, exports, submodules=()):
-    """A package's ``__getattr__`` and ``__dir__`` for lazy exports.
+    """A package's ``__getattr__``, ``__dir__`` and ``__all__``, lazily.
 
     ``exports`` maps each defining module to the names the package
     re-exports from it. Reading one of those names imports the module
@@ -35,6 +35,8 @@ def _lazy_exports(package, exports, submodules=()):
     plain attribute lookups. Each defining module that is a direct child
     of the package, and every name in ``submodules``, resolves to the
     submodule itself, as it did when the package imported it eagerly.
+    ``__all__`` lists the exported names in map order, so each public
+    name is declared once; a star import reads them all.
     """
     namespace = _sys.modules[package].__dict__
     owners = {name: module for module, names in exports.items()
@@ -57,10 +59,10 @@ def _lazy_exports(package, exports, submodules=()):
     def __dir__():
         return sorted(set(namespace) | set(owners) | children)
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(owners)
 
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.arch.chip": ("ChipConfig", "GENERATIONS", "TPUV1", "TPUV2",
                         "TPUV3", "TPUV4I", "chip_by_name"),
     "repro.compiler.pipeline": ("CompiledModel", "compile_model"),
@@ -83,35 +85,4 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
 ))
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ChipConfig",
-    "GENERATIONS",
-    "TPUV1",
-    "TPUV2",
-    "TPUV3",
-    "TPUV4I",
-    "chip_by_name",
-    "CompiledModel",
-    "CompilerVersion",
-    "LATEST",
-    "RELEASES",
-    "compile_model",
-    "migrate_model",
-    "DesignPoint",
-    "Evaluation",
-    "GraphBuilder",
-    "HloModule",
-    "Shape",
-    "chip_roofline",
-    "place_module",
-    "BatchPolicy",
-    "ServingSimulator",
-    "Slo",
-    "TensorCoreSim",
-    "chip_tco",
-    "perf_per_tco",
-    "PRODUCTION_APPS",
-    "app_by_name",
-    "__version__",
-]
+__all__.append("__version__")

@@ -10,49 +10,17 @@ power/cooling envelope.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.arch.chip": ("ChipConfig", "TPUV1", "TPUV2", "TPUV3", "TPUV4I",
                         "GENERATIONS", "chip_by_name"),
     "repro.arch.mxu": ("MxuModel", "MatmulTiming"),
     "repro.arch.vpu": ("VpuModel",),
     "repro.arch.memory": ("MemoryLevel", "MemorySystem"),
     "repro.arch.dma": ("DmaEngine", "DmaTransfer"),
-    "repro.arch.ici": ("IciLink", "IciNetwork"),
+    "repro.arch.ici": ("IciLink",),
     "repro.arch.power": ("PowerModel", "PowerBreakdown"),
-    "repro.arch.cooling": ("CoolingSolution", "AIR_COOLING", "LIQUID_COOLING",
-                           "junction_temp_c"),
+    "repro.arch.cooling": ("CoolingSolution", "AIR_COOLING", "LIQUID_COOLING"),
     "repro.arch.thermal": ("ThermalModel", "ThermalSample"),
     "repro.arch.config_io": ("chip_from_json", "chip_to_json", "load_chip",
                              "save_chip"),
 })
-
-__all__ = [
-    "ChipConfig",
-    "TPUV1",
-    "TPUV2",
-    "TPUV3",
-    "TPUV4I",
-    "GENERATIONS",
-    "chip_by_name",
-    "MxuModel",
-    "MatmulTiming",
-    "VpuModel",
-    "MemoryLevel",
-    "MemorySystem",
-    "DmaEngine",
-    "DmaTransfer",
-    "IciLink",
-    "IciNetwork",
-    "PowerModel",
-    "PowerBreakdown",
-    "CoolingSolution",
-    "AIR_COOLING",
-    "LIQUID_COOLING",
-    "junction_temp_c",
-    "ThermalModel",
-    "ThermalSample",
-    "chip_from_json",
-    "chip_to_json",
-    "load_chip",
-    "save_chip",
-]

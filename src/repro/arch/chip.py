@@ -113,11 +113,6 @@ class ChipConfig:
         return self.peak_ops / TERA
 
     @property
-    def vpu_ops_per_cycle(self) -> int:
-        """Peak vector ops/cycle (2 ALU ops per sublane)."""
-        return self.cores * self.vpu_lanes * self.vpu_sublanes * 2
-
-    @property
     def on_chip_bytes(self) -> int:
         """Total software-visible on-chip memory (VMEM across cores + CMEM)."""
         return self.cores * self.vmem_bytes + self.cmem_bytes

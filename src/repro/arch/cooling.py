@@ -57,17 +57,6 @@ class CoolingSolution:
         return (power_w <= self.max_sustained_w
                 and self.junction_temp_c(power_w, ambient_c) <= MAX_JUNCTION_C)
 
-    def max_power_w(self, ambient_c: float = DEFAULT_AMBIENT_C) -> float:
-        """Largest power this solution sustains at the given ambient."""
-        thermal_limit = (MAX_JUNCTION_C - ambient_c) / self.thermal_resistance_c_per_w
-        return min(self.max_sustained_w, thermal_limit)
-
-    def overhead_power_w(self, chip_power_w: float) -> float:
-        """Fan/pump power to remove ``chip_power_w``."""
-        if chip_power_w < 0:
-            raise ValueError("power must be non-negative")
-        return self.opex_w_per_chip_w * chip_power_w
-
 
 # An air-cooled server sled tops out near ~200 W per accelerator card;
 # TPUv4i's 175 W TDP sits just inside. Liquid cold plates reach TPUv3's
@@ -96,12 +85,6 @@ _SOLUTIONS = {"air": AIR_COOLING, "liquid": LIQUID_COOLING}
 def solution_for(chip: ChipConfig) -> CoolingSolution:
     """The cooling solution a chip config declares."""
     return _SOLUTIONS[chip.cooling]
-
-
-def junction_temp_c(chip: ChipConfig, power_w: float,
-                    ambient_c: float = DEFAULT_AMBIENT_C) -> float:
-    """Junction temperature of ``chip`` at ``power_w`` under its own cooling."""
-    return solution_for(chip).junction_temp_c(power_w, ambient_c)
 
 
 def air_coolable(tdp_w: float, ambient_c: float = DEFAULT_AMBIENT_C) -> bool:

@@ -75,14 +75,6 @@ class DmaEngine:
         self.completed.append(transfer)
         return transfer
 
-    def total_bytes(self) -> float:
-        """Bytes moved by this engine so far."""
-        return sum(t.num_bytes for t in self.completed)
-
     def busy_cycles(self) -> int:
         """Cycles this engine spent transferring (its queue occupancy)."""
         return sum(t.duration for t in self.completed)
-
-    def reset(self) -> None:
-        self.busy_until = 0
-        self.completed.clear()

@@ -1,17 +1,17 @@
-"""Inter-chip interconnect (ICI) model.
+"""Inter-chip interconnect (ICI) link model.
 
 TPUv2/v3 connect into 2-D torus pods for training; TPUv4i keeps two ICI
 links so inference deployments can gang up to four chips for models whose
-weights or SLOs exceed one chip. The model prices the point-to-point
-transfers the multi-chip pipeline uses and the per-chip weight shards.
+weights or SLOs exceed one chip. :class:`IciLink` prices one transfer over
+one link. The multi-chip pipeline (:mod:`repro.core.multichip`) prices each
+inter-stage hop on it, and the pod layer (:mod:`repro.pod.topology`) builds
+its torus and OCS topologies from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from repro.arch.chip import ChipConfig
 
 
 @dataclass(frozen=True)
@@ -44,35 +44,3 @@ class IciLink:
         if num_bytes < 0:
             raise ValueError(f"bytes must be non-negative, got {num_bytes}")
         return self.latency_s + num_bytes / self.bandwidth
-
-
-class IciNetwork:
-    """A ring of ``num_chips`` identical chips (TPUv4i's deployment shape).
-
-    Raises at construction if the chip has no ICI links (TPUv1 was a
-    single-chip PCIe accelerator).
-    """
-
-    def __init__(self, chip: ChipConfig, num_chips: int) -> None:
-        if num_chips < 1:
-            raise ValueError("need at least one chip")
-        if num_chips > 1 and chip.ici_links == 0:
-            raise ValueError(f"{chip.name} has no ICI links; cannot build a ring")
-        self.chip = chip
-        self.num_chips = num_chips
-        self.link = IciLink(chip.ici_link_bw) if chip.ici_links else None
-
-    def point_to_point_seconds(self, num_bytes: float, hops: int = 1) -> float:
-        """Time to move bytes ``hops`` ring-hops away (store-and-forward)."""
-        if self.num_chips == 1 or hops == 0:
-            return 0.0
-        assert self.link is not None
-        if hops < 0 or hops > self.num_chips // 2:
-            raise ValueError(f"hops must be in [0, {self.num_chips // 2}]")
-        return hops * self.link.transfer_seconds(num_bytes)
-
-    def sharded_weight_bytes(self, total_weight_bytes: float) -> float:
-        """Per-chip weight footprint when a model is sharded over the ring."""
-        if total_weight_bytes < 0:
-            raise ValueError("bytes must be non-negative")
-        return math.ceil(total_weight_bytes / self.num_chips)

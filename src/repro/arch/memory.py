@@ -5,8 +5,8 @@ VMEM and HBM. Weights (and large activations) resident in CMEM stream at
 several times HBM bandwidth and at a fraction of the pJ/byte, which is what
 moves the memory-bound production apps up the roofline (experiment E7/E10).
 
-:class:`MemorySystem` provides capacity checking, per-level transfer timing,
-and a byte-traffic ledger that the power model consumes.
+:class:`MemorySystem` provides per-level transfer timing and a byte-traffic
+ledger that the interpreter (``TensorCoreSim.run_interpreted``) fills.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.arch.chip import ChipConfig
-from repro.util.units import bytes_str
 
 
 @dataclass(frozen=True)
@@ -93,31 +92,6 @@ class MemorySystem:
                 return candidate
         raise KeyError(f"{self.chip.name} has no memory level {name!r}")
 
-    # ------------------------------------------------------------- placement
-
-    def fits(self, name: str, num_bytes: float) -> bool:
-        """Whether ``num_bytes`` fits in the named level."""
-        return num_bytes <= self.level(name).capacity_bytes
-
-    def weight_home(self, weight_bytes: float, reserved_cmem: float = 0.0) -> str:
-        """Where a model's weights live: CMEM if they fit, else HBM.
-
-        ``reserved_cmem`` carves out space already claimed (other tenants,
-        activation buffers) — the multi-tenancy model relies on this.
-        """
-        if weight_bytes < 0 or reserved_cmem < 0:
-            raise ValueError("byte counts must be non-negative")
-        if self.cmem is not None:
-            free = self.cmem.capacity_bytes - reserved_cmem
-            if weight_bytes <= free:
-                return "cmem"
-        if weight_bytes > self.hbm.capacity_bytes:
-            raise ValueError(
-                f"weights ({bytes_str(weight_bytes)}) exceed HBM "
-                f"({bytes_str(self.hbm.capacity_bytes)}) on {self.chip.name}"
-            )
-        return "hbm"
-
     # --------------------------------------------------------------- traffic
 
     def record_traffic(self, name: str, num_bytes: float) -> None:
@@ -128,11 +102,8 @@ class MemorySystem:
         self._traffic[name] = self._traffic.get(name, 0.0) + num_bytes
 
     def traffic(self) -> Dict[str, float]:
-        """Bytes moved per level since construction/reset."""
+        """Bytes moved per level since construction."""
         return dict(self._traffic)
-
-    def reset_traffic(self) -> None:
-        self._traffic = {level.name: 0.0 for level in self.levels()}
 
     # ---------------------------------------------------------------- timing
 

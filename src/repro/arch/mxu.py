@@ -88,18 +88,3 @@ class MxuModel:
             utilization=ideal / cycles,
             macs=macs,
         )
-
-    def conv2d(self, batch: int, out_h: int, out_w: int, in_ch: int,
-               out_ch: int, kernel_h: int, kernel_w: int) -> MatmulTiming:
-        """Convolution as an im2col matmul (how XLA maps conv to the MXU).
-
-        ``M = batch*out_h*out_w``, ``K = kernel_h*kernel_w*in_ch``,
-        ``N = out_ch``.
-        """
-        m = batch * out_h * out_w
-        k = kernel_h * kernel_w * in_ch
-        return self.matmul(m, k, out_ch)
-
-    def peak_macs_per_cycle(self) -> int:
-        """MACs/cycle at 100% utilization for this core."""
-        return self.arrays * self.dim * self.dim

@@ -15,7 +15,6 @@ fp32 ~3x (multiplier energy grows roughly quadratically in mantissa width).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.arch.chip import ChipConfig
 from repro.tech.node import ProcessNode, node_by_name
@@ -38,16 +37,6 @@ class PowerBreakdown:
     @property
     def total_w(self) -> float:
         return self.static_w + self.mac_w + self.sram_w + self.hbm_w + self.vector_w
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "static": self.static_w,
-            "mac": self.mac_w,
-            "sram": self.sram_w,
-            "hbm": self.hbm_w,
-            "vector": self.vector_w,
-            "total": self.total_w,
-        }
 
 
 class PowerModel:

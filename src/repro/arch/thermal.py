@@ -82,10 +82,6 @@ class ThermalModel:
             factor = round(factor - _FREQ_STEP, 10)
         return _MIN_FREQ_FACTOR
 
-    def sustained_performance_fraction(self, busy_power_w: float) -> float:
-        """Delivered fraction of nominal throughput under continuous load."""
-        return self.sustained_frequency_factor(busy_power_w)
-
     # -------------------------------------------------------------- transient
 
     def simulate(self, load_power_w: Sequence[float], dt_s: float = 0.1

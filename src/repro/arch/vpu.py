@@ -52,11 +52,6 @@ class VpuModel:
         self.chip = chip
         self.ops_per_cycle = chip.vpu_lanes * chip.vpu_sublanes * 2
 
-    @staticmethod
-    def known_ops() -> tuple:
-        """The vector op classes this model prices."""
-        return tuple(sorted(_OP_COST))
-
     def op_cost(self, op: str) -> float:
         """ALU-op equivalents per element for ``op``."""
         try:
@@ -84,14 +79,3 @@ class VpuModel:
             elements=elements,
             alu_ops=base.alu_ops + tree_steps,
         )
-
-    def softmax(self, rows: int, row_len: int) -> VectorTiming:
-        """Cycles for a row-softmax: max-reduce, exp, sum-reduce, divide."""
-        elements = rows * row_len
-        max_pass = self.reduction(elements, row_len)
-        exp_pass = self.elementwise("exp", elements)
-        sum_pass = self.reduction(elements, row_len)
-        div_pass = self.elementwise("div", elements)
-        cycles = max_pass.cycles + exp_pass.cycles + sum_pass.cycles + div_pass.cycles
-        ops = max_pass.alu_ops + exp_pass.alu_ops + sum_pass.alu_ops + div_pass.alu_ops
-        return VectorTiming(cycles=cycles, elements=elements, alu_ops=ops)

@@ -23,20 +23,9 @@ field. The router costs nothing until you turn something on.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.cluster.cluster": ("ClusterSimulator", "ClusterStats"),
     "repro.cluster.policy": ("ClusterPolicy", "DegradationTier"),
     "repro.cluster.sweep": ("DEFAULT_SCENARIOS", "ChaosRow", "ChaosScenario",
                             "chaos_sweep"),
 })
-
-__all__ = [
-    "ChaosRow",
-    "ChaosScenario",
-    "ClusterPolicy",
-    "ClusterSimulator",
-    "ClusterStats",
-    "DEFAULT_SCENARIOS",
-    "DegradationTier",
-    "chaos_sweep",
-]

@@ -123,12 +123,6 @@ class ClusterPolicy:
             raise ValueError("degrade_after/recover_after must be >= 1")
 
     @property
-    def sheds(self) -> bool:
-        """True when admission control can reject a request."""
-        return (self.admission_rate_qps is not None
-                or self.max_queue_depth is not None)
-
-    @property
     def probes(self) -> bool:
         """True when health checking is active."""
         return self.probe_interval_s is not None
@@ -193,20 +187,3 @@ class ClusterPolicy:
             degrade_below_healthy=0.5 + 1e-9,
             degrade_above_queue=max(4 * max_batch * replicas, 8),
         )
-
-    def describe(self) -> str:
-        parts = []
-        if self.probes:
-            parts.append(f"probe every {self.probe_interval_s:.3g} s "
-                         f"(eject after {self.unhealthy_after}, "
-                         f"window {self.ejection_s:.3g} s)")
-        if self.admission_rate_qps is not None:
-            parts.append(f"admit {self.admission_rate_qps:.3g} qps "
-                         f"(burst {self.admission_burst:.3g})")
-        if self.max_queue_depth is not None:
-            parts.append(f"queue cap {self.max_queue_depth}")
-        if self.hedges:
-            parts.append(f"hedge past {self.hedge_delay_s * 1e3:.3g} ms")
-        if self.degrades:
-            parts.append("tiers " + " > ".join(t.name for t in self.tiers))
-        return "ClusterPolicy(" + ("; ".join(parts) or "passthrough") + ")"

@@ -22,7 +22,7 @@ generations, HLO always does.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.compiler.expansion": ("expand_composites",),
     "repro.compiler.fusion": ("FusionPlan", "plan_fusion"),
     "repro.compiler.allocator": ("MemoryPlan", "plan_memory"),
@@ -38,29 +38,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.compiler.compat": ("CompatReport", "binary_runs_on",
                               "migrate_model"),
 })
-
-__all__ = [
-    "expand_composites",
-    "FusionPlan",
-    "plan_fusion",
-    "MemoryPlan",
-    "plan_memory",
-    "TileShape",
-    "plan_matmul_tiles",
-    "LoweredModule",
-    "LoweredOp",
-    "lower_module",
-    "schedule",
-    "CompiledModel",
-    "compile_model",
-    "ModuleProfile",
-    "OpProfile",
-    "profile_module",
-    "CompilerVersion",
-    "RELEASES",
-    "release_by_name",
-    "LATEST",
-    "CompatReport",
-    "binary_runs_on",
-    "migrate_model",
-]

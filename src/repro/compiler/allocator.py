@@ -14,7 +14,7 @@ or HBM, costing a DMA round-trip that lowering materializes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch.chip import ChipConfig
 from repro.graph.hlo import HloInstruction, HloModule
@@ -127,17 +127,3 @@ def spills(inst: HloInstruction, vmem_bytes: int) -> bool:
     return (inst.kind not in ("data", "shape")
             and inst.shape.byte_size > int(vmem_bytes
                                            * _VMEM_WORKING_FRACTION))
-
-
-def weight_load_bytes(module: HloModule, plan: MemoryPlan) -> Tuple[int, int]:
-    """(bytes from CMEM, bytes from HBM) to stream all weights once."""
-    cmem = 0
-    hbm = 0
-    for inst in module.instructions:
-        if inst.opcode != "constant":
-            continue
-        if plan.home_of(inst.uid) == "cmem":
-            cmem += inst.shape.byte_size
-        else:
-            hbm += inst.shape.byte_size
-    return cmem, hbm

@@ -53,20 +53,6 @@ class CompiledModel:
     def weight_bytes(self) -> int:
         return self.module.total_weight_bytes()
 
-    @property
-    def cmem_resident_bytes(self) -> int:
-        return self.memory.cmem_weight_bytes
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "model": self.source.name,
-            "chip": self.chip.name,
-            "compiler": self.version.name,
-            "bundles": len(self.program),
-            "fused_away": self.fusion.fused_op_count(),
-            "weights_in_cmem": self.memory.cmem_hit_fraction,
-        }
-
 
 _ARITHMETIC_KINDS = ("unary", "binary", "matmul", "conv", "reduce", "composite")
 

@@ -30,19 +30,6 @@ class TileShape:
         if self.rows <= 0 or self.k <= 0 or self.n <= 0:
             raise ValueError("tile dims must be positive")
 
-    @property
-    def macs(self) -> int:
-        return self.rows * self.k * self.n
-
-    def input_bytes(self, elem_bytes: int) -> int:
-        return self.rows * self.k * elem_bytes
-
-    def output_bytes(self, elem_bytes: int) -> int:
-        return self.rows * self.n * elem_bytes
-
-    def weight_bytes(self, elem_bytes: int) -> int:
-        return self.k * self.n * elem_bytes
-
 
 def max_chunk_rows(k: int, n: int, elem_bytes: int, vmem_budget: int,
                    mxu_dim: int) -> int:

@@ -10,7 +10,7 @@ clock under the air-cooling TDP ceiling, and watch the paper's choice
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.core.design_point": ("DesignPoint", "Evaluation",
                                 "shared_design_point"),
     "repro.core.dse": ("DesignCandidate", "cmem_sweep",
@@ -19,19 +19,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.multichip": ("MultiChipReport", "PipelineDeployment",
                              "StageReport", "partition_module"),
 })
-
-__all__ = [
-    "DesignPoint",
-    "Evaluation",
-    "DesignCandidate",
-    "cmem_sweep",
-    "enumerate_candidates",
-    "evaluate_candidate",
-    "evaluate_candidates",
-    "pareto_frontier",
-    "shared_design_point",
-    "MultiChipReport",
-    "PipelineDeployment",
-    "StageReport",
-    "partition_module",
-]

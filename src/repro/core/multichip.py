@@ -1,4 +1,4 @@
-"""Multi-chip inference: pipeline a model across a TPUv4i ICI ring.
+"""Multi-chip inference: pipeline a model across ICI-linked TPUv4i chips.
 
 TPUv4i boards carry four chips linked by ICI precisely because single-chip
 serving stops working when a model's weights or SLO outgrow one chip (the
@@ -10,9 +10,9 @@ deployment life). This module implements pipeline parallelism:
   become stage parameters, weights are duplicated into every consuming
   stage;
 * :class:`PipelineDeployment` compiles and simulates each stage on its own
-  chip, prices inter-stage activation transfers on the ICI links, and
-  reports single-request latency, steady-state throughput, and per-chip
-  weight/CMEM residency.
+  chip, prices each inter-stage activation transfer as one hop over an
+  :class:`~repro.arch.ici.IciLink`, and reports single-request latency,
+  steady-state throughput, and per-chip weight/CMEM residency.
 
 The headline effect reproduced here: sharding a CMEM-overflowing model
 (bert1, rnn1) across chips is *superlinear* for throughput, because each
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig, TPUV4I
-from repro.arch.ici import IciNetwork
+from repro.arch.ici import IciLink
 from repro.compiler.pipeline import compile_model
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
@@ -137,7 +137,7 @@ class StageReport:
 
 @dataclass(frozen=True)
 class MultiChipReport:
-    """A pipelined deployment across an ICI ring."""
+    """A pipelined deployment across ICI-linked chips."""
 
     model: str
     chip: str
@@ -157,18 +157,8 @@ class MultiChipReport:
         return self.batch / bottleneck
 
     @property
-    def total_weight_bytes(self) -> int:
-        return sum(s.weight_bytes for s in self.stages)
-
-    @property
     def min_cmem_hit(self) -> float:
         return min(s.cmem_hit_fraction for s in self.stages)
-
-    def describe(self) -> str:
-        return (f"{self.model} on {self.num_chips}x {self.chip}: "
-                f"{self.request_latency_s * 1e3:.2f} ms/request, "
-                f"{self.throughput_qps:.0f} qps, worst CMEM residency "
-                f"{self.min_cmem_hit:.0%}")
 
 
 class PipelineDeployment:
@@ -182,17 +172,17 @@ class PipelineDeployment:
 
     def deploy(self, module: HloModule, num_chips: int,
                batch: int) -> MultiChipReport:
-        """Partition, compile, and time the model across the ring."""
+        """Partition, compile, and time the model over ``num_chips`` chips."""
         if num_chips > 1 and self.chip.ici_links == 0:
             raise ValueError(f"{self.chip.name} has no ICI links")
-        network = IciNetwork(self.chip, num_chips)
         stages, boundaries = partition_module(module, num_chips)
 
         reports: List[StageReport] = []
         for index, (stage, inbound) in enumerate(zip(stages, boundaries)):
             compiled = compile_model(stage, self.chip, version=self.version)
             result = self.sim.run(compiled.program)
-            transfer = network.point_to_point_seconds(inbound) if inbound else 0.0
+            transfer = (IciLink(self.chip.ici_link_bw)
+                        .transfer_seconds(inbound) if inbound else 0.0)
             reports.append(StageReport(
                 stage=index,
                 latency_s=result.seconds,
@@ -210,6 +200,6 @@ class PipelineDeployment:
 
     def scaling_study(self, build, batch: int,
                       chip_counts: Sequence[int] = (1, 2, 4)) -> List[MultiChipReport]:
-        """Deploy ``build(batch)`` at several ring sizes."""
+        """Deploy ``build(batch)`` at several chip counts."""
         return [self.deploy(build(batch), count, batch)
                 for count in chip_counts]

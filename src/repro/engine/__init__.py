@@ -24,7 +24,7 @@ produce identical records (pure arithmetic, results in job order);
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.engine.cache": ("CacheStats", "EvalCache", "configure_cache",
                            "get_cache", "set_cache"),
     "repro.engine.grid": ("GridJob", "evaluate_jobs", "run_grid"),
@@ -32,21 +32,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                           "compiler_fingerprint", "eval_key", "fingerprint"),
     "repro.engine.modules": ("built_module", "clear_modules"),
 })
-
-__all__ = [
-    "CacheStats",
-    "EvalCache",
-    "GridJob",
-    "built_module",
-    "chip_fingerprint",
-    "clear_modules",
-    "compile_chip_fingerprint",
-    "compiler_fingerprint",
-    "configure_cache",
-    "eval_key",
-    "evaluate_jobs",
-    "fingerprint",
-    "get_cache",
-    "run_grid",
-    "set_cache",
-]

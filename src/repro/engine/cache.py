@@ -105,16 +105,6 @@ class CacheStats:
         total = self.lookups
         return (self.hits + self.disk_hits) / total if total else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "corrupt": self.corrupt,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass
 class _Entry:
@@ -149,10 +139,6 @@ class EvalCache:
         self._pending: list[tuple[str, Optional[dict], bytes]] = []
 
     # --------------------------------------------------------------- config
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
 
     @property
     def disk_dir(self) -> Optional[Path]:

@@ -50,11 +50,6 @@ def built_module(spec: "WorkloadSpec", batch: int,
     return module if dtype == "bf16" else retarget_dtype(module, dtype)
 
 
-def module_cache_size() -> int:
-    with _LOCK:
-        return len(_MODULES)
-
-
 def clear_modules() -> None:
     with _LOCK:
         _MODULES.clear()

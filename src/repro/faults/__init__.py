@@ -24,15 +24,7 @@ at all, and any seeded sweep is a pure function of its arguments.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.faults.model": ("FaultModel", "FaultSchedule"),
     "repro.faults.sweep": ("FaultSweepRow", "fault_sweep", "latency_table"),
 })
-
-__all__ = [
-    "FaultModel",
-    "FaultSchedule",
-    "FaultSweepRow",
-    "fault_sweep",
-    "latency_table",
-]

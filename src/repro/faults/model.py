@@ -236,10 +236,14 @@ class FaultSchedule:
                 total += merged_end - merged_start
         return total
 
-    def describe(self) -> str:
-        return (f"FaultSchedule: {self.cores} cores over "
-                f"{self.horizon_s:.3g} s, {len(self.down)} outages, "
-                f"{len(self.slowdowns)} slowdowns")
+
+def repair_seconds(stream: DeterministicRng, mean_s: float) -> float:
+    """One repair time with mean ``mean_s`` (inf: never, 0: instant)."""
+    if math.isinf(mean_s):
+        return math.inf
+    if mean_s == 0.0:
+        return 0.0
+    return stream.exponential(mean_s)
 
 
 @dataclass(frozen=True)
@@ -309,13 +313,6 @@ class FaultModel:
                 and math.isinf(self.chip_mtbf_s)
                 and math.isinf(self.slowdown_mtbf_s))
 
-    def _repair(self, stream: DeterministicRng, mean_s: float) -> float:
-        if math.isinf(mean_s):
-            return math.inf
-        if mean_s == 0.0:
-            return 0.0
-        return stream.exponential(mean_s)
-
     def schedule(self, cores: int, horizon_s: float) -> FaultSchedule:
         """Realize the model into a schedule for ``cores`` over a horizon.
 
@@ -332,12 +329,12 @@ class FaultModel:
             for start in stream.event_times(self.core_mtbf_s, horizon_s):
                 down.append(
                     (core, start,
-                     start + self._repair(stream, self.core_repair_s)))
+                     start + repair_seconds(stream, self.core_repair_s)))
         core_outages = len(down)
         chip_stream = root.fork(_CHIP_SALT)
         chip_outages = 0
         for start in chip_stream.event_times(self.chip_mtbf_s, horizon_s):
-            end = start + self._repair(chip_stream, self.chip_repair_s)
+            end = start + repair_seconds(chip_stream, self.chip_repair_s)
             down.extend((core, start, end) for core in range(cores))
             chip_outages += 1
         slowdowns: list[tuple[int, float, float, float]] = []

@@ -9,25 +9,10 @@ trumps binary compatibility" means operationally.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.graph.shapes": ("DTYPES", "DType", "Shape"),
     "repro.graph.ops": ("OpDef", "OPDEFS", "opdef"),
     "repro.graph.hlo": ("HloInstruction", "HloModule", "GraphBuilder"),
     "repro.graph.evaluator": ("Evaluator", "evaluate_module"),
     "repro.graph.text": ("module_to_text",),
 })
-
-__all__ = [
-    "DTYPES",
-    "DType",
-    "Shape",
-    "OpDef",
-    "OPDEFS",
-    "opdef",
-    "HloInstruction",
-    "HloModule",
-    "GraphBuilder",
-    "Evaluator",
-    "evaluate_module",
-    "module_to_text",
-]

@@ -104,10 +104,6 @@ class Evaluator:
             self._values[inst.uid] = self._execute(inst, inputs, weights)
         return self._values[self.module.root.uid]
 
-    def value_of(self, inst: HloInstruction) -> np.ndarray:
-        """Tensor produced by an instruction in the last ``run``."""
-        return self._values[inst.uid]
-
     def _execute(self, inst: HloInstruction, inputs: Mapping[str, np.ndarray],
                  weights: Mapping[str, np.ndarray]) -> np.ndarray:
         operands = [self._values[o.uid] for o in inst.operands]

@@ -50,11 +50,6 @@ class HloInstruction:
     def kind(self) -> str:
         return opdef(self.opcode).kind
 
-    def __str__(self) -> str:
-        ops = ", ".join(f"%{o.uid}" for o in self.operands)
-        label = self.name or self.opcode
-        return f"%{self.uid} = {self.opcode}({ops}) : {self.shape}  # {label}"
-
 
 class HloModule:
     """A computation: instructions in topological order plus a root."""
@@ -177,9 +172,6 @@ class HloModule:
 
     # -------------------------------------------------------------- utilities
 
-    def instructions_of_kind(self, kind: str) -> List[HloInstruction]:
-        return [i for i in self.instructions if i.kind == kind]
-
     def validate(self) -> None:
         """Check topological order and uid density."""
         seen = set()
@@ -192,12 +184,6 @@ class HloModule:
                         f"%{inst.uid} uses %{operand.uid} before definition")
             seen.add(inst.uid)
         _ = self.root
-
-    def __str__(self) -> str:
-        lines = [f"HloModule {self.name}:"]
-        lines.extend(f"  {inst}" for inst in self.instructions)
-        lines.append(f"  root = %{self.root.uid}")
-        return "\n".join(lines)
 
 
 class GraphBuilder:
@@ -269,39 +255,16 @@ class GraphBuilder:
     def gelu(self, x, name=""):
         return self._unary("gelu", x, name)
 
-    def exp(self, x, name=""):
-        return self._unary("exp", x, name)
-
-    def rsqrt(self, x, name=""):
-        return self._unary("rsqrt", x, name)
-
-    def convert(self, x, dtype_name: str, name=""):
-        shape = x.shape.with_dtype(dtype_name)
-        return self.module.add("convert", shape, (x,), name=name)
-
     def add(self, a, b, name=""):
         return self._binary("add", a, b, name)
 
-    def sub(self, a, b, name=""):
-        return self._binary("sub", a, b, name)
-
     def mul(self, a, b, name=""):
         return self._binary("mul", a, b, name)
-
-    def div(self, a, b, name=""):
-        return self._binary("div", a, b, name)
-
-    def maximum(self, a, b, name=""):
-        return self._binary("max", a, b, name)
 
     # Reductions and composites.
     def reduce_sum(self, x, axis: int, name=""):
         shape = reduce_result(x.shape, axis)
         return self.module.add("reduce_sum", shape, (x,), name=name, axis=axis)
-
-    def reduce_max(self, x, axis: int, name=""):
-        shape = reduce_result(x.shape, axis)
-        return self.module.add("reduce_max", shape, (x,), name=name, axis=axis)
 
     def max_pool2d(self, x, window: int = 2, stride: int = 2, name=""):
         shape = pool_result(x.shape, window, stride)

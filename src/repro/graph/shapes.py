@@ -15,9 +15,6 @@ class DType:
     size_bytes: int
     is_float: bool
 
-    def __str__(self) -> str:
-        return self.name
-
 
 DTYPES: Dict[str, DType] = {
     "int8": DType("int8", 1, False),

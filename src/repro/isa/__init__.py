@@ -11,7 +11,7 @@ disassembler (``repro dump --format asm``).
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.isa.instructions": ("Instruction", "Bundle", "Opcode", "SlotClass",
                                "SLOT_LAYOUTS", "slot_layout_for_generation"),
     "repro.isa.program": ("Program",),
@@ -20,19 +20,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                            "format_for_generation"),
     "repro.isa.assembler": ("disassemble",),
 })
-
-__all__ = [
-    "Instruction",
-    "Bundle",
-    "Opcode",
-    "SlotClass",
-    "SLOT_LAYOUTS",
-    "slot_layout_for_generation",
-    "Program",
-    "BinaryFormat",
-    "IncompatibleBinaryError",
-    "encode_program",
-    "decode_program",
-    "format_for_generation",
-    "disassemble",
-]

@@ -78,13 +78,6 @@ class Opcode(enum.Enum):
 
     __hash__ = object.__hash__  # see SlotClass
 
-    @classmethod
-    def by_mnemonic(cls, mnemonic: str) -> "Opcode":
-        for op in cls:
-            if op.mnemonic == mnemonic:
-                return op
-        raise KeyError(f"unknown mnemonic {mnemonic!r}")
-
 
 # Vector opcode -> VpuModel op-class name (consumed by the simulator).
 VECTOR_OP_CLASS: Mapping[Opcode, str] = {
@@ -210,9 +203,6 @@ class Bundle:
                     f"bundle uses {used} {slot.value} slots but generation "
                     f"{generation} provides {layout.get(slot, 0)}"
                 )
-
-    def is_empty(self) -> bool:
-        return not self.instructions
 
     def __str__(self) -> str:
         return " ; ".join(str(i) for i in self.instructions) if self.instructions else "nop"

@@ -55,9 +55,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.bundles)
 
-    def __iter__(self) -> Iterator[Bundle]:
-        return iter(self.bundles)
-
     def instructions(self) -> Iterator[Instruction]:
         """All instructions in issue order, flattened across bundles."""
         for bundle in self.bundles:

@@ -12,25 +12,9 @@ experiment (E14) reports.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.numerics.bfloat16": ("to_bf16", "bf16_matmul", "BF16_EPS"),
     "repro.numerics.int8": ("QuantParams", "calibrate", "quantize",
                             "dequantize", "int8_matmul"),
-    "repro.numerics.error": ("snr_db", "max_rel_error", "cosine_similarity",
-                             "quality_loss_proxy"),
+    "repro.numerics.error": ("snr_db", "quality_loss_proxy"),
 })
-
-__all__ = [
-    "to_bf16",
-    "bf16_matmul",
-    "BF16_EPS",
-    "QuantParams",
-    "calibrate",
-    "quantize",
-    "dequantize",
-    "int8_matmul",
-    "snr_db",
-    "max_rel_error",
-    "cosine_similarity",
-    "quality_loss_proxy",
-]

@@ -28,25 +28,6 @@ def snr_db(reference: np.ndarray, candidate: np.ndarray) -> float:
     return 10.0 * np.log10(signal / noise)
 
 
-def max_rel_error(reference: np.ndarray, candidate: np.ndarray,
-                  floor: float = 1e-6) -> float:
-    """Largest elementwise relative error, with a denominator floor."""
-    ref = np.asarray(reference, dtype=np.float64)
-    cand = np.asarray(candidate, dtype=np.float64)
-    denom = np.maximum(np.abs(ref), floor)
-    return float(np.max(np.abs(ref - cand) / denom))
-
-
-def cosine_similarity(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Cosine similarity of the flattened tensors (1.0 = same direction)."""
-    a = np.asarray(reference, dtype=np.float64).ravel()
-    b = np.asarray(candidate, dtype=np.float64).ravel()
-    norms = np.linalg.norm(a) * np.linalg.norm(b)
-    if norms == 0.0:
-        return 1.0 if np.array_equal(a, b) else 0.0
-    return float(np.dot(a, b) / norms)
-
-
 def quality_loss_proxy(output_snr_db: float) -> float:
     """Estimated accuracy loss (percentage points) from output SNR.
 

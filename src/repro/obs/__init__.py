@@ -30,34 +30,14 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     collecting_metrics,
-    disable_metrics,
-    enable_metrics,
     metrics,
     render_snapshot,
     set_metrics,
 )
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.obs.report": ("RunProfile", "profile_result", "tier_report"),
     "repro.obs.tracer": ("Span", "SpanTracer", "TraceResult", "build_trace"),
 })
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunProfile",
-    "Span",
-    "SpanTracer",
-    "TraceResult",
-    "build_trace",
-    "collecting_metrics",
-    "disable_metrics",
-    "enable_metrics",
-    "metrics",
-    "profile_result",
-    "render_snapshot",
-    "set_metrics",
-    "tier_report",
-]
+__all__ += ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+            "collecting_metrics", "metrics", "render_snapshot", "set_metrics"]

@@ -24,9 +24,7 @@ Two rules every consumer can rely on:
   report and are never part of a determinism contract (the span tracer
   in :mod:`repro.obs.tracer` is the deterministic instrument).
 
-Snapshots are plain nested dicts (JSON-serializable); :func:`diff_
-snapshots` subtracts one from another so a caller can attribute activity
-to a region of code without resetting the registry.
+Snapshots are plain nested dicts (JSON-serializable).
 
 This module deliberately imports nothing from the rest of ``repro`` so
 any layer (arch, sim, engine, serving) may report into it.
@@ -45,8 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "collecting_metrics",
-    "disable_metrics",
-    "enable_metrics",
     "metrics",
     "render_snapshot",
     "set_metrics",
@@ -238,17 +234,6 @@ class MetricsRegistry:
         if self.enabled:
             self.counter(name).inc(amount)
 
-    def observe(self, name: str, value: float,
-                bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        """Guarded histogram observation (no-op when disabled)."""
-        if self.enabled:
-            self.histogram(name, bounds).observe(value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Guarded gauge set (no-op when disabled)."""
-        if self.enabled:
-            self.gauge(name).set(value)
-
     def timer(self, name: str):
         """Context manager adding elapsed wall seconds to counter ``name``.
 
@@ -266,16 +251,6 @@ class MetricsRegistry:
         """All metrics as a name-sorted plain dict (JSON-serializable)."""
         return {name: self._metrics[name].as_dict()  # type: ignore[attr-defined]
                 for name in sorted(self._metrics)}
-
-    def as_dict(self) -> dict:
-        return self.snapshot()
-
-    def reset(self) -> None:
-        self._metrics.clear()
-        self.op_count = 0
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
 
 def render_snapshot(snapshot: dict) -> str:
@@ -313,18 +288,6 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     global _REGISTRY
     previous, _REGISTRY = _REGISTRY, registry
     return previous
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Turn the global registry on (instrumented paths start recording)."""
-    _REGISTRY.enabled = True
-    return _REGISTRY
-
-
-def disable_metrics() -> MetricsRegistry:
-    """Turn the global registry off (instrumentation back to zero-cost)."""
-    _REGISTRY.enabled = False
-    return _REGISTRY
 
 
 @contextmanager

@@ -69,10 +69,6 @@ class Span:
     dur_us: float
     args: tuple = ()
 
-    @property
-    def end_us(self) -> float:
-        return self.ts_us + self.dur_us
-
 
 @dataclass
 class SpanTracer:
@@ -88,26 +84,12 @@ class SpanTracer:
     spans: list = field(default_factory=list)
     truncated: bool = False
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def record(self, name: str, cat: str, group: str, track: str,
                ts_us: float, dur_us: float, args: tuple = ()) -> None:
         if len(self.spans) >= self.capacity:
             self.truncated = True
             return
         self.spans.append(Span(name, cat, group, track, ts_us, dur_us, args))
-
-    def by_group(self, group: str) -> list:
-        return [s for s in self.spans if s.group == group]
-
-    def by_track(self, group: str, track: str) -> list:
-        return [s for s in self.spans
-                if s.group == group and s.track == track]
-
-    def busy_us(self, group: str, track: str) -> float:
-        return sum(s.dur_us for s in self.by_track(group, track))
 
     # --------------------------------------------------------------- export
 

@@ -13,7 +13,7 @@ link/slice fault scenarios under both cluster router policies.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.pod.faults": ("PodFaultModel",),
     "repro.pod.sharding": ("ICI_LEVEL", "ShardedProgram", "attach_ici_rows"),
     "repro.pod.slicesim": ("SliceSimulator",),
@@ -22,18 +22,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.pod.topology": ("DEFAULT_OCS_RECONFIG_S", "PodTopology",
                            "slice_topology"),
 })
-
-__all__ = [
-    "DEFAULT_OCS_RECONFIG_S",
-    "DEFAULT_POD_SCENARIOS",
-    "ICI_LEVEL",
-    "PodChaosRow",
-    "PodFaultModel",
-    "PodScenario",
-    "PodTopology",
-    "ShardedProgram",
-    "SliceSimulator",
-    "attach_ici_rows",
-    "pod_chaos_sweep",
-    "slice_topology",
-]

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.faults.model import FaultModel, FaultSchedule
-from repro.serving.server import retry_policy
+from repro.faults.model import FaultModel, FaultSchedule, repair_seconds
 from repro.util.rng import DeterministicRng
 
 #: Stream salts, far above the FaultModel-internal salts (1 / 1_000 /
@@ -90,31 +89,9 @@ class PodFaultModel:
                 f"got {self.link_slowdown_factor}")
 
     @property
-    def zero_fault(self) -> bool:
-        """True when no link or nested chip fault source is active."""
-        return (math.isinf(self.link_mtbf_s)
-                and math.isinf(self.link_slowdown_mtbf_s)
-                and (self.chip_faults is None or self.chip_faults.zero_fault))
-
-    @property
-    def retry_budget(self) -> int:
-        return retry_policy(self.chip_faults)[0]
-
-    @property
-    def retry_timeout_s(self) -> float:
-        return retry_policy(self.chip_faults)[1]
-
-    @property
     def horizon_pad_s(self) -> float:
         return (self.chip_faults.horizon_pad_s
                 if self.chip_faults is not None else 1.0)
-
-    def _repair(self, stream: DeterministicRng, mean_s: float) -> float:
-        if math.isinf(mean_s):
-            return math.inf
-        if mean_s == 0.0:
-            return 0.0
-        return stream.exponential(mean_s)
 
     def link_schedule(self, num_links: int,
                       horizon_s: float) -> Optional[FaultSchedule]:
@@ -136,7 +113,7 @@ class PodFaultModel:
             for start in stream.event_times(self.link_mtbf_s, horizon_s):
                 down.append(
                     (link, start,
-                     start + self._repair(stream, self.link_repair_s)))
+                     start + repair_seconds(stream, self.link_repair_s)))
         slowdowns: list = []
         for link in range(num_links):
             stream = root.fork(_LINK_SLOWDOWN_SALT + link)
@@ -164,14 +141,3 @@ class PodFaultModel:
                 seed=DeterministicRng(self.chip_faults.seed)
                 .fork(_SLICE_SALT + index).seed)
         return replace(self, seed=seed, chip_faults=chip)
-
-    def describe(self) -> str:
-        def mtbf(value: float) -> str:
-            return "never" if math.isinf(value) else f"{value:.3g} s"
-
-        base = (f"PodFaultModel(seed={self.seed}): link MTBF "
-                f"{mtbf(self.link_mtbf_s)}, link slowdown MTBF "
-                f"{mtbf(self.link_slowdown_mtbf_s)}")
-        if self.chip_faults is not None:
-            base += f"; nested {self.chip_faults.describe()}"
-        return base

@@ -255,8 +255,3 @@ class ShardedProgram:
             return None
         replayer = FastReplay(chip)
         return sum(replayer.run(stage).seconds for stage in stages)
-
-    def describe(self) -> str:
-        return (f"{self.spec_name}@{self.batch} {self.parallelism} over "
-                f"{len(self.members)} members of {self.topology.describe()}"
-                f" ({len(self.stage_lowereds)} stage programs)")

@@ -248,12 +248,6 @@ class PodTopology:
         return [(ordered[i], ordered[(i + 1) % len(ordered)])
                 for i in range(len(ordered))]
 
-    def describe(self) -> str:
-        shape = "x".join(str(d) for d in self.dims)
-        return (f"{shape} {self.kind} ({self.num_chips} chips, "
-                f"{self.num_links} links @ {self.link.bandwidth / 1e9:.3g} "
-                f"GB/s)")
-
 
 def slice_topology(chip: ChipConfig, num_chips: int,
                    kind: str = "torus",

@@ -10,7 +10,7 @@ builds both roofs; ``place_module`` positions a workload on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.arch.chip import ChipConfig
 from repro.graph.hlo import HloModule
@@ -59,13 +59,6 @@ class RooflinePoint:
     attainable_tops_cmem: Optional[float]
     memory_bound_hbm: bool
 
-    @property
-    def cmem_speedup_bound(self) -> float:
-        """Upper-bound speedup from serving weights out of CMEM."""
-        if self.attainable_tops_cmem is None or self.attainable_tops_hbm == 0:
-            return 1.0
-        return self.attainable_tops_cmem / self.attainable_tops_hbm
-
 
 def chip_roofline(chip: ChipConfig, level: str = "hbm") -> Roofline:
     """The roofline of a chip against one memory level's bandwidth."""
@@ -107,8 +100,3 @@ def place_module(module: HloModule, chip: ChipConfig,
         attainable_tops_cmem=cmem_tops,
         memory_bound_hbm=hbm_roof.is_memory_bound(oi),
     )
-
-
-def roofline_curve(roof: Roofline, intensities: List[float]) -> List[Tuple[float, float]]:
-    """(oi, attainable TOPS) samples for plotting/printing the roof."""
-    return [(oi, roof.attainable_tops(oi)) for oi in intensities]

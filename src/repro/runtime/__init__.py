@@ -8,16 +8,8 @@ simulator) — the two halves of the library joined at one API.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.runtime.artifact": ("CompiledArtifact", "load_artifact",
                                "save_artifact"),
     "repro.runtime.server": ("InferenceServer", "InferenceResult"),
 })
-
-__all__ = [
-    "CompiledArtifact",
-    "load_artifact",
-    "save_artifact",
-    "InferenceServer",
-    "InferenceResult",
-]

@@ -35,10 +35,6 @@ class CompiledArtifact:
     def generation(self) -> int:
         return int(self.metadata["generation"])
 
-    @property
-    def chip_name(self) -> str:
-        return str(self.metadata["chip"])
-
     def runs_on(self, chip: ChipConfig) -> bool:
         """Generation check — the load-time compatibility gate."""
         return chip.generation == self.generation

@@ -6,9 +6,9 @@ batch, the per-chip throughput at that batch, the chip count (with
 headroom for diurnal peaks), and the fleet's lifetime cost.
 
 Resilient fleets are N+k: ``spare_chips=k`` provisions ``k`` extra hot
-chips so the SLO still holds with any ``k`` chips failed, and
-:attr:`FleetPlan.resilience_premium` prices what that insurance costs —
-the Lesson 3 number under failures.
+chips so the SLO still holds with any ``k`` chips failed; the spares
+count in :attr:`FleetPlan.fleet_tco_usd`, the Lesson 3 number under
+failures.
 """
 
 from __future__ import annotations
@@ -47,34 +47,6 @@ class FleetPlan:
             return 0.0
         return self.fleet_tco_usd / (self.target_qps / 1000.0)
 
-    @property
-    def serving_chips(self) -> int:
-        """Chips needed to hold the SLO with every spare failed."""
-        return self.chips - self.spare_chips
-
-    @property
-    def resilience_premium(self) -> float:
-        """Fractional TCO cost of the spares over the N+0 fleet.
-
-        TCO is linear in chips, so k spares over n serving chips cost
-        exactly k/n extra — 0.0 for an N+0 plan, and 0.0 (not a
-        ZeroDivisionError) for a degenerate all-spare plan.
-        """
-        if self.serving_chips <= 0:
-            return 0.0
-        return self.spare_chips / self.serving_chips
-
-    def describe(self) -> str:
-        text = (f"{self.workload} @ {self.target_qps:.0f} qps on {self.chip}: "
-                f"{self.chips} chips (batch {self.slo_batch}, "
-                f"{self.per_chip_qps:.0f} qps/chip), "
-                f"${self.fleet_tco_usd:,.0f} 3-yr TCO, "
-                f"{self.fleet_power_w / 1000:.1f} kW")
-        if self.spare_chips:
-            text += (f", N+{self.spare_chips} spares "
-                     f"({self.resilience_premium:.1%} TCO premium)")
-        return text
-
 
 def plan_fleet(point: DesignPoint, spec: WorkloadSpec, target_qps: float, *,
                slo: Optional[Slo] = None,
@@ -87,9 +59,7 @@ def plan_fleet(point: DesignPoint, spec: WorkloadSpec, target_qps: float, *,
 
     ``spare_chips`` makes the plan N+k: k additional hot chips beyond
     the SLO-holding count, so the fleet still meets the target with k
-    chips failed. Spares are live (they draw power and cost TCO); the
-    plan's :attr:`FleetPlan.resilience_premium` reports what the
-    insurance costs.
+    chips failed. Spares are live: they draw power and cost TCO.
 
     Raises ValueError if no batch size meets the SLO on this chip — the
     workload simply cannot be served compliantly on this design.

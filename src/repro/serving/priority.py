@@ -32,12 +32,6 @@ class TwoTierStats:
     offline_samples_per_s: float
     busy_fraction: float
 
-    def describe(self) -> str:
-        return (f"interactive p99 {self.interactive_p99_s * 1e3:.2f} ms over "
-                f"{self.interactive_requests} reqs; offline filler "
-                f"{self.offline_samples_per_s:.0f} samples/s; chip busy "
-                f"{self.busy_fraction:.0%}")
-
 
 class TwoTierServer:
     """Non-preemptive priority serving on one chip's cores.

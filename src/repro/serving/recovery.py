@@ -104,13 +104,6 @@ class RecoveryPolicy:
         """True when the policy takes snapshots at all."""
         return self.checkpoint_every > 0
 
-    def describe(self) -> str:
-        every = (f"every {self.checkpoint_every} tokens"
-                 if self.checkpointing else "never")
-        return (f"RecoveryPolicy: snapshot {every}, "
-                f"migration {'on' if self.migrate else 'off'}, host link "
-                f"{self.host_link.bandwidth / 1e9:.3g} GB/s")
-
 
 # ------------------------------------------------------------- snapshot cost
 

@@ -96,24 +96,11 @@ class Slo:
         if not 0 < self.pct <= 100:
             raise ValueError("SLO percentile must be in (0, 100]")
 
-    def met_by(self, latencies_s: Sequence[float]) -> bool:
-        """Whether a latency sample satisfies the SLO.
-
-        An empty sample is **vacuously met**: no request was served, so
-        no request was late. Callers that consider "no traffic" a
-        failure (e.g. a fleet whose every chip is down) must check
-        sample size themselves — this predicate is about latency only.
-        """
-        if not latencies_s:
-            return True
-        return percentile(latencies_s, self.pct) <= self.limit_s
-
     def violation_fraction(self, latencies_s: Sequence[float]) -> float:
         """Fraction of requests over the limit.
 
         An empty sample has **zero violations** by definition (0 of 0
-        requests were late), matching :meth:`met_by`'s vacuous truth —
-        never a ZeroDivisionError.
+        requests were late), never a ZeroDivisionError.
         """
         if not latencies_s:
             return 0.0

@@ -9,18 +9,8 @@ paper is explicitly "analytical/cycle sim, not RTL").
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.sim.perf": ("PerfCounters", "PerfReport"),
     "repro.sim.lowered": ("FastReplay", "LoweredProgram", "lower_program"),
     "repro.sim.core": ("TensorCoreSim", "SimResult"),
 })
-
-__all__ = [
-    "FastReplay",
-    "LoweredProgram",
-    "PerfCounters",
-    "PerfReport",
-    "TensorCoreSim",
-    "SimResult",
-    "lower_program",
-]

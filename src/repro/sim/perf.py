@@ -52,15 +52,6 @@ class PerfReport:
     def tops_per_watt(self) -> float:
         return self.achieved_tops / self.power.total_w if self.power.total_w else 0.0
 
-    @property
-    def queries_per_second(self) -> float:
-        """If the program is one inference, its standalone throughput.
-
-        0.0 for a degenerate zero-second run (an empty program), so the
-        value is always finite and safe to aggregate or serialize.
-        """
-        return 1.0 / self.seconds if self.seconds else 0.0
-
     def describe(self) -> str:
         return (
             f"{self.program_name} on {self.chip_name}: "

@@ -10,21 +10,9 @@ the cheap-to-own chip once power and cooling pay their way.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.tco.capex": ("die_cost_usd", "chip_capex_usd", "dies_per_wafer",
                         "die_yield"),
     "repro.tco.opex": ("OpexParams", "chip_opex_usd"),
     "repro.tco.model": ("ChipTco", "chip_tco", "perf_per_tco"),
 })
-
-__all__ = [
-    "die_cost_usd",
-    "chip_capex_usd",
-    "dies_per_wafer",
-    "die_yield",
-    "OpexParams",
-    "chip_opex_usd",
-    "ChipTco",
-    "chip_tco",
-    "perf_per_tco",
-]

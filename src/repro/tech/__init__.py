@@ -9,21 +9,9 @@ scaling trajectories the benchmark for that figure sweeps.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.tech.node": ("ProcessNode", "NODES", "node_by_name"),
     "repro.tech.scaling": ("ScalingSeries", "logic_density_series",
                            "sram_density_series", "wire_delay_series",
                            "energy_per_op_series", "relative_improvement"),
 })
-
-__all__ = [
-    "ProcessNode",
-    "NODES",
-    "node_by_name",
-    "ScalingSeries",
-    "logic_density_series",
-    "sram_density_series",
-    "wire_delay_series",
-    "energy_per_op_series",
-    "relative_improvement",
-]

@@ -67,10 +67,6 @@ class ProcessNode:
         mbit = capacity_bytes * 8 / 1e6
         return mbit / self.sram_bit_density_mbit_mm2
 
-    def wire_delay_s(self, length_mm: float) -> float:
-        """Delay of a repeated wire of the given length, in seconds."""
-        return self.wire_delay_ps_mm * length_mm * 1e-12
-
 
 # The trajectory the three TPU generations rode: TPUv1 at 28nm, TPUv2/v3 at
 # 16nm, TPUv4i at 7nm, with neighbours included so the scaling figure has a

@@ -7,31 +7,9 @@ unit handling and report formatting consistent.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.util.units": ("GHZ", "GIB", "KIB", "MHZ", "MIB", "GIGA", "KILO",
-                         "MEGA", "MICRO", "MILLI", "NANO", "TERA", "Frequency",
-                         "bytes_str", "count_str", "seconds_str"),
+                         "MEGA", "MICRO", "MILLI", "NANO", "TERA"),
     "repro.util.rng": ("DeterministicRng",),
     "repro.util.tables": ("Table",),
 })
-
-__all__ = [
-    "GHZ",
-    "GIB",
-    "KIB",
-    "MHZ",
-    "MIB",
-    "GIGA",
-    "KILO",
-    "MEGA",
-    "MICRO",
-    "MILLI",
-    "NANO",
-    "TERA",
-    "Frequency",
-    "DeterministicRng",
-    "Table",
-    "bytes_str",
-    "count_str",
-    "seconds_str",
-]

@@ -33,10 +33,6 @@ class DeterministicRng:
         """Derive an independent stream; used to give subsystems their own RNG."""
         return DeterministicRng((self.seed * 1_000_003 + salt) % (2**63))
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        """One sample from U[low, high)."""
-        return float(self._gen.uniform(low, high))
-
     def exponential(self, mean: float) -> float:
         """One sample from Exp with the given mean (inter-arrival times)."""
         if mean <= 0:
@@ -115,20 +111,6 @@ class DeterministicRng:
             raise ValueError(f"mean must be positive, got {mean}")
         mu = np.log(mean) - 0.5 * sigma**2
         return float(self._gen.lognormal(mu, sigma))
-
-    def choice(self, items: Sequence[T], weights: Sequence[float] = ()) -> T:
-        """Pick one item, optionally with relative weights."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        if weights:
-            if len(weights) != len(items):
-                raise ValueError("weights must match items in length")
-            total = float(sum(weights))
-            probs = [w / total for w in weights]
-            index = int(self._gen.choice(len(items), p=probs))
-        else:
-            index = int(self._gen.integers(0, len(items)))
-        return items[index]
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""

@@ -46,10 +46,6 @@ class Table:
             )
         self.rows.append(row)
 
-    def add_rows(self, rows: Iterable[Iterable[Cell]]) -> None:
-        for row in rows:
-            self.add_row(row)
-
     def _column_widths(self) -> List[int]:
         widths = [len(h) for h in self.headers]
         for row in self.rows:
@@ -73,9 +69,6 @@ class Table:
         lines.append("-+-".join("-" * w for w in widths))
         lines.extend(fmt_row(row) for row in self.rows)
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def bar_chart(labels: Sequence[str], values: Sequence[float], width: int = 40,

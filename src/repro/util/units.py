@@ -1,14 +1,10 @@
-"""Unit constants and human-readable formatting.
+"""Unit constants.
 
 The simulator keeps everything in SI base units internally (bytes, seconds,
 hertz, operations) and converts only at the reporting edge. These constants
 make call sites read like the paper's tables: ``128 * MIB``, ``1.05 * GHZ``,
 ``614 * GIGA`` bytes/s.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Decimal (SI) multipliers -- used for rates: FLOP/s, bytes/s, Hz.
 KILO = 1e3
@@ -31,78 +27,3 @@ GIB = 1024 * MIB
 # Frequency aliases.
 MHZ = MEGA
 GHZ = GIGA
-
-
-@dataclass(frozen=True)
-class Frequency:
-    """A clock frequency with cycle/time conversions.
-
-    >>> clk = Frequency(1.05 * GHZ)
-    >>> round(clk.cycles_to_seconds(1050), 9)
-    1e-06
-    """
-
-    hertz: float
-
-    def __post_init__(self) -> None:
-        if self.hertz <= 0:
-            raise ValueError(f"frequency must be positive, got {self.hertz}")
-
-    @property
-    def period_s(self) -> float:
-        """Duration of one cycle in seconds."""
-        return 1.0 / self.hertz
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert a cycle count to wall-clock seconds."""
-        return cycles / self.hertz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        """Convert seconds to (fractional) cycles at this clock."""
-        return seconds * self.hertz
-
-    def __str__(self) -> str:
-        if self.hertz >= GHZ:
-            return f"{self.hertz / GHZ:.3g} GHz"
-        return f"{self.hertz / MHZ:.3g} MHz"
-
-
-def bytes_str(num_bytes: float) -> str:
-    """Render a byte count with a binary suffix (KiB/MiB/GiB).
-
-    >>> bytes_str(128 * MIB)
-    '128 MiB'
-    """
-    magnitude = abs(num_bytes)
-    for threshold, suffix in ((GIB, "GiB"), (MIB, "MiB"), (KIB, "KiB")):
-        if magnitude >= threshold:
-            return f"{num_bytes / threshold:.4g} {suffix}"
-    return f"{num_bytes:.4g} B"
-
-
-def count_str(count: float) -> str:
-    """Render a large count with a decimal suffix (K/M/G/T).
-
-    >>> count_str(138 * TERA)
-    '138 T'
-    """
-    magnitude = abs(count)
-    for threshold, suffix in ((PETA, "P"), (TERA, "T"), (GIGA, "G"), (MEGA, "M"), (KILO, "K")):
-        if magnitude >= threshold:
-            return f"{count / threshold:.4g} {suffix}"
-    return f"{count:.4g}"
-
-
-def seconds_str(seconds: float) -> str:
-    """Render a duration with ms/us/ns suffixes.
-
-    >>> seconds_str(0.0025)
-    '2.5 ms'
-    """
-    magnitude = abs(seconds)
-    if magnitude >= 1.0:
-        return f"{seconds:.4g} s"
-    for threshold, suffix in ((MILLI, "ms"), (MICRO, "us"), (NANO, "ns")):
-        if magnitude >= threshold:
-            return f"{seconds / threshold:.4g} {suffix}"
-    return f"{seconds / PICO:.4g} ps"

@@ -14,14 +14,14 @@ request-arrival generators standing in for production traffic.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "repro.workloads.models": ("WorkloadSpec", "PRODUCTION_APPS",
                                "app_by_name", "build_mlp0", "build_mlp1",
                                "build_cnn0", "build_cnn1", "build_rnn0",
                                "build_rnn1", "build_bert0", "build_bert1"),
-    "repro.workloads.mlperf": ("MLPERF_MODELS", "mlperf_by_name"),
+    "repro.workloads.mlperf": ("MLPERF_MODELS",),
     "repro.workloads.growth": ("GrowthModel", "PUBLISHED_MODEL_SIZES"),
-    "repro.workloads.evolution": ("WORKLOAD_MIX_BY_YEAR", "mix_for_year"),
+    "repro.workloads.evolution": ("WORKLOAD_MIX_BY_YEAR",),
     "repro.workloads.generator": ("RequestGenerator", "Request"),
     "repro.workloads.generative": ("GENERATIVE_APPS", "GenRequest",
                                    "GenerativeSpec", "PhaseSpec",
@@ -29,33 +29,3 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                                    "generative_by_name",
                                    "sample_gen_requests"),
 })
-
-__all__ = [
-    "WorkloadSpec",
-    "PRODUCTION_APPS",
-    "app_by_name",
-    "build_mlp0",
-    "build_mlp1",
-    "build_cnn0",
-    "build_cnn1",
-    "build_rnn0",
-    "build_rnn1",
-    "build_bert0",
-    "build_bert1",
-    "MLPERF_MODELS",
-    "mlperf_by_name",
-    "GrowthModel",
-    "PUBLISHED_MODEL_SIZES",
-    "WORKLOAD_MIX_BY_YEAR",
-    "mix_for_year",
-    "RequestGenerator",
-    "Request",
-    "GENERATIVE_APPS",
-    "GenRequest",
-    "GenerativeSpec",
-    "PhaseSpec",
-    "build_decode",
-    "build_prefill",
-    "generative_by_name",
-    "sample_gen_requests",
-]

@@ -26,26 +26,7 @@ WORKLOAD_MIX_BY_YEAR: Dict[int, Dict[str, float]] = {
 }
 
 
-def mix_for_year(year: int) -> Dict[str, float]:
-    """The workload mix of a year (2016-2020)."""
-    try:
-        return dict(WORKLOAD_MIX_BY_YEAR[year])
-    except KeyError:
-        years = ", ".join(str(y) for y in sorted(WORKLOAD_MIX_BY_YEAR))
-        raise KeyError(f"no mix for year {year}; known: {years}") from None
-
-
 def transformer_trend() -> List[Tuple[int, float]]:
     """(year, transformer share) — the rising curve the figure highlights."""
     return [(year, WORKLOAD_MIX_BY_YEAR[year]["Transformer"])
             for year in sorted(WORKLOAD_MIX_BY_YEAR)]
-
-
-def validate_mixes() -> None:
-    """Assert every year's mix covers the categories and sums to 1."""
-    for year, mix in WORKLOAD_MIX_BY_YEAR.items():
-        if set(mix) != set(CATEGORIES):
-            raise ValueError(f"{year}: categories mismatch")
-        total = sum(mix.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{year}: mix sums to {total}, expected 1.0")

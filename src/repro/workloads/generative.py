@@ -174,11 +174,6 @@ class GenerativeSpec:
         """
         return 2 * self.layers * batch * kv_len * self.hidden * _KV_DTYPE_BYTES
 
-    def weight_mib(self) -> float:
-        """Parameter footprint in MiB (shared by both phases)."""
-        return (self.prefill(self.prompt_buckets[0]).build(1)
-                .total_weight_bytes() / (1024 * 1024))
-
     # ------------------------------------------------------------ phase specs
 
     def prefill(self, prompt_bucket: Optional[int] = None) -> PhaseSpec:

@@ -10,7 +10,7 @@ and parameter growth; the published sizes below anchor the fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 ANNUAL_GROWTH = 1.5
 
@@ -45,20 +45,6 @@ class GrowthModel:
         """Projected size at ``year`` (same unit as ``base_size``)."""
         return self.base_size * self.annual_rate ** (year - self.base_year)
 
-    def years_to_outgrow(self, capacity: float) -> float:
-        """Years until the projection exceeds ``capacity``."""
-        if capacity <= self.base_size:
-            return 0.0
-        import math
-
-        return math.log(capacity / self.base_size) / math.log(self.annual_rate)
-
-    def trajectory(self, start_year: int, end_year: int) -> List[Tuple[int, float]]:
-        """(year, projected size) samples inclusive of both endpoints."""
-        if end_year < start_year:
-            raise ValueError("end_year must be >= start_year")
-        return [(y, self.size_at(y)) for y in range(start_year, end_year + 1)]
-
 
 def fitted_growth_rate() -> float:
     """Geometric-mean annual growth implied by the published milestones.
@@ -68,8 +54,6 @@ def fitted_growth_rate() -> float:
     the point the benchmark prints (the lesson is, if anything,
     conservative).
     """
-    import math
-
     first_name, first_year, first_size = PUBLISHED_MODEL_SIZES[0]
     last_name, last_year, last_size = PUBLISHED_MODEL_SIZES[-1]
     span = last_year - first_year

@@ -9,7 +9,7 @@ reuse the production-app builders with MLPerf's canonical shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro.graph.hlo import HloModule
 from repro.workloads.models import _build_bert, _build_resnet
@@ -51,14 +51,3 @@ MLPERF_MODELS: Tuple[MlperfModel, ...] = (
     MlperfModel("bert", scenario_latency_ms=130.0, build=_build_bert_large,
                 offline_batch=8),
 )
-
-_BY_NAME: Dict[str, MlperfModel] = {m.name: m for m in MLPERF_MODELS}
-
-
-def mlperf_by_name(name: str) -> MlperfModel:
-    """Look up an MLPerf model (``"resnet50"``, ``"ssd"``, ``"bert"``)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        known = ", ".join(sorted(_BY_NAME))
-        raise KeyError(f"unknown MLPerf model {name!r}; known: {known}") from None

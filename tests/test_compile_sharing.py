@@ -235,7 +235,7 @@ class TestCapacitySweep:
     def test_unbound_slot_raises(self):
         b = GraphBuilder("spill")
         x = b.parameter(Shape((128, 65536)), "x")   # 16 MiB: spills
-        b.dot(b.exp(x), b.constant(Shape((65536, 128)), "w"))
+        b.dot(b.tanh(x), b.constant(Shape((65536, 128)), "w"))
         module = b.build()
         lowered = lower_module(module, plan_fusion(module), TPUV4I, LATEST)
         assert ("spill", module.instructions[1].uid) in lowered.slots

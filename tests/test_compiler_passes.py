@@ -12,7 +12,6 @@ from repro.compiler import (
     plan_matmul_tiles,
     release_by_name,
 )
-from repro.compiler.allocator import weight_load_bytes
 from repro.compiler.versions import ALL_FEATURES, CompilerVersion
 from repro.graph import GraphBuilder, Shape
 from repro.util.units import MIB
@@ -61,7 +60,7 @@ class TestExpansion:
 class TestFusion:
     def test_relu_fuses_into_dot(self, tiny_mlp):
         plan = plan_fusion(tiny_mlp)
-        dots = tiny_mlp.instructions_of_kind("matmul")
+        dots = [i for i in tiny_mlp.instructions if i.kind == "matmul"]
         relus = [i for i in tiny_mlp.instructions if i.opcode == "relu"]
         assert plan.group_of[relus[0].uid] == plan.group_of[dots[0].uid]
 
@@ -131,9 +130,8 @@ class TestAllocator:
 
     def test_weight_load_bytes_split(self, tiny_mlp):
         plan = plan_memory(tiny_mlp, TPUV4I)
-        cmem, hbm = weight_load_bytes(tiny_mlp, plan)
-        assert cmem == tiny_mlp.total_weight_bytes()
-        assert hbm == 0
+        assert plan.cmem_weight_bytes == tiny_mlp.total_weight_bytes()
+        assert plan.hbm_weight_bytes == 0
 
     def test_negative_budget_rejected(self, tiny_mlp):
         with pytest.raises(ValueError):
@@ -162,7 +160,7 @@ class TestTiling:
         tiles = plan_matmul_tiles(100_000, 2048, 2048, TPUV4I,
                                   vmem_budget=budget)
         t = tiles[0]
-        working = (t.input_bytes(2) + t.output_bytes(2)
+        working = (t.rows * t.k * 2 + t.rows * t.n * 2  # activations in, out
                    + 2048 * 128 * 2)  # one weight panel
         assert working <= budget
 

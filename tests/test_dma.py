@@ -58,12 +58,4 @@ class TestBookkeeping:
         engine = DmaEngine(memory, "hbm")
         engine.issue(100, 0)
         engine.issue(200, 0)
-        assert engine.total_bytes() == 300
         assert engine.busy_cycles() == sum(t.duration for t in engine.completed)
-
-    def test_reset(self, memory):
-        engine = DmaEngine(memory, "hbm")
-        engine.issue(100, 0)
-        engine.reset()
-        assert engine.busy_until == 0
-        assert engine.total_bytes() == 0

@@ -31,7 +31,6 @@ from repro.serving import (
     llm_sweep,
     phase_latency_table,
 )
-from repro.util.units import MIB
 from repro.workloads import (
     GENERATIVE_APPS,
     GenRequest,
@@ -121,8 +120,12 @@ class TestGenerativeSpec:
 
     def test_weight_footprints_straddle_cmem(self):
         """llm0 fits TPUv4i's 128 MiB CMEM; llm1 deliberately exceeds it."""
-        assert LLM0.weight_mib() * MIB < TPUV4I.cmem_bytes
-        assert LLM1.weight_mib() * MIB > TPUV4I.cmem_bytes
+        def weight_bytes(spec):
+            phase = spec.prefill(spec.prompt_buckets[0])
+            return phase.build(1).total_weight_bytes()
+
+        assert weight_bytes(LLM0) < TPUV4I.cmem_bytes
+        assert weight_bytes(LLM1) > TPUV4I.cmem_bytes
 
     def test_validation(self):
         with pytest.raises(ValueError, match="divisible"):

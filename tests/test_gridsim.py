@@ -147,7 +147,7 @@ class TestBitIdentityOnCornerCases:
         def cycles(spans):
             return sum(round(s.dur_us * chip.clock_hz / 1e6) for s in spans)
 
-        core = tracer.by_group("core")
+        core = [s for s in tracer.spans if s.group == "core"]
         counters = result.counters
         assert cycles(s for s in core if s.track == "mxu") \
             == counters.mxu_busy_cycles

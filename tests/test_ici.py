@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.arch import IciLink, IciNetwork, TPUV1, TPUV4I
-from repro.util.units import GIGA, MIB
+from repro.arch import IciLink
+from repro.util.units import GIGA
 
 
 class TestLink:
@@ -60,28 +60,3 @@ class TestLinkValidation:
         with pytest.raises(ValueError,
                            match="bytes must be non-negative, got -1"):
             IciLink(1.0).transfer_seconds(-1)
-
-
-class TestNetwork:
-    def test_single_chip_free(self):
-        net = IciNetwork(TPUV4I, 1)
-        assert net.point_to_point_seconds(1 * MIB) == 0.0
-
-    def test_tpuv1_cannot_form_rings(self):
-        with pytest.raises(ValueError):
-            IciNetwork(TPUV1, 2)
-        assert IciNetwork(TPUV1, 1).num_chips == 1
-
-    def test_hops_validated(self):
-        net = IciNetwork(TPUV4I, 4)
-        with pytest.raises(ValueError):
-            net.point_to_point_seconds(1024, hops=3)  # max is 2 on a 4-ring
-
-    def test_sharding(self):
-        net = IciNetwork(TPUV4I, 4)
-        assert net.sharded_weight_bytes(100) == 25
-        assert net.sharded_weight_bytes(101) == 26
-
-    def test_num_chips_validated(self):
-        with pytest.raises(ValueError):
-            IciNetwork(TPUV4I, 0)

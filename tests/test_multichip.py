@@ -133,8 +133,3 @@ class TestDeployment:
         quantized = make_tiny_mlp()
         with pytest.raises(ValueError):
             deployment.deploy(quantized, 2, 4)
-
-    def test_describe(self):
-        spec = app_by_name("cnn0")
-        report = PipelineDeployment().deploy(spec.build(2), 2, 2)
-        assert "2x TPUv4i" in report.describe()

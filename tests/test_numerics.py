@@ -8,10 +8,8 @@ from repro.numerics import (
     QuantParams,
     bf16_matmul,
     calibrate,
-    cosine_similarity,
     dequantize,
     int8_matmul,
-    max_rel_error,
     quality_loss_proxy,
     quantize,
     snr_db,
@@ -153,14 +151,6 @@ class TestErrorMetrics:
     def test_snr_shape_mismatch(self):
         with pytest.raises(ValueError):
             snr_db(np.ones(3), np.ones(4))
-
-    def test_max_rel_error(self):
-        assert max_rel_error(np.array([2.0]), np.array([2.2])) == pytest.approx(0.1)
-
-    def test_cosine_similarity_bounds(self):
-        x = np.array([1.0, 0.0])
-        assert cosine_similarity(x, x) == pytest.approx(1.0)
-        assert cosine_similarity(x, np.array([0.0, 1.0])) == pytest.approx(0.0)
 
     def test_quality_proxy_monotone(self):
         snrs = [50, 40, 30, 20, 10, 0]

@@ -23,7 +23,7 @@ class TestPipeline:
         compiled = compile_model(tiny_mlp, TPUV4I)
         matmul_flops = sum(
             tiny_mlp.instruction_flops(i)
-            for i in tiny_mlp.instructions_of_kind("matmul"))
+            for i in tiny_mlp.instructions if i.kind == "matmul")
         assert 2 * compiled.program.total_macs() >= matmul_flops
 
     def test_bf16_rejected_on_tpuv1(self, tiny_mlp):
@@ -51,11 +51,6 @@ class TestPipeline:
     def test_cmem_budget_respected(self, tiny_mlp):
         compiled = compile_model(tiny_mlp, TPUV4I, cmem_budget_bytes=0)
         assert compiled.memory.cmem_weight_bytes == 0
-
-    def test_summary_fields(self, tiny_mlp):
-        summary = compile_model(tiny_mlp, TPUV4I).summary()
-        assert summary["chip"] == "TPUv4i"
-        assert summary["bundles"] > 0
 
     @pytest.mark.parametrize("chip", [TPUV2, TPUV3, TPUV4I])
     def test_all_bf16_generations_compile(self, tiny_mlp, chip):

@@ -152,7 +152,6 @@ class TestTopology:
 
 class TestPodFaultModel:
     def test_defaults_are_zero_fault(self):
-        assert PodFaultModel().zero_fault
         assert PodFaultModel().link_schedule(4, 1.0).is_empty
 
     def test_bad_parameters_name_the_field(self):

@@ -62,8 +62,3 @@ class TestTwoTier:
         with pytest.raises(ValueError):
             TwoTierServer(DesignPoint(TPUV4I), app_by_name("cnn0"),
                           app_by_name("cnn1"), offline_batch=0)
-
-    def test_describe(self, server):
-        requests, duration = self._traffic(5, rate=100)
-        assert "interactive p99" in server.simulate(requests,
-                                                    duration).describe()

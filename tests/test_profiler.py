@@ -107,20 +107,12 @@ class TestThinCoveragePaths:
         p99_two = ServingSimulator(two_core, spec, policy, slo).simulate(reqs).p99_s
         assert p99_two < p99_one
 
-    def test_roofline_curve_helper(self):
-        from repro.roofline import chip_roofline
-        from repro.roofline.model import roofline_curve
-
-        roof = chip_roofline(TPUV4I, "hbm")
-        curve = roofline_curve(roof, [1.0, roof.ridge_ops_per_byte, 1e4])
-        assert curve[-1][1] == pytest.approx(TPUV4I.peak_tops, rel=1e-6)
-
-    def test_weight_load_bytes_split_partial(self):
-        from repro.compiler.allocator import plan_memory, weight_load_bytes
+    def test_budget_splits_weights(self):
+        from repro.compiler.allocator import plan_memory
         from repro.util.units import MIB
 
         module = app_by_name("bert0").build(1)
         plan = plan_memory(module, TPUV4I, cmem_budget_bytes=64 * MIB)
-        cmem, hbm = weight_load_bytes(module, plan)
+        cmem, hbm = plan.cmem_weight_bytes, plan.hbm_weight_bytes
         assert cmem > 0 and hbm > 0
         assert cmem + hbm == module.total_weight_bytes()

@@ -74,11 +74,6 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError, match="checkpoint_every"):
             RecoveryPolicy(checkpoint_every=True)
 
-    def test_describe(self):
-        assert "never" in RecoveryPolicy().describe()
-        assert "every 8 tokens" in RecoveryPolicy(
-            checkpoint_every=8).describe()
-
 
 class TestSnapshotPricing:
     def test_ledger_bytes_match_kv_footprint(self):

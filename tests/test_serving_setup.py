@@ -22,7 +22,6 @@ from repro.cluster.sweep import chaos_sweep
 from repro.faults import FaultModel, FaultSchedule, fault_sweep
 from repro.obs.metrics import collecting_metrics
 from repro.obs.tracer import build_trace
-from repro.pod.faults import PodFaultModel
 from repro.pod.slicesim import SliceSimulator
 from repro.pod.sweep import pod_chaos_sweep
 from repro.pod.topology import slice_topology
@@ -96,10 +95,6 @@ class TestFrontDoor:
                                       DEFAULT_RETRY_TIMEOUT_S)
         model = FaultModel(retry_budget=5, retry_timeout_s=0.5)
         assert retry_policy(model) == (5, 0.5)
-        assert (PodFaultModel().retry_budget,
-                PodFaultModel().retry_timeout_s) == retry_policy(None)
-        pod = PodFaultModel(chip_faults=model)
-        assert (pod.retry_budget, pod.retry_timeout_s) == (5, 0.5)
 
     def test_schedule_resolution_order(self):
         model = FaultModel(seed=3, core_mtbf_s=0.05, core_repair_s=0.01)

@@ -32,24 +32,6 @@ class TestPerfReport:
         assert report.tops_per_watt > 0
         assert "x on TPUv4i" in report.describe()
 
-    def test_queries_per_second(self):
-        counters = PerfCounters(cycles=1_050_000, macs=1)
-        report = build_report(TPUV4I, "x", counters)
-        assert report.queries_per_second == pytest.approx(1000.0)
-
-    def test_zero_second_report_rates_are_finite(self):
-        # Regression: a zero-second report used to return inf qps.
-        # build_report refuses zero cycles, but a hand-built report
-        # (deserialization, synthetic tests) must still stay finite.
-        import dataclasses
-        import math
-
-        counters = PerfCounters(cycles=1_050_000, macs=1)
-        report = build_report(TPUV4I, "x", counters)
-        degenerate = dataclasses.replace(report, seconds=0.0)
-        assert degenerate.queries_per_second == 0.0
-        assert math.isfinite(degenerate.queries_per_second)
-
 
 class TestSimulatorEdgeCases:
     def _program(self, *instructions):
@@ -71,6 +53,12 @@ class TestSimulatorEdgeCases:
         )
         result = TensorCoreSim(TPUV4I).run(program)
         assert result.counters.sync_stall_cycles > 10_000
+
+    def test_dma_to_an_unknown_level_is_named(self):
+        program = self._program(Instruction(Opcode.DMA_IN, (7, 4096, 0)))
+        with pytest.raises(ValueError, match=r"dma\.in level operand 7 "
+                           r".*known: 0 \(hbm\), 1 \(cmem\), 2 \(vmem\)"):
+            TensorCoreSim(TPUV4I).run(program)
 
     def test_back_to_back_mxms_serialize_on_mxu(self):
         one = self._program(Instruction(Opcode.MXM, (512, 512, 512)))

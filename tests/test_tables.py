@@ -24,7 +24,8 @@ class TestTable:
 
     def test_bool_formatting(self):
         t = Table(["ok"])
-        t.add_rows([[True], [False]])
+        t.add_row([True])
+        t.add_row([False])
         out = t.render()
         assert "yes" in out and "no" in out
 

@@ -44,10 +44,6 @@ class TestNodes:
         # 1 Mbit of SRAM at 6.1 Mbit/mm^2.
         assert node.sram_area_mm2(1e6 / 8) == pytest.approx(1 / 6.1, rel=1e-6)
 
-    def test_wire_delay_seconds(self):
-        node = node_by_name("7nm")
-        assert node.wire_delay_s(1.0) == pytest.approx(120e-12)
-
     def test_validation_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ProcessNode("bad", 7, 2019, 0, 1, 1, 1, 1, 1, 1, 1)

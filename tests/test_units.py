@@ -1,20 +1,6 @@
 """Tests for repro.util.units."""
 
-import pytest
-
-from repro.util.units import (
-    GHZ,
-    GIB,
-    KIB,
-    MHZ,
-    MIB,
-    GIGA,
-    TERA,
-    Frequency,
-    bytes_str,
-    count_str,
-    seconds_str,
-)
+from repro.util.units import GIB, GIGA, KIB, MIB
 
 
 class TestConstants:
@@ -25,53 +11,3 @@ class TestConstants:
     def test_decimal_vs_binary_differ(self):
         assert GIGA != GIB
         assert GIGA < GIB
-
-
-class TestFrequency:
-    def test_cycles_to_seconds(self):
-        clk = Frequency(1.0 * GHZ)
-        assert clk.cycles_to_seconds(1_000_000_000) == pytest.approx(1.0)
-
-    def test_seconds_to_cycles_roundtrip(self):
-        clk = Frequency(940 * MHZ)
-        cycles = 123_456
-        assert clk.seconds_to_cycles(clk.cycles_to_seconds(cycles)) == pytest.approx(cycles)
-
-    def test_period(self):
-        assert Frequency(2 * GHZ).period_s == pytest.approx(0.5e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Frequency(0)
-        with pytest.raises(ValueError):
-            Frequency(-1e9)
-
-    def test_str_picks_unit(self):
-        assert "GHz" in str(Frequency(1.05 * GHZ))
-        assert "MHz" in str(Frequency(700 * MHZ))
-
-
-class TestFormatting:
-    def test_bytes_str_mib(self):
-        assert bytes_str(128 * MIB) == "128 MiB"
-
-    def test_bytes_str_small(self):
-        assert bytes_str(12) == "12 B"
-
-    def test_bytes_str_gib(self):
-        assert "GiB" in bytes_str(8 * GIB)
-
-    def test_count_str_tera(self):
-        assert count_str(138 * TERA) == "138 T"
-
-    def test_count_str_plain(self):
-        assert count_str(42) == "42"
-
-    def test_seconds_str_ms(self):
-        assert seconds_str(0.0025) == "2.5 ms"
-
-    def test_seconds_str_us(self):
-        assert "us" in seconds_str(3.1e-5)
-
-    def test_seconds_str_seconds(self):
-        assert seconds_str(2.0) == "2 s"

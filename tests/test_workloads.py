@@ -12,10 +12,8 @@ from repro.workloads import (
     RequestGenerator,
     WORKLOAD_MIX_BY_YEAR,
     app_by_name,
-    mix_for_year,
-    mlperf_by_name,
 )
-from repro.workloads.evolution import transformer_trend, validate_mixes
+from repro.workloads.evolution import CATEGORIES, transformer_trend
 from repro.workloads.growth import fitted_growth_rate
 
 
@@ -69,15 +67,9 @@ class TestMlperf:
     def test_three_models(self):
         assert len(MLPERF_MODELS) == 3
 
-    def test_lookup_and_build(self):
-        model = mlperf_by_name("resnet50")
-        module = model.build(1)
-        assert module.total_flops() > 1e9
-        with pytest.raises(KeyError):
-            mlperf_by_name("dlrm")
-
     def test_bert_large_footprint(self):
-        module = mlperf_by_name("bert").build(1)
+        (bert,) = [m for m in MLPERF_MODELS if m.name == "bert"]
+        module = bert.build(1)
         assert module.total_weight_bytes() > 400 * MIB
 
 
@@ -89,17 +81,6 @@ class TestGrowth:
     def test_growth_rate_applies(self):
         model = GrowthModel(2016, 100.0, annual_rate=1.5)
         assert model.size_at(2018) == pytest.approx(225.0)
-
-    def test_years_to_outgrow(self):
-        model = GrowthModel(2016, 100.0, annual_rate=1.5)
-        assert model.years_to_outgrow(225.0) == pytest.approx(2.0)
-        assert model.years_to_outgrow(50.0) == 0.0
-
-    def test_trajectory_inclusive(self):
-        model = GrowthModel(2016, 1.0)
-        points = model.trajectory(2016, 2020)
-        assert len(points) == 5
-        assert points[0] == (2016, 1.0)
 
     def test_published_sizes_grow(self):
         sizes = [s for _, _, s in PUBLISHED_MODEL_SIZES]
@@ -118,7 +99,9 @@ class TestGrowth:
 
 class TestEvolution:
     def test_mixes_sum_to_one(self):
-        validate_mixes()
+        for mix in WORKLOAD_MIX_BY_YEAR.values():
+            assert set(mix) == set(CATEGORIES)
+            assert sum(mix.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_transformer_share_rises(self):
         trend = [share for _, share in transformer_trend()]
@@ -130,13 +113,9 @@ class TestEvolution:
                 < WORKLOAD_MIX_BY_YEAR[2016]["MLP"])
 
     def test_2016_matches_tpuv1_paper(self):
-        mix = mix_for_year(2016)
+        mix = WORKLOAD_MIX_BY_YEAR[2016]
         assert mix["MLP"] == pytest.approx(0.61)
         assert mix["RNN"] == pytest.approx(0.29)
-
-    def test_unknown_year(self):
-        with pytest.raises(KeyError):
-            mix_for_year(2031)
 
 
 class TestGenerator:

@@ -1,14 +1,18 @@
-"""List the functions under src/repro that no user-facing entry point calls.
+"""Fail on functions under src/repro that no user-facing entry point calls.
 
 Runs every CLI subcommand (once per ``choices=`` value of each option,
 once per chip generation where it takes ``--chip``, and ``evaluate
 --chip-file``), the examples, the perfbench workloads and the paper
 benches under ``sys.setprofile``, then prints each function whose code
-never ran. A report, not a gate: it fails only if an entry point fails,
-and it discards the entry points' own output. Benches run with
+never ran. It discards the entry points' own output. Benches run with
 ``--benchmark-disable``, since ``benchmark.pedantic`` hides their calls
 from the profiler; they rewrite ``benchmarks/artifacts`` as any bench
 run does.
+
+``tools/reachability_allow.txt`` lists the unreached functions that
+stay, one ``path qualname  # reason`` line each. The run exits non-zero
+if an entry point fails, if an unreached function is not listed, or if a
+listed one is now reached or no longer exists.
 
     PYTHONPATH=src python tools/reachability.py
 """
@@ -23,6 +27,7 @@ import tempfile
 import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+ALLOW = ROOT / "tools" / "reachability_allow.txt"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -36,6 +41,21 @@ def functions(node, path, prefix=""):
             yield path, first, name, child.end_lineno - child.lineno + 1
         if isinstance(child, DEFS + (ast.ClassDef,)):
             yield from functions(child, path, name + ".")
+
+
+def allowed():
+    """The ``(path, qualname)`` pairs ``ALLOW`` keeps, each with a reason."""
+    entries = set()
+    for number, line in enumerate(ALLOW.read_text().splitlines(), 1):
+        entry, _, reason = line.partition("#")
+        if not entry.strip():
+            continue
+        path, qualname = entry.split()
+        if not reason.strip() or (path, qualname) in entries:
+            sys.exit(f"{ALLOW.name}:{number}: {path} {qualname} "
+                     f"has no reason or is listed twice")
+        entries.add((path, qualname))
+    return entries
 
 
 def cli_runs(tmp):
@@ -70,6 +90,7 @@ def cli_runs(tmp):
 
 
 def main():
+    keep = allowed()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     import pytest
     from perfbench.workloads import WORKLOADS
@@ -101,10 +122,22 @@ def main():
     defs = [d for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
             for d in functions(ast.parse(path.read_text()), str(path))]
     missed = [d for d in defs if d[:2] not in seen]
+    unlisted = []
     for path, line, name, _ in missed:
-        print(f"{pathlib.Path(path).relative_to(ROOT)}:{line} {name}")
+        where = str(pathlib.Path(path).relative_to(ROOT))
+        print(f"{where}:{line} {name}")
+        if (where, name) in keep:
+            keep.remove((where, name))
+        else:
+            unlisted.append(f"{where}:{line} {name}")
     print(f"unreached: {len(missed)} of {len(defs)} functions, "
           f"{sum(d[3] for d in missed)} of {sum(d[3] for d in defs)} lines")
+    failures = [f"unreached and not in {ALLOW.name}: {entry}"
+                for entry in unlisted]
+    failures += [f"in {ALLOW.name} but reached or gone: {path} {name}"
+                 for path, name in sorted(keep)]
+    if failures:
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":
