@@ -186,6 +186,17 @@ def lower_stages(module: HloModule, chip: ChipConfig,
             lowered.bind(memory))
 
 
+def arithmetic_dtype(module: HloModule) -> str:
+    """The dtype ``module``'s arithmetic runs in, to price it in.
+
+    A built or :func:`retarget_dtype`-ed module has exactly one (int8
+    for a TPUv1 deployment); a module with none or with a mix prices as
+    bf16.
+    """
+    dtypes = _front_end(module).arithmetic_dtypes
+    return next(iter(dtypes)) if len(dtypes) == 1 else "bf16"
+
+
 def retarget_dtype(module: HloModule, dtype_name: str) -> HloModule:
     """Rebuild a module with every arithmetic tensor in ``dtype_name``.
 

@@ -10,7 +10,8 @@ deployment life). This module implements pipeline parallelism:
   become stage parameters, weights are duplicated into every consuming
   stage;
 * :class:`PipelineDeployment` compiles and simulates each stage on its own
-  chip, prices each inter-stage activation transfer as one hop over an
+  chip in the module's arithmetic dtype (so an int8 model deploys on
+  TPUv1), prices each inter-stage activation transfer as one hop over an
   :class:`~repro.arch.ici.IciLink`, and reports single-request latency,
   steady-state throughput, and per-chip weight/CMEM residency.
 
@@ -27,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig, TPUV4I
 from repro.arch.ici import IciLink
-from repro.compiler.pipeline import compile_model
+from repro.compiler.pipeline import arithmetic_dtype, compile_model
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
 from repro.sim.core import TensorCoreSim
@@ -180,7 +181,8 @@ class PipelineDeployment:
         reports: List[StageReport] = []
         for index, (stage, inbound) in enumerate(zip(stages, boundaries)):
             compiled = compile_model(stage, self.chip, version=self.version)
-            result = self.sim.run(compiled.program)
+            result = self.sim.run(compiled.program,
+                                  dtype=arithmetic_dtype(stage))
             transfer = (IciLink(self.chip.ici_link_bw)
                         .transfer_seconds(inbound) if inbound else 0.0)
             reports.append(StageReport(

@@ -19,14 +19,21 @@ This module replays the same timelines at batch granularity:
   boundaries — outages, mid-batch kills, retry-timeout purges — cut
   the timeline into segments; the short survivor list is carried across
   a boundary explicitly and each fault-free segment replays vectorized.
-* :func:`replay_cluster` — one :class:`ClusterSimulator` timeline. The
-  router's event loop is replayed with each replica's next launch time
-  *cached* and invalidated only on the state changes that can move it
-  (queue edits, server-heap edits, tier changes), join-shortest-queue
-  routing inlined, per-(tier, replica, size) latency memos, and — when
-  the policy neither probes nor hedges — completion events elided
-  entirely (a request then has exactly one copy, so first-response-wins
-  bookkeeping is order-independent and can be settled at launch).
+* :func:`replay_cluster` — one :class:`ClusterSimulator` timeline, as
+  two streams: the sorted arrivals against each replica's cached next
+  launch time. Arrivals up to the earliest launch join their
+  join-shortest-queue target (arrivals win ties); then that launch runs
+  inline (the lowest replica index wins equal times). A launch time is
+  recomputed only when its queue goes from 0 to 1 entry or reaches the
+  batch cap — no other append can move it — and after the replica's own
+  launch. Latency memos are per-replica lists indexed by batch size.
+  When the policy neither probes nor hedges, a request has exactly one
+  copy: completions settle at launch, queues hold bare arrival floats,
+  and a mid-batch kill's survivors, which always rejoin the front of
+  their own queue, keep their retry counts in a per-replica *survivor
+  prefix*. With probes or hedges, completions, probe windows and hedge
+  timers fold into one "next router event" time that bounds both
+  streams, and a cursor over request ids replaces the hedge-timer heap.
 
 Both kernels reproduce the reference event loops' arithmetic operation
 for operation — same floats, same metric observations, same tracer
@@ -273,16 +280,30 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
     """Replay one cluster timeline; bit-identical to the event loop.
 
     Called by :meth:`ClusterSimulator.simulate` after validation with
-    replicas and degradation-tier tables already built. The event loop's
-    per-iteration ``next_launch``/``tier_cap``/``route`` calls are
-    replaced by cached launch times with explicit invalidation, a
-    precomputed per-tier cap array, and inlined join-shortest-queue
-    scans; lazy dead-replica discovery keeps its exact timing because a
-    replica's launch cache only refreshes after the queue/server change
-    that the reference's rediscovery would have reacted to.
+    replicas and degradation-tier tables already built. Both loops walk
+    the arrival/launch streams the module docstring describes; a policy
+    that neither probes nor hedges takes the single-copy one.
     """
-    from repro.cluster.cluster import _EJECTED, _HEALTHY, _P_COMPLETION
+    policy = cluster.policy
+    if policy.probes or policy.hedges:
+        return _replay_router(cluster, arrivals, reps, tier_tables,
+                              retry_budget, retry_timeout, tracer)
+    return _replay_single_copy(cluster, arrivals, reps, retry_budget,
+                               retry_timeout, tracer)
 
+
+def _replay_single_copy(cluster: "ClusterSimulator", arrivals: List[float],
+                        reps: List["_Replica"], retry_budget: int,
+                        retry_timeout: float,
+                        tracer: Optional["SpanTracer"]) -> "ClusterStats":
+    """The router without probes or hedges: one copy per request.
+
+    Nothing ejects a replica, fails a request over or adds a twin, so
+    completions settle at launch, the tier never changes, and a batch's
+    survivors always rejoin the front of their own queue. Queues hold
+    bare arrival floats; ``prefix[i]`` holds the retry counts of the
+    survivors at the front of queue ``i`` (every other entry has 0).
+    """
     policy = cluster.policy
     n = len(reps)
     total = len(arrivals)
@@ -291,37 +312,265 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
     reg = metrics()
     rec = reg.enabled
 
+    admission_rate = policy.admission_rate_qps
+    admission_burst = policy.admission_burst
+    max_queue_depth = policy.max_queue_depth
+    check_timeout = not math.isinf(retry_timeout)
+    tokens = admission_burst
+    tokens_at = arrivals[0]
+
+    max_waits = [r.sim.policy.max_wait_s for r in reps]
+    caps = [r.sim.policy.max_batch for r in reps]
+    lat_memos: List[List[Optional[float]]] = [[None] * (cap + 1)
+                                              for cap in caps]
+    queues: List[List[float]] = [[] for _ in range(n)]
+    prefix: List[List[int]] = [[] for _ in range(n)]
+    launches = [inf] * n
+    # Live replicas in ascending order (without probes every replica
+    # stays healthy); shrinks when a dead replica is discovered.
+    pool = tuple(range(n))
+    pool_rest = pool[1:]
+    lens = [0] * n
+
+    shed = dropped = boundaries = batches = 0
+    heapreplace = heapq.heapreplace
+    min_launch = inf
+    best = 0
+    index = 0
+    while True:
+        # ----- arrival stream: everything at or before the next launch
+        while index < total:
+            arrival = arrivals[index]
+            if arrival > min_launch:
+                break
+            index += 1
+            if admission_rate is not None:
+                tokens += (arrival - tokens_at) * admission_rate
+                if tokens > admission_burst:
+                    tokens = admission_burst
+                tokens_at = arrival
+                if tokens < 1.0:
+                    shed += 1
+                    if rec:
+                        reg.counter("cluster.shed_requests").inc()
+                    continue
+                tokens -= 1.0
+            # Join-shortest-queue; strict < keeps the lowest index on
+            # ties.
+            if pool:
+                ti = pool[0]
+                tql = lens[ti]
+                for pi in pool_rest:
+                    if lens[pi] < tql:
+                        ti = pi
+                        tql = lens[pi]
+            else:
+                # Every replica is dead (and empty): the last resort
+                # picks replica 0, which drops the request.
+                reps[0].note_assignment(arrival)
+                reps[0].dropped += 1
+                dropped += 1
+                continue
+            if max_queue_depth is not None and tql >= max_queue_depth:
+                shed += 1
+                if rec:
+                    reg.counter("cluster.shed_requests").inc()
+                continue
+            target = reps[ti]
+            target.last_arrival = arrival
+            queues[ti].append(arrival)
+            lens[ti] = tql + 1
+            if tql == 0 or tql + 1 == caps[ti]:
+                if target.first_arrival is None:
+                    target.first_arrival = arrival
+                free = target.servers[0][0]
+                if free == inf:
+                    # Every core is gone: the router discovers the dead
+                    # replica on its next pass and drops its queue.
+                    target.dead = True
+                    pool = tuple(p for p in pool if p != ti)
+                    pool_rest = pool[1:]
+                    target.dropped += tql + 1
+                    dropped += tql + 1
+                    queues[ti].clear()
+                    lens[ti] = 0
+                    continue
+                ready = (arrival if tql + 1 == caps[ti]
+                         else arrival + max_waits[ti])
+                when = free if free > ready else ready
+                launches[ti] = when
+                if when < min_launch or (when == min_launch and ti < best):
+                    min_launch = when
+                    best = ti
+        if min_launch == inf:
+            break
+
+        # ----- launch on reps[best] at min_launch -----
+        i = best
+        rep = reps[i]
+        launch = min_launch
+        q = queues[i]
+        pre = prefix[i]
+        servers = rep.servers
+        core = servers[0][1]
+        sched = rep.schedule
+        if pre and check_timeout and any(
+                launch - q[k] > retry_timeout for k in range(len(pre))):
+            # Retry-timeout purge: only the survivor prefix has retries.
+            keep = [k for k in range(len(pre))
+                    if not launch - q[k] > retry_timeout]
+            removed = len(pre) - len(keep)
+            rep.dropped += removed
+            dropped += removed
+            q[:len(pre)] = [q[k] for k in keep]
+            pre[:] = [pre[k] for k in keep]
+            boundaries += 1
+        elif sched is not None and (down_until := sched.outage_end(
+                core, launch)) is not None:
+            if rec:
+                reg.counter("serving.outage_wait_s").inc(
+                    max(0.0, down_until - launch))
+            heapreplace(servers, (down_until, core))
+            boundaries += 1
+        else:
+            cap = caps[i]
+            qn = len(q)
+            size = qn if qn < cap else cap
+            memo = lat_memos[i]
+            latency = memo[size]
+            if latency is None:
+                latency = memo[size] = rep.sim.batch_latency_s(size)
+            failure = None
+            if sched is not None:
+                factor = sched.slowdown_factor(core, launch)
+                if factor != 1.0:
+                    latency *= factor
+                completion = launch + latency
+                failure = sched.first_failure_between(core, launch,
+                                                      completion)
+            else:
+                completion = launch + latency
+            if failure is not None:
+                fail_start, fail_end = failure
+                rep.lost_batches += 1
+                boundaries += 1
+                if tracer is not None:
+                    tracer.record("batch.lost", "serve", "cluster",
+                                  f"replica{i}/core{core}",
+                                  launch * 1e6, (fail_start - launch) * 1e6,
+                                  (("size", size),))
+                n_pre = len(pre)
+                alive: List[float] = []
+                alive_retries: List[int] = []
+                for k in range(size):
+                    arrival = q[k]
+                    retries = (pre[k] if k < n_pre else 0) + 1
+                    if (retries > retry_budget
+                            or fail_start - arrival > retry_timeout):
+                        rep.dropped += 1
+                        dropped += 1
+                    else:
+                        rep.retried += 1
+                        alive.append(arrival)
+                        alive_retries.append(retries)
+                q[:size] = alive
+                pre[:size] = alive_retries
+                heapreplace(servers, (fail_end, core))
+            else:
+                heapreplace(servers, (completion, core))
+                if tracer is not None:
+                    tracer.record("batch", "serve", "cluster",
+                                  f"replica{i}/core{core}",
+                                  launch * 1e6, latency * 1e6,
+                                  (("size", size),))
+                batches += 1
+                if completion > rep.last_completion:
+                    rep.last_completion = completion
+                rep.batch_sizes.append(size)
+                rep.latencies.extend([completion - a for a in q[:size]])
+                del q[:size]
+                if pre:
+                    del pre[:size]
+
+        # ----- refresh the launched replica, then the earliest launch
+        lens[i] = len(q)
+        if not q:
+            launches[i] = inf
+        else:
+            free = servers[0][0]
+            if free == inf:
+                rep.dead = True
+                pool = tuple(p for p in pool if p != i)
+                pool_rest = pool[1:]
+                rep.dropped += len(q)
+                dropped += len(q)
+                q.clear()
+                pre.clear()
+                lens[i] = 0
+                launches[i] = inf
+            else:
+                cap = caps[i]
+                if len(q) >= cap:
+                    ready = q[cap - 1]
+                else:
+                    ready = q[0] + max_waits[i]
+                launches[i] = free if free > ready else ready
+        min_launch = min(launches)
+        best = launches.index(min_launch)
+
+    if rec:
+        reg.count("serving.fastserve.cluster_replays")
+        reg.count("serving.fastserve.batches", batches)
+        reg.count("serving.fastserve.segments", boundaries + 1)
+        reg.count("serving.fastserve.boundaries", boundaries)
+    cluster_latencies: List[float] = []
+    for rep in reps:
+        cluster_latencies += rep.latencies
+    return cluster._finalize(
+        arrivals, reps, cluster_latencies, shed, dropped, hedged=0,
+        cancelled_hedges=0, wasted_hedges=0, failed_over=0, probes=0,
+        probe_failures=0, ejections=0, readmissions=0, tier_names=("full",),
+        tier_time=[0.0], tier=0, tier_since=arrivals[0])
+
+
+def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
+                   reps: List["_Replica"], tier_tables: list,
+                   retry_budget: int, retry_timeout: float,
+                   tracer: Optional["SpanTracer"]) -> "ClusterStats":
+    """The router with health probes and/or hedging.
+
+    The event loop's completions, probe windows and hedge timers fold
+    into one "next router event" time; arrivals and launches strictly
+    before it (an arrival also at a hedge timer) run inline, as in the
+    single-copy loop. A request never has more than two live copies
+    (one primary plus at most one hedge; fail-over moves a copy, it does
+    not add one), so the reference's per-request holder *list*
+    flattens into two int slots (-1 = empty).
+    """
+    from repro.cluster.cluster import _EJECTED, _HEALTHY
+
+    policy = cluster.policy
+    n = len(reps)
+    total = len(arrivals)
+    inf = math.inf
+    before = math.nextafter
+
+    reg = metrics()
+    rec = reg.enabled
+
     probes_on = policy.probes
     hedges_on = policy.hedges
-    # Without probes or hedges a request has exactly one live copy, so
-    # completion bookkeeping is order-independent: settle it at launch
-    # and skip the completion heap entirely.
-    simple = not probes_on and not hedges_on
-
     admission_rate = policy.admission_rate_qps
     admission_burst = policy.admission_burst
     max_queue_depth = policy.max_queue_depth
     check_timeout = not math.isinf(retry_timeout)
 
     # ----- per-request state (unique-request accounting) -----
-    # Simple mode keeps exactly one copy per request, so the per-copy
-    # ledgers are never consulted: drops/completions settle directly.
-    # A request never has more than two live copies (one primary plus
-    # at most one hedge; fail-over moves a copy, it does not add one),
-    # so the reference's per-request holder *list* flattens into two
-    # int slots (-1 = empty) — no 100k-list allocation, no method calls.
-    if simple:
-        completed_at: List[Optional[float]] = []
-        outstanding: List[int] = []
-        hold_a: List[int] = []
-        hold_b: List[int] = []
-        hedged_flag: List[bool] = []
-    else:
-        completed_at = [None] * total
-        outstanding = [0] * total
-        hold_a = [-1] * total
-        hold_b = [-1] * total
-        hedged_flag = [False] * total
+    completed_at: List[Optional[float]] = [None] * total
+    outstanding = [0] * total
+    hold_a = [-1] * total
+    hold_b = [-1] * total
+    hedged_flag = [False] * total
 
     cluster_latencies: List[float] = []
     shed = dropped_unique = 0
@@ -335,19 +584,20 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
     next_probe = (arrivals[0] + policy.probe_interval_s
                   if probes_on else inf)
     hedge_delay = policy.hedge_delay_s
-    # Hedge-race bound for inline completion settling: with hedging off
-    # a request only ever has one copy, so every completion qualifies.
-    hedge_bound = hedge_delay if hedges_on else inf
-    # Hedge timers fire arrival + constant delay after nondecreasing
-    # arrivals, so the pending set is already sorted: a list with a head
-    # cursor replaces the reference's heap (same pop order). Only the
-    # request id is stored — the fire time is recomputed as
-    # ``arrivals[rid] + hedge_delay``, the exact float the reference
-    # pushed (same operands, same addition).
-    hedges: List[int] = []
-    hedge_head = 0
+    # Hedge timers fire at arrival + a constant delay after nondecreasing
+    # arrivals, so they fire in request-id order: a cursor over ids
+    # replaces the reference's heap. Every id below ``hcur`` has a no-op
+    # timer (finished, already hedged, lost, shed, or never queued);
+    # ``last_timer`` is the newest id that got a timer.
+    hcur = 0
+    last_timer = -1
+    last_hedge_at = -inf  # fire time of the latest hedge placed
     completion_heap: list = []
     completion_seq = 0
+    # Latest completion settled inline (no heap event). The reference
+    # keeps such completions in its heap until the clock passes them,
+    # and its probe clock runs while the heap is non-empty.
+    settled_until = -inf
 
     # ----- degradation ladder -----
     tier = 0
@@ -368,8 +618,9 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         return [b if b < override else override for b in base_caps]
 
     caps = caps_for_tier()
-    # Pre-slowdown latency memo per (tier, replica, size).
-    lat_memos: List[dict] = [{} for _ in tier_names]
+    # Pre-slowdown latency memo per tier, per replica, by batch size.
+    lat_memos = [[[None] * (cap + 1) for cap in base_caps]
+                 for _ in tier_names]
     cur_lats = lat_memos[0]
 
     def tier_latency(rep: "_Replica", size: int) -> float:
@@ -379,35 +630,29 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         padded = rep.sim.policy.padded_size(size)
         return tier_tables[rep.index][dtype][padded]
 
-    # Cached _Replica.next_launch(tier_cap) values (inf = nothing to
-    # launch); stale[i] marks a replica whose queue, server heap, or cap
-    # changed since computed.
-    launches: List[float] = [inf] * n
-    stale = [True] * n
-    queued_total = 0  # total queued entries (replaces any(r.queue ...))
-    # Latest completion time settled inline (no heap event). The
-    # reference keeps such completions in its heap until the clock
-    # passes them, and its probe clock runs while the heap is
-    # non-empty — so probes must keep ticking until this time passes.
-    settled_until = -inf
-    # Queue objects are mutated in place (del/clear/slice-assign, never
-    # rebound), so this alias list stays valid for the whole replay and
-    # the hot join-shortest-queue scan indexes it directly.
+    # Queue objects are mutated in place (never rebound), so this alias
+    # list stays valid for the whole replay.
     queues: List[list] = [r.queue for r in reps]
-    # Ascending indices of healthy live replicas — the first routing
-    # pool. Rebuilt at the only three places membership changes: eject,
-    # readmit, and lazy dead discovery.
-    pool1 = tuple(range(n))
+    # Cached next launch per replica (inf = nothing to launch). Router
+    # events that edit several replicas mark them stale and refresh them
+    # once the event is over, when the reference's next pass would.
+    launches = [inf] * n
+    stale = [False] * n
+    # Queue lengths as of each replica's last refresh, kept current by
+    # the arrival loop: every other queue edit ends in a refresh.
+    lens = [0] * n
+    # Ascending indices of healthy live replicas, the first routing pool.
+    pool = tuple(range(n))
+    pool_rest = pool[1:]
 
     def rebuild_pool() -> None:
-        nonlocal pool1
-        pool1 = tuple(i for i in range(n)
-                      if reps[i].health == _HEALTHY and not reps[i].dead)
+        nonlocal pool, pool_rest
+        pool = tuple(i for i in range(n)
+                     if reps[i].health == _HEALTHY and not reps[i].dead)
+        pool_rest = pool[1:]
 
     # ----- helpers (transcribed from the event loop) -----
     def copy_dropped(rid: int, rep_index: int) -> None:
-        # Never called in simple mode (single-copy drops count
-        # dropped_unique directly at the drop site).
         nonlocal dropped_unique
         outstanding[rid] -= 1
         if hold_a[rid] == rep_index:
@@ -417,11 +662,39 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         if outstanding[rid] == 0 and completed_at[rid] is None:
             dropped_unique += 1
 
+    def refresh(i: int) -> None:
+        # _Replica.next_launch, plus the reference's lazy discovery of a
+        # dead replica and (without probes) the drop of its queue.
+        nonlocal dropped_unique
+        q = queues[i]
+        lens[i] = len(q)
+        if not q:
+            launches[i] = inf
+            return
+        rep = reps[i]
+        free = rep.servers[0][0]
+        if free == inf:
+            rep.dead = True
+            rebuild_pool()
+            launches[i] = inf
+            if not probes_on:
+                for entry in q:
+                    rep.dropped += 1
+                    copy_dropped(entry[2], i)
+                q.clear()
+                lens[i] = 0
+            return
+        cap = caps[i]
+        if len(q) >= cap:
+            ready = q[cap - 1][0]
+        else:
+            ready = q[0][0] + max_waits[i]
+        launches[i] = free if free > ready else ready
+
     def route(exclude=(), last_resort: bool = False) -> Optional["_Replica"]:
-        # Join-shortest-queue with the reference's pool fallbacks,
-        # inlined: first healthy live, then live, then (last resort)
-        # anything. Ascending index with strict < keeps min()'s
-        # first-minimal tie-break.
+        # Join-shortest-queue with the reference's pool fallbacks: first
+        # healthy live, then live, then (last resort) anything. Ascending
+        # index with strict < keeps min()'s first-minimal tie-break.
         best = None
         best_len = 0
         for rep in reps:
@@ -453,24 +726,16 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
             hold_b[rid] = rep_index
 
     def assign(rep: "_Replica", entry: Tuple[float, int, int]) -> None:
-        nonlocal queued_total, dropped_unique
         rid = entry[2]
         rep.note_assignment(entry[0])
+        outstanding[rid] += 1
+        hold_add(rid, rep.index)
         if rep.dead:
             rep.dropped += 1
-            if simple:
-                dropped_unique += 1
-            else:
-                outstanding[rid] += 1
-                hold_add(rid, rep.index)
-                copy_dropped(rid, rep.index)
+            copy_dropped(rid, rep.index)
             return
         rep.queue.append(entry)
-        queued_total += 1
         stale[rep.index] = True
-        if not simple:
-            outstanding[rid] += 1
-            hold_add(rid, rep.index)
 
     def fail_over(rep: "_Replica", entries: list) -> None:
         nonlocal failed_over
@@ -492,7 +757,7 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
                 assign(target, entry)
 
     def eject(rep: "_Replica", now: float) -> None:
-        nonlocal ejections, queued_total, boundaries
+        nonlocal ejections, boundaries
         rep.health = _EJECTED
         rep.ejected_until = now + policy.ejection_s
         rep.consecutive_failures = 0
@@ -505,7 +770,6 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
         q = rep.queue
         moved = q[:]
         q.clear()
-        queued_total -= len(moved)
         stale[rep.index] = True
         fail_over(rep, moved)
 
@@ -539,155 +803,293 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
     heappop = heapq.heappop
     heapreplace = heapq.heapreplace
     kernel_batches = 0
+    min_launch = inf
+    best = 0
     index = 0
     while True:
-        # Refresh stale launch caches (the reference recomputes every
-        # replica's next_launch each iteration; only changed replicas
-        # can produce a different answer, including the lazy dead
-        # discovery and the no-probe stranded-queue drop) and find the
-        # earliest launch in the same pass. min_launch doubles as the
-        # launch candidate (first minimal index wins ties, matching the
-        # reference's strict-< scan) and as the launch bound for the
-        # drain loops below.
-        min_launch = inf
-        best_i = -1
-        for i in range(n):
-            if stale[i]:
-                stale[i] = False
-                q = queues[i]
-                if not q:
-                    launches[i] = inf
-                else:
-                    rep = reps[i]
-                    free = rep.servers[0][0]
-                    if free == inf:
-                        rep.dead = True
-                        rebuild_pool()
-                        launches[i] = inf
-                        if not probes_on:
-                            queued_total -= len(q)
-                            if simple:
-                                rep.dropped += len(q)
-                                dropped_unique += len(q)
-                            else:
-                                for entry in q:
-                                    rep.dropped += 1
-                                    copy_dropped(entry[2], i)
-                            q.clear()
-                        continue
-                    cap = caps[i]
-                    if len(q) >= cap:
-                        ready = q[cap - 1][0]
-                    else:
-                        ready = q[0][0] + max_waits[i]
-                    launches[i] = free if free > ready else ready
-            when = launches[i]
-            if when < min_launch:
-                min_launch = when
-                best_i = i
-
+        # ----- the next router event: completion, probe or hedge -----
         t_completion = completion_heap[0][0] if completion_heap else inf
-        t_arrival = arrivals[index] if index < total else inf
-        # Timers for requests that already finished (or already hedged,
-        # or lost every copy) are guaranteed no-ops — the conditions are
-        # monotone, so what is true now is true at fire time, and the
-        # reference pops them without touching any state. Skipping them
-        # here saves a full loop round per timer; the probe-clock
-        # bookkeeping below accounts for them by fire time instead.
-        hlen = len(hedges)
-        while hedge_head < hlen:
-            hrid = hedges[hedge_head]
-            if (completed_at[hrid] is not None or hedged_flag[hrid]
-                    or outstanding[hrid] == 0):
-                hedge_head += 1
-            else:
-                break
-        if hedge_head < hlen:
-            t_hedge = arrivals[hedges[hedge_head]] + hedge_delay
+        t_probe = next_probe
+        if hedges_on:
+            # Timer conditions are monotone (what is a no-op now is a
+            # no-op at fire time), so skipping them early is exact.
+            while hcur < index and (outstanding[hcur] == 0
+                                    or completed_at[hcur] is not None
+                                    or hedged_flag[hcur]):
+                hcur += 1
+            # With no live timer, the next arrival's is the earliest one
+            # that can appear (if it is shed, that stop is a no-op).
+            t_hedge = (arrivals[hcur] + hedge_delay if hcur < total
+                       else inf)
         else:
             t_hedge = inf
-        # The reference's probe clock runs while its event heaps are
-        # non-empty. Inline-settled completions and pruned no-op timers
-        # never reach this kernel's heaps, but the reference holds them
-        # until the clock passes their fire times — so count them by
-        # time: an elided completion pends strictly past next_probe
-        # (completions win the tie), a timer through it (probes beat
-        # hedges at equal times, so the reference still sees the timer
-        # in its heap when the tied probe is selected).
-        if probes_on and (
-                index < total or completion_heap or queued_total
-                or settled_until > next_probe
-                or (hedges and arrivals[hedges[-1]] + hedge_delay
-                    >= next_probe)):
-            t_probe = next_probe
-        else:
-            t_probe = inf
+        # Launches run strictly before the router event; arrivals run
+        # strictly before a completion or probe and at a hedge timer
+        # (``a_bound`` also caps them at the next launch).
+        t_router = t_completion if t_completion < t_probe else t_probe
+        a_limit = before(t_router, -inf)
+        if t_hedge < t_router:
+            t_router = t_hedge
+        if t_hedge < a_limit:
+            a_limit = t_hedge
+        a_bound = min_launch if min_launch < a_limit else a_limit
 
-        best_time = inf
-        best_kind = None
-        if t_completion < best_time:
-            best_time, best_kind = t_completion, 0   # completion
-        if t_probe < best_time:
-            best_time, best_kind = t_probe, 1        # probe
-        if t_arrival < best_time:
-            best_time, best_kind = t_arrival, 2      # arrival
-        if t_hedge < best_time:
-            best_time, best_kind = t_hedge, 3        # hedge
-        if min_launch < best_time:
-            best_time, best_kind = min_launch, 4     # launch
-        if best_kind is None:
-            if probes_on and queued_total:
-                best_time, best_kind = next_probe, 1
-            else:
+        # ----- arrivals and launches up to the router event -----
+        while True:
+            while index < total:
+                arrival = arrivals[index]
+                if arrival > a_bound:
+                    break
+                rid = index
+                index += 1
+                if admission_rate is not None:
+                    tokens += (arrival - tokens_at) * admission_rate
+                    if tokens > admission_burst:
+                        tokens = admission_burst
+                    tokens_at = arrival
+                    if tokens < 1.0:
+                        shed += 1
+                        if rec:
+                            reg.counter("cluster.shed_requests").inc()
+                        continue
+                    tokens -= 1.0
+                if pool:
+                    ti = pool[0]
+                    tql = lens[ti]
+                    for pi in pool_rest:
+                        if lens[pi] < tql:
+                            ti = pi
+                            tql = lens[pi]
+                else:
+                    ti = route(last_resort=True).index
+                    tql = lens[ti]
+                if max_queue_depth is not None and tql >= max_queue_depth:
+                    shed += 1
+                    if rec:
+                        reg.counter("cluster.shed_requests").inc()
+                    continue
+                target = reps[ti]
+                if not pool and target.dead:
+                    assign(target, (arrival, 0, rid))  # cluster down
+                    continue
+                target.last_arrival = arrival
+                queues[ti].append((arrival, 0, rid))
+                lens[ti] = tql + 1
+                outstanding[rid] = 1
+                hold_a[rid] = ti
+                last_timer = rid
+                # Only the 0 -> 1 and -> cap appends move a launch time,
+                # and then only earlier.
+                if tql == 0 or tql + 1 == caps[ti]:
+                    if target.first_arrival is None:
+                        target.first_arrival = arrival
+                    free = target.servers[0][0]
+                    if free == inf:
+                        refresh(ti)  # the dead replica is discovered
+                        continue
+                    ready = (arrival if tql + 1 == caps[ti]
+                             else arrival + max_waits[ti])
+                    when = free if free > ready else ready
+                    launches[ti] = when
+                    if when < min_launch or (when == min_launch
+                                             and ti < best):
+                        min_launch = when
+                        best = ti
+                        if when < a_bound:
+                            a_bound = when
+            if min_launch >= t_router:
                 break
 
-        if best_kind == 0:       # ----- completion drain -----
-            # Completions win every tie, so drain the heap until the
-            # next one would land after some other event. Hedge cancels
-            # only push launch times later, so min_launch stays a valid
-            # (conservative) bound.
-            while True:
-                when, _, _, rep_index, batch = heappop(completion_heap)
-                for arrival, _, rid in batch:
-                    outstanding[rid] -= 1
-                    if hold_a[rid] == rep_index:
-                        hold_a[rid] = -1
-                    elif hold_b[rid] == rep_index:
-                        hold_b[rid] = -1
-                    if completed_at[rid] is None:
-                        completed_at[rid] = when
-                        cluster_latencies.append(when - arrival)
-                        if outstanding[rid] > 0:
-                            # Cancel queued twins; the slot snapshot
-                            # mirrors the reference's list(h) copy.
-                            for peer_index in (hold_a[rid], hold_b[rid]):
-                                if peer_index < 0:
-                                    continue
-                                peer_q = queues[peer_index]
-                                for pos, entry in enumerate(peer_q):
-                                    if entry[2] == rid:
-                                        del peer_q[pos]
-                                        queued_total -= 1
-                                        stale[peer_index] = True
-                                        outstanding[rid] -= 1
-                                        if hold_a[rid] == peer_index:
-                                            hold_a[rid] = -1
-                                        elif hold_b[rid] == peer_index:
-                                            hold_b[rid] = -1
-                                        cancelled_hedges += 1
-                                        break
+            # ----- launch on reps[best] at min_launch -----
+            i = best
+            rep = reps[i]
+            launch = min_launch
+            q = queues[i]
+            servers = rep.servers
+            core = servers[0][1]
+            sched = rep.schedule
+            if rep.retried and check_timeout and any(
+                    e[1] > 0 and launch - e[0] > retry_timeout for e in q):
+                # Retry-timeout purge of the retried entries.
+                for entry in q:
+                    if entry[1] > 0 and launch - entry[0] > retry_timeout:
+                        rep.dropped += 1
+                        copy_dropped(entry[2], i)
+                q[:] = [e for e in q
+                        if not (e[1] > 0 and launch - e[0] > retry_timeout)]
+                boundaries += 1
+            elif sched is not None and (down_until := sched.outage_end(
+                    core, launch)) is not None:
+                if rec:
+                    reg.counter("serving.outage_wait_s").inc(
+                        max(0.0, down_until - launch))
+                heapreplace(servers, (down_until, core))
+                boundaries += 1
+            else:
+                cap = caps[i]
+                qn = len(q)
+                size = qn if qn < cap else cap
+                memo = cur_lats[i]
+                latency = memo[size]
+                if latency is None:
+                    latency = memo[size] = tier_latency(rep, size)
+                failure = None
+                if sched is not None:
+                    factor = sched.slowdown_factor(core, launch)
+                    if factor != 1.0:
+                        latency *= factor
+                    completion = launch + latency
+                    failure = sched.first_failure_between(core, launch,
+                                                          completion)
+                else:
+                    completion = launch + latency
+                batch = q[:size]
+                del q[:size]
+                if failure is not None:
+                    fail_start, fail_end = failure
+                    rep.lost_batches += 1
+                    boundaries += 1
+                    if tracer is not None:
+                        tracer.record("batch.lost", "serve", "cluster",
+                                      f"replica{i}/core{core}",
+                                      launch * 1e6,
+                                      (fail_start - launch) * 1e6,
+                                      (("size", size),))
+                    survivors: list = []
+                    for arrival, retries, rid in batch:
+                        if (retries + 1 > retry_budget
+                                or fail_start - arrival > retry_timeout):
+                            rep.dropped += 1
+                            copy_dropped(rid, i)
+                        else:
+                            rep.retried += 1
+                            survivors.append((arrival, retries + 1, rid))
+                    if rep.health == _HEALTHY:
+                        q[:0] = survivors
                     else:
-                        wasted_hedges += 1
-                if not completion_heap:
-                    break
-                nxt = completion_heap[0][0]
-                if (nxt > t_probe or nxt > t_arrival or nxt > t_hedge
-                        or nxt > min_launch):
-                    break
-            continue
+                        # Ejected mid-flight: survivors fail over instead
+                        # of rejoining a drained queue.
+                        fail_over(rep, survivors)
+                    heapreplace(servers, (fail_end, core))
+                    for j in range(n):
+                        if stale[j]:
+                            stale[j] = False
+                            refresh(j)
+                else:
+                    heapreplace(servers, (completion, core))
+                    if tracer is not None:
+                        tracer.record("batch", "serve", "cluster",
+                                      f"replica{i}/core{core}",
+                                      launch * 1e6, latency * 1e6,
+                                      (("size", size),))
+                    kernel_batches += 1
+                    if completion > rep.last_completion:
+                        rep.last_completion = completion
+                    rep.batch_sizes.append(size)
+                    lats = [completion - e[0] for e in batch]
+                    rep.latencies.extend(lats)
+                    if not hedges_on:
+                        # One copy per request: settle the batch now.
+                        # The reference still holds the completion
+                        # event, which keeps its probe clock alive.
+                        cluster_latencies += lats
+                        if completion > settled_until:
+                            settled_until = completion
+                    elif (last_hedge_at < completion
+                            <= min(batch)[0] + hedge_delay):
+                        # Every timer here falls at or after the
+                        # completion, which is later than the last hedge
+                        # placed, so none has fired: each copy is its
+                        # request's only one, and each timer will find
+                        # its request finished. Settle them now.
+                        for e in batch:
+                            outstanding[e[2]] = 0
+                        cluster_latencies += lats
+                        if completion > settled_until:
+                            settled_until = completion
+                    else:
+                        # Entry by entry: hedged copies, and copies that
+                        # land after their timer, ride the heap.
+                        deferred = []
+                        for entry, lat in zip(batch, lats):
+                            rid = entry[2]
+                            if (not hedged_flag[rid]
+                                    and completion <= entry[0] + hedge_delay):
+                                outstanding[rid] = 0
+                                cluster_latencies.append(lat)
+                            else:
+                                deferred.append(entry)
+                        if deferred:
+                            completion_seq += 1
+                            heappush(completion_heap,
+                                     (completion, completion_seq, i,
+                                      tuple(deferred)))
+                            if completion < t_router:
+                                t_router = completion
+                            if completion <= a_limit:
+                                a_limit = before(completion, -inf)
+                        elif completion > settled_until:
+                            settled_until = completion
+            qn = lens[i] = len(q)
+            if not qn:
+                launches[i] = inf
+            elif servers[0][0] == inf:
+                refresh(i)  # the dead replica is discovered
+            else:
+                free = servers[0][0]
+                cap = caps[i]
+                ready = q[cap - 1][0] if qn >= cap else q[0][0] + max_waits[i]
+                launches[i] = free if free > ready else ready
+            min_launch = min(launches)
+            best = launches.index(min_launch)
+            a_bound = min_launch if min_launch < a_limit else a_limit
 
-        if best_kind == 1:       # ----- probe window -----
+        # ----- the router event (priority: completion, probe, hedge) -----
+        t_completion = completion_heap[0][0] if completion_heap else inf
+        if t_completion <= t_probe and t_completion <= t_hedge:
+            if t_completion == inf:
+                break
+            when, _, rep_index, batch = heappop(completion_heap)
+            for arrival, _, rid in batch:
+                outstanding[rid] -= 1
+                if hold_a[rid] == rep_index:
+                    hold_a[rid] = -1
+                elif hold_b[rid] == rep_index:
+                    hold_b[rid] = -1
+                if completed_at[rid] is None:
+                    completed_at[rid] = when
+                    cluster_latencies.append(when - arrival)
+                    if outstanding[rid] > 0:
+                        # Cancel queued twins; the slot snapshot mirrors
+                        # the reference's list(h) copy.
+                        for peer_index in (hold_a[rid], hold_b[rid]):
+                            if peer_index < 0:
+                                continue
+                            peer_q = queues[peer_index]
+                            for pos, entry in enumerate(peer_q):
+                                if entry[2] == rid:
+                                    del peer_q[pos]
+                                    stale[peer_index] = True
+                                    outstanding[rid] -= 1
+                                    if hold_a[rid] == peer_index:
+                                        hold_a[rid] = -1
+                                    elif hold_b[rid] == peer_index:
+                                        hold_b[rid] = -1
+                                    cancelled_hedges += 1
+                                    break
+                else:
+                    wasted_hedges += 1
+        elif t_probe <= t_hedge:
             now = next_probe
+            # The reference's probe clock runs only while some event is
+            # pending in its heaps or queues. Its heaps then hold every
+            # completion and every hedge timer at or after ``now``.
+            if not (index < total or completion_heap
+                    or settled_until > now
+                    or (hedges_on and last_timer >= 0
+                        and arrivals[last_timer] + hedge_delay >= now)
+                    or any(queues)):
+                break
             for rep in reps:
                 if rep.health == _HEALTHY:
                     probes += 1
@@ -711,14 +1113,11 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
                             tracer.record(
                                 "readmit", "router", "cluster", "router",
                                 now * 1e6, 0.0, (("replica", rep.index),))
-            healthy = 0
-            for rep in reps:
-                if rep.health == _HEALTHY and not rep.dead:
-                    healthy += 1
+            healthy = len(pool)
             if rec:
                 reg.gauge("cluster.healthy_replicas").set(healthy)
             if policy.degrades:
-                queued = queued_total
+                queued = sum(map(len, queues))
                 bad = (healthy / n < policy.degrade_below_healthy
                        or (policy.degrade_above_queue is not None
                            and queued > policy.degrade_above_queue))
@@ -736,287 +1135,27 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
                         set_tier(tier - 1, now)
                         good_windows = 0
             next_probe = now + policy.probe_interval_s
-            continue
-
-        if best_kind == 2:       # ----- arrival drain -----
-            # Arrivals dominate event counts, and only the *target*
-            # replica's launch time can change between consecutive
-            # arrivals, so absorb a whole run in one tight loop with
-            # join-shortest-queue and the launch refresh inlined.
-            while True:
-                arrival = arrivals[index]
-                rid = index
-                index += 1
-                admitted = True
-                if admission_rate is not None:
-                    tokens += (arrival - tokens_at) * admission_rate
-                    if tokens > admission_burst:
-                        tokens = admission_burst
-                    tokens_at = arrival
-                    if tokens < 1.0:
-                        shed += 1
-                        if rec:
-                            reg.counter("cluster.shed_requests").inc()
-                        admitted = False
-                    else:
-                        tokens -= 1.0
-                if admitted:
-                    # route(last_resort=True), inlined: the maintained
-                    # healthy-live pool first, then live, then anything.
-                    ti = -1
-                    tql = 0
-                    for pi in pool1:
-                        ql = len(queues[pi])
-                        if ti < 0 or ql < tql:
-                            ti, tql = pi, ql
-                    if ti < 0:
-                        target = None
-                        for rr in reps:
-                            if not rr.dead:
-                                ql = len(rr.queue)
-                                if target is None or ql < tql:
-                                    target, tql = rr, ql
-                        if target is None:
-                            for rr in reps:
-                                ql = len(rr.queue)
-                                if target is None or ql < tql:
-                                    target, tql = rr, ql
-                        ti = target.index
-                    else:
-                        target = reps[ti]
-                    if max_queue_depth is not None and tql >= max_queue_depth:
-                        shed += 1
-                        if rec:
-                            reg.counter("cluster.shed_requests").inc()
-                    elif target.dead:
-                        assign(target, (arrival, 0, rid))  # cluster down
-                    else:
-                        # assign() + note_assignment, inlined (arrivals
-                        # are nondecreasing, so last_arrival is a plain
-                        # overwrite and first_arrival a set-once).
-                        if target.first_arrival is None:
-                            target.first_arrival = arrival
-                        target.last_arrival = arrival
-                        q = queues[ti]
-                        q.append((arrival, 0, rid))
-                        queued_total += 1
-                        if not simple:
-                            outstanding[rid] = 1
-                            hold_a[rid] = ti
-                            if hedges_on:
-                                hedges.append(rid)
-                                if t_hedge == inf:
-                                    t_hedge = arrival + hedge_delay
-                        # Refresh the target's launch time in place.
-                        # Deep queues skip it: with more than cap
-                        # entries already ahead, the cap-th arrival pins
-                        # ``ready`` and this append cannot change it
-                        # (stale[ti] is always False inside the drain,
-                        # so the cached time is the current one).
-                        cap = caps[ti]
-                        if len(q) <= cap:
-                            free = target.servers[0][0]
-                            if free == inf:
-                                stale[ti] = True  # refresh handles it
-                                break
-                            if len(q) >= cap:
-                                ready = q[cap - 1][0]
-                            else:
-                                ready = q[0][0] + max_waits[ti]
-                            when = free if free > ready else ready
-                            launches[ti] = when
-                            stale[ti] = False
-                            if when < min_launch:
-                                min_launch = when
-                if index >= total:
-                    break
-                nxt = arrivals[index]
-                if (nxt >= t_completion or nxt >= t_probe
-                        or nxt > t_hedge or nxt > min_launch):
-                    break
-            continue
-
-        if best_kind == 3:       # ----- hedge-timer drain -----
-            # Timers whose request already finished (the common case)
-            # are no-ops: drain them in a run, pausing only to place an
-            # actual hedge copy (which can pull a launch earlier).
-            while True:
-                rid = hedges[hedge_head]
-                hedge_head += 1
-                if not (completed_at[rid] is not None or hedged_flag[rid]
-                        or outstanding[rid] == 0):
-                    target = route(exclude=(hold_a[rid], hold_b[rid]))
-                    if not (target is None or target.dead
-                            or target.health != _HEALTHY):
-                        hedged_flag[rid] = True
-                        hedged += 1
-                        if rec:
-                            reg.counter("cluster.hedged_requests").inc()
-                        assign(target, (arrivals[rid], 0, rid))
-                        ti = target.index
-                        q = target.queue
-                        free = target.servers[0][0]
-                        if free == inf:
-                            break  # assign left it stale; refresh decides
-                        cap = caps[ti]
-                        if len(q) >= cap:
-                            ready = q[cap - 1][0]
-                        else:
-                            ready = q[0][0] + max_waits[ti]
-                        when = free if free > ready else ready
-                        launches[ti] = when
-                        stale[ti] = False
-                        if when < min_launch:
-                            min_launch = when
-                if hedge_head >= len(hedges):
-                    break
-                nxt = arrivals[hedges[hedge_head]] + hedge_delay
-                if (nxt >= t_completion or nxt >= t_probe
-                        or nxt >= t_arrival or nxt > min_launch):
-                    break
-            continue
-
-        # ----- launch on reps[best_i] at best_time -----
-        i = best_i
-        rep = reps[i]
-        launch = best_time
-        stale[i] = True   # every outcome below edits the queue or heap
-        q = queues[i]
-        core = rep.servers[0][1]
-
-        if rep.retried and check_timeout:
-            alive = [e for e in q
-                     if not (e[1] > 0 and launch - e[0] > retry_timeout)]
-            if len(alive) != len(q):
-                removed = len(q) - len(alive)
-                rep.dropped += removed
-                if simple:
-                    dropped_unique += removed
-                else:
-                    for entry in q:
-                        if entry[1] > 0 and launch - entry[0] > retry_timeout:
-                            copy_dropped(entry[2], i)
-                queued_total -= removed
-                q[:] = alive
-                boundaries += 1
-                continue
-
-        sched = rep.schedule
-        if sched is not None:
-            down_until = sched.outage_end(core, launch)
-            if down_until is not None:
-                if rec:
-                    reg.counter("serving.outage_wait_s").inc(
-                        max(0.0, down_until - launch))
-                heapreplace(rep.servers, (down_until, core))
-                boundaries += 1
-                continue
-
-        cap = caps[i]
-        qn = len(q)
-        size = qn if qn < cap else cap
-        lat_key = (i, size)
-        latency = cur_lats.get(lat_key)
-        if latency is None:
-            latency = tier_latency(rep, size)
-            cur_lats[lat_key] = latency
-        if sched is not None:
-            factor = sched.slowdown_factor(core, launch)
-            if factor != 1.0:
-                latency *= factor
-        completion = launch + latency
-
-        if sched is not None:
-            failure = sched.first_failure_between(core, launch, completion)
-            if failure is not None:
-                fail_start, fail_end = failure
-                rep.lost_batches += 1
-                boundaries += 1
-                if tracer is not None:
-                    tracer.record("batch.lost", "serve", "cluster",
-                                  f"replica{i}/core{core}",
-                                  launch * 1e6, (fail_start - launch) * 1e6,
-                                  (("size", size),))
-                batch = q[:size]
-                del q[:size]
-                queued_total -= size
-                survivors: list = []
-                for arrival, retries, rid in batch:
-                    if (retries + 1 > retry_budget
-                            or fail_start - arrival > retry_timeout):
-                        rep.dropped += 1
-                        if simple:
-                            dropped_unique += 1
-                        else:
-                            copy_dropped(rid, i)
-                    else:
-                        rep.retried += 1
-                        survivors.append((arrival, retries + 1, rid))
-                if rep.health == _HEALTHY:
-                    q[:0] = survivors
-                    queued_total += len(survivors)
-                else:
-                    # Ejected mid-flight: survivors fail over instead of
-                    # rejoining a drained queue.
-                    fail_over(rep, survivors)
-                heapreplace(rep.servers, (fail_end, core))
-                continue
-
-        batch = q[:size]
-        del q[:size]
-        queued_total -= size
-        heapreplace(rep.servers, (completion, core))
-        if tracer is not None:
-            tracer.record("batch", "serve", "cluster",
-                          f"replica{i}/core{core}",
-                          launch * 1e6, latency * 1e6, (("size", size),))
-        kernel_batches += 1
-        if completion > rep.last_completion:
-            rep.last_completion = completion
-        rep.batch_sizes.append(size)
-        if simple:
-            # Single-copy completions settle at launch: with no hedge
-            # twins to race or cancel, first-response-wins bookkeeping
-            # is order-independent, so the completion heap is elided.
-            lats = [completion - a for a, _, _ in batch]
-            rep.latencies.extend(lats)
-            cluster_latencies.extend(lats)
         else:
-            # Single-copy entries whose completion lands no later than
-            # their hedge timer also settle inline: the reference
-            # processes the completion first there too (completions win
-            # ties), so the timer sees them finished either way and no
-            # cancel scan can involve them. Only the rest ride the heap.
-            lats = []
-            deferred = None
-            for entry in batch:
-                lat = completion - entry[0]
-                lats.append(lat)
-                rid = entry[2]
-                if (outstanding[rid] == 1 and not hedged_flag[rid]
-                        and completion <= entry[0] + hedge_bound):
-                    outstanding[rid] = 0
-                    if hold_a[rid] == i:
-                        hold_a[rid] = -1
-                    else:
-                        hold_b[rid] = -1
-                    completed_at[rid] = completion
-                    cluster_latencies.append(lat)
-                else:
-                    if deferred is None:
-                        deferred = []
-                    deferred.append(entry)
-            rep.latencies.extend(lats)
-            if deferred is not None:
-                completion_seq += 1
-                heappush(completion_heap,
-                         (completion, _P_COMPLETION, completion_seq, i,
-                          tuple(deferred)))
-            elif completion > settled_until:
-                # Whole batch settled inline: the reference still holds
-                # its completion event until the clock passes it, which
-                # keeps the probe clock alive — remember the fire time.
-                settled_until = completion
+            rid = hcur
+            hcur += 1
+            if not (outstanding[rid] == 0 or completed_at[rid] is not None
+                    or hedged_flag[rid]):
+                target = route(exclude=(hold_a[rid], hold_b[rid]))
+                if not (target is None or target.dead
+                        or target.health != _HEALTHY):
+                    hedged_flag[rid] = True
+                    hedged += 1
+                    last_hedge_at = arrivals[rid] + hedge_delay
+                    if rec:
+                        reg.counter("cluster.hedged_requests").inc()
+                    assign(target, (arrivals[rid], 0, rid))
+        if True in stale:
+            for j in range(n):
+                if stale[j]:
+                    stale[j] = False
+                    refresh(j)
+            min_launch = min(launches)
+            best = launches.index(min_launch)
 
     if rec:
         reg.count("serving.fastserve.cluster_replays")

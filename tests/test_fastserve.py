@@ -233,6 +233,46 @@ class TestClusterIdentity:
         assert fast == cold
         assert fast.dropped_requests > 0
 
+    def test_probe_before_arrival_at_same_instant(self, v4i_point):
+        # The first probe (0.001 s) ejects dead replica 0 before the
+        # arrival at that instant is routed, so only the queued request
+        # fails over; routing it first would fail over two.
+        cores = v4i_point.chip.cores
+        policy = ClusterPolicy(probe_interval_s=0.001, unhealthy_after=1,
+                               ejection_s=1.0)
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            [0.0, 0.0, 0.001], schedules=[kill_schedule(cores), None])
+        assert fast == cold
+        assert fast.failed_over_requests == 1
+
+    def test_arrival_before_hedge_at_same_instant(self, v4i_point):
+        # Hedge timers fire 0.001 s after each arrival. At 0.001 s the
+        # second request is routed first (to empty replica 1) and the
+        # first one's hedge copy joins it there; at 0.002 s the second
+        # one's copy joins replica 0 just before its batch launches. Both
+        # requests finish there, and both queued copies are cancelled.
+        # Firing the first hedge before the arrival would launch both
+        # copies early on replica 1 and waste them instead.
+        policy = ClusterPolicy(hedge_delay_s=0.001)
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            [0.0, 0.001])
+        assert fast == cold
+        assert fast.hedged_requests == 2
+        assert (fast.cancelled_hedges, fast.wasted_hedges) == (2, 0)
+
+    def test_probe_clock_runs_until_settled_completion(self, v4i_point):
+        # The only batch launches at 0.002 s and completes at 0.003 s.
+        # It settles at launch, but the event loop holds its completion
+        # until 0.003 s, so the probe at 0.0025 s still runs.
+        policy = ClusterPolicy(probe_interval_s=0.0005)
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 1), policy),
+            [0.0])
+        assert fast == cold
+        assert fast.probes == 5
+
     def test_tracer_spans_identical(self, v4i_point, traffic):
         from repro.obs.tracer import SpanTracer
         policy = ClusterPolicy.resilient(
@@ -249,6 +289,168 @@ class TestClusterIdentity:
         with reference_paths():
             cold = run()
         assert fast == cold
+
+
+def spans_and_counters(cluster_factory, requests, **kwargs):
+    """Stats, tracer spans and metric values of one cluster run."""
+    from repro.obs.tracer import SpanTracer
+    tracer = SpanTracer()
+    with collecting_metrics() as registry:
+        stats = cluster_factory().simulate(requests, tracer=tracer, **kwargs)
+        values = {name: entry["value"]
+                  for name, entry in registry.snapshot().items()}
+    return stats, tracer.spans, values
+
+
+#: Policies that neither probe nor hedge: one copy per request.
+SINGLE_COPY_POLICIES = {
+    "static": ClusterPolicy.static(),
+    "admission": ClusterPolicy(admission_rate_qps=1500.0,
+                               admission_burst=4.0),
+    "queue-depth": ClusterPolicy(max_queue_depth=3),
+    "both": ClusterPolicy(admission_rate_qps=1500.0, admission_burst=4.0,
+                          max_queue_depth=3),
+}
+
+
+class TestSingleCopyIdentity:
+    """The single-copy loop (no probes, no hedges) vs the event loop."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           policy=st.sampled_from(sorted(SINGLE_COPY_POLICIES)),
+           replicas=st.integers(min_value=1, max_value=4),
+           max_batch=st.sampled_from((1, 8)),
+           faults=st.sampled_from(("none", "mtbf", "kills", "all-dead")),
+           duplicate_every=st.integers(min_value=1, max_value=5))
+    def test_identity_property(self, seed, policy, replicas, max_batch,
+                               faults, duplicate_every):
+        point = DesignPoint(TPUV4I)
+        cores = point.chip.cores
+        rng = DeterministicRng(seed)
+        drawn = rng.poisson_arrivals(3000.0, 0.1)
+        # Repeat every k-th timestamp: ties between arrivals.
+        requests = sorted(drawn + drawn[::duplicate_every])
+        if not requests:
+            return
+        kwargs = {}
+        if faults == "mtbf":
+            kwargs["faults"] = FaultModel(
+                seed=seed, core_mtbf_s=0.03, core_repair_s=0.01,
+                chip_mtbf_s=0.08, chip_repair_s=0.02, slowdown_mtbf_s=0.05,
+                retry_budget=seed % 3, retry_timeout_s=0.004)
+        elif faults == "kills":
+            starts = (0.0, 0.02, 0.05, math.inf)
+            kwargs["schedules"] = [
+                None if math.isinf(starts[(seed >> i) % 4])
+                else kill_schedule(cores, start_s=starts[(seed >> i) % 4])
+                for i in range(replicas)]
+        elif faults == "all-dead":
+            kwargs["schedules"] = [kill_schedule(cores)] * replicas
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(
+                make_replicas(point, replicas, max_batch=max_batch),
+                SINGLE_COPY_POLICIES[policy]),
+            requests, **kwargs)
+        assert fast == cold
+        if faults == "all-dead":
+            assert fast.served_requests == 0
+
+    @pytest.mark.parametrize("requests, replicas, max_batch, order", [
+        # Three arrivals at t=0 land on replicas 0, 1, 2, and all three
+        # batches fall due at max_wait.
+        ([0.0, 0.0, 0.0], 3, 8, [(0, 2000.0), (1, 2000.0), (2, 2000.0)]),
+        # Replica 0 launches a full batch at t=0 and takes the arrival at
+        # 0.0015; the arrival at 0.002 fills it just as replica 1's batch
+        # falls due, so both launch at 0.002.
+        ([0.0, 0.0, 0.0, 0.0015, 0.002], 2, 2,
+         [(0, 0.0), (0, 2000.0), (1, 2000.0)]),
+    ], ids=["three-way", "filled-at-tie"])
+    def test_equal_launch_times_lowest_index_first(
+            self, v4i_point, requests, replicas, max_batch, order):
+        factory = lambda: ClusterSimulator(
+            make_replicas(v4i_point, replicas, max_batch=max_batch))
+        fast = spans_and_counters(factory, requests)
+        with reference_paths():
+            cold = spans_and_counters(factory, requests)
+        assert fast[:2] == cold[:2]
+        launches = [(int(span.track[len("replica")]), span.ts_us)
+                    for span in fast[1] if span.name == "batch"]
+        assert launches == order
+
+    def test_arrival_at_launch_time_joins_the_batch(self, v4i_point):
+        # The head's batch is due at 0.002 s; an arrival at exactly that
+        # instant is absorbed before the launch (arrivals win ties).
+        requests = [0.0, 0.002, 0.002]
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 1)), requests)
+        assert fast == cold
+        assert fast.mean_batch == 3.0
+
+    def test_dead_replica_queue_dropped_at_discovery(self, v4i_point):
+        # Replica 0's only core dies for good at 0.001 s, after two
+        # requests queued on it: with no probes, the router finds it dead
+        # at its launch and drops that queue; replica 1 serves the rest.
+        requests = [0.0, 0.0, 0.0, 0.0005] + [0.01 + 0.001 * k
+                                              for k in range(10)]
+        schedules = [kill_schedule(v4i_point.chip.cores, start_s=0.001),
+                     None]
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2)),
+            requests, schedules=schedules)
+        assert fast == cold
+        assert fast.replica_stats[0].dropped_requests == 2
+        assert fast.dropped_requests == 2
+        assert fast.served_requests == len(requests) - 2
+
+    @pytest.mark.parametrize("timeout, purged", [(0.01, 3), (0.05, 0)])
+    def test_survivors_purged_by_retry_timeout(self, v4i_point, timeout,
+                                               purged):
+        # The batch launched at 0.002 s dies at 0.0025 s; its survivors
+        # rejoin the queue front and wait out the outage until 0.05 s,
+        # where a 0.01 s retry timeout purges them before the launch. At
+        # 0.05 s the oldest has waited exactly the timeout: it stays.
+        cores = v4i_point.chip.cores
+        outage = FaultSchedule(cores, 10.0,
+                               down=[(core, 0.0025, 0.05)
+                                     for core in range(cores)])
+        model = FaultModel(seed=1, retry_budget=5, retry_timeout_s=timeout)
+        requests = [0.0, 0.0005, 0.001, 0.06]
+        fast, cold = cluster_both_ways(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 1)),
+            requests, faults=model, schedules=[outage])
+        assert fast == cold
+        assert fast.lost_batches == 1
+        assert fast.retried_requests == 3
+        assert fast.dropped_requests == purged
+        assert fast.served_requests == len(requests) - purged
+
+    def test_spans_and_counters_match_reference(self, v4i_point):
+        # Overload with admission control and a mid-run outage: shedding,
+        # lost batches and outage waits all show in spans and counters.
+        cores = v4i_point.chip.cores
+        requests = RequestGenerator(4).poisson("cnn0", 6000.0, 0.1)
+        schedules = [kill_schedule(cores, start_s=0.03, end_s=0.05), None]
+        factory = lambda: ClusterSimulator(make_replicas(v4i_point, 2),
+                                           SINGLE_COPY_POLICIES["both"])
+        fast = spans_and_counters(factory, requests, schedules=schedules)
+        with reference_paths():
+            cold = spans_and_counters(factory, requests, schedules=schedules)
+        assert fast[0] == cold[0]
+        assert fast[1] == cold[1]
+        kernel = {name: value for name, value in fast[2].items()
+                  if name.startswith("serving.fastserve.")}
+        assert {name: value for name, value in fast[2].items()
+                if name not in kernel} == cold[2]
+        assert cold[2]["cluster.shed_requests"] == fast[0].shed_requests > 0
+        batches = sum(1 for span in cold[1] if span.name == "batch")
+        lost = sum(1 for span in cold[1] if span.name == "batch.lost")
+        assert lost == fast[0].lost_batches > 0
+        assert kernel["serving.fastserve.batches"] == batches
+        assert kernel["serving.fastserve.cluster_replays"] == 1
+        assert (kernel["serving.fastserve.segments"]
+                == kernel["serving.fastserve.boundaries"] + 1)
+        assert kernel["serving.fastserve.boundaries"] >= lost
 
 
 class TestChaosSweepIdentity:

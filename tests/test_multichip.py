@@ -3,8 +3,11 @@
 import pytest
 
 from repro.arch import TPUV1, TPUV4I
+from repro.compiler import compile_model
 from repro.core import PipelineDeployment, partition_module
+from repro.engine.modules import built_module
 from repro.graph import GraphBuilder, Shape
+from repro.sim.core import TensorCoreSim
 from repro.workloads import app_by_name
 
 from tests.conftest import make_tiny_mlp
@@ -127,6 +130,17 @@ class TestDeployment:
         one = deployment.deploy(spec.build(4), 1, 4)
         four = deployment.deploy(spec.build(4), 4, 4)
         assert four.request_latency_s < 1.5 * one.request_latency_s
+
+    def test_one_chip_tpuv1_runs_in_module_dtype(self):
+        # TPUv1 has no bf16: a one-chip deployment of an int8 model must
+        # price the stage in int8, the same as compiling it directly.
+        module = built_module(app_by_name("cnn0"), 2, "int8")
+        report = PipelineDeployment(TPUV1).deploy(module, 1, 2)
+        direct = TensorCoreSim(TPUV1).run(
+            compile_model(module, TPUV1).program, dtype="int8")
+        assert report.num_chips == 1
+        assert report.stages[0].latency_s == direct.seconds
+        assert report.stages[0].inbound_transfer_s == 0.0
 
     def test_no_ici_chip_rejected(self):
         deployment = PipelineDeployment(TPUV1)
