@@ -5,11 +5,13 @@ text goes to stdout *and* to ``benchmarks/artifacts/<experiment>.txt`` so
 EXPERIMENTS.md can quote the measured output verbatim.
 
 DesignPoints are session-scoped, and all evaluation routes through the
-shared engine (:mod:`repro.engine`): results are memoized in the
-process-global EvalCache, so expensive workloads are evaluated once
-across the whole suite — and, with ``REPRO_CACHE_DIR`` set, once across
-*invocations* of the suite. The cache's hit/miss counters are written to
-``artifacts/engine_cache_stats.txt`` at session end.
+shared engine (:mod:`repro.engine`): results are memoized in each design
+point (the sweeps share one per chip through ``shared_design_point``),
+so expensive workloads are evaluated once per point across the whole
+suite — and, with ``REPRO_CACHE_DIR`` set, once across *invocations* of
+the suite through the EvalCache disk tier. The cache's disk-hit/miss
+counters are written to ``artifacts/engine_cache_stats.txt`` at session
+end.
 """
 
 from __future__ import annotations

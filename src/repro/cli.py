@@ -60,6 +60,18 @@ def _resolve_chip(name: str):
     return chip_by_name(name)  # preserves the canonical error message
 
 
+def _batch(text: str) -> int:
+    """``--batch``: a positive integer, else an error naming the batch."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"batch must be a positive integer, got {text!r}")
+    return value
+
+
 def _cmd_chips(_: argparse.Namespace) -> int:
     from repro.arch.chip import GENERATIONS
     from repro.util.tables import Table
@@ -219,8 +231,8 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             print("hint: set REPRO_CACHE_DIR=.repro_cache (or pass --dir) "
                   "to persist results across runs")
         return 0
-    entries = cache.entry_count() + cache.disk_entry_count()
-    cache.clear(disk=True)
+    entries = cache.disk_entry_count()
+    cache.clear()
     print(f"cleared {entries} cache entries")
     return 0
 
@@ -429,7 +441,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     spec = _resolve_app(args.app)
     chip = _resolve_chip(args.chip)
     with collecting_metrics() as registry:
-        point = DesignPoint(chip, cache=EvalCache(enabled=args.cache))
+        # A private disk-less cache: the report never reads or writes
+        # the user's REPRO_CACHE_DIR.
+        point = DesignPoint(chip, cache=EvalCache())
         batch = args.batch or spec.default_batch
         result = point.run(spec, batch, dtype=chip.native_dtype)
         evaluation = point.evaluate(spec, batch, dtype=chip.native_dtype)
@@ -468,18 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--chip", default="TPUv4i")
     evaluate.add_argument("--chip-file", default=None,
                           help="JSON chip config (overrides --chip)")
-    evaluate.add_argument("--batch", type=int, default=None)
+    evaluate.add_argument("--batch", type=_batch, default=None)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     compare = sub.add_parser("compare", help="one app across generations")
     compare.add_argument("--app", required=True)
-    compare.add_argument("--batch", type=int, default=None)
+    compare.add_argument("--batch", type=_batch, default=None)
     compare.set_defaults(func=_cmd_compare)
 
     profile = sub.add_parser("profile", help="per-operator cost attribution")
     profile.add_argument("--app", required=True)
     profile.add_argument("--chip", default="TPUv4i")
-    profile.add_argument("--batch", type=int, default=None)
+    profile.add_argument("--batch", type=_batch, default=None)
     profile.add_argument("--top", type=int, default=10)
     profile.set_defaults(func=_cmd_profile)
 
@@ -487,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--app", required=True)
     dump.add_argument("--format", choices=("hlo", "asm"), default="hlo")
     dump.add_argument("--chip", default="TPUv4i")
-    dump.add_argument("--batch", type=int, default=None)
+    dump.add_argument("--batch", type=_batch, default=None)
     dump.set_defaults(func=_cmd_dump)
 
     migrate = sub.add_parser("migrate", help="move a model between chips")
@@ -501,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("action", choices=("stats", "clear"),
                         nargs="?", default="stats")
     engine.add_argument("--dir", default=None,
-                        help="disk cache directory (default: memory only, "
-                             "or $REPRO_CACHE_DIR)")
+                        help="disk cache directory (default: "
+                             "$REPRO_CACHE_DIR, else none)")
     engine.set_defaults(func=_cmd_engine)
 
     faults = sub.add_parser(
@@ -603,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(compile -> lower -> replay -> serve)")
     trace.add_argument("app", help="app name or alias (e.g. resnet50)")
     trace.add_argument("chip", help="chip name, case-insensitive")
-    trace.add_argument("--batch", type=int, default=None)
+    trace.add_argument("--batch", type=_batch, default=None)
     trace.add_argument("--dtype", default=None,
                        help="simulation dtype (default: bf16 where "
                             "supported, else the chip's int8 retarget)")
@@ -621,14 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p.add_argument("--app", default="cnn0",
                            help="app name or alias (default cnn0)")
     metrics_p.add_argument("--chip", default="TPUv4i")
-    metrics_p.add_argument("--batch", type=int, default=None)
+    metrics_p.add_argument("--batch", type=_batch, default=None)
     metrics_p.add_argument("--duration", type=float, default=0.25,
                            help="simulated traffic seconds (default 0.25)")
     metrics_p.add_argument("--utilization", type=float, default=0.5,
                            help="offered load vs batch capacity")
     metrics_p.add_argument("--seed", type=int, default=0)
-    metrics_p.add_argument("--cache", action="store_true",
-                           help="use an enabled engine cache (shows hits)")
     metrics_p.set_defaults(func=_cmd_metrics)
     return parser
 

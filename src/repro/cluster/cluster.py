@@ -507,10 +507,12 @@ class ClusterSimulator:
             for rep in reps:
                 when = rep.next_launch(tier_cap(rep))
                 if when is None:
-                    if rep.dead and rep.queue and not policy.probes:
-                        # Without probing nobody ever ejects a dead
-                        # replica; mirror the lone simulator and drop
-                        # its stranded queue on detection.
+                    if rep.dead and rep.queue and (
+                            not policy.probes or rep.health != _HEALTHY):
+                        # No probe will eject this dead replica (probing
+                        # is off, or it is already ejected): mirror the
+                        # lone simulator and drop its stranded queue on
+                        # detection.
                         stranded, rep.queue = rep.queue, []
                         for entry in stranded:
                             rep.dropped += 1

@@ -8,16 +8,19 @@ chip throughput is ``cores / latency`` and dynamic power scales with the
 active cores.
 
 Caching is two-tier. Each instance keeps one memo dict per record kind
-(``"sim"`` for :class:`SimResult`, ``"eval"`` for :class:`Evaluation`;
-the cheapest lookup), and behind them every instance consults the
-process-global :class:`~repro.engine.cache.EvalCache`, keyed by a stable
-hash of every chip field, the compiler release, the workload, batch,
-CMEM budget and dtype. :meth:`DesignPoint.key`, :meth:`~DesignPoint.
-lookup` and :meth:`~DesignPoint.store` are the one path to both tiers,
-for both kinds; the batched grid (:mod:`repro.engine.grid`) uses the
-same three. Two DesignPoints for the same configuration — or two
-processes sharing the cache's disk tier — therefore never repeat a
-simulation. A cached :class:`Evaluation` short-circuits compilation
+(``"sim"`` for :class:`SimResult`, ``"eval"`` for :class:`Evaluation`),
+the only in-process record store; behind the memos every instance
+consults an :class:`~repro.engine.cache.EvalCache` (the process-global
+one unless a point is handed its own), the disk tier, keyed by a
+stable hash of every chip field, the compiler release, the workload,
+batch, CMEM budget and dtype. :meth:`DesignPoint.key`,
+:meth:`~DesignPoint.lookup` and :meth:`~DesignPoint.store` are the one
+path to both tiers, for both kinds; the batched grid
+(:mod:`repro.engine.grid`) uses the same three. Sweeps share one point
+per (chip, release) through :func:`shared_design_point`; two separate
+DesignPoints for the same configuration — or two processes — share
+records only through the disk tier (``REPRO_CACHE_DIR``). A cached
+:class:`Evaluation` short-circuits compilation
 entirely; results are identical to the uncached path by construction
 (pure arithmetic on the same inputs; asserted in ``tests/test_engine.py``).
 

@@ -12,10 +12,11 @@ Two instruments:
   configuration (4 MXUs, 128 MiB CMEM, ~1 GHz) sits on that frontier.
 
 Evaluation routes through the shared engine
-(:mod:`repro.engine`): results are memoized in the process-global
-:class:`~repro.engine.cache.EvalCache`, and both sweeps run as one
-batched grid pass (:mod:`repro.engine.grid`) with results bit-identical
-to the per-point loops.
+(:mod:`repro.engine`): results are memoized in one shared design point
+per candidate (and, with a cache directory, in the
+:class:`~repro.engine.cache.EvalCache` disk tier), and both sweeps run
+as one batched grid pass (:mod:`repro.engine.grid`) with results
+bit-identical to the per-point loops.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ DesignPoint`, and DesignPoint funnels it through this package:
 
 * :mod:`repro.engine.keys` — content-addressed keys covering every chip
   field, the compiler release, workload, batch, CMEM budget and dtype;
-* :mod:`repro.engine.cache` — the two-tier :class:`EvalCache`
-  (in-process dict + optional ``.repro_cache/`` disk tier; enable with
-  ``REPRO_CACHE_DIR=.repro_cache`` or :func:`configure_cache`);
+* :mod:`repro.engine.cache` — :class:`EvalCache`, the disk tier behind
+  each DesignPoint's in-process memo (enable it with
+  ``REPRO_CACHE_DIR=.repro_cache`` or :func:`configure_cache`; without
+  a directory it stores nothing);
 * :mod:`repro.engine.modules` — chip-independent built-module sharing;
 * :mod:`repro.engine.grid` — :func:`run_grid` / :func:`evaluate_jobs`,
   the one sweep path: cache-excluded jobs batched through the grid

@@ -1,17 +1,15 @@
-"""EvalCache: the engine's content-addressed result store.
+"""EvalCache: the engine's on-disk, content-addressed result store.
 
-Two tiers:
-
-* an **in-process** dict (always on unless disabled) shared by every
-  :class:`~repro.core.design_point.DesignPoint` in the process, so two
-  sweeps over overlapping grids — or a fleet plan after a DSE run —
-  never recompute a (chip, compiler, workload, batch, budget) tuple;
-* an optional **on-disk** tier under a cache directory (default
-  ``.repro_cache/``) made of *pack files*. A pack holds many
-  ``(key, meta, payload)`` records, where ``meta`` is the human-readable
-  :func:`~repro.engine.keys.key_meta` description of the entry. Disk
-  entries survive process restarts, so benchmark suites warm across
-  invocations.
+Each :class:`~repro.core.design_point.DesignPoint` memoizes its own
+records in process; this cache is the tier behind those memos. It holds
+only what is on disk: without a cache directory a ``get`` always misses
+and a ``put`` stores (and pickles) nothing. With one
+(``REPRO_CACHE_DIR``, for example ``.repro_cache/``) it is made of
+*pack files*. A pack holds many ``(key, meta, payload)`` records, where
+``meta`` is the human-readable :func:`~repro.engine.keys.key_meta`
+description of the entry. Disk entries survive process restarts, so
+benchmark suites warm across invocations, and they are shared by every
+point of one configuration, in this process or another.
 
 Values are opaque to the cache (SimResult, Evaluation, ...); keys come
 from :mod:`repro.engine.keys`, which folds in every chip/compiler field —
@@ -39,8 +37,8 @@ cannot be read, or holds a payload that fails to unpickle is
 logged, counted in :attr:`CacheStats.corrupt`, and its entries read as
 misses so they are recomputed. Corruption is therefore never fatal and
 never silently served. Per-entry ``*.pkl`` files from the pre-pack
-layout are ignored (they read as misses); ``clear(disk=True)`` removes
-them.
+layout are ignored (they read as misses); :meth:`EvalCache.clear`
+removes them.
 """
 
 from __future__ import annotations
@@ -52,18 +50,13 @@ import pickle
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import metrics
 
-#: Default on-disk location, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Environment switches: ``REPRO_CACHE=0`` disables caching entirely,
 #: ``REPRO_CACHE_DIR=<path>`` enables the disk tier at <path>.
-ENV_DISABLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
 
 #: Pack file format: magic + 32-byte SHA-256 of the body + body, where
@@ -78,7 +71,7 @@ PACK_SUFFIX = ".pack"
 #: so a surprising corruption can still be inspected post-mortem.
 QUARANTINE_DIR = "quarantine"
 
-#: Files ``clear(disk=True)`` removes besides packs: per-entry pickles
+#: Files :meth:`EvalCache.clear` removes besides packs: per-entry pickles
 #: and JSON sidecars of the pre-pack layout, and temp files left by a
 #: killed writer.
 _LEFTOVER_SUFFIXES = (".pkl", ".json", ".tmp")
@@ -90,8 +83,10 @@ _LOG = logging.getLogger(__name__)
 class CacheStats:
     """Lookup counters for one :class:`EvalCache` instance."""
 
-    hits: int = 0          # served from the in-process dict
-    disk_hits: int = 0     # served from the disk tier (then promoted)
+    # Always 0: the cache keeps no in-process records. The field stays
+    # because perfbench reads it (ROADMAP item 9 drops it there).
+    hits: int = 0
+    disk_hits: int = 0     # served from the disk tier
     misses: int = 0
     puts: int = 0
     corrupt: int = 0       # disk packs quarantined (checksum/unpickle)
@@ -106,33 +101,21 @@ class CacheStats:
         return (self.hits + self.disk_hits) / total if total else 0.0
 
 
-@dataclass
-class _Entry:
-    value: Any
-    size_bytes: int
-    meta: Optional[dict] = field(default=None)
-
-
 class EvalCache:
-    """Content-addressed store for evaluation records."""
+    """Content-addressed disk store for evaluation records."""
 
-    def __init__(self, disk_dir: Optional[os.PathLike] = None,
-                 enabled: bool = True) -> None:
+    def __init__(self, disk_dir: Optional[os.PathLike] = None) -> None:
         if disk_dir is not None:
             disk_dir = Path(disk_dir)
             if disk_dir.exists() and not disk_dir.is_dir():
                 raise ValueError(f"cache directory {str(disk_dir)!r} "
                                  f"exists and is not a directory")
-        self._mem: dict[str, _Entry] = {}
-        self._lock = threading.Lock()
-        self._enabled = enabled
         self._disk_dir = disk_dir
         self.stats = CacheStats()
-        # Disk tier state, guarded by _disk_lock (taken before _lock,
-        # never after): key -> (pack name, payload), the record count of
-        # every pack already indexed (0 for a quarantined one), and the
-        # records buffered by an open batch().
-        self._disk_lock = threading.Lock()
+        # Disk tier state, guarded by _lock: key -> (pack name, payload),
+        # the record count of every pack already indexed (0 for a
+        # quarantined one), and the records buffered by an open batch().
+        self._lock = threading.Lock()
         self._index: dict[str, tuple[str, bytes]] = {}
         self._packs: dict[str, int] = {}
         self._batch_depth = 0
@@ -147,21 +130,10 @@ class EvalCache:
     # --------------------------------------------------------------- lookup
 
     def get(self, key: str) -> Optional[Any]:
-        """The cached value, or None. Disk hits are promoted to memory."""
-        if not self._enabled:
-            return None
-        with self._lock:
-            entry = self._mem.get(key)
-            if entry is not None:
-                self.stats.hits += 1
-                metrics().count("engine.cache.hits")
-                return entry.value
-        found = self._disk_read(key)
-        if found is not None:
-            value, size = found
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._mem[key] = _Entry(value, size)
+        """The value stored on disk under ``key``, or None."""
+        value = self._disk_read(key)
+        if value is not None:
+            self.stats.disk_hits += 1
             metrics().count("engine.cache.disk_hits")
             return value
         self.stats.misses += 1
@@ -170,23 +142,19 @@ class EvalCache:
 
     def put(self, key: str, value: Any,
             meta: Optional[dict] = None) -> None:
-        """Store a value in memory and (if configured) on disk.
+        """Store a value on disk (without a disk tier, store nothing).
 
         Inside :meth:`batch` the disk record is buffered until the
         outermost batch exits; otherwise it lands now as a one-record
         pack.
         """
-        if not self._enabled:
-            return
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._mem[key] = _Entry(value, len(blob), meta)
-            self.stats.puts += 1
+        self.stats.puts += 1
         metrics().count("engine.cache.puts")
         if self._disk_dir is None:
             return
-        record = (key, meta, blob)
-        with self._disk_lock:
+        record = (key, meta,
+                  pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        with self._lock:
             if self._batch_depth:
                 self._pending.append(record)
                 return
@@ -200,12 +168,12 @@ class EvalCache:
         also when it exits by an exception (the values were computed).
         Without a disk tier this is a no-op.
         """
-        with self._disk_lock:
+        with self._lock:
             self._batch_depth += 1
         try:
             yield
         finally:
-            with self._disk_lock:
+            with self._lock:
                 self._batch_depth -= 1
                 records: list = []
                 if not self._batch_depth:
@@ -215,19 +183,10 @@ class EvalCache:
 
     # ------------------------------------------------------------ accounting
 
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._mem)
-
-    def size_bytes(self) -> int:
-        """Approximate in-memory footprint (pickled sizes)."""
-        with self._lock:
-            return sum(e.size_bytes for e in self._mem.values())
-
     def disk_entry_count(self) -> int:
         """Records in the packs now in the cache directory."""
         names = self._pack_names()
-        with self._disk_lock:
+        with self._lock:
             self._index_new_packs(names)
             return sum(self._packs.get(name, 0) for name in names)
 
@@ -241,17 +200,15 @@ class EvalCache:
                 pass
         return total
 
-    def clear(self, disk: bool = False) -> None:
-        """Drop in-memory entries (and the disk tier when ``disk=True``).
+    def clear(self) -> None:
+        """Empty the disk tier.
 
-        Clearing the disk removes every pack, any pre-pack per-entry
-        file or leftover temp file, and the quarantined packs.
+        Removes every pack, any pre-pack per-entry file or leftover temp
+        file, and the quarantined packs.
         """
-        with self._lock:
-            self._mem.clear()
-        if not disk or self._disk_dir is None:
+        if self._disk_dir is None:
             return
-        with self._disk_lock:
+        with self._lock:
             self._index.clear()
             self._packs.clear()
             self._pending.clear()
@@ -266,16 +223,13 @@ class EvalCache:
                 path.unlink(missing_ok=True)
 
     def describe(self) -> str:
-        disk = (f", disk {self.disk_entry_count()} entries / "
+        disk = (f"disk {self.disk_entry_count()} entries / "
                 f"{self.disk_size_bytes():,} B at {self._disk_dir}"
-                if self._disk_dir is not None else ", disk tier off")
-        state = "enabled" if self._enabled else "DISABLED"
+                if self._disk_dir is not None else "disk tier off")
         s = self.stats
         corrupt = f", {s.corrupt} quarantined" if s.corrupt else ""
-        return (f"EvalCache ({state}): {self.entry_count()} entries / "
-                f"{self.size_bytes():,} B in memory{disk}; "
-                f"{s.hits} hits, {s.disk_hits} disk hits, {s.misses} misses "
-                f"({s.hit_rate:.0%} hit rate){corrupt}")
+        return (f"EvalCache: {disk}; {s.disk_hits} disk hits, "
+                f"{s.misses} misses ({s.hit_rate:.0%} hit rate){corrupt}")
 
     # ------------------------------------------------------------- disk tier
 
@@ -289,11 +243,11 @@ class EvalCache:
             return []
         return sorted(n for n in names if n.endswith(PACK_SUFFIX))
 
-    def _disk_read(self, key: str) -> Optional[tuple[Any, int]]:
-        """(value, payload size) of a disk record, or None."""
+    def _disk_read(self, key: str) -> Optional[Any]:
+        """The value of a disk record, or None."""
         if self._disk_dir is None:
             return None
-        with self._disk_lock:
+        with self._lock:
             record = self._index.get(key)
             if record is None:
                 self._index_new_packs(self._pack_names())
@@ -302,7 +256,7 @@ class EvalCache:
                     return None
             name, payload = record
             try:
-                return pickle.loads(payload), len(payload)
+                return pickle.loads(payload)
             except Exception:
                 self._quarantine(name, "unreadable pickle")
                 return None
@@ -310,7 +264,7 @@ class EvalCache:
     def _index_new_packs(self, names: list[str]) -> None:
         """Verify and index every listed pack not indexed yet.
 
-        Caller holds ``_disk_lock``.
+        Caller holds ``_lock``.
         """
         for name in names:
             if name in self._packs:
@@ -334,7 +288,7 @@ class EvalCache:
                 self._quarantine(name, "malformed records")
 
     def _add_pack(self, name: str, records: list) -> None:
-        """Index a verified pack's records; caller holds ``_disk_lock``."""
+        """Index a verified pack's records; caller holds ``_lock``."""
         self._packs[name] = len(records)
         for key, _meta, payload in records:
             self._index[key] = (name, payload)
@@ -342,14 +296,13 @@ class EvalCache:
     def _quarantine(self, name: str, reason: str) -> None:
         """Move a corrupt pack aside and forget its records.
 
-        Never served, never fatal; caller holds ``_disk_lock``.
+        Never served, never fatal; caller holds ``_lock``.
         """
         self._packs[name] = 0
         for key in [k for k, (pack, _) in self._index.items()
                     if pack == name]:
             del self._index[key]
-        with self._lock:
-            self.stats.corrupt += 1
+        self.stats.corrupt += 1
         metrics().count("engine.cache.corrupt")
         path = self._disk_dir / name
         target_dir = self._disk_dir / QUARANTINE_DIR
@@ -385,10 +338,10 @@ class EvalCache:
                 except OSError:
                     pass
             _LOG.warning("could not write a cache pack to %s (%s); "
-                         "%d entries stay in memory only",
+                         "%d entries were not persisted",
                          self._disk_dir, exc, len(records))
             return
-        with self._disk_lock:
+        with self._lock:
             self._add_pack(name, records)
 
 
@@ -403,19 +356,16 @@ def get_cache() -> EvalCache:
     global _GLOBAL
     with _GLOBAL_LOCK:
         if _GLOBAL is None:
-            disabled = os.environ.get(ENV_DISABLE, "").lower() in ("0", "off")
             disk = os.environ.get(ENV_DIR)
-            _GLOBAL = EvalCache(disk_dir=Path(disk) if disk else None,
-                                enabled=not disabled)
+            _GLOBAL = EvalCache(disk_dir=Path(disk) if disk else None)
         return _GLOBAL
 
 
-def configure_cache(disk_dir: Optional[os.PathLike] = None,
-                    enabled: bool = True) -> EvalCache:
+def configure_cache(disk_dir: Optional[os.PathLike] = None) -> EvalCache:
     """Replace the global cache (e.g. to turn the disk tier on)."""
     global _GLOBAL
     with _GLOBAL_LOCK:
-        _GLOBAL = EvalCache(disk_dir=disk_dir, enabled=enabled)
+        _GLOBAL = EvalCache(disk_dir=disk_dir)
         return _GLOBAL
 
 

@@ -6,13 +6,13 @@ and planners call. It adds what the kernel deliberately does not know
 about:
 
 * **cache exclusion** — jobs already in a DesignPoint memo or the
-  :class:`~repro.engine.cache.EvalCache` never enter the batch; computed
-  results are stored back through the same keys. ``run_grid`` (``"sim"``
-  records) and ``evaluate_jobs`` (``"eval"`` records) share one
-  hit/miss split and one store loop, both on :meth:`DesignPoint.lookup`
-  / :meth:`DesignPoint.store`, so a grid-warmed cache is
-  indistinguishable from a per-point-warmed one and results merge
-  deterministically in job order;
+  :class:`~repro.engine.cache.EvalCache` disk tier never enter the
+  batch; computed results are stored back through the same keys.
+  ``run_grid`` (``"sim"`` records) and ``evaluate_jobs`` (``"eval"``
+  records) share one hit/miss split and one store loop, both on
+  :meth:`DesignPoint.lookup` / :meth:`DesignPoint.store`, so a
+  grid-warmed cache is indistinguishable from a per-point-warmed one
+  and results merge deterministically in job order;
 * **compile-content dedupe** — compiled programs depend on a strict
   subset of chip fields (memory sizes, MXU tile dim, dtypes, ISA
   generation — *not* clock, MXU count, or power/cooling limits), so a
@@ -28,9 +28,9 @@ Sweeps (DSE, CMEM sweeps, SLO probes, latency tables, the capacity
 planner) batch through here. The per-point path is production too:
 :meth:`DesignPoint.run` and :meth:`DesignPoint.evaluate` serve the
 serving simulators, multitenancy, priority, fleet sizing and ``repro
-evaluate``/``compare``/``metrics``. They read and write the same two
-tiers under the same keys, so either path serves the other's results;
-``tests/test_gridsim.py`` holds the grid to the per-point loop.
+evaluate``/``compare``/``metrics``. They read and write the same memo
+and disk tier under the same keys, so either path serves the other's
+results; ``tests/test_gridsim.py`` holds the grid to the per-point loop.
 
 Counters flow through :func:`repro.obs.metrics.metrics`, the
 ``engine.grid.*`` family (``repro metrics`` prints them).

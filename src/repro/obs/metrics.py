@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The observability layer's numeric half. Instrumented subsystems — the
-engine's :class:`~repro.engine.cache.EvalCache` (hits/misses/corrupt),
+engine's :class:`~repro.engine.cache.EvalCache` (disk hits/misses/corrupt),
 the grid sweeps of :mod:`repro.engine.grid` (jobs, batches, cache
 hits), the serving simulator (queue depth, batch
 occupancy, retries, outage wait) and :class:`~repro.faults.model.

@@ -112,13 +112,11 @@ def tier_report(snapshot: dict) -> str:
     else:
         lines.append("wall-time tiers: nothing attributed "
                      "(metrics were off, or every lookup hit a warm memo)")
-    hits = snapshot.get("engine.cache.hits", {}).get("value", 0)
     disk = snapshot.get("engine.cache.disk_hits", {}).get("value", 0)
     misses = snapshot.get("engine.cache.misses", {}).get("value", 0)
-    lookups = hits + disk + misses
+    lookups = disk + misses
     if lookups:
         lines.append(
-            f"engine cache: {lookups:g} lookups, {hits:g} memory hits, "
-            f"{disk:g} disk hits, {misses:g} misses "
-            f"({(hits + disk) / lookups:.0%} hit rate)")
+            f"engine cache: {lookups:g} lookups, {disk:g} disk hits, "
+            f"{misses:g} misses ({disk / lookups:.0%} hit rate)")
     return "\n".join(lines)

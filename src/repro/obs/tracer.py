@@ -240,7 +240,7 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
         # the trace export is pinned byte for byte to this order.
         rate_qps = utilization * chip.cores * slo_batch / table[slo_batch]
         policy = BatchPolicy.for_slo(max_batch, slo)
-        point = DesignPoint(chip, cache=EvalCache(enabled=False))
+        point = DesignPoint(chip, cache=EvalCache())
         simulator = ServingSimulator(point, spec, policy, slo)
         simulator.seed_latencies(table)
         requests = RequestGenerator(seed).poisson(

@@ -664,7 +664,8 @@ def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
 
     def refresh(i: int) -> None:
         # _Replica.next_launch, plus the reference's lazy discovery of a
-        # dead replica and (without probes) the drop of its queue.
+        # dead replica and the drop of its queue when no probe will eject
+        # it: probes are off, or it is already ejected.
         nonlocal dropped_unique
         q = queues[i]
         lens[i] = len(q)
@@ -677,7 +678,7 @@ def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
             rep.dead = True
             rebuild_pool()
             launches[i] = inf
-            if not probes_on:
+            if not probes_on or rep.health != _HEALTHY:
                 for entry in q:
                     rep.dropped += 1
                     copy_dropped(entry[2], i)

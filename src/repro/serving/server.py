@@ -265,10 +265,11 @@ class ServingSimulator:
         """Compute latency of one padded batch (memoized), in the chip's
         :attr:`~repro.arch.chip.ChipConfig.native_dtype`.
 
-        Lookups route through the design point and therefore through the
-        engine's :class:`~repro.engine.cache.EvalCache`: a second
-        simulator over the same (chip, workload) — or a later process
-        with the disk tier on — reuses these latencies.
+        Lookups route through the design point's memo and the engine's
+        :class:`~repro.engine.cache.EvalCache`: a second simulator on
+        the same design point — or, with the disk tier on, any point of
+        the same configuration in this or a later process — reuses
+        these latencies.
         """
         padded = self.policy.padded_size(batch)
         if padded not in self._latency_cache:

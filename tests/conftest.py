@@ -7,6 +7,7 @@ chip.
 
 from __future__ import annotations
 
+import signal
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -84,17 +85,32 @@ def compiled_programs():
 
 
 @contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Fail, rather than hang, if the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
 def cold_engine() -> Iterator[None]:
     """Evaluate from scratch: no built modules, no results.
 
-    Empties the module cache and swaps in a disabled global
+    Empties the module cache and swaps in a fresh disk-less global
     :class:`~repro.engine.cache.EvalCache` for the block, so every
     evaluation inside builds, compiles, lowers and simulates anew.
     """
     from repro.engine import EvalCache, clear_modules, set_cache
 
     clear_modules()
-    previous = set_cache(EvalCache(enabled=False))
+    previous = set_cache(EvalCache())
     try:
         yield
     finally:

@@ -222,11 +222,11 @@ def _dse_pairs() -> list:
 def _dse_results() -> Dict[str, list]:
     """``run_grid`` SimResults of the DSE apps, by ``<chip>_<dtype>``.
 
-    One grid batch on fresh points with a disabled cache, so the kernel
+    One grid batch on fresh points with a disk-less cache, so the kernel
     computes every result.
     """
     apps = [app_by_name(name) for name in DEFAULT_DSE_APPS]
-    cache = EvalCache(enabled=False)
+    cache = EvalCache()
     points = {}
     jobs = []
     for chip, dtype in _dse_pairs():
@@ -320,7 +320,7 @@ def keys_cases() -> Dict[str, Callable[[], Any]]:
     for version in RELEASES:
         cases[f"compiler_{version.name}"] = (
             lambda version=version: compiler_fingerprint(version))
-    point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+    point = DesignPoint(TPUV4I, cache=EvalCache())
     specs = {"plain": app_by_name("cnn0"),
              "decode": generative_by_name("llm0").decode(256)}
     for kind in ("sim", "eval"):

@@ -309,9 +309,31 @@ class TestEngineCommand:
         # One line, read from the packs another cache wrote; no
         # per-process counters that a fresh process always reports as 0.
         assert len(lines) == 1
-        assert lines[0].startswith("EvalCache (enabled)")
+        assert lines[0].startswith("EvalCache: disk ")
         assert re.search(r"disk [1-9][0-9]* entries", lines[0])
         assert "quarantined" not in lines[0]
+
+
+class TestBatchValidation:
+    """``--batch`` 0 or below is rejected by name in every command."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--app", "cnn0"],
+        ["compare", "--app", "cnn0"],
+        ["profile", "--app", "cnn0"],
+        ["dump", "--app", "cnn0"],
+        ["trace", "cnn0", "TPUv4i"],
+        ["metrics", "--app", "cnn0"],
+    ], ids=lambda command: command[0])
+    def test_non_positive_batch_exits_2(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--batch", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --batch: batch must be a positive integer, " \
+               f"got '{value}'" in err
+        assert "Traceback" not in err
 
 
 class TestNonFiniteDuration:

@@ -68,10 +68,10 @@ def _fields(evaluation):
 
 
 class TestCacheEquivalence:
-    def test_cache_on_off_identical_over_grid(self):
+    def test_cache_on_off_identical_over_grid(self, tmp_path):
         """Cached and uncached evaluation agree field-for-field."""
-        cache = EvalCache()
-        off = EvalCache(enabled=False)
+        cache = EvalCache(disk_dir=tmp_path)
+        off = EvalCache()
         for chip in GRID_CHIPS:
             for app in GRID_APPS:
                 spec = app_by_name(app)
@@ -80,17 +80,17 @@ class TestCacheEquivalence:
                         spec, batch)
                     cold = DesignPoint(chip, cache=cache).evaluate(spec, batch)
                     # Fresh point, warm cache: must come from the cache.
-                    before = cache.stats.hits
+                    before = cache.stats.disk_hits
                     warm = DesignPoint(chip, cache=cache).evaluate(spec, batch)
-                    assert cache.stats.hits > before
+                    assert cache.stats.disk_hits > before
                     assert _fields(uncached) == _fields(cold) == _fields(warm)
 
-    def test_sim_results_identical_cache_on_off(self):
+    def test_sim_results_identical_cache_on_off(self, tmp_path):
         spec = app_by_name("cnn0")
-        cache = EvalCache()
+        cache = EvalCache(disk_dir=tmp_path)
         cold = DesignPoint(TPUV4I, cache=cache).run(spec, 4)
         warm = DesignPoint(TPUV4I, cache=cache).run(spec, 4)
-        off = DesignPoint(TPUV4I, cache=EvalCache(enabled=False)).run(spec, 4)
+        off = DesignPoint(TPUV4I, cache=EvalCache()).run(spec, 4)
         assert cold.cycles == warm.cycles == off.cycles
         assert cold.counters == warm.counters == off.counters
 
@@ -153,8 +153,7 @@ class TestDiskTier:
         spec = app_by_name("mlp0")
         cache = EvalCache(disk_dir=tmp_path)
         DesignPoint(TPUV4I, cache=cache).evaluate(spec, 2)
-        cache.clear(disk=True)
-        assert cache.entry_count() == 0
+        cache.clear()
         assert cache.disk_entry_count() == 0
 
 
@@ -206,7 +205,7 @@ class TestDtypeIdentity:
 
     def test_int8_keys_are_the_retarget_loop_keys(self):
         """The keys a warmed int8 disk tier holds stay reachable."""
-        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        point = DesignPoint(TPUV4I, cache=EvalCache())
         spec = app_by_name("cnn0")
         assert point.key("sim", spec, 4, dtype="int8") == eval_key(
             "sim", point.chip_fp, point.compiler_fp, "cnn0", 4, None, "int8")
@@ -219,9 +218,9 @@ class TestDtypeIdentity:
                 None, "int8", phase=phase, kv_bucket=bucket)
         assert SCHEMA_VERSION == 2
 
-    def test_dtypes_never_share_a_result(self):
+    def test_dtypes_never_share_a_result(self, tmp_path):
         spec = app_by_name("cnn0")
-        point = DesignPoint(TPUV4I, cache=EvalCache())
+        point = DesignPoint(TPUV4I, cache=EvalCache(disk_dir=tmp_path))
         bf16 = point.run(spec, 8)
         int8 = point.run(spec, 8, dtype="int8")
         assert int8.seconds != bf16.seconds
@@ -236,30 +235,30 @@ class TestDtypeIdentity:
 
     def test_grid_matches_per_point_at_every_dtype(self):
         spec = app_by_name("cnn0")
-        jobs = [GridJob(DesignPoint(TPUV4I, cache=EvalCache(enabled=False)),
+        jobs = [GridJob(DesignPoint(TPUV4I, cache=EvalCache()),
                         spec, batch, dtype=dtype)
                 for batch in (1, 8) for dtype in ("bf16", "int8")]
-        per_point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        per_point = DesignPoint(TPUV4I, cache=EvalCache())
         for job, result, evaluation in zip(jobs, run_grid(jobs),
                                            evaluate_jobs(jobs)):
             assert result == per_point.run(spec, job.batch, dtype=job.dtype)
             assert _fields(evaluation) == _fields(per_point.evaluate(
                 spec, job.batch, dtype=job.dtype))
 
-    def test_private_cache_receives_the_int8_entries(self):
+    def test_private_cache_receives_the_int8_entries(self, tmp_path):
         previous = set_cache(EvalCache())
         try:
-            private = EvalCache()
+            private = EvalCache(disk_dir=tmp_path)
             point = DesignPoint(TPUV4I, cache=private)
             spec = app_by_name("cnn0")
             table = latency_table(point, spec, [1, 2], dtype="int8")
-            assert private.entry_count() == 2
+            assert private.disk_entry_count() == 2
             assert private.get(point.key(
                 "sim", spec, 2, dtype="int8")).seconds == table[2]
             v1 = DesignPoint(TPUV1, cache=private)
             phases = phase_latency_table(v1, generative_by_name("llm0"), 2)
-            assert private.entry_count() == 2 + len(phases)
-            assert get_cache().entry_count() == 0
+            assert private.disk_entry_count() == 2 + len(phases)
+            assert get_cache().stats.puts == 0
         finally:
             set_cache(previous)
 
@@ -276,8 +275,8 @@ class TestDtypeIdentity:
 
     def test_default_dtype_is_the_chips_native_dtype(self):
         spec = app_by_name("cnn0")
-        native = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
-        explicit = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        native = DesignPoint(TPUV1, cache=EvalCache())
+        explicit = DesignPoint(TPUV1, cache=EvalCache())
         for kind in ("sim", "eval"):
             assert (native.key(kind, spec, 8)
                     == explicit.key(kind, spec, 8, dtype="int8"))
@@ -296,7 +295,7 @@ class TestDtypeIdentity:
                                                    dtype="bf16")
 
     def test_bf16_on_tpuv1_is_a_value_error(self):
-        point = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        point = DesignPoint(TPUV1, cache=EvalCache())
         with pytest.raises(ValueError, match="TPUv1 does not support"):
             point.compile(app_by_name("cnn0"), 8, dtype="bf16")
 
@@ -304,9 +303,9 @@ class TestDtypeIdentity:
 class TestRecordKinds:
     """One key, lookup and store path for both record kinds."""
 
-    def test_lookup_and_store_round_trip_each_kind(self):
+    def test_lookup_and_store_round_trip_each_kind(self, tmp_path):
         spec = app_by_name("mlp0")
-        point = DesignPoint(TPUV4I, cache=EvalCache())
+        point = DesignPoint(TPUV4I, cache=EvalCache(disk_dir=tmp_path))
         assert point.lookup("sim", spec, 2) is None
         assert point.lookup("eval", spec, 2) is None
         result = point.run(spec, 2)
@@ -321,14 +320,13 @@ class TestRecordKinds:
         assert fresh.lookup("eval", spec, 2) == evaluation
         assert fresh.lookup("sim", spec, 4) is None
 
-    def test_store_publishes_under_the_key(self):
+    def test_store_publishes_under_the_key(self, tmp_path):
         spec = app_by_name("mlp0")
-        cache = EvalCache()
+        cache = EvalCache(disk_dir=tmp_path)
         point = DesignPoint(TPUV4I, cache=cache)
-        result = DesignPoint(TPUV4I, cache=EvalCache(enabled=False)).run(
-            spec, 2)
+        result = DesignPoint(TPUV4I, cache=EvalCache()).run(spec, 2)
         point.store("sim", spec, 2, None, result)
-        assert cache.get(point.key("sim", spec, 2)) is result
+        assert cache.get(point.key("sim", spec, 2)) == result
         assert point.run(spec, 2) is result
 
     @pytest.mark.parametrize("call", [
@@ -340,7 +338,7 @@ class TestRecordKinds:
         point = DesignPoint(TPUV4I, cache=EvalCache())
         with pytest.raises(ValueError, match="unknown record kind 'result'"):
             call(point, app_by_name("mlp0"))
-        assert point.engine_cache().entry_count() == 0
+        assert point.engine_cache().stats.puts == 0
 
     def test_grid_fills_only_the_misses(self):
         spec = app_by_name("mlp0")
@@ -353,7 +351,7 @@ class TestRecordKinds:
         assert results[0] is point.lookup("sim", spec, 1)
         evaluations = evaluate_jobs(jobs)
         assert evaluations[2] is warm_eval
-        reference = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        reference = DesignPoint(TPUV4I, cache=EvalCache())
         assert [_fields(e) for e in evaluations] == [
             _fields(reference.evaluate(spec, b)) for b in (1, 2, 4)]
         assert [point.lookup("eval", spec, b) for b in (1, 2, 4)] == \
@@ -423,7 +421,7 @@ class TestDseThroughEngine:
 class TestSimReentrancy:
     def test_repeated_runs_identical_and_stateless(self):
         spec = app_by_name("cnn0")
-        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        point = DesignPoint(TPUV4I, cache=EvalCache())
         program = point.compiled(spec, 2).program
         sim = TensorCoreSim(TPUV4I)
         first = sim.run(program)
@@ -436,7 +434,7 @@ class TestSimReentrancy:
 
     def test_interleaved_programs_do_not_interfere(self):
         sim = TensorCoreSim(TPUV4I)
-        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        point = DesignPoint(TPUV4I, cache=EvalCache())
         prog_a = point.compiled(app_by_name("mlp0"), 2).program
         prog_b = point.compiled(app_by_name("cnn0"), 2).program
         baseline_a = sim.run(prog_a).cycles
@@ -464,22 +462,40 @@ class TestNoPoolImports:
 
 
 class TestCachePlumbing:
-    def test_disabled_cache_stores_nothing(self):
-        cache = EvalCache(enabled=False)
+    def test_diskless_cache_stores_nothing(self):
+        cache = EvalCache()
         cache.put("k", 1)
         assert cache.get("k") is None
-        assert cache.entry_count() == 0
+        assert (cache.stats.puts, cache.stats.misses) == (1, 1)
+        assert cache.disk_entry_count() == 0
+        assert cache.describe() == ("EvalCache: disk tier off; 0 disk hits, "
+                                    "1 misses (0% hit rate)")
 
-    def test_stats_and_describe(self):
+    def test_diskless_put_never_pickles(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a disk-less put pickled its value")
+
+        monkeypatch.setattr(pickle, "dumps", refuse)
         cache = EvalCache()
+        cache.put("k", "value")
+        with cache.batch():
+            cache.put("k2", "value")
+        # The whole evaluate path stores through the same put.
+        DesignPoint(TPUV4I, cache=cache).evaluate(app_by_name("mlp0"), 2)
+        assert cache.stats.puts == 4
+
+    def test_stats_and_describe(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
         cache.put("k", "value")
         assert cache.get("k") == "value"
         assert cache.get("missing") is None
-        assert cache.stats.hits == 1
+        assert cache.stats.hits == 0  # no in-process tier
+        assert cache.stats.disk_hits == 1
         assert cache.stats.misses == 1
         assert 0.0 < cache.stats.hit_rate < 1.0
-        assert cache.size_bytes() >= len(pickle.dumps("value"))
-        assert "entries" in cache.describe()
+        text = cache.describe()
+        assert text.startswith("EvalCache: disk 1 entries / ")
+        assert text.endswith("; 1 disk hits, 1 misses (50% hit rate)")
 
 
 def _pack_records(path):
@@ -562,7 +578,7 @@ class TestDiskTierIntegrity:
         assert reader.stats.corrupt == 0
         assert reader.disk_entry_count() == 0
         assert reader.disk_size_bytes() == 0
-        reader.clear(disk=True)
+        reader.clear()
         assert not list(tmp_path.iterdir())
 
     def test_clear_empties_quarantine(self, tmp_path):
@@ -570,10 +586,12 @@ class TestDiskTierIntegrity:
         cache.put("k1", "value")
         (path,) = tmp_path.glob("*.pack")
         path.write_bytes(b"RPK1" + b"\x00" * 40)
-        assert cache.get("k1") == "value"  # memory tier still serves it
+        # The writer indexed the record when it landed, so it still
+        # serves it; a fresh reader finds the corrupt pack.
+        assert cache.get("k1") == "value"
         fresh = EvalCache(disk_dir=tmp_path)
         assert fresh.get("k1") is None
-        fresh.clear(disk=True)
+        fresh.clear()
         assert not list((tmp_path / "quarantine").iterdir())
         assert fresh.disk_entry_count() == 0
 
@@ -661,14 +679,6 @@ class TestPacks:
         assert reader.disk_entry_count() == 8 * 21
         assert all(reader.get(f"{t}-{i}") == i
                    for t in range(8) for i in range(20))
-
-    def test_disk_hit_size_is_the_stored_payload(self, tmp_path):
-        value = {"v": list(range(100))}
-        EvalCache(disk_dir=tmp_path).put("k", value)
-        reader = EvalCache(disk_dir=tmp_path)
-        assert reader.get("k") == value
-        assert reader.size_bytes() == len(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class TestCacheDirValidation:

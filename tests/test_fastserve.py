@@ -35,7 +35,7 @@ from repro.serving import BatchPolicy, ServingSimulator, Slo
 from repro.util.rng import DeterministicRng
 from repro.workloads import Request, RequestGenerator, app_by_name
 
-from tests.conftest import reference_paths
+from tests.conftest import deadline, reference_paths
 
 FLAT_TABLE = {step: 0.001 for step in BatchPolicy.batch_steps(8)}
 
@@ -273,6 +273,37 @@ class TestClusterIdentity:
         assert fast == cold
         assert fast.probes == 5
 
+    @pytest.mark.parametrize("replicas, policy", [
+        (1, ClusterPolicy(probe_interval_s=0.0005, unhealthy_after=1)),
+        (2, ClusterPolicy(probe_interval_s=0.0005, unhealthy_after=1,
+                          hedge_delay_s=0.0005)),
+    ], ids=["probes", "probes-and-hedges"])
+    def test_ejected_dead_replica_queue_dropped(self, v4i_point, replicas,
+                                                policy):
+        # Every core is down for good from t=0. The first probe ejects
+        # every replica before any launch finds it dead, so later
+        # arrivals still route to the ejected (live-looking) replicas.
+        # Their launches then find every core gone; no probe will eject
+        # them again, so the stranded queues are dropped at discovery
+        # instead of keeping the probe clock running forever.
+        requests = [0.0, 0.001, 0.002]
+        schedules = [kill_schedule(v4i_point.chip.cores)] * replicas
+        try:
+            with deadline(20.0):
+                fast, cold = cluster_both_ways(
+                    lambda: ClusterSimulator(
+                        make_replicas(v4i_point, replicas), policy),
+                    requests, schedules=schedules)
+        except TimeoutError as exc:
+            # No traceback: the alarm can land in a frame pytest cannot
+            # render.
+            pytest.fail(f"the replay never returned: {exc}", pytrace=False)
+        assert fast == cold
+        assert fast.ejections == replicas
+        assert fast.served_requests == 0
+        assert (fast.served_requests + fast.dropped_requests
+                + fast.shed_requests) == fast.requests == len(requests)
+
     def test_tracer_spans_identical(self, v4i_point, traffic):
         from repro.obs.tracer import SpanTracer
         policy = ClusterPolicy.resilient(
@@ -505,10 +536,11 @@ class TestGating:
 
 
 class TestSharedCompiles:
-    def test_one_compile_per_unique_dtype_step(self, monkeypatch):
+    def test_one_compile_per_unique_dtype_step(self, monkeypatch, tmp_path):
         # Identical replicas must share one retargeted compile per
         # (chip, app, dtype, step) through the eval cache — never one
-        # per replica — and a second cluster build must compile nothing.
+        # per replica — and a second cluster build must compile nothing
+        # (its fresh point reads the first one's disk records).
         import repro.core.design_point as design_point
         calls = []
         real = design_point.compile_model
@@ -518,7 +550,7 @@ class TestSharedCompiles:
             return real(module, chip, **kwargs)
 
         monkeypatch.setattr(design_point, "compile_model", counting)
-        previous = set_cache(EvalCache())
+        previous = set_cache(EvalCache(disk_dir=tmp_path))
         try:
             spec = app_by_name("cnn0")
             policy = ClusterPolicy(
@@ -542,7 +574,7 @@ class TestSharedCompiles:
             assert all(s._latency_cache is sims[0]._latency_cache
                        for s in sims)
             calls.clear()
-            build()._tier_tables()  # hits the eval cache: zero compiles
+            build()._tier_tables()  # hits the disk tier: zero compiles
             assert calls == []
         finally:
             set_cache(previous)

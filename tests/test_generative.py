@@ -11,8 +11,6 @@ budget, and zero-request simulate.
 
 import math
 import re
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +37,8 @@ from repro.workloads import (
     sample_gen_requests,
 )
 
+from tests.conftest import deadline
+
 LLM0 = generative_by_name("llm0")
 LLM1 = generative_by_name("llm1")
 
@@ -57,21 +57,6 @@ def make_sim(spec=LLM0, slots=None, max_decode_len=None,
             table[("decode", bucket, step)] = decode_s
     sim.seed_latencies(table)
     return sim
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail, rather than hang, if the body runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGenerativeSpec:
@@ -513,11 +498,11 @@ class TestLlmSweep:
                     == row.stats.requests)
             assert row.stats.tokens_generated > 0
 
-    def test_sweep_prices_only_reachable_buckets(self):
+    def test_sweep_prices_only_reachable_buckets(self, tmp_path):
         """Every (chip, model) pair stores 2 prefill + 2 KV buckets x 4
         batch steps = 10 records, none of them for decode@512."""
         clear_shared_design_points()
-        private = EvalCache()
+        private = EvalCache(disk_dir=tmp_path)
         previous = set_cache(private)
         try:
             assert llm_sweep(3, duration_s=0.5)
@@ -528,7 +513,7 @@ class TestLlmSweep:
                         key = point.key("sim", spec.decode(512), step,
                                         dtype=chip.native_dtype)
                         assert private.get(key) is None
-            assert private.entry_count() == len(GENERATIONS) * 2 * 10
+            assert private.disk_entry_count() == len(GENERATIONS) * 2 * 10
         finally:
             set_cache(previous)
             clear_shared_design_points()
@@ -565,6 +550,6 @@ class TestLazyPricing:
         assert ("decode", 512, 1) not in sim._latency
         stats = sim.simulate([GenRequest(0.0, LLM0.max_prompt + 300, 4)])
         assert stats.served_requests == 1
-        reference = DesignPoint(TPUV1, cache=EvalCache(enabled=False))
+        reference = DesignPoint(TPUV1, cache=EvalCache())
         assert sim._latency[("decode", 512, 1)] == reference.latency_s(
             LLM0.decode(512), 1, dtype="int8")

@@ -92,7 +92,7 @@ class TestBitIdentityOnWorkloads:
             clocks_ghz=(0.85, 0.95, 1.05, 1.15, 1.25, 1.35))
         programs, points = {}, []
         for chip in chips:
-            point = DesignPoint(chip, cache=EvalCache(enabled=False))
+            point = DesignPoint(chip, cache=EvalCache())
             for app in DEFAULT_DSE_APPS:
                 spec = app_by_name(app)
                 key = (compile_chip_fingerprint(chip), app)
@@ -448,9 +448,9 @@ class TestCompileContentFingerprint:
                 == compile_chip_fingerprint(TPUV4I))
         spec = app_by_name("mlp0")
         base = DesignPoint(
-            TPUV4I, cache=EvalCache(enabled=False)).compiled(spec, 4)
+            TPUV4I, cache=EvalCache()).compiled(spec, 4)
         other = DesignPoint(
-            variant, cache=EvalCache(enabled=False)).compiled(spec, 4)
+            variant, cache=EvalCache()).compiled(spec, 4)
         assert base.program.signature() == other.program.signature()
         assert (base.memory.cmem_hit_fraction
                 == other.memory.cmem_hit_fraction)

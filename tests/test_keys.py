@@ -204,8 +204,8 @@ class TestComputedOnce:
         with pytest.raises(ValueError, match="months_after_launch"):
             CompilerVersion("x", True, frozenset())
 
-    def test_hit_builds_no_simulator(self):
-        cache = EvalCache()
+    def test_hit_builds_no_simulator(self, tmp_path):
+        cache = EvalCache(disk_dir=tmp_path)
         spec = app_by_name("cnn0")
         DesignPoint(TPUV4I, cache=cache).evaluate(spec, batch=2)
         warm = DesignPoint(TPUV4I, cache=cache)

@@ -195,17 +195,17 @@ class TestDisabledPathIdentity:
         assert snap["faults.core_outages"]["value"] == len(
             [d for d in off.down]) - snap["faults.chip_outages"]["value"] * 4
 
-    def test_cache_counters_report(self):
+    def test_cache_counters_report(self, tmp_path):
         from repro.core import DesignPoint
 
         spec = app_by_name("mlp0")
         with collecting_metrics() as reg:
-            point = DesignPoint(TPUV4I, cache=EvalCache())
+            point = DesignPoint(TPUV4I, cache=EvalCache(disk_dir=tmp_path))
             point.run(spec, 4)
             DesignPoint(TPUV4I, cache=point.engine_cache()).run(spec, 4)
             snap = reg.snapshot()
         assert snap["engine.cache.misses"]["value"] == 1
-        assert snap["engine.cache.hits"]["value"] == 1
+        assert snap["engine.cache.disk_hits"]["value"] == 1
         assert snap["tier.compile_s"]["value"] > 0
         assert snap["tier.sim_s"]["value"] > 0
 
@@ -312,7 +312,7 @@ class TestBuildTrace:
     def test_int8_on_a_bf16_chip_traces_the_retargeted_program(self):
         spec = app_by_name("cnn0")
         int8 = build_trace(spec, TPUV4I, batch=8, dtype="int8", serve=False)
-        point = DesignPoint(TPUV4I, cache=EvalCache(enabled=False))
+        point = DesignPoint(TPUV4I, cache=EvalCache())
         assert int8.result.seconds == latency_table(
             point, spec, [8], dtype="int8")[8]
         assert int8.result.seconds != build_trace(
@@ -336,13 +336,13 @@ class TestReports:
         snapshot = {
             "tier.compile_s": {"type": "counter", "value": 3.0},
             "tier.sim_s": {"type": "counter", "value": 1.0},
-            "engine.cache.hits": {"type": "counter", "value": 2},
-            "engine.cache.disk_hits": {"type": "counter", "value": 0},
+            "engine.cache.disk_hits": {"type": "counter", "value": 2},
             "engine.cache.misses": {"type": "counter", "value": 2},
         }
         text = tier_report(snapshot)
         assert "75.0%" in text
-        assert "50% hit rate" in text
+        assert ("engine cache: 4 lookups, 2 disk hits, 2 misses "
+                "(50% hit rate)") in text
 
     def test_tier_report_empty(self):
         assert "nothing attributed" in tier_report({})

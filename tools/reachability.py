@@ -69,13 +69,14 @@ def cli_runs(tmp):
         "evaluate": [["--app", "cnn0"], ["--app", "bert0",
                                          "--chip-file", chip_file]],
         "compare": [["--app", "cnn0"]], "profile": [["--app", "cnn0"]],
-        "dump": [["--app", "cnn0", "--format", "asm"]],
+        "dump": [["--app", "cnn0", "--format", "asm"],
+                 ["--app", "cnn0", "--batch", "1"]],
         "migrate": [["--app", "cnn0"]],
         "faults": [["--duration", "0.2", "--apps", "cnn0"]],
         "cluster": [["--duration", "0.2"]], "pod": [["--duration", "0.2"]],
         "llm": [["--duration", "0.2"], ["--faults", "--duration", "0.2"]],
         "trace": [["cnn0", "tpuv4i", "--out", str(tmp / "trace.json")]],
-        "metrics": [["--cache"]],
+        "metrics": [[]],
     }
     commands = build_parser()._subparsers._group_actions[0].choices
     for name, parser in commands.items():
