@@ -23,6 +23,7 @@ the compiler, the simulator nor numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -60,15 +61,38 @@ def _resolve_chip(name: str):
     return chip_by_name(name)  # preserves the canonical error message
 
 
-def _batch(text: str) -> int:
-    """``--batch``: a positive integer, else an error naming the batch."""
+def _positive_int(name: str, text: str) -> int:
+    """A positive integer option value, else an error naming ``name``."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"batch must be a positive integer, got {text!r}")
+            f"{name} must be a positive integer, got {text!r}")
+    return value
+
+
+def _batch(text: str) -> int:
+    """``--batch``: a positive integer, else an error naming the batch."""
+    return _positive_int("batch", text)
+
+
+def _top(text: str) -> int:
+    """``profile --top``: a positive operator count, named on error."""
+    return _positive_int("top", text)
+
+
+def _utilization(text: str) -> float:
+    """``metrics --utilization``: a positive finite load, else an error
+    naming it (not the Poisson rate derived from it)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"utilization must be positive and finite, got {text!r}")
     return value
 
 
@@ -494,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--app", required=True)
     profile.add_argument("--chip", default="TPUv4i")
     profile.add_argument("--batch", type=_batch, default=None)
-    profile.add_argument("--top", type=int, default=10)
+    profile.add_argument("--top", type=_top, default=10)
     profile.set_defaults(func=_cmd_profile)
 
     dump = sub.add_parser("dump", help="print a model as HLO text or VLIW asm")
@@ -638,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p.add_argument("--batch", type=_batch, default=None)
     metrics_p.add_argument("--duration", type=float, default=0.25,
                            help="simulated traffic seconds (default 0.25)")
-    metrics_p.add_argument("--utilization", type=float, default=0.5,
+    metrics_p.add_argument("--utilization", type=_utilization, default=0.5,
                            help="offered load vs batch capacity")
     metrics_p.add_argument("--seed", type=int, default=0)
     metrics_p.set_defaults(func=_cmd_metrics)

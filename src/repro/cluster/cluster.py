@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.policy import ClusterPolicy
 from repro.obs.metrics import metrics
 from repro.serving.batching import BatchPolicy
@@ -203,11 +205,12 @@ class _Replica:
             ready = self.queue[0][0] + self.sim.policy.max_wait_s
         return max(free, ready)
 
-    def stats(self) -> ServingStats:
-        served = len(self.latencies)
+    def stats(self, latencies: np.ndarray) -> ServingStats:
+        """Fold this replica, given its latencies already in numpy."""
+        served = len(latencies)
         return fold_stats(self.sim, self.schedule, served + self.dropped,
                           self.first_arrival, self.last_arrival,
-                          self.last_completion, self.latencies,
+                          self.last_completion, latencies,
                           self.batch_sizes, self.retried, self.dropped,
                           self.lost_batches)
 
@@ -741,15 +744,18 @@ class ClusterSimulator:
             tier, tier_since)
 
     def _finalize(self, arrivals: list[float], reps: list[_Replica],
-                  cluster_latencies: list[float], shed: int,
+                  cluster_latencies: Optional[list[float]], shed: int,
                   dropped_unique: int, hedged: int, cancelled_hedges: int,
                   wasted_hedges: int, failed_over: int, probes: int,
                   probe_failures: int, ejections: int, readmissions: int,
                   tier_names: tuple, tier_time: list[float], tier: int,
                   tier_since: float) -> ClusterStats:
         """Fold replay outputs into :class:`ClusterStats` (shared by the
-        event loop and the fastserve kernel; cluster percentiles come
-        from one sorted copy of the latency list)."""
+        event loop and the fastserve kernel). Each latency list goes to
+        numpy once. ``cluster_latencies`` is None when every replica
+        latency is a cluster latency (one copy per request): the cluster
+        sample is then the replicas' arrays concatenated, since
+        percentiles and violations depend only on the multiset."""
         total = len(arrivals)
         n = len(reps)
         reg = metrics()
@@ -760,8 +766,13 @@ class ClusterSimulator:
         # replica, so the final tier stint is clamped at zero.
         tier_time[tier] += max(0.0, end_time - tier_since)
         duration = end_time - arrivals[0]
-        served = len(cluster_latencies)
-        replica_stats = tuple(rep.stats() for rep in reps)
+        samples = [np.asarray(rep.latencies, dtype=np.float64)
+                   for rep in reps]
+        replica_stats = tuple(rep.stats(sample)
+                              for rep, sample in zip(reps, samples))
+        cluster_sample = (np.concatenate(samples) if cluster_latencies is None
+                          else cluster_latencies)
+        served = len(cluster_sample)
         retried = sum(r.retried for r in reps)
         lost_batches = sum(r.lost_batches for r in reps)
         mean_batch_num = sum(sum(r.batch_sizes) for r in reps)
@@ -780,7 +791,7 @@ class ClusterSimulator:
             reg.counter("cluster.readmissions").inc(readmissions)
 
         p50, p95, p99, violations = self.replica_sims[0].slo.summarize(
-            cluster_latencies)
+            cluster_sample)
         return ClusterStats(
             workload=self.replica_sims[0].spec.name,
             chip=self.replica_sims[0].point.chip.name,

@@ -70,7 +70,11 @@ head's ready time while a slot is free), and a fault or slowdown edge
 :meth:`~repro.faults.model.FaultSchedule.next_boundary`; a run starting
 where an outage ended takes no extra step). The clock advances by ``k``
 sequential additions, so every completion time is the float a one-step
-iteration produces; ``k = 1`` *is* the one-step iteration.
+iteration produces; ``k = 1`` *is* the one-step iteration. Decode is
+lockstep — slots store offsets against a per-core decode counter, so a
+run commits in O(1) and step selection reads precomputed retire and
+snapshot deadlines — and fault state is read once per schedule window
+(DESIGN.md, "Generative serving", "One path").
 
 This event loop is the layer's one path: there is no vectorized twin,
 and the byte-identity contract is two-fold — run-to-run determinism
@@ -264,21 +268,66 @@ class _Pending:
 
 
 class _Slot:
-    """One admitted request's engine-side state (mutable, loop-internal)."""
+    """One admitted request's engine-side state (mutable, loop-internal).
 
-    __slots__ = ("request", "retries", "produced", "target", "prefill_t",
-                 "snap", "high_water", "restore_pending", "order")
+    Decode is lockstep: every decode step advances every active slot,
+    and no decode step runs while a slot awaits its prefill or restore.
+    So a slot stores ``base``, its generated-token count minus its
+    core's decode counter ``decoded``, and ``base + decoded`` is how
+    many tokens it has produced at any instant. Once it decodes, its
+    deadlines are values of that counter: ``retire_at`` when it reaches
+    ``target``, ``snap_at`` when its progress past the snapshot reaches
+    the checkpoint cadence (``inf`` without checkpointing). ``depth``
+    is ``prompt_len + base``, its KV depth minus ``decoded``.
+    """
 
-    def __init__(self, entry: _Pending, target: int) -> None:
+    __slots__ = ("request", "retries", "base", "target", "prefill_t",
+                 "snap", "high_water", "restore_pending", "order",
+                 "retire_at", "snap_at", "depth")
+
+    def __init__(self, entry: _Pending, target: int, decoded: int) -> None:
         self.request = entry.request
         self.retries = entry.retries
-        self.produced = entry.produced  # tokens generated so far
+        self.base = entry.produced - decoded
         self.target = target            # decode_len capped at max_decode_len
         self.prefill_t = entry.first_token_t  # first-token time, or None
         self.snap = entry.resume_tokens       # tokens covered by snapshot
         self.high_water = entry.high_water    # deepest earlier attempt
         self.restore_pending = entry.resume_tokens > 0
         self.order = entry.order
+
+
+def _bucket_table(buckets: Sequence[int], low: int) -> dict[int, int]:
+    """``length -> bucket`` over one ascending bucket ladder, built once.
+
+    Maps every length from ``low`` up to the largest bucket to the
+    smallest bucket covering it. Callers look other lengths (deeper than
+    the ladder, or invalid) up with the spec method the table
+    tabulates, so they saturate or raise exactly as that method does.
+    """
+    table: dict[int, int] = {}
+    for bucket in buckets:
+        table.update(dict.fromkeys(range(low, bucket + 1), bucket))
+        low = bucket + 1
+    return table
+
+
+def _fault_window(schedule: FaultSchedule, core: int,
+                  t: float) -> Tuple[float, Optional[float], float]:
+    """``(end, outage end, slowdown factor)`` of ``core``'s window at ``t``.
+
+    ``end`` is :meth:`~repro.faults.model.FaultSchedule.next_boundary`.
+    Under the schedule's half-open contract the outage end and the
+    slowdown factor answer the same at every instant of ``[t, end)``,
+    and no outage starts strictly inside it, so the engine loop reads
+    them once per window instead of once per step.
+    """
+    return (schedule.next_boundary(core, t), schedule.outage_end(core, t),
+            schedule.slowdown_factor(core, t))
+
+
+#: Engine step kinds, in the order step selection considers them.
+_PREFILL, _RESTORE, _SNAPSHOT, _DECODE = range(4)
 
 
 class _Accumulator:
@@ -340,6 +389,10 @@ class ContinuousBatchingSimulator:
         # batcher compiles for; the policy also rejects padded_size(0),
         # so an empty decode step can never be priced.
         self._policy = BatchPolicy(max_batch=self.slots, max_wait_s=0.0)
+        self._padded_of = [0] + [self._policy.padded_size(n)
+                                 for n in range(1, self.slots + 1)]
+        self._kv_bucket = _bucket_table(spec.kv_buckets, 0)
+        self._prompt_bucket = _bucket_table(spec.prompt_buckets, 1)
         self._latency: dict[Tuple[str, int, int], float] = {}
 
     # ------------------------------------------------------------- latencies
@@ -393,7 +446,7 @@ class ContinuousBatchingSimulator:
             check_seed_latency(key, latency)
         self._latency.update(table)
 
-    def _restore_latency_s(self, slot: _Slot) -> float:
+    def _restore_latency_s(self, slot: _Slot, produced: int) -> float:
         """One restore step: snapshot reload + delta re-prefill.
 
         The reload prices like the snapshot that produced it (the
@@ -406,7 +459,7 @@ class ContinuousBatchingSimulator:
         depth = slot.request.prompt_len + slot.snap
         latency = self.step_latency_s(
             "snapshot", self.spec.kv_bucket(depth), 1)
-        suffix = slot.produced - slot.snap
+        suffix = produced - slot.snap
         if suffix > 0:
             latency += self.step_latency_s(
                 "prefill", self.spec.prompt_bucket(suffix), 1)
@@ -499,31 +552,33 @@ class ContinuousBatchingSimulator:
             reg.counter("continuous.loop_iterations").inc(acc.iterations)
         return stats
 
-    def _requeue_entry(self, slot: _Slot,
+    def _requeue_entry(self, slot: _Slot, produced: int,
                        ready_s: Optional[float] = None) -> _Pending:
         """The pending entry a killed slot re-enqueues as.
 
-        With a policy and a snapshot, the slot resumes — its coverage,
-        progress, and original first-token time travel with it.
-        Otherwise it restarts from scratch exactly as PR 9 did; either
-        way ``high_water`` remembers the deepest position reached, so
-        the tokens the next attempt replays are counted as recomputed.
-        ``ready_s`` defaults to the original arrival (same-core retry);
-        migration passes the death instant.
+        ``produced`` is the slot's generated-token count, materialized
+        from its lockstep offset (:class:`_Slot`). With a policy and a
+        snapshot, the slot resumes — its coverage, progress, and
+        original first-token time travel with it. Otherwise it restarts
+        from scratch, re-prefilling its prompt; either way ``high_water``
+        remembers the deepest position reached, so the tokens the next
+        attempt replays are counted as recomputed. ``ready_s`` defaults
+        to the original arrival (same-core retry); migration passes the
+        death instant.
         """
         arrival = slot.request.arrival_s
         ready = arrival if ready_s is None else max(arrival, ready_s)
-        high_water = max(slot.high_water, slot.produced)
+        high_water = max(slot.high_water, produced)
         if self.recovery is not None and slot.snap > 0:
             return _Pending(slot.request, slot.retries + 1, slot.snap,
-                            slot.produced, slot.prefill_t, high_water,
+                            produced, slot.prefill_t, high_water,
                             ready, slot.order)
         return _Pending(slot.request, slot.retries + 1, 0, 0, None,
                         high_water, ready, slot.order)
 
     def _lose_core(self, active: List[_Slot], pending: Deque[_Pending],
-                   t: float, retry_budget: int, retry_timeout: float,
-                   acc: _Accumulator,
+                   t: float, decoded: int, retry_budget: int,
+                   retry_timeout: float, acc: _Accumulator,
                    migrants_out: Optional[List[_Pending]]) -> None:
         """A core is gone for good at ``t``: migrate or drop its work.
 
@@ -534,6 +589,7 @@ class ContinuousBatchingSimulator:
         (the satellite fix: a request is only dropped when a retry
         would be inadmissible anyway), and pending entries move without
         consuming a retry — they had no in-flight work to lose.
+        ``decoded`` is the core's decode counter at the loss.
         """
         if migrants_out is None:
             acc.dropped += len(active) + len(pending)
@@ -544,7 +600,8 @@ class ContinuousBatchingSimulator:
                 acc.dropped += 1
             else:
                 acc.retried += 1
-                migrants_out.append(self._requeue_entry(slot, ready_s=t))
+                migrants_out.append(self._requeue_entry(
+                    slot, slot.base + decoded, ready_s=t))
         for entry in pending:
             entry.ready_s = max(entry.ready_s, t)
             migrants_out.append(entry)
@@ -559,39 +616,72 @@ class ContinuousBatchingSimulator:
         after the run's first step passes the fault checks, the loop
         fast-forwards through the steps that would repeat it exactly
         (see the module docstring for the five events that end a run).
+        Decode is lockstep (:class:`_Slot`): a run adds to one counter,
+        and step selection reads deadlines kept over the decoding slots
+        instead of visiting them. Fault state is read once per window
+        of the schedule (:func:`_fault_window`). Tallies stay in locals
+        and fold into ``acc`` once, when the core's queue is done.
         """
+        slots = self.slots
+        spec = self.spec
+        last_bucket = spec.kv_buckets[-1]
+        kv_bucket = self._kv_bucket
+        prompt_bucket = self._prompt_bucket
+        padded_of = self._padded_of
+        latencies = self._latency
+        every = (self.recovery.checkpoint_every
+                 if self.recovery is not None and self.recovery.checkpointing
+                 else 0)
+        inf = math.inf
+
         active: List[_Slot] = []
         # Admitted slots still needing their prefill or restore, oldest
         # first. Every admission lands here and only its own step
         # leaves, so the head is always the oldest such active slot.
         awaiting: Deque[_Slot] = deque()
-        now = 0.0
-        iterations = 0
-        slots = self.slots
-        spec = self.spec
-        last_bucket = spec.kv_buckets[-1]
-        latencies = self._latency
-        padded_of = [0] + [self._policy.padded_size(n)
-                           for n in range(1, slots + 1)]
-        every = (self.recovery.checkpoint_every
-                 if self.recovery is not None and self.recovery.checkpointing
-                 else 0)
+        # Decoding slots still below an earlier attempt's depth: their
+        # decode steps recompute positions computed before.
+        replaying: List[_Slot] = []
+        decoded = 0  # decode steps this core has committed
+        # Over the decoding slots: the earliest retire_at and snap_at,
+        # and the greatest depth (all in _Slot's lockstep terms).
+        first_retire = first_snap = inf
+        depth_max = -inf
+        now = last = 0.0
+        # The fault window [.., win_end) holding the clock, and the
+        # state it fixes; without a schedule one window spans all time.
+        win_end = -inf if schedule is not None else inf
+        down_until: Optional[float] = None
+        factor = 1.0
+        lost_at: Optional[float] = None  # the core died for good here
+
+        iterations = served = tokens = dropped = retried = lost_steps = 0
+        prefills = restores = snapshot_steps = snapshots = 0
+        decode_steps = decode_batch_sum = 0
+        computed = recomputed = recovered = 0
+        ttft_append = acc.ttft.append
+        per_token_append = acc.per_token.append
 
         while pending or active:
             iterations += 1
-            if not active and pending:
-                now = max(now, pending[0].ready_s)
+            if not active and pending[0].ready_s > now:
+                now = pending[0].ready_s
 
             waited = False
             if schedule is not None:
-                down_until = schedule.outage_end(core, now)
+                if win_end <= now:
+                    win_end, down_until, factor = _fault_window(
+                        schedule, core, now)
                 if down_until is not None:
-                    if math.isinf(down_until):
-                        self._lose_core(active, pending, now, retry_budget,
-                                        retry_timeout, acc, migrants_out)
+                    if down_until == inf:
+                        lost_at = now
                         break
                     now = down_until
                     waited = True
+                    # The wait moved the clock to an edge of the window,
+                    # so the state that holds from here is the next one.
+                    win_end, down_until, factor = _fault_window(
+                        schedule, core, now)
 
             # Admission: ready requests claim free slots FIFO. A
             # retried request whose re-admission would already exceed
@@ -601,69 +691,75 @@ class ContinuousBatchingSimulator:
                 entry = pending.popleft()
                 if (entry.retries > 0
                         and now - entry.request.arrival_s > retry_timeout):
-                    acc.dropped += 1
+                    dropped += 1
                     continue
                 slot = _Slot(entry, min(entry.request.decode_len,
-                                        self.max_decode_len))
+                                        self.max_decode_len), decoded)
                 active.append(slot)
                 awaiting.append(slot)
             if not active:
                 continue  # timed-out retries only; re-check arrivals
 
             # Step selection: the oldest slot needing a prefill or a
-            # restore first; then, when checkpointing, a snapshot step
-            # for every sequence whose uncovered progress reached the
-            # cadence; else a decode run over every prefilled slot. One
-            # pass finds the deepest sequence and how many decode steps
-            # remain before the first retirement and the first snapshot.
+            # restore first; then a snapshot step for every sequence
+            # whose uncovered progress reached the cadence; else a
+            # decode run over every slot, which runs until the earliest
+            # retirement or snapshot deadline.
             steps_max = 1
             if awaiting:
-                if awaiting[0].restore_pending:
-                    phase = "restore"
-                    latency = self._restore_latency_s(awaiting[0])
+                slot = awaiting[0]
+                if slot.restore_pending:
+                    phase = _RESTORE
+                    latency = self._restore_latency_s(slot,
+                                                      slot.base + decoded)
                 else:
-                    phase = "prefill"
-                    bucket = spec.prompt_bucket(awaiting[0].request.prompt_len)
-                    latency = latencies.get((phase, bucket, padded_of[1]))
+                    phase = _PREFILL
+                    prompt = slot.request.prompt_len
+                    bucket = (prompt_bucket.get(prompt)
+                              or spec.prompt_bucket(prompt))
+                    latency = latencies.get(("prefill", bucket,
+                                             padded_of[1]))
                     if latency is None:
-                        latency = self.step_latency_s(phase, bucket, 1)
-            else:
-                deepest = 0
-                # A cap no run reaches: some slot retires within
-                # max_decode_len steps.
-                to_retire = to_snapshot = self.max_decode_len
+                        latency = self.step_latency_s("prefill", bucket, 1)
+            elif first_snap <= decoded:
+                phase = _SNAPSHOT
+                members = []
+                deepest = -inf
+                rest = inf  # the earliest snap_at among the others
                 for slot in active:
-                    produced = slot.produced
-                    depth = slot.request.prompt_len + produced
-                    if depth > deepest:
-                        deepest = depth
-                    if slot.target - produced < to_retire:
-                        to_retire = slot.target - produced
-                    if every and every - produced + slot.snap < to_snapshot:
-                        to_snapshot = every - produced + slot.snap
-                if every and to_snapshot <= 0:
-                    members = [s for s in active
-                               if s.produced - s.snap >= every]
-                    phase = "snapshot"
-                    deepest = max(s.request.prompt_len + s.produced
-                                  for s in members)
-                else:
-                    members = active
-                    phase = "decode"
-                    steps_max = min(to_retire, to_snapshot)
-                bucket = spec.kv_bucket(deepest)
-                if phase == "decode" and bucket != last_bucket:
-                    steps_max = min(steps_max, bucket - deepest + 1)
-                latency = latencies.get((phase, bucket,
-                                         padded_of[len(members)]))
+                    if slot.snap_at <= decoded:
+                        members.append(slot)
+                        if slot.depth > deepest:
+                            deepest = slot.depth
+                    elif slot.snap_at < rest:
+                        rest = slot.snap_at
+                size = len(members)
+                deepest += decoded
+                bucket = kv_bucket.get(deepest) or spec.kv_bucket(deepest)
+                latency = latencies.get(("snapshot", bucket,
+                                         padded_of[size]))
                 if latency is None:
-                    latency = self.step_latency_s(phase, bucket, len(members))
-            if schedule is not None:
-                latency *= schedule.slowdown_factor(core, now)
+                    latency = self.step_latency_s("snapshot", bucket, size)
+            else:
+                phase = _DECODE
+                size = len(active)
+                deepest = depth_max + decoded
+                steps_max = (first_retire if first_retire < first_snap
+                             else first_snap) - decoded
+                bucket = kv_bucket.get(deepest) or spec.kv_bucket(deepest)
+                if bucket != last_bucket and bucket - deepest + 1 < steps_max:
+                    steps_max = bucket - deepest + 1
+                latency = latencies.get(("decode", bucket, padded_of[size]))
+                if latency is None:
+                    latency = self.step_latency_s("decode", bucket, size)
+            latency *= factor
             completion = now + latency
 
-            if schedule is not None:
-                failure = schedule.first_failure_between(core, now, completion)
+            # No outage starts strictly inside the window, so only a
+            # step completing past its end can meet one.
+            if completion > win_end:
+                failure = schedule.first_failure_between(core, now,
+                                                         completion)
                 if failure is not None:
                     # The core died mid-step. KV caches are core-resident,
                     # so EVERY active request loses its generated prefix
@@ -671,25 +767,26 @@ class ContinuousBatchingSimulator:
                     # members; survivors re-enqueue (front, original
                     # arrivals) and resume or re-prefill when re-admitted.
                     fail_start, fail_end = failure
-                    acc.lost_steps += 1
-                    if math.isinf(fail_end):
-                        # The core never comes back.
-                        self._lose_core(active, pending, fail_start,
-                                        retry_budget, retry_timeout, acc,
-                                        migrants_out)
+                    lost_steps += 1
+                    if fail_end == inf:
+                        lost_at = fail_start  # the core never comes back
                         break
                     survivors: List[_Pending] = []
                     for slot in active:
                         if (slot.retries + 1 > retry_budget
                                 or fail_start - slot.request.arrival_s
                                 > retry_timeout):
-                            acc.dropped += 1
+                            dropped += 1
                         else:
-                            acc.retried += 1
-                            survivors.append(self._requeue_entry(slot))
+                            retried += 1
+                            survivors.append(self._requeue_entry(
+                                slot, slot.base + decoded))
                     pending.extendleft(reversed(survivors))
                     active = []
                     awaiting.clear()
+                    replaying = []
+                    first_retire = first_snap = inf
+                    depth_max = -inf
                     now = fail_end
                     continue
 
@@ -704,65 +801,121 @@ class ContinuousBatchingSimulator:
             steps = 1
             if steps_max > 1 and not waited:
                 ready = (pending[0].ready_s
-                         if pending and len(active) < slots else math.inf)
-                edge = (math.inf if schedule is None
-                        else schedule.next_boundary(core, now))
+                         if pending and len(active) < slots else inf)
                 while steps < steps_max and completion < ready:
                     following = completion + latency
-                    if following >= edge:
+                    if following >= win_end:
                         break
                     completion = following
                     steps += 1
 
             # Commit the step (or run).
-            now = completion
-            retire = False
-            if phase == "prefill":
-                slot = awaiting.popleft()
-                slot.prefill_t = completion
-                slot.produced = 1
-                acc.prefills += 1
-                acc.computed += 1
-                if slot.high_water >= 1:
-                    acc.recomputed += 1
-                retire = slot.target <= 1
-            elif phase == "restore":
-                slot = awaiting.popleft()
-                suffix = slot.produced - slot.snap
-                acc.computed += suffix
-                acc.recomputed += suffix
-                acc.recovered += slot.snap
-                acc.restores += 1
-                slot.restore_pending = False
-            elif phase == "snapshot":
-                acc.snapshot_steps += 1
-                acc.snapshots += len(members)
+            now = last = completion
+            if phase == _DECODE:
+                decode_steps += steps
+                decode_batch_sum += steps * size
+                computed += steps * size
+                if replaying:
+                    for slot in replaying:
+                        replayed = slot.high_water - slot.base - decoded
+                        recomputed += steps if steps < replayed else replayed
+                    decoded += steps
+                    replaying = [s for s in replaying
+                                 if s.high_water > s.base + decoded]
+                else:
+                    decoded += steps
+                if first_retire <= decoded:
+                    # Retirement, in one pass that also recomputes the
+                    # deadlines over the slots that stay.
+                    keep: List[_Slot] = []
+                    first_retire = first_snap = inf
+                    depth_max = -inf
+                    for slot in active:
+                        if slot.retire_at <= decoded:
+                            target = slot.target
+                            served += 1
+                            tokens += target
+                            ttft_append(slot.prefill_t
+                                        - slot.request.arrival_s)
+                            if target > 1:
+                                per_token_append(
+                                    (completion - slot.prefill_t)
+                                    / (target - 1))
+                        else:
+                            keep.append(slot)
+                            if slot.retire_at < first_retire:
+                                first_retire = slot.retire_at
+                            if slot.snap_at < first_snap:
+                                first_snap = slot.snap_at
+                            if slot.depth > depth_max:
+                                depth_max = slot.depth
+                    active = keep
+                continue
+            if phase == _SNAPSHOT:
+                snapshot_steps += 1
+                snapshots += size
+                due = decoded + every
                 for slot in members:
-                    slot.snap = slot.produced
-            else:
-                acc.decode_steps += steps
-                acc.decode_batch_sum += steps * len(members)
-                acc.computed += steps * len(members)
-                for slot in members:
-                    replayed = slot.high_water - slot.produced
-                    if replayed > 0:
-                        acc.recomputed += min(steps, replayed)
-                    slot.produced += steps
-                retire = steps == to_retire
+                    slot.snap = slot.base + decoded
+                    slot.snap_at = due
+                first_snap = rest if rest < due else due
+                continue
 
-            if retire:
-                retiring = [s for s in active if s.produced >= s.target]
-                active = [s for s in active if s.produced < s.target]
-                for slot in retiring:
-                    acc.served += 1
-                    acc.tokens += slot.target
-                    acc.ttft.append(slot.prefill_t - slot.request.arrival_s)
-                    if slot.target > 1:
-                        acc.per_token.append(
-                            (completion - slot.prefill_t)
-                            / (slot.target - 1))
-            acc.last_completion = max(acc.last_completion, completion)
+            slot = awaiting.popleft()
+            if phase == _PREFILL:
+                slot.prefill_t = completion
+                prefills += 1
+                computed += 1
+                if slot.high_water >= 1:
+                    recomputed += 1
+                if slot.target <= 1:
+                    active.remove(slot)
+                    served += 1
+                    tokens += slot.target
+                    ttft_append(completion - slot.request.arrival_s)
+                    continue
+                slot.base = 1 - decoded
+            else:
+                suffix = slot.base + decoded - slot.snap
+                computed += suffix
+                recomputed += suffix
+                recovered += slot.snap
+                restores += 1
+                slot.restore_pending = False
+            # The slot decodes from here: enter its deadlines.
+            base = slot.base
+            slot.retire_at = slot.target - base
+            if slot.retire_at < first_retire:
+                first_retire = slot.retire_at
+            slot.snap_at = every + slot.snap - base if every else inf
+            if slot.snap_at < first_snap:
+                first_snap = slot.snap_at
+            slot.depth = slot.request.prompt_len + base
+            if slot.depth > depth_max:
+                depth_max = slot.depth
+            if slot.high_water > base + decoded:
+                replaying.append(slot)
+
+        if lost_at is not None:
+            self._lose_core(active, pending, lost_at, decoded, retry_budget,
+                            retry_timeout, acc, migrants_out)
         acc.iterations += iterations
+        acc.served += served
+        acc.tokens += tokens
+        acc.dropped += dropped
+        acc.retried += retried
+        acc.lost_steps += lost_steps
+        acc.prefills += prefills
+        acc.restores += restores
+        acc.snapshot_steps += snapshot_steps
+        acc.snapshots += snapshots
+        acc.decode_steps += decode_steps
+        acc.decode_batch_sum += decode_batch_sum
+        acc.computed += computed
+        acc.recomputed += recomputed
+        acc.recovered += recovered
+        if last > acc.last_completion:
+            acc.last_completion = last
 
     def _finalize(self, requests: Sequence[GenRequest],
                   acc: _Accumulator) -> ContinuousStats:

@@ -523,11 +523,8 @@ def _replay_single_copy(cluster: "ClusterSimulator", arrivals: List[float],
         reg.count("serving.fastserve.batches", batches)
         reg.count("serving.fastserve.segments", boundaries + 1)
         reg.count("serving.fastserve.boundaries", boundaries)
-    cluster_latencies: List[float] = []
-    for rep in reps:
-        cluster_latencies += rep.latencies
     return cluster._finalize(
-        arrivals, reps, cluster_latencies, shed, dropped, hedged=0,
+        arrivals, reps, None, shed, dropped, hedged=0,
         cancelled_hedges=0, wasted_hedges=0, failed_over=0, probes=0,
         probe_failures=0, ejections=0, readmissions=0, tier_names=("full",),
         tier_time=[0.0], tier=0, tier_since=arrivals[0])
@@ -990,10 +987,11 @@ def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
                     lats = [completion - e[0] for e in batch]
                     rep.latencies.extend(lats)
                     if not hedges_on:
-                        # One copy per request: settle the batch now.
+                        # One copy per request: settle the batch now
+                        # (its latencies are the replica's, so the
+                        # cluster sample is the replicas' concatenated).
                         # The reference still holds the completion
                         # event, which keeps its probe clock alive.
-                        cluster_latencies += lats
                         if completion > settled_until:
                             settled_until = completion
                     elif (last_hedge_at < completion
@@ -1164,7 +1162,7 @@ def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
         reg.count("serving.fastserve.segments", boundaries + 1)
         reg.count("serving.fastserve.boundaries", boundaries)
     return cluster._finalize(
-        arrivals, reps, cluster_latencies, shed, dropped_unique, hedged,
-        cancelled_hedges, wasted_hedges, failed_over, probes,
-        probe_failures, ejections, readmissions, tier_names, tier_time,
-        tier, tier_since)
+        arrivals, reps, cluster_latencies if hedges_on else None, shed,
+        dropped_unique, hedged, cancelled_hedges, wasted_hedges,
+        failed_over, probes, probe_failures, ejections, readmissions,
+        tier_names, tier_time, tier, tier_since)

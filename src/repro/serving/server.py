@@ -202,7 +202,7 @@ class ServingStats:
 def fold_stats(sim: "ServingSimulator",
                schedule: Optional["FaultSchedule"], requests: int,
                first_arrival: Optional[float], last_arrival: float,
-               last_completion: float, latencies: list[float],
+               last_completion: float, latencies: Sequence[float],
                batch_sizes: list[int], retried: int, dropped: int,
                lost_batches: int) -> ServingStats:
     """Fold one serving timeline's outputs into :class:`ServingStats`.

@@ -112,6 +112,23 @@ class DeterministicRng:
         mu = np.log(mean) - 0.5 * sigma**2
         return float(self._gen.lognormal(mu, sigma))
 
+    def lognormal_rounds(self, means: Sequence[float], rounds: int,
+                         sigma: float = 0.25) -> np.ndarray:
+        """Draw ``rounds`` rounds of :meth:`lognormal` over ``means`` at once.
+
+        Row ``i`` holds round ``i``'s samples, one per mean, and the
+        stream is the scalar loop's (``for each round: for each mean:
+        lognormal(mean, sigma)``): numpy fills an array of means element
+        by element from the same generator, and each mean's ``mu`` is the
+        float the scalar call computes.
+        """
+        for mean in means:
+            if mean <= 0:
+                raise ValueError(f"mean must be positive, got {mean}")
+        mu = [np.log(mean) - 0.5 * sigma**2 for mean in means]
+        return self._gen.lognormal(np.tile(mu, rounds), sigma).reshape(
+            rounds, len(means))
+
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""
         return int(self._gen.integers(low, high))

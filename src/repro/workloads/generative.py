@@ -362,14 +362,12 @@ def sample_gen_requests(spec: GenerativeSpec, seed: int, rate_qps: float,
     """
     rng = DeterministicRng(seed)
     arrivals = rng.poisson_arrivals(rate_qps, duration_s)
-    lengths = rng.fork(1)
-    requests: List[GenRequest] = []
-    for t in arrivals:
-        prompt = min(1 + int(lengths.lognormal(spec.mean_prompt, 0.5)),
-                     spec.max_prompt)
-        decode = 1 + int(lengths.lognormal(spec.mean_decode, 0.5))
-        requests.append(GenRequest(t, prompt, decode, spec.name))
-    return requests
+    # One (prompt, decode) draw per arrival, in the scalar loop's order.
+    lengths = rng.fork(1).lognormal_rounds(
+        (spec.mean_prompt, spec.mean_decode), len(arrivals), 0.5).tolist()
+    return [GenRequest(t, min(1 + int(prompt), spec.max_prompt),
+                       1 + int(decode), spec.name)
+            for t, (prompt, decode) in zip(arrivals, lengths)]
 
 
 # ------------------------------------------------------------------ registry

@@ -129,14 +129,18 @@ def reference_paths() -> Iterator[None]:
       ``DesignPoint.run`` / ``DesignPoint.evaluate`` (the per-point
       loops the grid batch replaces, so sweeps go per point too);
     * ``ServingSimulator`` and ``ClusterSimulator`` replay through their
-      ``_replay_events`` loops instead of the fastserve kernels.
+      ``_replay_events`` loops instead of the fastserve kernels;
+    * ``ContinuousBatchingSimulator`` runs each core through the per-slot
+      loop in ``tests/reference/continuous.py``.
 
     Equivalence tests run a scenario once normally and once in here.
     """
     import repro.cluster.cluster as cluster
     import repro.engine.grid as grid
     import repro.serving.server as server
+    from repro.serving.continuous import ContinuousBatchingSimulator
     from repro.sim.core import TensorCoreSim
+    from tests.reference import continuous as continuous_reference
 
     def interpreted(sim, program, *, dtype="bf16", tracer=None):
         assert tracer is None, "the interpreter records no spans"
@@ -160,4 +164,6 @@ def reference_paths() -> Iterator[None]:
                       lambda sim, *args: sim._replay_events(*args))
         patch.setattr(cluster, "replay_cluster",
                       lambda sim, *args: sim._replay_events(*args))
+        patch.setattr(ContinuousBatchingSimulator, "_run_core",
+                      continuous_reference.run_core)
         yield

@@ -336,6 +336,31 @@ class TestBatchValidation:
         assert "Traceback" not in err
 
 
+class TestOptionErrorsNameTheOption:
+    """``metrics --utilization`` and ``profile --top`` are rejected by
+    option name, not by a value derived from them."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+    def test_metrics_utilization(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--app", "mlp0", "--utilization", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --utilization: utilization must be positive " \
+               f"and finite, got '{value}'" in err
+        assert "rate" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "x"])
+    def test_profile_top(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--app", "cnn0", "--top", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --top: top must be a positive integer, " \
+               f"got '{value}'" in err
+        assert "Traceback" not in err
+
+
 class TestNonFiniteDuration:
     """Regression: a NaN or infinite duration used to hang the sweeps."""
 

@@ -271,6 +271,27 @@ class TestSampleRequests:
         c = sample_gen_requests(LLM0, seed=4, rate_qps=500, duration_s=1.0)
         assert a != c
 
+    @pytest.mark.parametrize("seed", [0, 3, 23, 7919])
+    @pytest.mark.parametrize("model", ["llm0", "llm1"])
+    def test_lengths_are_the_scalar_stream(self, model, seed):
+        """The vectorised length draw is the scalar per-request loop."""
+        from repro.util.rng import DeterministicRng
+
+        spec = generative_by_name(model)
+        reqs = sample_gen_requests(spec, seed=seed, rate_qps=3000,
+                                   duration_s=1.0)
+        rng = DeterministicRng(seed)
+        arrivals = rng.poisson_arrivals(3000, 1.0)
+        lengths = rng.fork(1)
+        scalar = []
+        for t in arrivals:
+            prompt = min(1 + int(lengths.lognormal(spec.mean_prompt, 0.5)),
+                         spec.max_prompt)
+            decode = 1 + int(lengths.lognormal(spec.mean_decode, 0.5))
+            scalar.append(GenRequest(t, prompt, decode, spec.name))
+        assert len(reqs) > 2000
+        assert reqs == scalar
+
     def test_prompts_clipped_decode_unclipped(self):
         reqs = sample_gen_requests(LLM0, seed=1, rate_qps=2000,
                                    duration_s=1.0)

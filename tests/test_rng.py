@@ -77,3 +77,25 @@ class TestDistributions:
         arr = DeterministicRng(23).normal_array((3, 4))
         assert arr.shape == (3, 4)
         assert arr.dtype.name == "float32"
+
+
+class TestLognormalRounds:
+    @pytest.mark.parametrize("seed", [0, 5, 23])
+    def test_rounds_are_the_scalar_stream(self, seed):
+        vector, scalar = DeterministicRng(seed), DeterministicRng(seed)
+        rows = vector.lognormal_rounds((40.0, 24.0, 3.5), 500, 0.5)
+        assert rows.shape == (500, 3)
+        assert rows.tolist() == [[scalar.lognormal(m, 0.5)
+                                  for m in (40.0, 24.0, 3.5)]
+                                 for _ in range(500)]
+        # The generator is left where the scalar loop leaves it.
+        assert vector.integers(0, 10**9) == scalar.integers(0, 10**9)
+
+    def test_zero_rounds_draw_nothing(self):
+        rng, fresh = DeterministicRng(1), DeterministicRng(1)
+        assert rng.lognormal_rounds((2.0,), 0).shape == (0, 1)
+        assert rng.integers(0, 10**9) == fresh.integers(0, 10**9)
+
+    def test_rejects_non_positive_mean(self):
+        with pytest.raises(ValueError, match="mean must be positive"):
+            DeterministicRng(0).lognormal_rounds((1.0, 0.0), 3)

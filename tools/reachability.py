@@ -68,7 +68,8 @@ def cli_runs(tmp):
         "chips": [[]], "apps": [[]], "engine": [[]],
         "evaluate": [["--app", "cnn0"], ["--app", "bert0",
                                          "--chip-file", chip_file]],
-        "compare": [["--app", "cnn0"]], "profile": [["--app", "cnn0"]],
+        "compare": [["--app", "cnn0"]],
+        "profile": [["--app", "cnn0", "--top", "5"]],
         "dump": [["--app", "cnn0", "--format", "asm"],
                  ["--app", "cnn0", "--batch", "1"]],
         "migrate": [["--app", "cnn0"]],
@@ -76,7 +77,7 @@ def cli_runs(tmp):
         "cluster": [["--duration", "0.2"]], "pod": [["--duration", "0.2"]],
         "llm": [["--duration", "0.2"], ["--faults", "--duration", "0.2"]],
         "trace": [["cnn0", "tpuv4i", "--out", str(tmp / "trace.json")]],
-        "metrics": [[]],
+        "metrics": [["--utilization", "0.5"]],
     }
     commands = build_parser()._subparsers._group_actions[0].choices
     for name, parser in commands.items():
