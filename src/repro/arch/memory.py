@@ -5,15 +5,17 @@ VMEM and HBM. Weights (and large activations) resident in CMEM stream at
 several times HBM bandwidth and at a fraction of the pJ/byte, which is what
 moves the memory-bound production apps up the roofline (experiment E7/E10).
 
-:class:`MemorySystem` provides per-level transfer timing and a byte-traffic
-ledger that the interpreter (``TensorCoreSim.run_interpreted``) fills.
+:class:`MemorySystem` describes the levels a chip has and their transfer
+timing. It keeps no state: the timing engine counts traffic itself, and
+the test-only interpreter keeps its ledger in a subclass
+(``tests/reference/interpreter.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.arch.chip import ChipConfig
 
@@ -57,7 +59,7 @@ class MemoryLevel:
 
 
 class MemorySystem:
-    """The chip's hierarchy plus a traffic ledger.
+    """The chip's memory hierarchy.
 
     VMEM bandwidth is modeled as matching the compute datapath (it is a
     multi-banked scratchpad feeding the MXU/VPU directly), so in practice
@@ -75,7 +77,6 @@ class MemorySystem:
         if chip.has_cmem:
             self.cmem = MemoryLevel("cmem", chip.cmem_bytes, chip.cmem_bw,
                                     chip.cmem_latency_cycles)
-        self._traffic: Dict[str, float] = {level.name: 0.0 for level in self.levels()}
 
     def levels(self) -> List[MemoryLevel]:
         """All levels, fastest first."""
@@ -91,19 +92,6 @@ class MemorySystem:
             if candidate.name == name:
                 return candidate
         raise KeyError(f"{self.chip.name} has no memory level {name!r}")
-
-    # --------------------------------------------------------------- traffic
-
-    def record_traffic(self, name: str, num_bytes: float) -> None:
-        """Log bytes moved at a level (feeds the power model)."""
-        if num_bytes < 0:
-            raise ValueError("bytes must be non-negative")
-        self.level(name)  # validate
-        self._traffic[name] = self._traffic.get(name, 0.0) + num_bytes
-
-    def traffic(self) -> Dict[str, float]:
-        """Bytes moved per level since construction."""
-        return dict(self._traffic)
 
     # ---------------------------------------------------------------- timing
 

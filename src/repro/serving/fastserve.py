@@ -1,14 +1,11 @@
 """Vectorized serving-replay kernel: whole timelines as batched scans.
 
-The discrete-event loops in :mod:`repro.serving.server` and
-:mod:`repro.cluster.cluster` pay Python interpreter overhead per
-*request*: every arrival is absorbed one comparison at a time, every
-event-selection pass re-derives each replica's next launch time from
-scratch, and every routing decision spins up generators. That made the
-cluster chaos sweep the cold path of the whole repo once the grid
-kernel (PR 6) made design-point simulation nearly free.
-
-This module replays the same timelines at batch granularity:
+These are the serving layer's only replay loops. A discrete-event loop
+pays Python interpreter overhead per *request*: every arrival is
+absorbed one comparison at a time, every event-selection pass re-derives
+each replica's next launch time from scratch, and every routing decision
+spins up generators. This module replays the same timelines at batch
+granularity:
 
 * :func:`replay_serving` — one :class:`ServingSimulator` timeline.
   Between fault boundaries the queue provably drains on every launch
@@ -39,10 +36,10 @@ Both kernels reproduce the reference event loops' arithmetic operation
 for operation — same floats, same metric observations, same tracer
 spans — so the returned stats are **bit-identical** to the event loop
 on every scenario (asserted per chaos-sweep scenario in
-``tests/test_fastserve.py``). The kernels are the simulators' only
-production path; the original event loops
-(``ServingSimulator._replay_events``, ``ClusterSimulator._replay_events``)
-remain as the test-only reference.
+``tests/test_fastserve.py``). The event loops are test code
+(``tests/reference/serving.py``, ``tests/reference/cluster.py``), and
+DESIGN.md ("Serving replay semantics") states their rules in prose.
+"the reference" below means them.
 
 Replay/batch/segment/boundary counts go to the ``serving.fastserve.*``
 counters when the metrics registry is enabled (``repro metrics``
@@ -660,7 +657,7 @@ def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
             dropped_unique += 1
 
     def refresh(i: int) -> None:
-        # _Replica.next_launch, plus the reference's lazy discovery of a
+        # The reference's next-launch rule, plus its lazy discovery of a
         # dead replica and the drop of its queue when no probe will eject
         # it: probes are off, or it is already ejected.
         nonlocal dropped_unique

@@ -21,7 +21,8 @@ clock, MXU count, or CMEM provisioning — shares everything else:
 * **scan** (per ``(signature, DMA/clock configuration)``) — a sequential
   pass over the hard rows only: bundle ratchets, sync stalls, and the
   DMA engine pools (the one production copy of the DMA streaming
-  expression; :meth:`~repro.arch.dma.DmaEngine.issue` is the oracle's).
+  expression; the test-only interpreter's DMA engines in
+  ``tests/reference/interpreter.py`` state it again).
 
 Unit finish times are then reconstructed in closed form: the issue cycle
 at every MXU/VPU row is a gather over the scan's per-hard-row state plus
@@ -29,9 +30,8 @@ a bundle run-length offset, and a busy unit's final free time is
 ``max(issue_i + suffix_cost_i)`` — the max-plus form of the sequential
 recurrence. Per-point dtype scaling is a byte multiplier. The result is
 **bit-identical** to the per-instruction interpreter
-(:meth:`~repro.sim.core.TensorCoreSim.run_interpreted`, the test-only
-oracle; asserted in ``tests/test_fastsim.py`` and
-``tests/test_gridsim.py``).
+(``tests/reference/interpreter.py``, the test-only oracle; asserted in
+``tests/test_fastsim.py`` and ``tests/test_gridsim.py``).
 
 :func:`evaluate_grid` prices a batch of points; :mod:`repro.sim.lowered`
 binds one structure to a chip's DMA pools (plus any DMA chains appended
@@ -61,10 +61,10 @@ from repro.sim.perf import PerfCounters, build_report
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import SpanTracer
 
-#: DMA engines per memory level (the interpreter's pool size too).
+#: DMA engines per memory level.
 ENGINES_PER_LEVEL = 4
 
-#: Mirrors ``DmaEngine``'s default per-transfer descriptor overhead.
+#: Fixed cycles each DMA descriptor costs on top of its streaming time.
 DMA_OVERHEAD_CYCLES = 64
 
 #: Float vector-ALU totals above this are not guaranteed to match the
@@ -659,7 +659,8 @@ def _scan(struct: _Struct, info: _ChipInfo) -> _Scan:
                 if free_at > issue:
                     active += 1
             contention = active if active > 1 else 1
-            # Exact expression from DmaEngine.issue (bit-identity).
+            # The streaming expression, operation for operation as the
+            # test-only interpreter's DMA engines compute it.
             streaming_s = struct.h_arg[i] * contention / bandwidths[pool_ids[i]]
             duration = (overhead + latencies[pool_ids[i]]
                         + ceil(streaming_s * clock_hz))

@@ -19,9 +19,9 @@ module is its single-program face:
   row and stalling ``sync.wait`` also records one span.
 
 Results are bit-identical to the per-instruction interpreter
-(:meth:`~repro.sim.core.TensorCoreSim.run_interpreted`, the test-only
-oracle); ``tests/test_fastsim.py`` asserts it across every chip
-generation, workload, dtype, and batch.
+(``tests/reference/interpreter.py``, the test-only oracle);
+``tests/test_fastsim.py`` asserts it across every chip generation,
+workload, dtype, and batch.
 """
 
 from __future__ import annotations

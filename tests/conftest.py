@@ -121,15 +121,18 @@ def cold_engine() -> Iterator[None]:
 def reference_paths() -> Iterator[None]:
     """Route every layer through its test-only reference twin.
 
-    Production code has one path per layer; the references survive only
-    as oracles. Inside this block the dispatch points are monkeypatched:
+    Production code has one path per layer; the references live in
+    ``tests/reference/`` as functions that take the simulator. Inside
+    this block the dispatch points are monkeypatched:
 
-    * ``TensorCoreSim.run`` runs the per-instruction interpreter;
+    * ``TensorCoreSim.run`` runs the per-instruction interpreter
+      (``tests/reference/interpreter.py``);
     * ``run_grid`` / ``evaluate_jobs`` run each job on its own through
       ``DesignPoint.run`` / ``DesignPoint.evaluate`` (the per-point
       loops the grid batch replaces, so sweeps go per point too);
-    * ``ServingSimulator`` and ``ClusterSimulator`` replay through their
-      ``_replay_events`` loops instead of the fastserve kernels;
+    * ``ServingSimulator`` and ``ClusterSimulator`` replay through the
+      event loops in ``tests/reference/serving.py`` and
+      ``tests/reference/cluster.py`` instead of the fastserve kernels;
     * ``ContinuousBatchingSimulator`` runs each core through the per-slot
       loop in ``tests/reference/continuous.py``.
 
@@ -140,11 +143,14 @@ def reference_paths() -> Iterator[None]:
     import repro.serving.server as server
     from repro.serving.continuous import ContinuousBatchingSimulator
     from repro.sim.core import TensorCoreSim
+    from tests.reference import cluster as cluster_reference
     from tests.reference import continuous as continuous_reference
+    from tests.reference import serving as serving_reference
+    from tests.reference.interpreter import run_interpreted
 
     def interpreted(sim, program, *, dtype="bf16", tracer=None):
         assert tracer is None, "the interpreter records no spans"
-        return sim.run_interpreted(program, dtype=dtype)
+        return run_interpreted(sim, program, dtype=dtype)
 
     def run_grid(jobs):
         return [job.point.run(job.spec, job.resolved_batch,
@@ -161,9 +167,9 @@ def reference_paths() -> Iterator[None]:
         patch.setattr(grid, "run_grid", run_grid)
         patch.setattr(grid, "evaluate_jobs", evaluate_jobs)
         patch.setattr(server, "replay_serving",
-                      lambda sim, *args: sim._replay_events(*args))
+                      serving_reference.replay_events)
         patch.setattr(cluster, "replay_cluster",
-                      lambda sim, *args: sim._replay_events(*args))
+                      cluster_reference.replay_events)
         patch.setattr(ContinuousBatchingSimulator, "_run_core",
                       continuous_reference.run_core)
         yield

@@ -242,6 +242,28 @@ class TestHealthRouting:
         assert stats.availability == 0.0
 
 
+class TestRetryTimeoutPurge:
+    @pytest.mark.parametrize("policy", [
+        ClusterPolicy.static(),
+        ClusterPolicy(probe_interval_s=1.0, unhealthy_after=1),
+    ], ids=["single-copy", "probing"])
+    @pytest.mark.parametrize("timeout, purged", [(0.01, 3), (0.05, 0)])
+    def test_purge_is_strictly_past_the_timeout(self, v4i_point, policy,
+                                                timeout, purged):
+        # The batch launched at 2 ms dies at 2.5 ms; its three survivors
+        # wait out the outage until 50 ms, then face the purge. The
+        # oldest arrived at 0 s, so it has waited exactly 50 ms: a 50 ms
+        # timeout keeps it, a 10 ms one drops all three.
+        outage = FaultSchedule(v4i_point.chip.cores, 10.0,
+                               down=[(0, 0.0025, 0.05)])
+        model = FaultModel(seed=1, retry_budget=5, retry_timeout_s=timeout)
+        stats = ClusterSimulator(make_replicas(v4i_point, 1), policy).simulate(
+            [0.0, 0.0005, 0.001, 0.06], faults=model, schedules=[outage])
+        assert (stats.lost_batches, stats.retried_requests) == (1, 3)
+        assert stats.dropped_requests == purged
+        assert stats.served_requests == 4 - purged
+
+
 class TestAdmissionControl:
     def test_token_bucket_sheds_overload(self, v4i_point, traffic):
         sims = make_replicas(v4i_point, 2)
@@ -321,6 +343,22 @@ class TestHedging:
         policy = ClusterPolicy(hedge_delay_s=0.0)
         stats = ClusterSimulator([sim], policy).simulate(traffic)
         assert stats.hedged_requests == 0
+
+    def test_probe_runs_before_hedge_timer_at_same_instant(self, v4i_point):
+        # The probe and the request's hedge timer both fall at 1 ms. The
+        # probe goes first: it ejects dead replica 0 and fails the request
+        # over to replica 1, so the timer then finds no second healthy
+        # replica. Firing the timer first would hedge onto replica 1 and
+        # then fail the original over beside its twin.
+        policy = ClusterPolicy(probe_interval_s=0.001, unhealthy_after=1,
+                               hedge_delay_s=0.001)
+        cores = v4i_point.chip.cores
+        stats = ClusterSimulator(make_replicas(v4i_point, 2), policy).simulate(
+            [0.0], schedules=[kill_schedule(cores), None])
+        assert (stats.ejections, stats.failed_over_requests) == (1, 1)
+        assert stats.hedged_requests == 0
+        assert stats.served_requests == 1
+        assert stats.replica_stats[1].served_requests == 1
 
     def test_hedging_off_by_default(self, v4i_point, traffic):
         sims = make_replicas(v4i_point, 2)

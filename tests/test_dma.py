@@ -1,14 +1,21 @@
-"""Tests for the DMA engine model."""
+"""Tests for the test-only interpreter's DMA engine model.
+
+The grid kernel's DMA scan must match these engines bit for bit
+(``tests/test_fastsim.py``, ``tests/test_gridsim.py``); these tests pin
+the engine rules the oracle states.
+"""
 
 import pytest
 
-from repro.arch import DmaEngine, MemorySystem, TPUV4I
+from repro.arch import TPUV4I
 from repro.util.units import MIB
+
+from tests.reference.interpreter import DmaEngine, MemoryLedger
 
 
 @pytest.fixture()
 def memory():
-    return MemorySystem(TPUV4I)
+    return MemoryLedger(TPUV4I)
 
 
 class TestIssue:

@@ -132,6 +132,32 @@ class TestServingIdentity:
         assert fast.mean_batch > 7.9  # queue really ran deep
 
 
+    def test_spans_and_counters_under_faults(self, v4i_point, traffic):
+        # A mid-batch kill and an outage an idle core walks into: lost
+        # and served batch spans and every serving.* metric must match.
+        from repro.obs.tracer import SpanTracer
+        schedule = FaultSchedule(v4i_point.chip.cores, 10.0,
+                                 down=[(0, 0.05, 0.06), (0, 0.2, 0.3)])
+
+        def run():
+            tracer = SpanTracer()
+            with collecting_metrics() as registry:
+                stats = make_sim(v4i_point).simulate(
+                    traffic, schedule=schedule, tracer=tracer)
+                values = {name: entry
+                          for name, entry in registry.snapshot().items()
+                          if not name.startswith("serving.fastserve.")}
+            return stats, tracer.spans, values
+
+        fast = run()
+        with reference_paths():
+            cold = run()
+        assert fast == cold
+        names = {span.name for span in fast[1]}
+        assert names == {"batch", "batch.lost"}
+        assert fast[2]["serving.outage_wait_s"]["value"] > 0
+
+
 class TestClusterIdentity:
     """replay_cluster vs the router event loop, scenario by scenario."""
 
@@ -434,6 +460,38 @@ class TestSingleCopyIdentity:
         assert fast.dropped_requests == 2
         assert fast.served_requests == len(requests) - 2
 
+    def test_arrival_on_empty_dead_replica_dropped(self, v4i_point):
+        # Replica 0's batch launched at 0.002 s dies at 0.0025 s and its
+        # core never returns; with no retry budget the queue empties, so
+        # the replica is not yet known dead. The arrival at 0.01 s joins
+        # it (lowest index on a tie), finds every core gone and is
+        # dropped there; the one at 0.02 s goes to replica 1.
+        schedules = [kill_schedule(v4i_point.chip.cores, start_s=0.0025),
+                     None]
+        model = FaultModel(seed=1, retry_budget=0)
+        factory = lambda: ClusterSimulator(make_replicas(v4i_point, 2))
+        fast = spans_and_counters(factory, [0.0, 0.01, 0.02],
+                                  faults=model, schedules=schedules)
+        with reference_paths():
+            cold = spans_and_counters(factory, [0.0, 0.01, 0.02],
+                                      faults=model, schedules=schedules)
+        assert fast[:2] == cold[:2]
+        assert fast[0].replica_stats[0].dropped_requests == 2
+        assert fast[0].served_requests == 1
+
+    def test_idle_core_waits_out_outage(self, v4i_point):
+        # The only request arrives inside an outage: its launch waits for
+        # the repair, and the wait is counted.
+        outage = FaultSchedule(v4i_point.chip.cores, 10.0,
+                               down=[(0, 0.01, 0.02)])
+        factory = lambda: ClusterSimulator(make_replicas(v4i_point, 1))
+        fast = spans_and_counters(factory, [0.012], schedules=[outage])
+        with reference_paths():
+            cold = spans_and_counters(factory, [0.012], schedules=[outage])
+        assert fast[:2] == cold[:2]
+        assert (fast[2]["serving.outage_wait_s"]
+                == cold[2]["serving.outage_wait_s"] > 0)
+
     @pytest.mark.parametrize("timeout, purged", [(0.01, 3), (0.05, 0)])
     def test_survivors_purged_by_retry_timeout(self, v4i_point, timeout,
                                                purged):
@@ -482,6 +540,194 @@ class TestSingleCopyIdentity:
         assert (kernel["serving.fastserve.segments"]
                 == kernel["serving.fastserve.boundaries"] + 1)
         assert kernel["serving.fastserve.boundaries"] >= lost
+
+
+def assert_router_matches_reference(cluster_factory, requests, **kwargs):
+    """Stats, spans and replay metrics of the kernel equal the event
+    loop's (engine metrics differ: the second run hits the caches)."""
+    def replay_metrics(values):
+        return {name: value for name, value in values.items()
+                if name.startswith(("cluster.", "serving."))
+                and not name.startswith("serving.fastserve.")}
+
+    fast = spans_and_counters(cluster_factory, requests, **kwargs)
+    with reference_paths():
+        cold = spans_and_counters(cluster_factory, requests, **kwargs)
+    assert fast[0] == cold[0]
+    assert fast[1] == cold[1]
+    assert replay_metrics(fast[2]) == replay_metrics(cold[2])
+    return fast
+
+
+class TestRouterEdgePaths:
+    """The probing/hedging router's rare branches vs the event loop."""
+
+    def test_cluster_down_last_resort(self, v4i_point):
+        # The only core is dead from t=0. The launch at 0.002 s finds it
+        # gone; probing is on, so its queue waits for the probe at 1 s.
+        # Meanwhile the arrival at 0.05 s has no live replica: the last
+        # resort assigns it to the dead one, which drops it.
+        policy = ClusterPolicy(probe_interval_s=1.0, unhealthy_after=1)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 1), policy),
+            [0.0, 0.001, 0.05],
+            schedules=[kill_schedule(v4i_point.chip.cores)])
+        stats = fast[0]
+        assert stats.served_requests == 0
+        assert stats.dropped_requests == 3
+        assert stats.ejections == 1
+
+    def test_dead_replica_discovered_on_arrival(self, v4i_point):
+        # The batch launched at 0.002 s dies at 0.0025 s for good and,
+        # with no retry budget, its request is dropped mid-batch. The
+        # arrival at 0.01 s then finds the emptied replica dead; it waits
+        # there until the probe at 1 s ejects replica 0 and fails it
+        # over to replica 1, which has served the arrival at 0.02 s.
+        policy = ClusterPolicy(probe_interval_s=1.0, unhealthy_after=1)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            [0.0, 0.01, 0.02], faults=FaultModel(seed=1, retry_budget=0),
+            schedules=[kill_schedule(v4i_point.chip.cores, start_s=0.0025),
+                       None])
+        stats = fast[0]
+        assert stats.lost_batches == 1
+        assert stats.dropped_requests == 1
+        assert (stats.ejections, stats.failed_over_requests) == (1, 1)
+        assert stats.served_requests == 2
+
+    @pytest.mark.parametrize("timeout, purged", [(0.01, 3), (0.05, 0)])
+    def test_retry_timeout_purge(self, v4i_point, timeout, purged):
+        # TestSingleCopyIdentity's purge scenario with probes on: the
+        # survivors of the batch killed at 0.0025 s wait out the outage
+        # to 0.05 s. At 0.05 s the oldest has waited exactly the 0.05 s
+        # timeout, so it stays.
+        outage = FaultSchedule(v4i_point.chip.cores, 10.0,
+                               down=[(0, 0.0025, 0.05)])
+        policy = ClusterPolicy(probe_interval_s=1.0, unhealthy_after=1)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 1), policy),
+            [0.0, 0.0005, 0.001, 0.06],
+            faults=FaultModel(seed=1, retry_budget=5,
+                              retry_timeout_s=timeout),
+            schedules=[outage])
+        stats = fast[0]
+        assert stats.retried_requests == 3
+        assert stats.dropped_requests == purged
+        assert stats.served_requests == 4 - purged
+
+    def test_batch_killed_on_ejected_replica_fails_over(self, v4i_point):
+        # Both replicas fail the probe at 0.01 s and are ejected until
+        # 0.02 s. The arrival at 0.0185 s goes to live, ejected replica
+        # 0. At 0.02 s replica 1 is readmitted; replica 0 is down again
+        # and stays ejected. Its batch launched at 0.0205 s dies at
+        # 0.021 s, so the survivor fails over to replica 1.
+        policy = ClusterPolicy(probe_interval_s=0.01, unhealthy_after=1,
+                               ejection_s=0.01)
+        schedules = [
+            FaultSchedule(1, 10.0, down=[(0, 0.009, 0.011),
+                                         (0, 0.0195, 0.0202),
+                                         (0, 0.021, 0.03)]),
+            FaultSchedule(1, 10.0, down=[(0, 0.009, 0.011)]),
+        ]
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            [0.0, 0.0185], schedules=schedules)
+        stats = fast[0]
+        assert (stats.ejections, stats.readmissions) == (2, 1)
+        assert stats.lost_batches == 1
+        assert stats.failed_over_requests == 1
+        assert stats.served_requests == 2
+        assert {span.name for span in fast[1]} == {
+            "batch", "batch.lost", "eject", "readmit"}
+
+    def test_batch_settling_at_the_last_hedge_instant(self, v4i_point):
+        # Request 1 arrives at 0.002 s and fills replica 1's one-slot
+        # batch; request 0's hedge timer fires at that instant and its
+        # copy joins replica 1 too. Request 1's batch then launches and,
+        # at zero latency, completes at 0.002 s: no later than the hedge
+        # just placed, so it settles entry by entry.
+        policy = ClusterPolicy(hedge_delay_s=0.002)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(
+                [make_sim(v4i_point),
+                 make_sim(v4i_point, max_batch=1, table={1: 0.0})], policy),
+            [0.0, 0.002])
+        stats = fast[0]
+        assert stats.hedged_requests == 1
+        assert stats.wasted_hedges == 1
+        assert stats.served_requests == 2
+        assert stats.p50_s == 0.0
+
+    @pytest.mark.parametrize("retry_budget, failed_over", [(2, 1), (0, 0)],
+                             ids=["fails-over", "dropped-mid-batch"])
+    def test_hedge_copy_on_dying_replica(self, v4i_point, retry_budget,
+                                         failed_over):
+        # Replica 0 crawls, so the request's hedge timer at 1 ms sends a
+        # copy to replica 1. That copy launches at 2 ms (it keeps the
+        # original arrival) and dies with replica 1 at 2.5 ms. With a
+        # retry budget it requeues, and the probe at 3 ms ejects replica
+        # 1 and fails it over to replica 0. With none it is dropped while
+        # the original still runs on replica 0, which serves the request.
+        schedules = [
+            FaultSchedule(1, 10.0, slowdowns=[(0, 0.0, 10.0, 50.0)]),
+            kill_schedule(1, start_s=0.0025),
+        ]
+        policy = ClusterPolicy(probe_interval_s=0.003, unhealthy_after=1,
+                               ejection_s=0.01, hedge_delay_s=0.001)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, 2), policy),
+            [0.0], faults=FaultModel(seed=1, retry_budget=retry_budget),
+            schedules=schedules)
+        stats = fast[0]
+        assert (stats.hedged_requests, stats.lost_batches) == (1, 1)
+        assert stats.failed_over_requests == failed_over
+        assert stats.served_requests == 1
+
+    @pytest.mark.parametrize("scenario", ["hedging", "degradation",
+                                          "int8-tier", "overload",
+                                          "queue-depth"])
+    def test_spans_and_counters_match_reference(self, v4i_point, scenario):
+        cores = v4i_point.chip.cores
+        schedules = None
+        replicas = 3
+        if scenario == "hedging":
+            replicas = 2
+            policy = ClusterPolicy(probe_interval_s=0.01,
+                                   hedge_delay_s=0.005)
+            schedules = [slowdown_schedule(cores, factor=50.0), None]
+            requests = RequestGenerator(3).poisson("cnn0", 1000.0, 0.2)
+        elif scenario in ("degradation", "int8-tier"):
+            tier = (DegradationTier("half", max_batch=4)
+                    if scenario == "degradation"
+                    else DegradationTier("int8", dtype="int8"))
+            policy = ClusterPolicy(
+                probe_interval_s=0.005, unhealthy_after=2, ejection_s=1.0,
+                tiers=(tier,), degrade_below_healthy=0.67, degrade_after=2,
+                recover_after=4)
+            schedules = [kill_schedule(cores), kill_schedule(cores), None]
+            requests = RequestGenerator(5).poisson("cnn0", 3000.0, 0.2)
+        elif scenario == "overload":
+            policy = ClusterPolicy.resilient(
+                slo_limit_s=0.005, offered_qps=2000.0, max_batch=8,
+                replicas=3, int8_tier=False)
+            requests = RequestGenerator(5).poisson("cnn0", 5000.0, 0.2)
+        else:
+            policy = ClusterPolicy(probe_interval_s=0.01, max_queue_depth=3)
+            requests = RequestGenerator(5).poisson("cnn0", 20000.0, 0.1)
+        fast = assert_router_matches_reference(
+            lambda: ClusterSimulator(make_replicas(v4i_point, replicas),
+                                     policy),
+            requests, schedules=schedules)
+        stats, spans, values = fast
+        if scenario == "hedging":
+            assert values["cluster.hedged_requests"] == stats.hedged_requests
+            assert stats.hedged_requests > 0
+        elif scenario in ("overload", "queue-depth"):
+            assert values["cluster.shed_requests"] == stats.shed_requests
+            assert stats.shed_requests > 0
+        else:
+            assert values["cluster.tier_changes"] >= 1
+            assert any(span.name == "tier" for span in spans)
 
 
 class TestChaosSweepIdentity:

@@ -6,7 +6,8 @@ interpreter's cycles, every PerfCounters field, and every per-level byte
 count — not approximately, bit for bit. These tests pin that contract
 across all four chip generations, real compiled workloads, both dtypes,
 and hand-built corner-case programs. The interpreter
-(``run_interpreted``) is test-only: no production path calls it.
+(``tests/reference/interpreter.py``) is test code: no production path
+calls it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.sim.lowered import FastReplay, lower_program
 
 from tests.conftest import (IDENTITY_APPS, IDENTITY_BATCHES, IDENTITY_CHIPS,
                             supported_dtypes)
+from tests.reference.interpreter import run_interpreted
 
 
 def _assert_identical(interp, fast):
@@ -46,7 +48,7 @@ class TestBitIdentityOnWorkloads:
         sim = TensorCoreSim(chip)
         lowered = lower_program(program, chip)
         for dtype in supported_dtypes(chip):
-            interp = sim.run_interpreted(program, dtype=dtype)
+            interp = run_interpreted(sim, program, dtype=dtype)
             fast = sim.replay.run(lowered, dtype=dtype)
             _assert_identical(interp, fast)
 
@@ -57,8 +59,8 @@ class TestBitIdentityOnWorkloads:
         lowered = lower_program(program, chip)
         bf16 = sim.replay.run(lowered, dtype="bf16")
         int8 = sim.replay.run(lowered, dtype="int8")
-        _assert_identical(sim.run_interpreted(program, dtype="bf16"), bf16)
-        _assert_identical(sim.run_interpreted(program, dtype="int8"), int8)
+        _assert_identical(run_interpreted(sim, program, dtype="bf16"), bf16)
+        _assert_identical(run_interpreted(sim, program, dtype="int8"), int8)
         assert (int8.counters.bytes_by_level["vmem"]
                 == bf16.counters.bytes_by_level["vmem"] / 2)
 
@@ -68,7 +70,7 @@ class TestBitIdentityOnCornerCases:
 
     def _both(self, program, chip=TPUV4I, dtype="bf16"):
         sim = TensorCoreSim(chip)
-        interp = sim.run_interpreted(program, dtype=dtype)
+        interp = run_interpreted(sim, program, dtype=dtype)
         fast = FastReplay(chip).run(lower_program(program, chip), dtype=dtype)
         _assert_identical(interp, fast)
         return interp
@@ -149,7 +151,7 @@ class TestErrorParity:
         program = Program("bad", generation=1)
         program.append(Bundle((Instruction(Opcode.DMA_IN, (1, 1024, 0)),)))
         with pytest.raises(ValueError) as interp_err:
-            TensorCoreSim(TPUV1).run_interpreted(program, dtype="int8")
+            run_interpreted(TensorCoreSim(TPUV1), program, dtype="int8")
         with pytest.raises(ValueError) as lower_err:
             lower_program(program, TPUV1)
         assert str(interp_err.value) == str(lower_err.value)
@@ -182,9 +184,12 @@ class TestLoweredForm:
         assert len(lower_program(program, TPUV4I)) == 6
 
     def test_engines_per_level_matches_core(self):
-        from repro.sim import core, gridkernel
+        """The kernel's DMA pool size is the interpreter's, stated twice."""
+        from repro.sim import gridkernel
+        from tests.reference import interpreter
 
-        assert core.ENGINES_PER_LEVEL == gridkernel.ENGINES_PER_LEVEL == 4
+        assert (interpreter.ENGINES_PER_LEVEL
+                == gridkernel.ENGINES_PER_LEVEL == 4)
 
 
 class TestGating:
@@ -199,7 +204,7 @@ class TestGating:
         program = self._mxm_program()
         sim = TensorCoreSim(TPUV4I)
         result = sim.run(program)
-        _assert_identical(sim.run_interpreted(program), result)
+        _assert_identical(run_interpreted(sim, program), result)
         assert result == FastReplay(TPUV4I).run(
             lower_program(program, TPUV4I))
 
@@ -214,7 +219,7 @@ class TestGating:
         assert second.counters.macs == first.counters.macs + 64 ** 3
         assert second.counters.bundles == first.counters.bundles + 1
         assert second.cycles > first.cycles
-        _assert_identical(sim.run_interpreted(program), second)
+        _assert_identical(run_interpreted(sim, program), second)
 
     def test_fast_result_carries_no_trace(self):
         result = TensorCoreSim(TPUV4I).run(self._mxm_program())

@@ -41,6 +41,7 @@ from repro.util.units import MIB
 from repro.workloads import app_by_name
 
 from tests.conftest import reference_paths
+from tests.reference.interpreter import run_interpreted
 
 
 def _dtypes(chip):
@@ -62,8 +63,8 @@ def _assert_identical(reference, batched):
 
 def _replay(point: GridPoint):
     """The oracle: the per-instruction interpreter."""
-    return TensorCoreSim(point.chip).run_interpreted(point.program,
-                                                     dtype=point.dtype)
+    return run_interpreted(TensorCoreSim(point.chip), point.program,
+                           dtype=point.dtype)
 
 
 class TestBitIdentityOnWorkloads:

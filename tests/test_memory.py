@@ -6,6 +6,8 @@ from repro.arch import MemorySystem, TPUV1, TPUV3, TPUV4I
 from repro.arch.memory import MemoryLevel
 from repro.util.units import MIB
 
+from tests.reference.interpreter import MemoryLedger
+
 
 class TestLevels:
     def test_v4i_has_three_levels(self):
@@ -51,8 +53,10 @@ class TestTransferTiming:
 
 
 class TestTrafficLedger:
+    """The test-only interpreter's ledger (the product keeps none)."""
+
     def test_records(self):
-        mem = MemorySystem(TPUV4I)
+        mem = MemoryLedger(TPUV4I)
         mem.record_traffic("hbm", 100)
         mem.record_traffic("hbm", 50)
         mem.record_traffic("cmem", 10)
@@ -61,8 +65,8 @@ class TestTrafficLedger:
 
     def test_unknown_level_rejected(self):
         with pytest.raises(KeyError):
-            MemorySystem(TPUV1).record_traffic("cmem", 10)
+            MemoryLedger(TPUV1).record_traffic("cmem", 10)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            MemorySystem(TPUV4I).record_traffic("hbm", -1)
+            MemoryLedger(TPUV4I).record_traffic("hbm", -1)

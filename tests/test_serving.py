@@ -169,6 +169,19 @@ class TestServingSimulator:
         batch = cnn_server.max_slo_batch()
         assert 1 <= batch <= 16
 
+    def test_arrival_at_deadline_joins_the_batch(self, v4i_point_module):
+        """An arrival exactly at the head's ``max_wait`` deadline is
+        absorbed before the batch launches: one batch of three."""
+        spec = app_by_name("cnn0")
+        sim = ServingSimulator(v4i_point_module, spec,
+                               BatchPolicy(max_batch=8, max_wait_s=0.002),
+                               Slo(spec.slo_ms / 1e3))
+        sim.seed_latencies({step: 0.001
+                            for step in BatchPolicy.batch_steps(8)})
+        stats = sim.simulate([0.0, 0.002, 0.002])
+        assert stats.mean_batch == 3.0
+        assert stats.p99_s == pytest.approx(0.003)
+
     def test_empty_stream_rejected(self, cnn_server):
         with pytest.raises(ValueError):
             cnn_server.simulate([])
@@ -387,3 +400,63 @@ class TestMultiTenancy:
         assert stats.requests == 0
         assert stats.p99_s == 0.0
         assert stats.mean_latency_s == 0.0
+
+
+class TestDescribe:
+    def test_every_optional_clause_is_printed(self, v4i_point_module):
+        """The README prints these summaries: each fault, hedge, ejection
+        and degradation clause shows on a faulted run."""
+        from repro.cluster import (ClusterPolicy, ClusterSimulator,
+                                   DegradationTier)
+        from repro.faults import FaultModel, FaultSchedule
+        from repro.serving import ContinuousBatchingSimulator
+        from repro.workloads import GenRequest, generative_by_name
+
+        spec = app_by_name("cnn0")
+        traffic = RequestGenerator(7).poisson("cnn0", 2000.0, 0.3)
+
+        def server():
+            return ServingSimulator(v4i_point_module, spec,
+                                    BatchPolicy(max_batch=8, max_wait_s=0.002),
+                                    Slo(spec.slo_ms / 1e3))
+
+        faults = FaultModel(seed=1, core_mtbf_s=0.01, core_repair_s=0.005,
+                            retry_budget=1)
+        serving = server().simulate(traffic, faults=faults)
+        assert serving.retried_requests and serving.dropped_requests
+        text = serving.describe()
+        assert "retries" in text and "dropped" in text
+
+        # Replicas 0 and 1 die for good: two ejections, half the fleet
+        # healthy (a degraded tier). Replica 2 crawls, so hedges fire.
+        cores = v4i_point_module.chip.cores
+        dead = FaultSchedule(cores, 10.0, down=[(c, 0.0, math.inf)
+                                                for c in range(cores)])
+        slow = FaultSchedule(cores, 10.0, slowdowns=[(c, 0.0, 10.0, 20.0)
+                                                     for c in range(cores)])
+        policy = ClusterPolicy(
+            probe_interval_s=0.005, unhealthy_after=2, ejection_s=1.0,
+            hedge_delay_s=0.004, tiers=(DegradationTier("half", max_batch=4),),
+            degrade_below_healthy=0.67, degrade_after=2, recover_after=4)
+        cluster = ClusterSimulator([server() for _ in range(4)], policy)
+        stats = cluster.simulate(traffic, schedules=[dead, dead, slow, None])
+        assert stats.hedged_requests and stats.ejections and stats.degraded_s
+        text = stats.describe()
+        for clause in ("hedged", "ejections", "degraded"):
+            assert clause in text, clause
+
+        llm = ContinuousBatchingSimulator(v4i_point_module,
+                                          generative_by_name("llm0"))
+        table = {("prefill", b, 1): 0.004
+                 for b in llm.spec.prompt_buckets}
+        table.update({("decode", b, step): 0.001
+                      for b in llm.spec.kv_buckets
+                      for step in BatchPolicy.batch_steps(llm.slots)})
+        llm.seed_latencies(table)
+        generative = llm.simulate(
+            [GenRequest(0.0, 10, 5), GenRequest(0.0, 10, 5)],
+            faults=FaultModel(seed=0, retry_budget=0),
+            schedule=FaultSchedule(1, 1.0, down=[(0, 0.0045, 0.010)]))
+        assert generative.dropped_requests
+        text = generative.describe()
+        assert "retries" in text and "dropped" in text

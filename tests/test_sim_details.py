@@ -92,6 +92,14 @@ class TestSimulatorEdgeCases:
         result = TensorCoreSim(TPUV4I).run(program)
         assert result.counters.macs == 0
 
+    def test_each_bundle_issues_at_least_one_cycle(self):
+        """Bundles issue in order, one per cycle minimum: three scalar
+        bundles and the halt bundle take exactly four cycles."""
+        program = self._program(*[Instruction(Opcode.SADD, (1, 2, 3))] * 3)
+        result = TensorCoreSim(TPUV4I).run(program)
+        assert result.counters.bundles == 4
+        assert result.cycles == 4
+
     def test_fresh_state_between_runs(self, tiny_mlp):
         sim = TensorCoreSim(TPUV4I)
         program = compile_model(tiny_mlp, TPUV4I).program
