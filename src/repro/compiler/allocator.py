@@ -14,7 +14,7 @@ or HBM, costing a DMA round-trip that lowering materializes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.graph.hlo import HloInstruction, HloModule
@@ -105,9 +105,7 @@ def plan_memory(module: HloModule, chip: ChipConfig, *,
             plan.hbm_weight_bytes += size
 
     # --- activations: spills prefer leftover CMEM, then HBM.
-    for inst in module.instructions:
-        if not spills(inst, chip.vmem_bytes):
-            continue
+    for inst in spilled_instructions(module, chip.vmem_bytes):
         if inst.shape.byte_size <= remaining:
             plan.spilled[inst.uid] = "cmem"
             remaining -= inst.shape.byte_size
@@ -116,14 +114,23 @@ def plan_memory(module: HloModule, chip: ChipConfig, *,
     return plan
 
 
-def spills(inst: HloInstruction, vmem_bytes: int) -> bool:
-    """Whether ``inst``'s output spills off VMEM.
+def spilled_instructions(module: HloModule,
+                         vmem_bytes: int) -> Tuple[HloInstruction, ...]:
+    """The instructions whose outputs spill off VMEM, in module order.
 
     Any non-data, non-shape output that exceeds the VMEM working budget
-    spills. Whether a tensor spills depends only on ``vmem_bytes``; the
-    level it spills to (:attr:`MemoryPlan.spilled`) depends on the CMEM
-    budget.
+    spills. Whether a tensor spills depends only on ``vmem_bytes``, so
+    the set is computed once per (module, ``vmem_bytes``) and memoized
+    on the module, for every CMEM budget's plan and the lowering to
+    share; the level it spills to (:attr:`MemoryPlan.spilled`) depends
+    on the CMEM budget.
     """
-    return (inst.kind not in ("data", "shape")
-            and inst.shape.byte_size > int(vmem_bytes
-                                           * _VMEM_WORKING_FRACTION))
+    key = ("compiler.spills", vmem_bytes)
+    spilled = module.memo.get(key)
+    if spilled is None:
+        limit = int(vmem_bytes * _VMEM_WORKING_FRACTION)
+        spilled = module.memo[key] = tuple(
+            inst for inst in module.instructions
+            if inst.kind not in ("data", "shape")
+            and inst.shape.byte_size > limit)
+    return spilled

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.chip import ChipConfig
-from repro.compiler.allocator import MemoryPlan, spills
+from repro.compiler.allocator import MemoryPlan, spilled_instructions
 from repro.compiler.fusion import FusionPlan
 from repro.compiler.tiling import plan_matmul_tiles
 from repro.compiler.versions import CompilerVersion
@@ -101,15 +101,40 @@ def _slot_level(name: SlotName, memory: MemoryPlan) -> str:
     raise ValueError(f"level slot {name} is unbound in the memory plan")
 
 
+#: One run of a lowered body: an instruction and its repeat count.
+InstructionRun = Tuple[Instruction, int]
+
+
 @dataclass
 class LoweredOp:
-    """One fusion group's executable form."""
+    """One fusion group's executable form.
+
+    The body is kept in run-length form: ``body_runs`` holds maximal
+    ``(instruction, count)`` runs, so a repeated matmul (one per batch
+    entry of a batched dot, one per equal M-tile) is one entry.
+    Lowering and binding intern instructions by value, so runs merged by
+    identity are maximal under equality too. :attr:`body` is the
+    expanded list.
+    """
 
     group_id: int
     description: str
     prologue: List[Instruction] = field(default_factory=list)  # hoisted DMAs
-    body: List[Instruction] = field(default_factory=list)      # waits + compute
+    body_runs: List[InstructionRun] = field(default_factory=list)  # waits+work
     epilogue: List[Instruction] = field(default_factory=list)  # store DMAs
+
+    def emit(self, inst: Instruction, count: int = 1) -> None:
+        """Append ``count`` copies of ``inst`` to the body."""
+        runs = self.body_runs
+        if runs and runs[-1][0] is inst:
+            runs[-1] = (inst, runs[-1][1] + count)
+        else:
+            runs.append((inst, count))
+
+    @property
+    def body(self) -> List[Instruction]:
+        return [inst for inst, count in self.body_runs
+                for _ in range(count)]
 
     def all_instructions(self) -> List[Instruction]:
         return self.prologue + self.body + self.epilogue
@@ -166,9 +191,14 @@ class LoweredModule:
         def fill(insts: List[Instruction]) -> List[Instruction]:
             return [bound.get(id(inst), inst) for inst in insts]
 
-        return [LoweredOp(op.group_id, op.description, fill(op.prologue),
-                          fill(op.body), fill(op.epilogue))
-                for op in self.ops]
+        ops = []
+        for op in self.ops:
+            out = LoweredOp(op.group_id, op.description, fill(op.prologue),
+                            epilogue=fill(op.epilogue))
+            for inst, count in op.body_runs:
+                out.emit(bound.get(id(inst), inst), count)
+            ops.append(out)
+        return ops
 
 
 class _FlagAllocator:
@@ -197,6 +227,8 @@ class _Lowerer:
         # uid -> store flag of the DMA that materialized it (for ordering).
         self.store_flag: Dict[int, int] = {}
         self.elem_bytes = 1 if module.root.shape.dtype_name == "int8" else 2
+        self.spilled = {inst.uid for inst
+                        in spilled_instructions(module, chip.vmem_bytes)}
         working = int(chip.vmem_bytes * _VMEM_WORKING_FRACTION)
         self.materialize_threshold = working // _MATERIALIZE_DIVISOR
         # (opcode, args) -> the one Instruction this lowering emits for
@@ -227,14 +259,14 @@ class _Lowerer:
         """
         flag = self.flags.take()
         if after_flag is not None:
-            op.body.append(self._inst(Opcode.SYNC_WAIT, (after_flag,)))
+            op.emit(self._inst(Opcode.SYNC_WAIT, (after_flag,)))
         load = self._inst(Opcode.DMA_IN, (level, max(1, int(num_bytes)), flag))
         if self.version.has("prefetch") and after_flag is None:
             op.prologue.append(load)
         else:
-            op.body.append(load)
+            op.emit(load)
             if not self.version.has("prefetch"):
-                op.body.append(self._inst(Opcode.SYNC_WAIT, (flag,)))
+                op.emit(self._inst(Opcode.SYNC_WAIT, (flag,)))
         return flag
 
     def _emit_store(self, op: LoweredOp, level: int, num_bytes: int) -> int:
@@ -245,7 +277,7 @@ class _Lowerer:
 
     def _wait(self, op: LoweredOp, flag: Optional[int]) -> None:
         if flag is not None:
-            op.body.append(self._inst(Opcode.SYNC_WAIT, (flag,)))
+            op.emit(self._inst(Opcode.SYNC_WAIT, (flag,)))
 
     def _stage_operand(self, op: LoweredOp, operand: HloInstruction) -> None:
         """Bring one operand into VMEM if it is not already there."""
@@ -309,7 +341,7 @@ class _Lowerer:
             if weight_flags:
                 wait_index = min(index, len(weight_flags) - 1)
                 self._wait(op, weight_flags[wait_index])
-            op.body.append(self._inst(Opcode.MXM, (tile.rows, k, n)))
+            op.emit(self._inst(Opcode.MXM, (tile.rows, k, n)))
 
     def _lower_batched_dot(self, op: LoweredOp, root: HloInstruction) -> None:
         """Attention-style activation x activation matmul: one MXU matmul
@@ -318,7 +350,7 @@ class _Lowerer:
             self._stage_operand(op, operand)
         batch, m, k = root.operands[0].shape.dims
         n = root.operands[1].shape.dims[2]
-        op.body.extend([self._inst(Opcode.MXM, (m, k, n))] * batch)
+        op.emit(self._inst(Opcode.MXM, (m, k, n)), batch)
 
     # ---------------------------------------------------------------- vector
 
@@ -326,19 +358,19 @@ class _Lowerer:
         definition = opdef(inst.opcode)
         if definition.kind == "pool":
             window = int(inst.attr("window", 2))
-            op.body.append(self._inst(
+            op.emit(self._inst(
                 Opcode.VREDUCE,
                 (inst.operands[0].shape.num_elements, window * window)))
             return
         if definition.kind == "reduce":
             axis = int(inst.attr("axis", inst.operands[0].shape.rank - 1))
             axis_len = inst.operands[0].shape.dims[axis]
-            op.body.append(self._inst(
+            op.emit(self._inst(
                 Opcode.VREDUCE,
                 (inst.operands[0].shape.num_elements, axis_len)))
             return
         opcode = _VECTOR_OPCODES[definition.vpu_class]
-        op.body.append(self._inst(opcode, (inst.shape.num_elements,)))
+        op.emit(self._inst(opcode, (inst.shape.num_elements,)))
 
     # ---------------------------------------------------------------- gather
 
@@ -357,7 +389,7 @@ class _Lowerer:
         read_bytes = rows * max(row_bytes, self._MIN_BURST_BYTES)
         flag = self._emit_load(op, home, read_bytes)
         self._wait(op, flag)
-        op.body.append(self._inst(Opcode.VCOPY, (inst.shape.num_elements,)))
+        op.emit(self._inst(Opcode.VCOPY, (inst.shape.num_elements,)))
 
     # ----------------------------------------------------------------- group
 
@@ -422,7 +454,7 @@ class _Lowerer:
         if tail.uid == self.module.root.uid:
             self._emit_store(op, _HBM, size)
             self.location[tail.uid] = _HBM
-        elif spills(tail, self.chip.vmem_bytes):
+        elif tail.uid in self.spilled:
             level = self._slot("spill", tail.uid)
             self.store_flag[tail.uid] = self._emit_store(op, level, size)
             self.location[tail.uid] = level

@@ -14,10 +14,9 @@ from repro.compiler.allocator import (
 from repro.compiler.expansion import expand_composites
 from repro.compiler.fusion import FusionPlan, plan_fusion
 from repro.compiler.lowering import LoweredModule, LoweredOp, lower_module
-from repro.compiler.scheduler import bind_bundles, schedule
+from repro.compiler.scheduler import Runs, bind_bundles, schedule
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
-from repro.isa.instructions import Bundle
 from repro.isa.program import Program
 
 
@@ -151,18 +150,18 @@ def _lowering(expanded: HloModule, chip: ChipConfig,
     return lowered
 
 
-def _bundles(expanded: HloModule, chip: ChipConfig,
-             version: CompilerVersion) -> List[Bundle]:
-    """The slotted lowering's bundles, memoized per (:func:`lowering_key`,
-    generation, ``dual_issue``)."""
+def _bundle_runs(expanded: HloModule, chip: ChipConfig,
+                 version: CompilerVersion) -> Runs:
+    """The slotted lowering's bundle runs, memoized per
+    (:func:`lowering_key`, generation, ``dual_issue``)."""
     dense = version.has("dual_issue")
     key = ("compiler.bundles", lowering_key(chip, version), chip.generation,
            dense)
-    bundles = expanded.memo.get(key)
-    if bundles is None:
-        bundles = expanded.memo[key] = schedule(
+    runs = expanded.memo.get(key)
+    if runs is None:
+        runs = expanded.memo[key] = schedule(
             _lowering(expanded, chip, version).ops, chip.generation, dense)
-    return bundles
+    return runs
 
 
 def lower_stages(module: HloModule, chip: ChipConfig,
@@ -240,10 +239,11 @@ def compile_model(module: HloModule, chip: ChipConfig, *,
     _check_dtypes(front, chip)
     expanded = front.expanded
     memory = _memory(expanded, chip, version, cmem_budget_bytes)
-    bundles = _bundles(expanded, chip, version)
+    bundles, counts = _bundle_runs(expanded, chip, version)
     lowered = _lowering(expanded, chip, version)
     program = Program(name=module.name, generation=chip.generation)
-    program.extend(bind_bundles(bundles, lowered.bound(memory)))
+    program.extend_runs(zip(bind_bundles(bundles, lowered.bound(memory)),
+                            counts))
     program.metadata["compiler_version"] = version.name
     program.metadata["lowered_ops"] = len(lowered.ops)
     program.metadata["weight_bytes"] = front.weight_bytes

@@ -38,6 +38,7 @@ Counters flow through :func:`repro.obs.metrics.metrics`, the
 
 from __future__ import annotations
 
+import gc
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
@@ -159,16 +160,27 @@ def run_grid(jobs: Sequence[GridJob],
     slot_by_key: Dict[str, int] = {}
     batch_points: list[GridPoint] = []
     slots: list[int] = []
-    for job in misses:
-        key = _key("sim", job)
-        if key not in slot_by_key:
-            compiled = _shared_compiled(job, compiled_by_key)
-            slot_by_key[key] = len(batch_points)
-            batch_points.append(GridPoint(compiled.program, job.point.chip,
-                                          job.resolved_dtype))
-        slots.append(slot_by_key[key])
-    with reg.timer("tier.sim_s"):
-        sims = evaluate_grid(batch_points)
+    # The cyclic collector is paused over the compiles and the kernel
+    # batch: they allocate tens of thousands of long-lived objects
+    # (lowerings, bundles, structure tables) and almost no cycles, so
+    # the collections they would trigger walk a growing heap and free
+    # next to nothing. The caller's collector state is restored.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for job in misses:
+            key = _key("sim", job)
+            if key not in slot_by_key:
+                compiled = _shared_compiled(job, compiled_by_key)
+                slot_by_key[key] = len(batch_points)
+                batch_points.append(GridPoint(
+                    compiled.program, job.point.chip, job.resolved_dtype))
+            slots.append(slot_by_key[key])
+        with reg.timer("tier.sim_s"):
+            sims = evaluate_grid(batch_points)
+    finally:
+        if collecting:
+            gc.enable()
     reg.count("engine.grid.batched_points", len(batch_points))
     return _store("sim", results, misses, [sims[slot] for slot in slots])
 

@@ -73,16 +73,17 @@ class BinaryFormat:
         table = self._opcode_table()
         out = bytearray()
         out += self.magic
-        out += struct.pack("<BI", self.generation, len(program.bundles))
+        out += struct.pack("<BI", self.generation, len(program))
         name_bytes = program.name.encode("utf-8")[:255]
         out += struct.pack("<B", len(name_bytes))
         out += name_bytes
-        for bundle in program.bundles:
-            out += struct.pack("<B", len(bundle.instructions))
+        for bundle, count in program.runs:
+            encoded = bytearray(struct.pack("<B", len(bundle.instructions)))
             for inst in bundle.instructions:
-                out += struct.pack("<B", table[inst.opcode])
+                encoded += struct.pack("<B", table[inst.opcode])
                 for operand in inst.args:
-                    out += self._pack_operand(operand)
+                    encoded += self._pack_operand(operand)
+            out += encoded * count
         return bytes(out)
 
     def decode(self, data: bytes) -> Program:

@@ -174,9 +174,10 @@ class Bundle:
 
     def __hash__(self) -> int:
         try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash(self.instructions)
+            return self._hash
+        except AttributeError:
+            h = hash(self.instructions)
+            object.__setattr__(self, "_hash", h)
             return h
 
     def __getstate__(self) -> dict:

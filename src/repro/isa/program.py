@@ -3,12 +3,22 @@
 A :class:`Program` is what the compiler emits and the simulator runs. It
 carries the generation it was compiled for (the binary-compatibility axis of
 Lesson 2) and summary statistics the tests and benchmarks assert on.
+
+A program is stored in run-length form: :attr:`Program.runs` lists its
+maximal ``(bundle, count)`` runs, the way TPUv1's CISC instructions carry
+a repeat field. Runs are maximal under :class:`Bundle` equality, so two
+programs with equal bundle sequences have equal runs, and every stage
+that only needs one copy of a repeated bundle (binding, checking,
+hashing, decoding for timing) touches each run once.
+:attr:`Program.bundles` is the expanded, position-by-position view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import eq
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import (
     Bundle,
@@ -17,43 +27,150 @@ from repro.isa.instructions import (
     slot_layout_for_generation,
 )
 
+#: One run of a program: a bundle and how many times it issues in a row.
+Run = Tuple[Bundle, int]
 
-@dataclass
+
+class BundleView:
+    """A program's bundles, one per issue position, in issue order.
+
+    A live view over the program's runs: it iterates and indexes like
+    the list of bundles, and :meth:`append` / :meth:`extend` add
+    positions without checking slots (as appending to a plain list
+    would; :meth:`Program.append` is the checked form).
+    """
+
+    __slots__ = ("_program",)
+
+    def __init__(self, program: "Program") -> None:
+        self._program = program
+
+    def __len__(self) -> int:
+        return self._program._positions
+
+    def __iter__(self) -> Iterator[Bundle]:
+        program = self._program
+        return chain.from_iterable(
+            map(repeat, program.run_bundles, program.run_counts))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def append(self, bundle: Bundle) -> None:
+        self._program._push_runs([bundle], [1])
+
+    def extend(self, bundles: Iterable[Bundle]) -> None:
+        bundles = list(bundles)
+        self._program._push_runs(bundles, [1] * len(bundles))
+
+
+@dataclass(init=False)
 class Program:
     """A compiled TensorCore program.
 
     Attributes:
         name: human-readable label (usually the workload name).
         generation: the chip generation the program was scheduled/encoded for.
-        bundles: the VLIW bundles in issue order.
+        run_bundles / run_counts: the maximal runs in issue order, as two
+            parallel lists (run ``i`` issues ``run_bundles[i]``
+            ``run_counts[i]`` times); :attr:`runs` pairs them up.
+        bundles: the expanded bundles in issue order (a :class:`BundleView`).
         metadata: free-form compile artifacts (weight placement, compiler
             version) that tools attach; never consumed by the simulator.
+
+    The runs are two flat lists rather than a list of pairs so that a
+    program adds no per-run objects for the garbage collector to walk.
+    Equality compares the runs, which are maximal, so it is equality of
+    the expanded bundles.
     """
 
     name: str
     generation: int
-    bundles: List[Bundle] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
+    run_bundles: List[Bundle]
+    run_counts: List[int]
+    metadata: Dict[str, object]
+
+    def __init__(self, name: str, generation: int,
+                 bundles: Iterable[Bundle] = (),
+                 metadata: Optional[Dict[str, object]] = None) -> None:
+        self.name = name
+        self.generation = generation
+        self.run_bundles = []
+        self.run_counts = []
+        self._positions = 0
+        self.metadata = {} if metadata is None else metadata
+        BundleView(self).extend(bundles)
+
+    @property
+    def bundles(self) -> BundleView:
+        return BundleView(self)
+
+    @property
+    def runs(self) -> List[Run]:
+        """The ``(bundle, count)`` runs in issue order."""
+        return list(zip(self.run_bundles, self.run_counts))
+
+    def _push_runs(self, bundles: Sequence[Bundle],
+                   counts: Sequence[int]) -> None:
+        """Add runs in order, unchecked, merging each into the one before
+        it when it holds an equal bundle.
+
+        Bundles cache their hashes, so the common case — no two
+        neighbours hash alike — is decided without comparing fields and
+        appends every run at once.
+        """
+        out_bundles, out_counts = self.run_bundles, self.run_counts
+        hashes = list(map(hash, bundles))
+        if out_bundles:
+            hashes.insert(0, hash(out_bundles[-1]))
+        self._positions += sum(counts)
+        if not any(map(eq, hashes, islice(hashes, 1, None))):
+            out_bundles.extend(bundles)
+            out_counts.extend(counts)
+            return
+        for bundle, count in zip(bundles, counts):
+            if out_bundles:
+                last = out_bundles[-1]
+                if last is bundle or (hash(last) == hash(bundle)
+                                      and last == bundle):
+                    out_counts[-1] += count
+                    continue
+            out_bundles.append(bundle)
+            out_counts.append(count)
 
     def append(self, bundle: Bundle) -> None:
         bundle.validate_for(self.generation)
-        self.bundles.append(bundle)
+        self._push_runs([bundle], [1])
 
     def extend(self, bundles: Iterable[Bundle]) -> None:
         """Append bundles in order, after checking every one of them.
 
-        The layout is looked up once and each distinct bundle object is
-        checked once (bundles are immutable, so a repeat cannot differ).
         Nothing is appended if any bundle is invalid.
         """
-        bundles = list(bundles)
+        self.extend_runs((bundle, 1) for bundle in bundles)
+
+    def extend_runs(self, runs: Iterable[Run]) -> None:
+        """Append ``(bundle, count)`` runs in order, after checking every
+        bundle.
+
+        The layout is looked up once and each distinct bundle object is
+        checked once (bundles are immutable, so a repeat cannot differ).
+        Nothing is appended if any bundle or count is invalid.
+        """
+        runs = list(runs)
+        if not runs:
+            return
+        bundles, counts = zip(*runs)
+        if not set(map(type, counts)) <= {int} or min(counts) < 1:
+            bad = next(c for c in counts if type(c) is not int or c < 1)
+            raise ValueError(f"run count must be an int >= 1, got {bad!r}")
         layout = slot_layout_for_generation(self.generation)
-        for bundle in {id(b): b for b in bundles}.values():
+        for bundle in dict(zip(map(id, bundles), bundles)).values():
             bundle.check_slots(layout, self.generation)
-        self.bundles.extend(bundles)
+        self._push_runs(bundles, counts)
 
     def __len__(self) -> int:
-        return len(self.bundles)
+        return self._positions
 
     def instructions(self) -> Iterator[Instruction]:
         """All instructions in issue order, flattened across bundles."""
@@ -61,18 +178,19 @@ class Program:
             yield from bundle.instructions
 
     def signature(self) -> Tuple:
-        """A hashable content key: name, generation, and the bundles.
+        """A hashable content key: name, generation, and the runs.
 
         Two programs with equal signatures execute identically, so the
         grid kernel's per-structure tables (:mod:`repro.sim.gridkernel`)
         use this — not object identity — as their key; a program mutated
         by :meth:`append` between runs gets a fresh signature for free.
-        Bundle equality is ``(opcode, args)`` equality of its
-        instructions, and each bundle caches its hash, so hashing the key
-        costs one cached lookup per position and one full hash per
-        distinct bundle (the scheduler interns repeats).
+        Runs are maximal under bundle equality, so equal bundle sequences
+        give equal signatures. Each bundle caches its hash, so hashing
+        the key costs one cached lookup per run and one full hash per
+        distinct bundle.
         """
-        return (self.name, self.generation, tuple(self.bundles))
+        return (self.name, self.generation, tuple(self.run_bundles),
+                tuple(self.run_counts))
 
     def total_macs(self) -> int:
         """MACs implied by all MXM instructions."""
@@ -85,8 +203,10 @@ class Program:
 
     def validate(self) -> None:
         """Re-check every bundle against the program's generation."""
-        for index, bundle in enumerate(self.bundles):
+        position = 0
+        for bundle, count in zip(self.run_bundles, self.run_counts):
             try:
                 bundle.validate_for(self.generation)
             except ValueError as exc:
-                raise ValueError(f"bundle {index}: {exc}") from exc
+                raise ValueError(f"bundle {position}: {exc}") from exc
+            position += count

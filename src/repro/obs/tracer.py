@@ -200,8 +200,8 @@ def build_trace(spec, chip: ChipConfig, *, batch: Optional[int] = None,
 
     tracer = SpanTracer(capacity=capacity)
     program = compile_batch(b)
-    n_instructions = sum(len(bundle.instructions)
-                         for bundle in program.bundles)
+    n_instructions = sum(len(bundle.instructions) * count
+                         for bundle, count in program.runs)
     lowered = lower_program(program, chip)
 
     # Pipeline track: phases end to end on a work-unit axis (1 tick =

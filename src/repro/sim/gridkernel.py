@@ -14,7 +14,9 @@ clock, MXU count, or CMEM provisioning — shares everything else:
   hard rows run from 13 (mlp0, batch 8) to 8,092 (bert1, batch 64,
   beside 52,843 MXU/VPU rows); in cnn1 at batch 64 they outnumber the
   unit rows, 1,923 to 872. This is the only code outside the
-  interpreter that decodes a :class:`Program` for timing;
+  interpreter that decodes a :class:`Program` for timing. It reads the
+  program's runs: a repeated bundle with no hard row is filled in closed
+  form, anything else copy by copy;
 * **pricing** (per ``(signature, unit geometry)``) — MXU/VPU cycle costs
   gathered from grid-wide per-shape memos, so a shape is priced once per
   geometry for the whole grid, not once per point;
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -275,12 +278,91 @@ def clear_grid_kernel() -> None:
     _STATS = GridKernelStats()
 
 
+_HARD_OR_HALT = frozenset({Opcode.DMA_IN, Opcode.DMA_OUT, Opcode.SYNC_WAIT,
+                           Opcode.SYNC_SET, Opcode.HALT})
+
+
+class _UnitBundle(NamedTuple):
+    """One copy's columns of a bundle with no hard row and no HALT."""
+
+    order: bytes               # _O_MXU / _O_VPU per unit row
+    mxu_shape: list            # per MXU row, as in _Struct
+    mxu_fixed: list
+    vec_id: list               # per VPU row
+    macs: int
+    vmem_elements: int
+    scalar_ops: int
+
+
+def _unit_bundle(bundle, shapes: Dict[tuple, int],
+                 vecops: Dict[tuple, int]) -> Optional[_UnitBundle]:
+    """``bundle``'s per-copy columns, or None if it holds a hard row
+    (``sync.wait``/``sync.set``/DMA) or a HALT. Registers its MXM shapes
+    and vector ops in instruction order, as a copy-by-copy pass would at
+    the bundle's first copy."""
+    if any(inst.opcode in _HARD_OR_HALT for inst in bundle.instructions):
+        return None
+    order: List[int] = []
+    mxu_shape: List[int] = []
+    mxu_fixed: List[int] = []
+    vec_id: List[int] = []
+    macs = vmem_elements = scalar_ops = 0
+    for inst in bundle.instructions:
+        op = inst.opcode
+        if op is Opcode.MXM:
+            m, k, n = inst.args
+            macs += m * k * n
+            vmem_elements += m * k + k * n + m * n
+            order.append(_O_MXU)
+            mxu_shape.append(shapes.setdefault(inst.args, len(shapes)))
+            mxu_fixed.append(0)
+        elif op in VECTOR_OP_CLASS:
+            descriptor, elements = _vector_descriptor(inst)
+            order.append(_O_VPU)
+            vec_id.append(vecops.setdefault(descriptor, len(vecops)))
+            vmem_elements += 2 * elements
+        elif op is Opcode.MXM_LOADW or op is Opcode.MXM_TRANSPOSE:
+            order.append(_O_MXU)
+            mxu_shape.append(-1)
+            mxu_fixed.append(max(1, inst.args[0]))
+        else:
+            scalar_ops += 1
+    return _UnitBundle(bytes(order), mxu_shape, mxu_fixed, vec_id, macs,
+                       vmem_elements, scalar_ops)
+
+
+def _vector_descriptor(inst) -> tuple:
+    """A vector instruction's pricing descriptor and element count."""
+    if inst.opcode is Opcode.VREDUCE:
+        elements, axis_len = inst.args
+        return ("reduce", elements, max(1, axis_len)), elements
+    return (("elementwise", VECTOR_OP_CLASS[inst.opcode], inst.args[0]),
+            inst.args[0])
+
+
+def _offsets(first: int, copies: int, per_copy: int):
+    """Bundle offsets of ``per_copy`` unit rows in each of ``copies``
+    consecutive bundles, the first at offset ``first``."""
+    offsets = range(first, first + copies)
+    if per_copy == 1:
+        return offsets
+    return chain.from_iterable(zip(*([offsets] * per_copy)))
+
+
 def _build_struct(program: Program) -> _Struct:
-    """One columnar pass over the program, statically truncated at the
-    first HALT (execution is straight-line, so the rest is dead)."""
+    """One columnar pass over the program's runs, statically truncated
+    at the first HALT (execution is straight-line, so the rest is dead).
+
+    A run of two or more copies of a bundle with no hard row and no HALT
+    is filled in closed form: every copy's unit rows follow the same
+    hard row, so their ``hidx`` is constant across the run and their
+    bundle offset rises by one per copy. Any other run is decoded copy
+    by copy.
+    """
     shapes: Dict[tuple, int] = {}
     vecops: Dict[tuple, int] = {}
-    order: List[int] = []
+    units: Dict[int, Optional[_UnitBundle]] = {}   # id(bundle) -> columns
+    order = bytearray()
     mxu_shape: List[int] = []
     mxu_fixed: List[int] = []
     mxu_hidx: List[int] = []
@@ -306,86 +388,111 @@ def _build_struct(program: Program) -> _Struct:
     bundles_at_last_hard = 0
     halted = False
 
-    for bundle in program.bundles:
+    for bundle, count in zip(program.run_bundles, program.run_counts):
+        unit = None
+        if count > 1:
+            key = id(bundle)
+            if key in units:
+                unit = units[key]
+            else:
+                unit = units[key] = _unit_bundle(bundle, shapes, vecops)
+        if unit is not None:
+            rows += count * (1 + len(bundle.instructions))
+            scalar_ops += count * unit.scalar_ops
+            macs += count * unit.macs
+            vmem_elements += count * unit.vmem_elements
+            order += unit.order * count
+            first = bundles + 1 - bundles_at_last_hard
+            bundles += count
+            if unit.mxu_shape:
+                per_copy = len(unit.mxu_shape)
+                mxu_shape += unit.mxu_shape * count
+                mxu_fixed += unit.mxu_fixed * count
+                mxu_hidx += [last_hard] * (per_copy * count)
+                mxu_b.extend(_offsets(first, count, per_copy))
+            if unit.vec_id:
+                per_copy = len(unit.vec_id)
+                vec_id += unit.vec_id * count
+                vec_hidx += [last_hard] * (per_copy * count)
+                vec_b.extend(_offsets(first, count, per_copy))
+            continue
+        instructions = bundle.instructions
+        for _ in range(count):
+            bundles += 1
+            rows += 1 + len(instructions)
+            for inst in instructions:
+                op = inst.opcode
+                if op is Opcode.MXM:
+                    shape_id = shapes.setdefault(inst.args, len(shapes))
+                    m, k, n = inst.args
+                    macs += m * k * n
+                    vmem_elements += m * k + k * n + m * n
+                    order.append(_O_MXU)
+                    mxu_shape.append(shape_id)
+                    mxu_fixed.append(0)
+                    mxu_hidx.append(last_hard)
+                    mxu_b.append(bundles - bundles_at_last_hard)
+                elif op in VECTOR_OP_CLASS:
+                    descriptor, elements = _vector_descriptor(inst)
+                    order.append(_O_VPU)
+                    vec_id.append(vecops.setdefault(descriptor, len(vecops)))
+                    vmem_elements += 2 * elements
+                    vec_hidx.append(last_hard)
+                    vec_b.append(bundles - bundles_at_last_hard)
+                elif op is Opcode.DMA_IN or op is Opcode.DMA_OUT:
+                    level_name = LEVEL_NAMES.get(inst.args[0])
+                    if level_name is None:
+                        known = ", ".join(f"{i} ({name})" for i, name
+                                          in sorted(LEVEL_NAMES.items()))
+                        raise ValueError(
+                            f"{op.mnemonic} level operand {inst.args[0]!r} "
+                            f"names no memory level; known: {known}")
+                    flag = inst.args[2]
+                    if flag >= n_flags:
+                        n_flags = flag + 1
+                    if level_name not in dma_bytes:
+                        dma_bytes[level_name] = 0
+                        dma_levels.append(level_name)
+                    dma_bytes[level_name] += inst.args[1]
+                    order.append(_O_HARD)
+                    h_type.append(_H_DMA)
+                    h_arg.append(inst.args[1])
+                    h_flag.append(flag)
+                    h_level.append(level_name)
+                    h_nb.append(bundles - bundles_at_last_hard)
+                    bundles_at_last_hard = bundles
+                    last_hard += 1
+                elif op is Opcode.SYNC_WAIT or op is Opcode.SYNC_SET:
+                    flag = inst.args[0]
+                    if flag >= n_flags:
+                        n_flags = flag + 1
+                    order.append(_O_HARD)
+                    h_type.append(_H_WAIT if op is Opcode.SYNC_WAIT
+                                  else _H_SET)
+                    h_arg.append(flag)
+                    h_flag.append(0)
+                    h_level.append(None)
+                    h_nb.append(bundles - bundles_at_last_hard)
+                    bundles_at_last_hard = bundles
+                    last_hard += 1
+                elif op is Opcode.MXM_LOADW or op is Opcode.MXM_TRANSPOSE:
+                    order.append(_O_MXU)
+                    mxu_shape.append(-1)
+                    mxu_fixed.append(max(1, inst.args[0]))
+                    mxu_hidx.append(last_hard)
+                    mxu_b.append(bundles - bundles_at_last_hard)
+                elif op is Opcode.HALT:
+                    rows -= len(instructions) - instructions.index(inst) - 1
+                    halted = True
+                    break
+                else:
+                    # NOP / SADD / SMUL / SBRANCH / SLOOP: single-cycle
+                    # scalar-slot ops; only the counter observes them.
+                    scalar_ops += 1
+            if halted:
+                break
         if halted:
             break
-        bundles += 1
-        instructions = bundle.instructions
-        rows += 1 + len(instructions)
-        for inst in instructions:
-            op = inst.opcode
-            if op is Opcode.MXM:
-                shape_id = shapes.setdefault(inst.args, len(shapes))
-                m, k, n = inst.args
-                macs += m * k * n
-                vmem_elements += m * k + k * n + m * n
-                order.append(_O_MXU)
-                mxu_shape.append(shape_id)
-                mxu_fixed.append(0)
-                mxu_hidx.append(last_hard)
-                mxu_b.append(bundles - bundles_at_last_hard)
-            elif op in VECTOR_OP_CLASS:
-                if op is Opcode.VREDUCE:
-                    elements, axis_len = inst.args
-                    descriptor = ("reduce", elements, max(1, axis_len))
-                else:
-                    descriptor = ("elementwise", VECTOR_OP_CLASS[op],
-                                  inst.args[0])
-                    elements = inst.args[0]
-                order.append(_O_VPU)
-                vec_id.append(vecops.setdefault(descriptor, len(vecops)))
-                vmem_elements += 2 * elements
-                vec_hidx.append(last_hard)
-                vec_b.append(bundles - bundles_at_last_hard)
-            elif op is Opcode.DMA_IN or op is Opcode.DMA_OUT:
-                level_name = LEVEL_NAMES.get(inst.args[0])
-                if level_name is None:
-                    known = ", ".join(f"{i} ({name})" for i, name
-                                      in sorted(LEVEL_NAMES.items()))
-                    raise ValueError(
-                        f"{op.mnemonic} level operand {inst.args[0]!r} "
-                        f"names no memory level; known: {known}")
-                flag = inst.args[2]
-                if flag >= n_flags:
-                    n_flags = flag + 1
-                if level_name not in dma_bytes:
-                    dma_bytes[level_name] = 0
-                    dma_levels.append(level_name)
-                dma_bytes[level_name] += inst.args[1]
-                order.append(_O_HARD)
-                h_type.append(_H_DMA)
-                h_arg.append(inst.args[1])
-                h_flag.append(flag)
-                h_level.append(level_name)
-                h_nb.append(bundles - bundles_at_last_hard)
-                bundles_at_last_hard = bundles
-                last_hard += 1
-            elif op is Opcode.SYNC_WAIT or op is Opcode.SYNC_SET:
-                flag = inst.args[0]
-                if flag >= n_flags:
-                    n_flags = flag + 1
-                order.append(_O_HARD)
-                h_type.append(_H_WAIT if op is Opcode.SYNC_WAIT else _H_SET)
-                h_arg.append(flag)
-                h_flag.append(0)
-                h_level.append(None)
-                h_nb.append(bundles - bundles_at_last_hard)
-                bundles_at_last_hard = bundles
-                last_hard += 1
-            elif op is Opcode.MXM_LOADW or op is Opcode.MXM_TRANSPOSE:
-                order.append(_O_MXU)
-                mxu_shape.append(-1)
-                mxu_fixed.append(max(1, inst.args[0]))
-                mxu_hidx.append(last_hard)
-                mxu_b.append(bundles - bundles_at_last_hard)
-            elif op is Opcode.HALT:
-                rows -= len(instructions) - instructions.index(inst) - 1
-                halted = True
-                break
-            else:
-                # NOP / SADD / SMUL / SBRANCH / SLOOP: single-cycle
-                # scalar-slot ops; only the counter observes them.
-                scalar_ops += 1
 
     as_i64 = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
     return _Struct(

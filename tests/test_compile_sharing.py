@@ -220,7 +220,7 @@ class TestCapacitySweep:
         for (chip, budget), got in zip(targets, compiled):
             bound = _bound_ops(module, chip, LATEST, budget)
             want = Program(module.name, chip.generation)
-            want.extend(schedule(bound, chip.generation, dense))
+            want.extend_runs(zip(*schedule(bound, chip.generation, dense)))
             assert got.program.signature() == want.signature()
             assert ([(i.opcode, i.args) for i in got.program.instructions()]
                     == _flat(bound) + [(Opcode.HALT, ())])

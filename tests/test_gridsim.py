@@ -16,6 +16,7 @@ reached through ``tests.conftest.reference_paths``.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -365,6 +366,36 @@ class TestEngineGrid:
             assert registry.counter("engine.grid.points").value == 2
             assert registry.counter("engine.grid.batches").value == 1
             assert registry.counter("engine.grid.batched_points").value == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_over_the_miss_path(self, enabled,
+                                                 monkeypatch):
+        compile_ = DesignPoint.compile
+        seen = []
+
+        def spy(point, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return compile_(point, *args, **kwargs)
+
+        monkeypatch.setattr(DesignPoint, "compile", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_grid([GridJob(self._point(), app_by_name("mlp0"), 4)])
+            assert seen == [False]
+            assert gc.isenabled() is enabled   # the caller's state
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_restored_when_a_compile_raises(self, monkeypatch):
+        def fail(point, *args, **kwargs):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(DesignPoint, "compile", fail)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="compile failed"):
+            run_grid([GridJob(self._point(), app_by_name("mlp0"), 4)])
+        assert gc.isenabled()
 
     def test_max_batch_under_slo_matches_disabled_path(self):
         spec = app_by_name("mlp0")

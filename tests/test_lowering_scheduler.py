@@ -32,7 +32,8 @@ def lower(module, chip=TPUV4I, version=LATEST, cmem_budget=None):
 
 def as_program(lowered, generation, version):
     program = Program("t", generation)
-    program.extend(schedule(lowered, generation, version.has("dual_issue")))
+    program.extend_runs(zip(*schedule(lowered, generation,
+                                      version.has("dual_issue"))))
     return program
 
 
