@@ -89,9 +89,7 @@ def expand_composites(module: HloModule) -> HloModule:
             label = inst.name or f"layernorm{inst.uid}"
             mapping[inst.uid] = _expand_layernorm(out, operands[0], label)
         else:
-            attrs = {k: v for k, v in inst.attrs}
-            mapping[inst.uid] = out.add(inst.opcode, inst.shape, operands,
-                                        name=inst.name, **attrs)
+            mapping[inst.uid] = out.add_copy(inst, inst.shape, operands)
 
     out.set_root(mapping[module.root.uid])
     out.validate()

@@ -8,7 +8,10 @@ greedy rule: an instruction fuses into its producer's group when
 * it is elementwise (unary/binary) or a reduction,
 * its producer is in a fusable group (matmul/conv/elementwise root),
 * the producer has no other consumer that would duplicate work, and
-* the shapes stream (equal element counts, same dtype width class).
+* the shapes stream: a reduction reduces the producer's output (its
+  first operand), and any other follower has no more elements than the
+  producer. Dtypes are not compared, so a dtype retarget fuses exactly
+  as its origin does.
 
 The result is a :class:`FusionPlan` mapping instruction uid -> group id;
 lowering emits one DMA round-trip per *group* rather than per op.

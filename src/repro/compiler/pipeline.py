@@ -17,6 +17,7 @@ from repro.compiler.lowering import LoweredModule, LoweredOp, lower_module
 from repro.compiler.scheduler import Runs, bind_bundles, schedule
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
+from repro.graph.shapes import Shape
 from repro.isa.program import Program
 
 
@@ -76,8 +77,56 @@ class _FrontEnd:
     weight_bytes: int
 
 
+#: Memo key of a :func:`_retype` output: ``(origin, token, dtype_name)``.
+_RETYPE_OF = "compiler.retype_of"
+#: Memo key of the token an origin holds for its retypes. ``add()`` and
+#: ``set_root()`` empty a module's memo, so a change to either module
+#: ends the link: the retype loses the link, or the origin the token.
+_RETYPE_TOKEN = "compiler.retype_token"
+
+
+def _retype(module: HloModule, dtype_name: str, name: str) -> HloModule:
+    """``module`` with every tensor but int32 ones in ``dtype_name``.
+
+    The copy keeps every uid, opcode, attr, name and the root, and is
+    linked to ``module`` (see :func:`_retype_origin`).
+    """
+    out = HloModule(name)
+    copies: List[HloInstruction] = []  # by uid, which is the list index
+    # A graph has a few dozen distinct shapes; build each retyped once.
+    retyped: Dict[Tuple[Tuple[int, ...], str], Shape] = {}
+    for inst in module.instructions:
+        shape = inst.shape
+        key = shape.dims, shape.dtype_name
+        new_shape = retyped.get(key)
+        if new_shape is None:
+            new_shape = retyped[key] = (shape if key[1] == "int32" else
+                                        shape.with_dtype(dtype_name))
+        copies.append(out.add_copy(
+            inst, new_shape, tuple([copies[o.uid] for o in inst.operands])))
+    out.set_root(copies[module.root.uid])
+    token = module.memo.setdefault(_RETYPE_TOKEN, object())
+    out.memo[_RETYPE_OF] = (module, token, dtype_name)
+    return out
+
+
+def _retype_origin(module: HloModule) -> Optional[Tuple[HloModule, str]]:
+    """``(origin, dtype_name)`` if ``module`` is a :func:`_retype` of
+    ``origin`` and neither has changed since, else ``None``."""
+    link = module.memo.get(_RETYPE_OF)
+    if link is None or link[0].memo.get(_RETYPE_TOKEN) is not link[1]:
+        return None
+    return link[0], link[2]
+
+
 def _front_end(module: HloModule) -> _FrontEnd:
-    """Validate and expand ``module`` once, memoized on the module."""
+    """Validate and expand ``module`` once, memoized on the module.
+
+    A dtype retarget is not expanded again: expansion gives every new
+    tensor its operand's dtype, so expanding a retype equals retyping
+    the expansion, and the retarget's expanded graph is a retype of its
+    origin's (computed once per origin).
+    """
     front = module.memo.get("compiler.front_end")
     if front is None:
         module.validate()
@@ -86,7 +135,13 @@ def _front_end(module: HloModule) -> _FrontEnd:
         dtypes = frozenset(inst.shape.dtype_name
                            for inst in module.instructions
                            if inst.kind in _ARITHMETIC_KINDS)
-        expanded = expand_composites(module)
+        origin = _retype_origin(module)
+        if origin is None:
+            expanded = expand_composites(module)
+        else:
+            source, dtype_name = origin
+            expanded = _retype(_front_end(source).expanded, dtype_name,
+                               module.name)
         front = module.memo["compiler.front_end"] = _FrontEnd(
             expanded, dtypes, expanded.total_weight_bytes())
     return front
@@ -116,10 +171,18 @@ def lowering_key(chip: ChipConfig, version: CompilerVersion) -> Tuple:
 
 
 def _fusion(expanded: HloModule, enabled: bool) -> FusionPlan:
+    """The fusion plan, memoized per fusion flag.
+
+    A retyped graph shares its origin's plan: :func:`plan_fusion` reads
+    only kinds, operand uids and element counts, which a retype keeps.
+    """
     key = ("compiler.fusion", enabled)
     fusion = expanded.memo.get(key)
     if fusion is None:
-        fusion = expanded.memo[key] = plan_fusion(expanded, enabled=enabled)
+        origin = _retype_origin(expanded)
+        fusion = expanded.memo[key] = (
+            plan_fusion(expanded, enabled=enabled) if origin is None
+            else _fusion(origin[0], enabled))
     return fusion
 
 
@@ -171,12 +234,13 @@ def lower_stages(module: HloModule, chip: ChipConfig,
     """The front end, fusion, memory plan and bound lowered ops.
 
     Returns ``(expanded, fusion, memory, lowered)``. The front end is
-    computed once per module, fusion once per (module, fusion flag), the
-    memory plan once per (module, VMEM size, effective CMEM budget) and
-    the slotted lowering once per (module, :func:`lowering_key`); the
-    returned ops are that lowering bound with ``memory``, so no level
-    slot is left in them. The first three are shared between callers
-    and must be treated as read-only.
+    computed once per module (a dtype retarget retypes its origin's),
+    fusion once per (module, fusion flag) and shared with the graphs
+    retyped from it, the memory plan once per (module, VMEM size,
+    effective CMEM budget) and the slotted lowering once per (module,
+    :func:`lowering_key`); the returned ops are that lowering bound with
+    ``memory``, so no level slot is left in them. The first three are
+    shared between callers and must be treated as read-only.
     """
     expanded = _front_end(module).expanded
     memory = _memory(expanded, chip, version, cmem_budget_bytes)
@@ -204,20 +268,11 @@ def retarget_dtype(module: HloModule, dtype_name: str) -> HloModule:
     deployment move TPUv1 required — numerically lossy (quantify with
     ``repro.numerics``), but it makes the graph executable on an
     int8-only chip; from int8 it moves a TPUv1 model onto a bf16 chip.
+
+    Compiling the result retypes ``module``'s expanded graph and shares
+    its fusion plans, until either module changes.
     """
-    out = HloModule(f"{module.name}.{dtype_name}")
-    mapping: Dict[int, HloInstruction] = {}
-    for inst in module.instructions:
-        operands = tuple(mapping[o.uid] for o in inst.operands)
-        attrs = {k: v for k, v in inst.attrs}
-        if inst.shape.dtype_name != "int32":
-            shape = inst.shape.with_dtype(dtype_name)
-        else:
-            shape = inst.shape
-        mapping[inst.uid] = out.add(inst.opcode, shape, operands,
-                                    name=inst.name, **attrs)
-    out.set_root(mapping[module.root.uid])
-    return out
+    return _retype(module, dtype_name, f"{module.name}.{dtype_name}")
 
 
 def compile_model(module: HloModule, chip: ChipConfig, *,
@@ -230,10 +285,11 @@ def compile_model(module: HloModule, chip: ChipConfig, *,
     the weight allocator (capacity sweeps, multi-tenant partitions).
 
     Work is done once per piece: validation and expansion once per
-    module, lowering once per :func:`lowering_key` and scheduling once
-    per (lowering, generation, ``dual_issue``); every call plans memory
-    for its budget (memoized per effective budget) and binds the
-    scheduled bundles' level slots with that plan.
+    module (a dtype retarget retypes its origin's expansion), lowering
+    once per :func:`lowering_key` and scheduling once per (lowering,
+    generation, ``dual_issue``); every call plans memory for its budget
+    (memoized per effective budget) and binds the scheduled bundles'
+    level slots with that plan.
     """
     front = _front_end(module)
     _check_dtypes(front, chip)

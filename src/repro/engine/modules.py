@@ -14,8 +14,11 @@ however many chips compile it.
 Other dtypes (the int8 path TPUv1 served on) are a fresh
 :func:`~repro.compiler.pipeline.retarget_dtype` of the shared bf16 build
 on every call. They are not memoized: a kept retarget would pin its
-compile memo (expanded graph, fusion, memory plan and lowering) for the
-life of the process, and each one is compiled by one chip in practice.
+compile memo (memory plan and lowering) for the life of the process,
+and each one is compiled by one chip in practice. They are not expanded
+again either: compiling a retarget retypes the shared build's expanded
+graph and reuses its fusion plans, so the front end runs once per
+(workload, batch) whatever the dtype.
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ allocation (weights are pinned; inputs stream).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.graph.ops import opdef
+from repro.graph.ops import OPDEFS, opdef
 from repro.graph.shapes import (
     Shape,
     batched_matmul_result,
@@ -29,9 +28,22 @@ from repro.graph.shapes import (
 )
 
 
-@dataclass(frozen=True)
-class HloInstruction:
-    """One IR instruction (immutable; identity is its ``uid``)."""
+#: Each opcode's structural kind, read on every ``HloInstruction.kind``.
+_KINDS: Dict[str, str] = {name: d.kind for name, d in OPDEFS.items()}
+
+#: Builds an instruction from its field tuple without the Python-level
+#: ``__new__`` a NamedTuple generates.
+_new_instruction = tuple.__new__
+
+
+class HloInstruction(NamedTuple):
+    """One IR instruction (immutable; identity is its ``uid``).
+
+    A tuple-backed record: a module holds thousands and a compile builds
+    each graph several times, so construction and field reads run at
+    tuple speed. Equality and hashing are those of the field tuple, and
+    an instruction equals only another instruction.
+    """
 
     uid: int
     opcode: str
@@ -48,7 +60,15 @@ class HloInstruction:
 
     @property
     def kind(self) -> str:
-        return opdef(self.opcode).kind
+        return _KINDS[self.opcode]
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is HloInstruction and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class HloModule:
@@ -74,28 +94,43 @@ class HloModule:
             operands: Iterable[HloInstruction] = (),
             name: str = "", **attrs: object) -> HloInstruction:
         """Append an instruction; operands must already be in this module."""
-        opdef(opcode)  # validate opcode
+        if opcode not in _KINDS:
+            opdef(opcode)  # raises the named-opcode error
         operands = tuple(operands)
+        return self._append(opcode, shape, operands,
+                            tuple(sorted(attrs.items())) if attrs else (),
+                            name)
+
+    def add_copy(self, inst: HloInstruction, shape: Shape,
+                 operands: Tuple[HloInstruction, ...]) -> HloInstruction:
+        """Append ``inst`` with a new shape and operands (already in this
+        module); its opcode, sorted attrs and name carry over as they are.
+
+        The copy passes, composite expansion and dtype retargeting, build
+        their graphs through this.
+        """
+        return self._append(inst.opcode, shape, operands, inst.attrs,
+                            inst.name)
+
+    def _append(self, opcode: str, shape: Shape,
+                operands: Tuple[HloInstruction, ...],
+                attrs: Tuple[Tuple[str, object], ...],
+                name: str) -> HloInstruction:
+        members = self._member_ids
         for operand in operands:
-            if id(operand) not in self._member_ids:
+            if id(operand) not in members:
                 raise ValueError(
                     f"operand %{operand.uid} is not part of module {self.name!r}")
-        inst = HloInstruction(
-            uid=len(self.instructions),
-            opcode=opcode,
-            shape=shape,
-            operands=operands,
-            attrs=tuple(sorted(attrs.items())),
-            name=name,
-        )
+        inst = _new_instruction(HloInstruction, (
+            len(self.instructions), opcode, shape, operands, attrs, name))
         self.instructions.append(inst)
-        self._member_ids.add(id(inst))
+        members.add(id(inst))
         if self.memo:
             self.memo.clear()
         return inst
 
     def set_root(self, inst: HloInstruction) -> None:
-        if all(inst is not existing for existing in self.instructions):
+        if id(inst) not in self._member_ids:
             raise ValueError("root must be an instruction of this module")
         self._root = inst
         self.memo.clear()
@@ -303,6 +338,15 @@ class GraphBuilder:
         if not parts:
             raise ValueError("concat needs at least one operand")
         base = parts[0].shape
+        if not 0 <= axis < base.rank:
+            raise ValueError(f"concat axis {axis} out of range for {base}")
+        others = base.dims[:axis] + base.dims[axis + 1:]
+        for part in parts[1:]:
+            shape = part.shape
+            if (shape.dtype_name != base.dtype_name
+                    or shape.dims[:axis] + shape.dims[axis + 1:] != others):
+                raise ValueError(
+                    f"cannot concat {shape} with {base} along axis {axis}")
         total = sum(p.shape.dims[axis] for p in parts)
         dims = base.dims[:axis] + (total,) + base.dims[axis + 1:]
         return self.module.add("concat", base.with_dims(dims), tuple(parts),

@@ -44,10 +44,20 @@ class Shape:
     dims: Tuple[int, ...]
     dtype_name: str = "bf16"
 
+    # ``num_elements`` and ``byte_size`` are plain attributes set once
+    # here, not dataclass fields: they are read tens of thousands of
+    # times per compile, and they stay out of repr, equality and hash.
     def __post_init__(self) -> None:
-        if any(d <= 0 for d in self.dims):
-            raise ValueError(f"dimensions must be positive, got {self.dims}")
-        dtype(self.dtype_name)  # validate
+        for d in self.dims:
+            exotic = type(d) is not int  # a bool, a float, an int subclass
+            if (exotic and (isinstance(d, bool) or not isinstance(d, int))
+                    or d <= 0):
+                raise ValueError(
+                    f"dimensions must be positive integers, got {self.dims}")
+        size = dtype(self.dtype_name).size_bytes  # validates the name
+        count = math.prod(self.dims)
+        object.__setattr__(self, "num_elements", count)
+        object.__setattr__(self, "byte_size", count * size)
 
     @property
     def dtype(self) -> DType:
@@ -56,14 +66,6 @@ class Shape:
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    @property
-    def num_elements(self) -> int:
-        return math.prod(self.dims) if self.dims else 1
-
-    @property
-    def byte_size(self) -> int:
-        return self.num_elements * self.dtype.size_bytes
 
     def with_dtype(self, dtype_name: str) -> "Shape":
         return Shape(self.dims, dtype_name)

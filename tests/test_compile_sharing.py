@@ -181,10 +181,9 @@ def _assert_differ_only_in_levels(got, want):
             assert args == want_args
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """Counts of the lowering and scheduling passes ``compile_model`` runs."""
-    counts = {"lower_module": 0, "schedule": 0}
+def _count_passes(monkeypatch, *names):
+    """Counts of calls to the named ``pipeline`` passes."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -196,6 +195,12 @@ def passes(monkeypatch):
         monkeypatch.setattr(pipeline, name,
                             counted(name, getattr(pipeline, name)))
     return counts
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of the lowering and scheduling passes ``compile_model`` runs."""
+    return _count_passes(monkeypatch, "lower_module", "schedule")
 
 
 class TestCapacitySweep:
@@ -293,6 +298,104 @@ class TestInvalidation:
         del module
         gc.collect()
         assert expanded() is None
+
+
+# ------------------------------------------------------------ dtype variants
+
+def _rows(module):
+    """``module`` field by field, with operands as uids."""
+    return (module.name, module.root.uid,
+            [(i.uid, i.opcode, i.shape, i.attrs, i.name,
+              tuple(o.uid for o in i.operands)) for i in module.instructions])
+
+
+def _variant_cases():
+    """(spec, batch): the production apps at batch 1, 8 and 64, then
+    every llm phase x batch step."""
+    apps = [(spec, batch) for spec in PRODUCTION_APPS for batch in (1, 8, 64)]
+    return apps + _cases()[len(PRODUCTION_APPS):]
+
+
+@pytest.fixture
+def front_passes(monkeypatch):
+    """Counts of the expansion and fusion passes the pipeline runs."""
+    return _count_passes(monkeypatch, "expand_composites", "plan_fusion")
+
+
+class TestDtypeVariants:
+    """An int8 retarget compiles through a retype of its bf16 origin's
+    expanded graph and shares its fusion plans."""
+
+    def test_derived_front_end_equals_a_fresh_expansion(self):
+        for spec, batch in _variant_cases():
+            source = spec.build(batch)
+            int8 = retarget_dtype(source, "int8")
+            derived = lower_stages(int8, TPUV1)[0]
+            origin = lower_stages(source, TPUV4I)[0]
+            fresh = expand_composites(retarget_dtype(source, "int8"))
+            assert _rows(derived) == _rows(fresh), spec.name
+            assert derived.name == fresh.name == f"{source.name}.int8"
+            for enabled in (True, False):
+                plan = pipeline._fusion(derived, enabled)
+                assert plan is pipeline._fusion(origin, enabled)
+                assert plan == plan_fusion(fresh, enabled=enabled)
+
+    def test_variants_expand_and_fuse_once(self, front_passes):
+        source = app_by_name("bert0").build(8)
+        for chip in (TPUV1, TPUV4I, TPUV1, TPUV3):
+            compile_model(_for_chip(source, chip), chip)
+        assert front_passes == {"expand_composites": 1, "plan_fusion": 1}
+
+    def test_mutated_source_compiles_equal_to_a_fresh_build(
+            self, front_passes):
+        source = _small_module()
+        compile_model(source, TPUV4I)
+        int8 = retarget_dtype(source, "int8")
+        extra = source.add("constant", Shape((256, 128)), name="v")
+        source.add("dot", Shape((64, 128)), (source.root, extra))
+        got = compile_model(int8, TPUV1)
+        # The retarget copied the old graph; it expands that copy itself.
+        assert front_passes["expand_composites"] == 2
+        assert got.module.root.shape == Shape((64, 256), "int8")
+        _assert_same_compile(
+            got, compile_model(retarget_dtype(_small_module(), "int8"), TPUV1))
+
+    def test_mutated_source_after_the_derivation(self):
+        source = _small_module()
+        int8 = retarget_dtype(source, "int8")
+        before = compile_model(int8, TPUV1)
+        source.set_root(source.instructions[2])
+        compile_model(source, TPUV4I)
+        again = compile_model(retarget_dtype(source, "int8"), TPUV1)
+        assert again.module.root.opcode == "dot"
+        _assert_same_compile(compile_model(int8, TPUV1), before)
+
+    def test_mutated_retarget_compiles_equal_to_a_fresh_build(self):
+        def grown(module):
+            h = module.root
+            w = module.add("constant", Shape((256, 32), "int8"), name="w2")
+            module.set_root(module.add("dot", Shape((64, 32), "int8"),
+                                       (h, w), name="out"))
+            return module
+
+        source = _small_module()
+        compile_model(source, TPUV4I)
+        int8 = retarget_dtype(source, "int8")
+        compile_model(int8, TPUV1)
+        got = compile_model(grown(int8), TPUV1)
+        assert got.module.root.shape == Shape((64, 32), "int8")
+        fresh = compile_model(grown(retarget_dtype(_small_module(), "int8")),
+                              TPUV1)
+        _assert_same_compile(got, fresh)
+        assert _rows(got.module) == _rows(fresh.module)
+
+    def test_retarget_of_a_retarget(self):
+        source = app_by_name("bert0").build(2)
+        back = retarget_dtype(retarget_dtype(source, "int8"), "bf16")
+        assert _rows(lower_stages(back, TPUV4I)[0]) == _rows(
+            expand_composites(retarget_dtype(
+                retarget_dtype(app_by_name("bert0").build(2), "int8"),
+                "bf16")))
 
 
 # ------------------------------------------------------ lowering-key coverage

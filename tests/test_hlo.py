@@ -1,8 +1,10 @@
 """Tests for the HLO module/builder and its cost accounting."""
 
+import pickle
+
 import pytest
 
-from repro.graph import GraphBuilder, Shape
+from repro.graph import GraphBuilder, HloInstruction, Shape
 from repro.graph.ops import opdef
 
 from tests.conftest import make_tiny_mlp
@@ -64,6 +66,46 @@ class TestBuilder:
         y = b.parameter(Shape((2, 5)))
         assert b.concat([x, y], axis=1).shape.dims == (2, 8)
 
+    def test_concat_rejects_mismatched_dims(self):
+        b = GraphBuilder("m")
+        x = b.parameter(Shape((4, 8)))
+        y = b.parameter(Shape((5, 9)))
+        with pytest.raises(ValueError, match=r"bf16\[5,9\].*bf16\[4,8\]"):
+            b.concat([x, y], axis=0)
+
+    def test_concat_rejects_mixed_dtypes(self):
+        b = GraphBuilder("m")
+        x = b.parameter(Shape((4, 8)))
+        y = b.parameter(Shape((4, 8), "int8"))
+        with pytest.raises(ValueError, match=r"int8\[4,8\]"):
+            b.concat([x, y], axis=1)
+
+    def test_concat_rejects_mixed_ranks(self):
+        b = GraphBuilder("m")
+        x = b.parameter(Shape((4, 8)))
+        y = b.parameter(Shape((4, 8, 1)))
+        with pytest.raises(ValueError, match="cannot concat"):
+            b.concat([x, y], axis=0)
+
+    @pytest.mark.parametrize("axis", [-1, 2, 5])
+    def test_concat_rejects_axis_out_of_range(self, axis):
+        b = GraphBuilder("m")
+        x = b.parameter(Shape((4, 8)))
+        with pytest.raises(ValueError, match=f"axis {axis} out of range"):
+            b.concat([x, x], axis=axis)
+
+    def test_concat_many_parts(self):
+        b = GraphBuilder("m")
+        parts = [b.parameter(Shape((2, n, 3), "int8")) for n in (1, 4, 2)]
+        out = b.concat(parts, axis=1)
+        assert out.shape == Shape((2, 7, 3), "int8")
+
+    def test_reshape_rejects_float_dims(self):
+        b = GraphBuilder("m")
+        x = b.parameter(Shape((4, 8)))
+        with pytest.raises(ValueError, match="positive integers"):
+            b.reshape(x, (2.0, 16))
+
     def test_embedding_lookup_shape(self):
         b = GraphBuilder("m")
         table = b.constant(Shape((1000, 64)))
@@ -113,3 +155,50 @@ class TestValidation:
 
     def test_kind_property(self, tiny_mlp):
         assert tiny_mlp.root.kind == opdef("dot").kind == "matmul"
+
+
+class TestInstructionRecord:
+    def _pair(self):
+        a, b = (GraphBuilder("m") for _ in range(2))
+        x = (a.parameter(Shape((2, 4)), "x"), b.parameter(Shape((2, 4)), "x"))
+        return (a.transpose(x[0], (1, 0), "t"),
+                b.transpose(x[1], (1, 0), "t"))
+
+    def test_rejects_attribute_assignment(self, tiny_mlp):
+        inst = tiny_mlp.root
+        for field in ("uid", "opcode", "shape", "operands", "attrs", "name",
+                      "extra"):
+            with pytest.raises(AttributeError):
+                setattr(inst, field, None)
+
+    def test_equal_fields_give_equal_instructions_and_hashes(self):
+        first, second = self._pair()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert first.attrs == (("perm", (1, 0)),)
+        assert first != first._replace(name="u")
+
+    def test_equals_only_another_instruction(self):
+        first, _ = self._pair()
+        assert first != tuple(first)
+        assert tuple(first) != first
+
+    def test_kind_follows_the_opcode(self):
+        first, _ = self._pair()
+        assert first.kind == "shape"
+        assert first.operands[0].kind == "data"
+
+    def test_pickle_round_trip(self, tiny_mlp):
+        for inst in tiny_mlp.instructions:
+            loaded = pickle.loads(pickle.dumps(inst))
+            assert type(loaded) is HloInstruction
+            assert loaded == inst and hash(loaded) == hash(inst)
+
+    def test_add_keeps_its_checks(self):
+        b = GraphBuilder("m")
+        with pytest.raises(KeyError, match="unknown op 'frobnicate'"):
+            b.module.add("frobnicate", Shape((2,)))
+        x = b.parameter(Shape((2,)))
+        assert b.module.add("scale", x.shape, (x,), factor=0.5,
+                            alpha=1).attrs == (("alpha", 1), ("factor", 0.5))

@@ -25,6 +25,35 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape((0, 2))
 
+    @pytest.mark.parametrize("dims", [(2.5, 4), (2.0, 16), (True, 4),
+                                      (float("nan"), 2), (4, "8"), (-1, 3)],
+                             ids=["float", "integral-float", "bool", "nan",
+                                  "str", "negative"])
+    def test_rejects_dims_that_are_not_positive_ints(self, dims):
+        with pytest.raises(ValueError, match="positive integers") as err:
+            Shape(dims)
+        assert repr(dims) in str(err.value)
+
+    def test_accepts_int_subclasses_but_not_bool(self):
+        import enum
+
+        class Width(enum.IntEnum):
+            WIDE = 8
+
+        assert Shape((Width.WIDE, 2)).num_elements == 16
+        with pytest.raises(ValueError):
+            Shape((False,))
+
+    def test_sizes_are_computed_once_and_kept_out_of_equality(self):
+        shape = Shape((2, 3), "fp32")
+        assert (shape.num_elements, shape.byte_size) == (6, 24)
+        assert Shape(()).num_elements == 1
+        assert shape == Shape((2, 3), "fp32")
+        assert hash(shape) == hash(Shape((2, 3), "fp32"))
+        assert repr(shape) == "Shape(dims=(2, 3), dtype_name='fp32')"
+        with pytest.raises(AttributeError):
+            shape.num_elements = 7
+
     def test_rejects_unknown_dtype(self):
         with pytest.raises(KeyError):
             Shape((1,), "fp16")
