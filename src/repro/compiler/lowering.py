@@ -20,10 +20,11 @@ measures):
 Level slots: lowering runs before the memory plan is known. Every DMA
 level the plan decides — a weight's home, a spill's level, the level an
 unfused intermediate is materialized at — is emitted as a named *level
-slot* (:class:`LoweredModule`), and :meth:`LoweredModule.bind` fills the
-slots from a plan. Which tensors leave VMEM, the flags and the
-instruction order do not depend on the plan, so one lowering serves
-every CMEM budget.
+slot* (:class:`LoweredModule`). :meth:`LoweredModule.levels` turns a plan
+into a level table (DMA level operand -> level id) and
+:meth:`LoweredModule.bind` fills the slots from a plan. Which tensors
+leave VMEM, the flags and the instruction order do not depend on the
+plan, so one lowering serves every CMEM budget.
 
 Traffic rules (the numbers every experiment rides on):
 
@@ -52,6 +53,7 @@ from repro.compiler.versions import CompilerVersion
 from repro.graph.hlo import HloInstruction, HloModule
 from repro.graph.ops import opdef
 from repro.isa.instructions import Instruction, LEVEL_IDS, Opcode
+from repro.isa.program import IDENTITY_LEVELS, LevelTable
 
 # Vector-class name -> vector opcode.
 _VECTOR_OPCODES: Dict[str, Opcode] = {
@@ -80,8 +82,9 @@ _MATERIALIZE_DIVISOR = 4  # no-fusion round-trip threshold: working budget / 4
 _HBM = LEVEL_IDS["hbm"]
 _VMEM = LEVEL_IDS["vmem"]
 #: Slot ``i`` of a lowering is the DMA level operand ``_SLOT_BASE + i``;
-#: no memory level has an id that high, so a slot cannot pass for one.
-_SLOT_BASE = len(LEVEL_IDS)
+#: no memory level has an id that high, so a slot cannot pass for one,
+#: and entry ``_SLOT_BASE + i`` of a level table is slot ``i``'s level.
+_SLOT_BASE = len(IDENTITY_LEVELS)
 _DMA_OPCODES = (Opcode.DMA_IN, Opcode.DMA_OUT)
 
 #: A level slot's name: ``("home", uid)`` (a weight's home),
@@ -164,20 +167,29 @@ class LoweredModule:
         self.slotted = [inst for (opcode, args), inst in interned.items()
                         if opcode in _DMA_OPCODES and args[0] >= _SLOT_BASE]
 
-    def bound(self, memory: MemoryPlan) -> Dict[int, Instruction]:
+    def levels(self, memory: MemoryPlan) -> LevelTable:
+        """``memory``'s level table: each memory level's operand stands
+        for itself and slot ``i``'s operand for the level ``memory``
+        gives it.
+
+        Raises ``ValueError`` if ``memory`` leaves a slot unbound.
+        """
+        return IDENTITY_LEVELS + tuple(
+            LEVEL_IDS[_slot_level(name, memory)] for name in self.slots)
+
+    def bound(self, levels: LevelTable) -> Dict[int, Instruction]:
         """``id(instruction) -> instruction`` with its slot filled from
-        ``memory``, for every instruction that names a slot.
+        the level table ``levels``, for every instruction that names a
+        slot.
 
         Bound instructions are interned by value, against the lowering's
         own instructions too, so equal instructions stay one object.
-        Raises ``ValueError`` if ``memory`` leaves a slot unbound.
         """
-        levels = [LEVEL_IDS[_slot_level(name, memory)] for name in self.slots]
         made: Dict[Tuple[Opcode, Tuple[int, ...]], Instruction] = {}
         out: Dict[int, Instruction] = {}
         for inst in self.slotted:
             level, *rest = inst.args
-            key = (inst.opcode, (levels[level - _SLOT_BASE], *rest))
+            key = (inst.opcode, (levels[level], *rest))
             bound = self.interned.get(key) or made.get(key)
             if bound is None:
                 bound = made[key] = Instruction(*key)
@@ -186,7 +198,7 @@ class LoweredModule:
 
     def bind(self, memory: MemoryPlan) -> List[LoweredOp]:
         """The lowered ops with every level slot filled from ``memory``."""
-        bound = self.bound(memory)
+        bound = self.bound(self.levels(memory))
 
         def fill(insts: List[Instruction]) -> List[Instruction]:
             return [bound.get(id(inst), inst) for inst in insts]

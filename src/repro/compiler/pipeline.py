@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.arch.chip import ChipConfig
@@ -14,11 +15,12 @@ from repro.compiler.allocator import (
 from repro.compiler.expansion import expand_composites
 from repro.compiler.fusion import FusionPlan, plan_fusion
 from repro.compiler.lowering import LoweredModule, LoweredOp, lower_module
-from repro.compiler.scheduler import Runs, bind_bundles, schedule
+from repro.compiler.scheduler import bind_bundles, schedule
 from repro.compiler.versions import CompilerVersion, LATEST
 from repro.graph.hlo import HloInstruction, HloModule
 from repro.graph.shapes import Shape
-from repro.isa.program import Program
+from repro.isa.instructions import Bundle
+from repro.isa.program import LevelTable, Program
 
 
 class UnsupportedDtypeError(ValueError):
@@ -30,7 +32,9 @@ class CompiledModel:
     """Everything the compiler produced for one (module, chip, version).
 
     Attributes:
-        program: the scheduled VLIW program the simulator runs.
+        program: the scheduled VLIW program the simulator runs (the
+            shared slotted program plus this compile's level table; see
+            :meth:`~repro.isa.program.Program.from_slotted`).
         module: the expanded (composite-free) module actually compiled.
         source: the module as the user built it.
         fusion / memory: the pass results, for inspection and tests.
@@ -213,18 +217,33 @@ def _lowering(expanded: HloModule, chip: ChipConfig,
     return lowered
 
 
-def _bundle_runs(expanded: HloModule, chip: ChipConfig,
-                 version: CompilerVersion) -> Runs:
-    """The slotted lowering's bundle runs, memoized per
-    (:func:`lowering_key`, generation, ``dual_issue``)."""
+def _slotted_program(expanded: HloModule, chip: ChipConfig,
+                     version: CompilerVersion) -> Program:
+    """The slotted lowering scheduled into one checked program, memoized
+    per (:func:`lowering_key`, generation, ``dual_issue``).
+
+    Its DMA level operands still name level slots; every compile links
+    its own program to it (:func:`compile_model`), so nothing may
+    change it.
+    """
     dense = version.has("dual_issue")
-    key = ("compiler.bundles", lowering_key(chip, version), chip.generation,
+    key = ("compiler.program", lowering_key(chip, version), chip.generation,
            dense)
-    runs = expanded.memo.get(key)
-    if runs is None:
-        runs = expanded.memo[key] = schedule(
-            _lowering(expanded, chip, version).ops, chip.generation, dense)
-    return runs
+    program = expanded.memo.get(key)
+    if program is None:
+        bundles, counts = schedule(_lowering(expanded, chip, version).ops,
+                                   chip.generation, dense)
+        program = Program(name=expanded.name, generation=chip.generation)
+        program.extend_runs(zip(bundles, counts))
+        expanded.memo[key] = program
+    return program
+
+
+def _bind(lowered: LoweredModule, bundles: List[Bundle],
+          levels: LevelTable) -> List[Bundle]:
+    """``bundles`` of ``lowered``'s schedule with every level slot filled
+    from the level table ``levels``."""
+    return bind_bundles(bundles, lowered.bound(levels))
 
 
 def lower_stages(module: HloModule, chip: ChipConfig,
@@ -286,23 +305,24 @@ def compile_model(module: HloModule, chip: ChipConfig, *,
 
     Work is done once per piece: validation and expansion once per
     module (a dtype retarget retypes its origin's expansion), lowering
-    once per :func:`lowering_key` and scheduling once per (lowering,
-    generation, ``dual_issue``); every call plans memory for its budget
-    (memoized per effective budget) and binds the scheduled bundles'
-    level slots with that plan.
+    once per :func:`lowering_key`, and scheduling and the slot check once
+    per (lowering, generation, ``dual_issue``). Every call plans memory
+    for its budget (memoized per effective budget) and returns that
+    checked slotted program read through the plan's level table; the
+    bundles are bound only if something reads them. A plan that leaves
+    a slot unbound raises ``ValueError`` here.
     """
     front = _front_end(module)
     _check_dtypes(front, chip)
     expanded = front.expanded
     memory = _memory(expanded, chip, version, cmem_budget_bytes)
-    bundles, counts = _bundle_runs(expanded, chip, version)
     lowered = _lowering(expanded, chip, version)
-    program = Program(name=module.name, generation=chip.generation)
-    program.extend_runs(zip(bind_bundles(bundles, lowered.bound(memory)),
-                            counts))
-    program.metadata["compiler_version"] = version.name
-    program.metadata["lowered_ops"] = len(lowered.ops)
-    program.metadata["weight_bytes"] = front.weight_bytes
+    program = Program.from_slotted(
+        _slotted_program(expanded, chip, version), module.name,
+        lowered.levels(memory), partial(_bind, lowered),
+        metadata={"compiler_version": version.name,
+                  "lowered_ops": len(lowered.ops),
+                  "weight_bytes": front.weight_bytes})
     return CompiledModel(
         program=program,
         module=expanded,

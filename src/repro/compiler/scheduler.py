@@ -9,7 +9,8 @@ gets its own bundle (the bring-up compiler's behaviour).
 
 Packing reads only each instruction's slot class, so it runs on the
 lowered stream with its level slots still open, once per generation;
-:func:`bind_bundles` then fills the slots for each memory plan.
+:func:`bind_bundles` fills the slots from a memory plan's level table
+when a compiled program's bundles are first read.
 """
 
 from __future__ import annotations

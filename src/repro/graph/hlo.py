@@ -41,8 +41,12 @@ class HloInstruction(NamedTuple):
 
     A tuple-backed record: a module holds thousands and a compile builds
     each graph several times, so construction and field reads run at
-    tuple speed. Equality and hashing are those of the field tuple, and
-    an instruction equals only another instruction.
+    tuple speed. Two instructions are equal when their fields are,
+    operands compared the same way, and an instruction equals only
+    another instruction. Equality walks the operand graph once, with a
+    memo of the pairs already compared, and the hash reads the operands'
+    uids only, so both take time linear in the graph even where
+    subgraphs are shared.
     """
 
     uid: int
@@ -63,12 +67,31 @@ class HloInstruction(NamedTuple):
         return _KINDS[self.opcode]
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is HloInstruction and tuple.__eq__(self, other)
+        if type(other) is not HloInstruction:
+            return False
+        pending = [(self, other)]
+        compared = set()
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            if type(b) is not HloInstruction:
+                return False
+            compared.add((id(a), id(b)))
+            # Every field but the operands (index 3), then the operands.
+            if a[:3] != b[:3] or a[4:] != b[4:] or len(a[3]) != len(b[3]):
+                return False
+            pending.extend(zip(a[3], b[3]))
+        return True
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-    __hash__ = tuple.__hash__
+    def __hash__(self) -> int:
+        uid, opcode, shape, operands, attrs, name = self
+        return hash((uid, opcode, shape,
+                     tuple([operand[0] for operand in operands]), attrs,
+                     name))
 
 
 class HloModule:
@@ -94,6 +117,8 @@ class HloModule:
             operands: Iterable[HloInstruction] = (),
             name: str = "", **attrs: object) -> HloInstruction:
         """Append an instruction; operands must already be in this module."""
+        if not isinstance(shape, Shape):
+            raise TypeError(f"shape must be a Shape, got {shape!r}")
         if opcode not in _KINDS:
             opdef(opcode)  # raises the named-opcode error
         operands = tuple(operands)

@@ -11,6 +11,14 @@ programs with equal bundle sequences have equal runs, and every stage
 that only needs one copy of a repeated bundle (binding, checking,
 hashing, decoding for timing) touches each run once.
 :attr:`Program.bundles` is the expanded, position-by-position view.
+
+A compiled program is stored as a *level binding*
+(:meth:`Program.from_slotted`): the scheduled program whose DMA level
+operands still name the compiler's level slots, shared by every memory
+plan, plus the plan's level table. Its own runs are bound only when
+something reads them, and the timing engine decodes the shared slotted
+program once and relabels its DMA rows through each table
+(:mod:`repro.sim.gridkernel`). A mutation ends the link.
 """
 
 from __future__ import annotations
@@ -18,17 +26,65 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import eq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.isa.instructions import (
     Bundle,
     Instruction,
+    LEVEL_NAMES,
     Opcode,
     slot_layout_for_generation,
 )
 
 #: One run of a program: a bundle and how many times it issues in a row.
 Run = Tuple[Bundle, int]
+
+#: A level table: entry ``o`` is the memory level id that a DMA level
+#: operand ``o`` stands for; an operand past the end stands for itself.
+LevelTable = Tuple[int, ...]
+
+#: The table under which every level operand names its own level.
+IDENTITY_LEVELS: LevelTable = tuple(range(len(LEVEL_NAMES)))
+
+
+class LevelBinding(NamedTuple):
+    """A program held as a slotted program plus a level table.
+
+    ``bind(slotted.run_bundles, levels)`` returns the bound bundle of
+    every run, in order; the program's own runs are those, merged.
+    """
+
+    slotted: "Program"
+    levels: LevelTable
+    bind: Callable[[List[Bundle], LevelTable], List[Bundle]]
+
+
+def _merge_runs(out_bundles: List[Bundle], out_counts: List[int],
+                bundles: Sequence[Bundle], counts: Sequence[int]) -> None:
+    """Append runs to ``out_bundles``/``out_counts``, merging each into
+    the one before it when it holds an equal bundle.
+
+    Bundles cache their hashes, so the common case — no two neighbours
+    hash alike — is decided without comparing fields and appends every
+    run at once.
+    """
+    hashes = list(map(hash, bundles))
+    if out_bundles:
+        hashes.insert(0, hash(out_bundles[-1]))
+    if not any(map(eq, hashes, islice(hashes, 1, None))):
+        out_bundles.extend(bundles)
+        out_counts.extend(counts)
+        return
+    for bundle, count in zip(bundles, counts):
+        if out_bundles:
+            last = out_bundles[-1]
+            if last is bundle or (hash(last) == hash(bundle)
+                                  and last == bundle):
+                out_counts[-1] += count
+                continue
+        out_bundles.append(bundle)
+        out_counts.append(count)
 
 
 class BundleView:
@@ -82,6 +138,17 @@ class Program:
     program adds no per-run objects for the garbage collector to walk.
     Equality compares the runs, which are maximal, so it is equality of
     the expanded bundles.
+
+    A program made by :meth:`from_slotted` has no runs of its own until
+    one of them is read (directly or through :attr:`bundles`,
+    :meth:`signature`, equality, repr, pickling or encoding); they are
+    then bound once and kept. :attr:`binding` stays set after that read,
+    so the timing engine keeps pricing the program from the shared
+    slotted program; only a mutation (:meth:`append`, :meth:`extend`,
+    :meth:`extend_runs`, the :attr:`bundles` view) clears it. Those are
+    the ways to change a program: editing ``run_bundles`` or
+    ``run_counts`` in place keeps the binding, and the engine would
+    price the slotted program's content.
     """
 
     name: str
@@ -89,6 +156,10 @@ class Program:
     run_bundles: List[Bundle]
     run_counts: List[int]
     metadata: Dict[str, object]
+
+    #: The level binding this program is stored as, if any (set on the
+    #: instance by :meth:`from_slotted`; not a field).
+    _binding = None
 
     def __init__(self, name: str, generation: int,
                  bundles: Iterable[Bundle] = (),
@@ -100,6 +171,57 @@ class Program:
         self._positions = 0
         self.metadata = {} if metadata is None else metadata
         BundleView(self).extend(bundles)
+
+    @classmethod
+    def from_slotted(cls, slotted: "Program", name: str, levels: LevelTable,
+                     bind: Callable[[List[Bundle], LevelTable], List[Bundle]],
+                     metadata: Optional[Dict[str, object]] = None
+                     ) -> "Program":
+        """``slotted`` with its DMA level operands read through
+        ``levels``, named ``name``.
+
+        ``slotted`` must be checked already and must not change while
+        the result is bound to it. The result's runs are
+        ``bind(slotted.run_bundles, levels)`` with ``slotted``'s counts,
+        merged where binding makes neighbours equal; they are computed
+        when first read.
+        """
+        program = cls.__new__(cls)
+        program.name = name
+        program.generation = slotted.generation
+        program._positions = slotted._positions
+        program.metadata = {} if metadata is None else metadata
+        program._binding = LevelBinding(slotted, levels, bind)
+        return program
+
+    @property
+    def binding(self) -> Optional[LevelBinding]:
+        """The slotted program and level table this program reads, or
+        ``None`` for a program that holds only its own runs."""
+        return self._binding
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the runs of
+        # a program made by from_slotted that nothing has read yet.
+        if self._binding is None or name not in ("run_bundles",
+                                                 "run_counts"):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        slotted, levels, bind = self._binding
+        bundles: List[Bundle] = []
+        counts: List[int] = []
+        _merge_runs(bundles, counts, bind(slotted.run_bundles, levels),
+                    slotted.run_counts)
+        self.run_bundles, self.run_counts = bundles, counts
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        """The program's own runs, without its binding: a loaded or
+        copied program equals this one and holds plain runs."""
+        return {"name": self.name, "generation": self.generation,
+                "run_bundles": self.run_bundles,
+                "run_counts": self.run_counts,
+                "_positions": self._positions, "metadata": self.metadata}
 
     @property
     def bundles(self) -> BundleView:
@@ -113,30 +235,12 @@ class Program:
     def _push_runs(self, bundles: Sequence[Bundle],
                    counts: Sequence[int]) -> None:
         """Add runs in order, unchecked, merging each into the one before
-        it when it holds an equal bundle.
-
-        Bundles cache their hashes, so the common case — no two
-        neighbours hash alike — is decided without comparing fields and
-        appends every run at once.
-        """
+        it when it holds an equal bundle. Ends any level binding."""
         out_bundles, out_counts = self.run_bundles, self.run_counts
-        hashes = list(map(hash, bundles))
-        if out_bundles:
-            hashes.insert(0, hash(out_bundles[-1]))
+        if self._binding is not None:
+            self._binding = None
         self._positions += sum(counts)
-        if not any(map(eq, hashes, islice(hashes, 1, None))):
-            out_bundles.extend(bundles)
-            out_counts.extend(counts)
-            return
-        for bundle, count in zip(bundles, counts):
-            if out_bundles:
-                last = out_bundles[-1]
-                if last is bundle or (hash(last) == hash(bundle)
-                                      and last == bundle):
-                    out_counts[-1] += count
-                    continue
-            out_bundles.append(bundle)
-            out_counts.append(count)
+        _merge_runs(out_bundles, out_counts, bundles, counts)
 
     def append(self, bundle: Bundle) -> None:
         bundle.validate_for(self.generation)

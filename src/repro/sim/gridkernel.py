@@ -5,25 +5,32 @@ pieces that actually vary across chips, so a DSE grid — the same few
 compiled programs against dozens of chip variants that differ only in
 clock, MXU count, or CMEM provisioning — shares everything else:
 
-* **structure** (:func:`_build_struct`) — one columnar pass per distinct
-  ``Program.signature()``: numpy position/shape tables for MXU and VPU
-  rows, the short list of *hard* rows (``sync.wait`` / ``sync.set`` /
-  DMA — the only rows that move the issue cursor or touch flags), bundle
-  run-lengths between them, and the structure-constant totals (MACs,
-  scalar ops, VMEM elements, DMA bytes per level). Compiled for TPUv4i,
-  hard rows run from 13 (mlp0, batch 8) to 8,092 (bert1, batch 64,
-  beside 52,843 MXU/VPU rows); in cnn1 at batch 64 they outnumber the
-  unit rows, 1,923 to 872. This is the only code outside the
-  interpreter that decodes a :class:`Program` for timing. It reads the
-  program's runs: a repeated bundle with no hard row is filled in closed
-  form, anything else copy by copy;
-* **pricing** (per ``(signature, unit geometry)``) — MXU/VPU cycle costs
+* **structure** — a *body* (:func:`_build_struct`), one columnar pass
+  per distinct ``Program.signature()`` of the program it decodes:
+  numpy position/shape tables for MXU and VPU rows, the short list of
+  *hard* rows (``sync.wait`` / ``sync.set`` / DMA — the only rows that
+  move the issue cursor or touch flags), bundle run-lengths between
+  them, and the structure-constant totals (MACs, scalar ops, VMEM
+  elements, DMA bytes per level operand). Compiled for TPUv4i, hard
+  rows run from 13 (mlp0, batch 8) to 8,092 (bert1, batch 64, beside
+  52,843 MXU/VPU rows); in cnn1 at batch 64 they outnumber the unit
+  rows, 1,923 to 872. This is the only code outside the interpreter
+  that decodes a :class:`Program` for timing. It reads the program's
+  runs: a repeated bundle with no hard row is filled in closed form,
+  anything else copy by copy. A body's DMA rows keep their raw level
+  operand; :func:`_relabel` maps the operands through a level table
+  into level names, per ``(body, program name, table)``. A compiled
+  program (``Program.binding``) is decoded as its shared slotted
+  program and relabelled through its memory plan's table, so the
+  budgets of a CMEM sweep share one body; every other program is its
+  own body, relabelled through the identity table;
+* **pricing** (per ``(body, unit geometry)``) — MXU/VPU cycle costs
   gathered from grid-wide per-shape memos, so a shape is priced once per
   geometry for the whole grid, not once per point;
-* **scan** (per ``(signature, DMA/clock configuration)``) — a sequential
-  pass over the hard rows only: bundle ratchets, sync stalls, and the
-  DMA engine pools (the one production copy of the DMA streaming
-  expression; the test-only interpreter's DMA engines in
+* **scan** (per ``(relabelled structure, DMA/clock configuration)``) —
+  a sequential pass over the hard rows only: bundle ratchets, sync
+  stalls, and the DMA engine pools (the one production copy of the DMA
+  streaming expression; the test-only interpreter's DMA engines in
   ``tests/reference/interpreter.py`` state it again).
 
 Unit finish times are then reconstructed in closed form: the issue cycle
@@ -58,7 +65,7 @@ from repro.arch.memory import MemorySystem
 from repro.arch.mxu import MxuModel
 from repro.arch.vpu import VpuModel
 from repro.isa.instructions import LEVEL_NAMES, Opcode, VECTOR_OP_CLASS
-from repro.isa.program import Program
+from repro.isa.program import IDENTITY_LEVELS, LevelTable, Program
 from repro.sim.perf import PerfCounters, build_report
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,7 +135,7 @@ class GridKernelStats:
 
     batches: int = 0           # evaluate_grid calls that ran batched
     points: int = 0            # grid points requested
-    structs: int = 0           # columnar structure tables built
+    structs: int = 0           # structure bodies decoded
     pricings: int = 0          # (structure, unit-geometry) pricing passes
     scans: int = 0             # (structure, DMA/clock) hard-row scans
     fallback_points: int = 0   # points with a sequential vector-ALU sum
@@ -199,6 +206,11 @@ class _Struct:
     their issue cycles can be reconstructed from any scan's per-hard-row
     state; hard rows carry the bundle run-length *before* them so the
     scan can apply bundle ratchets in closed form.
+
+    In a body (:func:`_build_struct`) the DMA fields hold raw level
+    operands: ``h_level`` an operand per DMA row, ``dma_bytes`` bytes per
+    operand and ``dma_levels`` ``(operand, mnemonic)`` at each operand's
+    first use. :func:`_relabel` turns them into level names.
     """
 
     name: str
@@ -210,7 +222,7 @@ class _Struct:
     scalar_ops: int
     macs: int                  # structure constant: sum of m*k*n
     vmem_elements: int         # structure constant: MXM + vector elements
-    dma_bytes: Dict[str, int]  # structure constant: DMA bytes per level
+    dma_bytes: dict            # structure constant: DMA bytes per level
     dma_levels: tuple          # distinct DMA levels, first-occurrence order
     shapes: tuple              # unique MXM (m, k, n)
     vecops: tuple              # unique vector ops, as pricing descriptors
@@ -256,7 +268,9 @@ class _Signature:
         return self.key == other.key
 
 
-_STRUCTS: Dict[_Signature, _Struct] = {}
+_BODIES: Dict[_Signature, _Struct] = {}
+#: (body signature, program name, level table) -> relabelled structure.
+_STRUCTS: Dict[tuple, _Struct] = {}
 
 # Grid-wide per-shape pricing memos: a shape is priced once per unit
 # geometry across the whole grid, not once per point.
@@ -269,6 +283,7 @@ _VPU_MODELS: Dict[tuple, VpuModel] = {}
 def clear_grid_kernel() -> None:
     """Drop every kernel cache and zero the stats (tests, cold benches)."""
     global _STATS
+    _BODIES.clear()
     _STRUCTS.clear()
     _MXM_PRICE.clear()
     _VEC_PRICE.clear()
@@ -350,8 +365,9 @@ def _offsets(first: int, copies: int, per_copy: int):
 
 
 def _build_struct(program: Program) -> _Struct:
-    """One columnar pass over the program's runs, statically truncated
-    at the first HALT (execution is straight-line, so the rest is dead).
+    """The body of ``program``: one columnar pass over its runs,
+    statically truncated at the first HALT (execution is straight-line,
+    so the rest is dead). DMA rows keep their raw level operand.
 
     A run of two or more copies of a bundle with no hard row and no HALT
     is filled in closed form: every copy's unit rows follow the same
@@ -373,10 +389,10 @@ def _build_struct(program: Program) -> _Struct:
     h_type: List[int] = []
     h_arg: List[int] = []
     h_flag: List[int] = []
-    h_level: List[Optional[str]] = []
+    h_level: List[Optional[int]] = []
     h_nb: List[int] = []
-    dma_bytes: Dict[str, int] = {}
-    dma_levels: List[str] = []
+    dma_bytes: Dict[int, int] = {}
+    dma_levels: List[tuple] = []
 
     n_flags = 0
     rows = 0
@@ -440,25 +456,18 @@ def _build_struct(program: Program) -> _Struct:
                     vec_hidx.append(last_hard)
                     vec_b.append(bundles - bundles_at_last_hard)
                 elif op is Opcode.DMA_IN or op is Opcode.DMA_OUT:
-                    level_name = LEVEL_NAMES.get(inst.args[0])
-                    if level_name is None:
-                        known = ", ".join(f"{i} ({name})" for i, name
-                                          in sorted(LEVEL_NAMES.items()))
-                        raise ValueError(
-                            f"{op.mnemonic} level operand {inst.args[0]!r} "
-                            f"names no memory level; known: {known}")
-                    flag = inst.args[2]
+                    operand, size, flag = inst.args
                     if flag >= n_flags:
                         n_flags = flag + 1
-                    if level_name not in dma_bytes:
-                        dma_bytes[level_name] = 0
-                        dma_levels.append(level_name)
-                    dma_bytes[level_name] += inst.args[1]
+                    if operand not in dma_bytes:
+                        dma_bytes[operand] = 0
+                        dma_levels.append((operand, op.mnemonic))
+                    dma_bytes[operand] += size
                     order.append(_O_HARD)
                     h_type.append(_H_DMA)
-                    h_arg.append(inst.args[1])
+                    h_arg.append(size)
                     h_flag.append(flag)
-                    h_level.append(level_name)
+                    h_level.append(operand)
                     h_nb.append(bundles - bundles_at_last_hard)
                     bundles_at_last_hard = bundles
                     last_hard += 1
@@ -525,15 +534,55 @@ def _build_struct(program: Program) -> _Struct:
     )
 
 
+def _relabel(body: _Struct, name: str, levels: LevelTable) -> _Struct:
+    """``body`` named ``name``, with every DMA level operand ``o`` read
+    as the level ``levels[o]`` (``o`` itself past the table's end).
+
+    Raises the interpreter's error for the first DMA row, in program
+    order, whose level is no memory level. Unit rows and their costs are
+    the body's, so the pricing caches are shared with it; everything
+    downstream of the scan starts empty.
+    """
+    names: Dict[int, str] = {}
+    dma_bytes: Dict[str, int] = {}
+    for operand, mnemonic in body.dma_levels:
+        level = levels[operand] if operand < len(levels) else operand
+        level_name = LEVEL_NAMES.get(level)
+        if level_name is None:
+            known = ", ".join(f"{i} ({n})" for i, n
+                              in sorted(LEVEL_NAMES.items()))
+            raise ValueError(f"{mnemonic} level operand {level!r} names "
+                             f"no memory level; known: {known}")
+        names[operand] = level_name
+        dma_bytes[level_name] = (dma_bytes.get(level_name, 0)
+                                 + body.dma_bytes[operand])
+    return replace(
+        body, name=name, dma_bytes=dma_bytes, dma_levels=tuple(dma_bytes),
+        h_level=list(map(names.get, body.h_level)), scans={}, issues={},
+        finals={}, pool_ids={})
+
+
 def _struct_for(program: Program) -> _Struct:
-    """The shared structure of ``program``, built on first sight of its
-    signature."""
-    sig = _Signature(program.signature())
-    struct = _STRUCTS.get(sig)
+    """The shared structure of ``program``.
+
+    A program with a level binding is its slotted program's body
+    relabelled through its table; any other program is its own body
+    relabelled through :data:`~repro.isa.program.IDENTITY_LEVELS`. Each
+    body is decoded on first sight of its signature and each relabel
+    made once per (body signature, name, table).
+    """
+    binding = program.binding
+    source, levels = ((program, IDENTITY_LEVELS) if binding is None
+                      else (binding.slotted, binding.levels))
+    sig = _Signature(source.signature())
+    key = (sig, program.name, levels)
+    struct = _STRUCTS.get(key)
     if struct is None:
-        struct = _build_struct(program)
-        _STRUCTS[sig] = struct
-        _STATS.structs += 1
+        body = _BODIES.get(sig)
+        if body is None:
+            body = _BODIES[sig] = _build_struct(source)
+            _STATS.structs += 1
+        struct = _STRUCTS[key] = _relabel(body, program.name, levels)
     return struct
 
 

@@ -4,8 +4,9 @@
 module is its single-program face:
 
 * :func:`lower_program` decodes a compiled :class:`~repro.isa.program.
-  Program` into the kernel's chip-independent structure (shared by
-  ``Program.signature()`` with every grid batch) and binds it to the
+  Program` into the kernel's chip-independent structure (shared with
+  every grid batch: one body per signature of the program, or of its
+  slotted program, relabelled per level table) and binds it to the
   chip's DMA pools as a :class:`LoweredProgram`. Structure is
   dtype-independent (arithmetic width only scales byte traffic, applied
   when priced), so one lowering serves bf16 and int8.

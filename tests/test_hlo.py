@@ -1,13 +1,41 @@
 """Tests for the HLO module/builder and its cost accounting."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.graph import GraphBuilder, HloInstruction, Shape
+from repro.graph import GraphBuilder, HloInstruction, HloModule, Shape
 from repro.graph.ops import opdef
 
-from tests.conftest import make_tiny_mlp
+from tests.conftest import deadline, make_tiny_mlp
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Hashing is C-level recursion that no signal interrupts, so a hash
+# that is exponential in the depth of shared subgraphs runs in a child
+# process with a timeout.
+_HASH_BERT0 = """
+from repro.workloads import app_by_name
+first, second = (app_by_name("bert0").build(1) for _ in range(2))
+assert first.root is not second.root
+assert hash(first.root) == hash(second.root)
+assert len({inst: None for inst in first.instructions}) == len(first.instructions)
+print("ok")
+"""
+
+
+def _diamonds(depth: int, leaf: str) -> HloInstruction:
+    """A chain of ``depth`` diamonds (each value feeds two ops that meet
+    again), so an unshared walk visits 2**depth paths."""
+    b = GraphBuilder("diamonds")
+    x = b.parameter(Shape((4, 8)), leaf)
+    for _ in range(depth):
+        x = b.add(b.relu(x), b.tanh(x))
+    return x
 
 
 class TestBuilder:
@@ -202,3 +230,31 @@ class TestInstructionRecord:
         x = b.parameter(Shape((2,)))
         assert b.module.add("scale", x.shape, (x,), factor=0.5,
                             alpha=1).attrs == (("alpha", 1), ("factor", 0.5))
+
+    def test_add_rejects_a_shape_that_is_not_a_shape(self):
+        module = HloModule("m")
+        with pytest.raises(TypeError, match="shape must be a Shape"):
+            module.add("parameter", (8, 128))
+        assert module.instructions == []
+
+    def test_hash_of_bert0_finishes(self):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT)))
+        proc = subprocess.run([sys.executable, "-c", _HASH_BERT0], env=env,
+                              cwd=ROOT, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.strip() == b"ok"
+
+    def test_equality_of_shared_graphs_is_linear(self):
+        from repro.workloads import app_by_name
+
+        with deadline(10):
+            first, second = (app_by_name("bert0").build(1) for _ in range(2))
+            assert first.root == second.root
+            assert not first.root != second.root
+            deep, twin = _diamonds(200, "x"), _diamonds(200, "x")
+            assert deep == twin and hash(deep) == hash(twin)
+            # The only difference is the leaf's name, 600 operands down.
+            assert deep != _diamonds(200, "y")
+            assert first.root != app_by_name("bert0").build(2).root

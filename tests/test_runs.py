@@ -3,9 +3,10 @@ oracles, and the contracts of :class:`~repro.isa.program.Program` runs.
 
 The packer (:func:`repro.compiler.scheduler._pack`) packs each run of one
 instruction in closed form and the structure build
-(:func:`repro.sim.gridkernel._build_struct`) fills unit-only runs in
-closed form; ``tests/reference/scheduler.py`` and
-``tests/reference/gridkernel.py`` do both one position at a time.
+(:func:`repro.sim.gridkernel._build_struct`, a body that the identity
+level table relabels) fills unit-only runs in closed form;
+``tests/reference/scheduler.py`` and ``tests/reference/gridkernel.py``
+do both one position at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from repro.compiler.pipeline import compile_model, lower_stages
 from repro.compiler.scheduler import _pack
 from repro.isa.encoding import decode_program, encode_program
 from repro.isa.instructions import Bundle, Instruction, Opcode
-from repro.isa.program import Program
-from repro.sim.gridkernel import _build_struct, _Struct, _struct_for
+from repro.isa.program import IDENTITY_LEVELS, Program
+from repro.sim.gridkernel import _build_struct, _relabel, _Struct, _struct_for
 from repro.workloads.generative import (build_decode, build_prefill,
                                         generative_by_name)
 from tests.reference.gridkernel import build_struct
@@ -94,6 +95,12 @@ def assert_same_struct(got: _Struct, want: _Struct) -> None:
             assert a == b, name
 
 
+def identity_decode(program: Program) -> _Struct:
+    """The production decode of a program that holds its own runs: its
+    body relabelled through the identity level table."""
+    return _relabel(_build_struct(program), program.name, IDENTITY_LEVELS)
+
+
 class TestAgainstOracles:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -114,7 +121,7 @@ class TestAgainstOracles:
         assert list(program.bundles) == want
         assert all(a != b for a, b in zip(program.run_bundles,
                                           program.run_bundles[1:]))
-        assert_same_struct(_build_struct(program), build_struct(program))
+        assert_same_struct(identity_decode(program), build_struct(program))
 
     @settings(max_examples=150, deadline=None)
     @given(runs=st.lists(st.tuples(
@@ -129,7 +136,7 @@ class TestAgainstOracles:
             bundle = Bundle(tuple(_HALT if kind == "halt" else _POOL[kind][0]
                                   for kind in kinds))
             program.bundles.extend([bundle] * count)
-        assert_same_struct(_build_struct(program), build_struct(program))
+        assert_same_struct(identity_decode(program), build_struct(program))
 
     @pytest.mark.parametrize("name", ["llm0", "llm1"])
     def test_compiled_generative_programs(self, name):
@@ -138,7 +145,8 @@ class TestAgainstOracles:
                        build_decode(spec, 256, 8)):
             program = compile_model(module, TPUV4I).program
             assert len(program.run_counts) < len(program)
-            assert_same_struct(_build_struct(program), build_struct(program))
+            assert_same_struct(identity_decode(program), build_struct(program))
+            assert_same_struct(_struct_for(program), build_struct(program))
 
 
 class TestLowering:
@@ -212,4 +220,8 @@ class TestProgramRuns:
         assert decoded.run_counts == program.run_counts
         assert decoded.run_bundles == program.run_bundles
         assert decoded.signature() == program.signature()
-        assert _struct_for(decoded) is _struct_for(program)
+        # The compiled program is priced from its slotted body, the
+        # decoded one from its own: equal structures, not one object.
+        assert_same_struct(_struct_for(decoded), _struct_for(program))
+        again = decode_program(encode_program(decoded), 4)
+        assert _struct_for(again) is _struct_for(decoded)
