@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.chip import ChipConfig
 from repro.compiler.allocator import (
@@ -223,8 +223,7 @@ def _slotted_program(expanded: HloModule, chip: ChipConfig,
     per (:func:`lowering_key`, generation, ``dual_issue``).
 
     Its DMA level operands still name level slots; every compile links
-    its own program to it (:func:`compile_model`), so nothing may
-    change it.
+    its own program to it (:func:`compile_model`).
     """
     dense = version.has("dual_issue")
     key = ("compiler.program", lowering_key(chip, version), chip.generation,
@@ -233,13 +232,12 @@ def _slotted_program(expanded: HloModule, chip: ChipConfig,
     if program is None:
         bundles, counts = schedule(_lowering(expanded, chip, version).ops,
                                    chip.generation, dense)
-        program = Program(name=expanded.name, generation=chip.generation)
-        program.extend_runs(zip(bundles, counts))
-        expanded.memo[key] = program
+        program = expanded.memo[key] = Program(
+            expanded.name, chip.generation, bundles, counts)
     return program
 
 
-def _bind(lowered: LoweredModule, bundles: List[Bundle],
+def _bind(lowered: LoweredModule, bundles: Sequence[Bundle],
           levels: LevelTable) -> List[Bundle]:
     """``bundles`` of ``lowered``'s schedule with every level slot filled
     from the level table ``levels``."""

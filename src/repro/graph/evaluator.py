@@ -14,7 +14,9 @@ arithmetic after every operation:
 
 Weights and inputs not supplied explicitly are generated deterministically
 from the instruction uid, so two evaluations of the same module always see
-the same tensors.
+the same tensors. An evaluator draws each default weight once and keeps
+it, rounded and read-only, for every later run (a server's weights stay
+resident between requests).
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class Evaluator:
         self.arithmetic = arithmetic
         self.seed = seed
         self._values: Dict[int, np.ndarray] = {}
+        #: uid -> the rounded, read-only default of an unsupplied weight.
+        self._default_weights: Dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- data supply
 
@@ -79,6 +83,16 @@ class Evaluator:
         # Small scale keeps deep nets numerically tame.
         scale = 1.0 / math.sqrt(max(1, inst.shape.dims[-1]))
         return rng.normal_array(inst.shape.dims, scale=scale)
+
+    def _default_weight(self, inst: HloInstruction) -> np.ndarray:
+        """The rounded default tensor of weight ``inst``, drawn on first
+        use and kept read-only for every later run."""
+        value = self._default_weights.get(inst.uid)
+        if value is None:
+            value = self._round(self._default_tensor(inst))
+            value.flags.writeable = False
+            self._default_weights[inst.uid] = value
+        return value
 
     def _round(self, value: np.ndarray) -> np.ndarray:
         """Apply the arithmetic's storage rounding to an activation."""
@@ -123,8 +137,9 @@ class Evaluator:
             return self._round(np.asarray(value))
         if op == "constant":
             supplied = weights.get(inst.name)
-            value = (np.asarray(supplied, dtype=np.float32)
-                     if supplied is not None else self._default_tensor(inst))
+            if supplied is None:
+                return self._default_weight(inst)
+            value = np.asarray(supplied, dtype=np.float32)
             if tuple(value.shape) != inst.shape.dims:
                 raise ValueError(
                     f"weight {inst.name!r}: expected {inst.shape.dims}, got "

@@ -69,7 +69,6 @@ class BinaryFormat:
                 f"program was scheduled for generation {program.generation}, "
                 f"this format is generation {self.generation}"
             )
-        program.validate()
         table = self._opcode_table()
         out = bytearray()
         out += self.magic
@@ -87,7 +86,9 @@ class BinaryFormat:
         return bytes(out)
 
     def decode(self, data: bytes) -> Program:
-        """Deserialize; raises :class:`IncompatibleBinaryError` for foreign binaries."""
+        """Deserialize; raises :class:`IncompatibleBinaryError` for foreign
+        binaries and ``ValueError`` for a bundle that over-subscribes a
+        slot class of this generation."""
         if len(data) < 10:
             raise IncompatibleBinaryError("binary too short to contain a header")
         if data[:4] != self.magic:
@@ -106,7 +107,7 @@ class BinaryFormat:
         name = data[offset:offset + name_len].decode("utf-8")
         offset += name_len
         reverse = self._reverse_table()
-        program = Program(name=name, generation=self.generation)
+        bundles: List[Bundle] = []
         for _ in range(bundle_count):
             if offset >= len(data):
                 raise IncompatibleBinaryError("truncated binary: missing bundles")
@@ -127,10 +128,10 @@ class BinaryFormat:
                     args.append(int.from_bytes(chunk, "little"))
                     offset += self.operand_bytes
                 instructions.append(Instruction(opcode, tuple(args)))
-            program.append(Bundle(tuple(instructions)))
+            bundles.append(Bundle(tuple(instructions)))
         if offset != len(data):
             raise IncompatibleBinaryError("trailing bytes after last bundle")
-        return program
+        return Program(name, self.generation, bundles)
 
 
 _FORMATS: Dict[int, BinaryFormat] = {

@@ -157,9 +157,10 @@ def slot_layout_for_generation(generation: int) -> Dict[SlotClass, int]:
 class Bundle:
     """One VLIW issue bundle: the instructions dispatched together.
 
-    ``validate_for`` checks slot-class occupancy against a generation's
-    layout; the scheduler constructs only valid bundles, but hand-written
-    or decoded programs are validated explicitly. Bundles are immutable,
+    ``check_slots`` checks slot-class occupancy against a generation's
+    layout; the :class:`~repro.isa.program.Program` constructor runs it
+    on every distinct bundle, so no program holds a bundle its
+    generation cannot issue. Bundles are immutable,
     so one bundle object may appear many times in a program (the
     scheduler interns repeats).
 
@@ -191,13 +192,10 @@ class Bundle:
             usage[inst.slot] = usage.get(inst.slot, 0) + 1
         return usage
 
-    def validate_for(self, generation: int) -> None:
-        """Raise ValueError if this bundle over-subscribes any slot class."""
-        self.check_slots(slot_layout_for_generation(generation), generation)
-
     def check_slots(self, layout: Mapping[SlotClass, int],
                     generation: int) -> None:
-        """:meth:`validate_for` against an already looked-up layout."""
+        """Raise ValueError if this bundle over-subscribes any slot class
+        of ``layout``, generation ``generation``'s slot layout."""
         for slot, used in self.slot_usage().items():
             if used > layout.get(slot, 0):
                 raise ValueError(

@@ -4,13 +4,15 @@ A :class:`Program` is what the compiler emits and the simulator runs. It
 carries the generation it was compiled for (the binary-compatibility axis of
 Lesson 2) and summary statistics the tests and benchmarks assert on.
 
-A program is stored in run-length form: :attr:`Program.runs` lists its
-maximal ``(bundle, count)`` runs, the way TPUv1's CISC instructions carry
-a repeat field. Runs are maximal under :class:`Bundle` equality, so two
-programs with equal bundle sequences have equal runs, and every stage
-that only needs one copy of a repeated bundle (binding, checking,
-hashing, decoding for timing) touches each run once.
-:attr:`Program.bundles` is the expanded, position-by-position view.
+A program is an immutable value stored in run-length form:
+:attr:`Program.runs` lists its maximal ``(bundle, count)`` runs, the way
+TPUv1's CISC instructions carry a repeat field. The constructor is the
+one way in and checks what it is given; nothing changes a program after
+that. Runs are maximal under :class:`Bundle` equality, so two programs
+with equal bundle sequences have equal runs, and every stage that only
+needs one copy of a repeated bundle (binding, checking, hashing,
+decoding for timing) touches each run once. :attr:`Program.bundles` is
+the expanded, position-by-position view.
 
 A compiled program is stored as a *level binding*
 (:meth:`Program.from_slotted`): the scheduled program whose DMA level
@@ -18,7 +20,7 @@ operands still name the compiler's level slots, shared by every memory
 plan, plus the plan's level table. Its own runs are bound only when
 something reads them, and the timing engine decodes the shared slotted
 program once and relabels its DMA rows through each table
-(:mod:`repro.sim.gridkernel`). A mutation ends the link.
+(:mod:`repro.sim.gridkernel`).
 """
 
 from __future__ import annotations
@@ -57,25 +59,22 @@ class LevelBinding(NamedTuple):
 
     slotted: "Program"
     levels: LevelTable
-    bind: Callable[[List[Bundle], LevelTable], List[Bundle]]
+    bind: Callable[[Sequence[Bundle], LevelTable], List[Bundle]]
 
 
-def _merge_runs(out_bundles: List[Bundle], out_counts: List[int],
-                bundles: Sequence[Bundle], counts: Sequence[int]) -> None:
-    """Append runs to ``out_bundles``/``out_counts``, merging each into
-    the one before it when it holds an equal bundle.
+def _merge_runs(bundles: Sequence[Bundle], counts: Sequence[int]
+                ) -> Tuple[Tuple[Bundle, ...], Tuple[int, ...]]:
+    """The runs ``bundles``/``counts`` with each run merged into the one
+    before it when it holds an equal bundle.
 
     Bundles cache their hashes, so the common case — no two neighbours
-    hash alike — is decided without comparing fields and appends every
-    run at once.
+    hash alike — is decided without comparing fields.
     """
     hashes = list(map(hash, bundles))
-    if out_bundles:
-        hashes.insert(0, hash(out_bundles[-1]))
     if not any(map(eq, hashes, islice(hashes, 1, None))):
-        out_bundles.extend(bundles)
-        out_counts.extend(counts)
-        return
+        return tuple(bundles), tuple(counts)
+    out_bundles: List[Bundle] = []
+    out_counts: List[int] = []
     for bundle, count in zip(bundles, counts):
         if out_bundles:
             last = out_bundles[-1]
@@ -85,15 +84,14 @@ def _merge_runs(out_bundles: List[Bundle], out_counts: List[int],
                 continue
         out_bundles.append(bundle)
         out_counts.append(count)
+    return tuple(out_bundles), tuple(out_counts)
 
 
 class BundleView:
     """A program's bundles, one per issue position, in issue order.
 
-    A live view over the program's runs: it iterates and indexes like
-    the list of bundles, and :meth:`append` / :meth:`extend` add
-    positions without checking slots (as appending to a plain list
-    would; :meth:`Program.append` is the checked form).
+    A read-only view over the program's runs: it iterates and indexes
+    like the tuple of bundles without expanding the runs to hold.
     """
 
     __slots__ = ("_program",)
@@ -112,49 +110,39 @@ class BundleView:
     def __getitem__(self, index):
         return list(self)[index]
 
-    def append(self, bundle: Bundle) -> None:
-        self._program._push_runs([bundle], [1])
 
-    def extend(self, bundles: Iterable[Bundle]) -> None:
-        bundles = list(bundles)
-        self._program._push_runs(bundles, [1] * len(bundles))
-
-
-@dataclass(init=False)
+@dataclass(frozen=True, init=False)
 class Program:
-    """A compiled TensorCore program.
+    """A compiled TensorCore program, immutable once built.
 
     Attributes:
         name: human-readable label (usually the workload name).
         generation: the chip generation the program was scheduled/encoded for.
         run_bundles / run_counts: the maximal runs in issue order, as two
-            parallel lists (run ``i`` issues ``run_bundles[i]``
+            parallel tuples (run ``i`` issues ``run_bundles[i]``
             ``run_counts[i]`` times); :attr:`runs` pairs them up.
         bundles: the expanded bundles in issue order (a :class:`BundleView`).
         metadata: free-form compile artifacts (weight placement, compiler
-            version) that tools attach; never consumed by the simulator.
+            version) that tools attach; never consumed by the simulator
+            and not part of :meth:`signature`.
 
-    The runs are two flat lists rather than a list of pairs so that a
-    program adds no per-run objects for the garbage collector to walk.
-    Equality compares the runs, which are maximal, so it is equality of
-    the expanded bundles.
+    The runs are two flat tuples rather than pairs so that a program
+    adds no per-run objects for the garbage collector to walk. Equality
+    compares the runs, which are maximal, so it is equality of the
+    expanded bundles. A program hashes as its :meth:`signature`; both
+    are computed once, on first use.
 
     A program made by :meth:`from_slotted` has no runs of its own until
     one of them is read (directly or through :attr:`bundles`,
     :meth:`signature`, equality, repr, pickling or encoding); they are
-    then bound once and kept. :attr:`binding` stays set after that read,
-    so the timing engine keeps pricing the program from the shared
-    slotted program; only a mutation (:meth:`append`, :meth:`extend`,
-    :meth:`extend_runs`, the :attr:`bundles` view) clears it. Those are
-    the ways to change a program: editing ``run_bundles`` or
-    ``run_counts`` in place keeps the binding, and the engine would
-    price the slotted program's content.
+    then bound once and kept, and the timing engine keeps pricing the
+    program from the shared slotted program (:attr:`binding`).
     """
 
     name: str
     generation: int
-    run_bundles: List[Bundle]
-    run_counts: List[int]
+    run_bundles: Tuple[Bundle, ...]
+    run_counts: Tuple[int, ...]
     metadata: Dict[str, object]
 
     #: The level binding this program is stored as, if any (set on the
@@ -163,35 +151,59 @@ class Program:
 
     def __init__(self, name: str, generation: int,
                  bundles: Iterable[Bundle] = (),
+                 counts: Optional[Iterable[int]] = None,
                  metadata: Optional[Dict[str, object]] = None) -> None:
-        self.name = name
-        self.generation = generation
-        self.run_bundles = []
-        self.run_counts = []
-        self._positions = 0
-        self.metadata = {} if metadata is None else metadata
-        BundleView(self).extend(bundles)
+        """``bundles`` issued ``counts[i]`` times each (once each when
+        ``counts`` is ``None``), after checking them.
+
+        The slot layout is looked up once and each distinct bundle
+        object is checked once (bundles are immutable, so a repeat
+        cannot differ). Raises ``ValueError`` for a count that is not an
+        int >= 1 and for a bundle that over-subscribes a slot class.
+        """
+        bundles = tuple(bundles)
+        counts = (1,) * len(bundles) if counts is None else tuple(counts)
+        if len(counts) != len(bundles):
+            raise ValueError(f"{len(counts)} run counts for "
+                             f"{len(bundles)} bundles")
+        if counts and (not set(map(type, counts)) <= {int}
+                       or min(counts) < 1):
+            bad = next(c for c in counts if type(c) is not int or c < 1)
+            raise ValueError(f"run count must be an int >= 1, got {bad!r}")
+        layout = slot_layout_for_generation(generation)
+        for bundle in dict(zip(map(id, bundles), bundles)).values():
+            try:
+                bundle.check_slots(layout, generation)
+            except ValueError as exc:
+                at = sum(counts[:bundles.index(bundle)])
+                raise ValueError(f"bundle {at}: {exc}") from None
+        run_bundles, run_counts = _merge_runs(bundles, counts)
+        vars(self).update(
+            name=name, generation=generation, run_bundles=run_bundles,
+            run_counts=run_counts, _positions=sum(counts),
+            metadata={} if metadata is None else metadata)
 
     @classmethod
     def from_slotted(cls, slotted: "Program", name: str, levels: LevelTable,
-                     bind: Callable[[List[Bundle], LevelTable], List[Bundle]],
+                     bind: Callable[[Sequence[Bundle], LevelTable],
+                                    List[Bundle]],
                      metadata: Optional[Dict[str, object]] = None
                      ) -> "Program":
         """``slotted`` with its DMA level operands read through
         ``levels``, named ``name``.
 
-        ``slotted`` must be checked already and must not change while
-        the result is bound to it. The result's runs are
-        ``bind(slotted.run_bundles, levels)`` with ``slotted``'s counts,
-        merged where binding makes neighbours equal; they are computed
-        when first read.
+        The result's runs are ``bind(slotted.run_bundles, levels)`` with
+        ``slotted``'s counts, merged where binding makes neighbours
+        equal; they are computed when first read. Binding fills level
+        operands only, so the bound bundles use ``slotted``'s slots and
+        need no second check.
         """
         program = cls.__new__(cls)
-        program.name = name
-        program.generation = slotted.generation
-        program._positions = slotted._positions
-        program.metadata = {} if metadata is None else metadata
-        program._binding = LevelBinding(slotted, levels, bind)
+        vars(program).update(
+            name=name, generation=slotted.generation,
+            _positions=slotted._positions,
+            metadata={} if metadata is None else metadata,
+            _binding=LevelBinding(slotted, levels, bind))
         return program
 
     @property
@@ -208,16 +220,16 @@ class Program:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
         slotted, levels, bind = self._binding
-        bundles: List[Bundle] = []
-        counts: List[int] = []
-        _merge_runs(bundles, counts, bind(slotted.run_bundles, levels),
-                    slotted.run_counts)
-        self.run_bundles, self.run_counts = bundles, counts
-        return self.__dict__[name]
+        bundles, counts = _merge_runs(bind(slotted.run_bundles, levels),
+                                      slotted.run_counts)
+        vars(self).update(run_bundles=bundles, run_counts=counts)
+        return vars(self)[name]
 
     def __getstate__(self) -> dict:
-        """The program's own runs, without its binding: a loaded or
-        copied program equals this one and holds plain runs."""
+        """The program's own runs, without its binding or its cached
+        signature and hash (a hash is per process: bundles hash their
+        enum members by identity): a loaded or copied program equals
+        this one and holds plain runs."""
         return {"name": self.name, "generation": self.generation,
                 "run_bundles": self.run_bundles,
                 "run_counts": self.run_counts,
@@ -232,47 +244,6 @@ class Program:
         """The ``(bundle, count)`` runs in issue order."""
         return list(zip(self.run_bundles, self.run_counts))
 
-    def _push_runs(self, bundles: Sequence[Bundle],
-                   counts: Sequence[int]) -> None:
-        """Add runs in order, unchecked, merging each into the one before
-        it when it holds an equal bundle. Ends any level binding."""
-        out_bundles, out_counts = self.run_bundles, self.run_counts
-        if self._binding is not None:
-            self._binding = None
-        self._positions += sum(counts)
-        _merge_runs(out_bundles, out_counts, bundles, counts)
-
-    def append(self, bundle: Bundle) -> None:
-        bundle.validate_for(self.generation)
-        self._push_runs([bundle], [1])
-
-    def extend(self, bundles: Iterable[Bundle]) -> None:
-        """Append bundles in order, after checking every one of them.
-
-        Nothing is appended if any bundle is invalid.
-        """
-        self.extend_runs((bundle, 1) for bundle in bundles)
-
-    def extend_runs(self, runs: Iterable[Run]) -> None:
-        """Append ``(bundle, count)`` runs in order, after checking every
-        bundle.
-
-        The layout is looked up once and each distinct bundle object is
-        checked once (bundles are immutable, so a repeat cannot differ).
-        Nothing is appended if any bundle or count is invalid.
-        """
-        runs = list(runs)
-        if not runs:
-            return
-        bundles, counts = zip(*runs)
-        if not set(map(type, counts)) <= {int} or min(counts) < 1:
-            bad = next(c for c in counts if type(c) is not int or c < 1)
-            raise ValueError(f"run count must be an int >= 1, got {bad!r}")
-        layout = slot_layout_for_generation(self.generation)
-        for bundle in dict(zip(map(id, bundles), bundles)).values():
-            bundle.check_slots(layout, self.generation)
-        self._push_runs(bundles, counts)
-
     def __len__(self) -> int:
         return self._positions
 
@@ -286,15 +257,25 @@ class Program:
 
         Two programs with equal signatures execute identically, so the
         grid kernel's per-structure tables (:mod:`repro.sim.gridkernel`)
-        use this — not object identity — as their key; a program mutated
-        by :meth:`append` between runs gets a fresh signature for free.
-        Runs are maximal under bundle equality, so equal bundle sequences
-        give equal signatures. Each bundle caches its hash, so hashing
-        the key costs one cached lookup per run and one full hash per
-        distinct bundle.
+        use it and its hash — not object identity — as their key. Runs
+        are maximal under bundle equality, so equal bundle sequences
+        give equal signatures. The key is built once per program.
         """
-        return (self.name, self.generation, tuple(self.run_bundles),
-                tuple(self.run_counts))
+        cached = vars(self).get("_signature")
+        if cached is None:
+            cached = vars(self)["_signature"] = (
+                self.name, self.generation, self.run_bundles,
+                self.run_counts)
+        return cached
+
+    def __hash__(self) -> int:
+        """The hash of :meth:`signature`, computed once. Each bundle
+        caches its own hash, so the first call costs one cached lookup
+        per run and one full hash per distinct bundle."""
+        cached = vars(self).get("_hash")
+        if cached is None:
+            cached = vars(self)["_hash"] = hash(self.signature())
+        return cached
 
     def total_macs(self) -> int:
         """MACs implied by all MXM instructions."""
@@ -304,13 +285,3 @@ class Program:
                 m, k, n = inst.args
                 total += m * k * n
         return total
-
-    def validate(self) -> None:
-        """Re-check every bundle against the program's generation."""
-        position = 0
-        for bundle, count in zip(self.run_bundles, self.run_counts):
-            try:
-                bundle.validate_for(self.generation)
-            except ValueError as exc:
-                raise ValueError(f"bundle {position}: {exc}") from exc
-            position += count

@@ -6,7 +6,8 @@ compiled programs against dozens of chip variants that differ only in
 clock, MXU count, or CMEM provisioning — shares everything else:
 
 * **structure** — a *body* (:func:`_build_struct`), one columnar pass
-  per distinct ``Program.signature()`` of the program it decodes:
+  per distinct ``Program.signature()`` of the program it decodes (a
+  program is immutable, so it builds its signature and hash once):
   numpy position/shape tables for MXU and VPU rows, the short list of
   *hard* rows (``sync.wait`` / ``sync.set`` / DMA — the only rows that
   move the issue cursor or touch flags), bundle run-lengths between
@@ -56,7 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -251,26 +253,11 @@ class _Struct:
     pool_ids: dict = field(default_factory=dict)  # pool_levels -> list
 
 
-class _Signature:
-    """A ``Program.signature()`` whose hash is computed once, so the
-    structure-table lookup and the insert after a miss share it."""
-
-    __slots__ = ("key", "hash")
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self.hash = hash(key)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: "_Signature") -> bool:
-        return self.key == other.key
-
-
-_BODIES: Dict[_Signature, _Struct] = {}
-#: (body signature, program name, level table) -> relabelled structure.
-_STRUCTS: Dict[tuple, _Struct] = {}
+#: Signature hash -> (signature, body).
+_BODIES: Dict[int, Tuple[tuple, _Struct]] = {}
+#: (signature hash, program name, level table) -> (signature,
+#: relabelled structure).
+_STRUCTS: Dict[tuple, Tuple[tuple, _Struct]] = {}
 
 # Grid-wide per-shape pricing memos: a shape is priced once per unit
 # geometry across the whole grid, not once per point.
@@ -569,20 +556,25 @@ def _struct_for(program: Program) -> _Struct:
     relabelled through its table; any other program is its own body
     relabelled through :data:`~repro.isa.program.IDENTITY_LEVELS`. Each
     body is decoded on first sight of its signature and each relabel
-    made once per (body signature, name, table).
+    made once per (body signature, name, table). The tables are keyed
+    on the signature's hash, which the program computes once, and a hit
+    is confirmed against the signature itself (cheap for the same
+    program, whose signature is one cached tuple).
     """
     binding = program.binding
     source, levels = ((program, IDENTITY_LEVELS) if binding is None
                       else (binding.slotted, binding.levels))
-    sig = _Signature(source.signature())
-    key = (sig, program.name, levels)
-    struct = _STRUCTS.get(key)
-    if struct is None:
-        body = _BODIES.get(sig)
-        if body is None:
-            body = _BODIES[sig] = _build_struct(source)
-            _STATS.structs += 1
-        struct = _STRUCTS[key] = _relabel(body, program.name, levels)
+    sig, sig_hash = source.signature(), hash(source)
+    key = (sig_hash, program.name, levels)
+    hit = _STRUCTS.get(key)
+    if hit is not None and hit[0] == sig:
+        return hit[1]
+    body = _BODIES.get(sig_hash)
+    if body is None or body[0] != sig:
+        body = _BODIES[sig_hash] = (sig, _build_struct(source))
+        _STATS.structs += 1
+    struct = _relabel(body[1], program.name, levels)
+    _STRUCTS[key] = (sig, struct)
     return struct
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+import struct
 import weakref
 
 import pytest
@@ -51,6 +52,7 @@ from repro.core.dse import DEFAULT_DSE_APPS, enumerate_candidates
 from repro.engine.modules import built_module
 from repro.graph.hlo import GraphBuilder
 from repro.graph.shapes import Shape
+from repro.isa.encoding import decode_program, format_for_generation
 from repro.isa.instructions import Bundle, Instruction, LEVEL_NAMES, Opcode
 from repro.isa.program import Program
 from repro.serving.batching import BatchPolicy
@@ -224,8 +226,8 @@ class TestCapacitySweep:
         dense = LATEST.has("dual_issue")
         for (chip, budget), got in zip(targets, compiled):
             bound = _bound_ops(module, chip, LATEST, budget)
-            want = Program(module.name, chip.generation)
-            want.extend_runs(zip(*schedule(bound, chip.generation, dense)))
+            want = Program(module.name, chip.generation,
+                           *schedule(bound, chip.generation, dense))
             assert got.program.signature() == want.signature()
             assert ([(i.opcode, i.args) for i in got.program.instructions()]
                     == _flat(bound) + [(Opcode.HALT, ())])
@@ -512,23 +514,28 @@ class TestChecksKept:
         mxm = Instruction(Opcode.MXM, (128, 128, 128))
         return Bundle((mxm, mxm, mxm))   # generation 4 has two MXU slots
 
-    def test_oversubscribed_bundle_raises_on_append(self):
-        program = Program("bad", generation=4)
-        with pytest.raises(ValueError, match="matrix slots"):
-            program.append(self._oversubscribed())
+    def test_oversubscribed_bundle_raises_at_construction(self):
+        with pytest.raises(ValueError, match="bundle 0: .* matrix slots"):
+            Program("bad", 4, [self._oversubscribed()])
 
-    def test_oversubscribed_bundle_raises_on_extend(self):
+    def test_oversubscribed_run_is_named_by_its_position(self):
         ok = Bundle((Instruction(Opcode.HALT),))
-        program = Program("bad", generation=4)
-        with pytest.raises(ValueError, match="matrix slots"):
-            program.extend([ok, ok, self._oversubscribed(), ok])
-        assert len(program) == 0
+        with pytest.raises(ValueError, match="bundle 5: .* matrix slots"):
+            Program("bad", 4, [ok, ok, self._oversubscribed(), ok],
+                    counts=[1, 4, 3, 1])
 
-    def test_validate_still_checks_every_bundle(self):
-        program = Program("bad", generation=4)
-        program.bundles.append(self._oversubscribed())
-        with pytest.raises(ValueError, match="bundle 0"):
-            program.validate()
+    def test_decode_checks_every_bundle(self):
+        # Written by hand in the generation-4 layout (magic, generation,
+        # bundle count, name; per bundle its instruction count, then per
+        # instruction an opcode byte and its operands): the encoder only
+        # takes programs, which cannot hold an over-subscribed bundle.
+        fmt = format_for_generation(4)
+        mxm = bytes([fmt._opcode_table()[Opcode.MXM]]) + b"".join(
+            fmt._pack_operand(128) for _ in range(3))
+        data = (fmt.magic + struct.pack("<BI", 4, 1) + b"\x03bad"
+                + bytes([3]) + 3 * mxm)
+        with pytest.raises(ValueError, match="bundle 0: .* matrix slots"):
+            decode_program(data, 4)
 
     def test_bundles_are_immutable(self):
         bundle = Bundle((Instruction(Opcode.HALT),))

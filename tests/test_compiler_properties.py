@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import TPUV2, TPUV3, TPUV4I
 from repro.compiler import RELEASES, compile_model
 from repro.graph import GraphBuilder, Shape
+from repro.isa.instructions import slot_layout_for_generation
 from repro.sim import TensorCoreSim
 
 CHIPS = (TPUV2, TPUV3, TPUV4I)
@@ -51,7 +52,10 @@ class TestPipelineInvariants:
     def test_compile_and_run_invariants(self, spec, chip, release):
         module, expected_macs = spec
         compiled = compile_model(module, chip, version=release)
-        compiled.program.validate()
+        program = compiled.program
+        layout = slot_layout_for_generation(program.generation)
+        for bundle in program.run_bundles:
+            bundle.check_slots(layout, program.generation)
         assert compiled.program.total_macs() == expected_macs
 
         result = TensorCoreSim(chip).run(compiled.program)

@@ -15,20 +15,19 @@ from repro.isa import (
 
 
 def sample_program(generation: int = 4) -> Program:
-    p = Program("kernel", generation=generation)
-    p.append(Bundle((Instruction(Opcode.DMA_IN, (0, 65536, 3)),)))
-    p.append(Bundle((Instruction(Opcode.SYNC_WAIT, (3,)),
-                     Instruction(Opcode.MXM, (128, 256, 512)))))
-    p.append(Bundle((Instruction(Opcode.HALT),)))
-    return p
+    return Program("kernel", generation, [
+        Bundle((Instruction(Opcode.DMA_IN, (0, 65536, 3)),)),
+        Bundle((Instruction(Opcode.SYNC_WAIT, (3,)),
+                Instruction(Opcode.MXM, (128, 256, 512)))),
+        Bundle((Instruction(Opcode.HALT),))])
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("generation", [1, 2, 3, 4])
     def test_encode_decode_identity(self, generation):
-        p = Program("k", generation=generation)
-        p.append(Bundle((Instruction(Opcode.VADD, (1024,)),)))
-        p.append(Bundle((Instruction(Opcode.HALT),)))
+        p = Program("k", generation, [
+            Bundle((Instruction(Opcode.VADD, (1024,)),)),
+            Bundle((Instruction(Opcode.HALT),))])
         decoded = decode_program(encode_program(p), generation)
         assert decoded.name == "k"
         assert [str(b) for b in decoded.bundles] == [str(b) for b in p.bundles]
@@ -85,9 +84,8 @@ class TestIncompatibility:
             decode_program(b"TP4I", 4)
 
     def test_operand_overflow_rejected(self):
-        p = Program("big", generation=1)
         # Generation 1 has 3-byte operands: 2^24 does not fit.
-        p.append(Bundle((Instruction(Opcode.VADD, (1 << 24,)),)))
+        p = Program("big", 1, [Bundle((Instruction(Opcode.VADD, (1 << 24,)),))])
         with pytest.raises(ValueError):
             encode_program(p)
 

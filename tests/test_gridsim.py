@@ -132,13 +132,17 @@ class TestBitIdentityOnCornerCases:
     """Hand-built programs that stress the kernel's closed forms."""
 
     def _grid_vs_replay(self, program, chip=TPUV4I, dtype="bf16"):
+        """The interpreter against the grid, the one-point replay and
+        the traced replay."""
         point = GridPoint(program, chip, dtype)
         reference = _replay(point)
         out = evaluate_grid([point])[0]
         _assert_identical(reference, out)
+        lowered = lower_program(program, chip)
+        _assert_identical(reference, FastReplay(chip).run(lowered,
+                                                          dtype=dtype))
         tracer = SpanTracer()
-        traced = FastReplay(chip).run(lower_program(program, chip),
-                                      dtype=dtype, tracer=tracer)
+        traced = FastReplay(chip).run(lowered, dtype=dtype, tracer=tracer)
         _assert_identical(reference, traced)
         self._assert_spans_account_for_busy_time(tracer, chip, traced)
         return out
@@ -161,11 +165,9 @@ class TestBitIdentityOnCornerCases:
             == counters.sync_stall_cycles
 
     def _program(self, *bundles, generation=4):
-        program = Program("hand", generation=generation)
-        for bundle in bundles:
-            program.append(Bundle(tuple(bundle)))
-        program.append(Bundle((Instruction(Opcode.HALT),)))
-        return program
+        return Program("hand", generation,
+                       [Bundle(tuple(bundle)) for bundle in bundles]
+                       + [Bundle((Instruction(Opcode.HALT),))])
 
     def test_dma_contention_and_engine_pool(self):
         mib = 2**20
@@ -192,6 +194,15 @@ class TestBitIdentityOnCornerCases:
         out = self._grid_vs_replay(program)
         assert out.counters.sync_stall_cycles == 0
 
+    def test_sync_set_then_wait_in_one_bundle_is_free(self):
+        """A set stamps its flag at its own issue cycle, so a wait later
+        in the same bundle (generation 4 has two sync slots) is free."""
+        program = self._program(
+            [Instruction(Opcode.SYNC_SET, (2,)),
+             Instruction(Opcode.SYNC_WAIT, (2,))])
+        out = self._grid_vs_replay(program)
+        assert out.counters.sync_stall_cycles == 0
+
     def test_mixed_units_overlap(self):
         program = self._program(
             [Instruction(Opcode.MXM, (512, 512, 512)),
@@ -214,11 +225,11 @@ class TestBitIdentityOnCornerCases:
         self._grid_vs_replay(program)
 
     def test_halt_mid_program_truncates(self):
-        program = Program("h", generation=4)
-        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)))
-        program.append(Bundle((Instruction(Opcode.HALT),
-                               Instruction(Opcode.MXM, (512, 512, 512)))))
-        program.append(Bundle((Instruction(Opcode.MXM, (512, 512, 512)),)))
+        program = Program("h", 4, [
+            Bundle((Instruction(Opcode.MXM, (128, 128, 128)),)),
+            Bundle((Instruction(Opcode.HALT),
+                    Instruction(Opcode.MXM, (512, 512, 512)))),
+            Bundle((Instruction(Opcode.MXM, (512, 512, 512)),))])
         out = self._grid_vs_replay(program)
         assert out.counters.bundles == 2  # third bundle is dead code
 
@@ -228,14 +239,15 @@ class TestBitIdentityOnCornerCases:
         assert out.cycles == 1
 
     def test_int8_on_v1(self):
-        program = Program("v1", generation=1)
-        program.append(Bundle((Instruction(Opcode.MXM, (256, 256, 256)),
-                               Instruction(Opcode.DMA_IN, (0, 2**20, 0)))))
+        program = Program("v1", 1, [
+            Bundle((Instruction(Opcode.MXM, (256, 256, 256)),
+                    Instruction(Opcode.DMA_IN, (0, 2**20, 0))))])
         self._grid_vs_replay(program, chip=TPUV1, dtype="int8")
 
 
 class TestErrorParity:
-    """evaluate_grid raises exactly the per-point path's errors."""
+    """evaluate_grid, lower_program and FastReplay.run raise exactly the
+    interpreter's errors."""
 
     def test_generation_mismatch(self):
         program = Program("v4", generation=4)
@@ -244,22 +256,32 @@ class TestErrorParity:
         with pytest.raises(ValueError) as grid_err:
             evaluate_grid([GridPoint(program, TPUV3)])
         assert str(grid_err.value) == str(lower_err.value)
+        assert "Recompile" in str(lower_err.value)
+        lowered = lower_program(program, TPUV4I)
+        with pytest.raises(ValueError, match="Recompile"):
+            FastReplay(TPUV3).run(lowered)
 
     def test_unsupported_dtype(self):
         program = Program("v2", generation=2)
         with pytest.raises(ValueError, match="does not support"):
             evaluate_grid([GridPoint(program, TPUV2, dtype="int8")])
+        lowered = lower_program(program, TPUV2)
+        with pytest.raises(ValueError, match="does not support"):
+            FastReplay(TPUV2).run(lowered, dtype="int8")
 
     def test_unreachable_dma_level(self):
         # TPUv1 has no CMEM, so a CMEM DMA (level 1) has no engine pool.
-        program = Program("bad", generation=1)
-        program.append(Bundle((Instruction(Opcode.DMA_IN, (1, 1024, 0)),)))
+        program = Program("bad", 1, [
+            Bundle((Instruction(Opcode.DMA_IN, (1, 1024, 0)),))])
+        with pytest.raises(ValueError) as interp_err:
+            run_interpreted(TensorCoreSim(TPUV1), program, dtype="int8")
         with pytest.raises(ValueError) as lower_err:
             lower_program(program, TPUV1)
         clear_grid_kernel()
         with pytest.raises(ValueError) as grid_err:
             evaluate_grid([GridPoint(program, TPUV1, dtype="int8")])
-        assert str(grid_err.value) == str(lower_err.value)
+        assert (str(grid_err.value) == str(lower_err.value)
+                == str(interp_err.value))
 
     def test_error_raised_before_later_points_evaluate(self):
         good = Program("good", generation=4)
@@ -279,10 +301,10 @@ class TestGating:
             return dataclasses.replace(timing,
                                        alu_ops=timing.alu_ops + 1 / 3)
 
-        program = Program("gate", generation=4)
-        program.append(Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
-                               Instruction(Opcode.VADD, (4096,)))))
-        program.append(Bundle((Instruction(Opcode.VMUL, (1000,)),)))
+        program = Program("gate", 4, [
+            Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
+                    Instruction(Opcode.VADD, (4096,)))),
+            Bundle((Instruction(Opcode.VMUL, (1000,)),))])
         point = GridPoint(program, TPUV4I)
         clear_grid_kernel()
         try:

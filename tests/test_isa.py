@@ -45,8 +45,9 @@ class TestBundle:
         bundle = Bundle((Instruction(Opcode.MXM, (1, 1, 1)),
                          Instruction(Opcode.MXM, (2, 2, 2))))
         with pytest.raises(ValueError):
-            bundle.validate_for(1)
-        bundle.validate_for(4)  # gen4 has 2 matrix slots
+            bundle.check_slots(slot_layout_for_generation(1), 1)
+        # gen4 has 2 matrix slots
+        bundle.check_slots(slot_layout_for_generation(4), 4)
 
     def test_layouts_grow_over_generations(self):
         g1 = slot_layout_for_generation(1)
@@ -63,19 +64,17 @@ class TestBundle:
 
 class TestProgram:
     def _program(self):
-        p = Program("test", generation=4)
-        p.append(Bundle((Instruction(Opcode.DMA_IN, (0, 4096, 1)),)))
-        p.append(Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),
-                         Instruction(Opcode.MXM, (64, 128, 128)))))
-        p.append(Bundle((Instruction(Opcode.DMA_OUT, (0, 2048, 2)),
-                         Instruction(Opcode.HALT))))
-        return p
+        return Program("test", 4, [
+            Bundle((Instruction(Opcode.DMA_IN, (0, 4096, 1)),)),
+            Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),
+                    Instruction(Opcode.MXM, (64, 128, 128)))),
+            Bundle((Instruction(Opcode.DMA_OUT, (0, 2048, 2)),
+                    Instruction(Opcode.HALT)))])
 
-    def test_append_validates(self):
-        p = Program("x", generation=1)
-        with pytest.raises(ValueError):
-            p.append(Bundle((Instruction(Opcode.MXM, (1, 1, 1)),
-                             Instruction(Opcode.MXM, (1, 1, 1)))))
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError, match="bundle 0: .* matrix slots"):
+            Program("x", 1, [Bundle((Instruction(Opcode.MXM, (1, 1, 1)),
+                                     Instruction(Opcode.MXM, (1, 1, 1))))])
 
     def test_total_macs(self):
         assert self._program().total_macs() == 64 * 128 * 128
@@ -83,5 +82,8 @@ class TestProgram:
     def test_iteration_flattens(self):
         assert len(list(self._program().instructions())) == 5
 
-    def test_validate_passes(self):
-        self._program().validate()
+    def test_rebuilding_from_the_runs_gives_an_equal_program(self):
+        program = self._program()
+        again = Program(program.name, program.generation,
+                        program.run_bundles, program.run_counts)
+        assert again == program and hash(again) == hash(program)

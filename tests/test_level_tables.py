@@ -71,14 +71,13 @@ def bind_now(module, chip, budget) -> Program:
     memory = pipeline._memory(expanded, chip, LATEST, budget)
     lowered = pipeline._lowering(expanded, chip, LATEST)
     slotted = pipeline._slotted_program(expanded, chip, LATEST)
-    program = Program(module.name, chip.generation, metadata={
-        "compiler_version": LATEST.name, "lowered_ops": len(lowered.ops),
-        "weight_bytes": expanded.total_weight_bytes()})
-    program.extend_runs(zip(
+    return Program(
+        module.name, chip.generation,
         pipeline.bind_bundles(slotted.run_bundles,
                               lowered.bound(lowered.levels(memory))),
-        slotted.run_counts))
-    return program
+        slotted.run_counts, metadata={
+            "compiler_version": LATEST.name, "lowered_ops": len(lowered.ops),
+            "weight_bytes": expanded.total_weight_bytes()})
 
 
 def _outcome(result):
@@ -117,25 +116,36 @@ def _cnn0(budget=None):
                          cmem_budget_bytes=budget)
 
 
-class TestMutation:
-    def test_append_ends_the_link_and_decodes_the_new_program(self):
-        program = _cnn0().program
-        shared = _struct_for(program)
-        bodies = grid_kernel_stats().structs
-        program.append(Bundle((Instruction(Opcode.MXM, (64, 64, 64)),)))
-        assert program.binding is None
-        struct = _struct_for(program)
-        assert struct is not shared
-        assert grid_kernel_stats().structs == bodies + 1
-        assert_same_struct(struct, build_struct(program))
+class TestValue:
+    """A compiled program cannot change, so its binding cannot go stale."""
 
-    def test_a_mutated_binding_prices_its_new_content(self):
-        # A slotted stream with no HALT, so appended bundles run.
+    def test_editing_the_run_counts_raises(self):
+        program = _cnn0().program
+        price = evaluate_grid([GridPoint(program, TPUV4I)])[0]
+        with pytest.raises(TypeError):
+            program.run_counts[0] += 50
+        with pytest.raises(AttributeError):
+            program.run_counts = (1,) * len(program.run_counts)
+        assert isinstance(program.run_bundles, tuple)
+        again = evaluate_grid([GridPoint(copy.copy(program), TPUV4I)])[0]
+        assert _outcome(again) == _outcome(price)
+
+    def test_the_shared_slotted_program_has_no_mutator(self):
+        slotted = _cnn0().program.binding.slotted
+        for name in ("append", "extend", "extend_runs", "validate"):
+            assert not hasattr(slotted, name)
+            assert not hasattr(slotted.bundles, name)
+        assert type(slotted.run_bundles) is type(slotted.run_counts) is tuple
+        for name in ("name", "run_counts", "metadata", "_binding"):
+            with pytest.raises(AttributeError):
+                setattr(slotted, name, None)
+
+    def test_a_hand_built_binding_prices_its_bound_program(self):
+        # A slotted stream with no HALT, so every bundle runs.
         dma = Instruction(Opcode.DMA_IN, (3, 1 << 20, 1))
-        slotted = Program("hand", 4)
-        slotted.extend([Bundle((dma,)),
-                        Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),)),
-                        Bundle((Instruction(Opcode.MXM, (128, 128, 128)),))])
+        slotted = Program("hand", 4, [
+            Bundle((dma,)), Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),)),
+            Bundle((Instruction(Opcode.MXM, (128, 128, 128)),))])
 
         def bind(bundles, levels):
             return [Bundle(tuple(
@@ -144,17 +154,11 @@ class TestMutation:
                 for i in bundle.instructions)) for bundle in bundles]
 
         program = Program.from_slotted(slotted, "hand", (0, 1, 2, 1), bind)
-        before = evaluate_grid([GridPoint(program, TPUV4I)])[0]
-        tail = [Bundle((Instruction(Opcode.DMA_IN, (0, 1 << 22, 2)),)),
-                Bundle((Instruction(Opcode.SYNC_WAIT, (2,)),))]
-        twin = Program("hand", 4, bundles=program.bundles)
-        twin.extend(tail)
-        program.extend(tail)
-        assert program.binding is None and program == twin
-        after = evaluate_grid([GridPoint(program, TPUV4I)])[0]
-        assert after.counters.bytes_by_level["hbm"] == 1 << 22
-        assert after.cycles > before.cycles
-        assert _outcome(after) == _outcome(
+        got = evaluate_grid([GridPoint(program, TPUV4I)])[0]
+        twin = Program("hand", 4, program.bundles)
+        assert program.binding is not None and program == twin
+        assert got.counters.bytes_by_level["cmem"] == 1 << 20
+        assert _outcome(got) == _outcome(
             evaluate_grid([GridPoint(twin, TPUV4I)])[0])
 
 
@@ -217,9 +221,7 @@ class TestLazyBinding:
 
 class TestUnknownLevels:
     def _program(self, *bundles):
-        program = Program("levels", 4)
-        program.extend(Bundle((inst,)) for inst in bundles)
-        return program
+        return Program("levels", 4, [Bundle((inst,)) for inst in bundles])
 
     def test_the_first_bad_level_in_program_order_is_named(self):
         program = self._program(

@@ -13,7 +13,8 @@ from repro.compiler import (
     LATEST,
 )
 from repro.graph import GraphBuilder, Shape
-from repro.isa.instructions import LEVEL_IDS, Opcode
+from repro.isa.instructions import (LEVEL_IDS, Opcode,
+                                    slot_layout_for_generation)
 from repro.isa.program import Program
 
 from tests.conftest import make_tiny_mlp
@@ -31,10 +32,8 @@ def lower(module, chip=TPUV4I, version=LATEST, cmem_budget=None):
 
 
 def as_program(lowered, generation, version):
-    program = Program("t", generation)
-    program.extend_runs(zip(*schedule(lowered, generation,
-                                      version.has("dual_issue"))))
-    return program
+    return Program("t", generation, *schedule(lowered, generation,
+                                              version.has("dual_issue")))
 
 
 def all_instructions(lowered):
@@ -171,7 +170,8 @@ class TestScheduler:
     def test_dense_packing_respects_slots(self, tiny_mlp):
         _, lowered = lower(tiny_mlp)
         program = as_program(lowered, 4, LATEST)
-        program.validate()
+        for bundle in program.run_bundles:
+            bundle.check_slots(slot_layout_for_generation(4), 4)
 
     def test_sparse_packing_one_per_bundle(self, tiny_mlp):
         _, lowered = lower(tiny_mlp, version=EARLY)
@@ -195,4 +195,6 @@ class TestScheduler:
         for chip in (TPUV3, TPUV4I):
             _, lowered = lower(tiny_mlp, chip=chip)
             program = as_program(lowered, chip.generation, LATEST)
-            program.validate()
+            layout = slot_layout_for_generation(chip.generation)
+            for bundle in program.run_bundles:
+                bundle.check_slots(layout, chip.generation)

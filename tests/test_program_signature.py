@@ -3,9 +3,11 @@
 ``Program.signature()`` keys the grid kernel's structure table
 (``repro.sim.gridkernel``). It holds the bundles themselves, and each
 bundle caches its hash, so the key must mean exactly what a content key
-means: equal programs share a structure, a grown program gets a new one,
-and a program loaded in another process (another hash seed, other enum
-member ids) finds the structure an equal fresh program built.
+means: equal programs share a structure, a longer program gets a new
+one, and a program loaded in another process (another hash seed, other
+enum member ids) finds the structure an equal fresh program built. A
+program caches its signature and its hash, so neither may travel with
+a pickle or a copy.
 """
 
 import copy
@@ -29,10 +31,8 @@ def build(name: str = "sig") -> Program:
     wait = Bundle((Instruction(Opcode.SYNC_WAIT, (1,)),))
     work = Bundle((Instruction(Opcode.MXM, (128, 128, 128)),
                    Instruction(Opcode.VADD, (1024,))))
-    program = Program(name, generation=4)
-    program.extend([dma, wait, work, work, work,
-                    Bundle((Instruction(Opcode.HALT),))])
-    return program
+    return Program(name, 4, [dma, wait, work, work, work,
+                             Bundle((Instruction(Opcode.HALT),))])
 
 
 class TestSignature:
@@ -51,21 +51,39 @@ class TestSignature:
         other = Program(program.name, generation=3, bundles=program.bundles)
         assert other.signature() != program.signature()
 
-    def test_append_gets_a_new_structure(self):
+    def test_a_longer_program_gets_a_new_structure(self):
         program = build("grown")
         first = _struct_for(program)
         before = grid_kernel_stats().structs
-        program.append(Bundle((Instruction(Opcode.MXM, (64, 64, 64)),)))
-        assert _struct_for(program) is not first
+        longer = Program(program.name, 4, list(program.bundles) + [
+            Bundle((Instruction(Opcode.MXM, (64, 64, 64)),))])
+        assert _struct_for(longer) is not first
         assert grid_kernel_stats().structs == before + 1
 
+    def test_a_hash_collision_is_not_a_hit(self, monkeypatch):
+        # The structure tables are keyed on the signature's hash; a hit
+        # must still be the same signature.
+        monkeypatch.setattr(Program, "__hash__", lambda self: 0)
+        program = build("collide")
+        longer = Program(program.name, 4, [
+            Bundle((Instruction(Opcode.MXM, (64, 64, 64)),))]
+            + list(program.bundles))
+        first = _struct_for(program)
+        assert _struct_for(longer).macs == first.macs + 64 ** 3
+        assert _struct_for(program).macs == first.macs
+
     def test_cached_hash_is_never_pickled_or_copied(self):
-        bundle = build().bundles[2]
+        program = build()
+        bundle = program.bundles[2]
         before = pickle.dumps(bundle)
+        before_program = pickle.dumps(program)
         hash(bundle)
-        assert pickle.dumps(bundle) == before
-        assert pickle.dumps(copy.copy(bundle)) == before
-        assert pickle.dumps(copy.deepcopy(bundle)) == before
+        assert hash(program) == hash(program.signature())
+        for out, want in ((bundle, before), (program, before_program)):
+            assert pickle.dumps(out) == want
+            assert pickle.dumps(copy.copy(out)) == want
+            assert pickle.dumps(copy.deepcopy(out)) == want
+        assert not {"_signature", "_hash"} & set(vars(copy.copy(program)))
 
 
 _DUMP = """

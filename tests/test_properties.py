@@ -112,9 +112,8 @@ class TestEncodingProperties:
         min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, instruction_specs):
-        program = Program("prop", generation=4)
-        for op, args in instruction_specs:
-            program.append(Bundle((Instruction(op, tuple(args)),)))
+        program = Program("prop", 4, [Bundle((Instruction(op, tuple(args)),))
+                                      for op, args in instruction_specs])
         decoded = decode_program(encode_program(program), 4)
         assert [str(b) for b in decoded.bundles] == [
             str(b) for b in program.bundles]

@@ -23,7 +23,8 @@ from repro.arch.chip import TPUV4I
 from repro.compiler.pipeline import compile_model, lower_stages
 from repro.compiler.scheduler import _pack
 from repro.isa.encoding import decode_program, encode_program
-from repro.isa.instructions import Bundle, Instruction, Opcode
+from repro.isa.instructions import (Bundle, Instruction, Opcode,
+                                    slot_layout_for_generation)
 from repro.isa.program import IDENTITY_LEVELS, Program
 from repro.sim.gridkernel import _build_struct, _relabel, _Struct, _struct_for
 from repro.workloads.generative import (build_decode, build_prefill,
@@ -116,8 +117,7 @@ class TestAgainstOracles:
         assert expanded == want
         assert _identity_pattern(expanded) == _identity_pattern(want)
 
-        program = Program("runs", generation)
-        program.extend_runs(zip(bundles, counts))
+        program = Program("runs", generation, bundles, counts)
         assert list(program.bundles) == want
         assert all(a != b for a, b in zip(program.run_bundles,
                                           program.run_bundles[1:]))
@@ -130,12 +130,18 @@ class TestAgainstOracles:
         st.integers(1, 40)), min_size=1, max_size=10))
     def test_struct_of_any_bundle_runs(self, runs):
         # Bundles drawn directly, so a run may repeat a bundle that holds
-        # a hard row, or a HALT in the middle of the program.
-        program = Program("bundles", 4)
+        # a hard row, or a HALT in the middle of the program. A bundle
+        # that over-subscribes a slot class cannot be in a program.
+        bundles = []
         for kinds, count in runs:
             bundle = Bundle(tuple(_HALT if kind == "halt" else _POOL[kind][0]
                                   for kind in kinds))
-            program.bundles.extend([bundle] * count)
+            try:
+                bundle.check_slots(slot_layout_for_generation(4), 4)
+            except ValueError:
+                continue
+            bundles += [bundle] * count
+        program = Program("bundles", 4, bundles)
         assert_same_struct(identity_decode(program), build_struct(program))
 
     @pytest.mark.parametrize("name", ["llm0", "llm1"])
@@ -173,44 +179,36 @@ def _wait():
 
 class TestProgramRuns:
     def test_equal_expansions_give_equal_signatures(self):
-        by_runs = Program("p", 4)
-        by_runs.extend_runs([(_mxm(), 3), (_mxm(), 2), (_wait(), 1)])
-        one_by_one = Program("p", 4)
-        for bundle in [_mxm() for _ in range(5)] + [_wait()]:
-            one_by_one.append(bundle)
-        assert by_runs.run_counts == one_by_one.run_counts == [5, 1]
+        by_runs = Program("p", 4, [_mxm(), _mxm(), _wait()], [3, 2, 1])
+        one_by_one = Program("p", 4, [_mxm() for _ in range(5)] + [_wait()])
+        assert by_runs.run_counts == one_by_one.run_counts == (5, 1)
         assert by_runs.signature() == one_by_one.signature()
         assert _struct_for(by_runs) is _struct_for(one_by_one)
+        # A compiled program's runs, rebuilt both ways.
+        compiled = compile_model(build_decode(generative_by_name("llm0"),
+                                              128, 4), TPUV4I).program
+        expanded = Program(compiled.name, 4, compiled.bundles)
+        rebuilt = Program(compiled.name, 4, compiled.run_bundles,
+                          compiled.run_counts)
+        assert expanded.runs == rebuilt.runs == compiled.runs
+        assert (expanded.signature() == rebuilt.signature()
+                == compiled.signature())
 
-    def test_append_and_extend_merge_into_the_last_run(self):
+    def test_construction_merges_equal_neighbours(self):
         mxm = _mxm()
-        program = Program("p", 4)
-        program.append(mxm)
-        program.append(_mxm())
-        assert program.runs == [(mxm, 2)]
-        program.extend([_mxm(), mxm])
-        program.extend_runs([(_mxm(), 3)])
-        assert program.runs == [(mxm, 7)]
-        assert len(program) == len(program.bundles) == 7
-        program.extend([_wait(), _wait(), mxm])
-        assert program.run_counts == [7, 2, 1]
+        program = Program("p", 4, [mxm, _mxm(), _mxm(), mxm, _mxm(), _wait(),
+                                   _wait(), mxm], [1, 1, 1, 1, 3, 1, 1, 1])
+        assert program.runs == [(mxm, 7), (_wait(), 2), (mxm, 1)]
+        assert program.run_counts == (7, 2, 1)
+        assert len(program) == len(program.bundles) == 10
         assert program.bundles[7] == _wait()
         assert program.bundles[-1] is mxm
         assert program.bundles[2:4] == [mxm, mxm]
 
-    def test_unchecked_view_append_merges_too(self):
-        program = Program("p", 4, bundles=[_mxm(), _mxm()])
-        program.bundles.append(_mxm())
-        assert program.run_counts == [3]
-        copy = Program("q", 4, bundles=program.bundles)
-        assert copy.runs == program.runs
-
     @pytest.mark.parametrize("count", [0, -1, 1.0, True])
     def test_bad_run_counts_are_rejected(self, count):
-        program = Program("p", 4)
         with pytest.raises(ValueError, match="run count"):
-            program.extend_runs([(_mxm(), 2), (_wait(), count)])
-        assert len(program) == 0
+            Program("p", 4, [_mxm(), _wait()], [2, count])
 
     def test_encode_decode_round_trip_keeps_the_program(self):
         module = build_decode(generative_by_name("llm1"), 128, 8)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arch import TPUV1, TPUV3, TPUV4I
 from repro.compiler import compile_model
+from repro.graph.evaluator import Evaluator, evaluate_module
 from repro.runtime import InferenceServer, load_artifact, save_artifact
 from repro.runtime.artifact import artifact_from_compiled
 
@@ -88,6 +89,27 @@ class TestInferenceServer:
         """Lesson 10 at the serving API: deterministic answers."""
         server = InferenceServer(tiny_mlp, TPUV4I)
         assert np.array_equal(server.infer().output, server.infer().output)
+
+    def test_default_weights_are_drawn_once(self, tiny_mlp, monkeypatch):
+        """A server keeps its default weights resident between requests,
+        and a request that supplies a weight leaves them as they were."""
+        reference = evaluate_module(tiny_mlp, "bf16")
+        drawn = []
+        draw = Evaluator._default_tensor
+        monkeypatch.setattr(Evaluator, "_default_tensor",
+                            lambda self, inst: drawn.append(inst.uid)
+                            or draw(self, inst))
+        server = InferenceServer(tiny_mlp, TPUV4I)
+        first = server.infer().output
+        constants = [inst.uid for inst in tiny_mlp.instructions
+                     if inst.opcode == "constant"]
+        assert constants and set(constants) <= set(drawn)
+        weight = tiny_mlp.instructions[constants[0]]
+        server.infer(weights={weight.name: np.zeros(weight.shape.dims)})
+        second = server.infer().output
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, reference)
+        assert sorted(uid for uid in drawn if uid in constants) == constants
 
     def test_cross_generation_same_bits(self, tiny_mlp):
         v3 = InferenceServer(tiny_mlp, TPUV3, seed=9)

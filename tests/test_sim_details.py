@@ -35,11 +35,8 @@ class TestPerfReport:
 
 class TestSimulatorEdgeCases:
     def _program(self, *instructions):
-        program = Program("hand", generation=4)
-        for inst in instructions:
-            program.append(Bundle((inst,)))
-        program.append(Bundle((Instruction(Opcode.HALT),)))
-        return program
+        return Program("hand", 4, [Bundle((inst,)) for inst in instructions]
+                       + [Bundle((Instruction(Opcode.HALT),))])
 
     def test_wait_on_never_set_flag_is_free(self):
         program = self._program(Instruction(Opcode.SYNC_WAIT, (7,)))
@@ -86,9 +83,9 @@ class TestSimulatorEdgeCases:
         assert result.counters.mxu_busy_cycles >= 128
 
     def test_halt_stops_execution(self):
-        program = Program("h", generation=4)
-        program.append(Bundle((Instruction(Opcode.HALT),)))
-        program.append(Bundle((Instruction(Opcode.MXM, (512, 512, 512)),)))
+        program = Program("h", 4, [
+            Bundle((Instruction(Opcode.HALT),)),
+            Bundle((Instruction(Opcode.MXM, (512, 512, 512)),))])
         result = TensorCoreSim(TPUV4I).run(program)
         assert result.counters.macs == 0
 
