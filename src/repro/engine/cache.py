@@ -84,7 +84,7 @@ class CacheStats:
     """Lookup counters for one :class:`EvalCache` instance."""
 
     # Always 0: the cache keeps no in-process records. The field stays
-    # because perfbench reads it (ROADMAP item 9 drops it there).
+    # because perfbench reads it (ROADMAP item 10 drops it there).
     hits: int = 0
     disk_hits: int = 0     # served from the disk tier
     misses: int = 0

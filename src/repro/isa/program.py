@@ -90,8 +90,9 @@ def _merge_runs(bundles: Sequence[Bundle], counts: Sequence[int]
 class BundleView:
     """A program's bundles, one per issue position, in issue order.
 
-    A read-only view over the program's runs: it iterates and indexes
-    like the tuple of bundles without expanding the runs to hold.
+    A read-only view over the program's runs: it iterates and has a
+    length like the tuple of bundles without expanding the runs to hold.
+    It does not index; ``list(program.bundles)`` expands it for that.
     """
 
     __slots__ = ("_program",)
@@ -106,9 +107,6 @@ class BundleView:
         program = self._program
         return chain.from_iterable(
             map(repeat, program.run_bundles, program.run_counts))
-
-    def __getitem__(self, index):
-        return list(self)[index]
 
 
 @dataclass(frozen=True, init=False)

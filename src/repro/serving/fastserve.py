@@ -24,13 +24,11 @@ granularity:
   recomputed only when its queue goes from 0 to 1 entry or reaches the
   batch cap — no other append can move it — and after the replica's own
   launch. Latency memos are per-replica lists indexed by batch size.
-  When the policy neither probes nor hedges, a request has exactly one
-  copy: completions settle at launch, queues hold bare arrival floats,
-  and a mid-batch kill's survivors, which always rejoin the front of
-  their own queue, keep their retry counts in a per-replica *survivor
-  prefix*. With probes or hedges, completions, probe windows and hedge
-  timers fold into one "next router event" time that bounds both
-  streams, and a cursor over request ids replaces the hedge-timer heap.
+  Completions, probe windows and hedge timers fold into one "next
+  router event" time that bounds both streams, and a cursor over
+  request ids replaces the hedge-timer heap. One loop serves every
+  policy: without probes or hedges there is no router event, and every
+  completion settles at launch.
 
 Both kernels reproduce the reference event loops' arithmetic operation
 for operation — same floats, same metric observations, same tracer
@@ -143,7 +141,7 @@ def replay_serving(sim: "ServingSimulator", arrivals: List[float],
         slowdown_factor = schedule.slowdown_factor
         first_failure = schedule.first_failure_between
         check_timeout = not math.isinf(retry_timeout)
-        # Queue = survivor prefix P (retried entries) + the contiguous
+        # Queue = the retried survivors ``pend`` + the contiguous
         # absorbed window arrivals[s:t]; t advances by bisection.
         pend: List[Tuple[float, int]] = []
         s = t = 0
@@ -277,269 +275,16 @@ def replay_cluster(cluster: "ClusterSimulator", arrivals: List[float],
     """Replay one cluster timeline; bit-identical to the event loop.
 
     Called by :meth:`ClusterSimulator.simulate` after validation with
-    replicas and degradation-tier tables already built. Both loops walk
-    the arrival/launch streams the module docstring describes; a policy
-    that neither probes nor hedges takes the single-copy one.
-    """
-    policy = cluster.policy
-    if policy.probes or policy.hedges:
-        return _replay_router(cluster, arrivals, reps, tier_tables,
-                              retry_budget, retry_timeout, tracer)
-    return _replay_single_copy(cluster, arrivals, reps, retry_budget,
-                               retry_timeout, tracer)
-
-
-def _replay_single_copy(cluster: "ClusterSimulator", arrivals: List[float],
-                        reps: List["_Replica"], retry_budget: int,
-                        retry_timeout: float,
-                        tracer: Optional["SpanTracer"]) -> "ClusterStats":
-    """The router without probes or hedges: one copy per request.
-
-    Nothing ejects a replica, fails a request over or adds a twin, so
-    completions settle at launch, the tier never changes, and a batch's
-    survivors always rejoin the front of their own queue. Queues hold
-    bare arrival floats; ``prefix[i]`` holds the retry counts of the
-    survivors at the front of queue ``i`` (every other entry has 0).
-    """
-    policy = cluster.policy
-    n = len(reps)
-    total = len(arrivals)
-    inf = math.inf
-
-    reg = metrics()
-    rec = reg.enabled
-
-    admission_rate = policy.admission_rate_qps
-    admission_burst = policy.admission_burst
-    max_queue_depth = policy.max_queue_depth
-    check_timeout = not math.isinf(retry_timeout)
-    tokens = admission_burst
-    tokens_at = arrivals[0]
-
-    max_waits = [r.sim.policy.max_wait_s for r in reps]
-    caps = [r.sim.policy.max_batch for r in reps]
-    lat_memos: List[List[Optional[float]]] = [[None] * (cap + 1)
-                                              for cap in caps]
-    queues: List[List[float]] = [[] for _ in range(n)]
-    prefix: List[List[int]] = [[] for _ in range(n)]
-    launches = [inf] * n
-    # Live replicas in ascending order (without probes every replica
-    # stays healthy); shrinks when a dead replica is discovered.
-    pool = tuple(range(n))
-    pool_rest = pool[1:]
-    lens = [0] * n
-
-    shed = dropped = boundaries = batches = 0
-    heapreplace = heapq.heapreplace
-    min_launch = inf
-    best = 0
-    index = 0
-    while True:
-        # ----- arrival stream: everything at or before the next launch
-        while index < total:
-            arrival = arrivals[index]
-            if arrival > min_launch:
-                break
-            index += 1
-            if admission_rate is not None:
-                tokens += (arrival - tokens_at) * admission_rate
-                if tokens > admission_burst:
-                    tokens = admission_burst
-                tokens_at = arrival
-                if tokens < 1.0:
-                    shed += 1
-                    if rec:
-                        reg.counter("cluster.shed_requests").inc()
-                    continue
-                tokens -= 1.0
-            # Join-shortest-queue; strict < keeps the lowest index on
-            # ties.
-            if pool:
-                ti = pool[0]
-                tql = lens[ti]
-                for pi in pool_rest:
-                    if lens[pi] < tql:
-                        ti = pi
-                        tql = lens[pi]
-            else:
-                # Every replica is dead (and empty): the last resort
-                # picks replica 0, which drops the request.
-                reps[0].note_assignment(arrival)
-                reps[0].dropped += 1
-                dropped += 1
-                continue
-            if max_queue_depth is not None and tql >= max_queue_depth:
-                shed += 1
-                if rec:
-                    reg.counter("cluster.shed_requests").inc()
-                continue
-            target = reps[ti]
-            target.last_arrival = arrival
-            queues[ti].append(arrival)
-            lens[ti] = tql + 1
-            if tql == 0 or tql + 1 == caps[ti]:
-                if target.first_arrival is None:
-                    target.first_arrival = arrival
-                free = target.servers[0][0]
-                if free == inf:
-                    # Every core is gone: the router discovers the dead
-                    # replica on its next pass and drops its queue.
-                    target.dead = True
-                    pool = tuple(p for p in pool if p != ti)
-                    pool_rest = pool[1:]
-                    target.dropped += tql + 1
-                    dropped += tql + 1
-                    queues[ti].clear()
-                    lens[ti] = 0
-                    continue
-                ready = (arrival if tql + 1 == caps[ti]
-                         else arrival + max_waits[ti])
-                when = free if free > ready else ready
-                launches[ti] = when
-                if when < min_launch or (when == min_launch and ti < best):
-                    min_launch = when
-                    best = ti
-        if min_launch == inf:
-            break
-
-        # ----- launch on reps[best] at min_launch -----
-        i = best
-        rep = reps[i]
-        launch = min_launch
-        q = queues[i]
-        pre = prefix[i]
-        servers = rep.servers
-        core = servers[0][1]
-        sched = rep.schedule
-        if pre and check_timeout and any(
-                launch - q[k] > retry_timeout for k in range(len(pre))):
-            # Retry-timeout purge: only the survivor prefix has retries.
-            keep = [k for k in range(len(pre))
-                    if not launch - q[k] > retry_timeout]
-            removed = len(pre) - len(keep)
-            rep.dropped += removed
-            dropped += removed
-            q[:len(pre)] = [q[k] for k in keep]
-            pre[:] = [pre[k] for k in keep]
-            boundaries += 1
-        elif sched is not None and (down_until := sched.outage_end(
-                core, launch)) is not None:
-            if rec:
-                reg.counter("serving.outage_wait_s").inc(
-                    max(0.0, down_until - launch))
-            heapreplace(servers, (down_until, core))
-            boundaries += 1
-        else:
-            cap = caps[i]
-            qn = len(q)
-            size = qn if qn < cap else cap
-            memo = lat_memos[i]
-            latency = memo[size]
-            if latency is None:
-                latency = memo[size] = rep.sim.batch_latency_s(size)
-            failure = None
-            if sched is not None:
-                factor = sched.slowdown_factor(core, launch)
-                if factor != 1.0:
-                    latency *= factor
-                completion = launch + latency
-                failure = sched.first_failure_between(core, launch,
-                                                      completion)
-            else:
-                completion = launch + latency
-            if failure is not None:
-                fail_start, fail_end = failure
-                rep.lost_batches += 1
-                boundaries += 1
-                if tracer is not None:
-                    tracer.record("batch.lost", "serve", "cluster",
-                                  f"replica{i}/core{core}",
-                                  launch * 1e6, (fail_start - launch) * 1e6,
-                                  (("size", size),))
-                n_pre = len(pre)
-                alive: List[float] = []
-                alive_retries: List[int] = []
-                for k in range(size):
-                    arrival = q[k]
-                    retries = (pre[k] if k < n_pre else 0) + 1
-                    if (retries > retry_budget
-                            or fail_start - arrival > retry_timeout):
-                        rep.dropped += 1
-                        dropped += 1
-                    else:
-                        rep.retried += 1
-                        alive.append(arrival)
-                        alive_retries.append(retries)
-                q[:size] = alive
-                pre[:size] = alive_retries
-                heapreplace(servers, (fail_end, core))
-            else:
-                heapreplace(servers, (completion, core))
-                if tracer is not None:
-                    tracer.record("batch", "serve", "cluster",
-                                  f"replica{i}/core{core}",
-                                  launch * 1e6, latency * 1e6,
-                                  (("size", size),))
-                batches += 1
-                if completion > rep.last_completion:
-                    rep.last_completion = completion
-                rep.batch_sizes.append(size)
-                rep.latencies.extend([completion - a for a in q[:size]])
-                del q[:size]
-                if pre:
-                    del pre[:size]
-
-        # ----- refresh the launched replica, then the earliest launch
-        lens[i] = len(q)
-        if not q:
-            launches[i] = inf
-        else:
-            free = servers[0][0]
-            if free == inf:
-                rep.dead = True
-                pool = tuple(p for p in pool if p != i)
-                pool_rest = pool[1:]
-                rep.dropped += len(q)
-                dropped += len(q)
-                q.clear()
-                pre.clear()
-                lens[i] = 0
-                launches[i] = inf
-            else:
-                cap = caps[i]
-                if len(q) >= cap:
-                    ready = q[cap - 1]
-                else:
-                    ready = q[0] + max_waits[i]
-                launches[i] = free if free > ready else ready
-        min_launch = min(launches)
-        best = launches.index(min_launch)
-
-    if rec:
-        reg.count("serving.fastserve.cluster_replays")
-        reg.count("serving.fastserve.batches", batches)
-        reg.count("serving.fastserve.segments", boundaries + 1)
-        reg.count("serving.fastserve.boundaries", boundaries)
-    return cluster._finalize(
-        arrivals, reps, None, shed, dropped, hedged=0,
-        cancelled_hedges=0, wasted_hedges=0, failed_over=0, probes=0,
-        probe_failures=0, ejections=0, readmissions=0, tier_names=("full",),
-        tier_time=[0.0], tier=0, tier_since=arrivals[0])
-
-
-def _replay_router(cluster: "ClusterSimulator", arrivals: List[float],
-                   reps: List["_Replica"], tier_tables: list,
-                   retry_budget: int, retry_timeout: float,
-                   tracer: Optional["SpanTracer"]) -> "ClusterStats":
-    """The router with health probes and/or hedging.
-
-    The event loop's completions, probe windows and hedge timers fold
-    into one "next router event" time; arrivals and launches strictly
-    before it (an arrival also at a hedge timer) run inline, as in the
-    single-copy loop. A request never has more than two live copies
-    (one primary plus at most one hedge; fail-over moves a copy, it does
-    not add one), so the reference's per-request holder *list*
-    flattens into two int slots (-1 = empty).
+    replicas and degradation-tier tables already built, for every
+    policy. The event loop's completions, probe windows and hedge
+    timers fold into one "next router event" time; arrivals and
+    launches strictly before it (an arrival also at a hedge timer) run
+    inline as the two streams the module docstring describes. A policy
+    that neither probes nor hedges has no router event, so one pass of
+    the streams replays its whole timeline. A request never has more
+    than two live copies (one primary plus at most one hedge; fail-over
+    moves a copy, it does not add one), so the reference's per-request
+    holder *list* flattens into two int slots (-1 = empty).
     """
     from repro.cluster.cluster import _EJECTED, _HEALTHY
 

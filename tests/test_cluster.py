@@ -246,7 +246,7 @@ class TestRetryTimeoutPurge:
     @pytest.mark.parametrize("policy", [
         ClusterPolicy.static(),
         ClusterPolicy(probe_interval_s=1.0, unhealthy_after=1),
-    ], ids=["single-copy", "probing"])
+    ], ids=["static", "probing"])
     @pytest.mark.parametrize("timeout, purged", [(0.01, 3), (0.05, 0)])
     def test_purge_is_strictly_past_the_timeout(self, v4i_point, policy,
                                                 timeout, purged):

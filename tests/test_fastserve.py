@@ -371,7 +371,8 @@ SINGLE_COPY_POLICIES = {
 
 
 class TestSingleCopyIdentity:
-    """The single-copy loop (no probes, no hedges) vs the event loop."""
+    """The cluster loop under policies that neither probe nor hedge (one
+    copy per request, no router event) vs the event loop."""
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31),

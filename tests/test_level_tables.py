@@ -260,14 +260,17 @@ class TestSavedWork:
 
     def test_dse_grid_decodes_one_body_per_app_and_binds_nothing(
             self, monkeypatch):
-        """The perfbench ``dse`` grid: 20 compiles over 4 lowerings."""
-        from perfbench.workloads import DSE_CMEM_MIB, DSE_MXUS, dse_clocks
+        """The perfbench ``dse`` grid at seed 0: 20 compiles over 4
+        lowerings."""
+        mxus = (2, 4, 8)
+        cmem_mib = (0, 32, 64, 96, 128)
+        clocks_ghz = (0.75, 0.9, 1.0, 1.05, 1.3, 1.4)
 
         binds = []
         real = pipeline.bind_bundles
         monkeypatch.setattr(pipeline, "bind_bundles",
                             lambda *args: binds.append(1) or real(*args))
-        chips = enumerate_candidates(DSE_MXUS, DSE_CMEM_MIB, dse_clocks(0))
+        chips = enumerate_candidates(mxus, cmem_mib, clocks_ghz)
         clear_shared_design_points()
         clear_grid_kernel()
         with cold_engine():
@@ -275,5 +278,6 @@ class TestSavedWork:
         stats = grid_kernel_stats()
         assert len(DEFAULT_DSE_APPS) == 4
         assert stats.structs == 4
-        assert stats.points == len(DEFAULT_DSE_APPS) * len(DSE_CMEM_MIB) * 18
+        assert stats.points == (len(DEFAULT_DSE_APPS) * len(cmem_mib)
+                                * len(mxus) * len(clocks_ghz))
         assert binds == []

@@ -38,7 +38,7 @@ def build(name: str = "sig") -> Program:
 class TestSignature:
     def test_equal_content_shares_one_structure(self):
         first, second = build(), build()
-        assert first.bundles[0] is not second.bundles[0]
+        assert first.run_bundles[0] is not second.run_bundles[0]
         assert first.signature() == second.signature()
         assert hash(first.signature()) == hash(second.signature())
         before = grid_kernel_stats().structs
@@ -74,7 +74,7 @@ class TestSignature:
 
     def test_cached_hash_is_never_pickled_or_copied(self):
         program = build()
-        bundle = program.bundles[2]
+        bundle = program.run_bundles[2]
         before = pickle.dumps(bundle)
         before_program = pickle.dumps(program)
         hash(bundle)

@@ -201,9 +201,10 @@ class TestProgramRuns:
         assert program.runs == [(mxm, 7), (_wait(), 2), (mxm, 1)]
         assert program.run_counts == (7, 2, 1)
         assert len(program) == len(program.bundles) == 10
-        assert program.bundles[7] == _wait()
-        assert program.bundles[-1] is mxm
-        assert program.bundles[2:4] == [mxm, mxm]
+        bundles = list(program.bundles)
+        assert bundles[7] == _wait()
+        assert bundles[-1] is mxm
+        assert bundles[2:4] == [mxm, mxm]
 
     @pytest.mark.parametrize("count", [0, -1, 1.0, True])
     def test_bad_run_counts_are_rejected(self, count):

@@ -14,7 +14,7 @@ a ``reason`` and are not run, but their ``old`` text must still match.
 
 Each mutant runs in a fresh temporary directory holding copies of
 ``src/`` and ``tests/`` (every other top-level entry is linked, so the
-tests find ``perfbench/`` and the pytest settings): the mutant is
+tests find ``examples/`` and the pytest settings): the mutant is
 applied there and its killer is run. A mutant is killed when the killer
 fails. Before any mutant runs, every killer runs once on an unmutated
 copy and must pass there, so a killer that was deleted, renamed or
