@@ -8,29 +8,25 @@ chip throughput is ``cores / latency`` and dynamic power scales with the
 active cores.
 
 Caching is two-tier. Each instance keeps one memo dict per record kind
-(``"sim"`` for :class:`SimResult`, ``"eval"`` for :class:`Evaluation`),
-the only in-process record store; behind the memos every instance
-consults an :class:`~repro.engine.cache.EvalCache` (the process-global
-one unless a point is handed its own), the disk tier, keyed by a
-stable hash of every chip field, the compiler release, the workload,
-batch, CMEM budget and dtype. :meth:`DesignPoint.key`,
-:meth:`~DesignPoint.lookup` and :meth:`~DesignPoint.store` are the one
-path to both tiers, for both kinds; the batched grid
-(:mod:`repro.engine.grid`) uses the same three. Sweeps share one point
-per (chip, release) through :func:`shared_design_point`; two separate
-DesignPoints for the same configuration — or two processes — share
-records only through the disk tier (``REPRO_CACHE_DIR``). A cached
-:class:`Evaluation` short-circuits compilation
-entirely; results are identical to the uncached path by construction
-(pure arithmetic on the same inputs; asserted in ``tests/test_engine.py``).
+(:attr:`DesignPoint.records`: ``"sim"`` for :class:`SimResult`,
+``"eval"`` for :class:`Evaluation`), the only in-process record store;
+behind the memos every instance consults an
+:class:`~repro.engine.cache.EvalCache` (the process-global one unless a
+point is handed its own), the disk tier, keyed by
+:meth:`DesignPoint.key`: a stable hash of every chip field, the compiler
+release, the workload, batch, CMEM budget and dtype. Sweeps share one
+point per (chip, release) through :func:`shared_design_point`; two
+separate DesignPoints for the same configuration — or two processes —
+share records only through the disk tier (``REPRO_CACHE_DIR``). A cached
+:class:`Evaluation` short-circuits compilation entirely.
 
-:meth:`DesignPoint.run` and :meth:`~DesignPoint.evaluate` are the
-per-point production path (serving simulators, multitenancy, priority,
-fleet sizing, ``repro evaluate``/``compare``/``metrics``); they keep
-each compile in the point's memo, which :meth:`~DesignPoint.compiled`
-reads back. ``TensorCoreSim.run`` lowers the compiled program and
-replays it with a tight kernel that is bit-identical to the test-only
-instruction interpreter.
+Every record is made by the grid (:mod:`repro.engine.grid`):
+:meth:`DesignPoint.run` and :meth:`~DesignPoint.evaluate` are one-job
+calls of :func:`~repro.engine.grid.run_grid` and
+:func:`~repro.engine.grid.evaluate_jobs`, which read and write both
+tiers. They pass the point's compile memo, so a per-point caller keeps
+each compile, which :meth:`~DesignPoint.compiled` reads back; a sweep
+keeps its compiles only for the batch it runs.
 """
 
 from __future__ import annotations
@@ -50,10 +46,8 @@ from repro.engine.keys import (
     compile_chip_fingerprint,
     compiler_fingerprint,
     eval_key,
-    key_meta,
 )
 from repro.engine.modules import built_module
-from repro.obs.metrics import metrics
 from repro.sim.core import SimResult, TensorCoreSim
 from repro.util.units import TERA
 from repro.workloads.models import WorkloadSpec
@@ -108,10 +102,10 @@ class DesignPoint:
         self.version = version
         #: The dtype every method defaults to.
         self.native_dtype = chip.native_dtype
-        self._compiled: dict[_MemoKey, CompiledModel] = {}
-        # One memo per record kind: "sim" -> SimResult, "eval" ->
-        # Evaluation.
-        self._records: dict[str, dict[_MemoKey, object]] = {
+        self._compiled: grid.CompileMemo = {}
+        #: One memo per record kind: "sim" -> SimResult, "eval" ->
+        #: Evaluation. The grid reads and writes them.
+        self.records: dict[str, dict[_MemoKey, object]] = {
             "sim": {}, "eval": {}}
         self._cache = cache
 
@@ -152,55 +146,14 @@ class DesignPoint:
         PhaseSpec`) carry a phase and KV bucket into the key; plain
         specs have neither attribute and produce the legacy key bytes.
         """
-        if dtype is None:
-            dtype = self.native_dtype
-        self._memo(kind)  # rejects an unknown kind
-        return eval_key(kind, self.chip_fp, self.compiler_fp, spec.name,
-                        batch, cmem_budget_bytes, dtype,
-                        phase=getattr(spec, "phase", None),
-                        kv_bucket=getattr(spec, "kv_bucket", None))
-
-    def lookup(self, kind: str, spec: WorkloadSpec, batch: int,
-               cmem_budget_bytes: Optional[int] = None,
-               dtype: Optional[str] = None):
-        """A memo/EvalCache hit of a ``kind`` record, or None (never
-        computes)."""
-        if dtype is None:
-            dtype = self.native_dtype
-        memo = self._memo(kind)
-        memo_key = (spec.name, batch, cmem_budget_bytes, dtype)
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit
-        with metrics().timer("tier.cache_lookup_s"):
-            hit = self.engine_cache().get(
-                self.key(kind, spec, batch, cmem_budget_bytes, dtype))
-        if hit is not None:
-            memo[memo_key] = hit
-        return hit
-
-    def store(self, kind: str, spec: WorkloadSpec, batch: int,
-              cmem_budget_bytes: Optional[int], record,
-              dtype: Optional[str] = None) -> None:
-        """Publish a ``kind`` record under the keys :meth:`lookup` reads."""
-        if dtype is None:
-            dtype = self.native_dtype
-        meta = key_meta(kind, self.chip.name, self.version.name, spec.name,
-                        batch, cmem_budget_bytes, dtype,
-                        phase=getattr(spec, "phase", None),
-                        kv_bucket=getattr(spec, "kv_bucket", None))
-        self.engine_cache().put(
-            self.key(kind, spec, batch, cmem_budget_bytes, dtype), record,
-            meta)
-        self._memo(kind)[(spec.name, batch, cmem_budget_bytes,
-                          dtype)] = record
-
-    def _memo(self, kind: str) -> dict:
-        memo = self._records.get(kind)
-        if memo is None:
+        if kind not in self.records:
             raise ValueError(
                 f"unknown record kind {kind!r}; known: sim, eval")
-        return memo
+        return eval_key(kind, self.chip_fp, self.compiler_fp, spec.name,
+                        batch, cmem_budget_bytes,
+                        self.native_dtype if dtype is None else dtype,
+                        phase=getattr(spec, "phase", None),
+                        kv_bucket=getattr(spec, "kv_bucket", None))
 
     # ------------------------------------------------------------- compile/run
 
@@ -209,47 +162,32 @@ class DesignPoint:
                 dtype: Optional[str] = None) -> CompiledModel:
         """Compile a workload at a batch size; the caller keeps the result.
 
-        The grid path (:mod:`repro.engine.grid`) compiles through here
-        and keeps each compile only for the batch it runs, so a sweep
-        does not pin every program it compiled; :meth:`compiled` is the
-        per-point memo.
+        The one compile memo, :func:`repro.engine.grid.compiled`, calls
+        this with a checked :class:`~repro.engine.grid.GridJob`'s values;
+        :meth:`compiled` is the memoized entry point.
         """
-        if dtype is None:
-            dtype = self.native_dtype
-        if batch <= 0:
-            raise ValueError("batch must be positive")
-        return compile_model(built_module(spec, batch, dtype), self.chip,
-                             version=self.version,
-                             cmem_budget_bytes=cmem_budget_bytes)
+        return compile_model(
+            built_module(spec, batch,
+                         self.native_dtype if dtype is None else dtype),
+            self.chip, version=self.version,
+            cmem_budget_bytes=cmem_budget_bytes)
 
     def compiled(self, spec: WorkloadSpec, batch: int,
                  cmem_budget_bytes: Optional[int] = None,
                  dtype: Optional[str] = None) -> CompiledModel:
-        """Compile (memoized) a workload at a batch size."""
-        if dtype is None:
-            dtype = self.native_dtype
-        key = (spec.name, batch, cmem_budget_bytes, dtype)
-        if key not in self._compiled:
-            self._compiled[key] = self.compile(spec, batch,
-                                               cmem_budget_bytes, dtype)
-        return self._compiled[key]
+        """Compile (memoized in this point) a workload at a batch size."""
+        return grid.compiled(
+            grid.GridJob(self, spec, batch, cmem_budget_bytes, dtype),
+            self._compiled)
 
     def run(self, spec: WorkloadSpec, batch: int,
             cmem_budget_bytes: Optional[int] = None,
             dtype: Optional[str] = None) -> SimResult:
-        """Simulate (memoized) one inference of a workload."""
-        if dtype is None:
-            dtype = self.native_dtype
-        result = self.lookup("sim", spec, batch, cmem_budget_bytes, dtype)
-        if result is None:
-            reg = metrics()
-            with reg.timer("tier.compile_s"):
-                compiled = self.compiled(spec, batch, cmem_budget_bytes,
-                                         dtype)
-            with reg.timer("tier.sim_s"):
-                result = self.sim.run(compiled.program, dtype=dtype)
-            self.store("sim", spec, batch, cmem_budget_bytes, result, dtype)
-        return result
+        """Simulate (memoized) one inference of a workload: a one-job
+        :func:`~repro.engine.grid.run_grid`."""
+        return grid.run_grid(
+            [grid.GridJob(self, spec, batch, cmem_budget_bytes, dtype)],
+            self._compiled)[0]
 
     def latency_s(self, spec: WorkloadSpec, batch: int,
                   cmem_budget_bytes: Optional[int] = None,
@@ -262,18 +200,11 @@ class DesignPoint:
     def evaluate(self, spec: WorkloadSpec, batch: Optional[int] = None,
                  cmem_budget_bytes: Optional[int] = None,
                  dtype: Optional[str] = None) -> Evaluation:
-        """Chip-level throughput/power evaluation at a batch size."""
-        if dtype is None:
-            dtype = self.native_dtype
-        b = batch if batch is not None else spec.default_batch
-        evaluation = self.lookup("eval", spec, b, cmem_budget_bytes, dtype)
-        if evaluation is None:
-            result = self.run(spec, b, cmem_budget_bytes, dtype)
-            compiled = self.compiled(spec, b, cmem_budget_bytes, dtype)
-            evaluation = self.evaluation_from(spec, b, cmem_budget_bytes,
-                                              result, compiled, dtype)
-            self.store("eval", spec, b, cmem_budget_bytes, evaluation, dtype)
-        return evaluation
+        """Chip-level throughput/power evaluation at a batch size: a
+        one-job :func:`~repro.engine.grid.evaluate_jobs`."""
+        return grid.evaluate_jobs(
+            [grid.GridJob(self, spec, batch, cmem_budget_bytes, dtype)],
+            self._compiled)[0]
 
     def evaluation_from(self, spec: WorkloadSpec, b: int,
                         cmem_budget_bytes: Optional[int],
@@ -283,9 +214,8 @@ class DesignPoint:
         """Derive the chip-level record from a simulation + compilation.
 
         Pure arithmetic — the only consumer of ``result``/``compiled``
-        content — shared by the per-point path above and the batched
-        grid path (:mod:`repro.engine.grid`), so both produce identical
-        records by construction.
+        content — called by :func:`repro.engine.grid.evaluate_jobs` for
+        each record it makes.
         """
         cores = self.chip.cores
         seconds = result.seconds
@@ -335,7 +265,7 @@ class DesignPoint:
         """
         # Call-time import: repro.serving imports this module.
         from repro.serving.slo import largest_batch_within
-        if slo_s <= 0:
+        if not slo_s > 0:    # NaN too
             raise ValueError("SLO must be positive")
         results = grid.run_grid([grid.GridJob(self, spec, batch)
                                  for batch in candidates])

@@ -14,9 +14,10 @@ Two instruments:
 Evaluation routes through the shared engine
 (:mod:`repro.engine`): results are memoized in one shared design point
 per candidate (and, with a cache directory, in the
-:class:`~repro.engine.cache.EvalCache` disk tier), and both sweeps run
-as one batched grid pass (:mod:`repro.engine.grid`) with results
-bit-identical to the per-point loops.
+:class:`~repro.engine.cache.EvalCache` disk tier), and every sweep,
+down to one candidate, is one batched grid pass
+(:mod:`repro.engine.grid`) with results bit-identical to the test-only
+per-point loop.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def candidate_from_evaluations(chip: ChipConfig,
                                evaluations: Sequence) -> DesignCandidate:
     """Fold per-app :class:`Evaluation` records into a candidate.
 
-    The arithmetic shared by the serial loop and the grid-batched path:
-    geomean over the evaluations' ``chip_qps`` in the given (app) order,
+    Geomean over the evaluations' ``chip_qps`` in the given (app) order,
     plus the chip-only TDP/area estimates.
     """
     qps = [evaluation.chip_qps for evaluation in evaluations]
@@ -156,10 +156,9 @@ def evaluate_candidate(chip: ChipConfig,
                        app_names: Sequence[str] = DEFAULT_DSE_APPS,
                        version: CompilerVersion = LATEST
                        ) -> DesignCandidate:
-    """Evaluate one candidate on the app set (geomean chip QPS) + TDP."""
-    point = shared_design_point(chip, version)
-    evaluations = [point.evaluate(spec) for spec in _apps(app_names)]
-    return candidate_from_evaluations(chip, evaluations)
+    """Evaluate one candidate on the app set (geomean chip QPS) + TDP: a
+    one-candidate :func:`evaluate_candidates`."""
+    return evaluate_candidates([chip], app_names, version=version)[0]
 
 
 def evaluate_candidates(chips: Sequence[ChipConfig],
@@ -171,8 +170,7 @@ def evaluate_candidates(chips: Sequence[ChipConfig],
     Every (chip, app) pair becomes one grid job: cache hits are excluded
     up front, the misses share compilations per distinct compile content
     and one vectorized replay batch, and the per-candidate fold is
-    :func:`candidate_from_evaluations` — so the result list is identical
-    to ``[evaluate_candidate(c, app_names, version) for c in chips]``.
+    :func:`candidate_from_evaluations`.
 
     ``workers`` survives only for existing ``workers=1`` callers; every
     sweep runs in this process, so any other value is an error.

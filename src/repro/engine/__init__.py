@@ -12,9 +12,9 @@ DesignPoint`, and DesignPoint funnels it through this package:
   a directory it stores nothing);
 * :mod:`repro.engine.modules` — chip-independent built-module sharing;
 * :mod:`repro.engine.grid` — :func:`run_grid` / :func:`evaluate_jobs`,
-  the one sweep path: cache-excluded jobs batched through the grid
-  kernel, used by ``repro.core.dse``, the serving simulator and the
-  planners.
+  the one evaluation path: cache-excluded jobs batched through the grid
+  kernel, used by every sweep and, one job at a time, by
+  ``DesignPoint.run`` / ``evaluate``.
 
 Timing the engine is ``perfbench/``'s job (see ``BENCHMARK.json``).
 

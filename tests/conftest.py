@@ -128,8 +128,9 @@ def reference_paths() -> Iterator[None]:
     * ``TensorCoreSim.run`` runs the per-instruction interpreter
       (``tests/reference/interpreter.py``);
     * ``run_grid`` / ``evaluate_jobs`` run each job on its own through
-      ``DesignPoint.run`` / ``DesignPoint.evaluate`` (the per-point
-      loops the grid batch replaces, so sweeps go per point too);
+      the per-point loop in ``tests/reference/engine.py`` (the loop the
+      grid batch replaces, so sweeps and ``DesignPoint.run`` /
+      ``evaluate`` go per point too);
     * ``ServingSimulator`` and ``ClusterSimulator`` replay through the
       event loops in ``tests/reference/serving.py`` and
       ``tests/reference/cluster.py`` instead of the fastserve kernels;
@@ -145,6 +146,7 @@ def reference_paths() -> Iterator[None]:
     from repro.sim.core import TensorCoreSim
     from tests.reference import cluster as cluster_reference
     from tests.reference import continuous as continuous_reference
+    from tests.reference import engine as engine_reference
     from tests.reference import serving as serving_reference
     from tests.reference.interpreter import run_interpreted
 
@@ -152,14 +154,14 @@ def reference_paths() -> Iterator[None]:
         assert tracer is None, "the interpreter records no spans"
         return run_interpreted(sim, program, dtype=dtype)
 
-    def run_grid(jobs):
-        return [job.point.run(job.spec, job.resolved_batch,
-                              job.cmem_budget_bytes, job.dtype)
+    def run_grid(jobs, compiled_by_key=None):
+        return [engine_reference.run(job.point, job.spec, job.resolved_batch,
+                                     job.cmem_budget_bytes, job.dtype)
                 for job in jobs]
 
-    def evaluate_jobs(jobs):
-        return [job.point.evaluate(job.spec, job.batch,
-                                   job.cmem_budget_bytes, job.dtype)
+    def evaluate_jobs(jobs, compiled_by_key=None):
+        return [engine_reference.evaluate(job.point, job.spec, job.batch,
+                                          job.cmem_budget_bytes, job.dtype)
                 for job in jobs]
 
     with pytest.MonkeyPatch.context() as patch:

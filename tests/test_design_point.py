@@ -1,5 +1,7 @@
 """Tests for DesignPoint and the DSE (E10, E15)."""
 
+import re
+
 import pytest
 
 from repro.arch import TPUV3, TPUV4I
@@ -10,6 +12,8 @@ from repro.core import (
     evaluate_candidate,
     pareto_frontier,
 )
+from repro.engine import EvalCache, GridJob, run_grid
+from repro.obs.metrics import collecting_metrics
 from repro.util.units import MIB
 from repro.workloads import app_by_name
 
@@ -59,6 +63,56 @@ class TestDesignPoint:
     def test_bad_batch_rejected(self, v4i_point):
         with pytest.raises(ValueError):
             v4i_point.latency_s(app_by_name("cnn0"), 0)
+
+    def test_nan_slo_rejected(self, v4i_point):
+        with pytest.raises(ValueError, match="SLO must be positive"):
+            v4i_point.max_batch_under_slo(app_by_name("cnn0"), float("nan"))
+
+
+@pytest.fixture(scope="module")
+def warm_mlp0_point():
+    """A point whose memos hold mlp0 at batch 1 and 2, budget None and 0:
+    the records a bool or float ``batch``/budget equals as a memo key."""
+    point = DesignPoint(TPUV4I, cache=EvalCache())
+    spec = app_by_name("mlp0")
+    for batch in (1, 2):
+        for budget in (None, 0):
+            point.evaluate(spec, batch, budget)
+    return point
+
+
+class TestJobChecks:
+    """``batch`` and ``cmem_budget_bytes`` are checked before any memo is
+    read, so the answer never depends on what the memo holds."""
+
+    _BAD = [("batch", value, f"batch must be an int >= 1, got {value!r}")
+            for value in (True, 2.0, 0, -1)] + [
+           ("cmem_budget_bytes", value,
+            f"cmem_budget_bytes must be an int >= 0, got {value!r}")
+            for value in (False, 0.0, -1)]
+    _CALLS = {
+        "run": lambda p, s, b, c: p.run(s, b, c),
+        "evaluate": lambda p, s, b, c: p.evaluate(s, b, c),
+        "compiled": lambda p, s, b, c: p.compiled(s, b, c),
+        "run_grid": lambda p, s, b, c: run_grid([GridJob(p, s, b, c)]),
+    }
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("call", sorted(_CALLS))
+    @pytest.mark.parametrize("field,value,message", _BAD,
+                             ids=[f"{f}={v!r}" for f, v, _ in _BAD])
+    def test_bad_value_is_a_named_error(self, warm, call, field, value,
+                                        message, warm_mlp0_point):
+        point = (warm_mlp0_point if warm
+                 else DesignPoint(TPUV4I, cache=EvalCache()))
+        args = {"batch": 1, "cmem_budget_bytes": None, field: value}
+        puts = point.engine_cache().stats.puts
+        with collecting_metrics() as registry:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                self._CALLS[call](point, app_by_name("mlp0"), args["batch"],
+                                  args["cmem_budget_bytes"])
+            assert registry.counter("engine.grid.points").value == 0
+        assert point.engine_cache().stats.puts == puts
 
 
 class TestCmemSweep:

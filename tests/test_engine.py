@@ -47,17 +47,26 @@ from repro.engine import (
 from repro.engine.keys import SCHEMA_VERSION
 from repro.engine.modules import built_module
 from repro.faults.sweep import latency_table
+from repro.obs.metrics import collecting_metrics
 from repro.serving.continuous import phase_latency_table
 from repro.sim.core import TensorCoreSim
 from repro.util.units import MIB
 from repro.workloads.generative import generative_by_name
 from repro.workloads.models import app_by_name
-from tests.conftest import cold_engine
+from tests.conftest import cold_engine, reference_paths
+from tests.reference import engine as reference
 
 # Small, fast workloads: the contract is about identity, not scale.
 GRID_CHIPS = (TPUV4I, TPUV4I.variant("v4i-2mxu", mxus_per_core=2))
 GRID_APPS = ("mlp0", "cnn0")
 GRID_BATCHES = (1, 8)
+
+
+def _cached(point, kind, spec, batch, dtype=None):
+    """The point's memo or disk-tier ``kind`` record, or None (never
+    computes)."""
+    return reference.lookup(point, kind, spec, batch, None,
+                            dtype or point.native_dtype)
 
 
 def _fields(evaluation):
@@ -230,8 +239,8 @@ class TestDtypeIdentity:
                 != point.compiled(spec, 8).program.signature())
         # A second point over the same cache reads each dtype's record.
         fresh = DesignPoint(TPUV4I, cache=point.engine_cache())
-        assert fresh.lookup("sim", spec, 8, dtype="int8") == int8
-        assert fresh.lookup("sim", spec, 8) == bf16
+        assert _cached(fresh, "sim", spec, 8, dtype="int8") == int8
+        assert _cached(fresh, "sim", spec, 8) == bf16
 
     def test_grid_matches_per_point_at_every_dtype(self):
         spec = app_by_name("cnn0")
@@ -241,9 +250,10 @@ class TestDtypeIdentity:
         per_point = DesignPoint(TPUV4I, cache=EvalCache())
         for job, result, evaluation in zip(jobs, run_grid(jobs),
                                            evaluate_jobs(jobs)):
-            assert result == per_point.run(spec, job.batch, dtype=job.dtype)
-            assert _fields(evaluation) == _fields(per_point.evaluate(
-                spec, job.batch, dtype=job.dtype))
+            assert result == reference.run(per_point, spec, job.batch,
+                                           dtype=job.dtype)
+            assert _fields(evaluation) == _fields(reference.evaluate(
+                per_point, spec, job.batch, dtype=job.dtype))
 
     def test_private_cache_receives_the_int8_entries(self, tmp_path):
         previous = set_cache(EvalCache())
@@ -301,44 +311,53 @@ class TestDtypeIdentity:
 
 
 class TestRecordKinds:
-    """One key, lookup and store path for both record kinds."""
+    """One key, lookup and store path (the grid's) for both record kinds."""
 
     def test_lookup_and_store_round_trip_each_kind(self, tmp_path):
         spec = app_by_name("mlp0")
         point = DesignPoint(TPUV4I, cache=EvalCache(disk_dir=tmp_path))
-        assert point.lookup("sim", spec, 2) is None
-        assert point.lookup("eval", spec, 2) is None
+        assert _cached(point, "sim", spec, 2) is None
+        assert _cached(point, "eval", spec, 2) is None
         result = point.run(spec, 2)
-        assert point.lookup("sim", spec, 2) is result
-        assert point.lookup("eval", spec, 2) is None
+        assert _cached(point, "sim", spec, 2) is result
+        assert _cached(point, "eval", spec, 2) is None
         evaluation = point.evaluate(spec, 2)
-        assert point.lookup("eval", spec, 2) is evaluation
+        assert _cached(point, "eval", spec, 2) is evaluation
         assert point.key("sim", spec, 2) != point.key("eval", spec, 2)
         # A second point over the same cache reads both kinds' records.
         fresh = DesignPoint(TPUV4I, cache=point.engine_cache())
-        assert fresh.lookup("sim", spec, 2) == result
-        assert fresh.lookup("eval", spec, 2) == evaluation
-        assert fresh.lookup("sim", spec, 4) is None
+        assert _cached(fresh, "sim", spec, 2) == result
+        assert _cached(fresh, "eval", spec, 2) == evaluation
+        assert _cached(fresh, "sim", spec, 4) is None
 
     def test_store_publishes_under_the_key(self, tmp_path):
         spec = app_by_name("mlp0")
         cache = EvalCache(disk_dir=tmp_path)
         point = DesignPoint(TPUV4I, cache=cache)
         result = DesignPoint(TPUV4I, cache=EvalCache()).run(spec, 2)
-        point.store("sim", spec, 2, None, result)
-        assert cache.get(point.key("sim", spec, 2)) == result
-        assert point.run(spec, 2) is result
+        cache.put(point.key("sim", spec, 2), result)
+        with collecting_metrics() as registry:
+            served = point.run(spec, 2)
+            assert registry.counter("engine.grid.batches").value == 0
+        assert served == result
+        evaluation = point.evaluate(spec, 2)
+        assert cache.get(point.key("eval", spec, 2)) == evaluation
 
-    @pytest.mark.parametrize("call", [
-        lambda p, s: p.key("result", s, 2),
-        lambda p, s: p.lookup("result", s, 2),
-        lambda p, s: p.store("result", s, 2, None, object()),
-    ], ids=["key", "lookup", "store"])
-    def test_unknown_kind_is_a_named_error(self, call):
+    def test_a_disk_hit_is_kept_in_the_memo(self, tmp_path):
+        spec = app_by_name("mlp0")
+        cache = EvalCache(disk_dir=tmp_path)
+        DesignPoint(TPUV4I, cache=cache).evaluate(spec, 2)
+        fresh = DesignPoint(TPUV4I, cache=cache)
+        hits = cache.stats.disk_hits
+        first = fresh.evaluate(spec, 2)
+        assert fresh.evaluate(spec, 2) is first
+        assert fresh.run(spec, 2) is fresh.run(spec, 2)
+        assert cache.stats.disk_hits == hits + 2
+
+    def test_unknown_kind_is_a_named_error(self):
         point = DesignPoint(TPUV4I, cache=EvalCache())
         with pytest.raises(ValueError, match="unknown record kind 'result'"):
-            call(point, app_by_name("mlp0"))
-        assert point.engine_cache().stats.puts == 0
+            point.key("result", app_by_name("mlp0"), 2)
 
     def test_grid_fills_only_the_misses(self):
         spec = app_by_name("mlp0")
@@ -348,13 +367,13 @@ class TestRecordKinds:
         jobs = [GridJob(point, spec, batch) for batch in (1, 2, 4)]
         results = run_grid(jobs)
         assert results[1] is warm_run
-        assert results[0] is point.lookup("sim", spec, 1)
+        assert results[0] is _cached(point, "sim", spec, 1)
         evaluations = evaluate_jobs(jobs)
         assert evaluations[2] is warm_eval
-        reference = DesignPoint(TPUV4I, cache=EvalCache())
+        fresh = DesignPoint(TPUV4I, cache=EvalCache())
         assert [_fields(e) for e in evaluations] == [
-            _fields(reference.evaluate(spec, b)) for b in (1, 2, 4)]
-        assert [point.lookup("eval", spec, b) for b in (1, 2, 4)] == \
+            _fields(reference.evaluate(fresh, spec, b)) for b in (1, 2, 4)]
+        assert [_cached(point, "eval", spec, b) for b in (1, 2, 4)] == \
             evaluations
 
 
@@ -396,7 +415,8 @@ class TestDseThroughEngine:
                                     cmem_mib_options=(64,))[0]
         with cold_engine():
             clear_shared_design_points()
-            legacy = evaluate_candidate(chip, GRID_APPS)
+            with reference_paths():
+                legacy = evaluate_candidate(chip, GRID_APPS)
         clear_shared_design_points()
         engined = evaluate_candidate(chip, GRID_APPS)
         assert legacy == engined

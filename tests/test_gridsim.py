@@ -42,6 +42,7 @@ from repro.util.units import MIB
 from repro.workloads import app_by_name
 
 from tests.conftest import reference_paths
+from tests.reference import engine as engine_reference
 from tests.reference.interpreter import run_interpreted
 
 
@@ -335,8 +336,9 @@ class TestEngineGrid:
         results = run_grid(jobs)
         with reference_paths():
             for job, result in zip(jobs, results):
-                expected = self._point().run(job.spec, job.resolved_batch,
-                                             job.cmem_budget_bytes)
+                expected = engine_reference.run(
+                    self._point(), job.spec, job.resolved_batch,
+                    job.cmem_budget_bytes)
                 _assert_identical(expected, result)
 
     def test_cached_jobs_never_enter_the_batch(self):
@@ -374,7 +376,8 @@ class TestEngineGrid:
         jobs = [GridJob(self._point(), spec, batch) for batch in (1, 2, 8)]
         evaluations = evaluate_jobs(jobs)
         with reference_paths():
-            expected = [self._point().evaluate(job.spec, job.batch)
+            expected = [engine_reference.evaluate(self._point(), job.spec,
+                                                  job.batch)
                         for job in jobs]
         assert evaluations == expected
         # And the grid-stored records serve point.evaluate afterwards.

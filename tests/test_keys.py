@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.arch import GENERATIONS, TPUV4I, ChipConfig
 from repro.compiler.versions import LATEST, RELEASES, CompilerVersion
+from repro.core import design_point
 from repro.core.design_point import DesignPoint, clear_shared_design_points
 from repro.core.dse import DEFAULT_DSE_APPS, enumerate_candidates, \
     evaluate_candidates
@@ -186,6 +187,36 @@ class TestComputedOnce:
                 calls.clear()
                 assert evaluate_candidates(chips, DEFAULT_DSE_APPS) == cold
                 assert calls == {}
+        finally:
+            clear_shared_design_points()
+
+    def test_each_job_builds_each_key_once(self, monkeypatch):
+        # A memo miss builds its job's key once; the miss dedupe and the
+        # store reuse it, and a memo hit builds none.
+        built = []
+        real = design_point.eval_key
+
+        def counting(kind, *args, **kwargs):
+            built.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(design_point, "eval_key", counting)
+        chips = enumerate_candidates((2, 4), (0, 128))
+        apps = ("mlp0", "cnn0")
+        clear_shared_design_points()
+        try:
+            with cold_engine():
+                cold = evaluate_candidates(chips, apps)
+                jobs = len(chips) * len(apps)
+                assert sorted(built) == ["eval"] * jobs + ["sim"] * jobs
+                built.clear()
+                assert evaluate_candidates(chips, apps) == cold
+                assert built == []
+                point = DesignPoint(TPUV4I, cache=EvalCache())
+                point.evaluate(app_by_name("mlp0"), 2)
+                assert sorted(built) == ["eval", "sim"]
+                point.run(app_by_name("mlp0"), 4)
+                assert sorted(built) == ["eval", "sim", "sim"]
         finally:
             clear_shared_design_points()
 
